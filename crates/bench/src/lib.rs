@@ -1,11 +1,9 @@
-//! Support library for the flowrank benchmark and figure-reproduction
-//! harness.
+//! Support library for the flowrank figure-reproduction harness.
 //!
-//! The criterion benches under `benches/` measure how long each figure's
-//! computation takes; the `reproduce` binary (in `src/bin/reproduce.rs`)
-//! regenerates the actual data series behind every figure of the paper and
-//! prints them as CSV. This module holds the parameter grids shared by both
-//! so the benchmarks and the reproduction stay in sync.
+//! The `reproduce` binary (in `src/bin/reproduce.rs`) regenerates the data
+//! series behind every figure of the paper and prints them as CSV. This
+//! module holds the parameter grids it sweeps. Timing lives in the `ledger/`
+//! package, not here.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

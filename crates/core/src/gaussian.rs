@@ -47,8 +47,7 @@ pub fn gaussian_absolute_error(s1: u64, s2: u64, p: f64) -> f64 {
 /// probability converges to a constant; it vanishes only when the difference
 /// grows strictly faster than the square root of the sizes. This helper
 /// evaluates the Gaussian misranking probability along that parameterised
-/// family and is used by tests and the ablation bench to demonstrate the
-/// condition.
+/// family and is used by tests to demonstrate the condition.
 pub fn misranking_along_sqrt_family(base_size: f64, sqrt_factor: f64, p: f64) -> f64 {
     let s1 = base_size;
     let s2 = base_size + sqrt_factor * base_size.sqrt();

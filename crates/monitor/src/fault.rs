@@ -165,7 +165,7 @@ pub enum TimestampPolicy {
     /// on the release hot path.
     #[default]
     DebugAssert,
-    /// Fail fast in every build: `try_drive`/`try_push_batch_into` return
+    /// Fail fast in every build: `try_drive` returns
     /// [`DriveError::TimestampRegression`]; the infallible entry points
     /// panic. Costs one pass over each batch's timestamps.
     Reject,

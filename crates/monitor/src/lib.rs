@@ -96,10 +96,11 @@
 //! `push`, `push_batch`, `run_trace` and `run_batch` are thin wrappers over
 //! the same sink-based core (a [`Collect`] sink clones each closed bin into
 //! the returned `Vec`), so every equivalence guarantee carries over
-//! bit-identically; `*_into` variants expose the allocation-free forms.
+//! bit-identically; [`Monitor::push_batch_into`] and
+//! [`Monitor::finish_into`] expose the allocation-free forms.
 //! With a streaming source (e.g. [`flowrank_trace::Workload::stream`]) and
 //! an aggregating sink, peak memory is independent of trace length — the
-//! configuration the `drive_end_to_end` bench records.
+//! configuration the `ledger/` workloads measure.
 //!
 //! # Fault tolerance
 //!
@@ -158,7 +159,8 @@
 //!
 //! For long-lived serving drives, sources can distinguish "no data right
 //! now" from end-of-stream via [`PacketSource::poll_chunk`] /
-//! [`SourcePoll::Pending`]; the live source adapters (pcap tailing, ndjson
+//! [`SourcePoll::Pending`] ([`PacketSource`] says which of its three methods
+//! a new source implements); the live source adapters (pcap tailing, ndjson
 //! feeds, channels, paced replay, stop gates) live in [`pipeline`], and the
 //! bounded [`rolling`] window summarises reports for snapshot serving.
 //!

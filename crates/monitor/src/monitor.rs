@@ -229,8 +229,7 @@ impl MonitorBuilder {
         self
     }
 
-    /// Recovery policy governing [`Monitor::try_drive`] and the fallible
-    /// entry points ([`Monitor::try_push_batch_into`]): which source faults
+    /// Recovery policy governing [`Monitor::try_drive`]: which source faults
     /// are skipped, how transient sink failures are retried, the error
     /// budget, the stall threshold, and how out-of-order timestamps are
     /// handled ([`TimestampPolicy`]). Defaults to [`DrivePolicy::strict`],
@@ -939,19 +938,12 @@ impl Monitor {
     /// two entry points are bit-identical for any way of cutting the stream
     /// into batches.
     pub fn push(&mut self, packet: &PacketRecord) -> Vec<BinReport> {
-        let mut sink = Collect::new();
-        self.push_into(packet, &mut sink);
-        sink.reports
-    }
-
-    /// [`Monitor::push`] with the closed bins delivered to a sink by
-    /// reference instead of returned as owned reports.
-    pub fn push_into<K: ReportSink + ?Sized>(&mut self, packet: &PacketRecord, sink: &mut K) {
         let mut batch = std::mem::take(&mut self.scratch_batch);
         batch.clear();
         batch.push_record(packet);
-        self.push_batch_into(&batch, sink);
+        let reports = self.push_batch(&batch);
         self.scratch_batch = batch;
+        reports
     }
 
     /// Observes a whole batch of packets (timestamps non-decreasing, as with
@@ -989,7 +981,7 @@ impl Monitor {
     /// the same error, and dropping it is safe). The `stats` carried on
     /// these errors are empty; [`Monitor::try_drive`] fills them in for a
     /// whole drive.
-    pub fn try_push_batch_into<K: ReportSink + ?Sized>(
+    pub(crate) fn try_push_batch_into<K: ReportSink + ?Sized>(
         &mut self,
         batch: &PacketBatch,
         sink: &mut K,
@@ -1204,7 +1196,7 @@ impl Monitor {
     /// Fallible form of [`Monitor::finish_into`]: a worker-pool panic
     /// surfaces as [`DriveError::WorkerPanicked`] instead of panicking the
     /// calling thread.
-    pub fn try_finish_into<K: ReportSink + ?Sized>(
+    pub(crate) fn try_finish_into<K: ReportSink + ?Sized>(
         &mut self,
         sink: &mut K,
     ) -> Result<bool, DriveError> {

@@ -29,8 +29,8 @@
 //!
 //! The serving path ([`Monitor::try_drive`](crate::Monitor::try_drive) as a
 //! long-lived daemon, see `flowrank-serve`) adds sources that can run out of
-//! data *temporarily*. They answer [`SourcePoll::Pending`] through
-//! [`PacketSource::poll_chunk`] instead of ending the stream:
+//! data *temporarily*: they answer [`SourcePoll::Pending`] instead of ending
+//! the stream ([`PacketSource`] says which method a new source implements):
 //!
 //! * [`PcapTailSource`] — tails a growing pcap file, resuming decode at the
 //!   committed record boundary each time the file grows.
@@ -72,11 +72,10 @@ use crate::report::BinReport;
 
 /// Copies a [`NetError`] so a latched terminating error can be surfaced
 /// repeatedly through [`PacketSource::try_next_chunk`] while `error()`
-/// keeps reporting it. `io::Error` is not `Clone`, so its copy preserves
-/// kind and message only.
+/// keeps reporting it.
 fn replicate_net_error(error: &NetError) -> NetError {
     match error {
-        NetError::Io(e) => NetError::Io(io::Error::new(e.kind(), e.to_string())),
+        NetError::Io(e) => NetError::Io(replicate_io_error(e)),
         NetError::BadPcapMagic { found } => NetError::BadPcapMagic { found: *found },
         NetError::UnsupportedLinkType { link_type } => NetError::UnsupportedLinkType {
             link_type: *link_type,
@@ -84,6 +83,11 @@ fn replicate_net_error(error: &NetError) -> NetError {
         NetError::MalformedPacket { reason } => NetError::MalformedPacket { reason },
         NetError::InvalidField { field, reason } => NetError::InvalidField { field, reason },
     }
+}
+
+/// `io::Error` is not `Clone`: the copy preserves kind and message only.
+fn replicate_io_error(error: &io::Error) -> io::Error {
+    io::Error::new(error.kind(), error.to_string())
 }
 
 /// Default packet count per chunk for sources that choose their own
@@ -109,13 +113,10 @@ pub struct DriveSummary {
 /// What one fallible poll of a [`PacketSource`] produced — the three-way
 /// answer of [`PacketSource::poll_chunk`].
 ///
-/// `Pending` is the explicit idle signal for live sources (a tailed capture
-/// with no new bytes, a socket with nothing buffered, a paced replay whose
-/// next window is not yet due): "no data right now, poll again". It is
-/// distinct from `End` (the stream is over, flush the final bin) and from a
-/// chunk — before this enum, idle could only be smuggled through
-/// [`PacketSource::try_next_chunk`] as `Ok(Some(empty))`, a shape the
-/// infallible contract forbids.
+/// `Pending` is the idle signal of the live sources (a tailed capture with
+/// no new bytes, a socket with nothing buffered, a paced replay whose next
+/// window is not yet due): "no data right now, poll again" — distinct from
+/// `End` (the stream is over, flush the final bin) and from a chunk.
 #[derive(Debug)]
 pub enum SourcePoll<'a> {
     /// A non-empty chunk of packets.
@@ -135,6 +136,11 @@ pub enum SourcePoll<'a> {
 /// timestamp order across the whole stream (the monitor's push contract).
 /// [`Monitor::drive`](crate::Monitor::drive) guarantees the same reports for
 /// any chunking of the same packet sequence.
+///
+/// A new source implements `next_chunk`, plus `try_next_chunk` when it can
+/// fail or idle; `poll_chunk` is derived. Only a source with no empty batch
+/// to lend (the paced replay) or a pure forwarder (`&mut S`, [`StopGate`])
+/// overrides `poll_chunk`.
 pub trait PacketSource {
     /// Returns the next chunk of packets, or `None` at end of stream.
     /// Implementations never return an empty batch.
@@ -143,16 +149,12 @@ pub trait PacketSource {
     /// The fallible form of [`PacketSource::next_chunk`], used by
     /// [`PacketSource::poll_chunk`]'s default implementation.
     ///
-    /// The default wraps `next_chunk` and never errors, so every existing
-    /// source is a fallible source for free. Sources with a real failure
-    /// mode (the pcap sources, `flowrank_sim::faults::FaultySource`)
+    /// The default wraps `next_chunk` and never errors. Sources with a
+    /// failure mode (the pcap sources, `flowrank_sim::faults::FaultySource`)
     /// override it to surface a [`SourceError`] instead of silently ending
-    /// the stream.
-    ///
-    /// Two relaxations over `next_chunk`, both for fault-aware callers:
-    /// `Ok(Some(batch))` **may be empty** — an *idle poll* meaning "no data
-    /// right now, not end of stream" (mapped to [`SourcePoll::Pending`]) —
-    /// and an [`SourceError::Malformed`] error means the source has
+    /// the stream, with two relaxations over `next_chunk`: `Ok(Some(batch))`
+    /// **may be empty** — an *idle poll*, "no data right now, not end of
+    /// stream" — and a [`SourceError::Malformed`] error means the source has
     /// advanced past a bad record and may be polled again.
     fn try_next_chunk(&mut self) -> Result<Option<&PacketBatch>, SourceError> {
         Ok(self.next_chunk())
@@ -161,11 +163,8 @@ pub trait PacketSource {
     /// The poll [`Monitor::try_drive`](crate::Monitor::try_drive) makes:
     /// chunk, [`SourcePoll::Pending`] (idle) or [`SourcePoll::End`].
     ///
-    /// The default maps [`PacketSource::try_next_chunk`] — an empty chunk
-    /// becomes `Pending`, `Ok(None)` becomes `End` — so every existing
-    /// source keeps working unchanged. Live sources (the file tailer, the
-    /// channel feed, the paced replay) override this to return `Pending`
-    /// directly instead of materialising an empty batch.
+    /// The default maps [`PacketSource::try_next_chunk`]: an empty chunk
+    /// becomes `Pending`, `Ok(None)` becomes `End`.
     fn poll_chunk(&mut self) -> Result<SourcePoll<'_>, SourceError> {
         Ok(match self.try_next_chunk()? {
             Some(chunk) if chunk.is_empty() => SourcePoll::Pending,
@@ -344,54 +343,36 @@ impl<'a> PcapBytesSource<'a> {
 }
 
 impl PacketSource for PcapBytesSource<'_> {
+    /// The packets decoded before a malformed record still flow downstream;
+    /// the stream then ends and the error is reported through `error()`.
     fn next_chunk(&mut self) -> Option<&PacketBatch> {
-        if self.error.is_some() {
-            return None;
-        }
-        self.batch.clear();
-        match self.cursor.decode_some(&mut self.batch, self.chunk_packets) {
-            Ok(0) => None,
-            Ok(_) => Some(&self.batch),
-            Err(error) => {
-                // Like the reader source: the packets decoded before the
-                // malformed record still flow downstream; the stream then
-                // ends and the error is reported through `error()`.
-                self.error = Some(error);
-                if self.batch.is_empty() {
-                    None
-                } else {
-                    Some(&self.batch)
-                }
-            }
-        }
+        self.try_next_chunk().unwrap_or(None)
     }
 
-    /// Like [`PcapBytesSource::next_chunk`], but a decode error is surfaced
-    /// as [`SourceError::Fatal`] (pcap framing errors lose the record
-    /// boundary, so the stream cannot resynchronise) — after the packets
-    /// decoded before the bad record have been delivered. The error also
-    /// stays latched for [`PcapBytesSource::error`], and repeated polls
-    /// keep returning it.
+    /// A decode error is [`SourceError::Fatal`] (pcap framing errors lose
+    /// the record boundary, so the stream cannot resynchronise), surfaced
+    /// after the packets decoded before the bad record, then latched: for
+    /// [`PcapBytesSource::error`], and for every later poll.
     fn try_next_chunk(&mut self) -> Result<Option<&PacketBatch>, SourceError> {
-        if let Some(error) = &self.error {
-            return Err(SourceError::Fatal(replicate_net_error(error)));
-        }
-        self.batch.clear();
-        match self.cursor.decode_some(&mut self.batch, self.chunk_packets) {
-            Ok(0) => Ok(None),
-            Ok(_) => Ok(Some(&self.batch)),
-            Err(error) => {
-                self.error = Some(error);
-                if self.batch.is_empty() {
-                    Err(SourceError::Fatal(replicate_net_error(
-                        self.error.as_ref().expect("just latched"),
-                    )))
-                } else {
-                    // Deliver the partial chunk first; the next poll errors.
-                    Ok(Some(&self.batch))
-                }
+        if self.error.is_none() {
+            self.batch.clear();
+            let decoded = self.cursor.decode_some(&mut self.batch, self.chunk_packets);
+            self.error = decoded.err();
+            // A partial chunk is delivered first; the next poll errors.
+            if !self.batch.is_empty() {
+                return Ok(Some(&self.batch));
             }
         }
+        end_of_pcap(&self.error)
+    }
+}
+
+/// What a pcap source with nothing left to deliver answers: its latched
+/// error as [`SourceError::Fatal`], again on every poll, or a clean end.
+fn end_of_pcap<'a>(latched: &Option<NetError>) -> Result<Option<&'a PacketBatch>, SourceError> {
+    match latched {
+        Some(error) => Err(SourceError::Fatal(replicate_net_error(error))),
+        None => Ok(None),
     }
 }
 
@@ -432,53 +413,30 @@ impl<R: io::Read> PcapReaderSource<R> {
 
 impl<R: io::Read> PacketSource for PcapReaderSource<R> {
     fn next_chunk(&mut self) -> Option<&PacketBatch> {
-        if self.error.is_some() {
-            return None;
-        }
-        self.batch.clear();
-        while self.batch.len() < self.chunk_packets {
-            match self.reader.next_record() {
-                Ok(Some(record)) => self.batch.push_record(&record),
-                Ok(None) => break,
-                Err(error) => {
-                    self.error = Some(error);
-                    break;
-                }
-            }
-        }
-        if self.batch.is_empty() {
-            None
-        } else {
-            Some(&self.batch)
-        }
+        self.try_next_chunk().unwrap_or(None)
     }
 
-    /// Like [`PcapReaderSource::next_chunk`], but a read/decode error is
-    /// surfaced as [`SourceError::Fatal`] after the records read before it
-    /// have been delivered; the error also stays latched for
-    /// [`PcapReaderSource::error`], and repeated polls keep returning it.
+    /// Same contract as [`PcapBytesSource::try_next_chunk`].
     fn try_next_chunk(&mut self) -> Result<Option<&PacketBatch>, SourceError> {
-        if let Some(error) = &self.error {
-            return Err(SourceError::Fatal(replicate_net_error(error)));
-        }
-        self.batch.clear();
-        while self.batch.len() < self.chunk_packets {
-            match self.reader.next_record() {
-                Ok(Some(record)) => self.batch.push_record(&record),
-                Ok(None) => break,
-                Err(error) => {
-                    self.error = Some(error);
-                    break;
+        if self.error.is_none() {
+            self.batch.clear();
+            while self.batch.len() < self.chunk_packets {
+                match self.reader.next_record() {
+                    Ok(Some(record)) => self.batch.push_record(&record),
+                    Ok(None) => break,
+                    Err(error) => {
+                        self.error = Some(error);
+                        break;
+                    }
                 }
             }
-        }
-        match (&self.error, self.batch.is_empty()) {
-            (Some(error), true) => Err(SourceError::Fatal(replicate_net_error(error))),
-            (_, true) => Ok(None),
             // A partial chunk (with or without a latched error behind it)
             // is delivered first; the next poll surfaces the error.
-            (_, false) => Ok(Some(&self.batch)),
+            if !self.batch.is_empty() {
+                return Ok(Some(&self.batch));
+            }
         }
+        end_of_pcap(&self.error)
     }
 }
 
@@ -486,18 +444,8 @@ impl<R: io::Read> PacketSource for PcapReaderSource<R> {
 // Live sources
 // ---------------------------------------------------------------------------
 
-/// The non-borrowing outcome the live sources' internal step functions
-/// return, mapped to [`SourcePoll`] (or to sleeps) by the trait impls.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum LiveStep {
-    Chunk,
-    Pending,
-    End,
-}
-
-/// How long the *infallible* entry points of the live sources sleep between
-/// idle polls. The fallible path ([`PacketSource::poll_chunk`]) never
-/// sleeps — pacing there belongs to
+/// How long the live sources' `next_chunk` sleeps between idle polls. The
+/// fallible polls never sleep: pacing there belongs to
 /// [`DrivePolicy::idle_wait`](crate::DrivePolicy).
 const LIVE_POLL_WAIT: Duration = Duration::from_millis(1);
 
@@ -572,46 +520,37 @@ impl PcapTailSource {
         self.consumed
     }
 
-    fn step(&mut self) -> Result<LiveStep, SourceError> {
-        if let Some(error) = &self.error {
-            return Err(SourceError::Fatal(replicate_net_error(error)));
-        }
+    /// One decode step into `self.batch`. `Ok(true)`: the stream goes on,
+    /// and an empty batch means the source has caught up with the writer
+    /// (an idle poll). `Ok(false)`: end of stream.
+    fn step(&mut self) -> Result<bool, SourceError> {
+        end_of_pcap(&self.error)?;
         self.batch.clear();
         if let Err(error) = io::Read::read_to_end(&mut self.file, &mut self.buf) {
-            let error = self.latch(NetError::Io(error));
-            return Err(SourceError::Fatal(error));
+            return Err(self.fatal(NetError::Io(error)));
         }
         if !self.header_ok {
             if self.buf.len() < 24 {
                 // Not even the global header yet.
-                return Ok(self.drained());
+                return Ok(self.follow);
             }
             if let Err(error) = PcapBatchCursor::new(&self.buf) {
-                let error = self.latch(error);
-                return Err(SourceError::Fatal(error));
+                return Err(self.fatal(error));
             }
             self.header_ok = true;
             self.consumed = 24;
         }
         let mut cursor = match PcapBatchCursor::resume_trusted(&self.buf, self.consumed) {
             Ok(cursor) => cursor,
-            Err(error) => {
-                let error = self.latch(error);
-                return Err(SourceError::Fatal(error));
-            }
+            Err(error) => return Err(self.fatal(error)),
         };
-        match cursor.decode_some(&mut self.batch, self.chunk_packets) {
-            Ok(0) => {
-                self.consumed = cursor.offset();
-                Ok(self.drained())
-            }
-            Ok(_) => {
-                self.consumed = cursor.offset();
-                Ok(LiveStep::Chunk)
-            }
+        let decoded = cursor.decode_some(&mut self.batch, self.chunk_packets);
+        // After an error the cursor is parked at the start of the bad record.
+        self.consumed = cursor.offset();
+        match decoded {
+            // Caught up with the writer: wait in follow mode, end otherwise.
+            Ok(decoded) => Ok(decoded > 0 || self.follow),
             Err(error) => {
-                // The cursor is parked at the start of the failing record.
-                self.consumed = cursor.offset();
                 let truncated_at_tail = matches!(
                     &error,
                     NetError::MalformedPacket { reason }
@@ -621,33 +560,19 @@ impl PcapTailSource {
                     // Most likely a record the writer has not finished
                     // flushing: deliver what decoded before it, then wait
                     // for the rest of the record to land.
-                    if self.batch.is_empty() {
-                        Ok(LiveStep::Pending)
-                    } else {
-                        Ok(LiveStep::Chunk)
-                    }
+                    Ok(true)
                 } else {
-                    let error = self.latch(error);
-                    Err(SourceError::Fatal(error))
+                    Err(self.fatal(error))
                 }
             }
         }
     }
 
-    /// Caught up with the writer: keep waiting in follow mode, end
-    /// otherwise.
-    fn drained(&self) -> LiveStep {
-        if self.follow {
-            LiveStep::Pending
-        } else {
-            LiveStep::End
-        }
-    }
-
-    fn latch(&mut self, error: NetError) -> NetError {
+    /// Latches `error` and returns its replica for this poll.
+    fn fatal(&mut self, error: NetError) -> SourceError {
         let replica = replicate_net_error(&error);
         self.error = Some(error);
-        replica
+        SourceError::Fatal(replica)
     }
 }
 
@@ -658,29 +583,16 @@ impl PacketSource for PcapTailSource {
     fn next_chunk(&mut self) -> Option<&PacketBatch> {
         loop {
             match self.step() {
-                Ok(LiveStep::Chunk) => return Some(&self.batch),
-                Ok(LiveStep::Pending) => std::thread::sleep(LIVE_POLL_WAIT),
-                Ok(LiveStep::End) | Err(_) => return None,
+                Ok(true) if self.batch.is_empty() => std::thread::sleep(LIVE_POLL_WAIT),
+                Ok(true) => return Some(&self.batch),
+                Ok(false) | Err(_) => return None,
             }
         }
     }
 
+    /// Caught up with the writer, the chunk is empty: an idle poll.
     fn try_next_chunk(&mut self) -> Result<Option<&PacketBatch>, SourceError> {
-        match self.step()? {
-            LiveStep::Chunk => Ok(Some(&self.batch)),
-            // `step` cleared the batch and appended nothing: the empty
-            // borrow is the legacy idle-poll encoding.
-            LiveStep::Pending => Ok(Some(&self.batch)),
-            LiveStep::End => Ok(None),
-        }
-    }
-
-    fn poll_chunk(&mut self) -> Result<SourcePoll<'_>, SourceError> {
-        Ok(match self.step()? {
-            LiveStep::Chunk => SourcePoll::Chunk(&self.batch),
-            LiveStep::Pending => SourcePoll::Pending,
-            LiveStep::End => SourcePoll::End,
-        })
+        Ok(self.step()?.then_some(&self.batch))
     }
 }
 
@@ -725,30 +637,25 @@ impl<R: io::BufRead> NdjsonRecordSource<R> {
         }
     }
 
-    fn step(&mut self) -> Result<LiveStep, SourceError> {
+    /// Reads the next record into `self.batch`; `Ok(false)` at end of input.
+    fn step(&mut self) -> Result<bool, SourceError> {
         loop {
             self.line.clear();
             self.batch.clear();
             match self.reader.read_line(&mut self.line) {
-                Ok(0) => return Ok(LiveStep::End),
+                Ok(0) => return Ok(false),
                 Ok(_) => {}
                 Err(error) => return Err(SourceError::Fatal(NetError::Io(error))),
             }
             if self.line.trim().is_empty() {
                 continue; // blank lines separate nothing
             }
-            match parse_ndjson_record(&self.line) {
-                Ok(record) => {
-                    self.batch.push_record(&record);
-                    return Ok(LiveStep::Chunk);
-                }
-                Err(reason) => {
-                    return Err(SourceError::Malformed(NetError::InvalidField {
-                        field: "ndjson record",
-                        reason,
-                    }))
-                }
-            }
+            let record = parse_ndjson_record(&self.line).map_err(|reason| {
+                let field = "ndjson record";
+                SourceError::Malformed(NetError::InvalidField { field, reason })
+            })?;
+            self.batch.push_record(&record);
+            return Ok(true);
         }
     }
 }
@@ -758,19 +665,15 @@ impl<R: io::BufRead> PacketSource for NdjsonRecordSource<R> {
     fn next_chunk(&mut self) -> Option<&PacketBatch> {
         loop {
             match self.step() {
-                Ok(LiveStep::Chunk) => return Some(&self.batch),
-                Ok(_) => return None,
+                Ok(true) => return Some(&self.batch),
                 Err(error) if error.is_recoverable() => continue,
-                Err(_) => return None,
+                Ok(false) | Err(_) => return None,
             }
         }
     }
 
     fn try_next_chunk(&mut self) -> Result<Option<&PacketBatch>, SourceError> {
-        match self.step()? {
-            LiveStep::Chunk => Ok(Some(&self.batch)),
-            _ => Ok(None),
-        }
+        Ok(self.step()?.then_some(&self.batch))
     }
 }
 
@@ -900,22 +803,6 @@ impl ChannelSource {
         let (sender, receiver) = std::sync::mpsc::channel();
         (sender, ChannelSource::new(receiver))
     }
-
-    fn step_nonblocking(&mut self) -> Result<LiveStep, SourceError> {
-        use std::sync::mpsc::TryRecvError;
-        loop {
-            match self.receiver.try_recv() {
-                Ok(Ok(batch)) if batch.is_empty() => continue,
-                Ok(Ok(batch)) => {
-                    self.batch = batch;
-                    return Ok(LiveStep::Chunk);
-                }
-                Ok(Err(error)) => return Err(error),
-                Err(TryRecvError::Empty) => return Ok(LiveStep::Pending),
-                Err(TryRecvError::Disconnected) => return Ok(LiveStep::End),
-            }
-        }
-    }
 }
 
 impl PacketSource for ChannelSource {
@@ -935,23 +822,19 @@ impl PacketSource for ChannelSource {
         }
     }
 
+    /// Never blocks: an empty channel is an idle poll, an empty chunk.
     fn try_next_chunk(&mut self) -> Result<Option<&PacketBatch>, SourceError> {
-        match self.step_nonblocking()? {
-            LiveStep::Chunk => Ok(Some(&self.batch)),
-            LiveStep::Pending => {
-                self.batch.clear();
-                Ok(Some(&self.batch))
+        use std::sync::mpsc::TryRecvError;
+        loop {
+            match self.receiver.try_recv() {
+                Ok(Ok(batch)) if batch.is_empty() => continue,
+                Ok(Ok(batch)) => self.batch = batch,
+                Ok(Err(error)) => return Err(error),
+                Err(TryRecvError::Empty) => self.batch.clear(),
+                Err(TryRecvError::Disconnected) => return Ok(None),
             }
-            LiveStep::End => Ok(None),
+            return Ok(Some(&self.batch));
         }
-    }
-
-    fn poll_chunk(&mut self) -> Result<SourcePoll<'_>, SourceError> {
-        Ok(match self.step_nonblocking()? {
-            LiveStep::Chunk => SourcePoll::Chunk(&self.batch),
-            LiveStep::Pending => SourcePoll::Pending,
-            LiveStep::End => SourcePoll::End,
-        })
     }
 }
 
@@ -983,31 +866,26 @@ impl<S> StopGate<S> {
         self.inner
     }
 
-    fn stopped(&self) -> bool {
-        self.stop.load(std::sync::atomic::Ordering::Relaxed)
+    /// The wrapped source, until the stop flag is raised.
+    fn open(&mut self) -> Option<&mut S> {
+        let stopped = self.stop.load(std::sync::atomic::Ordering::Relaxed);
+        (!stopped).then_some(&mut self.inner)
     }
 }
 
+/// A pure forwarder, like `&mut S`: all three methods, so an inner error or
+/// an inner `Pending` reaches the caller whichever one it polls.
 impl<S: PacketSource> PacketSource for StopGate<S> {
     fn next_chunk(&mut self) -> Option<&PacketBatch> {
-        if self.stopped() {
-            return None;
-        }
-        self.inner.next_chunk()
+        self.open()?.next_chunk()
     }
 
     fn try_next_chunk(&mut self) -> Result<Option<&PacketBatch>, SourceError> {
-        if self.stopped() {
-            return Ok(None);
-        }
-        self.inner.try_next_chunk()
+        self.open().map_or(Ok(None), S::try_next_chunk)
     }
 
     fn poll_chunk(&mut self) -> Result<SourcePoll<'_>, SourceError> {
-        if self.stopped() {
-            return Ok(SourcePoll::End);
-        }
-        self.inner.poll_chunk()
+        self.open().map_or(Ok(SourcePoll::End), S::poll_chunk)
     }
 }
 
@@ -1025,22 +903,10 @@ impl PacketSource for flowrank_trace::PacedReplay {
         }
     }
 
-    /// The fallible form never sleeps: a not-yet-due window is an idle
-    /// poll, paced by
-    /// [`DrivePolicy::idle_wait`](crate::DrivePolicy::idle_wait).
-    fn try_next_chunk(&mut self) -> Result<Option<&PacketBatch>, SourceError> {
-        match self.tick() {
-            flowrank_trace::ReplayTick::Due => Ok(Some(self.take_window())),
-            flowrank_trace::ReplayTick::NotYet(_) => {
-                // An empty borrow is the legacy idle-poll encoding; reuse
-                // the staged batch's allocation-free empty view is not
-                // possible here, so poll_chunk is the preferred entry.
-                Ok(Some(crate::pipeline::empty_batch()))
-            }
-            flowrank_trace::ReplayTick::Done => Ok(None),
-        }
-    }
-
+    /// The drive loop's poll never sleeps: a not-yet-due window is `Pending`,
+    /// paced by [`DrivePolicy::idle_wait`](crate::DrivePolicy::idle_wait). A
+    /// replay cannot fail and has no empty batch to lend, so it overrides
+    /// this method and leaves `try_next_chunk` at the blocking default.
     fn poll_chunk(&mut self) -> Result<SourcePoll<'_>, SourceError> {
         Ok(match self.tick() {
             flowrank_trace::ReplayTick::Due => SourcePoll::Chunk(self.take_window()),
@@ -1048,14 +914,6 @@ impl PacketSource for flowrank_trace::PacedReplay {
             flowrank_trace::ReplayTick::Done => SourcePoll::End,
         })
     }
-}
-
-/// A shared `&'static` empty batch for sources that must encode an idle
-/// poll through [`PacketSource::try_next_chunk`]'s borrowed return type.
-pub(crate) fn empty_batch() -> &'static PacketBatch {
-    use std::sync::OnceLock;
-    static EMPTY: OnceLock<PacketBatch> = OnceLock::new();
-    EMPTY.get_or_init(PacketBatch::new)
 }
 
 // ---------------------------------------------------------------------------
@@ -1233,6 +1091,27 @@ impl ReportSink for RateCurve {
     }
 }
 
+/// The writer sinks' one error policy, behind both [`ReportSink`] methods: a
+/// latched error refuses every later report. A fresh failure of `render` is
+/// classified through [`SinkError::from`]: a transient one is only returned,
+/// so the drive loop can retry; a permanent one also latches, so the sink's
+/// `finish()` reports it too.
+fn emit_latching(
+    latched: &mut Option<io::Error>,
+    render: impl FnOnce() -> io::Result<()>,
+) -> Result<(), SinkError> {
+    if let Some(error) = latched {
+        return Err(SinkError::permanent(replicate_io_error(error)));
+    }
+    render().map_err(|error| {
+        let error = SinkError::from(error);
+        if !error.is_transient() {
+            *latched = Some(replicate_io_error(error.io_error()));
+        }
+        error
+    })
+}
+
 /// Streams every report as one JSON object per line (ndjson) to a writer.
 ///
 /// Rendering writes straight into the writer — no intermediate strings. I/O
@@ -1314,37 +1193,18 @@ impl<W: Write> NdjsonSink<W> {
 }
 
 impl<W: Write> ReportSink for NdjsonSink<W> {
+    /// [`NdjsonSink::emit`] with nobody to retry: any failure, transient
+    /// included, latches for [`NdjsonSink::finish`].
     fn accept(&mut self, report: &BinReport) {
-        if self.error.is_some() {
-            return;
-        }
-        if let Err(error) = Self::render(&mut self.out, report) {
-            self.error = Some(error);
+        if self.error.is_none() {
+            self.error = self.emit(report).err().map(SinkError::into_io_error);
         }
     }
 
-    /// Renders the report, returning the I/O error instead of latching it
-    /// when it is transient (so the drive loop can retry); permanent errors
-    /// latch exactly like [`NdjsonSink::accept`]'s, stopping all further
-    /// output and surfacing through [`NdjsonSink::finish`] too.
+    /// Renders the report; a transient I/O error is returned for the drive
+    /// loop to retry, a permanent one also latches for [`NdjsonSink::finish`].
     fn emit(&mut self, report: &BinReport) -> Result<(), SinkError> {
-        if let Some(error) = &self.error {
-            return Err(SinkError::permanent(io::Error::new(
-                error.kind(),
-                error.to_string(),
-            )));
-        }
-        match Self::render(&mut self.out, report) {
-            Ok(()) => Ok(()),
-            Err(error) => {
-                let sink_error = SinkError::from(error);
-                if !sink_error.is_transient() {
-                    let e = sink_error.io_error();
-                    self.error = Some(io::Error::new(e.kind(), e.to_string()));
-                }
-                Err(sink_error)
-            }
-        }
+        emit_latching(&mut self.error, || Self::render(&mut self.out, report))
     }
 }
 
@@ -1411,34 +1271,18 @@ impl<W: Write> CsvSink<W> {
 }
 
 impl<W: Write> ReportSink for CsvSink<W> {
+    /// Same as [`NdjsonSink::accept`]: `emit`, with every failure latched.
     fn accept(&mut self, report: &BinReport) {
-        if self.error.is_some() {
-            return;
-        }
-        if let Err(error) = Self::render(&mut self.out, &mut self.wrote_header, report) {
-            self.error = Some(error);
+        if self.error.is_none() {
+            self.error = self.emit(report).err().map(SinkError::into_io_error);
         }
     }
 
     /// Same transient-vs-permanent contract as [`NdjsonSink::emit`].
     fn emit(&mut self, report: &BinReport) -> Result<(), SinkError> {
-        if let Some(error) = &self.error {
-            return Err(SinkError::permanent(io::Error::new(
-                error.kind(),
-                error.to_string(),
-            )));
-        }
-        match Self::render(&mut self.out, &mut self.wrote_header, report) {
-            Ok(()) => Ok(()),
-            Err(error) => {
-                let sink_error = SinkError::from(error);
-                if !sink_error.is_transient() {
-                    let e = sink_error.io_error();
-                    self.error = Some(io::Error::new(e.kind(), e.to_string()));
-                }
-                Err(sink_error)
-            }
-        }
+        emit_latching(&mut self.error, || {
+            Self::render(&mut self.out, &mut self.wrote_header, report)
+        })
     }
 }
 
@@ -1591,7 +1435,7 @@ mod tests {
     use crate::spec::SamplerSpec;
     use flowrank_net::pcap::records_to_pcap_bytes;
     use flowrank_net::Timestamp;
-    use flowrank_trace::{SprintModel, SynthesisConfig, Workload};
+    use flowrank_trace::{PacedReplay, SprintModel, SynthesisConfig, Workload};
     use std::net::Ipv4Addr;
 
     fn trace() -> Vec<PacketRecord> {
@@ -1826,29 +1670,30 @@ mod tests {
         let mut m = monitor();
         let mut sink = Collect::new();
         for p in &packets[..50] {
-            m.push_into(p, &mut sink);
+            let one = PacketBatch::from_records(std::slice::from_ref(p));
+            m.push_batch_into(&one, &mut sink);
         }
         let rest = PacketBatch::from_records(&packets[50..]);
         m.drive(&mut BatchSource::new(&rest), &mut sink);
         assert_eq!(sink.reports, baseline);
     }
 
-    #[test]
-    fn csv_sink_rows_are_parseable() {
-        let packet = PacketRecord::udp(
-            Timestamp::from_secs_f64(1.0),
-            Ipv4Addr::new(10, 0, 0, 1),
-            53,
-            Ipv4Addr::new(100, 64, 0, 9),
-            53,
-            120,
-        );
+    /// One packet through a rate-1 monitor into `sink`: one bin, one lane.
+    fn drive_one_packet(sink: &mut impl ReportSink) {
         let mut m = Monitor::builder()
             .sampler(SamplerSpec::Random { rate: 1.0 })
             .build();
+        m.push_batch_into(
+            &PacketBatch::from_records(&synth_packets(1, 1.0)[..1]),
+            sink,
+        );
+        m.finish_into(sink);
+    }
+
+    #[test]
+    fn csv_sink_rows_are_parseable() {
         let mut csv = CsvSink::new(Vec::new());
-        m.push_into(&packet, &mut csv);
-        m.finish_into(&mut csv);
+        drive_one_packet(&mut csv);
         let text = String::from_utf8(csv.finish().unwrap()).unwrap();
         let row = text.lines().nth(1).unwrap();
         let fields: Vec<&str> = row.split(',').collect();
@@ -1870,44 +1715,108 @@ mod tests {
         assert!(source.try_next_chunk().unwrap().is_none(), "end of stream");
     }
 
+    /// Loops `next_chunk` (0), `try_next_chunk` (1) or `poll_chunk` (2) to the
+    /// end of the stream, or to the first idle poll of a `live` source. Returns
+    /// the timestamps, the malformed count, and whether a fatal error ended it.
+    fn pull(source: &mut dyn PacketSource, via: u8, live: bool) -> (Vec<u64>, u32, bool) {
+        use SourcePoll::{Chunk, End, Pending};
+        let (mut seen, mut malformed) = (Vec::new(), 0);
+        loop {
+            let polled = match via {
+                0 => Ok(source.next_chunk().map_or(End, Chunk)),
+                1 => source.try_next_chunk().map(|chunk| match chunk {
+                    Some(chunk) if chunk.is_empty() => Pending,
+                    chunk => chunk.map_or(End, Chunk),
+                }),
+                _ => source.poll_chunk(),
+            };
+            match polled {
+                Ok(Chunk(chunk)) => {
+                    assert!(!chunk.is_empty(), "idle is Pending, never a chunk");
+                    seen.extend_from_slice(chunk.ts_nanos());
+                }
+                Ok(Pending) if !live => {}
+                Ok(_) => return (seen, malformed, false),
+                Err(error) if error.is_recoverable() => malformed += 1,
+                Err(_) => {
+                    assert!(source.poll_chunk().is_err(), "a fatal error stays latched");
+                    return (seen, malformed, true);
+                }
+            }
+        }
+    }
+
+    /// All three methods yield the same packets. `faults` is what the
+    /// fallible two surface on the way: malformed records, and whether a
+    /// fatal error ends the stream — after the packets before it.
+    fn agree<S: PacketSource>(name: &str, make: impl Fn() -> S, live: bool, faults: (u32, bool)) {
+        let polled = pull(&mut make(), 2, live);
+        assert!(!polled.0.is_empty(), "{name}: packets flow");
+        assert_eq!((polled.1, polled.2), faults, "{name}: poll_chunk");
+        assert_eq!(pull(&mut make(), 1, live), polled, "{name}: try_next_chunk");
+        // Where the polls idle `next_chunk` waits for more, so it cannot be
+        // looped on a live source.
+        if !live {
+            let lenient = (polled.0, 0, false);
+            assert_eq!(pull(&mut make(), 0, live), lenient, "{name}: next_chunk");
+        }
+    }
+
     #[test]
     fn pcap_try_sources_surface_fatal_errors_after_partial_delivery() {
-        let bytes = records_to_pcap_bytes(&trace()).unwrap();
-        let cut = &bytes[..bytes.len() - 100];
-
-        // Reference: the infallible path's packet count on the same capture.
-        let mut infallible = PcapBytesSource::new(cut).unwrap().with_chunk_packets(64);
-        let mut expected = 0usize;
-        while let Some(chunk) = infallible.next_chunk() {
-            expected += chunk.len();
+        const RECORD: &str =
+            r#"{"ts":1,"src":"1.1.1.1","dst":"2.2.2.2","sport":1,"dport":2,"len":9,"proto":"udp"}"#;
+        fn ndjson(feed: &str) -> NdjsonRecordSource<&[u8]> {
+            NdjsonRecordSource::new(feed.as_bytes())
         }
-
-        let mut source = PcapBytesSource::new(cut).unwrap().with_chunk_packets(64);
-        let mut decoded = 0usize;
-        let error = loop {
-            match source.try_next_chunk() {
-                Ok(Some(chunk)) => decoded += chunk.len(),
-                Ok(None) => panic!("truncated capture must error, not end cleanly"),
-                Err(error) => break error,
-            }
+        fn gate<S>(inner: S) -> StopGate<S> {
+            StopGate::new(inner, Default::default())
+        }
+        let records = synth_packets(3, 0.0);
+        let clean = records_to_pcap_bytes(&records).unwrap();
+        let cut = &clean[..clean.len() - 7]; // truncated mid-record
+        let file = format!("flowrank-three-methods-{}.pcap", std::process::id());
+        let file = std::env::temp_dir().join(file);
+        let tail = |follow| {
+            let tail = PcapTailSource::open(&file).unwrap();
+            tail.with_chunk_packets(16).follow(follow)
         };
-        assert!(!error.is_recoverable(), "framing errors are fatal");
-        assert_eq!(decoded, expected, "partial packets still flow first");
-        assert!(source.error().is_some(), "error() keeps reporting");
-        assert!(source.try_next_chunk().is_err(), "stays terminated");
-
-        let mut reader = PcapReaderSource::new(cut).unwrap().with_chunk_packets(64);
-        let mut from_reader = 0usize;
-        let reader_error = loop {
-            match reader.try_next_chunk() {
-                Ok(Some(chunk)) => from_reader += chunk.len(),
-                Ok(None) => panic!("truncated capture must error, not end cleanly"),
-                Err(error) => break error,
-            }
+        for (capture, fatal) in [(&clean[..], false), (cut, true)] {
+            let bytes = || PcapBytesSource::new(capture).unwrap();
+            agree("bytes", bytes, false, (0, fatal));
+            let reader = || PcapReaderSource::new(capture).unwrap();
+            agree("reader", reader, false, (0, fatal));
+            agree("gate", || gate(bytes()), false, (0, fatal));
+            std::fs::write(&file, capture).unwrap();
+            agree("tail", || tail(false), false, (0, fatal));
+            // Truncated at the tail of a followed file reads as not yet written.
+            agree("tail -f", || tail(true), true, (0, false));
+            agree("gate -f", || gate(tail(true)), true, (0, false));
+        }
+        std::fs::remove_file(file).unwrap();
+        for (bad, malformed) in [("", 0), ("not json\n", 1)] {
+            let feed = format!("{RECORD}\n{bad}{RECORD}\n");
+            agree("ndjson", || ndjson(&feed), false, (malformed, false));
+            agree("gate", || gate(ndjson(&feed)), false, (malformed, false));
+        }
+        // Two chunks around one malformed record. A live feed keeps its
+        // sender, so the source idles where a finished one ends.
+        let senders = std::cell::RefCell::new(Vec::new());
+        let channel = |live: bool| {
+            let (sender, source) = ChannelSource::channel();
+            let bad = NetError::MalformedPacket { reason: "injected" };
+            let chunk = |range| Ok(PacketBatch::from_records(&records[range]));
+            sender.send(chunk(0..20)).unwrap();
+            sender.send(Err(SourceError::Malformed(bad))).unwrap();
+            sender.send(chunk(20..60)).unwrap();
+            senders.borrow_mut().extend(live.then_some(sender));
+            source
         };
-        assert!(!reader_error.is_recoverable());
-        assert_eq!(from_reader, expected, "both sources agree");
-        assert!(reader.try_next_chunk().is_err());
+        agree("channel", || channel(false), false, (1, false));
+        agree("channel, live", || channel(true), true, (1, false));
+        // A replay's `try_next_chunk` is the trait default over `next_chunk`.
+        let replay = || PacedReplay::new(Workload::flash_crowd().stream(7), 1e6);
+        agree("replay", replay, false, (0, false));
     }
 
     /// Writer that fails with the given error kind for the first `failures`
@@ -1978,20 +1887,8 @@ mod tests {
         // One bin, one lane, one observation per stat: the std-dev of a
         // single sample is undefined, and points() must report 0.0 for it
         // rather than NaN.
-        let packet = PacketRecord::udp(
-            Timestamp::from_secs_f64(1.0),
-            Ipv4Addr::new(10, 0, 0, 1),
-            53,
-            Ipv4Addr::new(100, 64, 0, 9),
-            53,
-            120,
-        );
-        let mut m = Monitor::builder()
-            .sampler(SamplerSpec::Random { rate: 1.0 })
-            .build();
         let mut curve = RateCurve::new();
-        m.push_into(&packet, &mut curve);
-        m.finish_into(&mut curve);
+        drive_one_packet(&mut curve);
         let points = curve.points();
         assert_eq!(curve.bins(), 1);
         assert_eq!(points.len(), 1);

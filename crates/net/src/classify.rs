@@ -8,13 +8,11 @@
 //!
 //! The table is a [`FlowMap`] keyed by the packed
 //! [`flowrank_flowtable::CompactKey`] form of the flow identity, so the
-//! per-packet lookup is an integer hash and
-//! compare rather than a structural SipHash pass, and `clear()` recycles
-//! the allocation across measurement bins. [`ShardedFlowTable`] partitions
-//! the same accumulator by key hash so one bin can be classified in
-//! parallel and still drain into a single deterministic ranking.
+//! per-packet lookup is an integer hash and compare rather than a structural
+//! SipHash pass, and `clear()` recycles the allocation across measurement
+//! bins.
 
-use flowrank_flowtable::{shard_of, FlowMap};
+use flowrank_flowtable::FlowMap;
 
 use crate::batch::PacketBatch;
 use crate::flowkey::FlowKey;
@@ -304,168 +302,6 @@ impl<K: FlowKey> FlowTable<K> {
     }
 }
 
-/// A flow table partitioned by key hash into N disjoint shards.
-///
-/// Every key deterministically owns exactly one shard
-/// ([`flowrank_flowtable::shard_of`] on its packed form), so per-key
-/// counters never need cross-shard merging: the sharded table observes a
-/// packet stream to exactly the same per-flow counts as a sequential
-/// [`FlowTable`], whether it is driven packet-by-packet
-/// ([`ShardedFlowTable::observe_keyed`]) or classifies a whole buffered bin
-/// with one worker thread per shard
-/// ([`ShardedFlowTable::observe_bin_parallel`]). Draining iterates the
-/// shards in index order (each in its own deterministic drain order), which
-/// is deterministic but *different* from a single table's global insertion
-/// order — consumers that rank flows re-sort with total tie-breaks, so
-/// rankings and comparison outcomes stay bit-identical across shard counts
-/// (pinned by `streaming_equivalence.rs`).
-#[derive(Debug, Clone)]
-pub struct ShardedFlowTable<K: FlowKey> {
-    shards: Vec<FlowTable<K>>,
-}
-
-impl<K: FlowKey> ShardedFlowTable<K> {
-    /// Creates a table with `shards` partitions (at least 1).
-    pub fn new(shards: usize) -> Self {
-        ShardedFlowTable {
-            shards: (0..shards.max(1)).map(|_| FlowTable::new()).collect(),
-        }
-    }
-
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Routes `key` to its owning shard.
-    #[inline]
-    fn shard_index(&self, key: &K) -> usize {
-        shard_of(key.pack(), self.shards.len())
-    }
-
-    /// Observes a packet with a precomputed key into its owning shard.
-    /// Returns the flow's updated packet count.
-    pub fn observe_keyed(&mut self, key: K, packet: &PacketRecord) -> u64 {
-        let shard = self.shard_index(&key);
-        self.shards[shard].observe_keyed(key, packet)
-    }
-
-    /// Observes one packet from its columns into its owning shard (the
-    /// batched counterpart of [`ShardedFlowTable::observe_keyed`]).
-    #[inline]
-    pub fn observe_keyed_parts(
-        &mut self,
-        key: K,
-        timestamp: Timestamp,
-        length: u16,
-        tcp_seq: Option<u32>,
-    ) -> u64 {
-        let shard = self.shard_index(&key);
-        self.shards[shard].observe_keyed_parts(key, timestamp, length, tcp_seq)
-    }
-
-    /// Classifies a contiguous range of a [`PacketBatch`] with one worker
-    /// per shard — the batch counterpart of
-    /// [`ShardedFlowTable::observe_bin_parallel`]. `keys` covers `range` in
-    /// order (`keys[i - range.start]` belongs to batch index `i`). Counters
-    /// are element-for-element identical to feeding every `(key, packet)`
-    /// pair through [`ShardedFlowTable::observe_keyed_parts`] sequentially.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `keys` and `range` have different lengths.
-    pub fn observe_batch_parallel(&mut self, keys: &[K], batch: &PacketBatch, range: Range<usize>) {
-        assert_eq!(keys.len(), range.len(), "one key per packet in range");
-        let shard_count = self.shards.len();
-        if shard_count == 1 {
-            self.shards[0].observe_batch(keys, batch, range);
-            return;
-        }
-        // Route once up front: every worker still scans the whole range,
-        // but it compares a small integer per packet instead of re-hashing
-        // every key in every shard (which would make total hashing work
-        // grow with the shard count).
-        let routes: Vec<u16> = keys
-            .iter()
-            .map(|key| shard_of(key.pack(), shard_count) as u16)
-            .collect();
-        let routes = &routes;
-        let start = range.start;
-        std::thread::scope(|scope| {
-            for (index, shard) in self.shards.iter_mut().enumerate() {
-                scope.spawn(move || {
-                    let index = index as u16;
-                    for (slot, route) in routes.iter().enumerate() {
-                        if *route == index {
-                            let i = start + slot;
-                            shard.observe_keyed_parts(
-                                keys[slot],
-                                batch.timestamp(i),
-                                batch.length(i),
-                                batch.tcp_seq(i),
-                            );
-                        }
-                    }
-                });
-            }
-        });
-    }
-
-    /// Classifies a whole bin of packet records in parallel — a
-    /// compatibility shim over [`ShardedFlowTable::observe_batch_parallel`]
-    /// that columnarises the records first. The result is
-    /// element-for-element identical to feeding every `(key, packet)` pair
-    /// through [`ShardedFlowTable::observe_keyed`] sequentially; callers on
-    /// the hot path should build the [`PacketBatch`] themselves and reuse
-    /// it.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `keys` and `packets` have different lengths.
-    pub fn observe_bin_parallel(&mut self, keys: &[K], packets: &[PacketRecord]) {
-        assert_eq!(keys.len(), packets.len(), "one key per packet");
-        let batch = PacketBatch::from_records(packets);
-        self.observe_batch_parallel(keys, &batch, 0..batch.len());
-    }
-
-    /// Number of distinct flows across all shards.
-    pub fn flow_count(&self) -> usize {
-        self.shards.iter().map(FlowTable::flow_count).sum()
-    }
-
-    /// Total packets observed across all shards.
-    pub fn total_packets(&self) -> u64 {
-        self.shards.iter().map(FlowTable::total_packets).sum()
-    }
-
-    /// Total bytes observed across all shards.
-    pub fn total_bytes(&self) -> u64 {
-        self.shards.iter().map(FlowTable::total_bytes).sum()
-    }
-
-    /// The counters of a specific flow, looked up in its owning shard.
-    pub fn get(&self, key: &K) -> Option<&FlowStats> {
-        self.shards[self.shard_index(key)].get(key)
-    }
-
-    /// Size in packets of a specific flow, 0 when never seen.
-    pub fn size_of(&self, key: &K) -> u64 {
-        self.shards[self.shard_index(key)].size_of(key)
-    }
-
-    /// Iterates over `(key, packets)` pairs, shards in index order.
-    pub fn iter_sizes(&self) -> impl Iterator<Item = (K, u64)> + '_ {
-        self.shards.iter().flat_map(FlowTable::iter_sizes)
-    }
-
-    /// Clears every shard, keeping their allocations for the next bin.
-    pub fn clear(&mut self) {
-        for shard in &mut self.shards {
-            shard.clear();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -609,56 +445,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_table_matches_sequential_counts() {
-        let mut packets = Vec::new();
-        for i in 0..40u8 {
-            for j in 0..(1 + i as usize % 7) {
-                packets.push(packet(i % 8, i % 5, 80, 500, j as f64));
-            }
-        }
-        let keys: Vec<FiveTuple> = packets.iter().map(FiveTuple::from_packet).collect();
-
-        let mut sequential: FlowTable<FiveTuple> = FlowTable::new();
-        for (key, p) in keys.iter().zip(&packets) {
-            sequential.observe_keyed(*key, p);
-        }
-
-        for shards in [1, 2, 4, 7] {
-            let mut sharded: ShardedFlowTable<FiveTuple> = ShardedFlowTable::new(shards);
-            sharded.observe_bin_parallel(&keys, &packets);
-            assert_eq!(sharded.shard_count(), shards);
-            assert_eq!(sharded.flow_count(), sequential.flow_count());
-            assert_eq!(sharded.total_packets(), sequential.total_packets());
-            assert_eq!(sharded.total_bytes(), sequential.total_bytes());
-            for (key, stats) in sequential.iter() {
-                assert_eq!(sharded.get(&key), Some(stats), "{shards} shards");
-                assert_eq!(sharded.size_of(&key), stats.packets);
-            }
-            let mut sizes: Vec<(FiveTuple, u64)> = sharded.iter_sizes().collect();
-            sizes.sort();
-            let mut expected: Vec<(FiveTuple, u64)> = sequential.iter_sizes().collect();
-            expected.sort();
-            assert_eq!(sizes, expected);
-        }
-    }
-
-    #[test]
-    fn sharded_table_streams_and_clears() {
-        let mut sharded: ShardedFlowTable<FiveTuple> = ShardedFlowTable::new(3);
-        let p = packet(1, 1, 80, 500, 0.0);
-        assert_eq!(sharded.observe_keyed(FiveTuple::from_packet(&p), &p), 1);
-        assert_eq!(sharded.observe_keyed(FiveTuple::from_packet(&p), &p), 2);
-        let missing = FiveTuple::from_packet(&packet(9, 9, 9, 9, 0.0));
-        assert_eq!(sharded.size_of(&missing), 0);
-        assert!(sharded.get(&missing).is_none());
-        sharded.clear();
-        assert_eq!(sharded.flow_count(), 0);
-        assert_eq!(sharded.total_packets(), 0);
-        // Zero shards clamps to one.
-        assert_eq!(ShardedFlowTable::<FiveTuple>::new(0).shard_count(), 1);
-    }
-
-    #[test]
     fn batch_observation_matches_per_packet_observation() {
         let mut packets = Vec::new();
         for i in 0..30u8 {
@@ -687,16 +473,6 @@ mod tests {
             assert_eq!(table.total_bytes(), sequential.total_bytes());
             for (key, stats) in sequential.iter() {
                 assert_eq!(table.get(&key), Some(stats));
-            }
-        }
-
-        // And the sharded parallel batch path agrees too, per shard count.
-        for shards in [1, 2, 5] {
-            let mut sharded: ShardedFlowTable<FiveTuple> = ShardedFlowTable::new(shards);
-            sharded.observe_batch_parallel(&keys, &batch, 0..batch.len());
-            assert_eq!(sharded.total_packets(), sequential.total_packets());
-            for (key, stats) in sequential.iter() {
-                assert_eq!(sharded.get(&key), Some(stats), "{shards} shards");
             }
         }
     }

@@ -44,7 +44,7 @@ pub mod pcap;
 pub mod tenant;
 
 pub use batch::PacketBatch;
-pub use classify::{FlowStats, FlowTable, RankedFlow, ShardedFlowTable};
+pub use classify::{FlowStats, FlowTable, RankedFlow};
 pub use error::{NetError, NetResult};
 pub use flowkey::{AnyFlowKey, DstPrefix, FiveTuple, FlowDefinition, FlowKey, Protocol};
 pub use packet::{PacketRecord, Timestamp};
@@ -52,7 +52,6 @@ pub use tenant::{TaggedBatch, TenantId};
 
 // The compact-key substrate the flow tables are built on, re-exported so
 // downstream crates can name the traits without a direct dependency.
-// `shard_of` is the single routing rule every sharded consumer — the
-// in-crate [`ShardedFlowTable`] and the monitor's pipelined worker
-// runtime — must agree on, so it is re-exported from the same place.
+// `shard_of` is the routing rule of the monitor's pipelined worker runtime,
+// re-exported from the same place.
 pub use flowrank_flowtable::{shard_of, CompactKey, FlowMap};

@@ -8,7 +8,7 @@
 //! monitors implement (NetFlow-style 1-in-N or probabilistic sampling), and
 //! shows that periodic and random sampling behave alike on high-speed links.
 //! This crate implements that sampler along with the alternatives the paper
-//! discusses or cites, so the benches can compare them:
+//! discusses or cites, so experiments can compare them:
 //!
 //! * [`random`] — independent Bernoulli(p) packet sampling (the paper's
 //!   model), implemented in skip-based form: the gap to the next retained

@@ -3,8 +3,9 @@
 //! Production routers typically implement "keep one packet out of every N".
 //! The paper cites \[10\] for the observation that periodic and random sampling
 //! give essentially the same inversion results on high-speed links, which is
-//! why the analysis uses random sampling; this implementation lets the
-//! `ablation_random_vs_periodic` bench verify that equivalence empirically.
+//! why the analysis uses random sampling; this implementation lets
+//! `reproduce --fig 12 --sampler periodic` verify that equivalence
+//! empirically.
 
 use std::ops::Range;
 

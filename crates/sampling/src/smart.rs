@@ -6,8 +6,8 @@
 //! small flows are exported rarely but, when they are, their size is scaled
 //! by `1/p(x) = z/x` to keep the total-volume estimator unbiased. The paper
 //! contrasts its packet-sampling setting with this record-level scheme; we
-//! implement it so the `ablation_topk_under_sampling` bench can compare heavy-
-//! hitter detection with and without record-level thresholding.
+//! implement it so heavy-hitter detection can be compared with and without
+//! record-level thresholding (`reproduce --sampler smart`).
 
 use flowrank_net::{FiveTuple, FlowKey, FlowMap, PacketRecord};
 use flowrank_stats::rng::Rng;

@@ -4,7 +4,7 @@
 //! packet is chosen uniformly at random within each stratum. Compared with
 //! strict 1-in-N sampling this removes periodic aliasing while keeping the
 //! per-stratum budget exactly fixed; it sits between the random and periodic
-//! samplers compared in the ablation benches.
+//! samplers (`reproduce --sampler` runs any of them).
 
 use std::ops::Range;
 

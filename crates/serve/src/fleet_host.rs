@@ -173,18 +173,17 @@ fn drive_records<R: BufRead>(
                 _ => malformed += 1,
             }
         }
-        let flush = eof || tagged.len() >= RECORDS_PER_PUSH;
-        if flush && !tagged.is_empty() {
+        // A stop ends the loop like EOF does: whatever was read before it
+        // was observed is pushed first, so a graceful stop drops nothing.
+        let ending = eof || stop.load(Ordering::Acquire);
+        if (ending || tagged.len() >= RECORDS_PER_PUSH) && !tagged.is_empty() {
             fleet
                 .try_push_tagged(&tagged, totals)
                 .map_err(|e| e.to_string())?;
             tagged.clear();
             publish(fleet, totals, malformed, publisher, scratch);
         }
-        let done = eof
-            || stop.load(Ordering::Acquire)
-            || (config.max_bins > 0 && totals.reports >= config.max_bins);
-        if done {
+        if ending || (config.max_bins > 0 && totals.reports >= config.max_bins) {
             fleet.finish(totals);
             publish(fleet, totals, malformed, publisher, scratch);
             return Ok((malformed, unknown));
@@ -255,6 +254,13 @@ mod tests {
         .expect("config parses")
     }
 
+    /// One ndjson record line; `tenant` is the raw `,"tenant":N` suffix or "".
+    fn record(ts: f64, tenant: &str) -> String {
+        format!(
+            "{{\"ts\":{ts},\"src\":\"10.0.0.1\",\"dst\":\"10.0.0.2\",\"sport\":1,\"dport\":2,\"len\":99,\"proto\":\"udp\"{tenant}}}\n"
+        )
+    }
+
     #[test]
     fn replay_fleet_runs_to_completion_and_publishes() {
         let config = fleet_config("");
@@ -271,11 +277,6 @@ mod tests {
     #[test]
     fn record_path_tags_skips_and_demuxes_in_one_pass() {
         let config = fleet_config("source = ndjson\n");
-        let record = |ts: f64, tenant: &str| {
-            format!(
-                "{{\"ts\":{ts},\"src\":\"10.0.0.1\",\"dst\":\"10.0.0.2\",\"sport\":1,\"dport\":2,\"len\":99,\"proto\":\"udp\"{tenant}}}\n"
-            )
-        };
         let input = format!(
             "{}{}{}not json\n{}",
             record(1.0, ",\"tenant\":1"),
@@ -303,6 +304,31 @@ mod tests {
         let per_tenant: Vec<u64> = fleet.tenant_stats().map(|s| s.packets).collect();
         assert_eq!(per_tenant, vec![1, 1, 1]);
         assert!(totals.reports >= 3, "each tenant closes its final bin");
+    }
+
+    #[test]
+    fn graceful_stop_pushes_the_records_read_before_it() {
+        // The stop flag is already up: the loop reads one record, observes
+        // the stop and ends — after pushing that record, not instead of it.
+        let config = fleet_config("source = ndjson\n");
+        let input: String = (0..3)
+            .map(|i| record(i as f64 + 0.5, &format!(",\"tenant\":{i}")))
+            .collect();
+        let mut fleet = build_fleet(&config);
+        let mut totals = Totals::default();
+        drive_records(
+            &mut fleet,
+            input.as_bytes(),
+            &mut totals,
+            &config,
+            &AtomicBool::new(true),
+            &SnapshotPublisher::new(),
+            &mut String::new(),
+        )
+        .expect("record drive");
+        let per_tenant: Vec<u64> = fleet.tenant_stats().map(|s| s.packets).collect();
+        assert_eq!(per_tenant, vec![1, 0, 0], "the record read before the stop");
+        assert_eq!(totals.reports, 1, "and its bin is closed by the finish");
     }
 
     #[test]

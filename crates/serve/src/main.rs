@@ -129,8 +129,8 @@ fn run(config: &ServeConfig) -> Result<(), String> {
     } else {
         0.0
     };
-    // The final line is machine-readable: the bench harness and smoke test
-    // parse it.
+    // The final line is machine-readable: the ledger's `serve_ndjson`
+    // workload and the smoke test parse it.
     println!(
         "{{\"serve\":\"final\",\"bins\":{},\"packets\":{},\"idle_polls\":{},\"malformed_skipped\":{},\"sink_retries\":{},\"elapsed_s\":{elapsed:.3},\"throughput_pps\":{throughput:.0}}}",
         publish.window().bins_seen(),
@@ -196,14 +196,21 @@ impl WriterSink {
         };
         result.map_err(|e| format!("report stream: {e}"))
     }
+
+    /// The configured stream, the one place the variants are told apart.
+    fn stream(&mut self) -> Option<&mut dyn ReportSink> {
+        match self {
+            WriterSink::None => None,
+            WriterSink::Ndjson(sink) => Some(sink),
+            WriterSink::Csv(sink) => Some(sink),
+        }
+    }
 }
 
 impl ReportSink for WriterSink {
     fn accept(&mut self, report: &flowrank_monitor::BinReport) {
-        match self {
-            WriterSink::None => {}
-            WriterSink::Ndjson(sink) => sink.accept(report),
-            WriterSink::Csv(sink) => sink.accept(report),
+        if let Some(stream) = self.stream() {
+            stream.accept(report);
         }
     }
 
@@ -211,11 +218,7 @@ impl ReportSink for WriterSink {
         &mut self,
         report: &flowrank_monitor::BinReport,
     ) -> Result<(), flowrank_monitor::SinkError> {
-        match self {
-            WriterSink::None => Ok(()),
-            WriterSink::Ndjson(sink) => sink.emit(report),
-            WriterSink::Csv(sink) => sink.emit(report),
-        }
+        self.stream().map_or(Ok(()), |stream| stream.emit(report))
     }
 }
 

@@ -3,7 +3,7 @@
 //! Each helper generates the synthetic trace (Sprint-like or Abilene-like),
 //! expands it to packets and wraps it in a configured [`TraceExperiment`].
 //! A `scale` argument shrinks the flow arrival rate so the experiments stay
-//! affordable in CI and benches; EXPERIMENTS.md records the scale used for
+//! affordable in CI; EXPERIMENTS.md records the scale used for
 //! the reported numbers.
 
 use flowrank_monitor::{Monitor, MonitorBuilder, RateCurve, RatePoint, SamplerSpec};

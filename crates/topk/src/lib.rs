@@ -7,8 +7,9 @@
 //! sorted list (Jedwab, Phaal & Pinna, HP Labs 1992, reference \[13\]) or the
 //! sample-and-hold / multistage-filter techniques of Estan & Varghese
 //! (reference \[11\]) — and its first future-work direction is to feed *sampled*
-//! traffic into those mechanisms. This crate implements them so that the
-//! `ablation_topk_under_sampling` bench can run exactly that experiment:
+//! traffic into those mechanisms. This crate implements them so that a
+//! monitor lane ([`TopKTracker`] behind `TopKSpec`) can run exactly that
+//! experiment:
 //!
 //! * [`exact`] — unbounded exact counting (the ground truth the paper uses).
 //! * [`sorted_list`] — bounded sorted list with bottom eviction (\[13\]).

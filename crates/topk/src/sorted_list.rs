@@ -4,9 +4,7 @@
 //! count; when a packet arrives for a flow not in the list and the list is
 //! full, evict a record at the bottom of the list to make room. The paper
 //! (Sec. 2) notes that these mechanisms rank the *observed* (possibly
-//! sampled) stream well, but cannot repair errors introduced by sampling —
-//! which is exactly what the combined `ablation_topk_under_sampling` bench
-//! demonstrates.
+//! sampled) stream well, but cannot repair errors introduced by sampling.
 
 use flowrank_net::{FiveTuple, FlowMap};
 use flowrank_stats::rng::Rng;

@@ -257,9 +257,8 @@ impl Workload {
 
     /// Scales every arrival-rate-like parameter by `scale` (per-flow
     /// statistics are untouched), mirroring
-    /// [`FlowPopulationConfig::scaled`]. Used by `reproduce --scenario` and
-    /// the per-scenario benches to grow or shrink a scenario without
-    /// changing its shape.
+    /// [`FlowPopulationConfig::scaled`]. Used by `reproduce --scenario` to
+    /// grow or shrink a scenario without changing its shape.
     pub fn scaled(self, scale: f64) -> Self {
         let scale = scale.max(0.0);
         let count = |n: usize| ((n as f64 * scale).round() as usize).max(1);
