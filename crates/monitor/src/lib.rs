@@ -44,14 +44,18 @@
 //! [`MonitorBuilder::threads`] `(n > 1)` replaces the serial engine with a
 //! persistent worker pool — spawned once at `build()`, joined on drop — so
 //! ingestion (the caller's thread), ground-truth classification and lane
-//! scoring overlap across bins instead of barrier-stepping. The caller
-//! splits each batch on bin boundaries, derives keys once, routes every
-//! key to its ground-truth shard, and broadcasts the segment over bounded
-//! SPSC channels; worker `w` owns shard `w` plus the strided lane set
-//! `{i : i mod n == w}`, and a sequencer thread merges the sealed shards,
-//! ranks the bin once, scatters the scored lane reports back into lane
-//! order and runs the controller step. The guarantees, pinned by the
-//! `worker_runtime` suite and the golden conformance matrix:
+//! scoring overlap across bins instead of barrier-stepping. There is one
+//! path in: the caller splits each batch on bin boundaries, derives keys
+//! once, routes every key to its ground-truth shard, and appends the
+//! segment — one packet or a whole bin — to a keyed buffer that it
+//! broadcasts over bounded SPSC channels when it holds 4096 packets, when a
+//! bin seal needs it, or before it waits for a sealed bin's report. Worker `w` owns shard `w` plus the strided lane set
+//! `{i : i mod n == w}` by value and runs the same per-bin body as the
+//! serial engine on them, so no packet takes a lock; a sequencer thread
+//! merges the sealed shards, ranks the bin once, scatters the scored lane
+//! reports back into lane order and runs the controller step. The
+//! guarantees, pinned by the `worker_runtime` suite and the golden
+//! conformance matrix:
 //!
 //! * **Determinism** — reports are bit-identical to the serial engine for
 //!   every thread count, chunking and entry point. Shards are disjoint and
@@ -61,11 +65,10 @@
 //! * **Backpressure** — segment queues are bounded (`sync_channel`): a
 //!   source that outruns the pool blocks in `push_batch` instead of
 //!   buffering unbounded work, which keeps `drive`'s bounded-memory
-//!   promise intact. Segments smaller than
-//!   [`MonitorBuilder::parallel_segment_min`] (default
-//!   [`DEFAULT_PARALLEL_SEGMENT_MIN`]) run inline on the calling thread
-//!   after a quiescence drain — per-packet `push` never pays a queue
-//!   round-trip ([`Monitor::segment_stats`] counts both paths).
+//!   promise intact. Because the caller coalesces, queue traffic follows
+//!   the packet count, not the call count: per-packet `push` is a column
+//!   append that pays one hand-off per 4096 packets
+//!   ([`Monitor::segment_stats`] counts the buffers shipped).
 //! * **Ordering & shutdown** — sinks observe bins strictly in order with
 //!   reports delivered on the calling thread; synchronous entry points
 //!   drain fully before returning, so no report is ever in flight when a
@@ -218,7 +221,7 @@ mod runtime;
 pub mod spec;
 
 pub use fault::{DriveError, DrivePolicy, DriveStats, SinkError, SourceError, TimestampPolicy};
-pub use monitor::{Monitor, MonitorBuilder, DEFAULT_PARALLEL_SEGMENT_MIN};
+pub use monitor::{Monitor, MonitorBuilder};
 pub use pipeline::{
     ndjson_tenant, parse_ndjson_record, BatchSource, ChannelSource, Chunked, Collect, CsvSink,
     DigestSink, DriveSummary, NdjsonRecordSource, NdjsonSink, PacketSource, PcapBytesSource,

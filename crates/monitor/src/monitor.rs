@@ -1,13 +1,17 @@
 //! The push-based streaming monitor.
 //!
-//! [`Monitor::push`] is the single entry point every packet of a live link
-//! goes through. The monitor classifies the packet into the bin's
-//! ground-truth flow table, offers it to every sampling lane, feeds retained
-//! packets into the lanes' sampled tables (and optional top-k backends), and
-//! closes measurement bins automatically on timestamp boundaries. Closing a
-//! bin ranks the ground truth **once** and scores every lane against that
-//! single ranking — with `runs × rates` lanes this removes the
-//! `runs × rates` redundant reclassifications the batch API used to pay.
+//! Every ingestion entry point — per-packet [`Monitor::push`], the batch
+//! forms, [`Monitor::drive`] — is a wrapper over
+//! [`Monitor::push_batch_into`]. The monitor classifies each packet into the
+//! bin's ground-truth flow table, offers it to every sampling lane, feeds
+//! retained packets into the lanes' sampled tables (and optional top-k
+//! backends), and closes measurement bins automatically on timestamp
+//! boundaries. Closing a bin ranks the ground truth **once** and scores
+//! every lane against that single ranking — with `runs × rates` lanes this
+//! removes the `runs × rates` redundant reclassifications the batch API used
+//! to pay. That per-bin computation is written once, in `LaneShard`; the
+//! serial engine and the pipelined runtime's workers differ only in which
+//! shard and which lanes they hold.
 
 use std::ops::Range;
 use std::time::{Duration, Instant};
@@ -32,14 +36,6 @@ const TRACKER_SEED_SALT: u64 = 0x70B5_A17E_D00D_F00D;
 /// Salt mixed into the master seed for the controlled lane, so attaching a
 /// controller never perturbs the static lanes' derived seed streams.
 const CONTROLLER_SEED_SALT: u64 = 0xC011_7801_5EED_CAFE;
-
-/// Default for [`MonitorBuilder::parallel_segment_min`]: the smallest
-/// within-bin segment a multi-threaded monitor hands to its worker pool. A
-/// packet costs tens of nanoseconds per lane while a channel hand-off costs
-/// on the order of a microsecond per worker, so segments below roughly a
-/// thousand packets are cheaper to process on the calling thread. Results
-/// are bit-identical either way — the knob only moves work between threads.
-pub const DEFAULT_PARALLEL_SEGMENT_MIN: usize = 1024;
 
 /// Fluent builder for [`Monitor`].
 ///
@@ -69,7 +65,6 @@ pub struct MonitorBuilder {
     top_t: usize,
     seed: u64,
     threads: usize,
-    parallel_segment_min: usize,
     controller: Option<ControllerSpec>,
     drive_policy: DrivePolicy,
     lane_panic_after: Option<u64>,
@@ -88,7 +83,6 @@ impl Default for MonitorBuilder {
             top_t: 10,
             seed: 0xF10A_4A9C,
             threads: 1,
-            parallel_segment_min: DEFAULT_PARALLEL_SEGMENT_MIN,
             controller: None,
             drive_policy: DrivePolicy::strict(),
             lane_panic_after: None,
@@ -187,45 +181,31 @@ impl MonitorBuilder {
     /// Above 1, `build()` spawns a **persistent pipelined worker runtime**
     /// (torn down when the monitor drops): the calling thread becomes the
     /// ingest stage — splitting batches on bin boundaries, deriving keys,
-    /// routing packets to ground-truth shards — and broadcasts keyed
-    /// segments over bounded queues to one classification worker per
-    /// thread. Worker *w* owns ground-truth shard *w* and every lane with
-    /// index ≡ *w* (mod threads); at each bin seal the workers score their
-    /// lanes in parallel while a single sequencer thread merges the shards,
-    /// ranks the ground truth once, reassembles the [`BinReport`] in lane
-    /// order and runs the control step. Ingestion, classification and lane
+    /// routing packets to ground-truth shards — and coalesces everything it
+    /// is given, from one-packet pushes to whole-bin batches, into
+    /// 4096-packet keyed buffers that it broadcasts over bounded queues to
+    /// one classification worker per thread (a bin seal ships a partly
+    /// filled buffer first, and so does a call about to wait for a sealed
+    /// bin's report). Worker *w* owns ground-truth shard *w* and
+    /// every lane with index ≡ *w* (mod threads) outright, so no packet
+    /// takes a lock; at each bin seal the workers score their lanes in
+    /// parallel while a single sequencer thread merges the shards, ranks
+    /// the ground truth once, reassembles the [`BinReport`] in lane order
+    /// and runs the control step. Ingestion, classification and lane
     /// scoring overlap instead of barrier-stepping, and the bounded queues
-    /// provide backpressure so peak memory stays flows + in-flight windows.
+    /// provide backpressure so peak memory stays flows + in-flight buffers.
     ///
     /// Every lane still sees every packet in order with its own RNG, so
     /// reports are **bit-identical** across thread counts and ingestion
-    /// paths (pinned by the `streaming_equivalence` suite and all 216
-    /// scenario-conformance goldens). Segments smaller than
-    /// [`MonitorBuilder::parallel_segment_min`] — per-packet [`Monitor::push`]
-    /// in particular — are processed on the calling thread, where a channel
-    /// round-trip would cost more than the work. `0` means one thread per
-    /// available CPU.
+    /// paths (pinned by the `streaming_equivalence` and `worker_runtime`
+    /// suites and all 216 scenario-conformance goldens). `0` means one
+    /// thread per available CPU.
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = if threads == 0 {
             std::thread::available_parallelism().map_or(1, |n| n.get())
         } else {
             threads
         };
-        self
-    }
-
-    /// Smallest within-bin segment (in packets) a multi-threaded monitor
-    /// hands to its worker pool; smaller segments are processed inline on
-    /// the calling thread (default
-    /// [`DEFAULT_PARALLEL_SEGMENT_MIN`] = 1024).
-    ///
-    /// This is a pure performance knob: reports are bit-identical on both
-    /// sides of the threshold. Lower it (e.g. to 1) to force every segment
-    /// through the worker pool, raise it (e.g. to `usize::MAX`) to keep all
-    /// classification on the calling thread while still scoring bin seals
-    /// on the pool. Ignored when `threads(1)`.
-    pub fn parallel_segment_min(mut self, min_packets: usize) -> Self {
-        self.parallel_segment_min = min_packets.max(1);
         self
     }
 
@@ -361,6 +341,9 @@ impl MonitorBuilder {
             }
         }
         let threads = self.threads.max(1);
+        let lane_count = lanes.len();
+        let controller_name = controller.as_ref().map(|state| state.controller.name());
+        let controlled_lane = controller.as_ref().map(|state| state.lane);
         let engine = if threads > 1 {
             assert!(
                 budget.is_none(),
@@ -372,11 +355,11 @@ impl MonitorBuilder {
             ))
         } else {
             Engine::Serial(SerialEngine {
-                ground_truth: FlowTable::new(),
-                lanes,
+                shard: LaneShard::new(lanes, budget),
                 controller,
-                flow_budget: budget,
-                evictions: 0,
+                keys: Vec::new(),
+                segments: 0,
+                report: BinReport::default(),
             })
         };
         Monitor {
@@ -384,15 +367,13 @@ impl MonitorBuilder {
             bin_length: self.bin_length,
             top_t: self.top_t,
             engine,
+            lane_count,
+            controller_name,
+            controlled_lane,
             current_bin: 0,
             saw_packet: false,
             threads,
-            parallel_segment_min: self.parallel_segment_min,
-            segments_inline: 0,
-            segments_dispatched: 0,
             scratch_batch: PacketBatch::with_capacity(1),
-            scratch_keys: Vec::new(),
-            scratch_report: BinReport::default(),
             last_ts_nanos: None,
             drive_policy: self.drive_policy,
             clamped_timestamps: 0,
@@ -422,10 +403,6 @@ pub(crate) struct ControllerState {
 }
 
 impl ControllerState {
-    pub(crate) fn name(&self) -> &'static str {
-        self.controller.name()
-    }
-
     /// The per-bin control step, shared verbatim by the serial engine and
     /// the pipelined sequencer so controller decisions stay a pure function
     /// of the report stream: derives the [`BinObservation`] from the sealed
@@ -545,7 +522,7 @@ pub(crate) struct Lane {
     kept: Vec<u32>,
     /// Chaos hook ([`MonitorBuilder::inject_lane_panic_after`]): panic once
     /// more than this many packets have been offered to the lane.
-    pub(crate) panic_after: Option<u64>,
+    panic_after: Option<u64>,
     /// Packets offered so far, counted only when the chaos hook is armed.
     observed: u64,
     /// Flow-table cap, enforced after every kept packet
@@ -585,7 +562,7 @@ impl Lane {
     }
 
     /// Drains the lane's eviction count for the closing bin.
-    pub(crate) fn take_evictions(&mut self) -> u64 {
+    fn take_evictions(&mut self) -> u64 {
         std::mem::take(&mut self.evictions)
     }
 
@@ -594,12 +571,7 @@ impl Lane {
     /// the sampler stage appends the indices it keeps — skipping directly
     /// from keep to keep for skip-capable samplers — and only the retained
     /// packets touch the lane's flow table and top-k backend.
-    pub(crate) fn offer_batch(
-        &mut self,
-        keys: &[AnyFlowKey],
-        batch: &PacketBatch,
-        range: Range<usize>,
-    ) {
+    fn offer_batch(&mut self, keys: &[AnyFlowKey], batch: &PacketBatch, range: Range<usize>) {
         if let Some(limit) = self.panic_after {
             self.observed += range.len() as u64;
             if self.observed > limit {
@@ -627,11 +599,7 @@ impl Lane {
 
     /// Scores the lane against the bin's prepared ground truth and restarts
     /// it for the next bin.
-    pub(crate) fn close_bin(
-        &mut self,
-        truth: &GroundTruthRanking<AnyFlowKey>,
-        top_t: usize,
-    ) -> LaneReport {
+    fn close_bin(&mut self, truth: &GroundTruthRanking<AnyFlowKey>, top_t: usize) -> LaneReport {
         let outcome = truth.compare_with(|key| self.table.size_of(key));
         let topk = self.tracker.as_ref().map(|tracker| TopKReport {
             backend: tracker.name(),
@@ -668,7 +636,7 @@ impl Lane {
     /// different rate. `rate_tag` is the decided rate the lane is labelled
     /// with (it can differ from the spec's own nominal rate for disciplines
     /// whose retargeting is a no-op, e.g. smart sampling).
-    pub(crate) fn retune(&mut self, rate_tag: f64, spec: SamplerSpec) {
+    fn retune(&mut self, rate_tag: f64, spec: SamplerSpec) {
         self.rate = rate_tag;
         self.spec = spec;
         self.stage = SamplerStage::new(self.spec.build(self.seed), Pcg64::seed_from_u64(self.seed));
@@ -698,25 +666,17 @@ pub struct Monitor {
     bin_length: Timestamp,
     top_t: usize,
     engine: Engine,
+    /// Fixed at `build()`: the lanes and the controller move into the
+    /// engine (and, on the pipelined one, on to its threads).
+    lane_count: usize,
+    controller_name: Option<&'static str>,
+    controlled_lane: Option<usize>,
     current_bin: u64,
     saw_packet: bool,
     threads: usize,
-    /// Segments at or above this many packets go to the worker pool;
-    /// smaller ones are processed inline ([`MonitorBuilder::parallel_segment_min`]).
-    parallel_segment_min: usize,
-    /// Observability counters for the fan-out heuristic: how many within-bin
-    /// segments took each path.
-    segments_inline: u64,
-    segments_dispatched: u64,
-    /// Reusable one-element batch backing [`Monitor::push`], and a reusable
-    /// key buffer for batch segments — per-packet pushes never allocate.
+    /// Reusable one-element batch backing [`Monitor::push`] — per-packet
+    /// pushes never allocate.
     scratch_batch: PacketBatch,
-    scratch_keys: Vec<AnyFlowKey>,
-    /// Reusable report buffer for the sink-based close path: the lanes
-    /// vector is recycled across bins, so in steady state a sink-driven
-    /// monitor closes bins without allocating the report shell (only
-    /// attached top-k backends still build their per-bin entry lists).
-    scratch_report: BinReport,
     /// Largest timestamp pushed so far — backs the debug assertion that the
     /// documented non-decreasing push contract holds across calls.
     last_ts_nanos: Option<u64>,
@@ -738,34 +698,61 @@ pub struct Monitor {
 /// pipelined worker pool spawned at `build()` (`threads(n > 1)`). The two
 /// engines produce bit-identical reports; only the execution schedule
 /// differs.
+// One per monitor, and the large variant is the common one (fleet tenants
+// are always serial): boxing it would only add a pointer chase per segment.
+#[allow(clippy::large_enum_variant)]
 #[derive(Debug)]
 enum Engine {
     Serial(SerialEngine),
     Pipelined(PipelinedRuntime),
 }
 
-/// The single-threaded engine: one ground-truth table, the lanes, and the
-/// controller, all driven on the calling thread — unchanged from the
-/// pre-runtime monitor, so `threads(1)` pays zero synchronisation cost.
+/// The per-bin computation of the paper's Sec. 8 experiment, written once
+/// for both engines: classify the ground truth, offer every packet to the
+/// sampling lanes, and — at the seal — score each lane against the bin's one
+/// ranking. The serial engine holds the only shard with every lane; pool
+/// worker *w* holds ground-truth shard *w* with the lanes whose index is
+/// ≡ *w* (mod threads).
 #[derive(Debug)]
-struct SerialEngine {
+pub(crate) struct LaneShard {
     ground_truth: FlowTable<AnyFlowKey>,
     lanes: Vec<Lane>,
-    controller: Option<ControllerState>,
     /// Per-table flow cap ([`MonitorBuilder::flow_budget`]), enforced
     /// packet-by-packet so eviction points are independent of how the
-    /// stream was chunked.
+    /// stream was chunked. Serial engine only.
     flow_budget: Option<FlowBudget>,
     /// Ground-truth entries evicted so far in the current bin; joined with
     /// the per-lane counts into [`BinReport::evictions`] at each seal.
     evictions: u64,
 }
 
-impl SerialEngine {
-    /// Observes one keyed within-bin segment: ground truth first, then
-    /// every lane in lane order.
-    fn observe(&mut self, keys: &[AnyFlowKey], batch: &PacketBatch, range: Range<usize>) {
+impl LaneShard {
+    pub(crate) fn new(lanes: Vec<Lane>, flow_budget: Option<FlowBudget>) -> Self {
+        LaneShard {
+            ground_truth: FlowTable::new(),
+            lanes,
+            flow_budget,
+            evictions: 0,
+        }
+    }
+
+    /// Observes one keyed within-bin segment (`keys[slot]` is the key of
+    /// `batch[range.start + slot]`): the packets whose slot `mine` accepts
+    /// go into the ground-truth shard, then every lane, in lane order, is
+    /// offered the whole segment. The serial engine accepts every slot and
+    /// the filter compiles away; a worker accepts the slots routed to it.
+    #[inline]
+    pub(crate) fn observe(
+        &mut self,
+        keys: &[AnyFlowKey],
+        batch: &PacketBatch,
+        range: Range<usize>,
+        mine: impl Fn(usize) -> bool,
+    ) {
         for (slot, i) in range.clone().enumerate() {
+            if !mine(slot) {
+                continue;
+            }
             self.ground_truth.observe_keyed_parts(
                 keys[slot],
                 batch.timestamp(i),
@@ -781,48 +768,103 @@ impl SerialEngine {
         }
     }
 
-    /// Ranks the ground truth once, scores every lane against it, writes
-    /// the bin report into `report` (reusing its lane buffer), runs the
-    /// control step and resets all per-bin state.
-    fn seal_bin(
+    /// First half of a seal: the shard's flow sizes and packet total, with
+    /// the table cleared for the next bin.
+    pub(crate) fn drain_truth(&mut self) -> (Vec<SizedFlow<AnyFlowKey>>, u64) {
+        let sizes = self
+            .ground_truth
+            .iter_sizes()
+            .map(|(key, packets)| SizedFlow { key, packets })
+            .collect();
+        let packets = self.ground_truth.total_packets();
+        self.ground_truth.clear();
+        (sizes, packets)
+    }
+
+    /// Second half of a seal: scores every lane against the bin's ranking,
+    /// appending the reports in this shard's lane order, and restarts the
+    /// lanes for the next bin.
+    pub(crate) fn score(
         &mut self,
-        report: &mut BinReport,
-        bin_index: u64,
-        bin_start: Timestamp,
+        truth: &GroundTruthRanking<AnyFlowKey>,
         top_t: usize,
+        out: &mut Vec<LaneReport>,
     ) {
+        out.extend(
+            self.lanes
+                .iter_mut()
+                .map(|lane| lane.close_bin(truth, top_t)),
+        );
+    }
+
+    /// Applies a controller decision to the lane at position `lane` of this
+    /// shard's lanes.
+    pub(crate) fn retune(&mut self, lane: usize, rate_tag: f64, spec: SamplerSpec) {
+        self.lanes[lane].retune(rate_tag, spec);
+    }
+
+    /// Drains the closing bin's eviction count, ground truth plus lanes.
+    fn take_evictions(&mut self) -> u64 {
+        std::mem::take(&mut self.evictions)
+            + self.lanes.iter_mut().map(Lane::take_evictions).sum::<u64>()
+    }
+}
+
+/// The single-threaded engine: the one shard with every lane, and the
+/// controller, all driven on the calling thread, so `threads(1)` pays zero
+/// synchronisation cost.
+#[derive(Debug)]
+struct SerialEngine {
+    shard: LaneShard,
+    controller: Option<ControllerState>,
+    /// Reusable key buffer for batch segments.
+    keys: Vec<AnyFlowKey>,
+    /// Within-bin segments processed since the monitor was built.
+    segments: u64,
+    /// Report buffer recycled across bins: the lanes vector is reused, so in
+    /// steady state a sink-driven monitor closes bins without allocating
+    /// the report shell (only attached top-k backends still build their
+    /// per-bin entry lists).
+    report: BinReport,
+}
+
+impl SerialEngine {
+    /// Derives the keys of one within-bin segment and observes it.
+    fn observe(&mut self, definition: FlowDefinition, batch: &PacketBatch, range: Range<usize>) {
+        self.segments += 1;
+        self.keys.clear();
+        self.keys
+            .extend(range.clone().map(|i| batch.flow_key(i, definition)));
+        self.shard.observe(&self.keys, batch, range, |_| true);
+    }
+
+    /// Ranks the ground truth once, scores every lane against it, writes
+    /// the bin report into the recycled buffer, runs the control step and
+    /// resets all per-bin state.
+    fn seal_bin(&mut self, bin_index: u64, bin_start: Timestamp, top_t: usize) -> &BinReport {
+        let report = &mut self.report;
         // One classification and one sort per bin, regardless of lane
         // count: this is the entire point of the shared-ground-truth
         // design.
-        let truth = GroundTruthRanking::new(
-            self.ground_truth
-                .iter_sizes()
-                .map(|(key, packets)| SizedFlow { key, packets })
-                .collect(),
-            top_t,
-        );
+        let (flows, packets) = self.shard.drain_truth();
         report.reset();
-        report.lanes.extend(
-            self.lanes
-                .iter_mut()
-                .map(|lane| lane.close_bin(&truth, top_t)),
-        );
         report.bin_index = bin_index;
         report.bin_start = bin_start;
-        report.packets = self.ground_truth.total_packets();
-        report.flows = self.ground_truth.flow_count();
-        report.evictions = std::mem::take(&mut self.evictions)
-            + self.lanes.iter_mut().map(Lane::take_evictions).sum::<u64>();
-        // The control step runs after lane scoring while the bin's ground
-        // truth is still live — so controller decisions are a pure function
-        // of the report stream, independent of thread count and ingestion
-        // path like everything else in the report.
+        report.packets = packets;
+        report.flows = flows.len();
+        let truth = GroundTruthRanking::new(flows, top_t);
+        self.shard.score(&truth, top_t, &mut report.lanes);
+        report.evictions = self.shard.take_evictions();
+        // The control step runs after lane scoring while the bin's ranking
+        // is still live — so controller decisions are a pure function of
+        // the report stream, independent of thread count and ingestion path
+        // like everything else in the report.
         if let Some(state) = self.controller.as_mut() {
             if let Some((rate, spec)) = state.step(report, &truth, top_t) {
-                self.lanes[state.lane].retune(rate, spec);
+                self.shard.retune(state.lane, rate, spec);
             }
         }
-        self.ground_truth.clear();
+        report
     }
 }
 
@@ -834,10 +876,7 @@ impl Monitor {
 
     /// Number of sampling lanes (runs × rates).
     pub fn lane_count(&self) -> usize {
-        match &self.engine {
-            Engine::Serial(engine) => engine.lanes.len(),
-            Engine::Pipelined(runtime) => runtime.lane_count(),
-        }
+        self.lane_count
     }
 
     /// The configured flow definition.
@@ -865,18 +904,17 @@ impl Monitor {
         self.threads
     }
 
-    /// The configured fan-out threshold
-    /// ([`MonitorBuilder::parallel_segment_min`]).
-    pub fn parallel_segment_min(&self) -> usize {
-        self.parallel_segment_min
-    }
-
-    /// How many within-bin segments were processed on the calling thread
-    /// vs. dispatched to the worker pool, since the monitor was built —
-    /// `(inline, dispatched)`. A `threads(1)` monitor counts everything as
-    /// inline. Backs the regression tests around the fan-out threshold.
+    /// Work units since the monitor was built: `.0` is the within-bin
+    /// segments the serial engine processed on the calling thread, `.1` the
+    /// keyed buffers the pipelined runtime shipped to its worker pool. One
+    /// of the two is always 0 — a monitor has one engine — and `.1` grows
+    /// with the packet count, not the number of pushes, because the ingest
+    /// thread coalesces ([`MonitorBuilder::threads`]).
     pub fn segment_stats(&self) -> (u64, u64) {
-        (self.segments_inline, self.segments_dispatched)
+        match &self.engine {
+            Engine::Serial(engine) => (engine.segments, 0),
+            Engine::Pipelined(runtime) => (0, runtime.shipped()),
+        }
     }
 
     /// The configured recovery policy ([`MonitorBuilder::drive_policy`]).
@@ -888,7 +926,7 @@ impl Monitor {
     /// `None` when the monitor runs unbudgeted.
     pub fn flow_budget(&self) -> Option<usize> {
         match &self.engine {
-            Engine::Serial(engine) => engine.flow_budget.map(FlowBudget::cap),
+            Engine::Serial(engine) => engine.shard.flow_budget.map(FlowBudget::cap),
             Engine::Pipelined(_) => None,
         }
     }
@@ -908,19 +946,13 @@ impl Monitor {
 
     /// Name of the attached rate controller, when one is attached.
     pub fn controller_name(&self) -> Option<&'static str> {
-        match &self.engine {
-            Engine::Serial(engine) => engine.controller.as_ref().map(|s| s.name()),
-            Engine::Pipelined(runtime) => runtime.controller_name(),
-        }
+        self.controller_name
     }
 
     /// Index of the controlled lane in every bin's `lanes`, when a
     /// controller is attached.
     pub fn controlled_lane(&self) -> Option<usize> {
-        match &self.engine {
-            Engine::Serial(engine) => engine.controller.as_ref().map(|s| s.lane),
-            Engine::Pipelined(runtime) => runtime.controlled_lane(),
-        }
+        self.controlled_lane
     }
 
     /// Observes one packet.
@@ -952,10 +984,11 @@ impl Monitor {
     /// pass and offered to every lane batch-at-a-time, and every bin closed
     /// by the batch's timestamps is reported, in order.
     ///
-    /// With [`MonitorBuilder::threads`] above 1, each segment's ground truth
-    /// classifies in parallel across its shards and the lanes split across
-    /// workers — with reports bit-identical to the single-threaded and
-    /// per-packet paths (pinned by the `streaming_equivalence` suite).
+    /// With [`MonitorBuilder::threads`] above 1, the segments are keyed and
+    /// handed to the worker pool, where the ground truth classifies in
+    /// parallel across its shards and the lanes split across workers — with
+    /// reports bit-identical to the single-threaded and per-packet paths
+    /// (pinned by the `streaming_equivalence` suite).
     pub fn push_batch(&mut self, batch: &PacketBatch) -> Vec<BinReport> {
         let mut sink = Collect::new();
         self.push_batch_into(batch, &mut sink);
@@ -1013,22 +1046,22 @@ impl Monitor {
             {
                 end += 1;
             }
-            self.process_segment(batch, start..end, sink)
-                .map_err(|failure| self.poison(failure))?;
+            self.process_segment(batch, start..end, sink);
             start = end;
         }
-        // Tail barrier of the pipelined runtime: every bin this call sealed
-        // reaches the sink before the call returns, keeping the synchronous
-        // API contract. (Observation work may still be in flight — that is
-        // the pipelining — only *seals* are awaited.) A panic on a pool
-        // thread surfaces here at the latest: either the drain observes the
-        // disconnect, or the failure cell is already set.
+        self.await_seals(sink)
+    }
+
+    /// Tail barrier of the pipelined runtime: every bin the enclosing call
+    /// sealed reaches the sink before it returns, keeping the synchronous
+    /// API contract. (Observation work may still be in flight or waiting in
+    /// the unshipped buffer — that is the pipelining — only *seals* are
+    /// awaited.) A panic on a pool thread surfaces here: either the drain
+    /// observes the disconnect, or the failure cell is already set.
+    fn await_seals<K: ReportSink + ?Sized>(&mut self, sink: &mut K) -> Result<(), DriveError> {
         if let Engine::Pipelined(runtime) = &mut self.engine {
-            let failure = match runtime.drain_into(sink) {
-                Err(failure) => Some(failure),
-                Ok(()) => runtime.failure(),
-            };
-            if let Some(failure) = failure {
+            let drained = runtime.drain_into(sink);
+            if let Some(failure) = drained.err().or_else(|| runtime.failure()) {
                 return Err(self.poison(failure));
             }
         }
@@ -1038,14 +1071,9 @@ impl Monitor {
     /// Latches the poisoned state from a recorded pool failure and converts
     /// it to the error every subsequent fallible call will keep returning.
     fn poison(&mut self, failure: RuntimeFailure) -> DriveError {
-        let entry = self
-            .poisoned
+        self.poisoned
             .get_or_insert((failure.worker, self.current_bin));
-        DriveError::WorkerPanicked {
-            worker: entry.0,
-            bin: entry.1,
-            stats: DriveStats::default(),
-        }
+        self.poisoned_error().expect("just latched")
     }
 
     /// The latched poison error, when a pool thread has panicked.
@@ -1123,52 +1151,23 @@ impl Monitor {
     }
 
     /// Feeds one within-bin segment of a batch to the ground truth and the
-    /// lanes. On the serial engine everything runs here on the calling
-    /// thread. On the pipelined engine, segments of at least
-    /// [`MonitorBuilder::parallel_segment_min`] packets are keyed, routed
-    /// and broadcast to the worker pool (overlapping with whatever the
-    /// workers are still classifying), while smaller segments — per-packet
-    /// `push` in particular — are processed inline after a quiescence
-    /// barrier, where a channel round-trip would cost more than the work.
-    /// Results are bit-identical on every path.
+    /// lanes: observed here and now on the serial engine, keyed and appended
+    /// to the worker pool's next buffer on the pipelined one (which also
+    /// picks up any report that finished in the meantime).
     fn process_segment<K: ReportSink + ?Sized>(
         &mut self,
         batch: &PacketBatch,
         range: Range<usize>,
         sink: &mut K,
-    ) -> Result<(), RuntimeFailure> {
+    ) {
         self.saw_packet = true;
-        let definition = self.flow_definition;
         match &mut self.engine {
-            Engine::Serial(engine) => {
-                self.segments_inline += 1;
-                let mut keys = std::mem::take(&mut self.scratch_keys);
-                keys.clear();
-                keys.extend(range.clone().map(|i| batch.flow_key(i, definition)));
-                engine.observe(&keys, batch, range);
-                self.scratch_keys = keys;
-            }
+            Engine::Serial(engine) => engine.observe(self.flow_definition, batch, range),
             Engine::Pipelined(runtime) => {
-                if range.len() >= self.parallel_segment_min {
-                    self.segments_dispatched += 1;
-                    runtime.dispatch_segment(definition, batch, range);
-                    runtime.try_drain_into(sink);
-                } else {
-                    self.segments_inline += 1;
-                    // Inline work touches the shared shards and lanes, so
-                    // the pipe must be quiet: deliver pending seal reports,
-                    // then barrier any in-flight segments.
-                    runtime.drain_into(sink)?;
-                    runtime.flush();
-                    let mut keys = std::mem::take(&mut self.scratch_keys);
-                    keys.clear();
-                    keys.extend(range.clone().map(|i| batch.flow_key(i, definition)));
-                    runtime.observe_inline(&keys, batch, range);
-                    self.scratch_keys = keys;
-                }
+                runtime.append_segment(self.flow_definition, batch, range);
+                runtime.try_drain_into(sink);
             }
         }
-        Ok(())
     }
 
     /// Closes the bin currently being filled and returns its report, or
@@ -1207,11 +1206,7 @@ impl Monitor {
             return Ok(false);
         }
         self.emit_current_bin(sink);
-        if let Engine::Pipelined(runtime) = &mut self.engine {
-            runtime
-                .drain_into(sink)
-                .map_err(|failure| self.poison(failure))?;
-        }
+        self.await_seals(sink)?;
         self.saw_packet = false;
         Ok(true)
     }
@@ -1432,12 +1427,12 @@ impl Monitor {
     }
 
     /// Closes the bin currently being filled and advances to the next one.
-    /// The serial engine seals synchronously into the recycled scratch
-    /// report; the pipelined engine broadcasts a seal down the worker
-    /// queues (so it lands after everything already dispatched) and lets
-    /// the sequencer assemble the report — the caller picks finished
-    /// reports up opportunistically here and drains the rest before the
-    /// enclosing call returns, so the sink still sees every bin in order.
+    /// The serial engine seals synchronously into its recycled report; the
+    /// pipelined engine ships what it has buffered, broadcasts a seal down
+    /// the worker queues behind it and lets the sequencer assemble the
+    /// report — the caller picks finished reports up opportunistically here
+    /// and drains the rest before the enclosing call returns, so the sink
+    /// still sees every bin in order.
     fn emit_current_bin<K: ReportSink + ?Sized>(&mut self, sink: &mut K) {
         let bin_index = self.current_bin;
         let bin_start =
@@ -1445,10 +1440,7 @@ impl Monitor {
         self.current_bin += 1;
         match &mut self.engine {
             Engine::Serial(engine) => {
-                let mut report = std::mem::take(&mut self.scratch_report);
-                engine.seal_bin(&mut report, bin_index, bin_start, self.top_t);
-                sink.accept(&report);
-                self.scratch_report = report;
+                sink.accept(engine.seal_bin(bin_index, bin_start, self.top_t));
             }
             Engine::Pipelined(runtime) => {
                 // When the pool has died the seal send fails silently; the

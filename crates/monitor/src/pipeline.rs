@@ -460,7 +460,9 @@ const LIVE_POLL_WAIT: Duration = Duration::from_millis(1);
 /// truncated *at the tail* (the writer has not finished flushing it) is
 /// indistinguishable from a mid-write snapshot, so in follow mode it reads
 /// as `Pending`; any other malformed shape — bad magic, oversized record —
-/// is [`SourceError::Fatal`], latched and returned on every later poll.
+/// is [`SourceError::Fatal`], latched and returned on every later poll, after
+/// the packets decoded in front of it have been delivered (the
+/// [`PcapBytesSource`] contract).
 ///
 /// With [`PcapTailSource::follow`] disabled the source behaves like
 /// [`PcapBytesSource`] over the file's current contents: EOF ends the
@@ -562,7 +564,14 @@ impl PcapTailSource {
                     // for the rest of the record to land.
                     Ok(true)
                 } else {
-                    Err(self.fatal(error))
+                    // A partial chunk is delivered first; the latched error
+                    // surfaces on the next poll.
+                    let fatal = self.fatal(error);
+                    if self.batch.is_empty() {
+                        Err(fatal)
+                    } else {
+                        Ok(true)
+                    }
                 }
             }
         }
@@ -1746,10 +1755,16 @@ mod tests {
         }
     }
 
-    /// All three methods yield the same packets. `faults` is what the
-    /// fallible two surface on the way: malformed records, and whether a
-    /// fatal error ends the stream — after the packets before it.
-    fn agree<S: PacketSource>(name: &str, make: impl Fn() -> S, live: bool, faults: (u32, bool)) {
+    /// All three methods yield the same packets, whose timestamps are
+    /// returned. `faults` is what the fallible two surface on the way:
+    /// malformed records, and whether a fatal error ends the stream — after
+    /// the packets before it.
+    fn agree<S: PacketSource>(
+        name: &str,
+        make: impl Fn() -> S,
+        live: bool,
+        faults: (u32, bool),
+    ) -> Vec<u64> {
         let polled = pull(&mut make(), 2, live);
         assert!(!polled.0.is_empty(), "{name}: packets flow");
         assert_eq!((polled.1, polled.2), faults, "{name}: poll_chunk");
@@ -1757,9 +1772,10 @@ mod tests {
         // Where the polls idle `next_chunk` waits for more, so it cannot be
         // looped on a live source.
         if !live {
-            let lenient = (polled.0, 0, false);
+            let lenient = (polled.0.clone(), 0, false);
             assert_eq!(pull(&mut make(), 0, live), lenient, "{name}: next_chunk");
         }
+        polled.0
     }
 
     #[test]
@@ -1775,23 +1791,44 @@ mod tests {
         let records = synth_packets(3, 0.0);
         let clean = records_to_pcap_bytes(&records).unwrap();
         let cut = &clean[..clean.len() - 7]; // truncated mid-record
+        let mut oversized = clean.clone(); // one more record, claiming 100 MiB
+        oversized.extend_from_slice(&[0; 8]);
+        oversized.extend_from_slice(&(100u32 << 20).to_le_bytes());
+        oversized.extend_from_slice(&(100u32 << 20).to_le_bytes());
         let file = format!("flowrank-three-methods-{}.pcap", std::process::id());
         let file = std::env::temp_dir().join(file);
         let tail = |follow| {
             let tail = PcapTailSource::open(&file).unwrap();
             tail.with_chunk_packets(16).follow(follow)
         };
-        for (capture, fatal) in [(&clean[..], false), (cut, true)] {
-            let bytes = || PcapBytesSource::new(capture).unwrap();
-            agree("bytes", bytes, false, (0, fatal));
-            let reader = || PcapReaderSource::new(capture).unwrap();
-            agree("reader", reader, false, (0, fatal));
-            agree("gate", || gate(bytes()), false, (0, fatal));
+        // Truncated at the tail of a followed file reads as not yet written;
+        // any other bad record is fatal there too.
+        for (capture, fatal, fatal_followed) in [
+            (&clean[..], false, false),
+            (cut, true, false),
+            (&oversized[..], true, true),
+        ] {
             std::fs::write(&file, capture).unwrap();
-            agree("tail", || tail(false), false, (0, fatal));
-            // Truncated at the tail of a followed file reads as not yet written.
-            agree("tail -f", || tail(true), true, (0, false));
-            agree("gate -f", || gate(tail(true)), true, (0, false));
+            let bytes = || PcapBytesSource::new(capture).unwrap();
+            let reader = || PcapReaderSource::new(capture).unwrap();
+            // Every pcap source delivers the packets the bytes source does:
+            // all those decoded in front of the bad record.
+            let delivered = agree("bytes", bytes, false, (0, fatal));
+            for (name, seen) in [
+                ("reader", agree("reader", reader, false, (0, fatal))),
+                ("gate", agree("gate", || gate(bytes()), false, (0, fatal))),
+                ("tail", agree("tail", || tail(false), false, (0, fatal))),
+                (
+                    "tail -f",
+                    agree("tail -f", || tail(true), true, (0, fatal_followed)),
+                ),
+                (
+                    "gate -f",
+                    agree("gate -f", || gate(tail(true)), true, (0, fatal_followed)),
+                ),
+            ] {
+                assert_eq!(seen, delivered, "{name}: the bytes source's packets");
+            }
         }
         std::fs::remove_file(file).unwrap();
         for (bad, malformed) in [("", 0), ("not json\n", 1)] {

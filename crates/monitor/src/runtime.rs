@@ -1,11 +1,10 @@
 //! The pipelined worker runtime behind [`MonitorBuilder::threads`].
 //!
-//! A monitor built with more than one thread no longer fans work out with
-//! per-segment scoped spawns and a barrier at every bin close. Instead,
-//! `build()` spawns a **persistent** pool once and tears it down on drop:
+//! A monitor built with more than one thread spawns a **persistent** pool
+//! once, at `build()`, and tears it down on drop:
 //!
 //! ```text
-//!              caller (ingest: split bins, derive keys, route)
+//!              caller (ingest: split bins, derive keys, route, coalesce)
 //!                │ bounded SPSC work queues, one per worker
 //!      ┌─────────┼─────────┬─────────┐
 //!      ▼         ▼         ▼         ▼
@@ -22,12 +21,23 @@
 //!           out queue  → caller delivers each [`BinReport`] to the sink
 //! ```
 //!
+//! There is one path in: the caller appends every within-bin segment,
+//! whatever its size, to the segment buffer being filled — keys and shard
+//! routes derived once — and ships the buffer to every worker when it holds
+//! [`DISPATCH_CHUNK_PACKETS`] packets, when a bin seal needs everything
+//! before it observed, or when the caller is about to wait for a sealed
+//! bin's report (the pool may as well start on the next bin meanwhile). A
+//! one-packet `push` is therefore a column append, and a whole-bin batch is
+//! cut into full buffers. Each worker owns its [`LaneShard`] by value — the
+//! caller never touches a shard or a lane, so nothing on the packet path is
+//! locked.
+//!
 //! Ingestion, classification and lane scoring **overlap**: while workers
-//! classify one segment, the caller is already copying and keying the next,
+//! classify one buffer, the caller is already copying and keying the next,
 //! and while the sequencer assembles bin *k*'s report, workers may already
 //! be observing bin *k + 1*'s packets. The bounded work queues provide
 //! backpressure — a source that outruns the workers blocks in `send`, so
-//! peak memory stays `flows + in-flight windows` no matter how long the
+//! peak memory stays `flows + in-flight buffers` no matter how long the
 //! trace is.
 //!
 //! # Determinism
@@ -47,9 +57,9 @@
 //! * the sequencer is the only thread that seals bins: it consumes the
 //!   per-worker seal messages in worker order, reassembles lane reports into
 //!   lane order, and runs the controller step exactly where the serial path
-//!   does (after scoring, against the still-live ranking), retuning the
-//!   controlled lane before handing its worker the token to enter the next
-//!   bin.
+//!   does (after scoring, against the still-live ranking); the retune it
+//!   decides rides the token that lets the controlled lane's worker enter
+//!   the next bin, so that worker applies it before the bin's first packet.
 //!
 //! # Ordering and shutdown
 //!
@@ -59,7 +69,8 @@
 //! ("`push` returns the bins it closed") intact. On drop the runtime
 //! enqueues one `Shutdown` behind whatever is in flight, joins every worker,
 //! and then joins the sequencer — no detached threads, even when the
-//! monitor is dropped mid-bin.
+//! monitor is dropped mid-bin (packets still in the unshipped buffer are
+//! simply dropped with it).
 //!
 //! # Failure containment
 //!
@@ -72,9 +83,7 @@
 //! instead of panicking, the monitor converts it into
 //! [`DriveError::WorkerPanicked`](crate::DriveError::WorkerPanicked), and
 //! `Drop` joins the (already self-terminated) threads without the old
-//! double-panic abort. Shards and lanes may hold poisoned mutexes after a
-//! failure; the runtime's own locks are poison-tolerant, and the monitor
-//! never trusts state behind a recorded failure.
+//! double-panic abort.
 
 use std::ops::Range;
 use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender};
@@ -82,18 +91,17 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
 use flowrank_core::metrics::{GroundTruthRanking, SizedFlow};
-use flowrank_net::{
-    shard_of, AnyFlowKey, CompactKey, FlowDefinition, FlowTable, PacketBatch, Timestamp,
-};
+use flowrank_net::{shard_of, AnyFlowKey, CompactKey, FlowDefinition, PacketBatch, Timestamp};
 
-use crate::monitor::{ControllerState, Lane};
+use crate::monitor::{ControllerState, Lane, LaneShard};
 use crate::pipeline::ReportSink;
 use crate::report::{BinReport, LaneReport};
+use crate::spec::SamplerSpec;
 
 /// What a pool thread's `catch_unwind` recorded: which thread panicked
 /// (`0..threads` for workers, `threads` for the sequencer) and the panic
-/// payload's message. First failure wins; secondary panics on peers (e.g.
-/// from poisoned shard mutexes) are caught and discarded.
+/// payload's message. First failure wins; secondary panics on peers are
+/// caught and discarded.
 #[derive(Debug, Clone)]
 pub(crate) struct RuntimeFailure {
     pub(crate) worker: usize,
@@ -123,14 +131,38 @@ fn record_failure(
     }
 }
 
+/// Runs a pool thread's loop under `catch_unwind`. The loop's state lives in
+/// the closure, outside the catch: a panic is recorded while the thread's
+/// channels are still open, so no peer can see the disconnect before the
+/// failure is readable.
+fn spawn_contained(
+    name: String,
+    index: usize,
+    failure: &Arc<Mutex<Option<RuntimeFailure>>>,
+    mut run: impl FnMut() + Send + 'static,
+) -> JoinHandle<()> {
+    let failure = Arc::clone(failure);
+    std::thread::Builder::new()
+        .name(name)
+        .spawn(move || {
+            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(&mut run));
+            if let Err(payload) = result {
+                record_failure(&failure, index, payload.as_ref());
+            }
+        })
+        .expect("spawn flowrank pool thread")
+}
+
 /// Depth of each worker's bounded segment queue. This is the backpressure
-/// knob: the caller blocks once any worker falls this many segments behind,
+/// knob: the caller blocks once any worker falls this many buffers behind,
 /// bounding in-flight memory to a handful of segment buffers.
 const SEGMENT_QUEUE_DEPTH: usize = 4;
 
-/// Packets per dispatched segment buffer. Large within-bin segments are cut
-/// into pieces of this size so ingest (key derivation + copy) and worker
-/// classification overlap instead of serialising on one giant hand-off.
+/// Packets per shipped segment buffer. Within-bin segments of any size are
+/// coalesced into buffers of this size, so ingest (key derivation + copy)
+/// and worker classification overlap instead of serialising on one giant
+/// hand-off, and a stream of tiny pushes costs one hand-off per buffer
+/// rather than one per push.
 const DISPATCH_CHUNK_PACKETS: usize = 4096;
 
 /// One decoded, keyed, routed slice of the packet stream, shared read-only
@@ -150,8 +182,8 @@ struct SegmentBuf {
 /// handshake deadlock-free (no worker can ever be waiting on a message
 /// another worker already consumed).
 enum ToWorker {
-    /// Observe a segment: classify this worker's route into its shard,
-    /// offer the whole segment to each of its lanes.
+    /// Observe a buffer: classify this worker's route into its shard,
+    /// offer the whole buffer to each of its lanes.
     Segment(Arc<SegmentBuf>),
     /// Close the current bin: drain the shard to the sequencer, score the
     /// lanes against the ranking it broadcasts back.
@@ -159,9 +191,6 @@ enum ToWorker {
         bin_index: u64,
         bin_start: Timestamp,
     },
-    /// Quiescence barrier: acknowledge once everything before it is done
-    /// (used before the caller touches shards/lanes inline).
-    Flush,
     /// Exit the worker loop.
     Shutdown,
 }
@@ -178,24 +207,25 @@ struct WorkerSeal {
 enum SequencerCtl {
     /// The bin's merged ground-truth ranking; score your lanes against it.
     Score(Arc<GroundTruthRanking<AnyFlowKey>>),
-    /// Controller step done; the controlled lane is retuned, enter the
-    /// next bin. Sent only to the worker owning the controlled lane.
-    Proceed,
+    /// Controller step done: apply the retune it decided (if any) to the
+    /// controlled lane, then enter the next bin. Sent only to the worker
+    /// owning the controlled lane.
+    Proceed(Option<(f64, SamplerSpec)>),
 }
 
 /// One classification worker: owns ground-truth shard `index` and every
-/// lane whose index is congruent to `index` mod `threads`. The strided lane
-/// partition spreads a rate grid's expensive high-rate lanes evenly across
-/// workers (a contiguous split would hand one worker the whole top rate
-/// group).
+/// lane whose index is congruent to `index` mod `threads`, by value. The
+/// strided lane partition spreads a rate grid's expensive high-rate lanes
+/// evenly across workers (a contiguous split would hand one worker the
+/// whole top rate group).
 struct Worker {
     index: usize,
     top_t: usize,
-    waits_for_proceed: bool,
-    shard: Arc<Mutex<FlowTable<AnyFlowKey>>>,
-    lanes: Vec<Arc<Mutex<Lane>>>,
+    shard: LaneShard,
+    /// Position of the controlled lane in `shard`'s lanes, when this worker
+    /// owns it; such a worker waits for `Proceed` at the end of every seal.
+    controlled: Option<usize>,
     work_rx: Receiver<ToWorker>,
-    flush_tx: SyncSender<()>,
     seal_tx: SyncSender<WorkerSeal>,
     report_tx: SyncSender<Vec<LaneReport>>,
     ctl_rx: Receiver<SequencerCtl>,
@@ -203,9 +233,16 @@ struct Worker {
 
 impl Worker {
     fn run(&mut self) {
+        let route = self.index as u16;
         while let Ok(msg) = self.work_rx.recv() {
             match msg {
-                ToWorker::Segment(seg) => self.observe(&seg),
+                ToWorker::Segment(seg) => {
+                    let routes = &seg.routes[..];
+                    self.shard
+                        .observe(&seg.keys, &seg.batch, 0..seg.batch.len(), |slot| {
+                            routes[slot] == route
+                        });
+                }
                 ToWorker::Seal {
                     bin_index,
                     bin_start,
@@ -214,81 +251,39 @@ impl Worker {
                         return;
                     }
                 }
-                ToWorker::Flush => {
-                    if self.flush_tx.send(()).is_err() {
-                        return;
-                    }
-                }
                 ToWorker::Shutdown => return,
             }
-        }
-    }
-
-    fn observe(&mut self, seg: &SegmentBuf) {
-        let route = self.index as u16;
-        {
-            let mut shard = self.shard.lock().expect("shard mutex");
-            for (i, &r) in seg.routes.iter().enumerate() {
-                if r == route {
-                    shard.observe_keyed_parts(
-                        seg.keys[i],
-                        seg.batch.timestamp(i),
-                        seg.batch.length(i),
-                        seg.batch.tcp_seq(i),
-                    );
-                }
-            }
-        }
-        let range = 0..seg.batch.len();
-        for lane in &self.lanes {
-            lane.lock()
-                .expect("lane mutex")
-                .offer_batch(&seg.keys, &seg.batch, range.clone());
         }
     }
 
     /// One seal handshake. Returns false when a channel closed underneath
     /// (the runtime is shutting down abnormally), telling the loop to exit.
     fn seal(&mut self, bin_index: u64, bin_start: Timestamp) -> bool {
-        let (sizes, packets) = {
-            let mut shard = self.shard.lock().expect("shard mutex");
-            let sizes = shard
-                .iter_sizes()
-                .map(|(key, packets)| SizedFlow { key, packets })
-                .collect();
-            let packets = shard.total_packets();
-            shard.clear();
-            (sizes, packets)
+        let (sizes, packets) = self.shard.drain_truth();
+        let seal = WorkerSeal {
+            bin_index,
+            bin_start,
+            sizes,
+            packets,
         };
-        if self
-            .seal_tx
-            .send(WorkerSeal {
-                bin_index,
-                bin_start,
-                sizes,
-                packets,
-            })
-            .is_err()
-        {
+        if self.seal_tx.send(seal).is_err() {
             return false;
         }
-        let truth = match self.ctl_rx.recv() {
-            Ok(SequencerCtl::Score(truth)) => truth,
-            _ => return false,
+        let Ok(SequencerCtl::Score(truth)) = self.ctl_rx.recv() else {
+            return false;
         };
-        let mut reports = Vec::with_capacity(self.lanes.len());
-        for lane in &self.lanes {
-            reports.push(
-                lane.lock()
-                    .expect("lane mutex")
-                    .close_bin(&truth, self.top_t),
-            );
-        }
+        let mut reports = Vec::new();
+        self.shard.score(&truth, self.top_t, &mut reports);
         if self.report_tx.send(reports).is_err() {
             return false;
         }
-        if self.waits_for_proceed {
-            return matches!(self.ctl_rx.recv(), Ok(SequencerCtl::Proceed));
+        if let Some(lane) = self.controlled {
+            let Ok(SequencerCtl::Proceed(retune)) = self.ctl_rx.recv() else {
+                return false;
+            };
+            if let Some((rate, spec)) = retune {
+                self.shard.retune(lane, rate, spec);
+            }
         }
         true
     }
@@ -303,10 +298,6 @@ struct Sequencer {
     threads: usize,
     lane_count: usize,
     top_t: usize,
-    /// Full lane list in lane order — only touched for the controller
-    /// retune, under the controlled lane's mutex, while its worker waits
-    /// for `Proceed`.
-    lanes: Vec<Arc<Mutex<Lane>>>,
     controller: Option<ControllerState>,
     seal_rx: Vec<Receiver<WorkerSeal>>,
     report_rx: Vec<Receiver<Vec<LaneReport>>>,
@@ -363,16 +354,15 @@ impl Sequencer {
             report.packets = packets;
             report.flows = flow_count;
             if let Some(state) = self.controller.as_mut() {
-                if let Some((rate, spec)) = state.step(&mut report, &truth, self.top_t) {
-                    self.lanes[state.lane]
-                        .lock()
-                        .expect("lane mutex")
-                        .retune(rate, spec);
-                }
-                // The controlled lane's worker held position until now, so
-                // the retune always lands before the next bin's packets.
+                let retune = state.step(&mut report, &truth, self.top_t);
+                // The controlled lane's worker holds position until this
+                // arrives, so the retune always lands before the next bin's
+                // packets.
                 let owner = state.lane % self.threads;
-                if self.ctl_tx[owner].send(SequencerCtl::Proceed).is_err() {
+                if self.ctl_tx[owner]
+                    .send(SequencerCtl::Proceed(retune))
+                    .is_err()
+                {
                     return;
                 }
             }
@@ -387,14 +377,7 @@ impl Sequencer {
 /// pipelined runtime (ingest, seal bookkeeping, report delivery, shutdown).
 pub(crate) struct PipelinedRuntime {
     threads: usize,
-    lane_count: usize,
-    controller_name: Option<&'static str>,
-    controlled_lane: Option<usize>,
-    /// Full lane list, for the inline (small-segment) path.
-    lanes: Vec<Arc<Mutex<Lane>>>,
-    shards: Vec<Arc<Mutex<FlowTable<AnyFlowKey>>>>,
     work_tx: Vec<SyncSender<ToWorker>>,
-    flush_rx: Vec<Receiver<()>>,
     out_rx: Receiver<BinReport>,
     recycle_tx: Sender<BinReport>,
     workers: Vec<JoinHandle<()>>,
@@ -403,13 +386,15 @@ pub(crate) struct PipelinedRuntime {
     /// (see [`record_failure`]); read through
     /// [`PipelinedRuntime::failure`].
     failure: Arc<Mutex<Option<RuntimeFailure>>>,
+    /// The buffer being filled: uniquely owned until it ships.
+    filling: Arc<SegmentBuf>,
     /// Recycled segment buffers; an entry is free once every worker dropped
     /// its handle (`Arc::strong_count == 1`).
     pool: Vec<Arc<SegmentBuf>>,
+    /// Buffers shipped to the pool since the monitor was built.
+    shipped: u64,
     /// Seals dispatched whose reports have not yet reached the sink.
     pending_seals: usize,
-    /// Segments dispatched since the last quiescence point (flush or seal).
-    dirty: bool,
 }
 
 impl PipelinedRuntime {
@@ -423,61 +408,43 @@ impl PipelinedRuntime {
     ) -> Self {
         debug_assert!(threads > 1);
         let lane_count = lanes.len();
-        let controller_name = controller.as_ref().map(|state| state.name());
         let controlled_lane = controller.as_ref().map(|state| state.lane);
-        let lanes: Vec<Arc<Mutex<Lane>>> = lanes
-            .into_iter()
-            .map(|lane| Arc::new(Mutex::new(lane)))
-            .collect();
-        let shards: Vec<Arc<Mutex<FlowTable<AnyFlowKey>>>> = (0..threads)
-            .map(|_| Arc::new(Mutex::new(FlowTable::new())))
-            .collect();
+        let mut strided: Vec<Vec<Lane>> = (0..threads).map(|_| Vec::new()).collect();
+        for (i, lane) in lanes.into_iter().enumerate() {
+            strided[i % threads].push(lane);
+        }
         let (out_tx, out_rx) = channel();
         let (recycle_tx, recycle_rx) = channel();
         let failure: Arc<Mutex<Option<RuntimeFailure>>> = Arc::new(Mutex::new(None));
         let mut work_tx = Vec::with_capacity(threads);
-        let mut flush_rx = Vec::with_capacity(threads);
         let mut seal_rx = Vec::with_capacity(threads);
         let mut report_rx = Vec::with_capacity(threads);
         let mut ctl_tx = Vec::with_capacity(threads);
         let mut workers = Vec::with_capacity(threads);
-        for (w, shard) in shards.iter().enumerate() {
+        for (w, lanes) in strided.into_iter().enumerate() {
             let (wtx, wrx) = sync_channel(SEGMENT_QUEUE_DEPTH);
-            let (ftx, frx) = sync_channel(1);
             let (stx, srx) = sync_channel(1);
             let (rtx, rrx) = sync_channel(1);
             let (ctx, crx) = sync_channel(2);
             let mut worker = Worker {
                 index: w,
                 top_t,
-                waits_for_proceed: controlled_lane.is_some_and(|lane| lane % threads == w),
-                shard: Arc::clone(shard),
-                lanes: lanes.iter().skip(w).step_by(threads).cloned().collect(),
+                shard: LaneShard::new(lanes, None),
+                controlled: controlled_lane
+                    .filter(|lane| lane % threads == w)
+                    .map(|lane| lane / threads),
                 work_rx: wrx,
-                flush_tx: ftx,
                 seal_tx: stx,
                 report_tx: rtx,
                 ctl_rx: crx,
             };
-            let failure = Arc::clone(&failure);
-            workers.push(
-                std::thread::Builder::new()
-                    .name(format!("flowrank-worker-{w}"))
-                    .spawn(move || {
-                        // `worker` lives outside the catch: a panic is
-                        // recorded while the worker's channels are still
-                        // open, so no peer can see the disconnect before
-                        // the failure is readable.
-                        let result =
-                            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| worker.run()));
-                        if let Err(payload) = result {
-                            record_failure(&failure, w, payload.as_ref());
-                        }
-                    })
-                    .expect("spawn flowrank worker"),
-            );
+            workers.push(spawn_contained(
+                format!("flowrank-worker-{w}"),
+                w,
+                &failure,
+                move || worker.run(),
+            ));
             work_tx.push(wtx);
-            flush_rx.push(frx);
             seal_rx.push(srx);
             report_rx.push(rrx);
             ctl_tx.push(ctx);
@@ -486,7 +453,6 @@ impl PipelinedRuntime {
             threads,
             lane_count,
             top_t,
-            lanes: lanes.clone(),
             controller,
             seal_rx,
             report_rx,
@@ -494,55 +460,37 @@ impl PipelinedRuntime {
             out_tx,
             recycle_rx,
         };
-        let sequencer_failure = Arc::clone(&failure);
-        let sequencer = std::thread::Builder::new()
-            .name("flowrank-sequencer".into())
-            .spawn(move || {
-                let result =
-                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sequencer.run()));
-                if let Err(payload) = result {
-                    // The sequencer is reported as worker index `threads`.
-                    record_failure(&sequencer_failure, threads, payload.as_ref());
-                }
-            })
-            .expect("spawn flowrank sequencer");
+        // The sequencer is reported as worker index `threads`.
+        let sequencer =
+            spawn_contained("flowrank-sequencer".into(), threads, &failure, move || {
+                sequencer.run()
+            });
         PipelinedRuntime {
             threads,
-            lane_count,
-            controller_name,
-            controlled_lane,
-            lanes,
-            shards,
             work_tx,
-            flush_rx,
             out_rx,
             recycle_tx,
             workers,
             sequencer: Some(sequencer),
             failure,
+            filling: Arc::default(),
             pool: Vec::new(),
+            shipped: 0,
             pending_seals: 0,
-            dirty: false,
         }
     }
 
-    pub(crate) fn lane_count(&self) -> usize {
-        self.lane_count
+    /// Buffers shipped to the pool since the monitor was built.
+    pub(crate) fn shipped(&self) -> u64 {
+        self.shipped
     }
 
-    pub(crate) fn controller_name(&self) -> Option<&'static str> {
-        self.controller_name
-    }
-
-    pub(crate) fn controlled_lane(&self) -> Option<usize> {
-        self.controlled_lane
-    }
-
-    /// Cuts a within-bin segment into pipeline chunks, each copied into a
-    /// recycled buffer with its keys and shard routes derived once, and
-    /// broadcasts them to every worker's bounded queue (identical order on
-    /// every queue — the invariant the seal handshake relies on).
-    pub(crate) fn dispatch_segment(
+    /// Appends a within-bin segment of any size to the buffer being filled,
+    /// deriving each packet's key and shard route once, and ships the buffer
+    /// every time it reaches [`DISPATCH_CHUNK_PACKETS`]. What is left stays
+    /// buffered until later packets fill it, a seal flushes it, or the caller
+    /// is about to wait on the pool.
+    pub(crate) fn append_segment(
         &mut self,
         definition: FlowDefinition,
         batch: &PacketBatch,
@@ -551,91 +499,54 @@ impl PipelinedRuntime {
         let threads = self.threads;
         let mut start = range.start;
         while start < range.end {
-            let end = (start + DISPATCH_CHUNK_PACKETS).min(range.end);
-            let mut buf = self.take_buf();
-            {
-                let seg = Arc::get_mut(&mut buf).expect("pooled segment is uniquely owned");
-                let SegmentBuf {
-                    batch: seg_batch,
-                    keys,
-                    routes,
-                } = seg;
-                seg_batch.clear();
-                keys.clear();
-                routes.clear();
-                seg_batch.extend_from_batch(batch, start..end);
-                keys.extend((start..end).map(|i| batch.flow_key(i, definition)));
-                routes.extend(keys.iter().map(|key| shard_of(key.pack(), threads) as u16));
+            let seg = Arc::get_mut(&mut self.filling).expect("the filling buffer is unshared");
+            let end = range
+                .end
+                .min(start + DISPATCH_CHUNK_PACKETS - seg.batch.len());
+            seg.batch.extend_from_batch(batch, start..end);
+            for i in start..end {
+                let key = batch.flow_key(i, definition);
+                seg.routes.push(shard_of(key.pack(), threads) as u16);
+                seg.keys.push(key);
             }
-            for tx in &self.work_tx {
-                let _ = tx.send(ToWorker::Segment(Arc::clone(&buf)));
+            if seg.batch.len() == DISPATCH_CHUNK_PACKETS {
+                self.ship();
             }
-            self.pool_return(buf);
-            self.dirty = true;
             start = end;
         }
     }
 
-    /// Processes a small segment on the calling thread — the per-packet
-    /// `push` path, where a channel round-trip would cost more than the
-    /// work. Requires quiescence: call only with no pending seals and after
-    /// [`PipelinedRuntime::flush`], so no worker touches shards or lanes
-    /// concurrently. State updates are identical to the worker path, so
-    /// reports stay bit-identical.
-    pub(crate) fn observe_inline(
-        &mut self,
-        keys: &[AnyFlowKey],
-        batch: &PacketBatch,
-        range: Range<usize>,
-    ) {
-        debug_assert_eq!(self.pending_seals, 0);
-        debug_assert!(!self.dirty);
-        {
-            let mut shards: Vec<_> = self
-                .shards
-                .iter()
-                .map(|shard| shard.lock().unwrap_or_else(|poison| poison.into_inner()))
-                .collect();
-            for (slot, i) in range.clone().enumerate() {
-                let shard = shard_of(keys[slot].pack(), self.threads);
-                shards[shard].observe_keyed_parts(
-                    keys[slot],
-                    batch.timestamp(i),
-                    batch.length(i),
-                    batch.tcp_seq(i),
-                );
-            }
-        }
-        for lane in &self.lanes {
-            lane.lock()
-                .unwrap_or_else(|poison| poison.into_inner())
-                .offer_batch(keys, batch, range.clone());
-        }
-    }
-
-    /// Quiescence barrier: returns once every worker has processed
-    /// everything dispatched so far. Cheap when the pipe is already drained
-    /// (one token round-trip per worker), skipped entirely when nothing was
-    /// dispatched since the last barrier.
-    pub(crate) fn flush(&mut self) {
-        if !self.dirty {
+    /// Broadcasts the buffer being filled to every worker's bounded queue
+    /// (identical order on every queue — the invariant the seal handshake
+    /// relies on) and starts a recycled one. No-op on an empty buffer.
+    fn ship(&mut self) {
+        if self.filling.batch.is_empty() {
             return;
         }
+        let free = self.pool.iter().position(|buf| Arc::strong_count(buf) == 1);
+        let mut next = free.map_or_else(Arc::default, |i| self.pool.swap_remove(i));
+        let seg = Arc::get_mut(&mut next).expect("a free pooled buffer is unshared");
+        seg.batch.clear();
+        seg.keys.clear();
+        seg.routes.clear();
+        let full = std::mem::replace(&mut self.filling, next);
         for tx in &self.work_tx {
-            let _ = tx.send(ToWorker::Flush);
+            let _ = tx.send(ToWorker::Segment(Arc::clone(&full)));
         }
-        for rx in &self.flush_rx {
-            let _ = rx.recv();
+        self.shipped += 1;
+        // In-flight buffers are bounded by the queue depth, so the pool
+        // stays small; the cap only guards pathological sink behaviour.
+        if self.pool.len() < SEGMENT_QUEUE_DEPTH + self.threads + 2 {
+            self.pool.push(full);
         }
-        self.dirty = false;
     }
 
-    /// Asks the pool to close the current bin. The seal rides the same
-    /// queues as the segments, so it lands after everything already
-    /// dispatched; the finished report surfaces on the out queue and is
-    /// delivered by [`PipelinedRuntime::drain_into`]. A completed seal is a
-    /// quiescence point, so `dirty` resets.
+    /// Asks the pool to close the current bin: ships whatever is buffered,
+    /// then broadcasts the seal down the same queues, so it lands after
+    /// every packet of the bin. The finished report surfaces on the out
+    /// queue and is delivered by [`PipelinedRuntime::drain_into`].
     pub(crate) fn dispatch_seal(&mut self, bin_index: u64, bin_start: Timestamp) {
+        self.ship();
         for tx in &self.work_tx {
             let _ = tx.send(ToWorker::Seal {
                 bin_index,
@@ -643,7 +554,6 @@ impl PipelinedRuntime {
             });
         }
         self.pending_seals += 1;
-        self.dirty = false;
     }
 
     /// Delivers any already-finished reports without blocking — called
@@ -660,13 +570,19 @@ impl PipelinedRuntime {
 
     /// Blocks until every dispatched seal's report has reached the sink —
     /// the tail barrier that keeps `push_batch` synchronous: all bins a
-    /// call closed are delivered before it returns. When the pool died
-    /// underneath (a worker or sequencer panicked), returns the recorded
-    /// failure instead of panicking; outstanding seals are forfeited.
+    /// call closed are delivered before it returns. Before it waits it ships
+    /// what is buffered — the packets after the last seal — so the workers
+    /// run on into the next bin instead of idling until the caller is back.
+    /// When the pool died underneath (a worker or sequencer panicked),
+    /// returns the recorded failure instead of panicking; outstanding seals
+    /// are forfeited.
     pub(crate) fn drain_into<K: ReportSink + ?Sized>(
         &mut self,
         sink: &mut K,
     ) -> Result<(), RuntimeFailure> {
+        if self.pending_seals > 0 {
+            self.ship();
+        }
         while self.pending_seals > 0 {
             match self.out_rx.recv() {
                 Ok(report) => self.deliver(report, sink),
@@ -699,23 +615,6 @@ impl PipelinedRuntime {
         // Hand the shell back to the sequencer for the next bin.
         let _ = self.recycle_tx.send(report);
     }
-
-    fn take_buf(&mut self) -> Arc<SegmentBuf> {
-        for i in 0..self.pool.len() {
-            if Arc::strong_count(&self.pool[i]) == 1 {
-                return self.pool.swap_remove(i);
-            }
-        }
-        Arc::new(SegmentBuf::default())
-    }
-
-    fn pool_return(&mut self, buf: Arc<SegmentBuf>) {
-        // In-flight segments are bounded by the queue depth, so the pool
-        // stays small; the cap only guards pathological sink behaviour.
-        if self.pool.len() < SEGMENT_QUEUE_DEPTH + self.threads + 2 {
-            self.pool.push(buf);
-        }
-    }
 }
 
 impl Drop for PipelinedRuntime {
@@ -724,7 +623,7 @@ impl Drop for PipelinedRuntime {
         // queue has carried the identical message sequence, so no worker can
         // be stuck mid-handshake waiting for a peer: seal handshakes always
         // complete (the sequencer never blocks — its out queue is
-        // unbounded), flush acks are buffered, and then Shutdown is read.
+        // unbounded), and then Shutdown is read.
         for tx in &self.work_tx {
             let _ = tx.send(ToWorker::Shutdown);
         }
@@ -746,7 +645,7 @@ impl std::fmt::Debug for PipelinedRuntime {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PipelinedRuntime")
             .field("threads", &self.threads)
-            .field("lane_count", &self.lane_count)
+            .field("shipped", &self.shipped)
             .field("pending_seals", &self.pending_seals)
             .finish_non_exhaustive()
     }

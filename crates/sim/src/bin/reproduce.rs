@@ -3,16 +3,16 @@
 //! Usage:
 //!
 //! ```text
-//! cargo run --release -p flowrank-bench --bin reproduce             # all figures, quick settings
-//! cargo run --release -p flowrank-bench --bin reproduce -- --fig 4  # a single figure
-//! cargo run --release -p flowrank-bench --bin reproduce -- --scale 1.0 --runs 30
-//! cargo run --release -p flowrank-bench --bin reproduce -- --fig 12 --sampler stratified
-//! cargo run --release -p flowrank-bench --bin reproduce -- --fig 12 --threads 8
-//! cargo run --release -p flowrank-bench --bin reproduce -- --scenario ddos-flood
-//! cargo run --release -p flowrank-bench --bin reproduce -- --scenario flash-crowd --controller model-driven
-//! cargo run --release -p flowrank-bench --bin reproduce -- --input capture.pcap --runs 5
-//! cargo run --release -p flowrank-bench --bin reproduce -- --fleet --tenants 100
-//! cargo run --release -p flowrank-bench --bin reproduce -- --list
+//! cargo run --release -p flowrank-sim --bin reproduce             # all figures, quick settings
+//! cargo run --release -p flowrank-sim --bin reproduce -- --fig 4  # a single figure
+//! cargo run --release -p flowrank-sim --bin reproduce -- --scale 1.0 --runs 30
+//! cargo run --release -p flowrank-sim --bin reproduce -- --fig 12 --sampler stratified
+//! cargo run --release -p flowrank-sim --bin reproduce -- --fig 12 --threads 8
+//! cargo run --release -p flowrank-sim --bin reproduce -- --scenario ddos-flood
+//! cargo run --release -p flowrank-sim --bin reproduce -- --scenario flash-crowd --controller model-driven
+//! cargo run --release -p flowrank-sim --bin reproduce -- --input capture.pcap --runs 5
+//! cargo run --release -p flowrank-sim --bin reproduce -- --fleet --tenants 100
+//! cargo run --release -p flowrank-sim --bin reproduce -- --list
 //! ```
 //!
 //! Output is CSV on stdout, one block per figure and line, directly
@@ -55,7 +55,6 @@
 //! caps every tenant's flow table. EXPERIMENTS.md records the settings used
 //! for the committed results.
 
-use flowrank_bench::{rate_grid, size_grid_log, BETA_VALUES, N_FACTORS, TOP_T_VALUES};
 use flowrank_core::{
     gaussian::gaussian_absolute_error, optimal_sampling_rate, PairwiseModel, Scenario,
 };
@@ -64,6 +63,7 @@ use flowrank_monitor::{
     BinReport, CsvSink, NdjsonSink, PcapBytesSource, RateCurve, ReportSink, Tee,
 };
 use flowrank_net::{FlowDefinition, TenantId, Timestamp};
+use flowrank_sim::grids::{rate_grid, size_grid_log, BETA_VALUES, N_FACTORS, TOP_T_VALUES};
 use flowrank_sim::report::result_to_csv;
 use flowrank_sim::{
     abilene_experiment, sprint_experiment_with_sampler, workload_builder,

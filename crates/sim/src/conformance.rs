@@ -5,9 +5,8 @@
 //! [`Monitor::push_batch`] (whole or chunked arbitrarily), the pipelined
 //! worker runtime behind `threads(n)` (driven both through buffered
 //! `run_batch` and through `Monitor::drive` over irregularly chunked
-//! sources, on both sides of the inline/dispatch threshold), and the legacy
-//! [`crate::run_bin`] wrapper —
-//! and promises they are **bit-identical**, not merely statistically alike.
+//! sources, with chunks both smaller and larger than the runtime's segment
+//! buffers), and the legacy [`crate::run_bin`] wrapper — and promises they are **bit-identical**, not merely statistically alike.
 //! This module is the single driver that checks the promise for one
 //! configuration cell and condenses the resulting report stream into a
 //! stable digest, so a committed golden value per cell turns any silent
@@ -81,21 +80,13 @@ impl Default for ConformanceConfig {
 
 impl ConformanceConfig {
     fn monitor(&self, threads: usize) -> Monitor {
-        self.monitor_tuned(threads, flowrank_monitor::DEFAULT_PARALLEL_SEGMENT_MIN)
-    }
-
-    /// A monitor with an explicit fan-out threshold, so the threaded legs
-    /// can force either side of the inline/dispatch split regardless of the
-    /// source's chunk size.
-    fn monitor_tuned(&self, threads: usize, parallel_segment_min: usize) -> Monitor {
         let mut builder = Monitor::builder()
             .flow_definition(self.flow_definition)
             .sampler(self.sampler)
             .bin_length(self.bin_length)
             .top_t(self.top_t)
             .seed(self.seed)
-            .threads(threads)
-            .parallel_segment_min(parallel_segment_min);
+            .threads(threads);
         if let Some(topk) = self.topk {
             builder = builder.topk(topk);
         }
@@ -194,32 +185,24 @@ pub fn run_conformance(label: &str, packets: &[PacketRecord], config: &Conforman
 
     // Pipelined-runtime drive legs: the persistent worker pool behind
     // `threads(n > 1)`, driven through `Monitor::drive` over irregularly
-    // chunked sources, must reproduce the reference digest bit for bit on
-    // *both* sides of the fan-out threshold. A threshold of 1 forces every
-    // 463-packet chunk through the worker queues (dispatch path, 2
-    // threads); the default threshold keeps 997-packet chunks on the
-    // calling thread while bin seals still run on the pool (inline path, 4
-    // threads).
-    let mut pooled = DigestSink::new();
-    config.monitor_tuned(2, 1).drive(
-        &mut Chunked::new(BatchSource::new(&batch), 463),
-        &mut pooled,
-    );
-    assert_eq!(
-        pooled.digest(),
-        reference_digest.digest(),
-        "{label}: threads(2) pipelined drive (dispatch path) diverged from the collect path"
-    );
-    let mut pooled_inline = DigestSink::new();
-    config.monitor(4).drive(
-        &mut Chunked::new(BatchSource::new(&batch), 997),
-        &mut pooled_inline,
-    );
-    assert_eq!(
-        pooled_inline.digest(),
-        reference_digest.digest(),
-        "{label}: threads(4) pipelined drive (inline path) diverged from the collect path"
-    );
+    // chunked sources, must reproduce the reference digest bit for bit
+    // however the chunks sit against its 4096-packet segment buffers:
+    // 463-packet chunks are stitched several to a buffer, or cut short by a
+    // seal (2 threads); 6000-packet chunks overflow one, shipping a full
+    // buffer and carrying the remainder into the next (4 threads).
+    for (threads, chunk) in [(2, 463), (4, 6000)] {
+        let mut pooled = DigestSink::new();
+        config.monitor(threads).drive(
+            &mut Chunked::new(BatchSource::new(&batch), chunk),
+            &mut pooled,
+        );
+        assert_eq!(
+            pooled.digest(),
+            reference_digest.digest(),
+            "{label}: threads({threads}) pipelined drive over {chunk}-packet chunks diverged \
+             from the collect path"
+        );
+    }
 
     // Fault-aware legs: a fault-free `try_drive` (strict default policy)
     // must be bit-identical to `drive` — and hence to every other path —

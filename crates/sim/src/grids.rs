@@ -1,12 +1,5 @@
-//! Support library for the flowrank figure-reproduction harness.
-//!
-//! The `reproduce` binary (in `src/bin/reproduce.rs`) regenerates the data
-//! series behind every figure of the paper and prints them as CSV. This
-//! module holds the parameter grids it sweeps. Timing lives in the `ledger/`
-//! package, not here.
-
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
+//! The parameter grids the `reproduce` binary (`src/bin/reproduce.rs`)
+//! sweeps when it regenerates the data series behind the paper's figures.
 
 /// Sampling-rate grid (fractions) used on the x-axis of Figs. 4–11.
 ///

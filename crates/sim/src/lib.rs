@@ -34,6 +34,8 @@
 //!   the monitor's ranking primitives and produce bit-identical results.
 //! * [`experiment`] — multi-run, multi-bin experiments fanned out on the
 //!   monitor, parallelised across bins with std threads.
+//! * [`grids`] — the parameter grids of Figs. 1–11 that the `reproduce`
+//!   binary (`src/bin/reproduce.rs`, the figure-reproduction CLI) sweeps.
 //! * [`faults`] — deterministic fault injection ([`FaultySource`],
 //!   [`FaultySink`], seeded [`FaultPlan`] schedules) behind the chaos
 //!   conformance suite for `Monitor::try_drive`.
@@ -50,6 +52,7 @@ pub mod convergence;
 pub mod engine;
 pub mod experiment;
 pub mod faults;
+pub mod grids;
 pub mod report;
 pub mod scenarios;
 

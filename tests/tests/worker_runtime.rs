@@ -1,23 +1,31 @@
 //! Behavioural pins for the pipelined worker runtime behind
-//! `MonitorBuilder::threads(n > 1)`: the fan-out threshold knob, the
-//! inline/dispatch split, shutdown hygiene, and bit-identity of every
-//! combination against the single-threaded engine.
+//! `MonitorBuilder::threads(n > 1)`: the ingest thread coalesces whatever it
+//! is pushed into full segment buffers, every way of cutting the stream is
+//! bit-identical to the single-threaded engine, and the pool joins cleanly
+//! from every state a drop can find it in.
 //!
 //! (The 216-cell golden matrix in `scenario_conformance.rs` pins the
-//! runtime's *reports*; this file pins its *mechanics* — which path a
-//! segment takes, and that the pool always joins cleanly.)
+//! runtime's *reports*; this file pins its *mechanics* — how much crosses
+//! the worker queues, and that the pool always shuts down.)
 
 use flowrank_monitor::{
-    BatchSource, Chunked, Collect, ControllerSpec, Monitor, MonitorBuilder, SamplerSpec, TopKSpec,
-    DEFAULT_PARALLEL_SEGMENT_MIN,
+    BinReport, Collect, ControllerSpec, DigestSink, Monitor, MonitorBuilder, ReportSink,
+    SamplerSpec, TopKSpec,
 };
 use flowrank_net::{PacketBatch, PacketRecord, Timestamp};
+use flowrank_stats::rng::{Pcg64, Rng, SeedableRng};
 use flowrank_trace::Workload;
 
 const SEED: u64 = 0x5EED_2026;
 
+/// Packets per segment buffer of the pipelined runtime
+/// (`runtime::DISPATCH_CHUNK_PACKETS`).
+const BUFFER_PACKETS: usize = 4096;
+
+/// Three bins of several segment buffers each, so buffers fill inside bins
+/// as well as being cut short by seals.
 fn trace() -> Vec<PacketRecord> {
-    Workload::flash_crowd().synthesize(SEED)
+    Workload::flash_crowd().scaled(5.0).synthesize(SEED)
 }
 
 fn builder(threads: usize) -> MonitorBuilder {
@@ -31,116 +39,150 @@ fn builder(threads: usize) -> MonitorBuilder {
         .threads(threads)
 }
 
+/// The streaming digest of `packets` pushed in pieces of the given sizes
+/// (cycled; the last piece is whatever is left), then finished.
+fn digest_of_cuts(mut monitor: Monitor, packets: &[PacketRecord], cuts: &[usize]) -> u64 {
+    let mut sink = DigestSink::new();
+    let mut start = 0;
+    for &cut in cuts.iter().cycle() {
+        if start == packets.len() {
+            break;
+        }
+        let end = packets.len().min(start + cut);
+        monitor.push_batch_into(&PacketBatch::from_records(&packets[start..end]), &mut sink);
+        start = end;
+    }
+    monitor.finish_into(&mut sink);
+    sink.digest()
+}
+
 #[test]
-fn tiny_segments_on_a_threaded_monitor_take_the_inline_path() {
-    // A per-packet stream never reaches the default 1024-packet fan-out
-    // threshold, so a threads(4) monitor must process every segment on the
-    // calling thread — and still produce bit-identical reports.
+fn per_packet_pushes_on_a_threaded_monitor_coalesce_into_full_buffers() {
+    // One-packet pushes must not cost one worker hand-off each: the ingest
+    // thread appends them to the buffer it is filling and ships it full, or
+    // short twice a bin — when the seal needs the bin's last packets, and
+    // when the push that closed the bin is about to wait for its report with
+    // the next bin's first packet in hand. So the buffers shipped are
+    // bounded by the packet count and the bin count, not by the number of
+    // pushes — and the reports stay bit-identical to the serial engine.
     let packets = trace();
-    let baseline = builder(1).build().run_trace(&packets);
+    let mut serial = builder(1).build();
+    let baseline = serial.run_trace(&packets);
+    assert_eq!(
+        serial.segment_stats(),
+        (baseline.len() as u64, 0),
+        "one whole-bin segment per populated bin, none shipped"
+    );
 
     let mut threaded = builder(4).build();
-    assert_eq!(
-        threaded.parallel_segment_min(),
-        DEFAULT_PARALLEL_SEGMENT_MIN
-    );
     let mut reports = Vec::new();
     for packet in &packets {
         reports.extend(threaded.push(packet));
     }
     reports.extend(threaded.finish());
-    let (inline, dispatched) = threaded.segment_stats();
-    assert!(inline > 0, "per-packet pushes are inline segments");
+    assert_eq!(reports, baseline, "per-packet push on threads(4)");
+    let (serial_segments, shipped) = threaded.segment_stats();
     assert_eq!(
-        dispatched, 0,
-        "no one-packet segment may pay a worker-queue round-trip"
+        serial_segments, 0,
+        "a threaded monitor has no serial engine"
     );
-    assert_eq!(reports, baseline, "inline path must stay bit-identical");
-}
-
-#[test]
-fn threshold_knob_moves_segments_between_paths_bit_identically() {
-    let packets = trace();
-    let batch = PacketBatch::from_records(&packets);
-    let baseline = builder(1).build().run_batch(&batch);
-
-    // Threshold 1: every segment — even tiny bin tails — goes to the pool.
-    let mut forced = builder(4).parallel_segment_min(1).build();
-    let forced_reports = forced.run_batch(&batch);
-    let (inline, dispatched) = forced.segment_stats();
-    assert_eq!(inline, 0, "threshold 1 must dispatch every segment");
-    assert!(dispatched > 0);
-    assert_eq!(forced_reports, baseline);
-
-    // Threshold usize::MAX: all classification stays on the calling thread
-    // (bin seals still run on the pool).
-    let mut inline_only = builder(4).parallel_segment_min(usize::MAX).build();
-    let inline_reports = inline_only.run_batch(&batch);
-    let (inline, dispatched) = inline_only.segment_stats();
-    assert_eq!(dispatched, 0, "threshold MAX must never dispatch");
-    assert!(inline > 0);
-    assert_eq!(inline_reports, baseline);
-
-    // Default threshold on a buffered trace: whole-bin segments are large
-    // enough to fan out.
-    let mut mixed = builder(4).build();
-    let mixed_reports = mixed.run_batch(&batch);
-    let (_, dispatched) = mixed.segment_stats();
+    let bound = (packets.len() / BUFFER_PACKETS + 2 * baseline.len() + 1) as u64;
     assert!(
-        dispatched > 0,
-        "whole-bin segments must cross the default threshold"
+        (1..=bound).contains(&shipped),
+        "{} one-packet pushes over {} bins shipped {shipped} buffers, bound {bound}",
+        packets.len(),
+        baseline.len()
     );
-    assert_eq!(mixed_reports, baseline);
 }
 
 #[test]
 fn threaded_drive_matches_serial_over_irregular_chunks() {
-    // `drive` over chunk sizes straddling the threshold, on 2 and 4
-    // threads, against the serial engine — the sink must see the same bins
-    // in the same order with the same bytes.
+    // A seeded sweep of random cuts — 1 to 6000 packets, so pieces smaller
+    // than, equal to and larger than a segment buffer, with runs of single
+    // packets mixed in — on 2 and 4 threads, with and without the controller
+    // (whose retune rides the seal handshake to the owning worker): the sink
+    // must see the same bins in the same order with the same bytes as the
+    // serial engine fed the whole trace at once.
     let packets = trace();
-    let batch = PacketBatch::from_records(&packets);
-    let mut baseline = Collect::new();
-    builder(1)
-        .build()
-        .drive(&mut BatchSource::new(&batch), &mut baseline);
-    for threads in [2, 4] {
-        for chunk in [463, 4096] {
-            let mut collected = Collect::new();
-            let summary = builder(threads).build().drive(
-                &mut Chunked::new(BatchSource::new(&batch), chunk),
-                &mut collected,
-            );
-            assert_eq!(summary.packets, batch.len() as u64);
-            assert_eq!(
-                collected.reports, baseline.reports,
-                "threads({threads}) drive with {chunk}-packet chunks"
-            );
+    let mut rng = Pcg64::seed_from_u64(SEED);
+    for controlled in [false, true] {
+        let build = |threads: usize| {
+            let builder = builder(threads);
+            if controlled {
+                builder.controller(ControllerSpec::model_driven()).build()
+            } else {
+                builder.build()
+            }
+        };
+        let baseline = digest_of_cuts(build(1), &packets, &[usize::MAX]);
+        for threads in [2, 4] {
+            for round in 0..4 {
+                let mut cuts = Vec::new();
+                for _ in 0..12 {
+                    if rng.next_u64() % 4 == 0 {
+                        // A run of per-packet pushes between the batches.
+                        cuts.extend([1; 40]);
+                    } else {
+                        cuts.push(1 + (rng.next_u64() % 6000) as usize);
+                    }
+                }
+                assert_eq!(
+                    digest_of_cuts(build(threads), &packets, &cuts),
+                    baseline,
+                    "threads({threads}), controlled: {controlled}, round {round}, cuts {cuts:?}"
+                );
+            }
         }
+    }
+}
+
+/// A sink that panics at the first report, leaving the monitor mid-call.
+struct PanickingSink;
+
+impl ReportSink for PanickingSink {
+    fn accept(&mut self, _: &BinReport) {
+        panic!("injected sink panic");
     }
 }
 
 #[test]
 fn dropping_a_threaded_monitor_mid_bin_joins_cleanly() {
-    // Build a threads(4) pool, feed it a partial bin (both inline and
-    // dispatched segments, so the queues are warm), and drop it without
-    // finish(): the drop must join every worker and the sequencer — no
-    // detached threads, no deadlock on a full queue. The test passes by
+    // Drop a threads(4) pool — with and without the controller's extra
+    // handshake — in each state the coalescing ingest can leave it in, and
+    // without finish(): the drop must join every worker and the sequencer —
+    // no detached threads, no deadlock on a full queue. The test passes by
     // returning at all; a shutdown hang would trip the suite timeout.
     let packets = trace();
-    let batch = PacketBatch::from_records(&packets);
-    {
-        let mut monitor = builder(4).parallel_segment_min(1).build();
-        let within_bin = 2000.min(batch.len());
-        let mut sink = Collect::new();
-        let partial = PacketBatch::from_records(&packets[..within_bin]);
-        monitor.push_batch_into(&partial, &mut sink);
+    let prefix = |length: usize| PacketBatch::from_records(&packets[..length]);
+    for controlled in [false, true] {
+        let build = |bin_length: Timestamp| {
+            let builder = builder(4).bin_length(bin_length);
+            if controlled {
+                builder.controller(ControllerSpec::model_driven()).build()
+            } else {
+                builder.build()
+            }
+        };
+        // Buffered, unshipped: less than one buffer of one unbounded bin.
+        let mut monitor = build(Timestamp::ZERO);
+        monitor.push_batch_into(&prefix(BUFFER_PACKETS / 2), &mut Collect::new());
+        assert_eq!(monitor.segment_stats(), (0, 0), "nothing reached the pool");
         drop(monitor);
-    }
-    // Same, mid-stream after several sealed bins.
-    {
-        let mut monitor = builder(4).build();
-        monitor.push_batch(&batch);
+        // Shipped, unsealed: full buffers on the queues (more than their
+        // depth, so ingest has blocked on the workers), a remainder
+        // buffered, the bin still open.
+        let mut monitor = build(Timestamp::ZERO);
+        monitor.push_batch_into(&prefix(BUFFER_PACKETS * 5 + 100), &mut Collect::new());
+        assert_eq!(monitor.segment_stats(), (0, 5), "five full buffers");
+        drop(monitor);
+        // Sealed, undrained: the sink panics on the first report of a batch
+        // that closes several bins, so seals are in flight and reports sit
+        // undelivered on the out queue when the monitor goes.
+        let mut monitor = build(Timestamp::from_secs_f64(60.0));
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            monitor.push_batch_into(&prefix(packets.len()), &mut PanickingSink)
+        }));
+        assert!(unwound.is_err(), "the trace closes at least one bin");
         drop(monitor);
     }
     // And a pool that never saw a packet.
@@ -149,9 +191,9 @@ fn dropping_a_threaded_monitor_mid_bin_joins_cleanly() {
 
 #[test]
 fn controlled_threaded_monitor_drops_cleanly_and_stays_bit_identical() {
-    // The controller path adds the sequencer-side retune and the Proceed
-    // token to the seal handshake; both must survive shutdown mid-bin and
-    // keep reports identical to the serial engine.
+    // The controller path adds the sequencer-side step and the Proceed
+    // token, carrying the retune, to the seal handshake; both must survive
+    // shutdown mid-bin and keep reports identical to the serial engine.
     let packets = trace();
     let build = |threads: usize| {
         builder(threads)
@@ -160,6 +202,13 @@ fn controlled_threaded_monitor_drops_cleanly_and_stays_bit_identical() {
     };
     let baseline = build(1).run_trace(&packets);
     assert!(baseline.iter().all(|report| report.controller.is_some()));
+    assert!(
+        baseline
+            .windows(2)
+            .any(|pair| pair[0].lanes.last().map(|lane| lane.rate)
+                != pair[1].lanes.last().map(|lane| lane.rate)),
+        "the controller retunes at least once, so the token carries a rate"
+    );
     for threads in [2, 4] {
         assert_eq!(build(threads).run_trace(&packets), baseline, "{threads}");
     }
