@@ -567,26 +567,4 @@ mod tests {
         assert_eq!(fleet.tenant_stats().map(|s| s.packets).sum::<u64>(), 0);
         assert_eq!(fleet.windows(), 0);
     }
-
-    #[test]
-    fn queue_source_and_scenario_stream_agree() {
-        // Feeding the same windows through a TaggedQueue must reproduce
-        // the scenario-stream drive exactly (the serve record path).
-        let scenario = FleetScenario::new(3);
-        let seed = 11;
-        let direct = fleet_reports(&scenario, seed, 2);
-        let mut queue = crate::TaggedQueue::new();
-        let mut stream = scenario.stream(seed);
-        while let Some(batch) = stream.next_window() {
-            queue.push(batch.clone());
-        }
-        let mut fleet = FleetBuilder::new(scenario.tenants)
-            .monitor(template())
-            .seed(seed)
-            .threads(2)
-            .build();
-        let mut sink = FleetCollect::new();
-        fleet.drive(&mut queue, &mut sink);
-        assert_eq!(sink.reports, direct.reports);
-    }
 }

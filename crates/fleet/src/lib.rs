@@ -49,9 +49,8 @@
 //! * [`fleet`] — the [`Fleet`] slab, its [`FleetBuilder`], the
 //!   [`FleetSink`] delivery trait and per-tenant statistics.
 //! * [`source`] — the [`FleetSource`] trait (tenant-tagged windows) and its
-//!   implementations: the synthetic
-//!   [`FleetStream`](flowrank_trace::FleetStream) scenario and the
-//!   [`TaggedQueue`] used by live record feeds.
+//!   implementation for the synthetic
+//!   [`FleetStream`](flowrank_trace::FleetStream) scenario.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -62,4 +61,4 @@ pub mod source;
 pub use fleet::{
     Fleet, FleetBuilder, FleetCollect, FleetError, FleetSink, FleetSummary, TenantStats,
 };
-pub use source::{FleetSource, TaggedQueue};
+pub use source::FleetSource;

@@ -6,15 +6,11 @@
 //! stream ends. [`Fleet::drive`](crate::Fleet::drive) pulls a source to
 //! exhaustion.
 //!
-//! Two implementations ship here:
-//!
-//! * [`FleetStream`] (from `flowrank-trace`) — the synthetic fleet
-//!   scenario: per-tenant catalog workloads merged window by window.
-//! * [`TaggedQueue`] — an owned FIFO of tagged batches, the adapter
-//!   between a live record feed (e.g. tenant-tagged ndjson in
-//!   `flowrank-serve`) and a fleet drive.
-
-use std::collections::VecDeque;
+//! One implementation ships here: [`FleetStream`] (from `flowrank-trace`),
+//! the synthetic fleet scenario — per-tenant catalog workloads merged window
+//! by window. A live record feed (tenant-tagged ndjson in `flowrank-serve`)
+//! needs no source: it accumulates a [`TaggedBatch`] and hands it to
+//! [`Fleet::push_tagged`](crate::Fleet::push_tagged) directly.
 
 use flowrank_net::TaggedBatch;
 use flowrank_trace::FleetStream;
@@ -42,78 +38,9 @@ impl<S: FleetSource + ?Sized> FleetSource for &mut S {
     }
 }
 
-/// An owned FIFO of tagged batches: push windows in, drive the fleet out.
-///
-/// This is the record-path adapter: a feed that parses tenant-tagged
-/// records (one decode pass) accumulates them into a [`TaggedBatch`],
-/// queues the batch here, and the fleet consumes the queue as a
-/// [`FleetSource`]. Draining is destructive — each window is yielded once.
-#[derive(Debug, Default)]
-pub struct TaggedQueue {
-    queue: VecDeque<TaggedBatch>,
-    /// The window most recently yielded, kept alive for the borrow.
-    current: TaggedBatch,
-}
-
-impl TaggedQueue {
-    /// An empty queue.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Appends one tagged window to the back of the queue. Empty batches
-    /// are dropped (the fleet never sees empty windows).
-    pub fn push(&mut self, batch: TaggedBatch) {
-        if !batch.is_empty() {
-            self.queue.push_back(batch);
-        }
-    }
-
-    /// Windows waiting to be consumed.
-    pub fn len(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// Whether no windows are waiting.
-    pub fn is_empty(&self) -> bool {
-        self.queue.is_empty()
-    }
-}
-
-impl FleetSource for TaggedQueue {
-    fn next_tagged(&mut self) -> Option<&TaggedBatch> {
-        self.current = self.queue.pop_front()?;
-        Some(&self.current)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flowrank_net::TenantId;
-
-    fn window(tenant: u32, packets: usize) -> TaggedBatch {
-        let mut batch = TaggedBatch::new();
-        for i in 0..packets {
-            batch.push_columns(TenantId(tenant), i as u64, 1, 64, None);
-        }
-        batch
-    }
-
-    #[test]
-    fn queue_yields_windows_in_fifo_order_and_drops_empties() {
-        let mut queue = TaggedQueue::new();
-        queue.push(window(0, 2));
-        queue.push(TaggedBatch::new());
-        queue.push(window(1, 3));
-        assert_eq!(queue.len(), 2);
-        let first = queue.next_tagged().expect("first window").len();
-        assert_eq!(first, 2);
-        let second = queue.next_tagged().expect("second window").len();
-        assert_eq!(second, 3);
-        assert!(queue.next_tagged().is_none());
-        assert!(queue.is_empty());
-    }
 
     #[test]
     fn fleet_stream_is_a_fleet_source() {

@@ -225,8 +225,7 @@ pub use monitor::{Monitor, MonitorBuilder};
 pub use pipeline::{
     ndjson_tenant, parse_ndjson_record, BatchSource, ChannelSource, Chunked, Collect, CsvSink,
     DigestSink, DriveSummary, NdjsonRecordSource, NdjsonSink, PacketSource, PcapBytesSource,
-    PcapReaderSource, PcapTailSource, RateCurve, RatePoint, RecordSource, ReportSink, SourcePoll,
-    StopGate, Tee,
+    PcapTailSource, RateCurve, RatePoint, RecordSource, ReportSink, SourcePoll, StopGate, Tee,
 };
 pub use report::{BinReport, ControllerTrail, LaneReport, TopKReport};
 pub use rolling::{BinSummary, RateSummary, RollingWindow};

@@ -15,9 +15,8 @@
 //! * [`BatchSource`] — a borrowed in-memory batch, yielded once.
 //! * [`RecordSource`] — a borrowed `&[PacketRecord]` slice, converted to SoA
 //!   chunks through one reusable scratch batch.
-//! * [`PcapBytesSource`] / [`PcapReaderSource`] — captures decoded
-//!   incrementally via the zero-copy batch decoder
-//!   ([`flowrank_net::pcap::PcapBatchCursor`]) or the record reader.
+//! * [`PcapBytesSource`] — an in-memory capture decoded incrementally via
+//!   the zero-copy batch decoder ([`flowrank_net::pcap::PcapBatchCursor`]).
 //! * [`flowrank_trace::SynthesisStream`] (via [`flowrank_trace::Workload::stream`]) — scenario
 //!   workloads synthesised window by window instead of materialising the
 //!   whole trace.
@@ -32,8 +31,9 @@
 //! data *temporarily*: they answer [`SourcePoll::Pending`] instead of ending
 //! the stream ([`PacketSource`] says which method a new source implements):
 //!
-//! * [`PcapTailSource`] — tails a growing pcap file, resuming decode at the
-//!   committed record boundary each time the file grows.
+//! * [`PcapTailSource`] — tails a growing pcap file through a bounded read
+//!   window, resuming decode at the committed record boundary each time the
+//!   file grows.
 //! * [`NdjsonRecordSource`] — one packet record per JSON line from any
 //!   `BufRead` (stdin, a socket); blocking, one record per chunk.
 //! * [`ChannelSource`] — non-blocking mpsc adapter that turns any blocking
@@ -63,7 +63,7 @@
 use std::io::{self, Write};
 use std::time::Duration;
 
-use flowrank_net::pcap::{PcapBatchCursor, PcapReader};
+use flowrank_net::pcap::PcapBatchCursor;
 use flowrank_net::{CompactKey, NetError, PacketBatch, PacketRecord, Timestamp};
 use flowrank_stats::summary::RunningStats;
 
@@ -376,70 +376,6 @@ fn end_of_pcap<'a>(latched: &Option<NetError>) -> Result<Option<&'a PacketBatch>
     }
 }
 
-/// Streams a pcap capture from any reader ([`PcapReader`] record loop),
-/// one bounded chunk at a time. Like [`PcapBytesSource`], read/decode errors
-/// terminate the stream and are reported through
-/// [`PcapReaderSource::error`].
-#[derive(Debug)]
-pub struct PcapReaderSource<R: io::Read> {
-    reader: PcapReader<R>,
-    chunk_packets: usize,
-    batch: PacketBatch,
-    error: Option<NetError>,
-}
-
-impl<R: io::Read> PcapReaderSource<R> {
-    /// Opens a capture from a reader (validates the global header).
-    pub fn new(input: R) -> Result<Self, NetError> {
-        Ok(PcapReaderSource {
-            reader: PcapReader::new(input)?,
-            chunk_packets: DEFAULT_CHUNK_PACKETS,
-            batch: PacketBatch::new(),
-            error: None,
-        })
-    }
-
-    /// Sets the number of packets decoded per chunk.
-    pub fn with_chunk_packets(mut self, chunk_packets: usize) -> Self {
-        self.chunk_packets = chunk_packets.max(1);
-        self
-    }
-
-    /// The read/decode error that terminated the stream, if any.
-    pub fn error(&self) -> Option<&NetError> {
-        self.error.as_ref()
-    }
-}
-
-impl<R: io::Read> PacketSource for PcapReaderSource<R> {
-    fn next_chunk(&mut self) -> Option<&PacketBatch> {
-        self.try_next_chunk().unwrap_or(None)
-    }
-
-    /// Same contract as [`PcapBytesSource::try_next_chunk`].
-    fn try_next_chunk(&mut self) -> Result<Option<&PacketBatch>, SourceError> {
-        if self.error.is_none() {
-            self.batch.clear();
-            while self.batch.len() < self.chunk_packets {
-                match self.reader.next_record() {
-                    Ok(Some(record)) => self.batch.push_record(&record),
-                    Ok(None) => break,
-                    Err(error) => {
-                        self.error = Some(error);
-                        break;
-                    }
-                }
-            }
-            // A partial chunk (with or without a latched error behind it)
-            // is delivered first; the next poll surfaces the error.
-            if !self.batch.is_empty() {
-                return Ok(Some(&self.batch));
-            }
-        }
-        end_of_pcap(&self.error)
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Live sources
 // ---------------------------------------------------------------------------
@@ -449,14 +385,27 @@ impl<R: io::Read> PacketSource for PcapReaderSource<R> {
 /// [`DrivePolicy::idle_wait`](crate::DrivePolicy).
 const LIVE_POLL_WAIT: Duration = Duration::from_millis(1);
 
+/// Length of the classic pcap global header [`PcapTailSource`] keeps at the
+/// front of its read window.
+const PCAP_GLOBAL_HEADER: usize = 24;
+
+/// Bytes [`PcapTailSource`] reads from the file at a time.
+const TAIL_READ_QUANTUM: usize = 64 * 1024;
+
 /// Tails a growing pcap file: decodes whatever whole records have been
 /// written so far, answers [`SourcePoll::Pending`] when it catches up with
 /// the writer, and picks up exactly where it left off when more bytes land —
 /// the live-capture source of the `flowrank-serve` daemon.
 ///
+/// Memory is bounded whatever the capture's size: the file is read one
+/// 64 KiB quantum at a time, only when the bytes already buffered decode to
+/// less than a chunk, and the decoded prefix is dropped before each read —
+/// the window holds the global header, one quantum and at most one partial
+/// record.
+///
 /// Built on [`PcapBatchCursor::offset`]/[`PcapBatchCursor::resume_trusted`]:
 /// after every decode step the committed record boundary is remembered, and
-/// the next poll resumes from it over the grown buffer. A record that is
+/// the next step resumes from it over the refilled window. A record that is
 /// truncated *at the tail* (the writer has not finished flushing it) is
 /// indistinguishable from a mid-write snapshot, so in follow mode it reads
 /// as `Pending`; any other malformed shape — bad magic, oversized record —
@@ -470,11 +419,13 @@ const LIVE_POLL_WAIT: Duration = Duration::from_millis(1);
 #[derive(Debug)]
 pub struct PcapTailSource {
     file: std::fs::File,
+    /// The read window: the global header, then the file's bytes from
+    /// offset `PCAP_GLOBAL_HEADER + dropped` on.
     buf: Vec<u8>,
-    /// Committed decode offset: 0 until the global header is validated,
-    /// then always a record boundary.
+    /// Decoded bytes already dropped from the window.
+    dropped: usize,
+    /// Committed decode offset into `buf`: always a record boundary.
     consumed: usize,
-    header_ok: bool,
     chunk_packets: usize,
     batch: PacketBatch,
     follow: bool,
@@ -489,8 +440,8 @@ impl PcapTailSource {
         Ok(PcapTailSource {
             file: std::fs::File::open(path)?,
             buf: Vec::new(),
-            consumed: 0,
-            header_ok: false,
+            dropped: 0,
+            consumed: PCAP_GLOBAL_HEADER,
             chunk_packets: DEFAULT_CHUNK_PACKETS,
             batch: PacketBatch::new(),
             follow: true,
@@ -517,9 +468,14 @@ impl PcapTailSource {
     }
 
     /// Bytes of the capture decoded and committed so far (the current
-    /// resume boundary) — an observability hook for starvation watchdogs.
+    /// resume boundary as a file offset; 0 until the global header has
+    /// arrived) — an observability hook for starvation watchdogs.
     pub fn consumed(&self) -> usize {
-        self.consumed
+        if self.buf.len() < PCAP_GLOBAL_HEADER {
+            0
+        } else {
+            self.dropped + self.consumed
+        }
     }
 
     /// One decode step into `self.batch`. `Ok(true)`: the stream goes on,
@@ -528,60 +484,68 @@ impl PcapTailSource {
     fn step(&mut self) -> Result<bool, SourceError> {
         end_of_pcap(&self.error)?;
         self.batch.clear();
-        if let Err(error) = io::Read::read_to_end(&mut self.file, &mut self.buf) {
-            return Err(self.fatal(NetError::Io(error)));
-        }
-        if !self.header_ok {
-            if self.buf.len() < 24 {
-                // Not even the global header yet.
-                return Ok(self.follow);
-            }
-            if let Err(error) = PcapBatchCursor::new(&self.buf) {
-                return Err(self.fatal(error));
-            }
-            self.header_ok = true;
-            self.consumed = 24;
-        }
-        let mut cursor = match PcapBatchCursor::resume_trusted(&self.buf, self.consumed) {
-            Ok(cursor) => cursor,
-            Err(error) => return Err(self.fatal(error)),
-        };
-        let decoded = cursor.decode_some(&mut self.batch, self.chunk_packets);
-        // After an error the cursor is parked at the start of the bad record.
-        self.consumed = cursor.offset();
-        match decoded {
-            // Caught up with the writer: wait in follow mode, end otherwise.
-            Ok(decoded) => Ok(decoded > 0 || self.follow),
-            Err(error) => {
-                let truncated_at_tail = matches!(
-                    &error,
-                    NetError::MalformedPacket { reason }
-                        if reason.starts_with("truncated pcap record")
-                );
-                if truncated_at_tail && self.follow {
-                    // Most likely a record the writer has not finished
-                    // flushing: deliver what decoded before it, then wait
-                    // for the rest of the record to land.
-                    Ok(true)
-                } else {
-                    // A partial chunk is delivered first; the latched error
-                    // surfaces on the next poll.
-                    let fatal = self.fatal(error);
-                    if self.batch.is_empty() {
-                        Err(fatal)
-                    } else {
-                        Ok(true)
+        loop {
+            // Decode what is buffered, once the global header is.
+            let mut cut_short = None;
+            if self.buf.len() >= PCAP_GLOBAL_HEADER {
+                let mut cursor = match PcapBatchCursor::resume_trusted(&self.buf, self.consumed) {
+                    Ok(cursor) => cursor,
+                    Err(error) => return self.fail(error),
+                };
+                let wanted = self.chunk_packets - self.batch.len();
+                let decoded = cursor.decode_some(&mut self.batch, wanted);
+                // After an error the cursor is parked at the start of the
+                // bad record.
+                self.consumed = cursor.offset();
+                match decoded {
+                    Ok(_) if self.batch.len() == self.chunk_packets => return Ok(true),
+                    Ok(_) => {}
+                    Err(error) => {
+                        let truncated_at_tail = matches!(
+                            &error,
+                            NetError::MalformedPacket { reason }
+                                if reason.starts_with("truncated pcap record")
+                        );
+                        if !truncated_at_tail {
+                            return self.fail(error);
+                        }
+                        cut_short = Some(error);
                     }
                 }
+                // Everything in front of the boundary is delivered: drop it,
+                // keeping the header the cursor revalidates in front.
+                self.buf.drain(PCAP_GLOBAL_HEADER..self.consumed);
+                self.dropped += self.consumed - PCAP_GLOBAL_HEADER;
+                self.consumed = PCAP_GLOBAL_HEADER;
             }
+            // The window ran dry short of a chunk, possibly mid-record.
+            let mut quantum = io::Read::take(&mut self.file, TAIL_READ_QUANTUM as u64);
+            match io::Read::read_to_end(&mut quantum, &mut self.buf) {
+                Ok(0) => {}
+                Ok(_) => continue,
+                Err(error) => return self.fail(NetError::Io(error)),
+            }
+            // Caught up with the writer: wait in follow mode, end otherwise.
+            return match cut_short {
+                // Most likely a record the writer has not finished flushing:
+                // deliver what decoded before it, then wait for the rest.
+                Some(_) if self.follow => Ok(true),
+                Some(error) => self.fail(error),
+                None => Ok(!self.batch.is_empty() || self.follow),
+            };
         }
     }
 
-    /// Latches `error` and returns its replica for this poll.
-    fn fatal(&mut self, error: NetError) -> SourceError {
+    /// Latches `error`. A partial chunk is delivered first; the latched
+    /// error surfaces on the next poll.
+    fn fail(&mut self, error: NetError) -> Result<bool, SourceError> {
         let replica = replicate_net_error(&error);
         self.error = Some(error);
-        SourceError::Fatal(replica)
+        if self.batch.is_empty() {
+            Err(SourceError::Fatal(replica))
+        } else {
+            Ok(true)
+        }
     }
 }
 
@@ -1525,21 +1489,13 @@ mod tests {
         monitor().drive(&mut source, &mut sink);
         assert!(source.error().is_none());
         assert_eq!(sink.reports, baseline);
-
-        let mut sink = Collect::new();
-        let mut source = PcapReaderSource::new(&bytes[..])
-            .unwrap()
-            .with_chunk_packets(123);
-        monitor().drive(&mut source, &mut sink);
-        assert!(source.error().is_none());
-        assert_eq!(sink.reports, baseline);
     }
 
     #[test]
     fn pcap_sources_agree_on_truncated_captures() {
-        // Both sources must surface the error AND deliver the packets
-        // decoded before the malformed record, so a truncated capture
-        // produces the same reports whichever source reads it.
+        // The source must surface the error AND deliver the packets decoded
+        // before the malformed record, so a truncated capture produces the
+        // reports of the records in front of the cut.
         let bytes = records_to_pcap_bytes(&trace()).unwrap();
         let cut = &bytes[..bytes.len() - 100];
 
@@ -1555,12 +1511,10 @@ mod tests {
             "packets before the truncation still flow"
         );
 
-        let mut reader_source = PcapReaderSource::new(cut).unwrap().with_chunk_packets(64);
-        let mut from_reader = Collect::new();
-        let reader_summary = monitor().drive(&mut reader_source, &mut from_reader);
-        assert!(reader_source.error().is_some());
-        assert_eq!(bytes_summary.packets, reader_summary.packets);
-        assert_eq!(from_bytes.reports, from_reader.reports);
+        let decoded = flowrank_net::pcap::pcap_bytes_to_records(&bytes).unwrap();
+        let intact = &decoded[..bytes_summary.packets as usize];
+        assert!(intact.len() < decoded.len());
+        assert_eq!(from_bytes.reports, monitor().run_trace(intact));
     }
 
     #[test]
@@ -1810,12 +1764,10 @@ mod tests {
         ] {
             std::fs::write(&file, capture).unwrap();
             let bytes = || PcapBytesSource::new(capture).unwrap();
-            let reader = || PcapReaderSource::new(capture).unwrap();
             // Every pcap source delivers the packets the bytes source does:
             // all those decoded in front of the bad record.
             let delivered = agree("bytes", bytes, false, (0, fatal));
             for (name, seen) in [
-                ("reader", agree("reader", reader, false, (0, fatal))),
                 ("gate", agree("gate", || gate(bytes()), false, (0, fatal))),
                 ("tail", agree("tail", || tail(false), false, (0, fatal))),
                 (
@@ -1854,6 +1806,48 @@ mod tests {
         // A replay's `try_next_chunk` is the trait default over `next_chunk`.
         let replay = || PacedReplay::new(Workload::flash_crowd().stream(7), 1e6);
         agree("replay", replay, false, (0, false));
+    }
+
+    #[test]
+    fn tail_source_window_is_bounded_whatever_the_capture_size() {
+        let records: Vec<PacketRecord> = (0..50_000u32)
+            .map(|i| {
+                PacketRecord::udp(
+                    Timestamp::from_micros(i as u64 * 100),
+                    Ipv4Addr::new(10, 0, (i >> 8) as u8, i as u8),
+                    1000,
+                    Ipv4Addr::new(100, 64, 0, 1),
+                    80,
+                    60,
+                )
+            })
+            .collect();
+        let capture = records_to_pcap_bytes(&records).unwrap();
+        let expected = pull(&mut PcapBytesSource::new(&capture).unwrap(), 1, false).0;
+        assert_eq!(expected.len(), records.len());
+        // A few read quanta plus one record (16-byte header, 74-byte frame),
+        // with room for `Vec`'s amortised growth — a small fraction of the
+        // capture.
+        let bound = 4 * TAIL_READ_QUANTUM + 90;
+        assert!(capture.len() > 10 * bound, "{} bytes", capture.len());
+        let file = format!("flowrank-tail-window-{}.pcap", std::process::id());
+        let file = std::env::temp_dir().join(file);
+        std::fs::write(&file, &capture).unwrap();
+        for follow in [false, true] {
+            let tail = PcapTailSource::open(&file).unwrap();
+            let mut tail = tail.with_chunk_packets(256).follow(follow);
+            let mut seen = Vec::new();
+            // To the end of the stream, or to the first idle poll.
+            while let Some(chunk) = tail.try_next_chunk().unwrap().filter(|c| !c.is_empty()) {
+                assert!(chunk.len() <= 256);
+                seen.extend_from_slice(chunk.ts_nanos());
+                let held = tail.buf.capacity();
+                assert!(held <= bound, "follow {follow}: window holds {held} bytes");
+            }
+            assert_eq!(seen, expected, "follow {follow}");
+            assert_eq!(tail.consumed(), capture.len(), "follow {follow}");
+        }
+        std::fs::remove_file(file).unwrap();
     }
 
     /// Writer that fails with the given error kind for the first `failures`

@@ -21,9 +21,12 @@
 //! paper's full parameters. `--sampler` selects the sampling discipline of
 //! the trace-driven Sprint figures at run time (`random`, `periodic`,
 //! `stratified`, `flow`, `smart`, `adaptive` — the monitor fans any of them
-//! out across the figure's rate grid). `--threads` caps the worker threads
-//! of the trace-driven experiments (0 = one per CPU; the numbers are
-//! bit-identical for every value). `--scenario <name>` runs the binned
+//! out across the figure's rate grid). `--threads` sets the worker threads
+//! of the monitor every trace-driven path runs on (0 = one per CPU, above 1
+//! its pipelined runtime; the numbers are bit-identical for every value).
+//! A numeric flag with a missing, unparsable or out-of-range value
+//! (`--fig` takes 1–16) prints a one-line diagnostic and exits with code 2.
+//! `--scenario <name>` runs the binned
 //! multi-run experiment over one scenario of the workload catalog
 //! (`heavy-tail`, `flash-crowd`, `ddos-flood`, `port-scan`, `rank-churn`,
 //! `mixed`) instead of the figures; `--scale` then multiplies the
@@ -220,6 +223,25 @@ fn print_catalog() {
     );
 }
 
+/// The value of a numeric flag — or, when it is missing, unparsable or
+/// fails `valid`, a one-line diagnostic and exit code 2 (the code unknown
+/// names use): a mistyped number must never silently run something else.
+fn number<T: std::str::FromStr>(
+    flag: &str,
+    kind: &str,
+    value: Option<&String>,
+    valid: impl Fn(&T) -> bool,
+) -> T {
+    match value.and_then(|v| v.parse().ok()).filter(valid) {
+        Some(number) => number,
+        None => {
+            let got = value.map_or("nothing".to_string(), |v| format!("{v:?}"));
+            eprintln!("reproduce: {flag} needs {kind}, got {got}");
+            std::process::exit(2);
+        }
+    }
+}
+
 fn parse_args() -> Options {
     let mut options = Options {
         figure: None,
@@ -240,7 +262,10 @@ fn parse_args() -> Options {
     while i < args.len() {
         match args[i].as_str() {
             "--fig" => {
-                options.figure = args.get(i + 1).and_then(|v| v.parse().ok());
+                let figure = number("--fig", "a figure number 1..=16", args.get(i + 1), |f| {
+                    (1..=16).contains(f)
+                });
+                options.figure = Some(figure);
                 i += 2;
             }
             "--list" => {
@@ -279,17 +304,11 @@ fn parse_args() -> Options {
                 i += 2;
             }
             "--scale" => {
-                options.scale = args
-                    .get(i + 1)
-                    .and_then(|v| v.parse().ok())
-                    .or(options.scale);
+                options.scale = Some(number("--scale", "a number", args.get(i + 1), |_| true));
                 i += 2;
             }
             "--runs" => {
-                options.runs = args
-                    .get(i + 1)
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or(options.runs);
+                options.runs = number("--runs", "a run count", args.get(i + 1), |_| true);
                 i += 2;
             }
             "--sampler" => {
@@ -325,10 +344,7 @@ fn parse_args() -> Options {
                 i += 2;
             }
             "--threads" => {
-                options.threads = args
-                    .get(i + 1)
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or(options.threads);
+                options.threads = number("--threads", "a thread count", args.get(i + 1), |_| true);
                 i += 2;
             }
             "--fleet" => {
@@ -336,23 +352,13 @@ fn parse_args() -> Options {
                 i += 1;
             }
             "--tenants" => {
-                match args.get(i + 1).and_then(|v| v.parse().ok()) {
-                    Some(tenants) if tenants > 0 => options.tenants = tenants,
-                    _ => {
-                        eprintln!("--tenants requires a positive tenant count");
-                        std::process::exit(2);
-                    }
-                }
+                let kind = "a positive tenant count";
+                options.tenants = number("--tenants", kind, args.get(i + 1), |&t| t > 0);
                 i += 2;
             }
             "--budget" => {
-                match args.get(i + 1).and_then(|v| v.parse().ok()) {
-                    Some(budget) => options.budget = budget,
-                    None => {
-                        eprintln!("--budget requires a per-tenant flow count");
-                        std::process::exit(2);
-                    }
-                }
+                let kind = "a per-tenant flow count";
+                options.budget = number("--budget", kind, args.get(i + 1), |_| true);
                 i += 2;
             }
             "--output" => {

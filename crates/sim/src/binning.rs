@@ -6,10 +6,12 @@
 //! interval starts. Flows that stay active across a boundary are truncated —
 //! only the packets inside the bin count towards that bin's ranking — which
 //! the paper points out penalises large, long-lived flows.
+//!
+//! The streaming monitor cuts bins itself as timestamps cross boundaries;
+//! [`split_into_bins`] is the materialised reference the conformance and
+//! `streaming_equivalence` suites feed the per-bin [`crate::run_bin`] with.
 
-use std::ops::Range;
-
-use flowrank_net::{PacketBatch, PacketRecord, Timestamp};
+use flowrank_net::{PacketRecord, Timestamp};
 
 /// Splits a time-sorted packet trace into consecutive bins of length
 /// `bin_length`.
@@ -37,40 +39,6 @@ pub fn split_into_bins(packets: &[PacketRecord], bin_length: Timestamp) -> Vec<V
         bins[index].push(*packet);
     }
     bins
-}
-
-/// Splits a time-sorted [`PacketBatch`] into consecutive bin *ranges* of
-/// length `bin_length` — the zero-copy counterpart of [`split_into_bins`]:
-/// instead of copying packets into per-bin vectors, each bin is a
-/// `Range<usize>` into the batch's columns (empty ranges for idle bins, so
-/// indices still correspond to wall-clock intervals). A zero `bin_length`
-/// yields a single range covering the whole batch.
-pub fn split_batch_into_bin_ranges(
-    batch: &PacketBatch,
-    bin_length: Timestamp,
-) -> Vec<Range<usize>> {
-    if batch.is_empty() {
-        return Vec::new();
-    }
-    if bin_length == Timestamp::ZERO {
-        return std::iter::once(0..batch.len()).collect();
-    }
-    let mut ranges: Vec<Range<usize>> = Vec::new();
-    let mut start = 0;
-    while start < batch.len() {
-        let bin = batch.timestamp(start).bin_index(bin_length);
-        while (ranges.len() as u64) < bin {
-            let at = start;
-            ranges.push(at..at); // idle bin: empty range at the boundary
-        }
-        let mut end = start + 1;
-        while end < batch.len() && batch.timestamp(end).bin_index(bin_length) == bin {
-            end += 1;
-        }
-        ranges.push(start..end);
-        start = end;
-    }
-    ranges
 }
 
 #[cfg(test)]
@@ -110,29 +78,6 @@ mod tests {
         let single = split_into_bins(&packets, Timestamp::ZERO);
         assert_eq!(single.len(), 1);
         assert_eq!(single[0].len(), 2);
-    }
-
-    #[test]
-    fn batch_bin_ranges_match_packet_bins() {
-        let packets: Vec<PacketRecord> = [0.5, 59.9, 60.0, 61.0, 185.0]
-            .iter()
-            .map(|&t| packet_at(t))
-            .collect();
-        let bin_length = Timestamp::from_secs_f64(60.0);
-        let bins = split_into_bins(&packets, bin_length);
-        let batch = PacketBatch::from_records(&packets);
-        let ranges = split_batch_into_bin_ranges(&batch, bin_length);
-        assert_eq!(ranges.len(), bins.len());
-        for (range, bin) in ranges.iter().zip(&bins) {
-            let from_batch: Vec<PacketRecord> = range.clone().map(|i| batch.record(i)).collect();
-            assert_eq!(&from_batch, bin);
-        }
-        // Degenerate inputs mirror split_into_bins.
-        assert!(split_batch_into_bin_ranges(&PacketBatch::new(), bin_length).is_empty());
-        assert_eq!(
-            split_batch_into_bin_ranges(&batch, Timestamp::ZERO),
-            vec![0..batch.len()]
-        );
     }
 
     #[test]

@@ -5,20 +5,18 @@
 //! the ranking (or detection) metric is averaged over the runs and reported
 //! together with its standard deviation.
 //!
-//! Since the streaming redesign, each bin is processed by one fanned-out
-//! [`flowrank_monitor::Monitor`]: the bin's ground truth is classified and ranked **once** and
-//! every `runs × rates` lane is scored against it, instead of reclassifying
-//! the bin from scratch for every run at every rate as the old per-run
-//! engine did. Bins are independent measurements, so they are parallelised
-//! across std threads.
+//! That is exactly what one fanned-out [`flowrank_monitor::Monitor`] emits
+//! bin by bin, so an experiment is a single [`Monitor::drive`] of the trace:
+//! the monitor cuts the bins, classifies and ranks each bin's ground truth
+//! **once**, scores every `runs × rates` lane against it, and a per-bin sink
+//! folds each report's lanes into the mean ± std series.
+//!
+//! [`Monitor::drive`]: flowrank_monitor::Monitor::drive
 
-use std::thread;
-
-use flowrank_monitor::{BinReport, Collect, MonitorBuilder, RecordSource, SamplerSpec};
-use flowrank_net::{FlowDefinition, PacketRecord, Timestamp};
-use flowrank_stats::summary::RunningStats;
-
-use crate::binning::split_into_bins;
+use flowrank_monitor::{
+    BatchSource, BinReport, MonitorBuilder, RateCurve, ReportSink, SamplerSpec,
+};
+use flowrank_net::{FlowDefinition, PacketBatch, PacketRecord, Timestamp};
 
 /// Configuration of a trace-driven experiment.
 #[derive(Debug, Clone)]
@@ -38,8 +36,10 @@ pub struct ExperimentConfig {
     pub runs: usize,
     /// Master seed; per-run seeds are derived deterministically from it.
     pub seed: u64,
-    /// Worker threads (0 = one per available CPU). Seeds depend only on
-    /// (master seed, rate, run), so results are identical for every value.
+    /// Worker threads of the monitor the experiment runs on
+    /// ([`MonitorBuilder::threads`]: 0 = one per available CPU, above 1 the
+    /// pipelined runtime). Seeds depend only on (master seed, rate, run),
+    /// so results are identical for every value.
     pub threads: usize,
 }
 
@@ -100,25 +100,29 @@ pub struct ExperimentResult {
     pub series: Vec<RateSeries>,
 }
 
-/// A trace-driven experiment over a fixed packet trace.
+/// A trace-driven experiment over a fixed, time-sorted packet trace.
 #[derive(Debug)]
 pub struct TraceExperiment {
-    bins: Vec<Vec<PacketRecord>>,
+    trace: PacketBatch,
     config: ExperimentConfig,
 }
 
 impl TraceExperiment {
-    /// Prepares an experiment: splits the packet trace into measurement bins.
+    /// Prepares an experiment over `packets` (non-decreasing timestamps, the
+    /// monitor's push contract).
     pub fn new(packets: &[PacketRecord], config: ExperimentConfig) -> Self {
         TraceExperiment {
-            bins: split_into_bins(packets, config.bin_length),
+            trace: PacketBatch::from_records(packets),
             config,
         }
     }
 
-    /// Number of measurement bins.
+    /// Number of measurement bins: time zero to the last packet, leading
+    /// and idle bins included.
     pub fn bin_count(&self) -> usize {
-        self.bins.len()
+        self.trace.ts_nanos().last().map_or(0, |&last| {
+            Timestamp::from_nanos(last).bin_index(self.config.bin_length) as usize + 1
+        })
     }
 
     /// Overrides the worker-thread count (0 = one per available CPU).
@@ -128,154 +132,69 @@ impl TraceExperiment {
         self
     }
 
-    /// The monitor configuration a work item is processed with: the sampler
-    /// template fanned out across `rates`, with the whole bin as a single
-    /// unbounded monitor interval (the experiment has already cut the trace
-    /// at bin boundaries).
-    fn monitor_builder(&self, rates: &[f64]) -> MonitorBuilder {
-        MonitorBuilder::new()
-            .flow_definition(self.config.flow_definition)
-            .sampler(self.config.sampler)
-            .rates(rates)
-            .runs(self.config.runs)
-            .top_t(self.config.top_t)
-            .seed(self.config.seed)
-            .bin_length(Timestamp::ZERO)
-    }
-
     /// Runs the full experiment: every sampling rate, every bin, `runs`
-    /// independent sampling runs. Ground truth is classified once per bin
-    /// and shared by all of that bin's lanes; work runs in parallel on std
-    /// threads.
-    ///
-    /// Work is partitioned adaptively: with at least as many bins as cores,
-    /// each item is one bin carrying the full rate grid (one ground-truth
-    /// classification per bin); with fewer bins — e.g. a single-bin
-    /// experiment with many runs — the rate grid is split across items so
-    /// short traces still use every core, at the cost of one classification
-    /// per (bin, rate) instead of per bin. Lane seeds depend only on
-    /// (master seed, rate, run), so both partitions produce identical
-    /// numbers.
+    /// independent sampling runs — one monitor with `rates × runs` lanes,
+    /// driven over the trace once. Lane seeds depend only on (master seed,
+    /// rate, run) and every lane restarts its random stream at each bin, so
+    /// bins are independent measurements whatever runs them.
     pub fn run(&self) -> ExperimentResult {
-        let bin_count = self.bins.len();
-        let rates = &self.config.sampling_rates;
-
-        let worker_count = if self.config.threads > 0 {
-            self.config.threads
-        } else {
-            thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(4)
-        };
-        let split_rates = bin_count < worker_count && rates.len() > 1;
-        let mut items: Vec<(usize, Vec<f64>)> = Vec::new();
-        for bin_index in 0..bin_count {
-            if split_rates {
-                for &rate in rates {
-                    items.push((bin_index, vec![rate]));
-                }
-            } else {
-                items.push((bin_index, rates.clone()));
-            }
-        }
-
-        let chunk_len = items.len().div_ceil(worker_count.max(1)).max(1);
-        let item_reports: Vec<(usize, Option<BinReport>)> = thread::scope(|scope| {
-            let handles: Vec<_> = items
-                .chunks(chunk_len)
-                .map(|chunk| {
-                    scope.spawn(move || {
-                        chunk
-                            .iter()
-                            .map(|(bin_index, item_rates)| {
-                                let bin = &self.bins[*bin_index];
-                                if bin.is_empty() {
-                                    return (*bin_index, None);
-                                }
-                                // One drive per work item: the bin's records
-                                // flow through a chunked source into a
-                                // collecting sink — the same pipeline every
-                                // other consumer uses, with identical
-                                // reports by chunking invariance.
-                                let mut monitor = self.monitor_builder(item_rates).build();
-                                let mut sink = Collect::new();
-                                monitor.drive(&mut RecordSource::new(bin), &mut sink);
-                                (*bin_index, sink.reports.into_iter().next())
-                            })
-                            .collect::<Vec<_>>()
-                    })
+        let config = &self.config;
+        let mut monitor = MonitorBuilder::new()
+            .flow_definition(config.flow_definition)
+            .sampler(config.sampler)
+            .rates(&config.sampling_rates)
+            .runs(config.runs)
+            .top_t(config.top_t)
+            .seed(config.seed)
+            .bin_length(config.bin_length)
+            .threads(config.threads)
+            .build();
+        let mut sink = SeriesSink(ExperimentResult {
+            bin_count: 0,
+            series: config
+                .sampling_rates
+                .iter()
+                .map(|&rate| RateSeries {
+                    rate,
+                    ranking_mean: Vec::new(),
+                    ranking_std: Vec::new(),
+                    detection_mean: Vec::new(),
+                    detection_std: Vec::new(),
                 })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("worker thread panicked"))
-                .collect()
+                .collect(),
         });
-
-        let series = rates
-            .iter()
-            .map(|&rate| aggregate_rate(rate, bin_count, &item_reports, self.config.runs))
-            .collect();
-        ExperimentResult { bin_count, series }
+        monitor.drive(&mut BatchSource::new(&self.trace), &mut sink);
+        sink.0
     }
 }
 
-/// Folds the per-item lane reports of one rate into mean ± std-dev series.
-fn aggregate_rate(
-    rate: f64,
-    bin_count: usize,
-    item_reports: &[(usize, Option<BinReport>)],
-    runs: usize,
-) -> RateSeries {
-    let mut ranking_stats = vec![RunningStats::new(); bin_count];
-    let mut detection_stats = vec![RunningStats::new(); bin_count];
-    for (bin_index, report) in item_reports {
-        match report {
-            Some(report) => {
-                for lane in report.lanes_at_rate(rate) {
-                    ranking_stats[*bin_index].push(lane.ranking_metric());
-                    detection_stats[*bin_index].push(lane.detection_metric());
-                }
-            }
-            None => {
-                // An empty bin has zero error in every run, like the legacy
-                // engine that ran (and measured nothing) on empty bins. Count
-                // it once per rate: split items repeat the bin index.
-                if ranking_stats[*bin_index].count() == 0 {
-                    for _ in 0..runs {
-                        ranking_stats[*bin_index].push(0.0);
-                        detection_stats[*bin_index].push(0.0);
-                    }
-                }
-            }
+/// The experiment's per-bin sink: each closed bin appends one point to every
+/// rate's series — the mean ± std of that rate's lanes (one per run) in the
+/// bin, folded by a [`RateCurve`] of that one report. An idle bin's lanes all
+/// score zero, so it reads 0 ± 0.
+struct SeriesSink(ExperimentResult);
+
+impl ReportSink for SeriesSink {
+    fn accept(&mut self, report: &BinReport) {
+        self.0.bin_count += 1;
+        let mut bin = RateCurve::new();
+        bin.accept(report);
+        for (series, point) in self.0.series.iter_mut().zip(bin.points()) {
+            series.ranking_mean.push(point.ranking_mean);
+            series.ranking_std.push(point.ranking_std);
+            series.detection_mean.push(point.detection_mean);
+            series.detection_std.push(point.detection_std);
         }
-    }
-    RateSeries {
-        rate,
-        ranking_mean: ranking_stats
-            .iter()
-            .map(|s| s.mean().unwrap_or(0.0))
-            .collect(),
-        ranking_std: ranking_stats
-            .iter()
-            .map(|s| s.std_dev().unwrap_or(0.0))
-            .collect(),
-        detection_mean: detection_stats
-            .iter()
-            .map(|s| s.mean().unwrap_or(0.0))
-            .collect(),
-        detection_std: detection_stats
-            .iter()
-            .map(|s| s.std_dev().unwrap_or(0.0))
-            .collect(),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::binning::split_into_bins;
     use crate::engine::run_bin_random_sampling;
     use flowrank_stats::rng::derive_seeds;
+    use flowrank_stats::summary::RunningStats;
     use flowrank_trace::{synthesize_packets, SprintModel, SynthesisConfig};
 
     fn small_trace() -> Vec<PacketRecord> {
@@ -366,6 +285,42 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn idle_bins_read_zero_mean_and_zero_std_at_every_rate() {
+        // Bin 0 is empty and bins 2–3 are an idle gap: they still count
+        // towards `bin_count`, and with no flows to misrank every run of
+        // every rate measures zero there.
+        let first_minute: Vec<PacketRecord> = small_trace()
+            .into_iter()
+            .filter(|p| p.timestamp < Timestamp::from_secs_f64(60.0))
+            .collect();
+        let shifted = |by_secs: f64| {
+            let by = Timestamp::from_secs_f64(by_secs).as_nanos();
+            first_minute.iter().map(move |p| PacketRecord {
+                timestamp: Timestamp::from_nanos(p.timestamp.as_nanos() + by),
+                ..*p
+            })
+        };
+        let packets: Vec<PacketRecord> = shifted(60.0).chain(shifted(240.0)).collect();
+        let experiment = TraceExperiment::new(&packets, config(vec![0.01, 0.1, 0.5], 4));
+        assert_eq!(experiment.bin_count(), 5);
+        let result = experiment.run();
+        assert_eq!(result.bin_count, 5);
+        for series in &result.series {
+            assert_eq!(series.ranking_mean.len(), 5);
+            assert_eq!(series.detection_std.len(), 5);
+            for idle in [0, 2, 3] {
+                assert_eq!(series.ranking_mean[idle], 0.0, "rate {}", series.rate);
+                assert_eq!(series.ranking_std[idle], 0.0, "rate {}", series.rate);
+                assert_eq!(series.detection_mean[idle], 0.0, "rate {}", series.rate);
+                assert_eq!(series.detection_std[idle], 0.0, "rate {}", series.rate);
+            }
+        }
+        // The busy bins measured something at the lowest rate.
+        let low = &result.series[0];
+        assert!(low.ranking_mean[1] > 0.0 && low.ranking_mean[4] > 0.0);
     }
 
     #[test]

@@ -17,9 +17,10 @@
 //! lanes are scored against that single ranking, rather than re-running the
 //! whole classify–rank pipeline per run as the original batch engine did.
 //!
-//! * [`binning`] — cutting a packet trace into measurement bins (flows active
+//! * [`binning`] — cutting a packet trace into per-bin vectors (flows active
 //!   across a bin boundary are truncated, exactly as the paper's binning
-//!   method does).
+//!   method does): the reference the conformance and equivalence suites
+//!   feed [`run_bin`] with — the monitor cuts its own bins.
 //! * [`conformance`] — the differential harness that drives one
 //!   configuration through every execution path (`push`, `push_batch` whole
 //!   and chunked, sharded `threads(n)`, legacy [`run_bin`]), asserts
@@ -32,8 +33,9 @@
 //! * [`engine`] — the legacy single-run batch entry points ([`run_bin`],
 //!   [`engine::run_bin_random_sampling`]), kept as thin wrappers that share
 //!   the monitor's ranking primitives and produce bit-identical results.
-//! * [`experiment`] — multi-run, multi-bin experiments fanned out on the
-//!   monitor, parallelised across bins with std threads.
+//! * [`experiment`] — multi-run, multi-bin experiments: one fanned-out
+//!   monitor driven over the trace once, its per-bin reports folded into
+//!   mean ± std series.
 //! * [`grids`] — the parameter grids of Figs. 1–11 that the `reproduce`
 //!   binary (`src/bin/reproduce.rs`, the figure-reproduction CLI) sweeps.
 //! * [`faults`] — deterministic fault injection ([`FaultySource`],
@@ -56,7 +58,7 @@ pub mod grids;
 pub mod report;
 pub mod scenarios;
 
-pub use binning::{split_batch_into_bin_ranges, split_into_bins};
+pub use binning::split_into_bins;
 pub use conformance::{
     digest_reports, run_conformance, run_streamed_conformance, ConformanceConfig,
 };
@@ -65,8 +67,8 @@ pub use engine::{run_bin, BinResult};
 pub use experiment::{ExperimentConfig, ExperimentResult, TraceExperiment};
 pub use faults::{FaultPlan, FaultySink, FaultySource, InjectedFaults, SinkFault, SourceFault};
 pub use scenarios::{
-    abilene_experiment, sprint_experiment, sprint_experiment_with_sampler, workload_builder,
-    workload_controlled_monitor, workload_experiment, workload_monitor, workload_rate_curve,
+    abilene_experiment, sprint_experiment_with_sampler, workload_builder,
+    workload_controlled_monitor, workload_monitor, workload_rate_curve,
 };
 
 // The monitor is the front door experiments are built on; re-export the

@@ -23,25 +23,8 @@ pub const ABILENE_RATES: [f64; 4] = [0.001, 0.01, 0.1, 0.8];
 /// * `bin_seconds` — 60 or 300 in the paper.
 /// * `scale` — flow-arrival-rate scale factor (1.0 = full published rate).
 /// * `runs` — sampling runs per rate (30 in the paper).
-pub fn sprint_experiment(
-    flow_definition: FlowDefinition,
-    bin_seconds: f64,
-    scale: f64,
-    runs: usize,
-    seed: u64,
-) -> TraceExperiment {
-    sprint_experiment_with_sampler(
-        flow_definition,
-        bin_seconds,
-        scale,
-        runs,
-        seed,
-        SamplerSpec::Random { rate: 0.01 },
-    )
-}
-
-/// [`sprint_experiment`] with a runtime-selected sampling discipline; the
-/// template is fanned out across the figure's rate grid.
+/// * `sampler` — sampling-discipline template (the paper uses random
+///   sampling), fanned out across [`SPRINT_RATES`].
 pub fn sprint_experiment_with_sampler(
     flow_definition: FlowDefinition,
     bin_seconds: f64,
@@ -53,40 +36,6 @@ pub fn sprint_experiment_with_sampler(
     let model = SprintModel::paper(scale);
     let flows = model.generate_flows(seed);
     let packets = synthesize_packets(&flows, &SynthesisConfig::default(), seed ^ 0xA5A5);
-    let config = ExperimentConfig {
-        flow_definition,
-        sampler,
-        sampling_rates: SPRINT_RATES.to_vec(),
-        bin_length: Timestamp::from_secs_f64(bin_seconds),
-        top_t: 10,
-        runs,
-        seed,
-        threads: 0,
-    };
-    TraceExperiment::new(&packets, config)
-}
-
-/// Builds a trace-driven experiment over one scenario of the
-/// [`Workload`] catalog — the same binned, multi-run methodology as the
-/// Sprint/Abilene figures, applied to any traffic shape the catalog can
-/// produce.
-///
-/// * `workload` — the scenario (scale it first with [`Workload::scaled`] to
-///   grow or shrink the population).
-/// * `flow_definition` — 5-tuple or /24 prefix classification.
-/// * `bin_seconds` — measurement-bin length.
-/// * `runs` — independent sampling runs per rate.
-/// * `sampler` — sampling-discipline template, fanned out across
-///   [`SPRINT_RATES`].
-pub fn workload_experiment(
-    workload: &Workload,
-    flow_definition: FlowDefinition,
-    bin_seconds: f64,
-    runs: usize,
-    seed: u64,
-    sampler: SamplerSpec,
-) -> TraceExperiment {
-    let packets = workload.synthesize(seed);
     let config = ExperimentConfig {
         flow_definition,
         sampler,
@@ -155,13 +104,15 @@ pub fn workload_controlled_monitor(
         .build()
 }
 
-/// The streamed form of [`workload_experiment`]: drives the scenario's
-/// windowed synthesis ([`Workload::stream`]) through one fanned-out monitor
-/// into an online [`RateCurve`] — no materialised trace, no retained bins,
-/// peak memory independent of scenario length. The per-rate means equal the
-/// batch experiment's [`crate::experiment::RateSeries::overall_ranking_mean`]
-/// up to floating-point summation order (same observations, different
-/// accumulation).
+/// The binned multi-run experiment over one scenario of the [`Workload`]
+/// catalog, streamed: drives the scenario's windowed synthesis
+/// ([`Workload::stream`]) through one fanned-out monitor into an online
+/// [`RateCurve`] — no materialised trace, no retained bins, peak memory
+/// independent of scenario length. The per-rate means equal a
+/// [`TraceExperiment`]'s
+/// [`crate::experiment::RateSeries::overall_ranking_mean`] over the
+/// materialised trace up to floating-point summation order (same
+/// observations, different accumulation).
 pub fn workload_rate_curve(
     workload: &Workload,
     flow_definition: FlowDefinition,
@@ -204,7 +155,14 @@ mod tests {
     fn sprint_experiment_structure() {
         // A strongly reduced scale keeps this test fast while exercising the
         // full pipeline: generation → synthesis → binning → sampling → metric.
-        let experiment = sprint_experiment(FlowDefinition::FiveTuple, 60.0, 0.002, 3, 42);
+        let experiment = sprint_experiment_with_sampler(
+            FlowDefinition::FiveTuple,
+            60.0,
+            0.002,
+            3,
+            42,
+            SamplerSpec::Random { rate: 0.01 },
+        );
         assert!(
             experiment.bin_count() >= 25,
             "30-minute trace in 1-minute bins"
@@ -222,41 +180,17 @@ mod tests {
     }
 
     #[test]
-    fn workload_experiment_runs_every_catalog_scenario() {
-        for workload in Workload::catalog() {
-            let experiment = workload_experiment(
-                &workload.scaled(0.25),
-                FlowDefinition::FiveTuple,
-                60.0,
-                2,
-                5,
-                SamplerSpec::Random { rate: 0.01 },
-            );
-            let result = experiment.run();
-            assert_eq!(
-                result.series.len(),
-                SPRINT_RATES.len(),
-                "{}",
-                workload.name()
-            );
-            assert!(result.bin_count >= 2, "{}", workload.name());
-        }
-    }
-
-    #[test]
     fn streamed_rate_curve_matches_the_batch_experiment() {
         let workload = Workload::ddos_flood().scaled(0.25);
         let runs = 3;
         let seed = 5;
-        let result = workload_experiment(
-            &workload,
-            FlowDefinition::FiveTuple,
-            60.0,
+        let config = ExperimentConfig {
+            sampling_rates: SPRINT_RATES.to_vec(),
             runs,
             seed,
-            SamplerSpec::Random { rate: 0.01 },
-        )
-        .run();
+            ..ExperimentConfig::default()
+        };
+        let result = TraceExperiment::new(&workload.synthesize(seed), config).run();
         let points = workload_rate_curve(
             &workload,
             FlowDefinition::FiveTuple,

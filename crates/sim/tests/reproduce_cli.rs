@@ -1,8 +1,10 @@
-//! End-to-end CLI contract of the `reproduce` binary's `--input` path: a
+//! End-to-end CLI contract of the `reproduce` binary. The `--input` path: a
 //! valid capture streams to exit code 0, while I/O and decode failures —
 //! a missing file, garbage where the global header should be, a record
 //! truncated mid-capture — exit with code 1 and a one-line diagnostic on
-//! stderr instead of a panic with a backtrace.
+//! stderr instead of a panic with a backtrace. Numeric flags: a missing,
+//! unparsable or out-of-range value exits with code 2 and a diagnostic
+//! before anything is printed, instead of silently running the defaults.
 
 use flowrank_net::pcap::records_to_pcap_bytes;
 use flowrank_net::{PacketRecord, Timestamp};
@@ -98,4 +100,45 @@ fn truncated_capture_exits_one_with_a_diagnostic() {
     let stderr = String::from_utf8_lossy(&output.stderr);
     assert!(stderr.contains("drive aborted"), "{stderr}");
     assert!(!stderr.contains("panicked"), "{stderr}");
+}
+
+/// Runs `reproduce` with a bad numeric flag: exit code 2, the diagnostic on
+/// stderr, and nothing at all on stdout.
+fn assert_rejected(args: &[&str], diagnostic: &str) {
+    let output = Command::new(BIN).args(args).output().unwrap();
+    assert_eq!(output.status.code(), Some(2), "{args:?}");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(stderr.contains(diagnostic), "{args:?}: {stderr}");
+    assert!(output.stdout.is_empty(), "{args:?} still ran something");
+}
+
+#[test]
+fn unparsable_or_out_of_range_fig_is_rejected() {
+    let needs = "reproduce: --fig needs a figure number 1..=16, got";
+    assert_rejected(&["--fig", "banana"], &format!("{needs} \"banana\""));
+    assert_rejected(&["--fig", "17"], &format!("{needs} \"17\""));
+}
+
+#[test]
+fn numeric_flag_without_a_value_is_rejected() {
+    assert_rejected(
+        &["--fig"],
+        "reproduce: --fig needs a figure number 1..=16, got nothing",
+    );
+    assert_rejected(
+        &["--fig", "1", "--scale"],
+        "reproduce: --scale needs a number, got nothing",
+    );
+}
+
+#[test]
+fn unparsable_runs_is_rejected() {
+    assert_rejected(
+        &["--fig", "1", "--runs", "many"],
+        "reproduce: --runs needs a run count, got \"many\"",
+    );
+    assert_rejected(
+        &["--fig", "1", "--threads", "-1"],
+        "reproduce: --threads needs a thread count, got \"-1\"",
+    );
 }

@@ -3,9 +3,11 @@
 #   tests/goldens/scenario_conformance.txt    (conformance matrix)
 #   tests/goldens/controller_convergence.txt  (closed-loop decision traces)
 #   tests/goldens/fleet_eviction.txt          (budgeted fleet eviction digests)
+#   tests/goldens/figures_trace.txt           (Figs. 12-16 per-bin mean/std series)
 #
 # Golden digests pin the *results* of the scenario × sampler × top-k
-# conformance matrix and of the rate controllers' per-bin decision traces,
+# conformance matrix, of the rate controllers' per-bin decision traces and
+# of the trace-driven figures as `reproduce` prints them,
 # so they must only ever change together with the code change that
 # intentionally moved them (e.g. a new RNG stream, a new matrix cell, a
 # retuned controller). To keep every regeneration reviewable, this script
@@ -28,6 +30,7 @@ fi
 REGEN_GOLDENS=1 cargo test -p flowrank-tests --test scenario_conformance -- --nocapture
 REGEN_GOLDENS=1 cargo test --release -p flowrank-tests --test controller_convergence -- --nocapture
 REGEN_GOLDENS=1 cargo test -p flowrank-tests --test fleet_conformance -- --nocapture
+REGEN_GOLDENS=1 cargo test -p flowrank-tests --test figure_goldens -- --nocapture
 
 if git diff --quiet -- tests/goldens/; then
     echo "goldens unchanged — the matrix still digests to the committed values"
