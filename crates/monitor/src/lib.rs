@@ -79,7 +79,7 @@
 //!
 //! [`Monitor::drive`] is the canonical way to run a whole measurement: a
 //! [`PacketSource`] yields `&PacketBatch` chunks on demand (an in-memory
-//! batch or record slice, an incrementally decoded pcap capture, a scenario
+//! batch, an incrementally decoded pcap capture, a scenario
 //! workload synthesised window by window, or any of them re-chunked through
 //! [`Chunked`]) and a [`ReportSink`] receives each closed bin's
 //! [`BinReport`] **by reference** the moment it closes ([`Collect`],
@@ -223,9 +223,9 @@ pub mod spec;
 pub use fault::{DriveError, DrivePolicy, DriveStats, SinkError, SourceError, TimestampPolicy};
 pub use monitor::{Monitor, MonitorBuilder};
 pub use pipeline::{
-    ndjson_tenant, parse_ndjson_record, BatchSource, ChannelSource, Chunked, Collect, CsvSink,
-    DigestSink, DriveSummary, NdjsonRecordSource, NdjsonSink, PacketSource, PcapBytesSource,
-    PcapTailSource, RateCurve, RatePoint, RecordSource, ReportSink, SourcePoll, StopGate, Tee,
+    parse_ndjson_record, BatchSource, ChannelSource, Chunked, Collect, CsvSink, DigestSink,
+    DriveSummary, NdjsonRecordSource, NdjsonSink, PacketSource, PcapBytesSource, PcapTailSource,
+    RateCurve, RatePoint, ReportSink, SourcePoll, StopGate, Tee,
 };
 pub use report::{BinReport, ControllerTrail, LaneReport, TopKReport};
 pub use rolling::{BinSummary, RateSummary, RollingWindow};

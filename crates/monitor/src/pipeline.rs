@@ -12,9 +12,8 @@
 //!
 //! # Sources
 //!
-//! * [`BatchSource`] — a borrowed in-memory batch, yielded once.
-//! * [`RecordSource`] — a borrowed `&[PacketRecord]` slice, converted to SoA
-//!   chunks through one reusable scratch batch.
+//! * [`BatchSource`] — a borrowed in-memory batch, yielded once (records
+//!   come in through [`PacketBatch::from_records`]).
 //! * [`PcapBytesSource`] — an in-memory capture decoded incrementally via
 //!   the zero-copy batch decoder ([`flowrank_net::pcap::PcapBatchCursor`]).
 //! * [`flowrank_trace::SynthesisStream`] (via [`flowrank_trace::Workload::stream`]) — scenario
@@ -35,7 +34,8 @@
 //!   window, resuming decode at the committed record boundary each time the
 //!   file grows.
 //! * [`NdjsonRecordSource`] — one packet record per JSON line from any
-//!   `BufRead` (stdin, a socket); blocking, one record per chunk.
+//!   `BufRead` (stdin, a socket), optionally tenant-tagged; blocking, one
+//!   record per chunk, lines bounded at 64 KiB.
 //! * [`ChannelSource`] — non-blocking mpsc adapter that turns any blocking
 //!   feed running on its own thread into a pollable source.
 //! * [`flowrank_trace::PacedReplay`] — a scenario workload metered out on
@@ -206,48 +206,6 @@ impl<'a> BatchSource<'a> {
 impl PacketSource for BatchSource<'_> {
     fn next_chunk(&mut self) -> Option<&PacketBatch> {
         self.batch.take()
-    }
-}
-
-/// Converts a borrowed record slice into SoA chunks through one reusable
-/// scratch batch — the source form of `Monitor::run_trace`, with peak
-/// conversion memory of one chunk instead of the whole trace.
-#[derive(Debug)]
-pub struct RecordSource<'a> {
-    records: &'a [PacketRecord],
-    position: usize,
-    chunk_packets: usize,
-    scratch: PacketBatch,
-}
-
-impl<'a> RecordSource<'a> {
-    /// Wraps a record slice with the default chunk size.
-    pub fn new(records: &'a [PacketRecord]) -> Self {
-        Self::with_chunk_packets(records, DEFAULT_CHUNK_PACKETS)
-    }
-
-    /// Wraps a record slice, converting `chunk_packets` records per chunk.
-    pub fn with_chunk_packets(records: &'a [PacketRecord], chunk_packets: usize) -> Self {
-        RecordSource {
-            records,
-            position: 0,
-            chunk_packets: chunk_packets.max(1),
-            scratch: PacketBatch::new(),
-        }
-    }
-}
-
-impl PacketSource for RecordSource<'_> {
-    fn next_chunk(&mut self) -> Option<&PacketBatch> {
-        if self.position >= self.records.len() {
-            return None;
-        }
-        let end = self.records.len().min(self.position + self.chunk_packets);
-        self.scratch.clear();
-        self.scratch
-            .extend_from_records(&self.records[self.position..end]);
-        self.position = end;
-        Some(&self.scratch)
     }
 }
 
@@ -569,8 +527,14 @@ impl PacketSource for PcapTailSource {
     }
 }
 
+/// The longest ndjson line [`NdjsonRecordSource`] keeps. A record line is
+/// about 120 bytes; anything near this limit is not a record, so the limit
+/// is a bound on what a broken or hostile peer can make the reader hold.
+const MAX_NDJSON_LINE_BYTES: usize = 64 * 1024;
+
 /// A newline-delimited-JSON record feed — the ingestion format of the
-/// `flowrank-serve` daemon's stdin/socket source.
+/// `flowrank-serve` daemon, and the one place bytes from stdin or a socket
+/// become records.
 ///
 /// One record per line:
 ///
@@ -590,13 +554,19 @@ impl PacketSource for PcapTailSource {
 /// line is a *recoverable* [`SourceError::Malformed`]: the line has been
 /// consumed, and under
 /// [`DrivePolicy::skip_malformed`](crate::DrivePolicy::skip_malformed) the
-/// drive loop counts it and keeps going. Reads block until a line or EOF
-/// arrives, so this source never answers `Pending` — feed it through a
-/// [`ChannelSource`] when the drive loop must not block.
+/// drive loop counts it and keeps going. That covers the two shapes a byte
+/// stream the daemon does not control can take: a line longer than 64 KiB
+/// (kept up to the limit, the rest discarded unbuffered, so a newline-free
+/// stream costs no memory) and a line that is not UTF-8 are each **one**
+/// malformed record, and the stream resynchronises at the next newline.
+/// Reads block until a line or EOF arrives, so this source never answers
+/// `Pending` — feed it through a [`ChannelSource`] when the drive loop must
+/// not block.
 #[derive(Debug)]
 pub struct NdjsonRecordSource<R> {
     reader: R,
-    line: String,
+    /// The current line, without its newline; allocated once, at the limit.
+    line: Vec<u8>,
     batch: PacketBatch,
 }
 
@@ -605,31 +575,34 @@ impl<R: io::BufRead> NdjsonRecordSource<R> {
     pub fn new(reader: R) -> Self {
         NdjsonRecordSource {
             reader,
-            line: String::new(),
+            line: Vec::with_capacity(MAX_NDJSON_LINE_BYTES + 1),
             batch: PacketBatch::new(),
         }
     }
 
-    /// Reads the next record into `self.batch`; `Ok(false)` at end of input.
-    fn step(&mut self) -> Result<bool, SourceError> {
-        loop {
-            self.line.clear();
-            self.batch.clear();
-            match self.reader.read_line(&mut self.line) {
-                Ok(0) => return Ok(false),
-                Ok(_) => {}
-                Err(error) => return Err(SourceError::Fatal(NetError::Io(error))),
-            }
-            if self.line.trim().is_empty() {
-                continue; // blank lines separate nothing
-            }
-            let record = parse_ndjson_record(&self.line).map_err(|reason| {
-                let field = "ndjson record";
-                SourceError::Malformed(NetError::InvalidField { field, reason })
-            })?;
-            self.batch.push_record(&record);
-            return Ok(true);
-        }
+    /// The next record as a one-packet chunk, with the `"tenant"` tag of its
+    /// line (0 when the line carries none) — the tenant-tagged form of
+    /// [`PacketSource::try_next_chunk`]. A tag that is not a `u32` makes the
+    /// line malformed.
+    pub fn next_tagged(&mut self) -> Result<Option<(u32, &PacketBatch)>, SourceError> {
+        Ok(self.step(true)?.map(|tenant| (tenant, &self.batch)))
+    }
+
+    /// Reads the next record into `self.batch` and returns its tenant tag,
+    /// parsed only when `tagged` (0 otherwise); `Ok(None)` at end of input.
+    fn step(&mut self, tagged: bool) -> Result<Option<u32>, SourceError> {
+        let Some(line) = next_ndjson_line(&mut self.reader, &mut self.line)? else {
+            return Ok(None);
+        };
+        let tenant = if tagged {
+            ndjson_tenant(line).map_err(malformed_record)?.unwrap_or(0)
+        } else {
+            0
+        };
+        let record = parse_ndjson_record(line).map_err(malformed_record)?;
+        self.batch.clear();
+        self.batch.push_record(&record);
+        Ok(Some(tenant))
     }
 }
 
@@ -637,16 +610,55 @@ impl<R: io::BufRead> PacketSource for NdjsonRecordSource<R> {
     /// The infallible form skips malformed lines silently.
     fn next_chunk(&mut self) -> Option<&PacketBatch> {
         loop {
-            match self.step() {
-                Ok(true) => return Some(&self.batch),
+            match self.step(false) {
+                Ok(Some(_)) => return Some(&self.batch),
                 Err(error) if error.is_recoverable() => continue,
-                Ok(false) | Err(_) => return None,
+                Ok(None) | Err(_) => return None,
             }
         }
     }
 
     fn try_next_chunk(&mut self) -> Result<Option<&PacketBatch>, SourceError> {
-        Ok(self.step()?.then_some(&self.batch))
+        Ok(self.step(false)?.map(|_| &self.batch))
+    }
+}
+
+fn malformed_record(reason: &'static str) -> SourceError {
+    let field = "ndjson record";
+    SourceError::Malformed(NetError::InvalidField { field, reason })
+}
+
+/// Frames the next non-blank line of `reader` into `line` (cleared first,
+/// newline excluded); `Ok(None)` at end of input. At most
+/// [`MAX_NDJSON_LINE_BYTES`] of a line are kept: the rest is consumed from
+/// the reader's own buffer and dropped, and the line is reported malformed,
+/// as is one that is not UTF-8 — either way the reader stands at the start
+/// of the next line.
+fn next_ndjson_line<'l>(
+    reader: &mut impl io::BufRead,
+    line: &'l mut Vec<u8>,
+) -> Result<Option<&'l str>, SourceError> {
+    let fatal = |error| SourceError::Fatal(NetError::Io(error));
+    loop {
+        line.clear();
+        // One byte past the limit tells an oversized line from a full one.
+        let mut bounded = io::Read::take(&mut *reader, MAX_NDJSON_LINE_BYTES as u64 + 1);
+        if io::BufRead::read_until(&mut bounded, b'\n', line).map_err(fatal)? == 0 {
+            return Ok(None);
+        }
+        if line.last() == Some(&b'\n') {
+            line.pop();
+        } else if line.len() > MAX_NDJSON_LINE_BYTES {
+            reader.skip_until(b'\n').map_err(fatal)?;
+            return Err(malformed_record("line longer than 64 KiB"));
+        }
+        if !line.iter().all(u8::is_ascii_whitespace) {
+            break; // blank lines separate nothing
+        }
+    }
+    match std::str::from_utf8(line) {
+        Ok(text) => Ok(Some(text)),
+        Err(_) => Err(malformed_record("line is not valid UTF-8")),
     }
 }
 
@@ -688,11 +700,11 @@ fn json_raw_value<'l>(line: &'l str, key: &str) -> Option<&'l str> {
 /// "dport":…,"len":…,"proto":"tcp"|"udp"[,"seq":…]}`) into a
 /// [`PacketRecord`].
 ///
-/// This is the exact parser [`NdjsonRecordSource`] runs on every line,
-/// exposed so alternative listeners — the serve daemon's TCP socket source,
-/// tenant-tagged fleet feeds — reuse one grammar instead of approximating
-/// it. Unknown fields are ignored and field order is free, so a tagged
-/// record (an extra `"tenant"` field, read by [`ndjson_tenant`]) parses
+/// This is the exact parser [`NdjsonRecordSource`] runs on every line — the
+/// source is what listeners read through; the function is exposed for
+/// harnesses that price or cross-check the grammar on its own. Unknown
+/// fields are ignored and field order is free, so a tagged record (an extra
+/// `"tenant"` field, read by [`NdjsonRecordSource::next_tagged`]) parses
 /// identically to an untagged one.
 pub fn parse_ndjson_record(line: &str) -> Result<PacketRecord, &'static str> {
     let ts: f64 = json_raw_value(line, "ts")
@@ -735,8 +747,8 @@ pub fn parse_ndjson_record(line: &str) -> Result<PacketRecord, &'static str> {
 
 /// Reads the optional `"tenant"` field of an ndjson record line: `Ok(None)`
 /// when the line carries no tenant tag, `Err` when it carries one that is
-/// not a `u32`. Pairs with [`parse_ndjson_record`] on tenant-tagged feeds.
-pub fn ndjson_tenant(line: &str) -> Result<Option<u32>, &'static str> {
+/// not a `u32`.
+fn ndjson_tenant(line: &str) -> Result<Option<u32>, &'static str> {
     match json_raw_value(line, "tenant") {
         None => Ok(None),
         Some(raw) => raw.parse().map(Some).map_err(|_| "invalid \"tenant\""),
@@ -827,11 +839,6 @@ impl<S> StopGate<S> {
     /// Gates `inner` behind `stop`.
     pub fn new(inner: S, stop: std::sync::Arc<std::sync::atomic::AtomicBool>) -> Self {
         StopGate { inner, stop }
-    }
-
-    /// The shared stop flag.
-    pub fn stop_handle(&self) -> std::sync::Arc<std::sync::atomic::AtomicBool> {
-        std::sync::Arc::clone(&self.stop)
     }
 
     /// The wrapped source.
@@ -1462,11 +1469,6 @@ mod tests {
 
         for chunk in [1usize, 13, 4096] {
             let mut sink = Collect::new();
-            let mut source = RecordSource::with_chunk_packets(&packets, chunk);
-            monitor().drive(&mut source, &mut sink);
-            assert_eq!(sink.reports, baseline, "record chunk {chunk}");
-
-            let mut sink = Collect::new();
             let mut source = Chunked::new(BatchSource::new(&batch), chunk);
             monitor().drive(&mut source, &mut sink);
             assert_eq!(sink.reports, baseline, "re-chunk {chunk}");
@@ -1532,7 +1534,8 @@ mod tests {
         let packets = trace();
         let baseline = monitor().run_trace(&packets);
         let mut curve = RateCurve::new();
-        let mut source = RecordSource::new(&packets);
+        let batch = PacketBatch::from_records(&packets);
+        let mut source = Chunked::new(BatchSource::new(&batch), DEFAULT_CHUNK_PACKETS);
         monitor().drive(&mut source, &mut curve);
         assert_eq!(curve.bins(), baseline.len() as u64);
         let points = curve.points();
@@ -1565,7 +1568,8 @@ mod tests {
         }
 
         let mut streamed = DigestSink::new();
-        let mut source = RecordSource::with_chunk_packets(&packets, 97);
+        let batch = PacketBatch::from_records(&packets);
+        let mut source = Chunked::new(BatchSource::new(&batch), 97);
         monitor().drive(&mut source, &mut streamed);
         assert_eq!(streamed.reports(), baseline.len() as u64);
         assert_eq!(streamed.digest(), offline.digest());
@@ -1593,7 +1597,8 @@ mod tests {
             Tee(Collect::new(), NdjsonSink::new(Vec::new())),
             CsvSink::new(Vec::new()),
         );
-        let mut source = RecordSource::new(&packets);
+        let batch = PacketBatch::from_records(&packets);
+        let mut source = Chunked::new(BatchSource::new(&batch), DEFAULT_CHUNK_PACKETS);
         monitor().drive(&mut source, &mut tee);
         let Tee(Tee(collected, ndjson), csv) = tee;
         let baseline = monitor().run_trace(&packets);
@@ -1622,7 +1627,7 @@ mod tests {
         assert!(sink.reports.is_empty());
 
         let mut sink = Collect::new();
-        monitor().drive(&mut RecordSource::new(&[]), &mut sink);
+        monitor().drive(&mut Chunked::new(BatchSource::new(&empty), 97), &mut sink);
         assert!(sink.reports.is_empty());
     }
 
@@ -1736,8 +1741,8 @@ mod tests {
     fn pcap_try_sources_surface_fatal_errors_after_partial_delivery() {
         const RECORD: &str =
             r#"{"ts":1,"src":"1.1.1.1","dst":"2.2.2.2","sport":1,"dport":2,"len":9,"proto":"udp"}"#;
-        fn ndjson(feed: &str) -> NdjsonRecordSource<&[u8]> {
-            NdjsonRecordSource::new(feed.as_bytes())
+        fn ndjson(feed: &[u8]) -> NdjsonRecordSource<&[u8]> {
+            NdjsonRecordSource::new(feed)
         }
         fn gate<S>(inner: S) -> StopGate<S> {
             StopGate::new(inner, Default::default())
@@ -1783,8 +1788,9 @@ mod tests {
             }
         }
         std::fs::remove_file(file).unwrap();
-        for (bad, malformed) in [("", 0), ("not json\n", 1)] {
-            let feed = format!("{RECORD}\n{bad}{RECORD}\n");
+        // A line that is not UTF-8 is one malformed record like any other.
+        for (bad, malformed) in [(&b""[..], 0), (b"not json\n", 1), (b"\xff\xfe\n", 1)] {
+            let feed = [RECORD.as_bytes(), b"\n", bad, RECORD.as_bytes(), b"\n"].concat();
             agree("ndjson", || ndjson(&feed), false, (malformed, false));
             agree("gate", || gate(ndjson(&feed)), false, (malformed, false));
         }
@@ -1806,6 +1812,54 @@ mod tests {
         // A replay's `try_next_chunk` is the trait default over `next_chunk`.
         let replay = || PacedReplay::new(Workload::flash_crowd().stream(7), 1e6);
         agree("replay", replay, false, (0, false));
+    }
+
+    #[test]
+    fn ndjson_line_buffer_is_bounded_whatever_the_line_length() {
+        const RECORD: &[u8] =
+            br#"{"ts":1,"src":"1.1.1.1","dst":"2.2.2.2","sport":1,"dport":2,"len":9,"proto":"udp"}"#;
+        // 10 MiB without a newline, then a record: one malformed line, and
+        // the reader is back in step for the record behind it.
+        let mut feed = vec![b'x'; 10 << 20];
+        feed.push(b'\n');
+        feed.extend_from_slice(RECORD);
+        let reader = io::BufReader::new(&feed[..]);
+        let buffered = reader.capacity();
+        let mut source = NdjsonRecordSource::new(reader);
+        let error = source.try_next_chunk().expect_err("an oversized line");
+        assert!(error.is_recoverable(), "{error:?}");
+        let record = source.try_next_chunk().expect("the record behind it");
+        assert_eq!(record.map(PacketBatch::len), Some(1));
+        assert!(source.try_next_chunk().expect("clean end").is_none());
+        assert!(source.line.capacity() <= MAX_NDJSON_LINE_BYTES + buffered);
+    }
+
+    #[test]
+    fn ndjson_next_tagged_reads_the_tenant_of_each_line() {
+        let line = |tenant: &str| {
+            format!(
+                r#"{{"ts":1,"src":"1.1.1.1","dst":"2.2.2.2","sport":1,"dport":2,"len":9,"proto":"udp"{tenant}}}"#
+            ) + "\n"
+        };
+        let feed = [r#","tenant":7"#, "", r#","tenant":"x""#, r#","tenant":2"#].map(line);
+        let feed = feed.concat();
+        let mut source = NdjsonRecordSource::new(feed.as_bytes());
+        let mut tag = || {
+            source
+                .next_tagged()
+                .map(|r| r.map(|(tenant, batch)| (tenant, batch.len())))
+        };
+        assert_eq!(tag().unwrap(), Some((7, 1)));
+        assert_eq!(tag().unwrap(), Some((0, 1)), "untagged lines are tenant 0");
+        assert!(tag().expect_err("a tag that is no u32").is_recoverable());
+        assert_eq!(tag().unwrap(), Some((2, 1)));
+        assert_eq!(tag().unwrap(), None);
+        // The untagged polls never look at the tag.
+        let mut source = NdjsonRecordSource::new(feed.as_bytes());
+        assert_eq!(
+            std::iter::from_fn(|| source.next_chunk().map(|_| ())).count(),
+            4
+        );
     }
 
     #[test]

@@ -1,18 +1,18 @@
 //! Runtime-selectable sampler and top-k backend specifications.
 //!
 //! A monitor deployed on a live link chooses its sampling discipline and its
-//! flow-memory algorithm from configuration, not at compile time. These two
-//! enums are the serialisable "configuration" half of that choice; `build`
-//! turns them into the boxed trait objects the monitor lanes drive.
+//! flow-memory algorithm from configuration, not at compile time. Two enums
+//! are the serialisable "configuration" half of that choice, and `build`
+//! turns each into the boxed trait object the monitor lanes drive. Only
+//! [`SamplerSpec`] is defined here; [`TopKSpec`] lives beside the flow memory
+//! that runs it, in `flowrank-topk`, and is re-exported.
 
 use flowrank_net::Timestamp;
 use flowrank_sampling::{
     AdaptiveRateSampler, FlowSampler, PacketSampler, PeriodicSampler, RandomSampler,
     SmartPacketSampler, StratifiedSampler,
 };
-use flowrank_topk::{
-    ExactTopK, MultistageFilter, SampleAndHold, SortedListMemory, SpaceSaving, TopKTracker,
-};
+pub use flowrank_topk::TopKSpec;
 
 /// Which packet-sampling discipline a monitor lane runs.
 ///
@@ -138,80 +138,6 @@ impl SamplerSpec {
                 initial_rate,
                 budget_per_interval,
                 interval,
-            )),
-        }
-    }
-}
-
-/// Which memory-bounded top-k backend a monitor lane feeds with its sampled
-/// packets — the paper's first future-work direction (sampling in front of a
-/// heavy-hitter mechanism).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum TopKSpec {
-    /// Unbounded exact counting (the idealised monitor).
-    Exact,
-    /// Bounded sorted list with bottom eviction (Jedwab–Phaal–Pinna).
-    SortedList {
-        /// Maximum number of tracked flows.
-        capacity: usize,
-    },
-    /// Space-Saving (Metwally et al. 2005).
-    SpaceSaving {
-        /// Number of counters.
-        capacity: usize,
-    },
-    /// Estan–Varghese sample-and-hold.
-    SampleAndHold {
-        /// Probability that a packet of an untracked flow creates an entry.
-        entry_probability: f64,
-        /// Maximum number of flow entries.
-        capacity: usize,
-    },
-    /// Estan–Varghese parallel multistage filter with exact memory behind it.
-    Multistage {
-        /// Number of parallel stages.
-        stages: usize,
-        /// Counters per stage.
-        counters_per_stage: usize,
-        /// Promotion threshold in packets.
-        threshold: u64,
-        /// Capacity of the exact flow memory.
-        memory_capacity: usize,
-    },
-}
-
-impl TopKSpec {
-    /// Short human-readable name of the backend.
-    pub fn name(&self) -> &'static str {
-        match self {
-            TopKSpec::Exact => "exact",
-            TopKSpec::SortedList { .. } => "sorted-list",
-            TopKSpec::SpaceSaving { .. } => "space-saving",
-            TopKSpec::SampleAndHold { .. } => "sample-and-hold",
-            TopKSpec::Multistage { .. } => "multistage-filter",
-        }
-    }
-
-    /// Instantiates the tracker.
-    pub fn build(&self) -> Box<dyn TopKTracker + Send> {
-        match *self {
-            TopKSpec::Exact => Box::new(ExactTopK::new()),
-            TopKSpec::SortedList { capacity } => Box::new(SortedListMemory::new(capacity)),
-            TopKSpec::SpaceSaving { capacity } => Box::new(SpaceSaving::new(capacity)),
-            TopKSpec::SampleAndHold {
-                entry_probability,
-                capacity,
-            } => Box::new(SampleAndHold::new(entry_probability, capacity)),
-            TopKSpec::Multistage {
-                stages,
-                counters_per_stage,
-                threshold,
-                memory_capacity,
-            } => Box::new(MultistageFilter::new(
-                stages,
-                counters_per_stage,
-                threshold,
-                memory_capacity,
             )),
         }
     }

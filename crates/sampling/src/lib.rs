@@ -60,7 +60,7 @@ pub mod stratified;
 pub use adaptive::AdaptiveRateSampler;
 pub use flow_sampling::FlowSampler;
 pub use periodic::PeriodicSampler;
-pub use pipeline::{sample_and_classify, sample_iter, sample_stream, SamplerStage};
+pub use pipeline::{sample_and_classify, sample_iter, SamplerStage};
 pub use random::RandomSampler;
 pub use sampler::PacketSampler;
 pub use smart::SmartPacketSampler;

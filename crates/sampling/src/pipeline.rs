@@ -37,21 +37,6 @@ where
         .filter(move |packet| sampler.keep(packet, rng))
 }
 
-/// Runs `sampler` over `packets` and returns the retained packets as a lazy
-/// iterator (callers that really need an owned copy can `.copied().collect()`
-/// — nothing inside the pipeline does).
-///
-/// Thin slice-specialised alias of [`sample_iter`], retained for source
-/// compatibility with the original batch API; prefer [`sample_iter`] in new
-/// code.
-pub fn sample_stream<'a, S: PacketSampler + ?Sized>(
-    packets: &'a [PacketRecord],
-    sampler: &'a mut S,
-    rng: &'a mut dyn Rng,
-) -> impl Iterator<Item = &'a PacketRecord> + 'a {
-    sample_iter(packets, sampler, rng)
-}
-
 /// A push-based sampling stage: an owned (possibly runtime-selected) sampler
 /// together with the RNG that drives its decisions.
 ///
@@ -147,11 +132,11 @@ mod tests {
     use flowrank_stats::rng::{Pcg64, SeedableRng};
 
     #[test]
-    fn sample_stream_keeps_about_p_fraction() {
+    fn sample_iter_keeps_about_p_fraction() {
         let packets = packet_stream(50_000, 100, 10.0);
         let mut sampler = RandomSampler::new(0.02);
         let mut rng = Pcg64::seed_from_u64(4);
-        let kept = sample_stream(&packets, &mut sampler, &mut rng).count();
+        let kept = sample_iter(&packets, &mut sampler, &mut rng).count();
         let frac = kept as f64 / packets.len() as f64;
         assert!((frac - 0.02).abs() < 0.004, "kept fraction {frac}");
     }

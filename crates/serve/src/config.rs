@@ -360,6 +360,10 @@ window_ms = 500         # replay chunk granularity
 # source = socket
 # listen = 127.0.0.1:0  # port 0 picks a free port (printed on startup)
 
+# ndjson lines (stdin, socket, fleet) are at most 64 KiB — fixed, not a knob:
+# a longer line is skipped unbuffered and, like a line that is not UTF-8,
+# counts as one malformed record.
+
 # Fleet mode: host N tenant monitors behind one slab (flowrank-fleet).
 # Source must be replay (fleet scenario) or ndjson (tenant-tagged records:
 # each line may carry an extra `tenant` field).

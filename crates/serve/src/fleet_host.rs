@@ -9,8 +9,10 @@
 //!   catalog mixes and diurnal envelopes, driven window by window.
 //! * `source = ndjson` — tenant-tagged records on stdin: each line is the
 //!   usual ndjson record with an extra `"tenant": <id>` field (records
-//!   without one belong to tenant 0). Lines are parsed **once**, tagged,
-//!   and demultiplexed by the fleet — the one-decode-pass path end to end.
+//!   without one belong to tenant 0). Lines are read through the stdin
+//!   path's source ([`NdjsonRecordSource::next_tagged`]: same grammar, same
+//!   64 KiB line limit, a bad line is one skipped record), tagged, and
+//!   demultiplexed by the fleet — the one-decode-pass path end to end.
 //!
 //! Every pushed window refreshes the snapshot endpoint with a fleet-wide
 //! JSON state: totals plus the busiest tenants, so a poller watching a
@@ -23,7 +25,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use flowrank_fleet::{Fleet, FleetBuilder, FleetSink, TenantStats};
-use flowrank_monitor::{ndjson_tenant, parse_ndjson_record, BinReport};
+use flowrank_monitor::{BinReport, NdjsonRecordSource};
 use flowrank_net::{TaggedBatch, TenantId, Timestamp};
 use flowrank_trace::FleetScenario;
 
@@ -135,12 +137,12 @@ pub fn run_fleet(
     }
 }
 
-/// The tenant-tagged record path: parse each stdin line once
-/// ([`parse_ndjson_record`] + [`ndjson_tenant`]), accumulate a
-/// [`TaggedBatch`], and push it through the fleet's one demux pass.
+/// The tenant-tagged record path: pull each record with its tenant tag from
+/// the ndjson source, accumulate a [`TaggedBatch`], and push it through the
+/// fleet's one demux pass.
 fn drive_records<R: BufRead>(
     fleet: &mut Fleet,
-    mut reader: R,
+    reader: R,
     totals: &mut Totals,
     config: &ServeConfig,
     stop: &AtomicBool,
@@ -150,29 +152,27 @@ fn drive_records<R: BufRead>(
     let tenants = fleet.tenant_count() as u32;
     let mut malformed = 0u64;
     let mut unknown = 0u64;
-    let mut line = String::new();
+    let mut source = NdjsonRecordSource::new(reader);
     let mut tagged = TaggedBatch::new();
     loop {
-        line.clear();
-        let eof = reader
-            .read_line(&mut line)
-            .map_err(|e| format!("stdin: {e}"))?
-            == 0;
-        if !eof && !line.trim().is_empty() {
-            // One decode pass: tenant tag and record come from the same
-            // parse of the same line; the fleet only copies columns.
-            match (ndjson_tenant(&line), parse_ndjson_record(&line)) {
-                (Ok(tenant), Ok(record)) => {
-                    let tenant = tenant.unwrap_or(0);
-                    if tenant >= tenants {
-                        unknown += 1;
-                    } else {
-                        tagged.push_record(TenantId(tenant), &record);
-                    }
-                }
-                _ => malformed += 1,
+        // One decode pass: tenant tag and record come from the same line;
+        // the fleet only copies columns.
+        let eof = match source.next_tagged() {
+            Ok(Some((tenant, _))) if tenant >= tenants => {
+                unknown += 1;
+                false
             }
-        }
+            Ok(Some((tenant, record))) => {
+                tagged.extend_from_batch(TenantId(tenant), record, 0..record.len());
+                false
+            }
+            Ok(None) => true,
+            Err(error) if error.is_recoverable() => {
+                malformed += 1;
+                false
+            }
+            Err(error) => return Err(format!("stdin: {error}")),
+        };
         // A stop ends the loop like EOF does: whatever was read before it
         // was observed is pushed first, so a graceful stop drops nothing.
         let ending = eof || stop.load(Ordering::Acquire);
@@ -277,13 +277,15 @@ mod tests {
     #[test]
     fn record_path_tags_skips_and_demuxes_in_one_pass() {
         let config = fleet_config("source = ndjson\n");
-        let input = format!(
-            "{}{}{}not json\n{}",
+        let mut input = format!(
+            "{}{}{}not json\n",
             record(1.0, ",\"tenant\":1"),
             record(2.0, ""),              // untagged → tenant 0
             record(3.0, ",\"tenant\":9"), // outside the slab → skipped
-            record(4.0, ",\"tenant\":2"),
-        );
+        )
+        .into_bytes();
+        input.extend_from_slice(b"\xff\xfe\n"); // not text: skipped, not fatal
+        input.extend_from_slice(record(4.0, ",\"tenant\":2").as_bytes());
         let mut fleet = build_fleet(&config);
         let publisher = SnapshotPublisher::new();
         let mut totals = Totals::default();
@@ -291,7 +293,7 @@ mod tests {
         let stop = AtomicBool::new(false);
         let (malformed, unknown) = drive_records(
             &mut fleet,
-            input.as_bytes(),
+            &input[..],
             &mut totals,
             &config,
             &stop,
@@ -299,7 +301,7 @@ mod tests {
             &mut scratch,
         )
         .expect("record drive");
-        assert_eq!(malformed, 1);
+        assert_eq!(malformed, 2);
         assert_eq!(unknown, 1);
         let per_tenant: Vec<u64> = fleet.tenant_stats().map(|s| s.packets).collect();
         assert_eq!(per_tenant, vec![1, 1, 1]);

@@ -9,12 +9,13 @@
 //! idle politely (counted idle polls, stall detection) while the socket is
 //! quiet.
 //!
-//! The pump reuses the exact per-line parser of
-//! [`NdjsonRecordSource`](flowrank_monitor::NdjsonRecordSource)
-//! ([`parse_ndjson_record`]), so the wire format and the malformed-record
-//! contract are identical to the stdin path: a bad line is forwarded as a
-//! recoverable [`SourceError::Malformed`] and counted/skipped by the
-//! daemon's resilient [`DrivePolicy`](flowrank_monitor::DrivePolicy).
+//! Each connection is read through the stdin path's source,
+//! [`NdjsonRecordSource`], so the wire format, the 64 KiB line limit and
+//! the malformed-record contract are the stdin path's: a bad line — not a
+//! record, oversized, not UTF-8 — is forwarded as one recoverable
+//! [`SourceError::Malformed`] and counted/skipped by the daemon's resilient
+//! [`DrivePolicy`](flowrank_monitor::DrivePolicy), and the records behind
+//! it on the same connection still arrive.
 //!
 //! Connections are served one at a time, each to EOF — the model is one
 //! exporter streaming records, reconnecting if it restarts. The accept
@@ -22,15 +23,14 @@
 //! sender when it is raised, which ends the stream cleanly on the drive
 //! side; a pump blocked mid-connection ends with the process instead.
 
-use std::io::BufRead;
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::Sender;
 use std::sync::Arc;
 use std::time::Duration;
 
-use flowrank_monitor::{parse_ndjson_record, ChannelSource, SourceError};
-use flowrank_net::{NetError, PacketBatch};
+use flowrank_monitor::{ChannelSource, NdjsonRecordSource, PacketSource, SourceError};
+use flowrank_net::PacketBatch;
 
 /// How often the accept loop re-checks the stop flag while idle.
 const ACCEPT_POLL: Duration = Duration::from_millis(25);
@@ -88,33 +88,16 @@ fn pump_connection(
     stream: std::net::TcpStream,
     sender: &Sender<Result<PacketBatch, SourceError>>,
 ) -> bool {
-    let mut reader = std::io::BufReader::new(stream);
-    let mut line = String::new();
+    let mut source = NdjsonRecordSource::new(std::io::BufReader::new(stream));
     loop {
-        line.clear();
-        match reader.read_line(&mut line) {
-            Ok(0) => return true, // EOF: exporter done, accept the next one.
-            Ok(_) => {
-                if line.trim().is_empty() {
-                    continue;
-                }
-                // One record per chunk, exactly like NdjsonRecordSource.
-                let message = match parse_ndjson_record(&line) {
-                    Ok(record) => {
-                        let mut batch = PacketBatch::new();
-                        batch.push_record(&record);
-                        Ok(batch)
-                    }
-                    Err(reason) => Err(SourceError::Malformed(NetError::InvalidField {
-                        field: "ndjson record",
-                        reason,
-                    })),
-                };
-                if sender.send(message).is_err() {
-                    return false;
-                }
-            }
+        let message = match source.try_next_chunk() {
+            Ok(Some(record)) => Ok(record.clone()),
+            Ok(None) => return true, // EOF: exporter done, accept the next one.
+            Err(error) if error.is_recoverable() => Err(error),
             Err(_) => return true, // Connection died mid-line: drop it.
+        };
+        if sender.send(message).is_err() {
+            return false;
         }
     }
 }
@@ -122,7 +105,7 @@ fn pump_connection(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flowrank_monitor::{PacketSource, SourcePoll};
+    use flowrank_monitor::SourcePoll;
     use std::io::Write;
 
     fn poll_until<T>(
@@ -140,30 +123,31 @@ mod tests {
 
     #[test]
     fn records_flow_from_a_tcp_client_to_the_source() {
+        const RECORD: &[u8] = b"{\"ts\":1.0,\"src\":\"10.0.0.1\",\"dst\":\"10.0.0.2\",\"sport\":1,\"dport\":2,\"len\":100,\"proto\":\"udp\"}\n";
         let stop = Arc::new(AtomicBool::new(false));
         let (addr, mut source) = listen("127.0.0.1:0", Arc::clone(&stop)).expect("bind");
         let mut client = std::net::TcpStream::connect(addr).expect("connect");
-        client
-            .write_all(
-                b"{\"ts\":1.0,\"src\":\"10.0.0.1\",\"dst\":\"10.0.0.2\",\"sport\":1,\"dport\":2,\"len\":100,\"proto\":\"udp\"}\n",
-            )
-            .expect("send record");
-        client.flush().expect("flush");
-        let packets = poll_until(&mut source, |source| match source.poll_chunk() {
-            Ok(SourcePoll::Chunk(batch)) => Some(batch.len()),
-            Ok(SourcePoll::Pending) => None,
-            other => panic!("unexpected poll: {other:?}"),
-        });
-        assert_eq!(packets, 1);
-        // A malformed line surfaces as a recoverable error, stream intact.
-        client.write_all(b"not json\n").expect("send junk");
-        client.flush().expect("flush");
-        let error = poll_until(&mut source, |source| match source.poll_chunk() {
-            Ok(SourcePoll::Pending) => None,
-            Err(error) => Some(error),
-            other => panic!("unexpected poll: {other:?}"),
-        });
-        assert!(error.is_recoverable(), "{error:?}");
+        // Sends one line, then waits for what it turns into: the packets of
+        // a chunk, or the error.
+        let mut deliver = |line: &[u8]| {
+            client.write_all(line).expect("send");
+            client.flush().expect("flush");
+            poll_until(&mut source, |source| match source.poll_chunk() {
+                Ok(SourcePoll::Chunk(batch)) => Some(Ok(batch.len())),
+                Ok(SourcePoll::Pending) => None,
+                Err(error) => Some(Err(error)),
+                other => panic!("unexpected poll: {other:?}"),
+            })
+        };
+        assert_eq!(deliver(RECORD).expect("a record"), 1);
+        // A malformed line — not a record, or not even text — surfaces as a
+        // recoverable error, and the records behind it on the same
+        // connection still arrive.
+        for junk in [&b"not json\n"[..], b"\xff\xfe\n"] {
+            let error = deliver(junk).expect_err("a malformed line");
+            assert!(error.is_recoverable(), "{error:?}");
+            assert_eq!(deliver(RECORD).expect("the record behind it"), 1);
+        }
         // Raising stop ends the stream once the pump notices.
         drop(client);
         stop.store(true, Ordering::Release);

@@ -63,14 +63,15 @@ use flowrank_core::{
 };
 use flowrank_fleet::{FleetBuilder, FleetSink};
 use flowrank_monitor::{
-    BinReport, CsvSink, NdjsonSink, PcapBytesSource, RateCurve, ReportSink, Tee,
+    BinReport, CsvSink, Monitor, NdjsonSink, PacketSource, PcapBytesSource, RateCurve, ReportSink,
+    Tee,
 };
 use flowrank_net::{FlowDefinition, TenantId, Timestamp};
 use flowrank_sim::grids::{rate_grid, size_grid_log, BETA_VALUES, N_FACTORS, TOP_T_VALUES};
 use flowrank_sim::report::result_to_csv;
 use flowrank_sim::{
-    abilene_experiment, sprint_experiment_with_sampler, workload_builder,
-    workload_controlled_monitor, workload_monitor, ControllerSpec, SamplerSpec,
+    abilene_experiment, sprint_experiment_with_sampler, workload_builder, ControllerSpec,
+    ExperimentResult, SamplerSpec,
 };
 use flowrank_trace::{FleetScenario, Workload};
 
@@ -485,24 +486,51 @@ fn fig_detection(figure: u32, scenario: &Scenario) {
     println!();
 }
 
-fn fig_trace(figure: u32, definition: FlowDefinition, detection: bool, options: &Options) {
+/// The Sprint experiments behind Figs. 12–15, each run on first use and
+/// kept: Figs. 12/14 and 13/15 print different columns (ranking, detection)
+/// of the same (flow definition, bin length) runs.
+#[derive(Default)]
+struct SprintRuns(std::collections::HashMap<(FlowDefinition, u64), ExperimentResult>);
+
+impl SprintRuns {
+    fn result(
+        &mut self,
+        definition: FlowDefinition,
+        bin_seconds: f64,
+        options: &Options,
+    ) -> &ExperimentResult {
+        let run = || {
+            sprint_experiment_with_sampler(
+                definition,
+                bin_seconds,
+                options.figure_scale(),
+                options.runs,
+                2026,
+                options.sampler,
+            )
+            .with_threads(options.threads)
+            .run()
+        };
+        let ran = (definition, bin_seconds.to_bits());
+        self.0.entry(ran).or_insert_with(run)
+    }
+}
+
+fn fig_trace(
+    figure: u32,
+    definition: FlowDefinition,
+    detection: bool,
+    options: &Options,
+    runs: &mut SprintRuns,
+) {
     let kind = if detection { "detection" } else { "ranking" };
     for &bin_seconds in &[60.0, 300.0] {
         println!(
             "# Figure {figure}: trace-driven {kind} vs time, {definition}, top 10, {bin_seconds}-second bins, scale {}, {} runs, {} sampling",
             options.figure_scale(), options.runs, options.sampler.name()
         );
-        let experiment = sprint_experiment_with_sampler(
-            definition,
-            bin_seconds,
-            options.figure_scale(),
-            options.runs,
-            2026,
-            options.sampler,
-        )
-        .with_threads(options.threads);
-        let result = experiment.run();
-        println!("{}", result_to_csv(&result, bin_seconds, detection));
+        let result = runs.result(definition, bin_seconds, options);
+        println!("{}", result_to_csv(result, bin_seconds, detection));
     }
 }
 
@@ -544,44 +572,44 @@ fn fail(message: std::fmt::Arguments) -> ! {
     std::process::exit(1);
 }
 
-/// Streams a pcap capture from disk through the monitor pipeline — the
-/// fallible `try_drive` path, so a missing file, bad magic, or a record
-/// truncated mid-capture surfaces through [`fail`] instead of a panic.
-fn run_input(path: &str, options: &Options) {
-    let bytes = match std::fs::read(path) {
-        Ok(bytes) => bytes,
-        Err(error) => fail(format_args!("cannot read {path}: {error}")),
-    };
-    let chrome: fn(std::fmt::Arguments) = match options.output {
+/// Where everything that is not the report stream itself (the banner, the
+/// drive counters, the rate curve) is printed: stdout in `summary` mode,
+/// stderr when a machine-readable sink owns stdout, so `--output ndjson | jq`
+/// and `--output csv > file.csv` parse cleanly end to end.
+fn chrome(options: &Options) -> fn(std::fmt::Arguments) {
+    match options.output {
         Output::Summary => |args| println!("{args}"),
         Output::Csv | Output::Ndjson => |args| eprintln!("{args}"),
-    };
-    let definition = FlowDefinition::FiveTuple;
-    chrome(format_args!(
-        "# Input {path}: trace-driven ranking vs time, {definition}, top 10, 60-second bins, {} runs, {} sampling, {:?} output",
-        options.runs,
-        options.sampler.name(),
-        options.output,
-    ));
-    let mut monitor = workload_monitor(
-        definition,
-        60.0,
-        options.runs,
-        2026,
-        options.sampler,
-        options.threads,
-    );
-    let mut source = match PcapBytesSource::new(&bytes) {
-        Ok(source) => source,
-        Err(error) => fail(format_args!("{path}: {error}")),
-    };
+    }
+}
+
+/// The one streamed-run path behind `--input` and `--scenario`: drives
+/// `monitor` over `source` into the `--output` sink with the rate curve
+/// accumulated beside it, then prints the drive counters (`chunk_noun` names
+/// what the source yields) and the curve. A failed drive or write surfaces
+/// through [`fail`], labelled `what`.
+fn stream_run(
+    what: &str,
+    chunk_noun: &str,
+    monitor: &mut Monitor,
+    source: &mut dyn PacketSource,
+    options: &Options,
+) {
+    let chrome = chrome(options);
     let mut curve = RateCurve::new();
     let stdout = std::io::stdout();
     let driven = match options.output {
-        Output::Summary => monitor.try_drive(&mut source, &mut curve),
+        Output::Summary => match monitor.controller_name() {
+            Some(controller) => {
+                println!("# controlled lane ({controller}) decision trail");
+                println!("bin,applied_rate,decided_rate,swapped_fraction,top_churn");
+                monitor.try_drive(source, &mut Tee(&mut TrailPrinter, &mut curve))
+            }
+            None => monitor.try_drive(source, &mut curve),
+        },
         Output::Csv => {
             let mut writer = CsvSink::new(stdout.lock());
-            let driven = monitor.try_drive(&mut source, &mut Tee(&mut writer, &mut curve));
+            let driven = monitor.try_drive(source, &mut Tee(&mut writer, &mut curve));
             if let Err(error) = writer.finish() {
                 fail(format_args!("writing CSV to stdout: {error}"));
             }
@@ -589,7 +617,7 @@ fn run_input(path: &str, options: &Options) {
         }
         Output::Ndjson => {
             let mut writer = NdjsonSink::new(stdout.lock());
-            let driven = monitor.try_drive(&mut source, &mut Tee(&mut writer, &mut curve));
+            let driven = monitor.try_drive(source, &mut Tee(&mut writer, &mut curve));
             if let Err(error) = writer.finish() {
                 fail(format_args!("writing ndjson to stdout: {error}"));
             }
@@ -598,10 +626,10 @@ fn run_input(path: &str, options: &Options) {
     };
     let stats = match driven {
         Ok(stats) => stats,
-        Err(error) => fail(format_args!("{path}: {error}")),
+        Err(error) => fail(format_args!("{what}: {error}")),
     };
     chrome(format_args!(
-        "# {} packets in {} chunks -> {} bins",
+        "# {} packets in {} {chunk_noun} -> {} bins",
         stats.packets, stats.chunks, stats.reports
     ));
     chrome(format_args!(
@@ -619,6 +647,37 @@ fn run_input(path: &str, options: &Options) {
             point.detection_std
         ));
     }
+}
+
+/// Streams a pcap capture from disk through the monitor pipeline — the
+/// fallible `try_drive` path, so a missing file, bad magic, or a record
+/// truncated mid-capture surfaces through [`fail`] instead of a panic.
+fn run_input(path: &str, options: &Options) {
+    let bytes = match std::fs::read(path) {
+        Ok(bytes) => bytes,
+        Err(error) => fail(format_args!("cannot read {path}: {error}")),
+    };
+    let definition = FlowDefinition::FiveTuple;
+    chrome(options)(format_args!(
+        "# Input {path}: trace-driven ranking vs time, {definition}, top 10, 60-second bins, {} runs, {} sampling, {:?} output",
+        options.runs,
+        options.sampler.name(),
+        options.output,
+    ));
+    let mut monitor = workload_builder(
+        definition,
+        60.0,
+        options.runs,
+        2026,
+        options.sampler,
+        options.threads,
+    )
+    .build();
+    let mut source = match PcapBytesSource::new(&bytes) {
+        Ok(source) => source,
+        Err(error) => fail(format_args!("{path}: {error}")),
+    };
+    stream_run(path, "chunks", &mut monitor, &mut source, options);
 }
 
 /// Fleet mode discards per-bin reports: the per-tenant summary comes from
@@ -710,14 +769,7 @@ fn run_scenario(name: &str, options: &Options) {
     };
     let scaled = workload.scaled(options.scenario_scale());
     let seed = 2026;
-    // With a machine-readable sink on stdout, everything that is not the
-    // stream itself (the banner, the drive summary, the rate curve) goes to
-    // stderr so `--output ndjson | jq` and `--output csv > file.csv` parse
-    // cleanly end to end.
-    let chrome: fn(std::fmt::Arguments) = match options.output {
-        Output::Summary => |args| println!("{args}"),
-        Output::Csv | Output::Ndjson => |args| eprintln!("{args}"),
-    };
+    let chrome = chrome(options);
     for definition in [FlowDefinition::FiveTuple, FlowDefinition::PREFIX24] {
         chrome(format_args!(
             "# Scenario {}: trace-driven ranking vs time, {definition}, top 10, 60-second bins, scale {}, {} runs, {} sampling, {:?} output",
@@ -727,74 +779,19 @@ fn run_scenario(name: &str, options: &Options) {
             options.sampler.name(),
             options.output,
         ));
-        let mut monitor = match options.controller {
-            Some(controller) => workload_controlled_monitor(
-                definition,
-                60.0,
-                options.runs,
-                seed,
-                options.sampler,
-                options.threads,
-                controller,
-            ),
-            None => workload_monitor(
-                definition,
-                60.0,
-                options.runs,
-                seed,
-                options.sampler,
-                options.threads,
-            ),
-        };
-        let mut source = scaled.stream(seed);
-        let mut curve = RateCurve::new();
-        let stdout = std::io::stdout();
-        let summary = match options.output {
-            Output::Summary if options.controller.is_some() => {
-                println!(
-                    "# controlled lane ({}) decision trail",
-                    monitor.controller_name().unwrap_or("none")
-                );
-                println!("bin,applied_rate,decided_rate,swapped_fraction,top_churn");
-                monitor.drive(&mut source, &mut Tee(&mut TrailPrinter, &mut curve))
-            }
-            Output::Summary => monitor.drive(&mut source, &mut curve),
-            Output::Csv => {
-                let mut writer = CsvSink::new(stdout.lock());
-                let summary = monitor.drive(&mut source, &mut Tee(&mut writer, &mut curve));
-                if let Err(error) = writer.finish() {
-                    fail(format_args!("writing CSV to stdout: {error}"));
-                }
-                summary
-            }
-            Output::Ndjson => {
-                let mut writer = NdjsonSink::new(stdout.lock());
-                let summary = monitor.drive(&mut source, &mut Tee(&mut writer, &mut curve));
-                if let Err(error) = writer.finish() {
-                    fail(format_args!("writing ndjson to stdout: {error}"));
-                }
-                summary
-            }
-        };
-        chrome(format_args!(
-            "# {} packets in {} windows -> {} bins",
-            summary.packets, summary.chunks, summary.reports
-        ));
-        chrome(format_args!(
-            "rate,bins,lane_observations,ranking_mean,ranking_std,detection_mean,detection_std"
-        ));
-        for point in curve.points() {
-            chrome(format_args!(
-                "{},{},{},{:.6},{:.6},{:.6},{:.6}",
-                point.rate,
-                point.bins,
-                point.observations,
-                point.ranking_mean,
-                point.ranking_std,
-                point.detection_mean,
-                point.detection_std
-            ));
+        let mut builder = workload_builder(
+            definition,
+            60.0,
+            options.runs,
+            seed,
+            options.sampler,
+            options.threads,
+        );
+        if let Some(controller) = options.controller {
+            builder = builder.controller(controller);
         }
+        let mut source = scaled.stream(seed);
+        stream_run(name, "windows", &mut builder.build(), &mut source, options);
         chrome(format_args!(""));
     }
 }
@@ -860,17 +857,18 @@ fn main() {
     if wanted(&options, 11) {
         fig_detection(11, &prefix);
     }
+    let mut sprint = SprintRuns::default();
     if wanted(&options, 12) {
-        fig_trace(12, FlowDefinition::FiveTuple, false, &options);
+        fig_trace(12, FlowDefinition::FiveTuple, false, &options, &mut sprint);
     }
     if wanted(&options, 13) {
-        fig_trace(13, FlowDefinition::PREFIX24, false, &options);
+        fig_trace(13, FlowDefinition::PREFIX24, false, &options, &mut sprint);
     }
     if wanted(&options, 14) {
-        fig_trace(14, FlowDefinition::FiveTuple, true, &options);
+        fig_trace(14, FlowDefinition::FiveTuple, true, &options, &mut sprint);
     }
     if wanted(&options, 15) {
-        fig_trace(15, FlowDefinition::PREFIX24, true, &options);
+        fig_trace(15, FlowDefinition::PREFIX24, true, &options, &mut sprint);
     }
     if wanted(&options, 16) {
         fig16_abilene(&options);

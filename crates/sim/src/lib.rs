@@ -67,8 +67,7 @@ pub use engine::{run_bin, BinResult};
 pub use experiment::{ExperimentConfig, ExperimentResult, TraceExperiment};
 pub use faults::{FaultPlan, FaultySink, FaultySource, InjectedFaults, SinkFault, SourceFault};
 pub use scenarios::{
-    abilene_experiment, sprint_experiment_with_sampler, workload_builder,
-    workload_controlled_monitor, workload_monitor, workload_rate_curve,
+    abilene_experiment, sprint_experiment_with_sampler, workload_builder, workload_rate_curve,
 };
 
 // The monitor is the front door experiments are built on; re-export the

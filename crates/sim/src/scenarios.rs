@@ -6,7 +6,7 @@
 //! affordable in CI; EXPERIMENTS.md records the scale used for
 //! the reported numbers.
 
-use flowrank_monitor::{Monitor, MonitorBuilder, RateCurve, RatePoint, SamplerSpec};
+use flowrank_monitor::{MonitorBuilder, RateCurve, RatePoint, SamplerSpec};
 use flowrank_net::{FlowDefinition, Timestamp};
 use flowrank_trace::{synthesize_packets, AbileneModel, SprintModel, SynthesisConfig, Workload};
 
@@ -49,24 +49,13 @@ pub fn sprint_experiment_with_sampler(
     TraceExperiment::new(&packets, config)
 }
 
-/// Builds the fanned-out streaming monitor behind the scenario experiments:
-/// the `sampler` template at every [`SPRINT_RATES`] rate × `runs` lanes,
-/// with the same per-(rate, run) seed derivation as [`TraceExperiment`].
-pub fn workload_monitor(
-    flow_definition: FlowDefinition,
-    bin_seconds: f64,
-    runs: usize,
-    seed: u64,
-    sampler: SamplerSpec,
-    threads: usize,
-) -> Monitor {
-    workload_builder(flow_definition, bin_seconds, runs, seed, sampler, threads).build()
-}
-
-/// The [`MonitorBuilder`] behind [`workload_monitor`], unbuilt — the
-/// template a multi-tenant fleet clones per tenant (each tenant then gets
-/// its own derived seed and a serial engine) and the single-monitor path
-/// builds directly.
+/// The fanned-out streaming monitor behind the scenario experiments,
+/// unbuilt: the `sampler` template at every [`SPRINT_RATES`] rate × `runs`
+/// lanes, with the same per-(rate, run) seed derivation as
+/// [`TraceExperiment`]. The single-monitor paths build it directly (after
+/// attaching a controller, for `reproduce --controller`); a multi-tenant
+/// fleet clones it per tenant, each tenant getting its own derived seed and
+/// a serial engine.
 pub fn workload_builder(
     flow_definition: FlowDefinition,
     bin_seconds: f64,
@@ -84,24 +73,6 @@ pub fn workload_builder(
         .seed(seed)
         .bin_length(Timestamp::from_secs_f64(bin_seconds))
         .threads(threads)
-}
-
-/// [`workload_monitor`] with a closed-loop rate controller attached: the
-/// same fanned-out grid plus one controlled lane (its own `rate_id` after
-/// the grid) retuned at every bin close — the configuration behind
-/// `reproduce --controller`.
-pub fn workload_controlled_monitor(
-    flow_definition: FlowDefinition,
-    bin_seconds: f64,
-    runs: usize,
-    seed: u64,
-    sampler: SamplerSpec,
-    threads: usize,
-    controller: flowrank_monitor::ControllerSpec,
-) -> Monitor {
-    workload_builder(flow_definition, bin_seconds, runs, seed, sampler, threads)
-        .controller(controller)
-        .build()
 }
 
 /// The binned multi-run experiment over one scenario of the [`Workload`]
@@ -122,7 +93,8 @@ pub fn workload_rate_curve(
     sampler: SamplerSpec,
     threads: usize,
 ) -> Vec<RatePoint> {
-    let mut monitor = workload_monitor(flow_definition, bin_seconds, runs, seed, sampler, threads);
+    let mut monitor =
+        workload_builder(flow_definition, bin_seconds, runs, seed, sampler, threads).build();
     let mut curve = RateCurve::new();
     monitor.drive(&mut workload.stream(seed), &mut curve);
     curve.points()

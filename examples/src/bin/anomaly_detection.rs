@@ -19,7 +19,7 @@
 use std::net::Ipv4Addr;
 
 use flowrank_monitor::{Monitor, SamplerSpec};
-use flowrank_net::{FlowDefinition, Timestamp};
+use flowrank_net::{FlowDefinition, PacketBatch, Timestamp};
 use flowrank_trace::flow_record::{synthetic_key, FlowRecord};
 use flowrank_trace::{synthesize_packets, SprintModel, SynthesisConfig};
 
@@ -44,6 +44,7 @@ fn main() {
     );
 
     let packets = synthesize_packets(&flows, &SynthesisConfig::default(), 13);
+    let batch = PacketBatch::from_records(&packets);
     let rates = [0.001, 0.01, 0.1];
     let runs = 20;
 
@@ -59,14 +60,11 @@ fn main() {
             .top_t(10)
             .seed(99)
             .build();
-        // Drive the trace through the source/sink pipeline (chunked record
-        // conversion, collected reports) — identical to run_trace, but the
-        // same call shape scales to sources that never materialise.
+        // Drive the trace through the source/sink pipeline (one in-memory
+        // batch, collected reports) — identical to run_trace, but the same
+        // call shape scales to sources that never materialise.
         let mut sink = flowrank_monitor::Collect::new();
-        monitor.drive(
-            &mut flowrank_monitor::RecordSource::new(&packets),
-            &mut sink,
-        );
+        monitor.drive(&mut flowrank_monitor::BatchSource::new(&batch), &mut sink);
         let report = &sink.reports[0];
         for &rate in &rates {
             let successes = report

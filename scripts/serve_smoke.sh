@@ -7,7 +7,9 @@
 #   2. the snapshot endpoint answers HTTP polls while the daemon runs, and
 #      SIGINT produces a clean exit with the final line still printed
 #      (graceful shutdown through the StopGate path);
-#   3. the ndjson stdin source ingests records and skips malformed lines.
+#   3. the ndjson stdin source ingests records and skips malformed lines —
+#      junk, a 200 KiB line with no newline in it, and bytes that are not
+#      UTF-8 each count once, and none of them ends the run.
 #
 # Usage: scripts/serve_smoke.sh   (CI runs it after the test suite)
 #
@@ -126,14 +128,20 @@ retain_bins = 4
 EOF
 {
     for i in $(seq 0 99); do
+        # Among the records: a line over the reader's 64 KiB limit, and one
+        # that is not text.
+        if [ "$i" -eq 40 ]; then head -c 204800 /dev/zero | tr '\0' 'x'; echo; fi
+        if [ "$i" -eq 70 ]; then printf '\xff\xfe\n'; fi
         printf '{"ts": %s.%02d, "src": "10.0.0.%d", "sport": 1234, "dst": "100.64.0.9", "dport": 443, "proto": "udp", "len": 900}\n' \
             $((i / 10)) $((i % 10 * 10)) $((i % 8 + 1))
     done
     echo 'not json'
 } > "$workdir/feed.ndjson"
-final=$("$serve" --config "$workdir/ndjson.conf" < "$workdir/feed.ndjson" 2>/dev/null)
+rc=0
+final=$("$serve" --config "$workdir/ndjson.conf" < "$workdir/feed.ndjson" 2>"$workdir/ndjson.err") || rc=$?
+[ "$rc" -eq 0 ] || fail "ndjson run exit code $rc (want 0): $(cat "$workdir/ndjson.err")"
 case "$final" in
-    *'"packets":100'*'"malformed_skipped":1'*) ;;
+    *'"packets":100'*'"malformed_skipped":3'*) ;;
     *) fail "ndjson run: unexpected final line: $final" ;;
 esac
 echo "serve_smoke: ndjson ingest ok"
