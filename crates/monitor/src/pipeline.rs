@@ -1415,6 +1415,7 @@ mod tests {
     use crate::spec::SamplerSpec;
     use flowrank_net::pcap::records_to_pcap_bytes;
     use flowrank_net::Timestamp;
+    use flowrank_stats::rng::{Pcg64, Rng, SeedableRng};
     use flowrank_trace::{PacedReplay, SprintModel, SynthesisConfig, Workload};
     use std::net::Ipv4Addr;
 
@@ -1860,6 +1861,493 @@ mod tests {
             std::iter::from_fn(|| source.next_chunk().map(|_| ())).count(),
             4
         );
+    }
+
+    /// The per-key parse, verbatim from when `parse_ndjson_record` searched
+    /// the line once per field: the oracle the reader is held to.
+    fn oracle_record(line: &str) -> Result<PacketRecord, &'static str> {
+        let ts: f64 = json_raw_value(line, "ts")
+            .and_then(|v| v.parse().ok())
+            .ok_or("missing or invalid \"ts\"")?;
+        if !ts.is_finite() || ts < 0.0 {
+            return Err("\"ts\" must be finite and non-negative");
+        }
+        let src: Ipv4Addr = json_raw_value(line, "src")
+            .and_then(|v| v.parse().ok())
+            .ok_or("missing or invalid \"src\"")?;
+        let dst: Ipv4Addr = json_raw_value(line, "dst")
+            .and_then(|v| v.parse().ok())
+            .ok_or("missing or invalid \"dst\"")?;
+        let sport: u16 = json_raw_value(line, "sport")
+            .and_then(|v| v.parse().ok())
+            .ok_or("missing or invalid \"sport\"")?;
+        let dport: u16 = json_raw_value(line, "dport")
+            .and_then(|v| v.parse().ok())
+            .ok_or("missing or invalid \"dport\"")?;
+        let len: u16 = json_raw_value(line, "len")
+            .and_then(|v| v.parse().ok())
+            .ok_or("missing or invalid \"len\"")?;
+        let timestamp = Timestamp::from_secs_f64(ts);
+        match json_raw_value(line, "proto") {
+            Some("tcp") => {
+                let seq: u32 = match json_raw_value(line, "seq") {
+                    Some(raw) => raw.parse().map_err(|_| "invalid \"seq\"")?,
+                    None => 0,
+                };
+                Ok(PacketRecord::tcp(
+                    timestamp, src, sport, dst, dport, len, seq,
+                ))
+            }
+            Some("udp") => Ok(PacketRecord::udp(timestamp, src, sport, dst, dport, len)),
+            Some(_) => Err("\"proto\" must be \"tcp\" or \"udp\""),
+            None => Err("missing \"proto\""),
+        }
+    }
+
+    /// The oracle for one line of a feed: on the tagged path the tenant tag is
+    /// read, and checked, before the record's fields.
+    fn oracle_line(line: &str, tagged: bool) -> Line {
+        let tenant = match ndjson_tenant(line) {
+            Ok(tenant) if tagged => tenant.unwrap_or(0),
+            Err(reason) if tagged => return Line::Bad(reason),
+            _ => 0,
+        };
+        match oracle_record(line) {
+            // Through the columns and back, like a row read from a chunk.
+            Ok(record) => Line::Row(tenant, PacketBatch::from_records(&[record]).record(0)),
+            Err(reason) => Line::Bad(reason),
+        }
+    }
+
+    /// What the tagged path makes of a feed, whatever its chunks: one entry
+    /// per record and per recoverable error, in stream order.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Line {
+        Row(u32, PacketRecord),
+        Bad(&'static str),
+    }
+
+    /// One poll of the tagged path appended to `seen` — the one place these
+    /// tests know the shape `next_tagged` returns. `false` at end of input.
+    fn tagged_poll<R: io::BufRead>(
+        source: &mut NdjsonRecordSource<R>,
+        seen: &mut Vec<Line>,
+    ) -> bool {
+        match source.next_tagged() {
+            Ok(Some((tenant, chunk))) => {
+                assert!(!chunk.is_empty(), "a chunk holds at least one record");
+                seen.extend(chunk.iter_records().map(|record| Line::Row(tenant, record)));
+            }
+            Ok(None) => return false,
+            Err(SourceError::Malformed(NetError::InvalidField { reason, .. })) => {
+                seen.push(Line::Bad(reason));
+            }
+            Err(error) => panic!("an in-memory feed cannot fail: {error:?}"),
+        }
+        true
+    }
+
+    /// The line-at-a-time reader as a model: split at newlines, skip blank
+    /// lines, one error for a line over the cap or not UTF-8, the oracle for
+    /// the rest.
+    fn line_at_a_time(feed: &[u8], tagged: bool) -> Vec<Line> {
+        let lines = feed.split(|byte| *byte == b'\n').filter_map(|line| {
+            if line.len() > MAX_NDJSON_LINE_BYTES {
+                return Some(Line::Bad("line longer than 64 KiB"));
+            }
+            if line.iter().all(u8::is_ascii_whitespace) {
+                return None;
+            }
+            Some(match std::str::from_utf8(line) {
+                Ok(text) => oracle_line(text, tagged),
+                Err(_) => Line::Bad("line is not valid UTF-8"),
+            })
+        });
+        lines.collect()
+    }
+
+    const NDJSON_KEYS: [&str; 9] = [
+        "ts", "src", "dst", "sport", "dport", "len", "proto", "seq", "tenant",
+    ];
+
+    /// A well-formed record as `"key":value` fields, in the rendering order
+    /// of an exporter; `seq` and `tenant` come and go.
+    fn arbitrary_fields(rng: &mut Pcg64) -> Vec<String> {
+        let address = |rng: &mut Pcg64| Ipv4Addr::from(rng.next_u64() as u32);
+        let tcp = rng.bernoulli(0.5);
+        let mut fields = vec![
+            format!("\"ts\":{}", rng.next_below(1 << 20) as f64 / 64.0),
+            format!("\"src\":\"{}\"", address(rng)),
+            format!("\"sport\":{}", rng.next_u64() as u16),
+            format!("\"dst\":\"{}\"", address(rng)),
+            format!("\"dport\":{}", rng.next_u64() as u16),
+            format!("\"proto\":\"{}\"", if tcp { "tcp" } else { "udp" }),
+            format!("\"len\":{}", rng.next_u64() as u16),
+        ];
+        if tcp && rng.bernoulli(0.7) {
+            fields.push(format!("\"seq\":{}", rng.next_u64() as u32));
+        }
+        if rng.bernoulli(0.5) {
+            fields.push(format!("\"tenant\":{}", rng.next_below(5)));
+        }
+        fields
+    }
+
+    fn render_fields(fields: &[String]) -> String {
+        format!("{{{}}}", fields.join(","))
+    }
+
+    /// Values of every type the grammar reads, right and wrong.
+    const NDJSON_VALUES: &[&str] = &[
+        "0",
+        "1",
+        "1.5",
+        "-3",
+        "1e7",
+        "65535",
+        "65536",
+        "4294967295",
+        "4294967296",
+        "NaN",
+        "inf",
+        "tcp",
+        "udp",
+        "\"tcp\"",
+        "\"udp\"",
+        "\"icmp\"",
+        "10.0.0.1",
+        "\"10.0.0.1\"",
+        "\"256.1.1.1\"",
+        "\"1.2.3\"",
+        "\"\"",
+        "true",
+        "[1]",
+    ];
+
+    /// One piece of token soup: structure, whitespace of both kinds, text of
+    /// one to four bytes a char, every key bare and quoted, and the values.
+    fn soup_token(rng: &mut Pcg64) -> &'static str {
+        const TOKENS: &[&str] = &[
+            "\"",
+            "\"",
+            "\"",
+            "\"",
+            ":",
+            ":",
+            ":",
+            ",",
+            ",",
+            "{",
+            "}",
+            "[",
+            "]",
+            " ",
+            " ",
+            "\t",
+            "\r",
+            "\x0b",
+            "\x0c",
+            "\n",
+            "\u{a0}",
+            "\u{2003}",
+            "\u{85}",
+            "\u{3000}",
+            "\u{e9}",
+            "\u{65e5}\u{672c}",
+            "\u{1f980}",
+            "x",
+            "\\",
+        ];
+        match rng.next_below(4) {
+            0 => NDJSON_KEYS[rng.index(NDJSON_KEYS.len())],
+            1 => [
+                "\"ts\"",
+                "\"src\"",
+                "\"dst\"",
+                "\"sport\"",
+                "\"dport\"",
+                "\"len\"",
+                "\"proto\"",
+                "\"seq\"",
+                "\"tenant\"",
+            ][rng.index(9)],
+            2 => NDJSON_VALUES[rng.index(NDJSON_VALUES.len())],
+            _ => TOKENS[rng.index(TOKENS.len())],
+        }
+    }
+
+    /// A seeded arbitrary line: soup, or a well-formed record, whole or broken
+    /// in one of the ways a grammar of keys and quotes can be.
+    fn arbitrary_line(rng: &mut Pcg64) -> String {
+        let mut fields = arbitrary_fields(rng);
+        let any_key = |rng: &mut Pcg64| NDJSON_KEYS[rng.index(NDJSON_KEYS.len())];
+        match rng.next_below(11) {
+            0 | 1 => return (0..1 + rng.index(24)).map(|_| soup_token(rng)).collect(),
+            2 => {}
+            3 => rng.shuffle(&mut fields),
+            4 => {
+                // One char becomes another.
+                let mut chars: Vec<char> = render_fields(&fields).chars().collect();
+                let at = rng.index(chars.len());
+                chars[at] = match rng.next_below(3) {
+                    0 => soup_token(rng).chars().next().expect("no token is empty"),
+                    _ => (rng.next_below(0x5f) as u8 + 0x20) as char,
+                };
+                return chars.into_iter().collect();
+            }
+            5 => {
+                // One value becomes another, of any type.
+                let at = rng.index(fields.len());
+                let key = fields[at].split(':').next().expect("a key").to_string();
+                fields[at] = format!("{key}:{}", NDJSON_VALUES[rng.index(NDJSON_VALUES.len())]);
+            }
+            6 => {
+                // A duplicated key: the first occurrence wins, wherever it is.
+                let twin = arbitrary_fields(rng).swap_remove(rng.index(7));
+                fields.insert(rng.index(fields.len() + 1), twin);
+            }
+            7 => {
+                // A key as another key's string value, or as an unknown one's.
+                let holder = if rng.bernoulli(0.5) {
+                    "note"
+                } else {
+                    any_key(rng)
+                };
+                let field = format!("\"{holder}\":\"{}\"", any_key(rng));
+                fields.insert(rng.index(fields.len() + 1), field);
+            }
+            8 => {
+                // A missing colon.
+                let at = rng.index(fields.len());
+                fields[at] = fields[at].replacen(':', " ", 1);
+            }
+            9 => {
+                // An unterminated string: the line stops somewhere inside.
+                let line = render_fields(&fields);
+                return line[..rng.index(line.len())].to_string();
+            }
+            _ => {
+                // An unknown field with text the walk must step over, and
+                // whitespace of both kinds wherever JSON allows it.
+                let note = "\"note\":\"\u{65e5}\u{672c} {'ts': 9}, \u{e9}:\"".to_string();
+                fields.insert(rng.index(fields.len() + 1), note);
+                let gap = ["", " ", "\t ", "\u{a0}", "\u{2003} "][rng.index(5)];
+                return render_fields(&fields)
+                    .replace(':', &format!("{gap}:{gap}"))
+                    .replace(',', &format!("{gap},{gap}"));
+            }
+        }
+        render_fields(&fields)
+    }
+
+    #[test]
+    fn ndjson_reader_agrees_with_the_per_key_oracle_on_arbitrary_lines() {
+        const LINES: usize = 200_000;
+        let mut rng = Pcg64::seed_from_u64(0x0d15_ea5e);
+        let (mut rows, mut reasons) = (0usize, std::collections::BTreeSet::new());
+        let mut feed = String::new();
+        for _ in 0..LINES / 1000 {
+            feed.clear();
+            for _ in 0..1000 {
+                let line = arbitrary_line(&mut rng);
+                assert_eq!(parse_ndjson_record(&line), oracle_record(&line), "{line:?}");
+                feed.push_str(&line);
+                feed.push('\n');
+            }
+            // The tagged path, a thousand lines a feed (a soup line with a
+            // newline in it is two lines to both sides).
+            let expected = line_at_a_time(feed.as_bytes(), true);
+            let mut source = NdjsonRecordSource::new(feed.as_bytes());
+            let mut seen = Vec::with_capacity(expected.len());
+            while tagged_poll(&mut source, &mut seen) {}
+            assert_eq!(seen.len(), expected.len());
+            for (seen, expected) in seen.iter().zip(&expected) {
+                assert_eq!(seen, expected);
+                match seen {
+                    Line::Row(..) => rows += 1,
+                    Line::Bad(reason) => drop(reasons.insert(*reason)),
+                }
+            }
+        }
+        // The generator reaches both outcomes and every reason the parser has.
+        assert!(rows > LINES / 10, "{rows} records");
+        assert_eq!(reasons.len(), 11, "{reasons:?}");
+    }
+
+    /// A `BufRead` that hands `feed` out in the fragments `cuts` (end offsets)
+    /// make of it, like a pipe whose reads return what they return. Given a
+    /// `strict` flag it raises it on every read that delivers the end of a
+    /// line and panics when it is read again with the flag up: the caller
+    /// lowers it each time the source returns.
+    struct Fragments<'a> {
+        feed: &'a [u8],
+        cuts: std::vec::IntoIter<usize>,
+        buffered: std::ops::Range<usize>,
+        strict: Option<&'a std::cell::Cell<bool>>,
+    }
+
+    impl<'a> Fragments<'a> {
+        fn new(feed: &'a [u8], mut cuts: Vec<usize>) -> Self {
+            cuts.retain(|cut| (1..feed.len()).contains(cut));
+            cuts.sort_unstable();
+            cuts.dedup();
+            cuts.push(feed.len());
+            Fragments {
+                feed,
+                cuts: cuts.into_iter(),
+                buffered: 0..0,
+                strict: None,
+            }
+        }
+    }
+
+    impl io::Read for Fragments<'_> {
+        fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
+            let available = io::BufRead::fill_buf(self)?;
+            let n = available.len().min(out.len());
+            out[..n].copy_from_slice(&available[..n]);
+            io::BufRead::consume(self, n);
+            Ok(n)
+        }
+    }
+
+    impl io::BufRead for Fragments<'_> {
+        fn fill_buf(&mut self) -> io::Result<&[u8]> {
+            if self.buffered.is_empty() {
+                let up = self.strict.is_some_and(std::cell::Cell::get);
+                assert!(!up, "read again with a complete line in hand");
+                if let Some(end) = self.cuts.next() {
+                    self.buffered = self.buffered.end..end;
+                    let line_delivered = self.feed[self.buffered.clone()].contains(&b'\n');
+                    if let Some(flag) = self.strict {
+                        flag.set(line_delivered);
+                    }
+                }
+            }
+            Ok(&self.feed[self.buffered.clone()])
+        }
+
+        fn consume(&mut self, n: usize) {
+            self.buffered.start += n;
+            assert!(self.buffered.start <= self.buffered.end);
+        }
+    }
+
+    /// Seeded cuts over `len` bytes: mostly a few bytes apart, now and then a
+    /// single byte or up to 70 KiB, plus the `forced` offsets.
+    fn arbitrary_cuts(rng: &mut Pcg64, len: usize, forced: &[usize]) -> Vec<usize> {
+        let mut cuts = forced.to_vec();
+        let mut at = 0;
+        while at < len {
+            at += match rng.next_below(8) {
+                0 => 1,
+                1 => 1 + rng.index(70 << 10),
+                2 => 1 + rng.index(4 << 10),
+                _ => 1 + rng.index(200),
+            };
+            cuts.push(at);
+        }
+        cuts
+    }
+
+    /// A feed with everything the framing has to get right, and the offsets
+    /// worth cutting at: inside a multi-byte sequence and around the cap.
+    fn awkward_feed(rng: &mut Pcg64) -> (Vec<u8>, Vec<usize>) {
+        let mut feed = Vec::new();
+        let mut forced = Vec::new();
+        for _ in 0..600 {
+            let record = render_fields(&arbitrary_fields(rng));
+            match rng.next_below(16) {
+                0 => feed.extend_from_slice(b"not json"),
+                1 => feed.extend_from_slice(b"\xff\xfe"),
+                2 => feed.extend_from_slice(b" \t"), // blank, like the empty line
+                3 => {}
+                4 => feed.extend_from_slice(format!("{record}\r").as_bytes()),
+                5 => {
+                    forced.push(feed.len() + 10); // inside the first char of the note
+                    feed.extend_from_slice("{\"note\":\"\u{65e5}\u{672c}\",".as_bytes());
+                    feed.extend_from_slice(&record.as_bytes()[1..]);
+                }
+                6 => {
+                    // At the cap a line is a record; one byte over it is not.
+                    let width = MAX_NDJSON_LINE_BYTES + rng.index(2);
+                    forced.extend([feed.len() + MAX_NDJSON_LINE_BYTES, feed.len() + width + 1]);
+                    feed.extend_from_slice(record.as_bytes());
+                    feed.resize(feed.len() + width - record.len(), b' ');
+                }
+                7 if rng.bernoulli(0.2) => feed.extend(std::iter::repeat_n(b'x', 200 << 10)),
+                _ => feed.extend_from_slice(arbitrary_line(rng).replace('\n', " ").as_bytes()),
+            }
+            feed.push(b'\n');
+        }
+        // The last line has no newline behind it.
+        feed.extend_from_slice(render_fields(&arbitrary_fields(rng)).as_bytes());
+        (feed, forced)
+    }
+
+    #[test]
+    fn ndjson_chunks_are_invariant_under_how_reads_cut_the_feed() {
+        for seed in 0..12 {
+            let mut rng = Pcg64::seed_from_u64(0xf7a6 + seed);
+            let (feed, forced) = awkward_feed(&mut rng);
+            let expected = line_at_a_time(&feed, true);
+            assert!(expected.len() > 400, "{} lines", expected.len());
+            for forced in [&forced[..], &[]] {
+                let cuts = arbitrary_cuts(&mut rng, feed.len(), forced);
+                let mut source = NdjsonRecordSource::new(Fragments::new(&feed, cuts));
+                let mut seen = Vec::with_capacity(expected.len());
+                while tagged_poll(&mut source, &mut seen) {}
+                assert_eq!(seen, expected, "seed {seed}");
+            }
+            // The untagged polls never look at the tag; these go through a
+            // real `BufReader`, smaller than some of the lines.
+            let mut packets = Vec::new();
+            let mut bad = 0;
+            for line in line_at_a_time(&feed, false) {
+                match line {
+                    Line::Row(_, record) => packets.push(record.timestamp.as_nanos()),
+                    Line::Bad(_) => bad += 1,
+                }
+            }
+            let cuts = arbitrary_cuts(&mut rng, feed.len(), &forced);
+            let reader = io::BufReader::with_capacity(300, Fragments::new(&feed, cuts));
+            let mut source = NdjsonRecordSource::new(reader);
+            assert_eq!(
+                pull(&mut source, 1, false),
+                (packets, bad, false),
+                "seed {seed}"
+            );
+        }
+    }
+
+    #[test]
+    fn ndjson_step_returns_what_has_arrived_before_it_reads_again() {
+        // No blank lines here: a read that delivers the end of a line delivers
+        // a record or an error, and the source has to hand that over before
+        // it touches the reader again.
+        let mut rng = Pcg64::seed_from_u64(0x0574_71c7);
+        let mut feed = Vec::new();
+        for _ in 0..2000 {
+            let line = match rng.next_below(20) {
+                0 => "not json".to_string(),
+                _ => render_fields(&arbitrary_fields(&mut rng)),
+            };
+            feed.extend_from_slice(line.as_bytes());
+            feed.push(b'\n');
+        }
+        let expected = line_at_a_time(&feed, true);
+        for _ in 0..8 {
+            let line_delivered = std::cell::Cell::new(false);
+            let cuts = arbitrary_cuts(&mut rng, feed.len(), &[]);
+            let mut reader = Fragments::new(&feed, cuts);
+            reader.strict = Some(&line_delivered);
+            let mut source = NdjsonRecordSource::new(reader);
+            let mut seen = Vec::with_capacity(expected.len());
+            while tagged_poll(&mut source, &mut seen) {
+                line_delivered.set(false);
+            }
+            assert_eq!(seen, expected);
+        }
     }
 
     #[test]
