@@ -34,8 +34,9 @@
 //!   window, resuming decode at the committed record boundary each time the
 //!   file grows.
 //! * [`NdjsonRecordSource`] — one packet record per JSON line from any
-//!   `BufRead` (stdin, a socket), optionally tenant-tagged; blocking, one
-//!   record per chunk, lines bounded at 64 KiB.
+//!   `BufRead` (stdin, a socket), optionally tenant-tagged; blocking, a
+//!   chunk is every complete line one read delivered, lines bounded at
+//!   64 KiB.
 //! * [`ChannelSource`] — non-blocking mpsc adapter that turns any blocking
 //!   feed running on its own thread into a pollable source.
 //! * [`flowrank_trace::PacedReplay`] — a scenario workload metered out on
@@ -545,14 +546,16 @@ const MAX_NDJSON_LINE_BYTES: usize = 64 * 1024;
 ///
 /// `ts` is seconds from the start of the measurement (non-decreasing, per
 /// the push contract), `proto` is `"tcp"` or `"udp"`, `seq` is optional.
-/// Parsing is a permissive field scan, not a general JSON parser: fields may
+/// Parsing is a permissive field walk, not a general JSON parser: fields may
 /// appear in any order, unknown fields are ignored.
 ///
-/// Each chunk is one line, so ingest latency is one record; wrap in
-/// [`Chunked`]'s inverse — a batching channel feeder
-/// ([`ChannelSource`]) — when a hot feed needs bigger chunks. A malformed
-/// line is a *recoverable* [`SourceError::Malformed`]: the line has been
-/// consumed, and under
+/// Each chunk is what has arrived: one `fill_buf` of the reader, and every
+/// complete line in it (at most [`DEFAULT_CHUNK_PACKETS`]), so a busy feed is
+/// read in chunks as large as the reader's buffer and a quiet one a record
+/// at a time — the source never reads again with records in hand. A
+/// malformed line is a *recoverable* [`SourceError::Malformed`], ordered
+/// between the records around it: the chunk ends in front of the line, the
+/// next poll returns the error with the line consumed, and under
 /// [`DrivePolicy::skip_malformed`](crate::DrivePolicy::skip_malformed) the
 /// drive loop counts it and keeps going. That covers the two shapes a byte
 /// stream the daemon does not control can take: a line longer than 64 KiB
@@ -565,9 +568,12 @@ const MAX_NDJSON_LINE_BYTES: usize = 64 * 1024;
 #[derive(Debug)]
 pub struct NdjsonRecordSource<R> {
     reader: R,
-    /// The current line, without its newline; allocated once, at the limit.
+    /// A line the reader's buffer did not hold whole, without its newline;
+    /// allocated once, at the limit.
     line: Vec<u8>,
     batch: PacketBatch,
+    /// The tenant tag of each row of `batch`, filled by the tagged polls.
+    tenants: Vec<u32>,
 }
 
 impl<R: io::BufRead> NdjsonRecordSource<R> {
@@ -577,32 +583,76 @@ impl<R: io::BufRead> NdjsonRecordSource<R> {
             reader,
             line: Vec::with_capacity(MAX_NDJSON_LINE_BYTES + 1),
             batch: PacketBatch::new(),
+            tenants: Vec::new(),
         }
     }
 
-    /// The next record as a one-packet chunk, with the `"tenant"` tag of its
-    /// line (0 when the line carries none) — the tenant-tagged form of
+    /// The next chunk with the `"tenant"` tag of each of its lines beside it
+    /// (0 where a line carries none) — the tenant-tagged form of
     /// [`PacketSource::try_next_chunk`]. A tag that is not a `u32` makes the
     /// line malformed.
-    pub fn next_tagged(&mut self) -> Result<Option<(u32, &PacketBatch)>, SourceError> {
-        Ok(self.step(true)?.map(|tenant| (tenant, &self.batch)))
+    pub fn next_tagged(&mut self) -> Result<Option<(&[u32], &PacketBatch)>, SourceError> {
+        Ok(self.step(true)?.then_some((&self.tenants, &self.batch)))
     }
 
-    /// Reads the next record into `self.batch` and returns its tenant tag,
-    /// parsed only when `tagged` (0 otherwise); `Ok(None)` at end of input.
-    fn step(&mut self, tagged: bool) -> Result<Option<u32>, SourceError> {
-        let Some(line) = next_ndjson_line(&mut self.reader, &mut self.line)? else {
-            return Ok(None);
+    /// Reads the next chunk into `self.batch` — and its tenant tags, parsed
+    /// only when `tagged`, into `self.tenants`; `Ok(false)` at end of input.
+    fn step(&mut self, tagged: bool) -> Result<bool, SourceError> {
+        let NdjsonRecordSource {
+            reader,
+            line,
+            batch,
+            tenants,
+        } = self;
+        batch.clear();
+        tenants.clear();
+        let mut tenants = tagged.then_some(tenants);
+        // What has arrived: the complete lines of one `fill_buf`, up to the
+        // first that is not a record.
+        let buffered = loop {
+            match reader.fill_buf() {
+                Ok(buffered) => break buffered,
+                Err(error) if error.kind() == io::ErrorKind::Interrupted => {}
+                Err(error) => return Err(SourceError::Fatal(NetError::Io(error))),
+            }
         };
-        let tenant = if tagged {
-            ndjson_tenant(line).map_err(malformed_record)?.unwrap_or(0)
-        } else {
-            0
+        let mut taken = 0;
+        while batch.len() < DEFAULT_CHUNK_PACKETS {
+            let Some(end) = find(buffered, taken, |byte| byte == b'\n') else {
+                break;
+            };
+            let framed = &buffered[taken..end];
+            if framed.len() > MAX_NDJSON_LINE_BYTES {
+                break;
+            }
+            if !framed.iter().all(u8::is_ascii_whitespace) {
+                let Ok(text) = std::str::from_utf8(framed) else {
+                    break;
+                };
+                match push_ndjson_line(text, tenants.as_deref_mut(), batch) {
+                    Ok(()) => {}
+                    // In front of everything else it is this poll's error.
+                    Err(reason) if batch.is_empty() => {
+                        reader.consume(end + 1);
+                        return Err(malformed_record(reason));
+                    }
+                    Err(_) => break,
+                }
+            }
+            taken = end + 1;
+        }
+        reader.consume(taken);
+        if !batch.is_empty() {
+            return Ok(true);
+        }
+        // With no record in hand the next line is one the buffer does not
+        // hold whole, over the cap or not UTF-8: it goes through the bounded
+        // framing, alone.
+        let Some(text) = next_ndjson_line(reader, line)? else {
+            return Ok(false);
         };
-        let record = parse_ndjson_record(line).map_err(malformed_record)?;
-        self.batch.clear();
-        self.batch.push_record(&record);
-        Ok(Some(tenant))
+        push_ndjson_line(text, tenants, batch).map_err(malformed_record)?;
+        Ok(true)
     }
 }
 
@@ -611,15 +661,15 @@ impl<R: io::BufRead> PacketSource for NdjsonRecordSource<R> {
     fn next_chunk(&mut self) -> Option<&PacketBatch> {
         loop {
             match self.step(false) {
-                Ok(Some(_)) => return Some(&self.batch),
+                Ok(true) => return Some(&self.batch),
                 Err(error) if error.is_recoverable() => continue,
-                Ok(None) | Err(_) => return None,
+                Ok(false) | Err(_) => return None,
             }
         }
     }
 
     fn try_next_chunk(&mut self) -> Result<Option<&PacketBatch>, SourceError> {
-        Ok(self.step(false)?.map(|_| &self.batch))
+        Ok(self.step(false)?.then_some(&self.batch))
     }
 }
 
@@ -662,7 +712,170 @@ fn next_ndjson_line<'l>(
     }
 }
 
-/// Extracts the raw value text of `"key": <value>` from one JSON line.
+/// The offset of the first byte of `bytes` at or behind `from` that `stops`
+/// accepts.
+fn find(bytes: &[u8], from: usize, stops: impl Fn(u8) -> bool) -> Option<usize> {
+    let found = bytes[from..].iter().position(|byte| stops(*byte));
+    found.map(|offset| from + offset)
+}
+
+/// `str::trim_start` as an offset: the first byte of `line` at or behind `at`
+/// that is not whitespace. A char is decoded only where a byte is not ASCII.
+fn skip_whitespace(line: &str, mut at: usize) -> usize {
+    loop {
+        match line.as_bytes().get(at) {
+            Some(b' ' | b'\t'..=b'\r') => at += 1,
+            Some(byte) if !byte.is_ascii() => match line[at..].chars().next() {
+                Some(space) if space.is_whitespace() => at += space.len_utf8(),
+                _ => return at,
+            },
+            _ => return at,
+        }
+    }
+}
+
+/// The raw value text of the nine fields a record line is read for — `ts`,
+/// `src`, `dst`, `sport`, `dport`, `len`, `proto`, `seq`, `tenant`, in that
+/// order — from one walk over the line's bytes.
+///
+/// The walk goes from one quoted token to the next. A token is a key where a
+/// `:` follows it; the first occurrence of a key decides it, so one with no
+/// `:` behind it is absent however often it recurs. A string value is taken
+/// to its closing quote and stepped over whole, so key-like text inside one
+/// is never a key; a bare value runs to the next `,` or `}` and the walk goes
+/// on right behind its key. A string that never closes ends the walk.
+fn json_raw_values(line: &str) -> [Option<&str>; 9] {
+    let bytes = line.as_bytes();
+    let quote = |from: usize| find(bytes, from, |byte| byte == b'"');
+    let mut values = [None; 9];
+    let mut decided = [false; 9];
+    let mut at = 0;
+    while let Some(open) = quote(at) {
+        let Some(close) = quote(open + 1) else {
+            break;
+        };
+        at = close + 1;
+        let slot = match &bytes[open + 1..close] {
+            b"ts" => Some(0),
+            b"src" => Some(1),
+            b"dst" => Some(2),
+            b"sport" => Some(3),
+            b"dport" => Some(4),
+            b"len" => Some(5),
+            b"proto" => Some(6),
+            b"seq" => Some(7),
+            b"tenant" => Some(8),
+            _ => None,
+        };
+        let undecided = slot.filter(|slot| !std::mem::replace(&mut decided[*slot], true));
+        let colon = skip_whitespace(line, at);
+        if bytes.get(colon) != Some(&b':') {
+            continue;
+        }
+        let value = skip_whitespace(line, colon + 1);
+        if bytes.get(value) == Some(&b'"') {
+            let Some(end) = quote(value + 1) else {
+                break;
+            };
+            if let Some(slot) = undecided {
+                values[slot] = Some(&line[value + 1..end]);
+            }
+            at = end + 1;
+        } else if let Some(slot) = undecided {
+            // A quote inside the value opens the next token, so the walk
+            // skips the value only when it holds none.
+            let stop = match find(bytes, value, |byte| matches!(byte, b',' | b'}' | b'"')) {
+                Some(inner) if bytes[inner] == b'"' => {
+                    find(bytes, inner, |byte| matches!(byte, b',' | b'}'))
+                }
+                stop => stop.inspect(|stop| at = *stop),
+            };
+            values[slot] = Some(line[value..stop.unwrap_or(line.len())].trim_end());
+        }
+    }
+    values
+}
+
+/// Parses one ndjson packet-record line (`{"ts":…,"src":…,"dst":…,"sport":…,
+/// "dport":…,"len":…,"proto":"tcp"|"udp"[,"seq":…]}`) into a
+/// [`PacketRecord`].
+///
+/// This is the exact parser [`NdjsonRecordSource`] runs on every line: one
+/// walk over the line for the raw text of every field, then the typed
+/// conversions — the source is what listeners read through; the function is
+/// exposed for harnesses that price or cross-check the grammar on its own.
+/// Unknown fields are ignored and field order is free, so a tagged record
+/// (an extra `"tenant"` field, read by [`NdjsonRecordSource::next_tagged`])
+/// parses identically to an untagged one.
+pub fn parse_ndjson_record(line: &str) -> Result<PacketRecord, &'static str> {
+    ndjson_record(&json_raw_values(line))
+}
+
+/// The typed conversions of [`parse_ndjson_record`] over the raw fields.
+fn ndjson_record(raw: &[Option<&str>; 9]) -> Result<PacketRecord, &'static str> {
+    let [ts, src, dst, sport, dport, len, proto, seq, _tenant] = *raw;
+    let ts: f64 = ts
+        .and_then(|v| v.parse().ok())
+        .ok_or("missing or invalid \"ts\"")?;
+    if !ts.is_finite() || ts < 0.0 {
+        return Err("\"ts\" must be finite and non-negative");
+    }
+    let src: std::net::Ipv4Addr = src
+        .and_then(|v| v.parse().ok())
+        .ok_or("missing or invalid \"src\"")?;
+    let dst: std::net::Ipv4Addr = dst
+        .and_then(|v| v.parse().ok())
+        .ok_or("missing or invalid \"dst\"")?;
+    let sport: u16 = sport
+        .and_then(|v| v.parse().ok())
+        .ok_or("missing or invalid \"sport\"")?;
+    let dport: u16 = dport
+        .and_then(|v| v.parse().ok())
+        .ok_or("missing or invalid \"dport\"")?;
+    let len: u16 = len
+        .and_then(|v| v.parse().ok())
+        .ok_or("missing or invalid \"len\"")?;
+    let timestamp = Timestamp::from_secs_f64(ts);
+    match proto {
+        Some("tcp") => {
+            let seq: u32 = match seq {
+                Some(raw) => raw.parse().map_err(|_| "invalid \"seq\"")?,
+                None => 0,
+            };
+            Ok(PacketRecord::tcp(
+                timestamp, src, sport, dst, dport, len, seq,
+            ))
+        }
+        Some("udp") => Ok(PacketRecord::udp(timestamp, src, sport, dst, dport, len)),
+        Some(_) => Err("\"proto\" must be \"tcp\" or \"udp\""),
+        None => Err("missing \"proto\""),
+    }
+}
+
+/// Appends the record of one line to `batch` — and, on the tagged path, its
+/// tenant tag (0 when the line carries none) to `tenants`; a tag that is not
+/// a `u32` is refused before the record's fields are looked at.
+fn push_ndjson_line(
+    line: &str,
+    tenants: Option<&mut Vec<u32>>,
+    batch: &mut PacketBatch,
+) -> Result<(), &'static str> {
+    let raw = json_raw_values(line);
+    let tenant = match (raw[8], &tenants) {
+        (Some(tag), Some(_)) => tag.parse().map_err(|_| "invalid \"tenant\"")?,
+        _ => 0,
+    };
+    batch.push_record(&ndjson_record(&raw)?);
+    if let Some(tenants) = tenants {
+        tenants.push(tenant);
+    }
+    Ok(())
+}
+
+/// Extracts the raw value text of `"key": <value>` from one JSON line: the
+/// per-key search `json_raw_values` replaced, kept as the oracle of the
+/// differential test.
+#[cfg(test)]
 fn json_raw_value<'l>(line: &'l str, key: &str) -> Option<&'l str> {
     let mut search = line;
     let mut base = 0usize;
@@ -696,58 +909,10 @@ fn json_raw_value<'l>(line: &'l str, key: &str) -> Option<&'l str> {
     }
 }
 
-/// Parses one ndjson packet-record line (`{"ts":…,"src":…,"dst":…,"sport":…,
-/// "dport":…,"len":…,"proto":"tcp"|"udp"[,"seq":…]}`) into a
-/// [`PacketRecord`].
-///
-/// This is the exact parser [`NdjsonRecordSource`] runs on every line — the
-/// source is what listeners read through; the function is exposed for
-/// harnesses that price or cross-check the grammar on its own. Unknown
-/// fields are ignored and field order is free, so a tagged record (an extra
-/// `"tenant"` field, read by [`NdjsonRecordSource::next_tagged`]) parses
-/// identically to an untagged one.
-pub fn parse_ndjson_record(line: &str) -> Result<PacketRecord, &'static str> {
-    let ts: f64 = json_raw_value(line, "ts")
-        .and_then(|v| v.parse().ok())
-        .ok_or("missing or invalid \"ts\"")?;
-    if !ts.is_finite() || ts < 0.0 {
-        return Err("\"ts\" must be finite and non-negative");
-    }
-    let src: std::net::Ipv4Addr = json_raw_value(line, "src")
-        .and_then(|v| v.parse().ok())
-        .ok_or("missing or invalid \"src\"")?;
-    let dst: std::net::Ipv4Addr = json_raw_value(line, "dst")
-        .and_then(|v| v.parse().ok())
-        .ok_or("missing or invalid \"dst\"")?;
-    let sport: u16 = json_raw_value(line, "sport")
-        .and_then(|v| v.parse().ok())
-        .ok_or("missing or invalid \"sport\"")?;
-    let dport: u16 = json_raw_value(line, "dport")
-        .and_then(|v| v.parse().ok())
-        .ok_or("missing or invalid \"dport\"")?;
-    let len: u16 = json_raw_value(line, "len")
-        .and_then(|v| v.parse().ok())
-        .ok_or("missing or invalid \"len\"")?;
-    let timestamp = Timestamp::from_secs_f64(ts);
-    match json_raw_value(line, "proto") {
-        Some("tcp") => {
-            let seq: u32 = match json_raw_value(line, "seq") {
-                Some(raw) => raw.parse().map_err(|_| "invalid \"seq\"")?,
-                None => 0,
-            };
-            Ok(PacketRecord::tcp(
-                timestamp, src, sport, dst, dport, len, seq,
-            ))
-        }
-        Some("udp") => Ok(PacketRecord::udp(timestamp, src, sport, dst, dport, len)),
-        Some(_) => Err("\"proto\" must be \"tcp\" or \"udp\""),
-        None => Err("missing \"proto\""),
-    }
-}
-
 /// Reads the optional `"tenant"` field of an ndjson record line: `Ok(None)`
 /// when the line carries no tenant tag, `Err` when it carries one that is
-/// not a `u32`.
+/// not a `u32` — the oracle of the tagged path's tag.
+#[cfg(test)]
 fn ndjson_tenant(line: &str) -> Result<Option<u32>, &'static str> {
     match json_raw_value(line, "tenant") {
         None => Ok(None),
@@ -1848,19 +2013,20 @@ mod tests {
         let mut tag = || {
             source
                 .next_tagged()
-                .map(|r| r.map(|(tenant, batch)| (tenant, batch.len())))
+                .map(|r| r.map(|(tenants, batch)| (tenants.to_vec(), batch.len())))
         };
-        assert_eq!(tag().unwrap(), Some((7, 1)));
-        assert_eq!(tag().unwrap(), Some((0, 1)), "untagged lines are tenant 0");
+        assert_eq!(
+            tag().unwrap(),
+            Some((vec![7, 0], 2)),
+            "untagged is tenant 0"
+        );
         assert!(tag().expect_err("a tag that is no u32").is_recoverable());
-        assert_eq!(tag().unwrap(), Some((2, 1)));
+        assert_eq!(tag().unwrap(), Some((vec![2], 1)));
         assert_eq!(tag().unwrap(), None);
         // The untagged polls never look at the tag.
         let mut source = NdjsonRecordSource::new(feed.as_bytes());
-        assert_eq!(
-            std::iter::from_fn(|| source.next_chunk().map(|_| ())).count(),
-            4
-        );
+        let packets = std::iter::from_fn(|| source.next_chunk().map(PacketBatch::len));
+        assert_eq!(packets.sum::<usize>(), 4);
     }
 
     /// The per-key parse, verbatim from when `parse_ndjson_record` searched
@@ -1934,9 +2100,11 @@ mod tests {
         seen: &mut Vec<Line>,
     ) -> bool {
         match source.next_tagged() {
-            Ok(Some((tenant, chunk))) => {
+            Ok(Some((tenants, chunk))) => {
                 assert!(!chunk.is_empty(), "a chunk holds at least one record");
-                seen.extend(chunk.iter_records().map(|record| Line::Row(tenant, record)));
+                assert_eq!(tenants.len(), chunk.len(), "a tag a row");
+                let rows = tenants.iter().zip(chunk.iter_records());
+                seen.extend(rows.map(|(tenant, record)| Line::Row(*tenant, record)));
             }
             Ok(None) => return false,
             Err(SourceError::Malformed(NetError::InvalidField { reason, .. })) => {

@@ -11,8 +11,10 @@
 //!   usual ndjson record with an extra `"tenant": <id>` field (records
 //!   without one belong to tenant 0). Lines are read through the stdin
 //!   path's source ([`NdjsonRecordSource::next_tagged`]: same grammar, same
-//!   64 KiB line limit, a bad line is one skipped record), tagged, and
-//!   demultiplexed by the fleet — the one-decode-pass path end to end.
+//!   64 KiB line limit, a bad line is one skipped record) a chunk at a time —
+//!   every complete line that has arrived, its tags beside it — and pushed to
+//!   the fleet's demultiplexer 512 records a window however the pipe cut
+//!   them: the one-decode-pass path end to end.
 //!
 //! Every pushed window refreshes the snapshot endpoint with a fleet-wide
 //! JSON state: totals plus the busiest tenants, so a poller watching a
@@ -60,12 +62,17 @@ pub struct FleetFinal {
 struct Totals {
     reports: u64,
     evictions: u64,
+    /// Every delivered report, folded: what two runs are compared by.
+    #[cfg(test)]
+    digest: flowrank_monitor::DigestSink,
 }
 
 impl FleetSink for Totals {
     fn accept(&mut self, _tenant: TenantId, report: &BinReport) {
         self.reports += 1;
         self.evictions += report.evictions;
+        #[cfg(test)]
+        flowrank_monitor::ReportSink::accept(&mut self.digest, report);
     }
 }
 
@@ -137,9 +144,11 @@ pub fn run_fleet(
     }
 }
 
-/// The tenant-tagged record path: pull each record with its tenant tag from
-/// the ndjson source, accumulate a [`TaggedBatch`], and push it through the
-/// fleet's one demux pass.
+/// The tenant-tagged record path: pull each chunk of records with its tenant
+/// tags from the ndjson source, append it to a [`TaggedBatch`] by same-tenant
+/// runs, and push that through the fleet's one demux pass every
+/// [`RECORDS_PER_PUSH`] records — cut there exactly, so the windows the fleet
+/// sees are a function of the input and not of how the pipe delivered it.
 fn drive_records<R: BufRead>(
     fleet: &mut Fleet,
     reader: R,
@@ -155,40 +164,66 @@ fn drive_records<R: BufRead>(
     let mut source = NdjsonRecordSource::new(reader);
     let mut tagged = TaggedBatch::new();
     loop {
-        // One decode pass: tenant tag and record come from the same line;
-        // the fleet only copies columns.
-        let eof = match source.next_tagged() {
-            Ok(Some((tenant, _))) if tenant >= tenants => {
-                unknown += 1;
-                false
+        // One decode pass: tenant tags and records come from the same walk
+        // over each line; the fleet only copies columns.
+        let mut ending = false;
+        match source.next_tagged() {
+            Ok(Some((tags, records))) => {
+                let mut at = 0;
+                while at < tags.len() && !ending {
+                    // One same-tenant run, cut at the room left in this push.
+                    let tenant = tags[at];
+                    let room = RECORDS_PER_PUSH - tagged.len();
+                    let same = tags[at..].iter().take(room);
+                    let run = at..at + same.take_while(|tag| **tag == tenant).count();
+                    at = run.end;
+                    if tenant >= tenants {
+                        unknown += run.len() as u64;
+                    } else {
+                        tagged.extend_from_batch(TenantId(tenant), records, run);
+                    }
+                    // A stop seen between two runs leaves the rest of the
+                    // chunk as unread as the bytes behind it in the pipe.
+                    ending = stop.load(Ordering::Acquire);
+                    if tagged.len() == RECORDS_PER_PUSH {
+                        push_window(fleet, &mut tagged, totals, malformed, publisher, scratch)?;
+                        ending |= config.max_bins > 0 && totals.reports >= config.max_bins;
+                    }
+                }
             }
-            Ok(Some((tenant, record))) => {
-                tagged.extend_from_batch(TenantId(tenant), record, 0..record.len());
-                false
-            }
-            Ok(None) => true,
-            Err(error) if error.is_recoverable() => {
-                malformed += 1;
-                false
-            }
+            Ok(None) => ending = true,
+            Err(error) if error.is_recoverable() => malformed += 1,
             Err(error) => return Err(format!("stdin: {error}")),
-        };
-        // A stop ends the loop like EOF does: whatever was read before it
-        // was observed is pushed first, so a graceful stop drops nothing.
-        let ending = eof || stop.load(Ordering::Acquire);
-        if (ending || tagged.len() >= RECORDS_PER_PUSH) && !tagged.is_empty() {
-            fleet
-                .try_push_tagged(&tagged, totals)
-                .map_err(|e| e.to_string())?;
-            tagged.clear();
-            publish(fleet, totals, malformed, publisher, scratch);
         }
-        if ending || (config.max_bins > 0 && totals.reports >= config.max_bins) {
+        // A stop ends the loop like EOF does: whatever was appended before it
+        // was observed is pushed first, so a graceful stop drops nothing.
+        if ending || stop.load(Ordering::Acquire) {
+            if !tagged.is_empty() {
+                push_window(fleet, &mut tagged, totals, malformed, publisher, scratch)?;
+            }
             fleet.finish(totals);
             publish(fleet, totals, malformed, publisher, scratch);
             return Ok((malformed, unknown));
         }
     }
+}
+
+/// Pushes the accumulated records as one tagged window, empties them and
+/// refreshes the snapshot.
+fn push_window(
+    fleet: &mut Fleet,
+    tagged: &mut TaggedBatch,
+    totals: &mut Totals,
+    malformed: u64,
+    publisher: &SnapshotPublisher,
+    scratch: &mut String,
+) -> Result<(), String> {
+    fleet
+        .try_push_tagged(tagged, totals)
+        .map_err(|e| e.to_string())?;
+    tagged.clear();
+    publish(fleet, totals, malformed, publisher, scratch);
+    Ok(())
 }
 
 fn finalize(fleet: &Fleet, totals: &Totals, malformed: u64, unknown: u64) -> FleetFinal {
@@ -309,9 +344,66 @@ mod tests {
     }
 
     #[test]
+    fn record_path_is_a_function_of_the_feed_not_of_how_reads_cut_it() {
+        // 3000 records over five tags (one outside the slab) in runs of 1 to
+        // 40, a bad line now and then, a flow budget small enough to evict:
+        // read 7 bytes at a time and 64 KiB at a time, the pushes are cut at
+        // the same records, so every window, eviction and report is the same.
+        let config = fleet_config("source = ndjson\nflow_budget = 4\nbin_secs = 1\n");
+        let mut input = String::new();
+        let (mut tenant, mut run) = (0, 0);
+        for i in 0..3000u32 {
+            if run == 0 {
+                tenant = (tenant + i) % 5;
+                run = 1 + (i * 7) % 40;
+            }
+            run -= 1;
+            let ts = f64::from(i) / 100.0;
+            let line = record(ts, &format!(",\"tenant\":{tenant}"));
+            input.push_str(&line.replace("10.0.0.1", &format!("10.0.{}.{}", i % 7, i % 11)));
+            if i % 97 == 0 {
+                input.push_str("not json\n");
+            }
+        }
+        let drive = |capacity: usize| {
+            let mut fleet = build_fleet(&config);
+            let mut totals = Totals::default();
+            let (malformed, unknown) = drive_records(
+                &mut fleet,
+                std::io::BufReader::with_capacity(capacity, input.as_bytes()),
+                &mut totals,
+                &config,
+                &AtomicBool::new(false),
+                &SnapshotPublisher::new(),
+                &mut String::new(),
+            )
+            .expect("record drive");
+            let summary = finalize(&fleet, &totals, malformed, unknown);
+            (summary, totals.digest.digest())
+        };
+        let (summary, digest) = drive(7);
+        assert_eq!((summary, digest), drive(64 << 10));
+        assert_eq!(summary.malformed_skipped, 31);
+        assert!(summary.unknown_tenant_skipped > 0, "{summary:?}");
+        assert_eq!(
+            summary.packets + summary.unknown_tenant_skipped,
+            3000,
+            "{summary:?}"
+        );
+        let full_windows = summary.packets / RECORDS_PER_PUSH as u64;
+        assert_eq!(
+            summary.windows,
+            full_windows + 1,
+            "cut at 512 records exactly"
+        );
+        assert!(summary.evictions > 0 && summary.reports > 3, "{summary:?}");
+    }
+
+    #[test]
     fn graceful_stop_pushes_the_records_read_before_it() {
-        // The stop flag is already up: the loop reads one record, observes
-        // the stop and ends — after pushing that record, not instead of it.
+        // The stop flag is already up: the loop appends the first run of the
+        // first chunk — one record — observes the stop and ends, after pushing
+        // that record, not instead of it.
         let config = fleet_config("source = ndjson\n");
         let input: String = (0..3)
             .map(|i| record(i as f64 + 0.5, &format!(",\"tenant\":{i}")))

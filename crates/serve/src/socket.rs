@@ -15,7 +15,10 @@
 //! record, oversized, not UTF-8 — is forwarded as one recoverable
 //! [`SourceError::Malformed`] and counted/skipped by the daemon's resilient
 //! [`DrivePolicy`](flowrank_monitor::DrivePolicy), and the records behind
-//! it on the same connection still arrive.
+//! it on the same connection still arrive. Records are forwarded a chunk
+//! at a time — every complete line a read delivered — through a bounded
+//! queue: when the monitor is the slower side the pump blocks on the full
+//! queue, stops reading, and TCP pushes back on the exporter.
 //!
 //! Connections are served one at a time, each to EOF — the model is one
 //! exporter streaming records, reconnecting if it restarts. The accept
@@ -25,7 +28,7 @@
 
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::Sender;
+use std::sync::mpsc::SyncSender;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -34,6 +37,11 @@ use flowrank_net::PacketBatch;
 
 /// How often the accept loop re-checks the stop flag while idle.
 const ACCEPT_POLL: Duration = Duration::from_millis(25);
+
+/// Chunks and malformed-line errors the pump may run ahead of the drive loop.
+/// A chunk is at most one read of a connection, so this bounds the queue to
+/// a few hundred records' worth of memory.
+const QUEUE_DEPTH: usize = 16;
 
 /// Binds `addr` and returns the bound address plus a [`ChannelSource`]
 /// fed by a background pump thread for the rest of the process. Pass port
@@ -46,19 +54,26 @@ pub fn listen(
     let bound = listener.local_addr()?;
     // Non-blocking accepts keep the stop flag honored while idle.
     listener.set_nonblocking(true)?;
-    let (sender, source) = ChannelSource::channel();
+    let (sender, source) = queue();
     std::thread::Builder::new()
         .name("flowrank-serve-socket".to_string())
         .spawn(move || pump(listener, sender, stop))?;
     Ok((bound, source))
 }
 
-/// The accept loop: one connection at a time, records forwarded line by
-/// line. Returns (dropping the sender, ending the stream) when the stop
+/// The bounded queue between the pump and the drive loop: a full one blocks
+/// the sender.
+fn queue() -> (SyncSender<Result<PacketBatch, SourceError>>, ChannelSource) {
+    let (sender, receiver) = std::sync::mpsc::sync_channel(QUEUE_DEPTH);
+    (sender, ChannelSource::new(receiver))
+}
+
+/// The accept loop: one connection at a time, records forwarded chunk by
+/// chunk. Returns (dropping the sender, ending the stream) when the stop
 /// flag rises or the drive side hangs up.
 fn pump(
     listener: TcpListener,
-    sender: Sender<Result<PacketBatch, SourceError>>,
+    sender: SyncSender<Result<PacketBatch, SourceError>>,
     stop: Arc<AtomicBool>,
 ) {
     while !stop.load(Ordering::Acquire) {
@@ -82,16 +97,16 @@ fn pump(
     }
 }
 
-/// Forwards one connection's records until EOF. Returns `false` when the
-/// drive side hung up (the pump should exit).
+/// Forwards one connection's records until EOF, blocking while the queue is
+/// full. Returns `false` when the drive side hung up (the pump should exit).
 fn pump_connection(
-    stream: std::net::TcpStream,
-    sender: &Sender<Result<PacketBatch, SourceError>>,
+    stream: impl std::io::Read,
+    sender: &SyncSender<Result<PacketBatch, SourceError>>,
 ) -> bool {
     let mut source = NdjsonRecordSource::new(std::io::BufReader::new(stream));
     loop {
         let message = match source.try_next_chunk() {
-            Ok(Some(record)) => Ok(record.clone()),
+            Ok(Some(chunk)) => Ok(chunk.clone()),
             Ok(None) => return true, // EOF: exporter done, accept the next one.
             Err(error) if error.is_recoverable() => Err(error),
             Err(_) => return true, // Connection died mid-line: drop it.
@@ -157,5 +172,125 @@ mod tests {
             other => panic!("unexpected poll: {other:?}"),
         });
         assert!(ended);
+    }
+
+    fn record(ts: usize) -> String {
+        format!("{{\"ts\":{ts},\"src\":\"10.0.0.1\",\"dst\":\"10.0.0.2\",\"sport\":1,\"dport\":2,\"len\":100,\"proto\":\"udp\"}}\n")
+    }
+
+    #[test]
+    fn one_write_of_many_records_arrives_whole_and_in_order() {
+        // 100 records and two bad lines in one `write_all`: chunks totalling
+        // 100 packets in order, each error between the records around it.
+        let bad_after = [10, 50];
+        let mut feed = String::new();
+        let mut expected = Vec::new();
+        for ts in 0..100 {
+            feed.push_str(&record(ts));
+            expected.push(Some(ts as u64 * 1_000_000_000));
+            if bad_after.contains(&ts) {
+                feed.push_str("not json\n");
+                expected.push(None);
+            }
+        }
+        let stop = Arc::new(AtomicBool::new(false));
+        let (addr, mut source) = listen("127.0.0.1:0", Arc::clone(&stop)).expect("bind");
+        let mut client = std::net::TcpStream::connect(addr).expect("connect");
+        client.write_all(feed.as_bytes()).expect("send");
+        let mut seen = Vec::new();
+        poll_until(&mut source, |source| {
+            match source.poll_chunk() {
+                Ok(SourcePoll::Chunk(chunk)) => {
+                    seen.extend(chunk.ts_nanos().iter().map(|ts| Some(*ts)))
+                }
+                Ok(SourcePoll::Pending) => {}
+                Err(error) if error.is_recoverable() => seen.push(None),
+                other => panic!("unexpected poll: {other:?}"),
+            }
+            (seen.len() == expected.len()).then_some(())
+        });
+        assert_eq!(seen, expected);
+        drop(client);
+        stop.store(true, Ordering::Release);
+    }
+
+    /// A connection whose every read returns one line, counting them.
+    struct LineAtATime {
+        feed: Vec<u8>,
+        at: usize,
+        lines_read: Arc<std::sync::atomic::AtomicUsize>,
+    }
+
+    impl std::io::Read for LineAtATime {
+        fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
+            let rest = &self.feed[self.at..];
+            let line = rest
+                .iter()
+                .position(|byte| *byte == b'\n')
+                .map_or(0, |end| end + 1);
+            assert!(line <= out.len(), "a line fits a read");
+            out[..line].copy_from_slice(&rest[..line]);
+            self.at += line;
+            self.lines_read
+                .fetch_add((line > 0) as usize, Ordering::SeqCst);
+            Ok(line)
+        }
+    }
+
+    #[test]
+    fn the_queue_between_pump_and_drive_loop_is_bounded() {
+        const LINES: usize = 40 * QUEUE_DEPTH;
+        let connection = |lines_read: &Arc<std::sync::atomic::AtomicUsize>| LineAtATime {
+            feed: (0..LINES).map(record).collect::<String>().into_bytes(),
+            at: 0,
+            lines_read: Arc::clone(lines_read),
+        };
+        let wait_for_a_full_queue = |lines_read: &std::sync::atomic::AtomicUsize| {
+            for _ in 0..2000 {
+                if lines_read.load(Ordering::SeqCst) > QUEUE_DEPTH {
+                    return;
+                }
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            panic!("the pump never filled the queue");
+        };
+
+        // With the drive side not polling the pump reads what the queue holds
+        // and the one chunk it is blocked on, and no further.
+        let lines_read = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        let (sender, mut source) = queue();
+        let reader = connection(&lines_read);
+        let pump = std::thread::spawn(move || pump_connection(reader, &sender));
+        wait_for_a_full_queue(&lines_read);
+        std::thread::sleep(Duration::from_millis(100));
+        assert_eq!(lines_read.load(Ordering::SeqCst), QUEUE_DEPTH + 1);
+        // Once it drains everything arrives, in order, never further ahead.
+        let mut taken = 0;
+        loop {
+            match source.poll_chunk() {
+                Ok(SourcePoll::Chunk(chunk)) => {
+                    assert_eq!(chunk.ts_nanos(), [taken as u64 * 1_000_000_000]);
+                    taken += 1;
+                    assert!(lines_read.load(Ordering::SeqCst) <= taken + QUEUE_DEPTH + 1);
+                }
+                Ok(SourcePoll::Pending) => std::thread::yield_now(),
+                Ok(SourcePoll::End) => break,
+                Err(error) => panic!("unexpected error: {error:?}"),
+            }
+        }
+        assert_eq!(taken, LINES);
+        assert!(
+            pump.join().expect("pump"),
+            "the connection ended, not the stream"
+        );
+
+        // A pump blocked on a full queue still ends when the drive side goes.
+        let lines_read = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        let (sender, source) = queue();
+        let reader = connection(&lines_read);
+        let pump = std::thread::spawn(move || pump_connection(reader, &sender));
+        wait_for_a_full_queue(&lines_read);
+        drop(source);
+        assert!(!pump.join().expect("pump"), "the stream ended");
     }
 }

@@ -9,7 +9,9 @@
 #      (graceful shutdown through the StopGate path);
 #   3. the ndjson stdin source ingests records and skips malformed lines —
 #      junk, a 200 KiB line with no newline in it, and bytes that are not
-#      UTF-8 each count once, and none of them ends the run.
+#      UTF-8 each count once, and none of them ends the run — and prints
+#      the same reports and counters when the feed comes through a pipe
+#      written 37 bytes at a time, so that reads cut lines anywhere.
 #
 # Usage: scripts/serve_smoke.sh   (CI runs it after the test suite)
 #
@@ -121,10 +123,11 @@ cat > "$workdir/ndjson.conf" <<'EOF'
 source = ndjson
 rates = 0.5
 runs = 1
-bin_secs = 10
+bin_secs = 2
 top_t = 5
 topk = exact
 retain_bins = 4
+output = ndjson
 EOF
 {
     for i in $(seq 0 99); do
@@ -138,12 +141,23 @@ EOF
     echo 'not json'
 } > "$workdir/feed.ndjson"
 rc=0
-final=$("$serve" --config "$workdir/ndjson.conf" < "$workdir/feed.ndjson" 2>"$workdir/ndjson.err") || rc=$?
+"$serve" --config "$workdir/ndjson.conf" < "$workdir/feed.ndjson" \
+    > "$workdir/file.out" 2>"$workdir/ndjson.err" || rc=$?
 [ "$rc" -eq 0 ] || fail "ndjson run exit code $rc (want 0): $(cat "$workdir/ndjson.err")"
+final=$(tail -n 1 "$workdir/file.out")
 case "$final" in
     *'"packets":100'*'"malformed_skipped":3'*) ;;
     *) fail "ndjson run: unexpected final line: $final" ;;
 esac
+[ "$(wc -l < "$workdir/file.out")" -gt 2 ] || fail "ndjson run printed no reports"
+# Chunks are what each read delivered; the output must not depend on them.
+rc=0
+dd if="$workdir/feed.ndjson" bs=37 2>/dev/null \
+    | "$serve" --config "$workdir/ndjson.conf" > "$workdir/pipe.out" 2>"$workdir/ndjson.err" || rc=$?
+[ "$rc" -eq 0 ] || fail "piped ndjson run exit code $rc (want 0): $(cat "$workdir/ndjson.err")"
+timeless() { sed 's/,"elapsed_s":[^}]*//' "$1"; }
+cmp <(timeless "$workdir/file.out") <(timeless "$workdir/pipe.out") \
+    || fail "reports or counters differ between the file and the 37-byte pipe"
 echo "serve_smoke: ndjson ingest ok"
 
 echo "serve_smoke: all legs passed"
