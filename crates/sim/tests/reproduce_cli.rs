@@ -5,6 +5,8 @@
 //! stderr instead of a panic with a backtrace. Numeric flags: a missing,
 //! unparsable or out-of-range value exits with code 2 and a diagnostic
 //! before anything is printed, instead of silently running the defaults.
+//! And the analytical figures: everything `--fig 1` … `--fig 11` prints is
+//! pinned as text in `tests/goldens/figures_model.txt`.
 
 use flowrank_net::pcap::records_to_pcap_bytes;
 use flowrank_net::{PacketRecord, Timestamp};
@@ -141,4 +143,59 @@ fn unparsable_runs_is_rejected() {
         &["--fig", "1", "--threads", "-1"],
         "reproduce: --threads needs a thread count, got \"-1\"",
     );
+}
+
+const MODEL_GOLDEN: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/tests/goldens/figures_model.txt"
+);
+
+/// The analytical half of the paper as printed values: the concatenated
+/// stdout of `reproduce --fig 1` … `--fig 11`, compared byte for byte, so a
+/// golden diff shows which number of which figure moved. Two children at a
+/// time (the figures are single-threaded). `REGEN_GOLDENS=1` rewrites the
+/// file; `scripts/regen_goldens.sh` does that on a clean tree.
+#[test]
+fn model_figures_match_golden_values() {
+    let figures: Vec<String> = (1..=11).map(|n| n.to_string()).collect();
+    let mut printed = String::new();
+    for pair in figures.chunks(2) {
+        let children: Vec<_> = pair
+            .iter()
+            .map(|n| {
+                Command::new(BIN)
+                    .args(["--fig", n])
+                    .stdout(std::process::Stdio::piped())
+                    .spawn()
+                    .unwrap()
+            })
+            .collect();
+        for (n, child) in pair.iter().zip(children) {
+            let output = child.wait_with_output().unwrap();
+            assert!(output.status.success(), "--fig {n}");
+            printed.push_str(std::str::from_utf8(&output.stdout).unwrap());
+        }
+    }
+
+    if std::env::var_os("REGEN_GOLDENS").is_some() {
+        std::fs::write(MODEL_GOLDEN, &printed).expect("write golden file");
+        eprintln!(
+            "regenerated {MODEL_GOLDEN} ({} lines)",
+            printed.lines().count()
+        );
+        return;
+    }
+
+    let golden = std::fs::read_to_string(MODEL_GOLDEN)
+        .expect("golden file missing — run scripts/regen_goldens.sh");
+    for (at, (computed, pinned)) in printed.lines().zip(golden.lines()).enumerate() {
+        assert_eq!(
+            computed,
+            pinned,
+            "figures_model.txt line {}: a change moved a printed value of \
+             Figs. 1-11; if intentional, regenerate with scripts/regen_goldens.sh",
+            at + 1
+        );
+    }
+    assert_eq!(printed.len(), golden.len(), "golden length diverged");
 }

@@ -4,6 +4,7 @@
 #   tests/goldens/controller_convergence.txt  (closed-loop decision traces)
 #   tests/goldens/fleet_eviction.txt          (budgeted fleet eviction digests)
 #   tests/goldens/figures_trace.txt           (Figs. 12-16 per-bin mean/std series)
+#   crates/sim/tests/goldens/figures_model.txt (Figs. 1-11 as printed values)
 #
 # Golden digests pin the *results* of the scenario × sampler × top-k
 # conformance matrix, of the rate controllers' per-bin decision traces and
@@ -31,11 +32,12 @@ REGEN_GOLDENS=1 cargo test -p flowrank-tests --test scenario_conformance -- --no
 REGEN_GOLDENS=1 cargo test --release -p flowrank-tests --test controller_convergence -- --nocapture
 REGEN_GOLDENS=1 cargo test -p flowrank-tests --test fleet_conformance -- --nocapture
 REGEN_GOLDENS=1 cargo test -p flowrank-tests --test figure_goldens -- --nocapture
+REGEN_GOLDENS=1 cargo test --release -p flowrank-sim --test reproduce_cli model_figures -- --nocapture
 
-if git diff --quiet -- tests/goldens/; then
+if git diff --quiet -- tests/goldens/ crates/sim/tests/goldens/; then
     echo "goldens unchanged — the matrix still digests to the committed values"
 else
     echo "goldens updated:"
-    git --no-pager diff --stat -- tests/goldens/
+    git --no-pager diff --stat -- tests/goldens/ crates/sim/tests/goldens/
     echo "review the diff and commit it together with the change that moved it"
 fi
