@@ -24,7 +24,7 @@ impl AimdSlo {
     /// Builds the controller. `hysteresis` in `[0, 1]` scales the target
     /// down to form the decrease threshold: the rate only decays once the
     /// swapped fraction falls below `target_fraction * hysteresis`.
-    pub fn new(
+    pub(crate) fn new(
         target_fraction: f64,
         hysteresis: f64,
         increase: f64,

@@ -28,7 +28,12 @@ pub struct BudgetTracking {
 impl BudgetTracking {
     /// Builds the controller; a zero budget is bumped to 1 so the update
     /// factor stays finite.
-    pub fn new(budget_per_bin: u64, min_rate: f64, max_rate: f64, initial_rate: f64) -> Self {
+    pub(crate) fn new(
+        budget_per_bin: u64,
+        min_rate: f64,
+        max_rate: f64,
+        initial_rate: f64,
+    ) -> Self {
         let rate = initial_rate.clamp(min_rate, max_rate);
         Self {
             budget_per_bin: budget_per_bin.max(1),

@@ -51,7 +51,12 @@ pub struct ModelDriven {
 impl ModelDriven {
     /// Builds the controller; `initial_rate` is emitted until the first
     /// bin with ranking signal arrives.
-    pub fn new(target_misranking: f64, min_rate: f64, max_rate: f64, initial_rate: f64) -> Self {
+    pub(crate) fn new(
+        target_misranking: f64,
+        min_rate: f64,
+        max_rate: f64,
+        initial_rate: f64,
+    ) -> Self {
         let rate = initial_rate.clamp(min_rate, max_rate);
         Self {
             target_misranking,

@@ -49,7 +49,7 @@ impl BinObservation {
 
     /// Whether the bin carried enough traffic to be a usable feedback
     /// signal: at least one ranked pair was compared.
-    pub fn has_signal(&self) -> bool {
+    pub(crate) fn has_signal(&self) -> bool {
         self.ranking_pairs > 0
     }
 }

@@ -53,7 +53,7 @@ impl<'a, D: FlowSizeModel + ?Sized> DetectionModel<'a, D> {
     /// # Panics
     ///
     /// Panics when `top_t` is zero or the population is smaller than `top_t`.
-    pub fn new(dist: &'a D, n_flows: u64, top_t: u32) -> Self {
+    pub(crate) fn new(dist: &'a D, n_flows: u64, top_t: u32) -> Self {
         assert!(top_t >= 1, "top_t must be at least 1");
         assert!(
             n_flows as f64 > top_t as f64,
@@ -67,7 +67,7 @@ impl<'a, D: FlowSizeModel + ?Sized> DetectionModel<'a, D> {
     }
 
     /// Number of (top-`t` flow, non-top flow) pairs, `t(N − t)`.
-    pub fn pair_count(&self) -> f64 {
+    pub(crate) fn pair_count(&self) -> f64 {
         self.top_t as f64 * (self.n_flows - self.top_t as f64)
     }
 
@@ -90,7 +90,7 @@ impl<'a, D: FlowSizeModel + ?Sized> DetectionModel<'a, D> {
     /// Joint probability that a flow of size `x` is in the top `t` while a
     /// (smaller) flow of size `y < x` is not — `P*t(y, x, t, N)` of Sec. 7.1,
     /// evaluated in the Poisson limit appropriate for large `N`.
-    pub fn joint_boundary_probability(&self, y: f64, x: f64) -> f64 {
+    pub(crate) fn joint_boundary_probability(&self, y: f64, x: f64) -> f64 {
         let n = self.n_flows;
         let t = self.top_t;
         let sfx = self.dist.sf(x);
@@ -122,7 +122,7 @@ impl<'a, D: FlowSizeModel + ?Sized> DetectionModel<'a, D> {
 
     /// Probability `P̄*mt(p)` that a top-`t` flow is swapped with a flow
     /// outside the top `t` after sampling at rate `p`.
-    pub fn average_misclassification_probability(&self, p: f64) -> f64 {
+    pub(crate) fn average_misclassification_probability(&self, p: f64) -> f64 {
         if p <= 0.0 {
             return 1.0;
         }

@@ -5,10 +5,9 @@
 //! flow is larger than x", the `P_i` of the paper), its quantile function
 //! (to locate the top-`t` boundary) and its lower bound. The paper uses a
 //! Pareto law calibrated to the Sprint mean flow sizes; the trait keeps the
-//! models generic so the exponential / log-normal comparisons discussed in
-//! Sec. 4 can be run with the same code.
+//! models generic over the law.
 
-use flowrank_stats::dist::{ContinuousDistribution, Exponential, LogNormal, Pareto};
+use flowrank_stats::dist::{ContinuousDistribution, Pareto};
 use flowrank_stats::StatsResult;
 
 /// A continuous flow-size distribution, in packets.
@@ -40,27 +39,10 @@ pub struct ParetoFlowModel {
 
 impl ParetoFlowModel {
     /// Pareto flow-size model with the given mean (packets) and shape β > 1.
-    pub fn with_mean(mean_packets: f64, shape: f64) -> StatsResult<Self> {
+    pub(crate) fn with_mean(mean_packets: f64, shape: f64) -> StatsResult<Self> {
         Ok(ParetoFlowModel {
             dist: Pareto::with_mean(mean_packets, shape)?,
         })
-    }
-
-    /// Pareto flow-size model from its scale `a` and shape β.
-    pub fn new(scale: f64, shape: f64) -> StatsResult<Self> {
-        Ok(ParetoFlowModel {
-            dist: Pareto::new(scale, shape)?,
-        })
-    }
-
-    /// The shape parameter β.
-    pub fn shape(&self) -> f64 {
-        self.dist.shape()
-    }
-
-    /// The scale parameter `a`.
-    pub fn scale(&self) -> f64 {
-        self.dist.scale()
     }
 }
 
@@ -94,97 +76,6 @@ impl FlowSizeModel for ParetoFlowModel {
     }
 }
 
-/// Exponential flow sizes — the light-tailed comparison of Sec. 4.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ExponentialFlowModel {
-    dist: Exponential,
-    lower: f64,
-}
-
-impl ExponentialFlowModel {
-    /// Exponential flow-size model with the given mean, shifted to start at
-    /// one packet.
-    pub fn with_mean(mean_packets: f64) -> StatsResult<Self> {
-        Ok(ExponentialFlowModel {
-            dist: Exponential::with_mean((mean_packets - 1.0).max(1e-6))?,
-            lower: 1.0,
-        })
-    }
-}
-
-impl FlowSizeModel for ExponentialFlowModel {
-    fn pdf(&self, x: f64) -> f64 {
-        self.dist.pdf(x - self.lower)
-    }
-
-    fn sf(&self, x: f64) -> f64 {
-        self.dist.sf(x - self.lower)
-    }
-
-    fn quantile(&self, q: f64) -> f64 {
-        self.lower + self.dist.quantile(q)
-    }
-
-    fn lower_bound(&self) -> f64 {
-        self.lower
-    }
-
-    fn mean(&self) -> Option<f64> {
-        self.dist.mean().map(|m| m + self.lower)
-    }
-
-    fn describe(&self) -> String {
-        format!(
-            "shifted Exponential(mean = {:.2})",
-            self.mean().unwrap_or(0.0)
-        )
-    }
-}
-
-/// Log-normal flow sizes — a short-tailed model matching the Abilene-like
-/// scenario of Sec. 8.3.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LogNormalFlowModel {
-    dist: LogNormal,
-}
-
-impl LogNormalFlowModel {
-    /// Log-normal flow-size model with the given mean (packets) and squared
-    /// coefficient of variation.
-    pub fn with_mean_cv2(mean_packets: f64, cv2: f64) -> StatsResult<Self> {
-        Ok(LogNormalFlowModel {
-            dist: LogNormal::with_mean_cv2(mean_packets, cv2)?,
-        })
-    }
-}
-
-impl FlowSizeModel for LogNormalFlowModel {
-    fn pdf(&self, x: f64) -> f64 {
-        self.dist.pdf(x)
-    }
-
-    fn sf(&self, x: f64) -> f64 {
-        self.dist.sf(x)
-    }
-
-    fn quantile(&self, q: f64) -> f64 {
-        self.dist.quantile(q)
-    }
-
-    fn lower_bound(&self) -> f64 {
-        // Effectively zero; use a small positive floor so log-scale grids work.
-        1e-3
-    }
-
-    fn mean(&self) -> Option<f64> {
-        self.dist.mean()
-    }
-
-    fn describe(&self) -> String {
-        format!("LogNormal(mean = {:.2})", self.mean().unwrap_or(0.0))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -194,13 +85,12 @@ mod tests {
         // 5-tuple flows: 4.8 KB / 500 B = 9.6 packets, β = 1.5.
         let m = ParetoFlowModel::with_mean(9.6, 1.5).unwrap();
         assert!((m.mean().unwrap() - 9.6).abs() < 1e-12);
-        assert!((m.shape() - 1.5).abs() < 1e-12);
+        assert!((m.dist.shape() - 1.5).abs() < 1e-12);
         assert!((m.lower_bound() - 3.2).abs() < 1e-12);
         // Survival function has the documented form.
         assert!((m.sf(32.0) - (32.0f64 / 3.2).powf(-1.5)).abs() < 1e-12);
         assert!(m.describe().contains("Pareto"));
         assert!(ParetoFlowModel::with_mean(9.6, 0.9).is_err());
-        assert!(ParetoFlowModel::new(2.0, 1.3).is_ok());
     }
 
     #[test]
@@ -217,29 +107,5 @@ mod tests {
         let heavy = ParetoFlowModel::with_mean(9.6, 1.2).unwrap();
         let light = ParetoFlowModel::with_mean(9.6, 3.0).unwrap();
         assert!(heavy.quantile(0.9999) > light.quantile(0.9999));
-    }
-
-    #[test]
-    fn exponential_model_basics() {
-        let m = ExponentialFlowModel::with_mean(10.0).unwrap();
-        assert!((m.mean().unwrap() - 10.0).abs() < 1e-9);
-        assert_eq!(m.lower_bound(), 1.0);
-        assert_eq!(m.sf(0.5), 1.0);
-        assert!(m.sf(100.0) < 1e-4);
-        assert!((m.sf(m.quantile(0.9)) - 0.1).abs() < 1e-9);
-        assert!(m.describe().contains("Exponential"));
-        // Much lighter tail than a Pareto of the same mean.
-        let pareto = ParetoFlowModel::with_mean(10.0, 1.5).unwrap();
-        assert!(m.quantile(0.99999) < pareto.quantile(0.99999));
-    }
-
-    #[test]
-    fn lognormal_model_basics() {
-        let m = LogNormalFlowModel::with_mean_cv2(12.0, 4.0).unwrap();
-        assert!((m.mean().unwrap() - 12.0).abs() < 1e-9);
-        assert!(m.pdf(0.0) == 0.0 || m.pdf(0.0) < 1e-30);
-        assert!((m.sf(m.quantile(0.75)) - 0.25).abs() < 1e-9);
-        assert!(m.describe().contains("LogNormal"));
-        assert!(m.lower_bound() > 0.0);
     }
 }

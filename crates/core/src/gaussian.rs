@@ -42,18 +42,6 @@ pub fn gaussian_absolute_error(s1: u64, s2: u64, p: f64) -> f64 {
     .abs()
 }
 
-/// The "square-root condition" of Sec. 4: given two flows whose sizes grow
-/// while their difference grows like `√size · factor`, the misranking
-/// probability converges to a constant; it vanishes only when the difference
-/// grows strictly faster than the square root of the sizes. This helper
-/// evaluates the Gaussian misranking probability along that parameterised
-/// family and is used by tests to demonstrate the condition.
-pub fn misranking_along_sqrt_family(base_size: f64, sqrt_factor: f64, p: f64) -> f64 {
-    let s1 = base_size;
-    let s2 = base_size + sqrt_factor * base_size.sqrt();
-    misranking_probability_gaussian(s1, s2, p)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -136,8 +124,10 @@ mod tests {
         // Along the √-family the probability is scale-invariant (constant in
         // the base size) — the threshold behaviour described in Sec. 4.
         let p = 0.05;
-        let a = misranking_along_sqrt_family(1_000.0, 3.0, p);
-        let b = misranking_along_sqrt_family(100_000.0, 3.0, p);
+        let along_sqrt_family =
+            |base: f64| misranking_probability_gaussian(base, base + 3.0 * base.sqrt(), p);
+        let a = along_sqrt_family(1_000.0);
+        let b = along_sqrt_family(100_000.0);
         let rel = (a - b).abs() / a;
         assert!(
             rel < 0.05,

@@ -20,8 +20,8 @@
 //!   general models (Pareto in the paper, Sec. 6).
 //! * [`ranking`] — the general ranking model: expected number of swapped
 //!   flow pairs involving a top-`t` flow (Sec. 5, Eq. 3; evaluated in Sec. 6,
-//!   Figs. 4–9). Both the continuous (Gaussian + integral) form the paper
-//!   uses for its numbers and a discrete summation form for validation.
+//!   Figs. 4–9), in the continuous (Gaussian + integral) form the paper
+//!   uses for its numbers.
 //! * [`detection`] — the relaxed detection model: swapped pairs across the
 //!   top-`t` boundary only (Sec. 7, Figs. 10–11).
 //! * [`metrics`] — the *empirical* counterparts of both metrics, computed on

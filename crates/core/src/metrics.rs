@@ -64,16 +64,6 @@ impl<K: Clone + Ord> GroundTruthRanking<K> {
         }
     }
 
-    /// Number of flows in the population.
-    pub fn flow_count(&self) -> usize {
-        self.ranked.len()
-    }
-
-    /// The effective top-`t` boundary (clamped to the population size).
-    pub fn top_t(&self) -> usize {
-        self.top_t
-    }
-
     /// The population, sorted by decreasing true size.
     pub fn flows(&self) -> &[SizedFlow<K>] {
         &self.ranked
@@ -148,7 +138,7 @@ impl<K: Clone + Ord> GroundTruthRanking<K> {
 impl<K: CompactKey + Ord> GroundTruthRanking<K> {
     /// Scores a sampled size map against this truth (convenience over
     /// [`GroundTruthRanking::compare_with`]).
-    pub fn compare(&self, sampled_sizes: &FlowMap<K, u64>) -> ComparisonOutcome {
+    pub(crate) fn compare(&self, sampled_sizes: &FlowMap<K, u64>) -> ComparisonOutcome {
         self.compare_with(|key| sampled_sizes.get(key).copied().unwrap_or(0))
     }
 }
@@ -171,9 +161,11 @@ pub fn compare_rankings<K: CompactKey + Ord>(
     GroundTruthRanking::new(original.to_vec(), top_t).compare(sampled_sizes)
 }
 
-/// Convenience: whether the sampled top-`t` *set* matches the true top-`t`
-/// set (order ignored) — the "detection succeeded" criterion.
-pub fn top_set_matches<K: CompactKey + Ord>(
+/// Test oracle for the detection metric: whether the sampled top-`t` *set*
+/// matches the true top-`t` set (order ignored), computed by sorting both
+/// sides instead of counting pairs.
+#[cfg(test)]
+fn top_set_matches<K: CompactKey + Ord>(
     original: &[SizedFlow<K>],
     sampled_sizes: &FlowMap<K, u64>,
     top_t: usize,
@@ -301,8 +293,8 @@ mod tests {
     fn ground_truth_ranking_is_reusable_across_lanes() {
         let original = flows(&[100, 80, 60, 40, 20]);
         let truth = GroundTruthRanking::new(original.clone(), 3);
-        assert_eq!(truth.flow_count(), 5);
-        assert_eq!(truth.top_t(), 3);
+        assert_eq!(truth.ranked.len(), 5);
+        assert_eq!(truth.top_t, 3);
         assert_eq!(truth.flows()[0].packets, 100);
         let exact = sampled(&[(0, 100), (1, 80), (2, 60), (3, 40), (4, 20)]);
         let degraded = sampled(&[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]);

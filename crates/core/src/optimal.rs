@@ -22,7 +22,7 @@ pub enum PairwiseModel {
 
 impl PairwiseModel {
     /// Evaluates the chosen model.
-    pub fn misranking_probability(self, s1: u64, s2: u64, p: f64) -> f64 {
+    pub(crate) fn misranking_probability(self, s1: u64, s2: u64, p: f64) -> f64 {
         match self {
             PairwiseModel::Exact => misranking_probability_exact(s1, s2, p),
             PairwiseModel::Gaussian => misranking_probability_gaussian(s1 as f64, s2 as f64, p),
@@ -53,26 +53,6 @@ pub fn optimal_sampling_rate(
         200,
     )
     .unwrap_or(1.0)
-}
-
-/// Computes the optimal-rate surface over a grid of flow sizes (the data
-/// behind Figs. 1–2): entry `(i, j)` is the optimal rate for sizes
-/// `(sizes[i], sizes[j])`.
-pub fn optimal_rate_surface(
-    sizes: &[u64],
-    target: f64,
-    model: PairwiseModel,
-    min_rate: f64,
-) -> Vec<Vec<f64>> {
-    sizes
-        .iter()
-        .map(|&s1| {
-            sizes
-                .iter()
-                .map(|&s2| optimal_sampling_rate(s1, s2, target, model, min_rate))
-                .collect()
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -152,9 +132,9 @@ mod tests {
     #[test]
     fn surface_shape() {
         let sizes = [10u64, 100, 1_000];
-        let surface = optimal_rate_surface(&sizes, 1e-3, PairwiseModel::Gaussian, 1e-4);
-        assert_eq!(surface.len(), 3);
-        assert!(surface.iter().all(|row| row.len() == 3));
+        let surface = sizes.map(|s1| {
+            sizes.map(|s2| optimal_sampling_rate(s1, s2, 1e-3, PairwiseModel::Gaussian, 1e-4))
+        });
         // Diagonal (equal sizes) needs the highest rate in each row.
         for (i, row) in surface.iter().enumerate() {
             for (j, &value) in row.iter().enumerate() {

@@ -63,7 +63,7 @@ pub fn misranking_probability_exact(s1: u64, s2: u64, p: f64) -> f64 {
 
 /// Misranking probability of two flows of identical size `s` (Sec. 3):
 /// `1 − Σ_{i=1}^{s} b_p(i, s)²`.
-pub fn misranking_probability_equal_sizes(s: u64, p: f64) -> f64 {
+pub(crate) fn misranking_probability_equal_sizes(s: u64, p: f64) -> f64 {
     if p <= 0.0 {
         return 1.0;
     }
@@ -77,13 +77,6 @@ pub fn misranking_probability_equal_sizes(s: u64, p: f64) -> f64 {
         agree += q * q;
     }
     (1.0 - agree).clamp(0.0, 1.0)
-}
-
-/// The minimum possible misranking probability for a flow of size `s`:
-/// reached when it is compared against a flow of a single packet
-/// (Sec. 3.1): `(1−p)^{s−1} (1 − p + p·s)`... evaluated from Eq. 1 exactly.
-pub fn minimum_misranking_probability(s: u64, p: f64) -> f64 {
-    misranking_probability_exact(1, s, p)
 }
 
 #[cfg(test)]
@@ -217,7 +210,6 @@ mod tests {
             );
             let direct = misranking_probability_exact(1, s, p);
             assert!(direct <= closed + 1e-12);
-            assert!((minimum_misranking_probability(s, p) - direct).abs() < 1e-15);
         }
         // Tends to zero as S grows.
         let large = (1.0 - p).powi(999) * (1.0 - p + p * 1_000.0);
@@ -229,7 +221,7 @@ mod tests {
         let p = 0.05;
         let v: Vec<f64> = [10u64, 50, 200, 1000]
             .iter()
-            .map(|&s| minimum_misranking_probability(s, p))
+            .map(|&s| misranking_probability_exact(1, s, p))
             .collect();
         for w in v.windows(2) {
             assert!(w[1] < w[0]);

@@ -13,27 +13,21 @@
 //! random other flow (Eq. 3). The ranking is deemed acceptable when the
 //! metric is below one.
 //!
-//! Two evaluations are provided:
-//!
-//! * [`RankingModel::mean_swapped_pairs`] — the **continuous** form the paper
-//!   uses for all of its figures: flow sizes follow a continuous law (Pareto
-//!   in Sec. 6), the pairwise misranking probability uses the Gaussian
-//!   closed form, and the double sum of Eq. 3 becomes a double integral
-//!   evaluated with Gauss–Legendre panels concentrated where the integrand
-//!   actually lives (near the top-`t` boundary and near the diagonal
-//!   `y ≈ x`, because `Pm(x, y)` vanishes once the sizes differ by more than
-//!   a few standard deviations of the sampled difference).
-//! * [`discrete_mean_swapped_pairs`] — a direct summation of Eq. 3 over an
-//!   integer size grid, usable for small populations; it validates the
-//!   continuous model in the tests and serves as the exact-vs-Gaussian
-//!   ablation.
+//! [`RankingModel::mean_swapped_pairs`] is the **continuous** form the paper
+//! uses for all of its figures: flow sizes follow a continuous law (Pareto
+//! in Sec. 6), the pairwise misranking probability uses the Gaussian closed
+//! form, and the double sum of Eq. 3 becomes a double integral evaluated with
+//! Gauss–Legendre panels concentrated where the integrand actually lives
+//! (near the top-`t` boundary and near the diagonal `y ≈ x`, because
+//! `Pm(x, y)` vanishes once the sizes differ by more than a few standard
+//! deviations of the sampled difference). The unit tests check it against a
+//! direct summation of Eq. 3 over an integer size grid.
 
 use flowrank_stats::quadrature::gauss_legendre_composite;
 use flowrank_stats::special::{gamma_q, ln_factorial};
 
 use crate::flowdist::FlowSizeModel;
 use crate::gaussian::misranking_probability_gaussian;
-use crate::optimal::PairwiseModel;
 
 /// Number of Gauss–Legendre panels for the inner (y) integrals.
 const INNER_PANELS: usize = 6;
@@ -94,7 +88,7 @@ impl<'a, D: FlowSizeModel + ?Sized> RankingModel<'a, D> {
     ///
     /// Panics when `top_t` is zero or `n_flows < top_t` (configuration
     /// errors in an experiment definition).
-    pub fn new(dist: &'a D, n_flows: u64, top_t: u32) -> Self {
+    pub(crate) fn new(dist: &'a D, n_flows: u64, top_t: u32) -> Self {
         assert!(top_t >= 1, "top_t must be at least 1");
         assert!(
             n_flows as f64 >= top_t as f64,
@@ -107,18 +101,8 @@ impl<'a, D: FlowSizeModel + ?Sized> RankingModel<'a, D> {
         }
     }
 
-    /// Total number of flows `N`.
-    pub fn n_flows(&self) -> f64 {
-        self.n_flows
-    }
-
-    /// Number of top flows to rank, `t`.
-    pub fn top_t(&self) -> u32 {
-        self.top_t
-    }
-
     /// Number of (top-`t` flow, other flow) pairs: `(2N − t − 1)·t/2`.
-    pub fn pair_count(&self) -> f64 {
+    pub(crate) fn pair_count(&self) -> f64 {
         (2.0 * self.n_flows - self.top_t as f64 - 1.0) * self.top_t as f64 / 2.0
     }
 
@@ -146,7 +130,7 @@ impl<'a, D: FlowSizeModel + ?Sized> RankingModel<'a, D> {
 
     /// Probability `P̄mt(p)` that a top-`t` flow is swapped with a random
     /// other flow after sampling at rate `p` (Eq. 3, continuous form).
-    pub fn average_misranking_probability(&self, p: f64) -> f64 {
+    pub(crate) fn average_misranking_probability(&self, p: f64) -> f64 {
         if p <= 0.0 {
             return 1.0;
         }
@@ -244,81 +228,83 @@ impl<'a, D: FlowSizeModel + ?Sized> RankingModel<'a, D> {
     }
 }
 
-/// Direct (discrete) evaluation of Eq. 3 over an integer size grid.
-///
-/// `pmf[k]` is the probability that a flow has `k + 1` packets (sizes start
-/// at one packet). Intended for populations small enough that the O(M²)
-/// double sum is affordable; the `model` argument selects the exact binomial
-/// or Gaussian pairwise probability, which is the exact-vs-Gaussian ablation
-/// of the paper's Sec. 4/5 discussion.
-pub fn discrete_mean_swapped_pairs(
-    pmf: &[f64],
-    n_flows: u64,
-    top_t: u32,
-    p: f64,
-    model: PairwiseModel,
-) -> f64 {
-    assert!(top_t >= 1, "top_t must be at least 1");
-    let m = pmf.len();
-    let n = n_flows as f64;
-    let t = top_t;
-    if m == 0 {
-        return 0.0;
-    }
-    // Survival function P_i = P(size >= i), sizes are 1-based.
-    let mut sf_at_least = vec![0.0; m + 1];
-    for i in (0..m).rev() {
-        sf_at_least[i] = sf_at_least[i + 1] + pmf[i];
-    }
-
-    let mut pmt_weighted = 0.0;
-    for i in 0..m {
-        let size_i = (i + 1) as u64;
-        let p_i = pmf[i];
-        if p_i <= 0.0 {
-            continue;
-        }
-        // P_i in the paper: probability another flow is at least as large.
-        let sf_i = sf_at_least[i];
-        let weight_smaller = prob_at_most(t, n - 1.0, sf_i);
-        let weight_larger = if t >= 2 {
-            prob_at_most(t - 1, n - 1.0, sf_i)
-        } else {
-            0.0
-        };
-        // Sizes far below the top-t boundary cannot contribute; skipping them
-        // keeps the double sum proportional to the top region only.
-        if weight_smaller < 1e-14 && weight_larger < 1e-14 {
-            continue;
-        }
-        let mut below = 0.0;
-        let mut above = 0.0;
-        for (j, &p_j) in pmf.iter().enumerate().take(m) {
-            if p_j <= 0.0 {
-                continue;
-            }
-            let size_j = (j + 1) as u64;
-            let pm = model.misranking_probability(size_j.min(size_i), size_j.max(size_i), p);
-            if size_j < size_i {
-                below += p_j * pm;
-            } else {
-                above += p_j * pm;
-            }
-        }
-        pmt_weighted += p_i * (weight_smaller * below + weight_larger * above);
-    }
-    let pmt_bar = (n / t as f64) * pmt_weighted;
-    (2.0 * n - t as f64 - 1.0) * t as f64 / 2.0 * pmt_bar.clamp(0.0, 1.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::flowdist::ParetoFlowModel;
+    use crate::optimal::PairwiseModel;
     use crate::scenario::Scenario;
 
     fn five_tuple_model(beta: f64) -> ParetoFlowModel {
         ParetoFlowModel::with_mean(9.6, beta).unwrap()
+    }
+
+    /// Direct (discrete) evaluation of Eq. 3 over an integer size grid — the
+    /// test oracle the continuous [`RankingModel`] is checked against.
+    ///
+    /// `pmf[k]` is the probability that a flow has `k + 1` packets (sizes start
+    /// at one packet). Intended for populations small enough that the O(M²)
+    /// double sum is affordable; the `model` argument selects the exact binomial
+    /// or Gaussian pairwise probability, which is the exact-vs-Gaussian ablation
+    /// of the paper's Sec. 4/5 discussion.
+    fn discrete_mean_swapped_pairs(
+        pmf: &[f64],
+        n_flows: u64,
+        top_t: u32,
+        p: f64,
+        model: PairwiseModel,
+    ) -> f64 {
+        assert!(top_t >= 1, "top_t must be at least 1");
+        let m = pmf.len();
+        let n = n_flows as f64;
+        let t = top_t;
+        if m == 0 {
+            return 0.0;
+        }
+        // Survival function P_i = P(size >= i), sizes are 1-based.
+        let mut sf_at_least = vec![0.0; m + 1];
+        for i in (0..m).rev() {
+            sf_at_least[i] = sf_at_least[i + 1] + pmf[i];
+        }
+
+        let mut pmt_weighted = 0.0;
+        for i in 0..m {
+            let size_i = (i + 1) as u64;
+            let p_i = pmf[i];
+            if p_i <= 0.0 {
+                continue;
+            }
+            // P_i in the paper: probability another flow is at least as large.
+            let sf_i = sf_at_least[i];
+            let weight_smaller = prob_at_most(t, n - 1.0, sf_i);
+            let weight_larger = if t >= 2 {
+                prob_at_most(t - 1, n - 1.0, sf_i)
+            } else {
+                0.0
+            };
+            // Sizes far below the top-t boundary cannot contribute; skipping them
+            // keeps the double sum proportional to the top region only.
+            if weight_smaller < 1e-14 && weight_larger < 1e-14 {
+                continue;
+            }
+            let mut below = 0.0;
+            let mut above = 0.0;
+            for (j, &p_j) in pmf.iter().enumerate().take(m) {
+                if p_j <= 0.0 {
+                    continue;
+                }
+                let size_j = (j + 1) as u64;
+                let pm = model.misranking_probability(size_j.min(size_i), size_j.max(size_i), p);
+                if size_j < size_i {
+                    below += p_j * pm;
+                } else {
+                    above += p_j * pm;
+                }
+            }
+            pmt_weighted += p_i * (weight_smaller * below + weight_larger * above);
+        }
+        let pmt_bar = (n / t as f64) * pmt_weighted;
+        (2.0 * n - t as f64 - 1.0) * t as f64 / 2.0 * pmt_bar.clamp(0.0, 1.0)
     }
 
     #[test]

@@ -18,14 +18,14 @@ use crate::flowdist::ParetoFlowModel;
 use crate::ranking::RankingModel;
 
 /// Mean 5-tuple flow size in packets (4.8 KB at 500-byte packets).
-pub const MEAN_PACKETS_5TUPLE: f64 = 9.6;
+pub(crate) const MEAN_PACKETS_5TUPLE: f64 = 9.6;
 /// Mean /24-prefix flow size in packets (16.6 KB at 500-byte packets).
-pub const MEAN_PACKETS_PREFIX24: f64 = 33.2;
+pub(crate) const MEAN_PACKETS_PREFIX24: f64 = 33.2;
 /// Number of 5-tuple flows in a 5-minute measurement interval on the Sprint
 /// link.
-pub const N_FLOWS_5TUPLE: u64 = 700_000;
+pub(crate) const N_FLOWS_5TUPLE: u64 = 700_000;
 /// Number of /24-prefix flows in a 5-minute measurement interval.
-pub const N_FLOWS_PREFIX24: u64 = 100_000;
+pub(crate) const N_FLOWS_PREFIX24: u64 = 100_000;
 
 /// A fully specified analytical scenario.
 #[derive(Debug, Clone)]
@@ -102,13 +102,14 @@ impl Scenario {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::flowdist::FlowSizeModel;
 
     #[test]
     fn five_tuple_scenario_parameters() {
         let s = Scenario::sprint_five_tuple(1.5);
         assert_eq!(s.n_flows, 700_000);
         assert_eq!(s.flow_definition, FlowDefinition::FiveTuple);
-        assert!((s.flow_sizes.shape() - 1.5).abs() < 1e-12);
+        assert!(s.flow_sizes.describe().contains("beta = 1.50"));
         assert!(s.label.contains("0.7M"));
     }
 
@@ -119,8 +120,8 @@ mod tests {
         assert_eq!(s.flow_definition, FlowDefinition::PREFIX24);
         // Mean flow size is larger under aggregation.
         assert!(
-            Scenario::sprint_prefix24(1.5).flow_sizes.scale()
-                > Scenario::sprint_five_tuple(1.5).flow_sizes.scale()
+            Scenario::sprint_prefix24(1.5).flow_sizes.lower_bound()
+                > Scenario::sprint_five_tuple(1.5).flow_sizes.lower_bound()
         );
     }
 

@@ -302,19 +302,9 @@ pub struct Fleet {
 }
 
 impl Fleet {
-    /// Starts a builder for a fleet of `tenants` monitors.
-    pub fn builder(tenants: u32) -> FleetBuilder {
-        FleetBuilder::new(tenants)
-    }
-
     /// Number of tenants hosted.
     pub fn tenant_count(&self) -> usize {
         self.slots.len()
-    }
-
-    /// Fleet-level worker threads.
-    pub fn threads(&self) -> usize {
-        self.threads
     }
 
     /// Tagged windows pushed so far.

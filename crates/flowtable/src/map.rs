@@ -114,25 +114,6 @@ impl<K: CompactKey, V> FlowMap<K, V> {
         self.find_entry(key.pack()).map(|i| &mut self.entries[i].1)
     }
 
-    /// Whether `key` is present.
-    #[inline]
-    pub fn contains_key(&self, key: &K) -> bool {
-        self.find_entry(key.pack()).is_some()
-    }
-
-    /// Returns the value of `key`, inserting `default()` first when absent.
-    #[inline]
-    pub fn get_or_insert_with(&mut self, key: K, default: impl FnOnce() -> V) -> &mut V {
-        let packed = key.pack();
-        match self.find_entry(packed) {
-            Some(i) => &mut self.entries[i].1,
-            None => {
-                let i = self.push_new(packed, default());
-                &mut self.entries[i].1
-            }
-        }
-    }
-
     /// The one-lookup update-or-insert every per-packet hot path uses:
     /// applies `update` when the key is present, inserts `insert()`
     /// otherwise, and returns the entry's value either way.
@@ -198,11 +179,6 @@ impl<K: CompactKey, V> FlowMap<K, V> {
     /// Iterates over `(key, &value)` pairs in deterministic slab order.
     pub fn iter(&self) -> impl Iterator<Item = (K, &V)> + '_ {
         self.entries.iter().map(|(p, v)| (K::unpack(*p), v))
-    }
-
-    /// Iterates over the keys in deterministic slab order.
-    pub fn keys(&self) -> impl Iterator<Item = K> + '_ {
-        self.entries.iter().map(|(p, _)| K::unpack(*p))
     }
 
     /// Iterates over the values in deterministic slab order.
@@ -288,7 +264,7 @@ impl<K: CompactKey, V> FlowMap<K, V> {
 
     /// Extends the map from `(key, value)` pairs; later pairs replace
     /// earlier values for the same key (like `HashMap`).
-    pub fn extend(&mut self, pairs: impl IntoIterator<Item = (K, V)>) {
+    pub(crate) fn extend(&mut self, pairs: impl IntoIterator<Item = (K, V)>) {
         for (key, value) in pairs {
             self.insert(key, value);
         }
@@ -342,8 +318,8 @@ mod tests {
         assert_eq!(map.get(&10), Some(&3));
         *map.get_mut(&20).unwrap() += 5;
         assert_eq!(map.get(&20), Some(&7));
-        assert!(map.contains_key(&10));
-        assert!(!map.contains_key(&30));
+        assert!(map.get(&10).is_some());
+        assert!(map.get(&30).is_none());
     }
 
     #[test]
@@ -353,8 +329,8 @@ mod tests {
             map.upsert(9, || 1, |c| *c += 1);
         }
         assert_eq!(map.get(&9), Some(&5));
-        assert_eq!(*map.get_or_insert_with(9, || 100), 5);
-        assert_eq!(*map.get_or_insert_with(10, || 100), 100);
+        assert_eq!(*map.upsert(9, || 100, |_| ()), 5);
+        assert_eq!(*map.upsert(10, || 100, |_| ()), 100);
     }
 
     #[test]
@@ -364,7 +340,7 @@ mod tests {
         for (rank, &k) in keys.iter().enumerate() {
             map.insert(k, rank);
         }
-        let seen: Vec<u64> = map.keys().collect();
+        let seen: Vec<u64> = map.iter().map(|(k, _)| k).collect();
         assert_eq!(seen, keys);
         let values: Vec<usize> = map.values().copied().collect();
         assert_eq!(values, (0..200).collect::<Vec<_>>());
@@ -380,7 +356,10 @@ mod tests {
         assert_eq!(map.remove(&1), None);
         assert_eq!(map.len(), 5);
         // Entry 5 moved into position 1.
-        assert_eq!(map.keys().collect::<Vec<_>>(), vec![0, 5, 2, 3, 4]);
+        assert_eq!(
+            map.iter().map(|(k, _)| k).collect::<Vec<_>>(),
+            vec![0, 5, 2, 3, 4]
+        );
         assert_eq!(map.get(&5), Some(&50));
         assert_eq!(map.get(&0), Some(&0));
     }
@@ -479,12 +458,16 @@ mod tests {
             assert_eq!(map.len(), keys.len(), "bin {bin}");
             // No key of any previous bin survives the clear.
             if bin > 0 {
-                assert!(!map.contains_key(&((bin - 1) * 1_000_000)), "bin {bin}");
+                assert!(map.get(&((bin - 1) * 1_000_000)).is_none(), "bin {bin}");
             }
             for (rank, &k) in keys.iter().enumerate() {
                 assert_eq!(map.get(&k), Some(&(rank as u64)), "bin {bin}");
             }
-            assert_eq!(map.keys().collect::<Vec<_>>(), keys, "bin {bin} order");
+            assert_eq!(
+                map.iter().map(|(k, _)| k).collect::<Vec<_>>(),
+                keys,
+                "bin {bin} order"
+            );
             if bin == 0 {
                 grown_capacity = map.capacity();
             } else {
@@ -532,7 +515,7 @@ mod tests {
                 assert_eq!(map.get(&(i * 7 + 1)), Some(&(i as usize)));
             }
             assert_eq!(map.get(&(u64::MAX - 3)), Some(&usize::MAX));
-            let keys: Vec<u64> = map.keys().collect();
+            let keys: Vec<u64> = map.iter().map(|(k, _)| k).collect();
             assert_eq!(keys.len(), boundary + 1);
             assert_eq!(keys[0], 1);
             assert_eq!(*keys.last().unwrap(), u64::MAX - 3);

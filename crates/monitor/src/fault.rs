@@ -56,7 +56,7 @@ impl SourceError {
     }
 
     /// The underlying decode/read error.
-    pub fn net_error(&self) -> &NetError {
+    pub(crate) fn net_error(&self) -> &NetError {
         match self {
             SourceError::Malformed(error) | SourceError::Fatal(error) => error,
         }
@@ -117,12 +117,12 @@ impl SinkError {
     }
 
     /// The underlying I/O error.
-    pub fn io_error(&self) -> &io::Error {
+    pub(crate) fn io_error(&self) -> &io::Error {
         &self.error
     }
 
     /// Consumes the wrapper, returning the underlying I/O error.
-    pub fn into_io_error(self) -> io::Error {
+    pub(crate) fn into_io_error(self) -> io::Error {
         self.error
     }
 }
@@ -181,8 +181,8 @@ pub enum TimestampPolicy {
 ///
 /// [`DrivePolicy::default`] is **strict**: nothing is skipped, nothing is
 /// retried, the first fault aborts. [`DrivePolicy::resilient`] is the
-/// keep-running preset for unattended operation. Every field also has a
-/// fluent setter.
+/// keep-running preset for unattended operation; the fields are public and
+/// most have a fluent setter.
 ///
 /// ```
 /// use flowrank_monitor::{DrivePolicy, TimestampPolicy};
@@ -248,7 +248,7 @@ impl DrivePolicy {
     /// The strict policy (the default): no skipping, no retrying, the first
     /// fault aborts; stalls abort once an idle streak spans both
     /// [`DrivePolicy::DEFAULT_STALL_POLLS`] consecutive polls and
-    /// [`DrivePolicy::DEFAULT_STALL_TIMEOUT`] of wall time; timestamps keep
+    /// `DrivePolicy::DEFAULT_STALL_TIMEOUT` of wall time; timestamps keep
     /// the historical [`TimestampPolicy::DebugAssert`] behaviour.
     pub fn strict() -> Self {
         DrivePolicy {
@@ -280,7 +280,7 @@ impl DrivePolicy {
 
     /// Default minimum consecutive idle polls before a stall can abort.
     /// Small by design: since the detector gained its wall-clock threshold
-    /// ([`DrivePolicy::DEFAULT_STALL_TIMEOUT`]) the poll floor only has to
+    /// (`DrivePolicy::DEFAULT_STALL_TIMEOUT`) the poll floor only has to
     /// prove the loop really is polling, not bound the stall duration — PR
     /// 8's poll-count-only detector needed 65 536 here and still tripped in
     /// microseconds on a busy-spinning live source.
@@ -288,16 +288,10 @@ impl DrivePolicy {
 
     /// Default wall-clock length an idle streak must last before a stall
     /// aborts.
-    pub const DEFAULT_STALL_TIMEOUT: Duration = Duration::from_secs(30);
+    pub(crate) const DEFAULT_STALL_TIMEOUT: Duration = Duration::from_secs(30);
 
     /// Default sleep between idle polls.
-    pub const DEFAULT_IDLE_WAIT: Duration = Duration::from_millis(1);
-
-    /// Sets [`DrivePolicy::skip_malformed`].
-    pub fn skip_malformed(mut self, skip: bool) -> Self {
-        self.skip_malformed = skip;
-        self
-    }
+    pub(crate) const DEFAULT_IDLE_WAIT: Duration = Duration::from_millis(1);
 
     /// Sets [`DrivePolicy::sink_retries`].
     pub fn sink_retries(mut self, retries: u32) -> Self {
@@ -385,8 +379,8 @@ impl DriveStats {
 }
 
 /// Why a [`Monitor::try_drive`](crate::Monitor::try_drive) aborted. Every
-/// variant carries the [`DriveStats`] accumulated up to the abort
-/// ([`DriveError::stats`]).
+/// variant carries the [`DriveStats`] accumulated up to the abort in its
+/// `stats` field.
 #[derive(Debug)]
 pub enum DriveError {
     /// The source failed: a fatal error, or a malformed record the policy
@@ -452,18 +446,6 @@ pub enum DriveError {
 }
 
 impl DriveError {
-    /// The health report accumulated up to the abort.
-    pub fn stats(&self) -> &DriveStats {
-        match self {
-            DriveError::Source { stats, .. }
-            | DriveError::Sink { stats, .. }
-            | DriveError::ErrorBudgetExhausted { stats, .. }
-            | DriveError::SourceStalled { stats, .. }
-            | DriveError::TimestampRegression { stats, .. }
-            | DriveError::WorkerPanicked { stats, .. } => stats,
-        }
-    }
-
     pub(crate) fn stats_mut(&mut self) -> &mut DriveStats {
         match self {
             DriveError::Source { stats, .. }
@@ -587,7 +569,10 @@ mod tests {
             ..DriveStats::default()
         };
         let error = DriveError::ErrorBudgetExhausted { budget: 5, stats };
-        assert_eq!(error.stats().malformed_skipped, 7);
+        assert!(matches!(
+            &error,
+            DriveError::ErrorBudgetExhausted { stats, .. } if stats.malformed_skipped == 7
+        ));
         assert!(error.to_string().contains("7 recoveries > budget 5"));
         let panic = DriveError::WorkerPanicked {
             worker: 2,

@@ -24,9 +24,10 @@
 //! [`MonitorBuilder::runs`]) is what the paper's Sec. 8 methodology needs: 30
 //! independent sampling runs at each of several rates, all sharing one
 //! ground-truth classification per bin instead of reclassifying the bin
-//! `runs × rates` times as the old batch engine did. The batch entry points
-//! (`flowrank_sim::run_bin`, `TraceExperiment`) are now thin wrappers over
-//! this crate.
+//! `runs × rates` times. `flowrank_sim::TraceExperiment` is one
+//! `Monitor::drive`; `flowrank_sim::engine::run_bin` is not built on this
+//! crate at all — it is the independent per-packet oracle the conformance
+//! suites check the monitor against.
 //!
 //! For high-volume replay, [`Monitor::push_batch`] accepts a whole SoA
 //! [`flowrank_net::PacketBatch`] (e.g. straight from the zero-copy pcap

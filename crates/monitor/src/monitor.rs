@@ -343,7 +343,6 @@ impl MonitorBuilder {
         let threads = self.threads.max(1);
         let lane_count = lanes.len();
         let controller_name = controller.as_ref().map(|state| state.controller.name());
-        let controlled_lane = controller.as_ref().map(|state| state.lane);
         let engine = if threads > 1 {
             assert!(
                 budget.is_none(),
@@ -369,10 +368,8 @@ impl MonitorBuilder {
             engine,
             lane_count,
             controller_name,
-            controlled_lane,
             current_bin: 0,
             saw_packet: false,
-            threads,
             scratch_batch: PacketBatch::with_capacity(1),
             last_ts_nanos: None,
             drive_policy: self.drive_policy,
@@ -670,10 +667,8 @@ pub struct Monitor {
     /// engine (and, on the pipelined one, on to its threads).
     lane_count: usize,
     controller_name: Option<&'static str>,
-    controlled_lane: Option<usize>,
     current_bin: u64,
     saw_packet: bool,
-    threads: usize,
     /// Reusable one-element batch backing [`Monitor::push`] — per-packet
     /// pushes never allocate.
     scratch_batch: PacketBatch,
@@ -879,29 +874,9 @@ impl Monitor {
         self.lane_count
     }
 
-    /// The configured flow definition.
-    pub fn flow_definition(&self) -> FlowDefinition {
-        self.flow_definition
-    }
-
     /// The configured measurement-bin length.
     pub fn bin_length(&self) -> Timestamp {
         self.bin_length
-    }
-
-    /// The configured number of reported top flows.
-    pub fn top_t(&self) -> usize {
-        self.top_t
-    }
-
-    /// Index of the bin currently being filled.
-    pub fn current_bin(&self) -> u64 {
-        self.current_bin
-    }
-
-    /// Worker threads used for batch processing.
-    pub fn threads(&self) -> usize {
-        self.threads
     }
 
     /// Work units since the monitor was built: `.0` is the within-bin
@@ -917,11 +892,6 @@ impl Monitor {
         }
     }
 
-    /// The configured recovery policy ([`MonitorBuilder::drive_policy`]).
-    pub fn drive_policy(&self) -> DrivePolicy {
-        self.drive_policy
-    }
-
     /// The configured per-table flow cap ([`MonitorBuilder::flow_budget`]),
     /// `None` when the monitor runs unbudgeted.
     pub fn flow_budget(&self) -> Option<usize> {
@@ -929,12 +899,6 @@ impl Monitor {
             Engine::Serial(engine) => engine.shard.flow_budget.map(FlowBudget::cap),
             Engine::Pipelined(_) => None,
         }
-    }
-
-    /// Lifetime count of timestamp regressions absorbed under
-    /// [`TimestampPolicy::ClampAndCount`] (0 under any other policy).
-    pub fn clamped_timestamps(&self) -> u64 {
-        self.clamped_timestamps
     }
 
     /// Whether a worker-pool thread has panicked. A poisoned monitor keeps
@@ -947,12 +911,6 @@ impl Monitor {
     /// Name of the attached rate controller, when one is attached.
     pub fn controller_name(&self) -> Option<&'static str> {
         self.controller_name
-    }
-
-    /// Index of the controlled lane in every bin's `lanes`, when a
-    /// controller is attached.
-    pub fn controlled_lane(&self) -> Option<usize> {
-        self.controlled_lane
     }
 
     /// Observes one packet.
@@ -1097,7 +1055,7 @@ impl Monitor {
     ///   pair in every build; the batch is not applied.
     /// * [`TimestampPolicy::ClampAndCount`]: folds tolerantly in every
     ///   build and counts each regression in
-    ///   [`Monitor::clamped_timestamps`].
+    ///   [`DriveStats::clamped_timestamps`].
     fn check_timestamp_contract(&mut self, batch: &PacketBatch) -> Result<(), (u64, u64)> {
         let ts = batch.ts_nanos();
         match self.drive_policy.timestamps {
@@ -1306,7 +1264,7 @@ impl Monitor {
     ///   worker-pool panic aborts with [`DriveError::WorkerPanicked`].
     ///
     /// On success returns the [`DriveStats`] health report; every abort
-    /// carries the stats accumulated up to that point ([`DriveError::stats`]).
+    /// carries the stats accumulated up to that point in its `stats` field.
     /// A fault-free `try_drive` is bit-identical to [`Monitor::drive`] for
     /// every source chunking and thread count (pinned by the conformance
     /// goldens), and an aborted drive never closes the final bin — state
@@ -1545,6 +1503,15 @@ mod tests {
         )
     }
 
+    /// Mean ranking metric across all lanes of `rate` (0 when none match).
+    fn mean_ranking_at_rate(report: &BinReport, rate: f64) -> f64 {
+        let metrics: Vec<f64> = report
+            .lanes_at_rate(rate)
+            .map(|lane| lane.ranking_metric())
+            .collect();
+        metrics.iter().sum::<f64>() / metrics.len().max(1) as f64
+    }
+
     /// Flow `i` of `flows` sends `10 * (flows − i)` packets inside one bin.
     fn skewed_bin(flows: u8, offset_secs: f64) -> Vec<PacketRecord> {
         let mut packets = Vec::new();
@@ -1629,7 +1596,7 @@ mod tests {
         assert_eq!(closed[1].packets, 0);
         assert_eq!(closed[1].flows, 0);
         assert_eq!(closed[2].packets, 0);
-        assert_eq!(monitor.current_bin(), 3);
+        assert_eq!(monitor.current_bin, 3);
     }
 
     #[test]
@@ -1696,7 +1663,7 @@ mod tests {
         assert_eq!(report.lanes.len(), 10);
         assert_eq!(report.lanes_at_rate(0.1).count(), 5);
         // Higher rates rank better on average.
-        assert!(report.mean_ranking_at_rate(0.5) < report.mean_ranking_at_rate(0.1));
+        assert!(mean_ranking_at_rate(report, 0.5) < mean_ranking_at_rate(report, 0.1));
         // Runs within a rate use distinct seeds → not all outcomes identical.
         let outcomes: Vec<u64> = report
             .lanes_at_rate(0.1)
@@ -1831,7 +1798,7 @@ mod tests {
         assert_eq!(baseline.len(), 3, "bins 0, 1 (idle) and 2");
         for threads in [2, 3, 8] {
             let mut monitor = build(threads);
-            assert_eq!(monitor.threads(), threads);
+            assert!(matches!(monitor.engine, Engine::Pipelined(_)));
             assert_eq!(monitor.run_trace(&packets), baseline, "{threads} threads");
         }
     }
@@ -1864,8 +1831,9 @@ mod tests {
 
     #[test]
     fn zero_threads_means_available_parallelism() {
-        let monitor = Monitor::builder().threads(0).build();
-        assert!(monitor.threads() >= 1);
+        let builder = Monitor::builder().threads(0);
+        assert!(builder.threads >= 1);
+        builder.build();
     }
 
     #[test]
@@ -1889,13 +1857,13 @@ mod tests {
         // ...the computed value finds itself...
         assert_eq!(report.lanes_at_rate(computed).count(), 3);
         assert_eq!(report.lanes_at_rate(0.5).count(), 3);
-        assert!(report.mean_ranking_at_rate(0.5) <= report.mean_ranking_at_rate(0.1));
+        assert!(mean_ranking_at_rate(report, 0.5) <= mean_ranking_at_rate(report, 0.1));
         // ...and a genuinely different rate matches nothing.
         assert_eq!(report.rate_id_of(0.3), None);
         assert_eq!(report.lanes_at_rate(0.3).count(), 0);
-        assert_eq!(report.mean_ranking_at_rate(0.3), 0.0);
+        assert_eq!(mean_ranking_at_rate(report, 0.3), 0.0);
         // Index-keyed access agrees with the resolved lookup.
-        assert_eq!(report.lanes_at_rate_id(1).count(), 3);
+        assert_eq!(report.lanes.iter().filter(|l| l.rate_id == 1).count(), 3);
     }
 
     #[test]
@@ -1957,7 +1925,7 @@ mod tests {
             monitor.try_push_batch_into(&inner, &mut sink),
             Err(DriveError::TimestampRegression { .. })
         ));
-        assert_eq!(monitor.clamped_timestamps(), 0);
+        assert_eq!(monitor.clamped_timestamps, 0);
     }
 
     #[test]
@@ -1979,7 +1947,7 @@ mod tests {
         monitor
             .try_push_batch_into(&stale, &mut sink)
             .expect("clamp policy absorbs the regressions");
-        assert_eq!(monitor.clamped_timestamps(), 2);
+        assert_eq!(monitor.clamped_timestamps, 2);
         let report = monitor.finish().expect("bin 1 closes with its packets");
         assert_eq!(report.bin_index, 1);
         assert_eq!(
@@ -2007,7 +1975,6 @@ mod tests {
             .seed(3)
             .build();
         assert_eq!(monitor.lane_count(), 5, "2 rates × 2 runs + controlled");
-        assert_eq!(monitor.controlled_lane(), Some(4));
         assert_eq!(monitor.controller_name(), Some("aimd-slo"));
         let reports = monitor.run_trace(&four_bins());
         for report in &reports {
@@ -2104,7 +2071,7 @@ mod tests {
             .seed(31)
             .build();
         let reports = monitor.run_trace(&four_bins());
-        let lane = monitor.controlled_lane().unwrap();
+        let lane = reports[0].controller.as_ref().unwrap().lane;
         let rates: Vec<f64> = reports.iter().map(|r| r.lanes[lane].rate).collect();
         assert!(
             rates.windows(2).all(|w| w[1] < w[0]),

@@ -94,7 +94,7 @@ fn replicate_io_error(error: &io::Error) -> io::Error {
 /// Default packet count per chunk for sources that choose their own
 /// chunking. Large enough to amortise per-chunk overhead, small enough that
 /// a chunk of four SoA columns stays cache-friendly.
-pub const DEFAULT_CHUNK_PACKETS: usize = 4096;
+pub(crate) const DEFAULT_CHUNK_PACKETS: usize = 4096;
 
 /// What one [`crate::Monitor::drive`] call processed.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -421,11 +421,6 @@ impl PcapTailSource {
         self
     }
 
-    /// The decode error that terminated the stream, if any.
-    pub fn error(&self) -> Option<&NetError> {
-        self.error.as_ref()
-    }
-
     /// Bytes of the capture decoded and committed so far (the current
     /// resume boundary as a file offset; 0 until the global header has
     /// arrived) — an observability hook for starvation watchdogs.
@@ -511,7 +506,7 @@ impl PcapTailSource {
 impl PacketSource for PcapTailSource {
     /// The infallible form ends the stream at the first `Pending` in
     /// non-follow mode and sleeps through them in follow mode; errors end
-    /// the stream silently (check [`PcapTailSource::error`]).
+    /// the stream silently (`try_next_chunk` returns them).
     fn next_chunk(&mut self) -> Option<&PacketBatch> {
         loop {
             match self.step() {
@@ -550,7 +545,7 @@ const MAX_NDJSON_LINE_BYTES: usize = 64 * 1024;
 /// appear in any order, unknown fields are ignored.
 ///
 /// Each chunk is what has arrived: one `fill_buf` of the reader, and every
-/// complete line in it (at most [`DEFAULT_CHUNK_PACKETS`]), so a busy feed is
+/// complete line in it (at most `DEFAULT_CHUNK_PACKETS`), so a busy feed is
 /// read in chunks as large as the reader's buffer and a quiet one a record
 /// at a time — the source never reads again with records in hand. A
 /// malformed line is a *recoverable* [`SourceError::Malformed`], ordered
@@ -943,16 +938,6 @@ impl ChannelSource {
             batch: PacketBatch::new(),
         }
     }
-
-    /// A connected `(sender, source)` pair.
-    #[allow(clippy::type_complexity)]
-    pub fn channel() -> (
-        std::sync::mpsc::Sender<Result<PacketBatch, SourceError>>,
-        ChannelSource,
-    ) {
-        let (sender, receiver) = std::sync::mpsc::channel();
-        (sender, ChannelSource::new(receiver))
-    }
 }
 
 impl PacketSource for ChannelSource {
@@ -1004,11 +989,6 @@ impl<S> StopGate<S> {
     /// Gates `inner` behind `stop`.
     pub fn new(inner: S, stop: std::sync::Arc<std::sync::atomic::AtomicBool>) -> Self {
         StopGate { inner, stop }
-    }
-
-    /// The wrapped source.
-    pub fn into_inner(self) -> S {
-        self.inner
     }
 
     /// The wrapped source, until the stop flag is raised.
@@ -1185,11 +1165,6 @@ impl RateCurve {
     /// Creates an empty curve.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Bins folded in so far.
-    pub fn bins(&self) -> u64 {
-        self.bins
     }
 
     /// The curve accumulated so far, one point per rate in grid order.
@@ -1469,11 +1444,6 @@ impl DigestSink {
         }
     }
 
-    /// Number of reports folded in so far.
-    pub fn reports(&self) -> u64 {
-        self.reports
-    }
-
     /// The offline, length-prefixed digest of a collected report stream —
     /// the value `flowrank_sim::digest_reports` pins its golden files on.
     /// It folds the same per-report bytes as the streaming sink but prefixes
@@ -1703,7 +1673,7 @@ mod tests {
         let batch = PacketBatch::from_records(&packets);
         let mut source = Chunked::new(BatchSource::new(&batch), DEFAULT_CHUNK_PACKETS);
         monitor().drive(&mut source, &mut curve);
-        assert_eq!(curve.bins(), baseline.len() as u64);
+        assert_eq!(curve.bins, baseline.len() as u64);
         let points = curve.points();
         assert_eq!(points.len(), 2, "one point per grid rate");
         for (rate_id, point) in points.iter().enumerate() {
@@ -1713,7 +1683,7 @@ mod tests {
             // Cross-check the online mean against the collected reports.
             let mut expected = RunningStats::new();
             for report in &baseline {
-                for lane in report.lanes_at_rate_id(rate_id) {
+                for lane in report.lanes.iter().filter(|l| l.rate_id == rate_id) {
                     expected.push(lane.ranking_metric());
                 }
             }
@@ -1737,7 +1707,7 @@ mod tests {
         let batch = PacketBatch::from_records(&packets);
         let mut source = Chunked::new(BatchSource::new(&batch), 97);
         monitor().drive(&mut source, &mut streamed);
-        assert_eq!(streamed.reports(), baseline.len() as u64);
+        assert_eq!(streamed.reports, baseline.len() as u64);
         assert_eq!(streamed.digest(), offline.digest());
 
         // Sensitive to truncation and to content.
@@ -1964,7 +1934,8 @@ mod tests {
         // sender, so the source idles where a finished one ends.
         let senders = std::cell::RefCell::new(Vec::new());
         let channel = |live: bool| {
-            let (sender, source) = ChannelSource::channel();
+            let (sender, receiver) = std::sync::mpsc::sync_channel(3);
+            let source = ChannelSource::new(receiver);
             let bad = NetError::MalformedPacket { reason: "injected" };
             let chunk = |range| Ok(PacketBatch::from_records(&records[range]));
             sender.send(chunk(0..20)).unwrap();
@@ -2619,7 +2590,7 @@ mod tests {
     #[test]
     fn rate_curve_with_zero_bins_is_empty() {
         let curve = RateCurve::new();
-        assert_eq!(curve.bins(), 0);
+        assert_eq!(curve.bins, 0);
         assert!(curve.points().is_empty());
     }
 
@@ -2631,7 +2602,7 @@ mod tests {
         let mut curve = RateCurve::new();
         drive_one_packet(&mut curve);
         let points = curve.points();
-        assert_eq!(curve.bins(), 1);
+        assert_eq!(curve.bins, 1);
         assert_eq!(points.len(), 1);
         assert_eq!(points[0].observations, 1);
         assert_eq!(points[0].ranking_std, 0.0);
@@ -2658,7 +2629,7 @@ mod tests {
         m.push_batch_into(&batch, &mut curve);
         m.finish_into(&mut curve);
         let points = curve.points();
-        assert_eq!(curve.bins(), 2);
+        assert_eq!(curve.bins, 2);
         assert_eq!(points.len(), 2, "one point per rate_id");
         for (i, point) in points.iter().enumerate() {
             assert_eq!(point.rate_id, i, "grid order");

@@ -56,12 +56,12 @@ pub struct LaneReport {
 
 impl LaneReport {
     /// The ranking metric value of this lane for this bin.
-    pub fn ranking_metric(&self) -> f64 {
+    pub(crate) fn ranking_metric(&self) -> f64 {
         self.outcome.ranking_swaps as f64
     }
 
     /// The detection metric value of this lane for this bin.
-    pub fn detection_metric(&self) -> f64 {
+    pub(crate) fn detection_metric(&self) -> f64 {
         self.outcome.detection_swaps as f64
     }
 }
@@ -115,7 +115,7 @@ impl BinReport {
     /// allocation, so a recycled report shell can be refilled without
     /// reallocating — both the serial close path and the worker runtime's
     /// sequencer reuse report shells through this.
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         self.lanes.clear();
         self.controller = None;
         self.evictions = 0;
@@ -130,7 +130,7 @@ impl BinReport {
     /// finds the `0.1` lanes, while genuinely different grid rates — which
     /// are orders of magnitude apart in any real configuration — can never
     /// be conflated.
-    pub fn rate_id_of(&self, rate: f64) -> Option<usize> {
+    pub(crate) fn rate_id_of(&self, rate: f64) -> Option<usize> {
         let mut best: Option<(f64, usize)> = None;
         for lane in &self.lanes {
             let diff = (lane.rate - rate).abs();
@@ -144,32 +144,11 @@ impl BinReport {
     }
 
     /// The lanes belonging to one sampling rate (resolved through
-    /// [`BinReport::rate_id_of`], so inexact requests match their grid rate).
+    /// `BinReport::rate_id_of`, so inexact requests match their grid rate).
     pub fn lanes_at_rate(&self, rate: f64) -> impl Iterator<Item = &LaneReport> {
         let id = self.rate_id_of(rate);
         self.lanes
             .iter()
             .filter(move |lane| Some(lane.rate_id) == id)
-    }
-
-    /// The lanes belonging to one rate-grid index.
-    pub fn lanes_at_rate_id(&self, rate_id: usize) -> impl Iterator<Item = &LaneReport> {
-        self.lanes
-            .iter()
-            .filter(move |lane| lane.rate_id == rate_id)
-    }
-
-    /// Mean ranking metric across all lanes of `rate` in this bin.
-    pub fn mean_ranking_at_rate(&self, rate: f64) -> f64 {
-        let (sum, count) = self
-            .lanes_at_rate(rate)
-            .fold((0.0, 0usize), |(s, c), lane| {
-                (s + lane.ranking_metric(), c + 1)
-            });
-        if count == 0 {
-            0.0
-        } else {
-            sum / count as f64
-        }
     }
 }

@@ -117,19 +117,9 @@ impl RollingWindow {
         }
     }
 
-    /// The retention bound.
-    pub fn retain(&self) -> usize {
-        self.retain
-    }
-
     /// Bins accepted over the sink's whole lifetime (retained or not).
     pub fn bins_seen(&self) -> u64 {
         self.bins_seen
-    }
-
-    /// Packets observed over the sink's whole lifetime.
-    pub fn packets_seen(&self) -> u64 {
-        self.packets_seen
     }
 
     /// The retained summaries, oldest first.
@@ -143,7 +133,7 @@ impl RollingWindow {
     }
 
     /// Packets across the retained window only.
-    pub fn window_packets(&self) -> u64 {
+    pub(crate) fn window_packets(&self) -> u64 {
         self.bins.iter().map(|bin| bin.packets).sum()
     }
 
@@ -271,7 +261,7 @@ mod tests {
         }
         assert_eq!(window.bins().count(), 3);
         assert_eq!(window.bins_seen(), 10);
-        assert_eq!(window.packets_seen(), 1000);
+        assert_eq!(window.packets_seen, 1000);
         assert_eq!(window.window_packets(), 300);
         let indices: Vec<u64> = window.bins().map(|b| b.bin_index).collect();
         assert_eq!(indices, vec![7, 8, 9], "oldest bins evicted first");

@@ -67,7 +67,7 @@ impl SamplerSpec {
     /// spec out across a whole rate grid. Specs without a rate parameter
     /// ([`SamplerSpec::Smart`]) are returned unchanged; the adaptive sampler
     /// reinterprets the rate as its starting point.
-    pub fn with_rate(self, rate: f64) -> Self {
+    pub(crate) fn with_rate(self, rate: f64) -> Self {
         match self {
             SamplerSpec::Random { .. } => SamplerSpec::Random { rate },
             SamplerSpec::Periodic { random_phase, .. } => {
@@ -90,7 +90,7 @@ impl SamplerSpec {
 
     /// The nominal sampling rate of the spec (an upper-bound proxy of `1` for
     /// smart sampling, whose realised rate is traffic dependent).
-    pub fn nominal_rate(&self) -> f64 {
+    pub(crate) fn nominal_rate(&self) -> f64 {
         match *self {
             SamplerSpec::Random { rate }
             | SamplerSpec::Periodic { rate, .. }

@@ -120,7 +120,7 @@ impl PacketBatch {
     }
 
     /// Appends a slice of packet records.
-    pub fn extend_from_records(&mut self, records: &[PacketRecord]) {
+    pub(crate) fn extend_from_records(&mut self, records: &[PacketRecord]) {
         self.reserve(records.len());
         for packet in records {
             self.push_record(packet);
@@ -151,17 +151,6 @@ impl PacketBatch {
         &self.ts_nanos
     }
 
-    /// The packed 5-tuple key of packet `i` (see [`FiveTuple::pack`]).
-    #[inline]
-    pub fn packed_key(&self, i: usize) -> u128 {
-        self.keys[i]
-    }
-
-    /// The packed 5-tuple key column.
-    pub fn packed_keys(&self) -> &[u128] {
-        &self.keys
-    }
-
     /// IP length of packet `i` in bytes.
     #[inline]
     pub fn length(&self, i: usize) -> u16 {
@@ -188,7 +177,7 @@ impl PacketBatch {
     /// Destination address of packet `i`, read straight out of the packed
     /// key (bits 40–71) without unpacking the full 5-tuple.
     #[inline]
-    pub fn dst_ip(&self, i: usize) -> Ipv4Addr {
+    pub(crate) fn dst_ip(&self, i: usize) -> Ipv4Addr {
         Ipv4Addr::from((self.keys[i] >> 40) as u32)
     }
 

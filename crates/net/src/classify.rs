@@ -65,11 +65,6 @@ impl FlowStats {
         }
     }
 
-    /// Flow duration (last minus first packet timestamp).
-    pub fn duration(&self) -> Timestamp {
-        self.last_seen.saturating_sub(self.first_seen)
-    }
-
     /// Span of observed TCP sequence numbers, in bytes, if the flow carried
     /// at least two distinct sequence numbers.
     ///
@@ -197,11 +192,6 @@ impl<K: FlowKey> FlowTable<K> {
     /// Total number of packets observed.
     pub fn total_packets(&self) -> u64 {
         self.total_packets
-    }
-
-    /// Total number of bytes observed.
-    pub fn total_bytes(&self) -> u64 {
-        self.total_bytes
     }
 
     /// Returns the counters of a specific flow, if present.
@@ -340,7 +330,7 @@ mod tests {
         }
         assert_eq!(table.flow_count(), 2);
         assert_eq!(table.total_packets(), 8);
-        assert_eq!(table.total_bytes(), 5 * 500 + 3 * 1500);
+        assert_eq!(table.total_bytes, 5 * 500 + 3 * 1500);
 
         let key = FiveTuple::from_packet(&packet(1, 1, 80, 500, 0.0));
         let stats = table.get(&key).unwrap();
@@ -348,7 +338,6 @@ mod tests {
         assert_eq!(stats.bytes, 2500);
         assert_eq!(stats.first_seen, Timestamp::from_secs_f64(0.0));
         assert_eq!(stats.last_seen, Timestamp::from_secs_f64(4.0));
-        assert_eq!(stats.duration(), Timestamp::from_secs_f64(4.0));
     }
 
     #[test]
@@ -428,7 +417,7 @@ mod tests {
         table.clear();
         assert_eq!(table.flow_count(), 0);
         assert_eq!(table.total_packets(), 0);
-        assert_eq!(table.total_bytes(), 0);
+        assert_eq!(table.total_bytes, 0);
     }
 
     #[test]
@@ -470,7 +459,7 @@ mod tests {
         for table in [&whole, &split] {
             assert_eq!(table.flow_count(), sequential.flow_count());
             assert_eq!(table.total_packets(), sequential.total_packets());
-            assert_eq!(table.total_bytes(), sequential.total_bytes());
+            assert_eq!(table.total_bytes, sequential.total_bytes);
             for (key, stats) in sequential.iter() {
                 assert_eq!(table.get(&key), Some(stats));
             }

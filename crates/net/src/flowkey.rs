@@ -71,7 +71,7 @@ impl Protocol {
     }
 
     /// Builds a [`Protocol`] from its IANA number.
-    pub fn from_number(n: u8) -> Self {
+    pub(crate) fn from_number(n: u8) -> Self {
         match n {
             6 => Protocol::Tcp,
             17 => Protocol::Udp,
@@ -288,7 +288,7 @@ impl FlowDefinition {
     }
 
     /// Human-readable name of the definition.
-    pub fn name(self) -> String {
+    pub(crate) fn name(self) -> String {
         match self {
             FlowDefinition::FiveTuple => "5-tuple".to_string(),
             FlowDefinition::DstPrefix(len) => format!("/{len} dst prefix"),

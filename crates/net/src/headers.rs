@@ -14,18 +14,18 @@ use crate::flowkey::Protocol;
 use crate::packet::{PacketRecord, Timestamp};
 
 /// Length of an Ethernet II header in bytes.
-pub const ETHERNET_HEADER_LEN: usize = 14;
+pub(crate) const ETHERNET_HEADER_LEN: usize = 14;
 /// Length of a minimal IPv4 header in bytes (no options).
-pub const IPV4_HEADER_LEN: usize = 20;
+pub(crate) const IPV4_HEADER_LEN: usize = 20;
 /// Length of a minimal TCP header in bytes (no options).
-pub const TCP_HEADER_LEN: usize = 20;
+pub(crate) const TCP_HEADER_LEN: usize = 20;
 /// Length of a UDP header in bytes.
-pub const UDP_HEADER_LEN: usize = 8;
+pub(crate) const UDP_HEADER_LEN: usize = 8;
 /// EtherType for IPv4.
-pub const ETHERTYPE_IPV4: u16 = 0x0800;
+pub(crate) const ETHERTYPE_IPV4: u16 = 0x0800;
 
 /// Computes the Internet checksum (RFC 1071) over a byte slice.
-pub fn internet_checksum(data: &[u8]) -> u16 {
+pub(crate) fn internet_checksum(data: &[u8]) -> u16 {
     let mut sum: u32 = 0;
     let mut chunks = data.chunks_exact(2);
     for chunk in &mut chunks {
@@ -46,7 +46,7 @@ pub fn internet_checksum(data: &[u8]) -> u16 {
 /// `record.length` (clamped to at least the header sizes). Source and
 /// destination MAC addresses are synthetic constants — the monitor model of
 /// the paper never inspects layer 2.
-pub fn encode_frame(record: &PacketRecord) -> NetResult<Vec<u8>> {
+pub(crate) fn encode_frame(record: &PacketRecord) -> NetResult<Vec<u8>> {
     let transport_len = match record.protocol {
         Protocol::Tcp => TCP_HEADER_LEN,
         Protocol::Udp => UDP_HEADER_LEN,
@@ -127,7 +127,7 @@ pub(crate) struct FrameFields {
 impl FrameFields {
     /// Attaches a timestamp, producing the classic packet record.
     #[inline]
-    pub fn into_record(self, timestamp: Timestamp) -> PacketRecord {
+    pub(crate) fn into_record(self, timestamp: Timestamp) -> PacketRecord {
         PacketRecord {
             timestamp,
             src_ip: self.src_ip,
@@ -142,7 +142,7 @@ impl FrameFields {
 
     /// The packed 5-tuple of the frame (see [`crate::flowkey::FiveTuple`]).
     #[inline]
-    pub fn packed_five_tuple(self) -> u128 {
+    pub(crate) fn packed_five_tuple(self) -> u128 {
         use flowrank_flowtable::CompactKey;
         crate::flowkey::FiveTuple {
             src_ip: self.src_ip,
@@ -289,7 +289,7 @@ pub(crate) fn parse_frame_fields_fast(frame: &[u8]) -> Option<FastFrameColumns> 
 /// `timestamp` is supplied by the caller (pcap record header). Frames that
 /// are not IPv4, or that are too short to carry the expected headers, yield a
 /// [`NetError::MalformedPacket`].
-pub fn decode_frame(timestamp: Timestamp, frame: &[u8]) -> NetResult<PacketRecord> {
+pub(crate) fn decode_frame(timestamp: Timestamp, frame: &[u8]) -> NetResult<PacketRecord> {
     Ok(parse_frame_fields(frame)?.into_record(timestamp))
 }
 

@@ -58,11 +58,6 @@ impl Timestamp {
         self.0 as f64 / 1e9
     }
 
-    /// Saturating difference `self − other`.
-    pub fn saturating_sub(self, other: Timestamp) -> Timestamp {
-        Timestamp(self.0.saturating_sub(other.0))
-    }
-
     /// Index of the measurement bin this timestamp falls into, for bins of
     /// `bin_len` starting at time zero.
     pub fn bin_index(self, bin_len: Timestamp) -> u64 {
@@ -166,8 +161,6 @@ mod tests {
         let a = Timestamp::from_secs_f64(1.0);
         let b = Timestamp::from_secs_f64(2.0);
         assert!(a < b);
-        assert_eq!(b.saturating_sub(a).as_secs_f64(), 1.0);
-        assert_eq!(a.saturating_sub(b), Timestamp::ZERO);
     }
 
     #[test]

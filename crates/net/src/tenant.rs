@@ -15,7 +15,6 @@ use std::fmt;
 use std::ops::Range;
 
 use crate::batch::PacketBatch;
-use crate::packet::PacketRecord;
 
 /// Compact identity of one tenant (one monitored link) in a fleet.
 ///
@@ -61,14 +60,6 @@ impl TaggedBatch {
         Self::default()
     }
 
-    /// Creates an empty tagged batch with room for `n` packets.
-    pub fn with_capacity(n: usize) -> Self {
-        TaggedBatch {
-            batch: PacketBatch::with_capacity(n),
-            tenants: Vec::with_capacity(n),
-        }
-    }
-
     /// Number of packets in the batch.
     pub fn len(&self) -> usize {
         self.tenants.len()
@@ -98,13 +89,6 @@ impl TaggedBatch {
         tcp_seq: Option<u32>,
     ) {
         self.batch.push_columns(ts_nanos, key, length, tcp_seq);
-        self.tenants.push(tenant);
-    }
-
-    /// Appends one packet record, tagged with `tenant`.
-    #[inline]
-    pub fn push_record(&mut self, tenant: TenantId, packet: &PacketRecord) {
-        self.batch.push_record(packet);
         self.tenants.push(tenant);
     }
 
@@ -178,7 +162,7 @@ impl Iterator for TenantRuns<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::packet::Timestamp;
+    use crate::packet::{PacketRecord, Timestamp};
     use std::net::Ipv4Addr;
 
     fn packet(host: u8, t: f64) -> PacketRecord {
@@ -192,12 +176,17 @@ mod tests {
         )
     }
 
+    fn push(tagged: &mut TaggedBatch, tenant: u32, packet: PacketRecord) {
+        let one = PacketBatch::from_records(&[packet]);
+        tagged.extend_from_batch(TenantId(tenant), &one, 0..1);
+    }
+
     #[test]
     fn tags_ride_along_with_columns() {
-        let mut tagged = TaggedBatch::with_capacity(4);
-        tagged.push_record(TenantId(3), &packet(1, 0.0));
-        tagged.push_record(TenantId(3), &packet(2, 0.1));
-        tagged.push_record(TenantId(0), &packet(3, 0.2));
+        let mut tagged = TaggedBatch::new();
+        push(&mut tagged, 3, packet(1, 0.0));
+        push(&mut tagged, 3, packet(2, 0.1));
+        push(&mut tagged, 0, packet(3, 0.2));
         assert_eq!(tagged.len(), 3);
         assert!(!tagged.is_empty());
         assert_eq!(tagged.tenant(0), TenantId(3));
@@ -211,7 +200,7 @@ mod tests {
     fn runs_cover_the_batch_in_order() {
         let mut tagged = TaggedBatch::new();
         for (tenant, t) in [(1u32, 0.0), (1, 0.1), (2, 0.2), (1, 0.3), (1, 0.4)] {
-            tagged.push_record(TenantId(tenant), &packet(tenant as u8, t));
+            push(&mut tagged, tenant, packet(tenant as u8, t));
         }
         let runs: Vec<_> = tagged.runs().collect();
         assert_eq!(

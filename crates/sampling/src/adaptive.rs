@@ -59,20 +59,6 @@ impl AdaptiveRateSampler {
         }
     }
 
-    /// Restricts the range the adapted rate may take.
-    pub fn with_rate_bounds(mut self, min_rate: f64, max_rate: f64) -> Self {
-        self.min_rate = min_rate.clamp(1e-9, 1.0);
-        self.max_rate = max_rate.clamp(self.min_rate, 1.0);
-        self.rate = self.rate.clamp(self.min_rate, self.max_rate);
-        self.initial_rate = self.initial_rate.clamp(self.min_rate, self.max_rate);
-        self
-    }
-
-    /// The rate currently in force.
-    pub fn current_rate(&self) -> f64 {
-        self.rate
-    }
-
     fn roll_interval(&mut self, packet_interval: u64) {
         // Multiplicative update for the interval that just ended: scale the
         // rate by budget / realised count, bounded to a factor of 4 per step
@@ -159,7 +145,7 @@ mod tests {
                 let t = s as f64 + i as f64 / pps as f64;
                 sampler.keep(&packet_at(t), &mut rng);
             }
-            rates.push(sampler.current_rate());
+            rates.push(sampler.nominal_rate());
         }
         rates
     }
@@ -222,9 +208,9 @@ mod tests {
         sampler.keep(&packet_at(0.5), &mut rng);
         sampler.keep(&packet_at(4.5), &mut rng);
         assert!(
-            (sampler.current_rate() - 0.16).abs() < 1e-12,
+            (sampler.nominal_rate() - 0.16).abs() < 1e-12,
             "expected 0.01 × 2⁴ after the gap, got {}",
-            sampler.current_rate()
+            sampler.nominal_rate()
         );
     }
 
@@ -236,7 +222,7 @@ mod tests {
         let mut rng = Pcg64::seed_from_u64(7);
         sampler.keep(&packet_at(0.5), &mut rng);
         sampler.keep(&packet_at(604_800.5), &mut rng);
-        assert_eq!(sampler.current_rate(), 1.0);
+        assert_eq!(sampler.nominal_rate(), 1.0);
     }
 
     #[test]
@@ -251,21 +237,20 @@ mod tests {
         sampler.reset();
         sampler.keep(&packet_at(62.0), &mut rng);
         assert!(
-            (sampler.current_rate() - 0.8).abs() < 1e-12,
+            (sampler.nominal_rate() - 0.8).abs() < 1e-12,
             "got {}",
-            sampler.current_rate()
+            sampler.nominal_rate()
         );
     }
 
     #[test]
     fn bounds_and_reset() {
-        let mut sampler = AdaptiveRateSampler::new(0.5, 1, Timestamp::from_secs_f64(1.0))
-            .with_rate_bounds(0.01, 0.2);
-        assert!(sampler.current_rate() <= 0.2);
+        let mut sampler = AdaptiveRateSampler::new(0.5, 1, Timestamp::from_secs_f64(1.0));
         let _ = run(&mut sampler, 10_000, 5, 4);
-        assert!(sampler.current_rate() >= 0.01);
+        assert!(sampler.nominal_rate() < 0.5, "over budget: the rate fell");
+        assert!(sampler.nominal_rate() >= sampler.min_rate);
         sampler.reset();
-        assert!((sampler.current_rate() - 0.2).abs() < 1e-12);
+        assert!((sampler.nominal_rate() - 0.5).abs() < 1e-12);
         assert_eq!(sampler.name(), "adaptive");
     }
 }

@@ -35,13 +35,8 @@ impl FlowSampler {
         }
     }
 
-    /// The per-flow keep probability.
-    pub fn rate(&self) -> f64 {
-        self.rate
-    }
-
     /// Returns `true` when the given flow key is selected.
-    pub fn keeps_flow(&self, key: &FiveTuple) -> bool {
+    pub(crate) fn keeps_flow(&self, key: &FiveTuple) -> bool {
         if self.rate >= 1.0 {
             return true;
         }
@@ -113,7 +108,7 @@ mod tests {
         let mut none = FlowSampler::new(0.0, 1);
         assert!(packets.iter().all(|p| all.keep(p, &mut rng)));
         assert!(packets.iter().all(|p| !none.keep(p, &mut rng)));
-        assert_eq!(FlowSampler::new(2.0, 1).rate(), 1.0);
+        assert_eq!(FlowSampler::new(2.0, 1).rate, 1.0);
         assert_eq!(all.name(), "flow-sampling");
     }
 

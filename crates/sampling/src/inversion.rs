@@ -6,7 +6,7 @@
 //! module implements the aggregate estimators the paper builds on, in the
 //! spirit of Duffield, Lund & Thorup (reference \[9\]):
 //!
-//! * [`scale_count`] / [`estimate_flow_size`] — unbiased `1/p` scaling of
+//! * `scale_count` / [`estimate_flow_size`] — unbiased `1/p` scaling of
 //!   packet counts (per link or per flow).
 //! * [`detection_probability`] — probability that a flow of a given size is
 //!   seen at all, `1 − (1−p)^S`, which drives the detection results of Sec. 7.
@@ -21,7 +21,7 @@
 //!   packet total and the corrected flow count.
 
 /// Scales a sampled packet count by `1/p` (unbiased under random sampling).
-pub fn scale_count(sampled: u64, rate: f64) -> f64 {
+pub(crate) fn scale_count(sampled: u64, rate: f64) -> f64 {
     if rate <= 0.0 {
         return 0.0;
     }

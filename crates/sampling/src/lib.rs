@@ -29,10 +29,10 @@
 //!   data (scale-by-1/p, flow counts, mean flow size).
 //! * [`seqno`] — TCP sequence-number flow-size estimator (the paper's second
 //!   future-work direction).
-//! * [`pipeline`] — sampling pipelines without intermediate copies: the lazy
-//!   [`pipeline::sample_iter`] filter and the push-based
-//!   [`pipeline::SamplerStage`] that the streaming `Monitor` builds its lanes
-//!   from.
+//! * [`pipeline`] — sampling pipelines without intermediate copies: the
+//!   single-pass [`pipeline::sample_and_classify`] table builder and the
+//!   batch-driven [`pipeline::SamplerStage`] that the streaming `Monitor`
+//!   builds its lanes from.
 //!
 //! Every sampler implements the object-safe [`PacketSampler`] trait, so a
 //! monitor can select its sampling discipline at run time
@@ -60,7 +60,7 @@ pub mod stratified;
 pub use adaptive::AdaptiveRateSampler;
 pub use flow_sampling::FlowSampler;
 pub use periodic::PeriodicSampler;
-pub use pipeline::{sample_and_classify, sample_iter, SamplerStage};
+pub use pipeline::{sample_and_classify, SamplerStage};
 pub use random::RandomSampler;
 pub use sampler::PacketSampler;
 pub use smart::SmartPacketSampler;

@@ -55,11 +55,6 @@ impl PeriodicSampler {
         self.phase_initialized = false;
         self
     }
-
-    /// The sampling period N.
-    pub fn period(&self) -> u64 {
-        self.period
-    }
 }
 
 impl PacketSampler for PeriodicSampler {
@@ -144,11 +139,11 @@ mod tests {
 
     #[test]
     fn rate_constructor_round_trips() {
-        assert_eq!(PeriodicSampler::with_rate(0.01).period(), 100);
-        assert_eq!(PeriodicSampler::with_rate(1.0).period(), 1);
-        assert_eq!(PeriodicSampler::with_rate(0.0).period(), u64::MAX);
+        assert_eq!(PeriodicSampler::with_rate(0.01).period, 100);
+        assert_eq!(PeriodicSampler::with_rate(1.0).period, 1);
+        assert_eq!(PeriodicSampler::with_rate(0.0).period, u64::MAX);
         assert!((PeriodicSampler::new(1000).nominal_rate() - 0.001).abs() < 1e-12);
-        assert_eq!(PeriodicSampler::new(0).period(), 1);
+        assert_eq!(PeriodicSampler::new(0).period, 1);
     }
 
     #[test]

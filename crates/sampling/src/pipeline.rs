@@ -7,10 +7,10 @@
 //! the end of the measurement period the flow table is ranked. None of them
 //! materialise intermediate packet vectors:
 //!
-//! * [`sample_iter`] — a lazy filtering iterator over borrowed packets.
-//! * [`SamplerStage`] — the push adapter the streaming `Monitor` builds its
-//!   lanes from: an owned sampler plus its RNG, driven one packet at a time.
-//! * [`sample_and_classify`] / [`classify_all`] — single-pass table builders.
+//! * [`SamplerStage`] — the adapter the streaming `Monitor` builds its
+//!   lanes from: an owned sampler plus its RNG, offered one batch at a time.
+//! * [`sample_and_classify`] — the single-pass table builder, over the
+//!   crate-private lazy filter `sample_iter`.
 
 use std::ops::Range;
 
@@ -22,7 +22,7 @@ use crate::sampler::PacketSampler;
 /// Lazily filters `packets` through `sampler`: yields exactly the packets the
 /// monitor retains, in order, without copying them into an intermediate
 /// vector.
-pub fn sample_iter<'a, I, S>(
+pub(crate) fn sample_iter<'a, I, S>(
     packets: I,
     sampler: &'a mut S,
     rng: &'a mut dyn Rng,
@@ -63,30 +63,13 @@ impl<R: Rng> SamplerStage<R> {
         SamplerStage { sampler, rng }
     }
 
-    /// Pushes one packet through the stage; returns `true` when the monitor
-    /// keeps it.
-    pub fn admit(&mut self, packet: &PacketRecord) -> bool {
-        self.sampler.keep(packet, &mut self.rng)
-    }
-
     /// Offers `batch[range]` to the stage and appends the batch indices of
-    /// the retained packets to `kept` — the batched form of
-    /// [`SamplerStage::admit`], with identical decisions and RNG consumption
-    /// for any way of cutting the stream into batches (see
+    /// the retained packets to `kept`, with identical decisions and RNG
+    /// consumption for any way of cutting the stream into batches (see
     /// [`PacketSampler::keep_batch`]). Skip-capable samplers make the cost
     /// of this call proportional to the packets *kept*.
     pub fn admit_batch(&mut self, batch: &PacketBatch, range: Range<usize>, kept: &mut Vec<u32>) {
         self.sampler.keep_batch(batch, range, &mut self.rng, kept)
-    }
-
-    /// The sampler's nominal rate (see [`PacketSampler::nominal_rate`]).
-    pub fn nominal_rate(&self) -> f64 {
-        self.sampler.nominal_rate()
-    }
-
-    /// The sampler's short name.
-    pub fn sampler_name(&self) -> &'static str {
-        self.sampler.name()
     }
 
     /// Starts a new measurement interval: resets the sampler's internal state
@@ -108,16 +91,6 @@ pub fn sample_and_classify<K: FlowKey, S: PacketSampler + ?Sized>(
 ) -> FlowTable<K> {
     let mut table = FlowTable::new();
     for packet in sample_iter(packets, sampler, rng) {
-        table.observe(packet);
-    }
-    table
-}
-
-/// Classifies an (unsampled) packet stream — the ground-truth table the
-/// sampled ranking is compared against.
-pub fn classify_all<K: FlowKey>(packets: &[PacketRecord]) -> FlowTable<K> {
-    let mut table = FlowTable::new();
-    for packet in packets {
         table.observe(packet);
     }
     table
@@ -161,6 +134,27 @@ mod tests {
         assert!(last_index.is_some());
     }
 
+    /// The per-packet keep decisions of one `admit_batch` over `packets`.
+    fn admitted(stage: &mut SamplerStage<Pcg64>, packets: &[PacketRecord]) -> Vec<bool> {
+        let batch = PacketBatch::from_records(packets);
+        let mut kept = Vec::new();
+        stage.admit_batch(&batch, 0..batch.len(), &mut kept);
+        let mut decisions = vec![false; packets.len()];
+        for index in kept {
+            decisions[index as usize] = true;
+        }
+        decisions
+    }
+
+    /// The unsampled table: every packet kept.
+    fn classify_all(packets: &[PacketRecord]) -> FlowTable<FiveTuple> {
+        sample_and_classify(
+            packets,
+            &mut RandomSampler::new(1.0),
+            &mut Pcg64::seed_from_u64(0),
+        )
+    }
+
     #[test]
     fn sampler_stage_matches_direct_sampler_use() {
         let packets = packet_stream(5_000, 20, 2.0);
@@ -173,10 +167,8 @@ mod tests {
 
         let mut stage =
             SamplerStage::new(Box::new(RandomSampler::new(0.1)), Pcg64::seed_from_u64(21));
-        let got: Vec<bool> = packets.iter().map(|p| stage.admit(p)).collect();
+        let got = admitted(&mut stage, &packets);
         assert_eq!(expected, got, "push adapter must not perturb the stream");
-        assert!((stage.nominal_rate() - 0.1).abs() < 1e-12);
-        assert_eq!(stage.sampler_name(), "random");
     }
 
     #[test]
@@ -184,9 +176,9 @@ mod tests {
         let packets = packet_stream(200, 5, 1.0);
         let mut stage =
             SamplerStage::new(Box::new(RandomSampler::new(0.3)), Pcg64::seed_from_u64(33));
-        let first: Vec<bool> = packets.iter().map(|p| stage.admit(p)).collect();
+        let first = admitted(&mut stage, &packets);
         stage.start_interval(Pcg64::seed_from_u64(33));
-        let second: Vec<bool> = packets.iter().map(|p| stage.admit(p)).collect();
+        let second = admitted(&mut stage, &packets);
         assert_eq!(first, second);
     }
 

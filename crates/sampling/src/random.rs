@@ -21,7 +21,7 @@
 //! (`push_batch`) monitors bit-identical.
 //!
 //! A geometric draw pays an `ln()`, so it only wins while keeps are rare;
-//! at rates of [`SKIP_RATE_CEILING`] (1-in-8) and above the sampler flips
+//! at rates of `SKIP_RATE_CEILING` (1-in-8) and above the sampler flips
 //! plain Bernoulli coins instead — the regime switch is a pure function of
 //! the rate, so the per-packet and batch paths always agree.
 //!
@@ -46,7 +46,7 @@ use crate::sampler::PacketSampler;
 /// *offered* packet, so skipping only wins when keeps are rare (Vitter's
 /// classic Method A/B switch). At 1-in-8 the two costs cross on commodity
 /// hardware.
-pub const SKIP_RATE_CEILING: f64 = 0.125;
+pub(crate) const SKIP_RATE_CEILING: f64 = 0.125;
 
 /// Bernoulli(p) packet sampler in skip-based form.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -85,11 +85,6 @@ impl RandomSampler {
             inv_ln_discard,
             gap: None,
         }
-    }
-
-    /// The sampling probability.
-    pub fn rate(&self) -> f64 {
-        self.rate
     }
 
     /// Whether this rate runs in the geometric-skip regime (low rates) or
@@ -204,8 +199,8 @@ mod tests {
 
     #[test]
     fn clamps_rate() {
-        assert_eq!(RandomSampler::new(-0.5).rate(), 0.0);
-        assert_eq!(RandomSampler::new(1.7).rate(), 1.0);
+        assert_eq!(RandomSampler::new(-0.5).rate, 0.0);
+        assert_eq!(RandomSampler::new(1.7).rate, 1.0);
         assert_eq!(RandomSampler::new(0.01).nominal_rate(), 0.01);
         assert_eq!(RandomSampler::new(0.5).name(), "random");
     }

@@ -104,11 +104,6 @@ impl SmartPacketSampler {
         }
     }
 
-    /// The threshold `z`.
-    pub fn threshold(&self) -> f64 {
-        self.threshold
-    }
-
     /// The nominal-rate proxy reported before any traffic has been seen:
     /// `1/z`, saturating at 1 for thresholds of one packet or less. Shared
     /// with the monitor's sampler specification so both report the same
@@ -224,7 +219,7 @@ mod tests {
         let kept_mice = mice.iter().filter(|p| sampler.keep(p, &mut rng)).count();
         assert!(kept_mice < 25, "mice must be dropped: {kept_mice}");
         assert_eq!(sampler.name(), "smart");
-        assert_eq!(sampler.threshold(), 50.0);
+        assert_eq!(sampler.threshold, 50.0);
     }
 
     #[test]
@@ -233,7 +228,7 @@ mod tests {
         let mut rng = Pcg64::seed_from_u64(8);
         let mut keep_all = SmartPacketSampler::new(0.0);
         assert!(packets.iter().all(|p| keep_all.keep(p, &mut rng)));
-        assert_eq!(SmartPacketSampler::new(-3.0).threshold(), 0.0);
+        assert_eq!(SmartPacketSampler::new(-3.0).threshold, 0.0);
         // Before any traffic the nominal rate falls back to 1/z.
         assert!((SmartPacketSampler::new(200.0).nominal_rate() - 0.005).abs() < 1e-12);
         assert_eq!(SmartPacketSampler::new(0.5).nominal_rate(), 1.0);

@@ -43,11 +43,6 @@ impl StratifiedSampler {
         };
         Self::new(stratum)
     }
-
-    /// Stratum size N.
-    pub fn stratum(&self) -> u64 {
-        self.stratum
-    }
 }
 
 impl PacketSampler for StratifiedSampler {
@@ -177,10 +172,10 @@ mod tests {
 
     #[test]
     fn constructors_and_reset() {
-        assert_eq!(StratifiedSampler::with_rate(0.02).stratum(), 50);
-        assert_eq!(StratifiedSampler::with_rate(2.0).stratum(), 1);
-        assert_eq!(StratifiedSampler::with_rate(0.0).stratum(), u64::MAX);
-        assert_eq!(StratifiedSampler::new(0).stratum(), 1);
+        assert_eq!(StratifiedSampler::with_rate(0.02).stratum, 50);
+        assert_eq!(StratifiedSampler::with_rate(2.0).stratum, 1);
+        assert_eq!(StratifiedSampler::with_rate(0.0).stratum, u64::MAX);
+        assert_eq!(StratifiedSampler::new(0).stratum, 1);
         let mut s = StratifiedSampler::new(4);
         assert!((s.nominal_rate() - 0.25).abs() < 1e-12);
         s.reset();

@@ -308,7 +308,7 @@ impl ServeConfig {
     /// The drive policy the config describes: serving always skips
     /// malformed records (counted, budget-bounded) — a daemon must not die
     /// to one bad line on a live feed.
-    pub fn drive_policy(&self) -> DrivePolicy {
+    pub(crate) fn drive_policy(&self) -> DrivePolicy {
         DrivePolicy::resilient()
             .stall_polls(self.stall_polls)
             .stall_timeout(Duration::from_secs_f64(self.stall_timeout_secs.max(0.0)))
@@ -318,7 +318,7 @@ impl ServeConfig {
     /// The monitor template the config describes — also the per-tenant
     /// template in fleet mode (where the fleet overrides `threads` to 1
     /// per tenant and parallelises across tenants instead).
-    pub fn monitor_builder(&self) -> flowrank_monitor::MonitorBuilder {
+    pub(crate) fn monitor_builder(&self) -> flowrank_monitor::MonitorBuilder {
         let mut builder = Monitor::builder()
             .sampler(self.sampler)
             .rates(&self.rates)

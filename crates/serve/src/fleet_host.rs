@@ -79,7 +79,7 @@ impl FleetSink for Totals {
 /// Builds the fleet the config describes: the single-monitor template with
 /// the daemon's drive policy, tenants × that, fleet-level threads, and the
 /// per-tenant flow budget when configured.
-pub fn build_fleet(config: &ServeConfig) -> Fleet {
+pub(crate) fn build_fleet(config: &ServeConfig) -> Fleet {
     let mut builder = FleetBuilder::new(config.tenants)
         .monitor(config.monitor_builder())
         .seed(config.seed)

@@ -50,5 +50,5 @@ pub mod snapshot;
 pub mod socket;
 
 pub use config::{ConfigError, OutputKind, ServeConfig, SourceKind};
-pub use fleet_host::{build_fleet, run_fleet, FleetFinal};
+pub use fleet_host::{run_fleet, FleetFinal};
 pub use snapshot::{PublishSink, SnapshotPublisher};

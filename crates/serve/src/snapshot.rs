@@ -41,7 +41,7 @@ impl Default for SnapshotPublisher {
 
 impl SnapshotPublisher {
     /// An empty publisher: polls answer `"state": null` until the first
-    /// [`SnapshotPublisher::publish`].
+    /// `SnapshotPublisher::publish`.
     pub fn new() -> Self {
         SnapshotPublisher {
             shared: Arc::new(Mutex::new(Shared {
@@ -52,7 +52,7 @@ impl SnapshotPublisher {
     }
 
     /// Replaces the current snapshot.
-    pub fn publish(&self, json: &str) {
+    pub(crate) fn publish(&self, json: &str) {
         let mut shared = self.shared.lock().expect("snapshot lock");
         shared.json.clear();
         shared.json.push_str(json);

@@ -9,7 +9,8 @@
 //!
 //! The streaming monitor cuts bins itself as timestamps cross boundaries;
 //! [`split_into_bins`] is the materialised reference the conformance and
-//! `streaming_equivalence` suites feed the per-bin [`crate::run_bin`] with.
+//! `streaming_equivalence` suites feed the per-bin oracle
+//! ([`crate::engine`]) with.
 
 use flowrank_net::{PacketRecord, Timestamp};
 

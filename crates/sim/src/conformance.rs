@@ -1,12 +1,14 @@
 //! Differential conformance across every execution path of the pipeline.
 //!
-//! The workspace keeps four ways of running the same measurement over the
-//! same trace — per-packet [`Monitor::push`], batched
-//! [`Monitor::push_batch`] (whole or chunked arbitrarily), the pipelined
-//! worker runtime behind `threads(n)` (driven both through buffered
-//! `run_batch` and through `Monitor::drive` over irregularly chunked
-//! sources, with chunks both smaller and larger than the runtime's segment
-//! buffers), and the legacy [`crate::run_bin`] wrapper — and promises they are **bit-identical**, not merely statistically alike.
+//! The workspace keeps three ways of driving a monitor over the same trace
+//! — per-packet [`Monitor::push`], batched [`Monitor::push_batch`] (whole
+//! or chunked arbitrarily) and the pipelined worker runtime behind
+//! `threads(n)` (driven both through buffered `run_batch` and through
+//! `Monitor::drive` over irregularly chunked sources, with chunks both
+//! smaller and larger than the runtime's segment buffers) — plus the
+//! independent per-packet oracle `crate::engine::run_bin`, which shares
+//! nothing with the monitor but the scoring primitive, and promises they are
+//! **bit-identical**, not merely statistically alike.
 //! This module is the single driver that checks the promise for one
 //! configuration cell and condenses the resulting report stream into a
 //! stable digest, so a committed golden value per cell turns any silent
@@ -17,7 +19,7 @@
 //! source/sink pipeline (`Monitor::drive` over a whole-batch source and
 //! over the re-chunking adapter, with the streaming [`DigestSink`]
 //! accumulating alongside) — asserts that every [`BinReport`] agrees byte
-//! for byte, replays each bin through the legacy engine for the same seed,
+//! for byte, replays each bin through the oracle for the same seed,
 //! and returns the [`digest_reports`] hash of the reference stream. The
 //! digest folds every observable field — bin indices, packet/flow counts,
 //! lane outcomes, top-k entries — through FNV-1a, using only integer
@@ -96,8 +98,8 @@ impl ConformanceConfig {
 
 /// Runs `packets` through every execution path under `config`, asserts all
 /// paths produce bit-identical [`BinReport`] streams (and that each bin
-/// matches the legacy [`run_bin`] engine), and returns the reference
-/// stream's [`digest_reports`] value.
+/// matches the independent per-packet oracle, `engine::run_bin`), and
+/// returns the reference stream's [`digest_reports`] value.
 ///
 /// # Panics
 ///
@@ -243,10 +245,10 @@ pub fn run_conformance(label: &str, packets: &[PacketRecord], config: &Conforman
         "{label}: pooled fault-free try_drive diverged from the collect path"
     );
 
-    // Legacy leg: every bin replayed through the batch-era engine with the
+    // Oracle leg: every bin replayed through the per-packet engine with the
     // same sampler spec and seed (the monitor restarts each lane's sampler
     // and RNG from its seed at every bin boundary, which is exactly the
-    // legacy engine's fresh-per-bin contract).
+    // oracle's fresh-per-bin contract).
     let bins = split_into_bins(packets, config.bin_length);
     assert_eq!(
         reference.len(),

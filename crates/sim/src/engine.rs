@@ -1,12 +1,15 @@
-//! One sampling run over one measurement bin — legacy batch entry points.
+//! One sampling run over one measurement bin — the independent per-packet
+//! oracle the streaming [`flowrank_monitor::Monitor`] is checked against.
 //!
-//! These functions predate the streaming [`flowrank_monitor::Monitor`] and
-//! are kept as thin compatibility wrappers: they classify the bin in a single
-//! pass and score it through the same [`GroundTruthRanking`] primitive the
-//! monitor's lanes use, so batch and streaming results are bit-identical for
-//! the same sampler, seed and flow definition. New code should drive a
-//! `Monitor` directly — it classifies the ground truth once per bin no matter
-//! how many runs and rates ride on it, while `run_bin` pays the full
+//! `run_bin` is a second implementation of a bin, not a wrapper over the
+//! monitor: its own two flow tables, one `keep` call per packet, no
+//! `Monitor`, no batches, no lanes. The only code it shares with the monitor
+//! is the scoring primitive [`GroundTruthRanking`]. [`crate::conformance`]
+//! runs every scenario × sampler × top-k cell through it and requires the
+//! monitor's reports to be bit-identical; `streaming_equivalence` does the
+//! same for plain random sampling through [`run_bin_random_sampling`].
+//! Experiments drive a `Monitor`: it classifies the ground truth once per
+//! bin however many runs and rates ride on it, while `run_bin` pays the full
 //! classification on every call.
 
 use flowrank_core::metrics::{ComparisonOutcome, GroundTruthRanking, SizedFlow};
@@ -25,29 +28,15 @@ pub struct BinResult {
     pub outcome: ComparisonOutcome,
 }
 
-impl BinResult {
-    /// The ranking metric value (average number of swapped pairs) for this
-    /// single run — used directly, the averaging over runs happens above.
-    pub fn ranking_metric(&self) -> f64 {
-        self.outcome.ranking_swaps as f64
-    }
-
-    /// The detection metric value for this single run.
-    pub fn detection_metric(&self) -> f64 {
-        self.outcome.detection_swaps as f64
-    }
-}
-
 /// Runs one sampling run over one bin of packets.
 ///
 /// * `flow_definition` — 5-tuple or /24 prefix classification.
 /// * `sampler` — any packet sampler; the paper uses [`RandomSampler`].
 /// * `top_t` — number of top flows the monitor reports.
 ///
-/// Compatibility wrapper over the streaming pipeline's primitives; a
-/// `Monitor` with a single lane produces the identical [`ComparisonOutcome`]
-/// for the same seed.
-pub fn run_bin<S: PacketSampler + ?Sized>(
+/// A `Monitor` with a single lane produces the identical
+/// [`ComparisonOutcome`] for the same seed.
+pub(crate) fn run_bin<S: PacketSampler + ?Sized>(
     packets: &[PacketRecord],
     flow_definition: FlowDefinition,
     sampler: &mut S,
@@ -85,8 +74,9 @@ pub fn run_bin<S: PacketSampler + ?Sized>(
     }
 }
 
-/// Convenience wrapper: one random-sampling run at rate `p` with a fresh RNG
-/// derived from `seed`.
+/// One random-sampling run of `run_bin` at rate `p` with a fresh RNG derived
+/// from `seed` — the form the `streaming_equivalence` suite compares
+/// `Monitor::push` against.
 pub fn run_bin_random_sampling(
     packets: &[PacketRecord],
     flow_definition: FlowDefinition,
@@ -133,7 +123,6 @@ mod tests {
         assert_eq!(result.sampled_flows, 20);
         assert_eq!(result.outcome.ranking_swaps, 0);
         assert_eq!(result.outcome.detection_swaps, 0);
-        assert_eq!(result.ranking_metric(), 0.0);
     }
 
     #[test]
@@ -145,7 +134,6 @@ mod tests {
             result.outcome.ranking_swaps > 0,
             "0.5% sampling of small flows must produce ranking errors"
         );
-        assert!(result.detection_metric() >= 0.0);
     }
 
     #[test]
@@ -155,7 +143,8 @@ mod tests {
             (0..10)
                 .map(|seed| {
                     run_bin_random_sampling(&packets, FlowDefinition::FiveTuple, rate, 10, seed)
-                        .ranking_metric()
+                        .outcome
+                        .ranking_swaps as f64
                 })
                 .sum::<f64>()
                 / 10.0
@@ -191,7 +180,7 @@ mod tests {
     #[test]
     fn boxed_sampler_runs_through_the_same_entry_point() {
         // The trait is object safe: a runtime-selected sampler drives the
-        // legacy wrapper unchanged.
+        // oracle unchanged.
         let packets = skewed_bin(15);
         let mut boxed: Box<dyn PacketSampler> = Box::new(RandomSampler::new(1.0));
         let mut rng = Pcg64::seed_from_u64(1);

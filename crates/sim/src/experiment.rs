@@ -275,7 +275,7 @@ mod tests {
                 for &seed in &seeds {
                     let legacy =
                         run_bin_random_sampling(bin, cfg.flow_definition, rate, cfg.top_t, seed);
-                    stats.push(legacy.ranking_metric());
+                    stats.push(legacy.outcome.ranking_swaps as f64);
                 }
                 let expected = stats.mean().unwrap_or(0.0);
                 let got = result.series[rate_index].ranking_mean[bin_index];

@@ -19,20 +19,22 @@
 //!
 //! * [`binning`] — cutting a packet trace into per-bin vectors (flows active
 //!   across a bin boundary are truncated, exactly as the paper's binning
-//!   method does): the reference the conformance and equivalence suites
-//!   feed [`run_bin`] with — the monitor cuts its own bins.
+//!   method does): what the conformance and equivalence suites feed the
+//!   oracle with — the monitor cuts its own bins.
 //! * [`conformance`] — the differential harness that drives one
 //!   configuration through every execution path (`push`, `push_batch` whole
-//!   and chunked, sharded `threads(n)`, legacy [`run_bin`]), asserts
+//!   and chunked, pipelined `threads(n)`) and through the oracle, asserts
 //!   bit-identical reports and condenses the stream into a stable golden
 //!   digest.
 //! * [`convergence`] — the closed-loop harness: drives a
 //!   `flowrank-control` controller over a scenario workload, computes
 //!   per-bin regret against the offline-optimal rate from `core::optimal`,
 //!   and digests the decision trace for golden pinning.
-//! * [`engine`] — the legacy single-run batch entry points ([`run_bin`],
-//!   [`engine::run_bin_random_sampling`]), kept as thin wrappers that share
-//!   the monitor's ranking primitives and produce bit-identical results.
+//! * [`engine`] — the independent per-packet oracle of one bin (own flow
+//!   tables, one `keep` per packet, no `Monitor`; it shares only
+//!   `GroundTruthRanking` with the monitor), crate-private but for
+//!   [`engine::run_bin_random_sampling`], which the `streaming_equivalence`
+//!   suite compares `Monitor::push` against.
 //! * [`experiment`] — multi-run, multi-bin experiments: one fanned-out
 //!   monitor driven over the trace once, its per-bin reports folded into
 //!   mean ± std series.
@@ -58,17 +60,13 @@ pub mod grids;
 pub mod report;
 pub mod scenarios;
 
-pub use binning::split_into_bins;
 pub use conformance::{
     digest_reports, run_conformance, run_streamed_conformance, ConformanceConfig,
 };
 pub use convergence::{run_convergence, ConvergenceConfig, ConvergencePoint, ConvergenceResult};
-pub use engine::{run_bin, BinResult};
 pub use experiment::{ExperimentConfig, ExperimentResult, TraceExperiment};
 pub use faults::{FaultPlan, FaultySink, FaultySource, InjectedFaults, SinkFault, SourceFault};
-pub use scenarios::{
-    abilene_experiment, sprint_experiment_with_sampler, workload_builder, workload_rate_curve,
-};
+pub use scenarios::{abilene_experiment, sprint_experiment_with_sampler, workload_builder};
 
 // The monitor is the front door experiments are built on; re-export the
 // names needed to configure one from simulation code.

@@ -10,7 +10,7 @@ use std::fmt::Write as _;
 use crate::experiment::{ExperimentResult, RateSeries};
 
 /// Renders one rate series as CSV rows (`bin_start_seconds,mean,std`).
-pub fn series_to_csv(series: &RateSeries, bin_seconds: f64, detection: bool) -> String {
+pub(crate) fn series_to_csv(series: &RateSeries, bin_seconds: f64, detection: bool) -> String {
     let mut out = String::new();
     let (means, stds) = if detection {
         (&series.detection_mean, &series.detection_std)

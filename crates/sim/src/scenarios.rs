@@ -6,16 +6,16 @@
 //! affordable in CI; EXPERIMENTS.md records the scale used for
 //! the reported numbers.
 
-use flowrank_monitor::{MonitorBuilder, RateCurve, RatePoint, SamplerSpec};
+use flowrank_monitor::{MonitorBuilder, SamplerSpec};
 use flowrank_net::{FlowDefinition, Timestamp};
-use flowrank_trace::{synthesize_packets, AbileneModel, SprintModel, SynthesisConfig, Workload};
+use flowrank_trace::{synthesize_packets, AbileneModel, SprintModel, SynthesisConfig};
 
 use crate::experiment::{ExperimentConfig, TraceExperiment};
 
 /// Sampling rates used by Figs. 12–15 (0.1%, 1%, 10%, 50%).
-pub const SPRINT_RATES: [f64; 4] = [0.001, 0.01, 0.1, 0.5];
+pub(crate) const SPRINT_RATES: [f64; 4] = [0.001, 0.01, 0.1, 0.5];
 /// Sampling rates used by Fig. 16 (0.1%, 1%, 10%, 80%).
-pub const ABILENE_RATES: [f64; 4] = [0.001, 0.01, 0.1, 0.8];
+pub(crate) const ABILENE_RATES: [f64; 4] = [0.001, 0.01, 0.1, 0.8];
 
 /// Builds the Sprint-like trace experiment of Figs. 12–15.
 ///
@@ -24,7 +24,7 @@ pub const ABILENE_RATES: [f64; 4] = [0.001, 0.01, 0.1, 0.8];
 /// * `scale` — flow-arrival-rate scale factor (1.0 = full published rate).
 /// * `runs` — sampling runs per rate (30 in the paper).
 /// * `sampler` — sampling-discipline template (the paper uses random
-///   sampling), fanned out across [`SPRINT_RATES`].
+///   sampling), fanned out across the figures' rates (0.1%, 1%, 10%, 50%).
 pub fn sprint_experiment_with_sampler(
     flow_definition: FlowDefinition,
     bin_seconds: f64,
@@ -50,7 +50,7 @@ pub fn sprint_experiment_with_sampler(
 }
 
 /// The fanned-out streaming monitor behind the scenario experiments,
-/// unbuilt: the `sampler` template at every [`SPRINT_RATES`] rate × `runs`
+/// unbuilt: the `sampler` template at every Figs. 12–15 rate × `runs`
 /// lanes, with the same per-(rate, run) seed derivation as
 /// [`TraceExperiment`]. The single-monitor paths build it directly (after
 /// attaching a controller, for `reproduce --controller`); a multi-tenant
@@ -75,31 +75,6 @@ pub fn workload_builder(
         .threads(threads)
 }
 
-/// The binned multi-run experiment over one scenario of the [`Workload`]
-/// catalog, streamed: drives the scenario's windowed synthesis
-/// ([`Workload::stream`]) through one fanned-out monitor into an online
-/// [`RateCurve`] — no materialised trace, no retained bins, peak memory
-/// independent of scenario length. The per-rate means equal a
-/// [`TraceExperiment`]'s
-/// [`crate::experiment::RateSeries::overall_ranking_mean`] over the
-/// materialised trace up to floating-point summation order (same
-/// observations, different accumulation).
-pub fn workload_rate_curve(
-    workload: &Workload,
-    flow_definition: FlowDefinition,
-    bin_seconds: f64,
-    runs: usize,
-    seed: u64,
-    sampler: SamplerSpec,
-    threads: usize,
-) -> Vec<RatePoint> {
-    let mut monitor =
-        workload_builder(flow_definition, bin_seconds, runs, seed, sampler, threads).build();
-    let mut curve = RateCurve::new();
-    monitor.drive(&mut workload.stream(seed), &mut curve);
-    curve.points()
-}
-
 /// Builds the Abilene-like trace experiment of Fig. 16 (1-minute bins,
 /// 5-tuple flows, top 10).
 pub fn abilene_experiment(scale: f64, runs: usize, seed: u64) -> TraceExperiment {
@@ -122,6 +97,8 @@ pub fn abilene_experiment(scale: f64, runs: usize, seed: u64) -> TraceExperiment
 #[cfg(test)]
 mod tests {
     use super::*;
+    use flowrank_monitor::RateCurve;
+    use flowrank_trace::Workload;
 
     #[test]
     fn sprint_experiment_structure() {
@@ -163,15 +140,14 @@ mod tests {
             ..ExperimentConfig::default()
         };
         let result = TraceExperiment::new(&workload.synthesize(seed), config).run();
-        let points = workload_rate_curve(
-            &workload,
-            FlowDefinition::FiveTuple,
-            60.0,
-            runs,
-            seed,
-            SamplerSpec::Random { rate: 0.01 },
-            1,
-        );
+        // The scenario streamed (`reproduce --scenario`'s path): windowed
+        // synthesis through one fanned-out monitor into an online curve.
+        let sampler = SamplerSpec::Random { rate: 0.01 };
+        let mut monitor =
+            workload_builder(FlowDefinition::FiveTuple, 60.0, runs, seed, sampler, 1).build();
+        let mut curve = RateCurve::new();
+        monitor.drive(&mut workload.stream(seed), &mut curve);
+        let points = curve.points();
         assert_eq!(points.len(), SPRINT_RATES.len());
         for (point, series) in points.iter().zip(&result.series) {
             assert_eq!(point.rate, series.rate);

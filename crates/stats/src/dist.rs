@@ -7,10 +7,9 @@
 //!   the inversion tests) and [`Zipf`] (prefix popularity of the synthetic
 //!   address generator).
 //! * [`ContinuousDistribution`] — real-valued laws: [`Exponential`]
-//!   (inter-arrival times and flow durations), [`Normal`] (the Gaussian
-//!   approximation of Sec. 4), [`Pareto`] and [`BoundedPareto`] (heavy-tailed
-//!   flow sizes, Sec. 6) and [`LogNormal`] (the short-tailed Abilene-like
-//!   model of Sec. 8.3).
+//!   (inter-arrival times and flow durations), [`Pareto`] and
+//!   [`BoundedPareto`] (heavy-tailed flow sizes, Sec. 6) and [`LogNormal`]
+//!   (the short-tailed Abilene-like model of Sec. 8.3).
 //!
 //! All constructors validate their parameters and return a
 //! [`crate::StatsResult`]; sampling draws from a caller-supplied
@@ -80,16 +79,6 @@ impl Binomial {
         require_finite("p", p)?;
         require_probability("p", p)?;
         Ok(Binomial { n, p })
-    }
-
-    /// Number of trials `n`.
-    pub fn trials(&self) -> u64 {
-        self.n
-    }
-
-    /// Success probability `p`.
-    pub fn probability(&self) -> f64 {
-        self.p
     }
 }
 
@@ -207,11 +196,6 @@ impl Zipf {
         }
         Ok(Zipf { cumulative })
     }
-
-    /// Number of ranks.
-    pub fn n(&self) -> usize {
-        self.cumulative.len()
-    }
 }
 
 impl DiscreteDistribution for Zipf {
@@ -272,11 +256,6 @@ impl Exponential {
         require_positive("mean", mean)?;
         Self::new(1.0 / mean)
     }
-
-    /// The rate parameter λ.
-    pub fn rate(&self) -> f64 {
-        self.rate
-    }
 }
 
 impl ContinuousDistribution for Exponential {
@@ -319,115 +298,68 @@ impl ContinuousDistribution for Exponential {
 }
 
 // ---------------------------------------------------------------------------
-// Normal
+// Standard Normal quantile
 // ---------------------------------------------------------------------------
 
-/// Normal(μ, σ²) — the Gaussian approximation of the sampled flow size.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Normal {
-    mean: f64,
-    sd: f64,
-}
-
-impl Normal {
-    /// Creates a Normal distribution with mean `μ` and standard deviation
-    /// `σ > 0`.
-    pub fn new(mean: f64, sd: f64) -> StatsResult<Self> {
-        require_finite("mean", mean)?;
-        require_positive("sd", sd)?;
-        Ok(Normal { mean, sd })
+/// Quantile of the standard Normal distribution (Acklam's rational
+/// approximation refined by one Halley step on `erfc`), accurate to
+/// ~1e-15 over `(0, 1)`.
+#[allow(clippy::excessive_precision)] // Acklam's published coefficients
+pub(crate) fn standard_normal_quantile(q: f64) -> f64 {
+    if q <= 0.0 {
+        return f64::NEG_INFINITY;
     }
-
-    /// The standard deviation σ.
-    pub fn sd(&self) -> f64 {
-        self.sd
+    if q >= 1.0 {
+        return f64::INFINITY;
     }
-
-    /// Quantile of the standard Normal distribution (Acklam's rational
-    /// approximation refined by one Halley step on `erfc`), accurate to
-    /// ~1e-15 over `(0, 1)`.
-    #[allow(clippy::excessive_precision)] // Acklam's published coefficients
-    pub fn standard_quantile(q: f64) -> f64 {
-        if q <= 0.0 {
-            return f64::NEG_INFINITY;
-        }
-        if q >= 1.0 {
-            return f64::INFINITY;
-        }
-        // Acklam's inverse-normal-CDF coefficients.
-        const A: [f64; 6] = [
-            -3.969_683_028_665_376e1,
-            2.209_460_984_245_205e2,
-            -2.759_285_104_469_687e2,
-            1.383_577_518_672_690e2,
-            -3.066_479_806_614_716e1,
-            2.506_628_277_459_239,
-        ];
-        const B: [f64; 5] = [
-            -5.447_609_879_822_406e1,
-            1.615_858_368_580_409e2,
-            -1.556_989_798_598_866e2,
-            6.680_131_188_771_972e1,
-            -1.328_068_155_288_572e1,
-        ];
-        const C: [f64; 6] = [
-            -7.784_894_002_430_293e-3,
-            -3.223_964_580_411_365e-1,
-            -2.400_758_277_161_838,
-            -2.549_732_539_343_734,
-            4.374_664_141_464_968,
-            2.938_163_982_698_783,
-        ];
-        const D: [f64; 4] = [
-            7.784_695_709_041_462e-3,
-            3.224_671_290_700_398e-1,
-            2.445_134_137_142_996,
-            3.754_408_661_907_416,
-        ];
-        let x = if q < 0.02425 {
-            let t = (-2.0 * q.ln()).sqrt();
-            (((((C[0] * t + C[1]) * t + C[2]) * t + C[3]) * t + C[4]) * t + C[5])
-                / ((((D[0] * t + D[1]) * t + D[2]) * t + D[3]) * t + 1.0)
-        } else if q > 1.0 - 0.02425 {
-            let t = (-2.0 * (1.0 - q).ln()).sqrt();
-            -(((((C[0] * t + C[1]) * t + C[2]) * t + C[3]) * t + C[4]) * t + C[5])
-                / ((((D[0] * t + D[1]) * t + D[2]) * t + D[3]) * t + 1.0)
-        } else {
-            let t = q - 0.5;
-            let r = t * t;
-            (((((A[0] * r + A[1]) * r + A[2]) * r + A[3]) * r + A[4]) * r + A[5]) * t
-                / (((((B[0] * r + B[1]) * r + B[2]) * r + B[3]) * r + B[4]) * r + 1.0)
-        };
-        // One Halley refinement against the high-precision erfc-based CDF.
-        let e = 0.5 * erfc(-x / std::f64::consts::SQRT_2) - q;
-        let u = e * (2.0 * std::f64::consts::PI).sqrt() * (x * x / 2.0).exp();
-        x - u / (1.0 + x * u / 2.0)
-    }
-}
-
-impl ContinuousDistribution for Normal {
-    fn pdf(&self, x: f64) -> f64 {
-        let z = (x - self.mean) / self.sd;
-        (-0.5 * z * z).exp() / (self.sd * (2.0 * std::f64::consts::PI).sqrt())
-    }
-
-    fn cdf(&self, x: f64) -> f64 {
-        let z = (x - self.mean) / self.sd;
-        0.5 * erfc(-z / std::f64::consts::SQRT_2)
-    }
-
-    fn sf(&self, x: f64) -> f64 {
-        let z = (x - self.mean) / self.sd;
-        0.5 * erfc(z / std::f64::consts::SQRT_2)
-    }
-
-    fn quantile(&self, q: f64) -> f64 {
-        self.mean + self.sd * Self::standard_quantile(q)
-    }
-
-    fn mean(&self) -> Option<f64> {
-        Some(self.mean)
-    }
+    // Acklam's inverse-normal-CDF coefficients.
+    const A: [f64; 6] = [
+        -3.969_683_028_665_376e1,
+        2.209_460_984_245_205e2,
+        -2.759_285_104_469_687e2,
+        1.383_577_518_672_690e2,
+        -3.066_479_806_614_716e1,
+        2.506_628_277_459_239,
+    ];
+    const B: [f64; 5] = [
+        -5.447_609_879_822_406e1,
+        1.615_858_368_580_409e2,
+        -1.556_989_798_598_866e2,
+        6.680_131_188_771_972e1,
+        -1.328_068_155_288_572e1,
+    ];
+    const C: [f64; 6] = [
+        -7.784_894_002_430_293e-3,
+        -3.223_964_580_411_365e-1,
+        -2.400_758_277_161_838,
+        -2.549_732_539_343_734,
+        4.374_664_141_464_968,
+        2.938_163_982_698_783,
+    ];
+    const D: [f64; 4] = [
+        7.784_695_709_041_462e-3,
+        3.224_671_290_700_398e-1,
+        2.445_134_137_142_996,
+        3.754_408_661_907_416,
+    ];
+    let x = if q < 0.02425 {
+        let t = (-2.0 * q.ln()).sqrt();
+        (((((C[0] * t + C[1]) * t + C[2]) * t + C[3]) * t + C[4]) * t + C[5])
+            / ((((D[0] * t + D[1]) * t + D[2]) * t + D[3]) * t + 1.0)
+    } else if q > 1.0 - 0.02425 {
+        let t = (-2.0 * (1.0 - q).ln()).sqrt();
+        -(((((C[0] * t + C[1]) * t + C[2]) * t + C[3]) * t + C[4]) * t + C[5])
+            / ((((D[0] * t + D[1]) * t + D[2]) * t + D[3]) * t + 1.0)
+    } else {
+        let t = q - 0.5;
+        let r = t * t;
+        (((((A[0] * r + A[1]) * r + A[2]) * r + A[3]) * r + A[4]) * r + A[5]) * t
+            / (((((B[0] * r + B[1]) * r + B[2]) * r + B[3]) * r + B[4]) * r + 1.0)
+    };
+    // One Halley refinement against the high-precision erfc-based CDF.
+    let e = 0.5 * erfc(-x / std::f64::consts::SQRT_2) - q;
+    let u = e * (2.0 * std::f64::consts::PI).sqrt() * (x * x / 2.0).exp();
+    x - u / (1.0 + x * u / 2.0)
 }
 
 // ---------------------------------------------------------------------------
@@ -444,7 +376,7 @@ pub struct Pareto {
 
 impl Pareto {
     /// Creates a Pareto distribution from its scale `a > 0` and shape `β > 0`.
-    pub fn new(scale: f64, shape: f64) -> StatsResult<Self> {
+    pub(crate) fn new(scale: f64, shape: f64) -> StatsResult<Self> {
         require_positive("scale", scale)?;
         require_positive("shape", shape)?;
         Ok(Pareto { scale, shape })
@@ -551,16 +483,6 @@ impl BoundedPareto {
             mass: 1.0 - (lo / hi).powf(shape),
         })
     }
-
-    /// Lower bound of the support.
-    pub fn lo(&self) -> f64 {
-        self.lo
-    }
-
-    /// Upper bound of the support.
-    pub fn hi(&self) -> f64 {
-        self.hi
-    }
 }
 
 impl ContinuousDistribution for BoundedPareto {
@@ -615,7 +537,7 @@ pub struct LogNormal {
 
 impl LogNormal {
     /// Creates a log-normal distribution from the log-space parameters.
-    pub fn new(mu: f64, sigma: f64) -> StatsResult<Self> {
+    pub(crate) fn new(mu: f64, sigma: f64) -> StatsResult<Self> {
         require_finite("mu", mu)?;
         require_positive("sigma", sigma)?;
         Ok(LogNormal { mu, sigma })
@@ -657,7 +579,7 @@ impl ContinuousDistribution for LogNormal {
     }
 
     fn quantile(&self, q: f64) -> f64 {
-        (self.mu + self.sigma * Normal::standard_quantile(q)).exp()
+        (self.mu + self.sigma * standard_normal_quantile(q)).exp()
     }
 
     fn mean(&self) -> Option<f64> {
@@ -683,8 +605,8 @@ mod tests {
         assert_eq!(b.pmf(21), 0.0);
         assert_eq!(b.cdf(20), 1.0);
         assert_eq!(b.mean(), Some(6.0));
-        assert_eq!(b.trials(), 20);
-        assert!((b.probability() - 0.3).abs() < 1e-15);
+        assert_eq!(b.n, 20);
+        assert!((b.p - 0.3).abs() < 1e-15);
     }
 
     #[test]
@@ -726,7 +648,7 @@ mod tests {
     #[test]
     fn zipf_rank_zero_dominates() {
         let z = Zipf::new(100, 1.0).unwrap();
-        assert_eq!(z.n(), 100);
+        assert_eq!(z.cumulative.len(), 100);
         assert!(z.pmf(0) > z.pmf(1));
         assert!(z.pmf(1) > z.pmf(50));
         assert!((z.cdf(99) - 1.0).abs() < 1e-12);
@@ -745,7 +667,7 @@ mod tests {
     #[test]
     fn exponential_closed_forms() {
         let e = Exponential::with_mean(4.0).unwrap();
-        assert!((e.rate() - 0.25).abs() < 1e-15);
+        assert!((e.rate - 0.25).abs() < 1e-15);
         assert_eq!(e.mean(), Some(4.0));
         assert!((e.sf(e.quantile(0.9)) - 0.1).abs() < 1e-12);
         assert!((e.cdf(4.0) - (1.0 - (-1.0f64).exp())).abs() < 1e-15);
@@ -761,16 +683,12 @@ mod tests {
 
     #[test]
     fn normal_quantile_inverts_cdf() {
-        let n = Normal::new(3.0, 2.0).unwrap();
+        let cdf = |x: f64| 0.5 * erfc(-x / std::f64::consts::SQRT_2);
         for &q in &[1e-6, 0.01, 0.25, 0.5, 0.75, 0.99, 1.0 - 1e-6] {
-            let x = n.quantile(q);
-            assert!((n.cdf(x) - q).abs() < 1e-11, "q = {q}");
+            let x = standard_normal_quantile(q);
+            assert!((cdf(x) - q).abs() < 1e-11, "q = {q}");
         }
-        assert!((n.cdf(3.0) - 0.5).abs() < 1e-15);
-        assert!((n.sf(3.0) - 0.5).abs() < 1e-15);
-        assert_eq!(n.mean(), Some(3.0));
-        assert!((n.sd() - 2.0).abs() < 1e-15);
-        assert!(Normal::new(0.0, 0.0).is_err());
+        assert!(standard_normal_quantile(0.5).abs() < 1e-15);
     }
 
     #[test]
@@ -793,8 +711,8 @@ mod tests {
     #[test]
     fn bounded_pareto_stays_in_range() {
         let b = BoundedPareto::new(1.0, 100.0, 1.1).unwrap();
-        assert_eq!(b.lo(), 1.0);
-        assert_eq!(b.hi(), 100.0);
+        assert_eq!(b.lo, 1.0);
+        assert_eq!(b.hi, 100.0);
         assert_eq!(b.cdf(0.5), 0.0);
         assert_eq!(b.cdf(200.0), 1.0);
         assert!((b.cdf(b.quantile(0.42)) - 0.42).abs() < 1e-12);

@@ -72,14 +72,6 @@ impl fmt::Display for StatsError {
 
 impl std::error::Error for StatsError {}
 
-impl StatsError {
-    /// Returns `true` when the error is an [`StatsError::InvalidParameter`]
-    /// for the parameter called `expected`. Convenient in tests and examples.
-    pub fn is_invalid_parameter(&self, expected: &str) -> bool {
-        matches!(self, StatsError::InvalidParameter { name, .. } if *name == expected)
-    }
-}
-
 /// Checks that `value` is strictly positive, returning an error otherwise.
 pub(crate) fn require_positive(name: &'static str, value: f64) -> StatsResult<()> {
     if value > 0.0 && value.is_finite() {

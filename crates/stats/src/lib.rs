@@ -6,23 +6,24 @@
 //! The analytical models in `flowrank-core` need a small but carefully
 //! implemented numerical toolbox:
 //!
-//! * [`special`] — log-gamma, error functions, regularised incomplete
-//!   beta/gamma functions (used for binomial and Poisson tails and the
-//!   Gaussian misranking approximation, Eq. 2 of the paper).
+//! * [`special`] — log-gamma, the complementary error function and the
+//!   regularised incomplete gamma functions (used for binomial masses,
+//!   Poisson tails and the Gaussian misranking approximation, Eq. 2 of the
+//!   paper).
 //! * [`dist`] — probability distributions: [`dist::Binomial`] (sampled flow
-//!   sizes), [`dist::Normal`] (Gaussian approximation), [`dist::Pareto`] and
-//!   [`dist::BoundedPareto`] (flow-size models, Sec. 6), plus the supporting
-//!   distributions used by the synthetic trace generators.
+//!   sizes), [`dist::Pareto`] and [`dist::BoundedPareto`] (flow-size models,
+//!   Sec. 6), plus the supporting distributions used by the synthetic trace
+//!   generators.
 //! * [`rng`] — deterministic, seedable pseudo-random number generators
-//!   (SplitMix64, PCG-64, xoshiro256**). The trace-driven experiments of
-//!   Sec. 8 average 30 independent sampling runs; explicit seeding makes every
-//!   figure reproducible bit-for-bit.
+//!   (SplitMix64, PCG-64). The trace-driven experiments of Sec. 8 average 30
+//!   independent sampling runs; explicit seeding makes every figure
+//!   reproducible bit-for-bit.
 //! * [`quadrature`] — Gauss–Legendre and adaptive Simpson integration,
 //!   including semi-infinite integrals, used by the continuous ranking model.
 //! * [`roots`] — bracketing root finders (bisection, Brent) used by the
 //!   optimal-sampling-rate solver of Sec. 3.2.
-//! * [`summary`] — online summary statistics (Welford), quantiles and
-//!   histograms used when reporting the per-bin simulation metrics.
+//! * [`summary`] — online summary statistics (Welford) and quantiles used
+//!   when reporting the per-bin simulation metrics.
 //! * [`rank`] — rank-comparison utilities (swapped-pair counts, Kendall tau)
 //!   shared by the empirical evaluation.
 //!
@@ -41,4 +42,4 @@ pub mod special;
 pub mod summary;
 
 pub use error::{StatsError, StatsResult};
-pub use rng::{Pcg64, Rng, SeedableRng, SplitMix64, Xoshiro256StarStar};
+pub use rng::{Pcg64, Rng, SeedableRng, SplitMix64};

@@ -5,7 +5,7 @@
 //! makes the metric computable "in a few seconds instead of hours" as the
 //! paper notes. This module provides the integrators used for that:
 //!
-//! * [`gauss_legendre`] — fixed-order Gauss–Legendre rule on a finite
+//! * `gauss_legendre` — fixed-order Gauss–Legendre rule on a finite
 //!   interval (fast inner loop of the double integrals),
 //! * [`adaptive_simpson`] — error-controlled adaptive Simpson on a finite
 //!   interval (outer integrals and validation),
@@ -61,7 +61,7 @@ const GL32_WEIGHTS: [f64; 16] = [
 /// Exact for polynomials up to degree 63; for the smooth integrands of the
 /// ranking model a single panel is usually enough, and panels can be chained
 /// by the caller for better resolution.
-pub fn gauss_legendre<F: Fn(f64) -> f64>(f: F, a: f64, b: f64) -> f64 {
+pub(crate) fn gauss_legendre<F: Fn(f64) -> f64>(f: F, a: f64, b: f64) -> f64 {
     if a == b {
         return 0.0;
     }
@@ -76,7 +76,7 @@ pub fn gauss_legendre<F: Fn(f64) -> f64>(f: F, a: f64, b: f64) -> f64 {
 }
 
 /// Integrates `f` over `[a, b]` by splitting the interval into `panels`
-/// equal sub-intervals and applying [`gauss_legendre`] to each.
+/// equal sub-intervals and applying `gauss_legendre` to each.
 pub fn gauss_legendre_composite<F: Fn(f64) -> f64>(f: F, a: f64, b: f64, panels: usize) -> f64 {
     if panels == 0 || a == b {
         return 0.0;

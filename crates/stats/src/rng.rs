@@ -9,10 +9,8 @@
 //!
 //! * [`SplitMix64`] — used for seed expansion and deriving per-run seeds.
 //! * [`Pcg64`] — the default general-purpose generator (PCG XSL RR 128/64).
-//! * [`Xoshiro256StarStar`] — an alternative generator used by property tests
-//!   to make sure nothing silently depends on a particular stream.
 //!
-//! All generators implement the [`Rng`] trait, which provides the derived
+//! Both implement the [`Rng`] trait, which provides the derived
 //! sampling helpers (uniform floats, Bernoulli trials, ranges, shuffling).
 
 /// Minimal random-number-generator interface used throughout the workspace.
@@ -120,7 +118,7 @@ pub struct SplitMix64 {
 
 impl SplitMix64 {
     /// Creates a new SplitMix64 generator from a seed.
-    pub fn new(seed: u64) -> Self {
+    pub(crate) fn new(seed: u64) -> Self {
         Self { state: seed }
     }
 }
@@ -156,7 +154,7 @@ const PCG_MULTIPLIER: u128 = 0x2360_ED05_1FC6_5DA4_4385_DF64_9FCC_F645;
 
 impl Pcg64 {
     /// Creates a generator from an explicit 128-bit state and stream.
-    pub fn new(state: u128, stream: u128) -> Self {
+    pub(crate) fn new(state: u128, stream: u128) -> Self {
         let increment = (stream << 1) | 1;
         let mut rng = Self {
             state: 0,
@@ -198,45 +196,6 @@ impl Rng for Pcg64 {
     }
 }
 
-/// xoshiro256** — alternative generator with a different structure from PCG.
-///
-/// Used by property tests to check that results do not depend on the
-/// particular generator family.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Xoshiro256StarStar {
-    s: [u64; 4],
-}
-
-impl SeedableRng for Xoshiro256StarStar {
-    fn seed_from_u64(seed: u64) -> Self {
-        let mut sm = SplitMix64::new(seed);
-        let mut s = [0u64; 4];
-        for slot in &mut s {
-            *slot = sm.next_u64();
-        }
-        // An all-zero state would be absorbing; SplitMix64 cannot produce four
-        // consecutive zeros, but guard anyway.
-        if s.iter().all(|&x| x == 0) {
-            s[0] = 0x9E37_79B9_7F4A_7C15;
-        }
-        Self { s }
-    }
-}
-
-impl Rng for Xoshiro256StarStar {
-    fn next_u64(&mut self) -> u64 {
-        let result = self.s[1].wrapping_mul(5).rotate_left(7).wrapping_mul(9);
-        let t = self.s[1] << 17;
-        self.s[2] ^= self.s[0];
-        self.s[3] ^= self.s[1];
-        self.s[1] ^= self.s[2];
-        self.s[0] ^= self.s[3];
-        self.s[2] ^= t;
-        self.s[3] = self.s[3].rotate_left(45);
-        result
-    }
-}
-
 /// Derives `count` independent 64-bit seeds from a master seed.
 ///
 /// Each trace-driven experiment uses this to give every one of its sampling
@@ -274,15 +233,6 @@ mod tests {
         let mut c = Pcg64::seed_from_u64(43);
         let overlaps = (0..100).filter(|_| a.next_u64() == c.next_u64()).count();
         assert!(overlaps < 3, "different seeds should rarely collide");
-    }
-
-    #[test]
-    fn xoshiro_determinism() {
-        let mut a = Xoshiro256StarStar::seed_from_u64(99);
-        let mut b = Xoshiro256StarStar::seed_from_u64(99);
-        for _ in 0..50 {
-            assert_eq!(a.next_u64(), b.next_u64());
-        }
     }
 
     #[test]
@@ -364,7 +314,7 @@ mod tests {
 
     #[test]
     fn range_f64_respects_bounds() {
-        let mut rng = Xoshiro256StarStar::seed_from_u64(2);
+        let mut rng = Pcg64::seed_from_u64(2);
         for _ in 0..1000 {
             let v = rng.range_f64(5.0, 9.0);
             assert!((5.0..9.0).contains(&v));

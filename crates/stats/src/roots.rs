@@ -26,7 +26,7 @@ pub struct Root {
 // `evals` counts function evaluations (including the bracket endpoints),
 // not loop iterations, so it is not a loop counter.
 #[allow(clippy::explicit_counter_loop)]
-pub fn bisect<F: FnMut(f64) -> f64>(
+pub(crate) fn bisect<F: FnMut(f64) -> f64>(
     mut f: F,
     lo: f64,
     hi: f64,

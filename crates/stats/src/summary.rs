@@ -1,17 +1,15 @@
-//! Summary statistics: online moments, quantiles and histograms.
+//! Summary statistics: online moments and quantiles.
 //!
 //! The trace-driven experiments (Sec. 8) report, for every measurement bin,
 //! the ranking metric averaged over 30 sampling runs together with its
 //! standard deviation (the error bars of Figs. 12–16). [`RunningStats`] is
-//! the Welford accumulator behind those numbers; [`Histogram`] and
-//! [`LogHistogram`] support the flow-size summaries in the examples.
+//! the Welford accumulator behind those numbers.
 
 use crate::error::{StatsError, StatsResult};
 
 /// Online mean/variance accumulator (Welford's algorithm).
 ///
-/// Numerically stable for long streams; merging two accumulators is supported
-/// so per-thread partial results can be combined.
+/// Numerically stable for long streams.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct RunningStats {
     count: u64,
@@ -44,13 +42,6 @@ impl RunningStats {
         self.max = self.max.max(x);
     }
 
-    /// Adds every observation from an iterator.
-    pub fn extend<I: IntoIterator<Item = f64>>(&mut self, values: I) {
-        for v in values {
-            self.push(v);
-        }
-    }
-
     /// Number of observations seen so far.
     pub fn count(&self) -> u64 {
         self.count
@@ -62,52 +53,13 @@ impl RunningStats {
     }
 
     /// Unbiased sample variance (n−1 denominator); `None` with < 2 samples.
-    pub fn variance(&self) -> Option<f64> {
+    pub(crate) fn variance(&self) -> Option<f64> {
         (self.count > 1).then(|| self.m2 / (self.count - 1) as f64)
-    }
-
-    /// Population variance (n denominator); `None` when empty.
-    pub fn population_variance(&self) -> Option<f64> {
-        (self.count > 0).then(|| self.m2 / self.count as f64)
     }
 
     /// Unbiased sample standard deviation.
     pub fn std_dev(&self) -> Option<f64> {
         self.variance().map(f64::sqrt)
-    }
-
-    /// Standard error of the mean, `s/√n`.
-    pub fn std_error(&self) -> Option<f64> {
-        self.std_dev().map(|s| s / (self.count as f64).sqrt())
-    }
-
-    /// Minimum observation; `None` when empty.
-    pub fn min(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.min)
-    }
-
-    /// Maximum observation; `None` when empty.
-    pub fn max(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.max)
-    }
-
-    /// Merges another accumulator into this one (parallel combination).
-    pub fn merge(&mut self, other: &RunningStats) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = *other;
-            return;
-        }
-        let total = self.count + other.count;
-        let delta = other.mean - self.mean;
-        let new_mean = self.mean + delta * other.count as f64 / total as f64;
-        self.m2 += other.m2 + delta * delta * self.count as f64 * other.count as f64 / total as f64;
-        self.mean = new_mean;
-        self.count = total;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
     }
 }
 
@@ -147,145 +99,6 @@ pub fn quantile(values: &[f64], q: f64) -> StatsResult<f64> {
     Ok(sorted[lo] + (sorted[hi] - sorted[lo]) * frac)
 }
 
-/// Fixed-width histogram over `[lo, hi)` with a configurable number of bins.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    counts: Vec<u64>,
-    underflow: u64,
-    overflow: u64,
-}
-
-impl Histogram {
-    /// Creates a histogram with `bins` equal-width bins over `[lo, hi)`.
-    pub fn new(lo: f64, hi: f64, bins: usize) -> StatsResult<Self> {
-        let increasing = matches!(hi.partial_cmp(&lo), Some(std::cmp::Ordering::Greater));
-        if !increasing || bins == 0 {
-            return Err(StatsError::InvalidParameter {
-                name: "bins/range",
-                value: bins as f64,
-                constraint: "hi > lo and bins >= 1",
-            });
-        }
-        Ok(Self {
-            lo,
-            hi,
-            counts: vec![0; bins],
-            underflow: 0,
-            overflow: 0,
-        })
-    }
-
-    /// Records one observation.
-    pub fn record(&mut self, x: f64) {
-        if x < self.lo {
-            self.underflow += 1;
-        } else if x >= self.hi {
-            self.overflow += 1;
-        } else {
-            let width = (self.hi - self.lo) / self.counts.len() as f64;
-            let idx = ((x - self.lo) / width) as usize;
-            let idx = idx.min(self.counts.len() - 1);
-            self.counts[idx] += 1;
-        }
-    }
-
-    /// Per-bin counts.
-    pub fn counts(&self) -> &[u64] {
-        &self.counts
-    }
-
-    /// Observations below the range.
-    pub fn underflow(&self) -> u64 {
-        self.underflow
-    }
-
-    /// Observations at or above the upper bound.
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
-    /// Total number of recorded observations (including out-of-range).
-    pub fn total(&self) -> u64 {
-        self.counts.iter().sum::<u64>() + self.underflow + self.overflow
-    }
-
-    /// Midpoint of bin `i`.
-    pub fn bin_center(&self, i: usize) -> f64 {
-        let width = (self.hi - self.lo) / self.counts.len() as f64;
-        self.lo + width * (i as f64 + 0.5)
-    }
-}
-
-/// Histogram with logarithmically spaced bins — the natural view of a
-/// heavy-tailed flow-size distribution.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LogHistogram {
-    lo: f64,
-    ratio: f64,
-    counts: Vec<u64>,
-    underflow: u64,
-    overflow: u64,
-}
-
-impl LogHistogram {
-    /// Creates a histogram with `bins` bins covering `[lo, hi)` where each
-    /// bin's upper edge is `ratio` times its lower edge.
-    pub fn new(lo: f64, hi: f64, bins: usize) -> StatsResult<Self> {
-        let increasing = matches!(hi.partial_cmp(&lo), Some(std::cmp::Ordering::Greater));
-        if !increasing || lo <= 0.0 || bins == 0 {
-            return Err(StatsError::InvalidParameter {
-                name: "bins/range",
-                value: bins as f64,
-                constraint: "0 < lo < hi and bins >= 1",
-            });
-        }
-        let ratio = (hi / lo).powf(1.0 / bins as f64);
-        Ok(Self {
-            lo,
-            ratio,
-            counts: vec![0; bins],
-            underflow: 0,
-            overflow: 0,
-        })
-    }
-
-    /// Records one observation.
-    pub fn record(&mut self, x: f64) {
-        if x < self.lo {
-            self.underflow += 1;
-            return;
-        }
-        let idx = ((x / self.lo).ln() / self.ratio.ln()).floor();
-        if idx.is_finite() && (idx as usize) < self.counts.len() {
-            self.counts[idx as usize] += 1;
-        } else {
-            self.overflow += 1;
-        }
-    }
-
-    /// Per-bin counts.
-    pub fn counts(&self) -> &[u64] {
-        &self.counts
-    }
-
-    /// Lower edge of bin `i`.
-    pub fn bin_lower(&self, i: usize) -> f64 {
-        self.lo * self.ratio.powi(i as i32)
-    }
-
-    /// Observations below the range.
-    pub fn underflow(&self) -> u64 {
-        self.underflow
-    }
-
-    /// Observations above the range.
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -299,14 +112,13 @@ mod tests {
         let mut s = RunningStats::new();
         assert!(s.mean().is_none());
         assert!(s.variance().is_none());
-        s.extend([2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]);
+        for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
+            s.push(x);
+        }
         assert_close(s.mean().unwrap(), 5.0, 1e-12);
-        assert_close(s.population_variance().unwrap(), 4.0, 1e-12);
         assert_close(s.variance().unwrap(), 4.571428571428571, 1e-12);
-        assert_eq!(s.min(), Some(2.0));
-        assert_eq!(s.max(), Some(9.0));
+        assert_close(s.std_dev().unwrap(), 4.571428571428571f64.sqrt(), 1e-12);
         assert_eq!(s.count(), 8);
-        assert!(s.std_error().unwrap() > 0.0);
     }
 
     #[test]
@@ -315,30 +127,6 @@ mod tests {
         s.push(3.0);
         assert_eq!(s.mean(), Some(3.0));
         assert!(s.variance().is_none());
-        assert_eq!(s.population_variance(), Some(0.0));
-    }
-
-    #[test]
-    fn running_stats_merge_equals_sequential() {
-        let data: Vec<f64> = (0..1000).map(|i| (i as f64 * 0.37).sin() * 10.0).collect();
-        let mut whole = RunningStats::new();
-        whole.extend(data.iter().copied());
-        let mut left = RunningStats::new();
-        let mut right = RunningStats::new();
-        left.extend(data[..400].iter().copied());
-        right.extend(data[400..].iter().copied());
-        left.merge(&right);
-        assert_close(left.mean().unwrap(), whole.mean().unwrap(), 1e-10);
-        assert_close(left.variance().unwrap(), whole.variance().unwrap(), 1e-10);
-        assert_eq!(left.count(), whole.count());
-        // Merging an empty accumulator is a no-op.
-        let before = left;
-        left.merge(&RunningStats::new());
-        assert_eq!(left, before);
-        // Merging into an empty accumulator copies.
-        let mut empty = RunningStats::new();
-        empty.merge(&whole);
-        assert_close(empty.mean().unwrap(), whole.mean().unwrap(), 1e-12);
     }
 
     #[test]
@@ -360,34 +148,5 @@ mod tests {
         // Order of input should not matter.
         let shuffled = [3.0, 1.0, 4.0, 2.0];
         assert_close(quantile(&shuffled, 0.5).unwrap(), 2.5, 1e-12);
-    }
-
-    #[test]
-    fn histogram_binning() {
-        let mut h = Histogram::new(0.0, 10.0, 5).unwrap();
-        for x in [0.5, 1.5, 2.5, 9.9, -1.0, 10.0, 25.0] {
-            h.record(x);
-        }
-        assert_eq!(h.counts(), &[2, 1, 0, 0, 1]);
-        assert_eq!(h.underflow(), 1);
-        assert_eq!(h.overflow(), 2);
-        assert_eq!(h.total(), 7);
-        assert_close(h.bin_center(0), 1.0, 1e-12);
-        assert!(Histogram::new(1.0, 1.0, 5).is_err());
-        assert!(Histogram::new(0.0, 1.0, 0).is_err());
-    }
-
-    #[test]
-    fn log_histogram_binning() {
-        let mut h = LogHistogram::new(1.0, 1000.0, 3).unwrap();
-        for x in [1.0, 5.0, 15.0, 150.0, 999.0, 0.5, 2000.0] {
-            h.record(x);
-        }
-        // Bins: [1,10), [10,100), [100,1000)
-        assert_eq!(h.counts(), &[2, 1, 2]);
-        assert_eq!(h.underflow(), 1);
-        assert_eq!(h.overflow(), 1);
-        assert_close(h.bin_lower(1), 10.0, 1e-9);
-        assert!(LogHistogram::new(0.0, 10.0, 3).is_err());
     }
 }

@@ -29,15 +29,15 @@ pub struct AbileneModel {
 /// The paper states the Abilene link has "a larger number of flows" than the
 /// Sprint link without quoting a number; 1.5× the Sprint rate reproduces the
 /// qualitative relationship.
-pub const ABILENE_FLOW_RATE: f64 = 3_500.0;
+pub(crate) const ABILENE_FLOW_RATE: f64 = 3_500.0;
 /// Mean flow size in packets for the Abilene-like scenario.
-pub const ABILENE_MEAN_PACKETS: f64 = 12.0;
+pub(crate) const ABILENE_MEAN_PACKETS: f64 = 12.0;
 /// Squared coefficient of variation of the short-tailed size law.
-pub const ABILENE_SIZE_CV2: f64 = 4.0;
+pub(crate) const ABILENE_SIZE_CV2: f64 = 4.0;
 /// Mean flow duration in seconds.
-pub const ABILENE_MEAN_FLOW_DURATION: f64 = 10.0;
+pub(crate) const ABILENE_MEAN_FLOW_DURATION: f64 = 10.0;
 /// Trace duration in seconds (30 minutes).
-pub const ABILENE_TRACE_DURATION: f64 = 1_800.0;
+pub(crate) const ABILENE_TRACE_DURATION: f64 = 1_800.0;
 
 impl AbileneModel {
     /// The Abilene-like scenario, scaled by `scale` (1.0 = full size).
@@ -55,16 +55,6 @@ impl AbileneModel {
             prefix_zipf_exponent: 0.9,
         }
         .scaled(scale);
-        AbileneModel { config }
-    }
-
-    /// A small scenario for unit tests and examples.
-    pub fn small(duration_secs: f64, flow_rate: f64) -> Self {
-        let config = FlowPopulationConfig {
-            duration_secs,
-            flow_rate,
-            ..Self::paper(1.0).config
-        };
         AbileneModel { config }
     }
 
@@ -86,12 +76,22 @@ mod tests {
         assert!(m.config.flow_rate > SprintModel::paper(1.0).config.flow_rate);
     }
 
+    /// The paper's model cut down to `duration_secs` at `flow_rate` flows/s.
+    fn small(duration_secs: f64, flow_rate: f64) -> AbileneModel {
+        let config = FlowPopulationConfig {
+            duration_secs,
+            flow_rate,
+            ..AbileneModel::paper(1.0).config
+        };
+        AbileneModel { config }
+    }
+
     #[test]
     fn tail_is_shorter_than_sprint() {
         // Compare the largest flow of equal-rate populations: the heavy-tailed
         // Sprint model should produce a (much) larger maximum.
         let sprint = SprintModel::small(30.0, 200.0).generate_flows(11);
-        let abilene = AbileneModel::small(30.0, 200.0).generate_flows(11);
+        let abilene = small(30.0, 200.0).generate_flows(11);
         let max_sprint = sprint.iter().map(|f| f.packets).max().unwrap();
         let max_abilene = abilene.iter().map(|f| f.packets).max().unwrap();
         assert!(
@@ -102,7 +102,7 @@ mod tests {
 
     #[test]
     fn small_scenario_counts() {
-        let flows = AbileneModel::small(10.0, 300.0).generate_flows(1);
+        let flows = small(10.0, 300.0).generate_flows(1);
         let expected = 3_000.0;
         assert!((flows.len() as f64 - expected).abs() < 300.0);
         assert!(flows.iter().all(|f| f.packets >= 1));

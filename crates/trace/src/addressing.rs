@@ -16,7 +16,7 @@ use flowrank_stats::rng::Rng;
 
 /// Assigns destination addresses to generated flows.
 #[derive(Debug, Clone)]
-pub struct PrefixAddresser {
+pub(crate) struct PrefixAddresser {
     popularity: Zipf,
     /// Base of the address range; prefix `i` is `base + i·256`.
     base: u32,
@@ -30,7 +30,7 @@ impl PrefixAddresser {
     ///
     /// Panics when `prefix_count` is zero or the exponent is not positive
     /// (configuration errors).
-    pub fn new(prefix_count: usize, zipf_exponent: f64) -> Self {
+    pub(crate) fn new(prefix_count: usize, zipf_exponent: f64) -> Self {
         let popularity = Zipf::new(prefix_count, zipf_exponent)
             .expect("prefix pool must be non-empty with a positive Zipf exponent");
         PrefixAddresser {
@@ -40,22 +40,12 @@ impl PrefixAddresser {
         }
     }
 
-    /// Number of /24 prefixes in the pool.
-    pub fn prefix_count(&self) -> usize {
-        self.popularity.n()
-    }
-
     /// Draws a destination address: a Zipf-popular /24 prefix and a uniform
     /// host within it.
-    pub fn draw(&self, rng: &mut dyn Rng) -> Ipv4Addr {
+    pub(crate) fn draw(&self, rng: &mut dyn Rng) -> Ipv4Addr {
         let prefix_rank = self.popularity.sample(rng) as u32;
         let host = 1 + (rng.next_below(254)) as u32; // avoid .0 and .255
         Ipv4Addr::from(self.base + prefix_rank * 256 + host)
-    }
-
-    /// The network address of the `rank`-th prefix (for assertions/tests).
-    pub fn prefix_network(&self, rank: usize) -> Ipv4Addr {
-        Ipv4Addr::from(self.base + (rank as u32) * 256)
     }
 }
 
@@ -90,7 +80,7 @@ mod tests {
             counts.upsert(DstPrefix::of(addr, 24).network, || 1, |c| *c += 1);
         }
         let rank0 = counts
-            .get(&addresser.prefix_network(0))
+            .get(&Ipv4Addr::from(addresser.base))
             .copied()
             .unwrap_or(0);
         let max = counts.values().copied().max().unwrap();

@@ -9,7 +9,7 @@ use flowrank_stats::dist::{ContinuousDistribution, Exponential};
 use flowrank_stats::rng::Rng;
 
 /// A process producing a monotonically increasing sequence of arrival times.
-pub trait ArrivalProcess {
+pub(crate) trait ArrivalProcess {
     /// Returns the next arrival time in seconds, given the previous one.
     fn next_arrival(&mut self, previous: f64, rng: &mut dyn Rng) -> f64;
 
@@ -30,7 +30,7 @@ pub trait ArrivalProcess {
 
 /// Homogeneous Poisson arrivals with a given rate (arrivals per second).
 #[derive(Debug, Clone, Copy)]
-pub struct PoissonArrivals {
+pub(crate) struct PoissonArrivals {
     inter_arrival: Exponential,
 }
 
@@ -41,7 +41,7 @@ impl PoissonArrivals {
     ///
     /// Panics if `rate` is not strictly positive (a configuration error in
     /// the experiment definition, not a data-dependent condition).
-    pub fn new(rate: f64) -> Self {
+    pub(crate) fn new(rate: f64) -> Self {
         PoissonArrivals {
             inter_arrival: Exponential::new(rate).expect("arrival rate must be positive"),
         }

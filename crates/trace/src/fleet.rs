@@ -92,7 +92,7 @@ impl FleetScenario {
 
     /// The tenant's full intensity multiplier: envelope over the
     /// tenant-count normalisation.
-    pub fn tenant_intensity(&self, tenant: TenantId) -> f64 {
+    pub(crate) fn tenant_intensity(&self, tenant: TenantId) -> f64 {
         self.aggregate_scale / self.tenants as f64 * self.tenant_envelope(tenant)
     }
 
@@ -107,15 +107,8 @@ impl FleetScenario {
     /// The tenant's derived seed: a splitmix64 mix of the fleet seed, the
     /// fleet salt and the tenant index, so tenants draw independent
     /// randomness from one fleet-level seed.
-    pub fn tenant_seed(&self, seed: u64, tenant: TenantId) -> u64 {
+    pub(crate) fn tenant_seed(&self, seed: u64, tenant: TenantId) -> u64 {
         splitmix64(seed ^ FLEET_TENANT_SALT ^ u64::from(tenant.0))
-    }
-
-    /// Trace length in seconds: the longest tenant workload.
-    pub fn duration_secs(&self) -> f64 {
-        (0..self.tenants)
-            .map(|t| self.tenant_workload(TenantId(t)).duration_secs())
-            .fold(0.0, f64::max)
     }
 
     /// Opens one tenant's packet stream exactly as a standalone monitor
@@ -240,11 +233,6 @@ impl FleetStream {
         }
         Some(&self.tagged)
     }
-
-    /// Number of tenants in the stream (exhausted ones included).
-    pub fn tenant_count(&self) -> usize {
-        self.lanes.len()
-    }
 }
 
 #[cfg(test)]
@@ -304,7 +292,7 @@ mod tests {
         let c = drain_tagged(&scenario, 2);
         assert_eq!(a, b);
         assert_ne!(a, c);
-        assert_eq!(scenario.stream(1).tenant_count(), 4);
+        assert_eq!(scenario.stream(1).lanes.len(), 4);
     }
 
     #[test]
@@ -337,8 +325,6 @@ mod tests {
             scenario.tenant_seed(9, TenantId(0)),
             scenario.tenant_seed(9, TenantId(1))
         );
-        // Aggregate duration covers the longest tenant workload.
-        assert!(scenario.duration_secs() >= 170.0);
     }
 
     #[test]

@@ -40,13 +40,8 @@ impl FlowRecord {
     }
 
     /// End time of the flow in seconds.
-    pub fn end(&self) -> f64 {
+    pub(crate) fn end(&self) -> f64 {
         self.start + self.duration
-    }
-
-    /// Average packet size in bytes.
-    pub fn mean_packet_size(&self) -> f64 {
-        self.bytes as f64 / self.packets as f64
     }
 }
 
@@ -89,7 +84,6 @@ mod tests {
         let key = synthetic_key(7, Ipv4Addr::new(9, 9, 9, 9), 443);
         let r = FlowRecord::new(key, 10, 5_000, 3.0, 13.0);
         assert_eq!(r.end(), 16.0);
-        assert!((r.mean_packet_size() - 500.0).abs() < 1e-12);
     }
 
     #[test]

@@ -49,7 +49,7 @@ pub enum SizeModel {
 
 impl SizeModel {
     /// Draws one flow size in packets (at least 1).
-    pub fn sample_packets(&self, rng: &mut dyn Rng) -> u64 {
+    pub(crate) fn sample_packets(&self, rng: &mut dyn Rng) -> u64 {
         let raw = match self {
             SizeModel::Pareto {
                 mean_packets,
@@ -97,20 +97,18 @@ impl FlowPopulationConfig {
     /// Applies a scale factor to the flow arrival rate (used by the figure
     /// harness to run reduced-size experiments); the per-flow statistics are
     /// untouched so the flow-size distribution is preserved.
-    pub fn scaled(mut self, scale: f64) -> Self {
+    pub(crate) fn scaled(mut self, scale: f64) -> Self {
         self.flow_rate *= scale.max(0.0);
         self
-    }
-
-    /// Expected number of flows in the whole trace.
-    pub fn expected_flow_count(&self) -> f64 {
-        self.flow_rate * self.duration_secs
     }
 }
 
 /// Generates the flow population described by `config`, deterministically
 /// from `seed`.
-pub fn generate_flow_population(config: &FlowPopulationConfig, seed: u64) -> Vec<FlowRecord> {
+pub(crate) fn generate_flow_population(
+    config: &FlowPopulationConfig,
+    seed: u64,
+) -> Vec<FlowRecord> {
     let mut rng = Pcg64::seed_from_u64(seed);
     let mut arrivals = PoissonArrivals::new(config.flow_rate.max(f64::MIN_POSITIVE));
     let addresser = PrefixAddresser::new(config.prefix_count, config.prefix_zipf_exponent);
@@ -164,7 +162,7 @@ mod tests {
     #[test]
     fn population_size_matches_rate() {
         let flows = generate_flow_population(&test_config(), 1);
-        let expected = test_config().expected_flow_count();
+        let expected = test_config().flow_rate * test_config().duration_secs;
         assert!(
             (flows.len() as f64 - expected).abs() < 4.0 * expected.sqrt() + 10.0,
             "got {} flows, expected ≈ {expected}",

@@ -63,5 +63,5 @@ pub use generator::{FlowPopulationConfig, SizeModel};
 pub use replay::{PacedReplay, ReplayTick};
 pub use sprint::SprintModel;
 pub use stream::SynthesisStream;
-pub use synthesis::{synthesize_packet_batch, synthesize_packets, SynthesisConfig};
+pub use synthesis::{synthesize_packets, SynthesisConfig};
 pub use workloads::Workload;

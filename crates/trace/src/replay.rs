@@ -12,7 +12,7 @@
 //!
 //! Pacing granularity is the synthesis window: a window's packets are
 //! released together when the window's *first* timestamp falls due. Choose
-//! the window length ([`SynthesisStream::with_window`]) for the
+//! the window length (`SynthesisStream::with_window`) for the
 //! latency/overhead trade: sub-second windows make the replay smooth,
 //! bin-length windows make it bursty.
 
@@ -74,11 +74,6 @@ impl PacedReplay {
     /// driving the stream directly, plus one copy per window.
     pub fn unpaced(stream: SynthesisStream) -> Self {
         PacedReplay::new(stream, 0.0)
-    }
-
-    /// The configured trace-seconds-per-wall-second factor.
-    pub fn speed(&self) -> f64 {
-        self.speed
     }
 
     /// Stages the next window if none is staged, then answers whether it is

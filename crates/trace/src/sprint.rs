@@ -22,17 +22,15 @@ pub struct SprintModel {
 }
 
 /// Flow arrival rate measured on the Sprint link (5-tuple flows/s).
-pub const SPRINT_FLOW_RATE: f64 = 2_360.0;
+pub(crate) const SPRINT_FLOW_RATE: f64 = 2_360.0;
 /// Mean 5-tuple flow size in packets (4.8 KB at 500 B per packet).
-pub const SPRINT_MEAN_PACKETS_5TUPLE: f64 = 9.6;
-/// Mean /24-prefix flow size in packets (16.6 KB at 500 B per packet).
-pub const SPRINT_MEAN_PACKETS_PREFIX: f64 = 33.2;
+pub(crate) const SPRINT_MEAN_PACKETS_5TUPLE: f64 = 9.6;
 /// Mean flow duration in seconds.
-pub const SPRINT_MEAN_FLOW_DURATION: f64 = 13.0;
+pub(crate) const SPRINT_MEAN_FLOW_DURATION: f64 = 13.0;
 /// Trace duration in seconds (30 minutes).
-pub const SPRINT_TRACE_DURATION: f64 = 1_800.0;
+pub(crate) const SPRINT_TRACE_DURATION: f64 = 1_800.0;
 /// Average packet size in bytes used throughout the paper.
-pub const PACKET_BYTES: u32 = 500;
+pub(crate) const PACKET_BYTES: u32 = 500;
 
 impl SprintModel {
     /// The paper's Sprint scenario with the published parameters, scaled by

@@ -59,7 +59,7 @@ use crate::flow_record::FlowRecord;
 use crate::synthesis::SynthesisConfig;
 
 /// Default window length: one of the paper's 60-second measurement bins.
-pub const DEFAULT_WINDOW: Timestamp = Timestamp::from_nanos(60_000_000_000);
+pub(crate) const DEFAULT_WINDOW: Timestamp = Timestamp::from_nanos(60_000_000_000);
 
 /// A pull-based packet synthesiser: yields the trace window by window.
 ///
@@ -103,7 +103,7 @@ impl SynthesisStream {
     /// [`SynthesisStream::new`] with an explicit window length. Reports are
     /// invariant to the window length (it only sets the chunk granularity);
     /// [`Timestamp::ZERO`] is treated as [`DEFAULT_WINDOW`].
-    pub fn with_window(
+    pub(crate) fn with_window(
         flows: &[FlowRecord],
         config: &SynthesisConfig,
         seed: u64,
@@ -116,7 +116,7 @@ impl SynthesisStream {
     /// — the flow vector is the stream's dominant memory term, so callers
     /// that generate flows just to stream them (e.g.
     /// [`crate::Workload::stream`]) hand them over instead of copying.
-    pub fn from_flows(
+    pub(crate) fn from_flows(
         flows: Vec<FlowRecord>,
         config: &SynthesisConfig,
         seed: u64,
@@ -174,11 +174,6 @@ impl SynthesisStream {
             staged: Vec::new(),
             batch: PacketBatch::new(),
         }
-    }
-
-    /// Total number of flows in the stream.
-    pub fn flow_count(&self) -> usize {
-        self.flows.len()
     }
 
     /// Synthesises the next non-empty window of packets, or `None` when the
@@ -361,6 +356,6 @@ mod tests {
     fn empty_population_streams_nothing() {
         let mut stream = SynthesisStream::new(&[], &SynthesisConfig::default(), 1);
         assert!(stream.next_window().is_none());
-        assert_eq!(stream.flow_count(), 0);
+        assert!(stream.flows.is_empty());
     }
 }

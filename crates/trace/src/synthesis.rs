@@ -81,7 +81,7 @@ pub fn synthesize_packets(
 /// column-for-column equivalent of converting its output
 /// (`PacketBatch::from_records`) without keeping the intermediate record
 /// vector alive.
-pub fn synthesize_packet_batch(
+pub(crate) fn synthesize_packet_batch(
     flows: &[FlowRecord],
     config: &SynthesisConfig,
     seed: u64,

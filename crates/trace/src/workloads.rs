@@ -19,7 +19,7 @@
 //! * [`Workload::Mixed`] — an internet-like composition of all of the above.
 //!
 //! Every scenario emits ordinary [`FlowRecord`]s, so the existing synthesis
-//! pipeline ([`synthesize_packets`] / [`synthesize_packet_batch`]) turns any
+//! pipeline ([`synthesize_packets`] / `synthesize_packet_batch`) turns any
 //! of them into a packet trace or SoA batch unchanged. Destination addresses
 //! come from the Zipf prefix-popularity model of [`crate::addressing`] (or
 //! deliberate prefix sweeps), so `/24` aggregation is non-trivial in every
@@ -28,7 +28,7 @@
 //! # Determinism
 //!
 //! A workload is a pure function of its parameters and the `seed` passed to
-//! [`Workload::generate_flows`] / [`Workload::synthesize`]: all randomness
+//! `Workload::generate_flows` / [`Workload::synthesize`]: all randomness
 //! flows from [`Pcg64`] generators seeded with `seed` xor a per-component
 //! salt, and no iteration order depends on hash internals. The conformance
 //! harness in `flowrank-sim` relies on this to pin golden digests of whole
@@ -70,7 +70,7 @@ const MICE_INDEX_BASE: u64 = 40_000_000;
 /// A parameterised, seedable traffic scenario.
 ///
 /// Construct one directly, or use the default-parameterised constructors
-/// ([`Workload::heavy_tail`], [`Workload::flash_crowd`], …) and
+/// (`Workload::heavy_tail`, [`Workload::flash_crowd`], …) and
 /// [`Workload::catalog`], which is the conformance-scale set the golden
 /// digests are pinned on.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -153,7 +153,7 @@ pub enum Workload {
 
 impl Workload {
     /// Heavy-tail scenario with tail index `alpha` at catalog scale.
-    pub fn heavy_tail(alpha: f64) -> Self {
+    pub(crate) fn heavy_tail(alpha: f64) -> Self {
         Workload::HeavyTail {
             alpha,
             flow_rate: 4.0,
@@ -185,7 +185,7 @@ impl Workload {
     }
 
     /// Port-scan scenario at catalog scale.
-    pub fn port_scan() -> Self {
+    pub(crate) fn port_scan() -> Self {
         Workload::PortScan {
             scan_rate: 12.0,
             targets: 2_048,
@@ -243,21 +243,9 @@ impl Workload {
         Workload::catalog().into_iter().find(|w| w.name() == name)
     }
 
-    /// Trace length in seconds.
-    pub fn duration_secs(&self) -> f64 {
-        match *self {
-            Workload::HeavyTail { duration_secs, .. }
-            | Workload::FlashCrowd { duration_secs, .. }
-            | Workload::DdosFlood { duration_secs, .. }
-            | Workload::PortScan { duration_secs, .. }
-            | Workload::Mixed { duration_secs, .. } => duration_secs,
-            Workload::RankChurn { bin_secs, bins, .. } => bin_secs * bins as f64,
-        }
-    }
-
     /// Scales every arrival-rate-like parameter by `scale` (per-flow
     /// statistics are untouched), mirroring
-    /// [`FlowPopulationConfig::scaled`]. Used by `reproduce --scenario` to
+    /// `FlowPopulationConfig::scaled`. Used by `reproduce --scenario` to
     /// grow or shrink a scenario without changing its shape.
     pub fn scaled(self, scale: f64) -> Self {
         let scale = scale.max(0.0);
@@ -336,7 +324,7 @@ impl Workload {
 
     /// Generates the scenario's flow-level records, deterministically from
     /// `seed`.
-    pub fn generate_flows(&self, seed: u64) -> Vec<FlowRecord> {
+    pub(crate) fn generate_flows(&self, seed: u64) -> Vec<FlowRecord> {
         match *self {
             Workload::HeavyTail {
                 alpha,

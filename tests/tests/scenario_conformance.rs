@@ -1,9 +1,9 @@
 //! The full conformance matrix: every catalog scenario × every sampler ×
 //! every top-k backend, each cell driven through every execution path
 //! (per-packet `push`, whole and chunked `push_batch`, sharded `threads(n)`,
-//! legacy `run_bin`) with bit-identical reports — plus a committed golden
-//! digest per cell, so a refactor that silently changes *results* (not just
-//! paths disagreeing with each other) fails loudly.
+//! the independent `run_bin` oracle) with bit-identical reports — plus a
+//! committed golden digest per cell, so a refactor that silently changes
+//! *results* (not just paths disagreeing with each other) fails loudly.
 //!
 //! Golden digests live in `tests/goldens/scenario_conformance.txt`.
 //! Regenerate them with `scripts/regen_goldens.sh` after an intentional

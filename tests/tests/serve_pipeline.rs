@@ -229,7 +229,8 @@ fn ndjson_feed_matches_the_batch_drive_and_skips_malformed_lines() {
 
 #[test]
 fn channel_source_is_pollable_and_ends_when_senders_drop() {
-    let (sender, mut source) = ChannelSource::channel();
+    let (sender, receiver) = std::sync::mpsc::sync_channel(1);
+    let mut source = ChannelSource::new(receiver);
     assert!(matches!(source.poll_chunk(), Ok(SourcePoll::Pending)));
 
     let mut batch = PacketBatch::new();

@@ -1,11 +1,12 @@
 //! Streaming/batch equivalence: the same trace and seed pushed through
-//! `Monitor::push` and run through the legacy `run_bin` wrapper must produce
-//! bit-identical `ComparisonOutcome`s, for both flow definitions.
+//! `Monitor::push` and run through the independent per-packet oracle
+//! (`flowrank_sim::engine::run_bin_random_sampling`: own flow tables, one
+//! `keep` per packet, no `Monitor`) must produce bit-identical
+//! `ComparisonOutcome`s, for both flow definitions.
 //!
-//! This is the contract that lets the workspace keep `run_bin` /
-//! `run_bin_random_sampling` as thin compatibility wrappers: the streaming
-//! pipeline is not "approximately" the batch pipeline, it *is* the batch
-//! pipeline, minus the redundant per-run ground-truth reclassifications.
+//! The streaming pipeline is not "approximately" the per-bin batch
+//! computation, it *is* that computation, minus the redundant per-run
+//! ground-truth reclassifications.
 //!
 //! Since the SoA `PacketBatch` redesign the contract has a third leg:
 //! `Monitor::push_batch` must produce bit-identical `BinReport`s to `push`
@@ -15,8 +16,8 @@
 
 use flowrank_monitor::{Monitor, SamplerSpec};
 use flowrank_net::{FlowDefinition, PacketBatch, Timestamp};
+use flowrank_sim::binning::split_into_bins;
 use flowrank_sim::engine::run_bin_random_sampling;
-use flowrank_sim::split_into_bins;
 use flowrank_stats::rng::derive_seeds;
 use flowrank_trace::{synthesize_packets, SprintModel, SynthesisConfig};
 
@@ -133,8 +134,8 @@ fn sharded_monitor_is_bit_identical_to_single_thread() {
     // threads classifies each bin through a hash-sharded flow table and
     // scores lanes concurrently. Reports — outcomes, flow counts, lane
     // order, everything — must be bit-identical to the single-threaded
-    // monitor (and therefore, via the tests above, to the legacy batch
-    // path) for both flow definitions and any thread count.
+    // monitor (and therefore, via the tests above, to the per-packet
+    // oracle) for both flow definitions and any thread count.
     let packets = trace(44);
     let rates = [0.02, 0.2];
     for definition in [FlowDefinition::FiveTuple, FlowDefinition::PREFIX24] {
@@ -170,7 +171,7 @@ fn push_batch_is_bit_identical_to_push_for_any_batching() {
     // and across idle gaps. Reports — outcomes, flow counts, lane order,
     // top-k entries, everything — must be bit-identical. Through
     // `push_matches_run_bin_for_both_flow_definitions` this transitively
-    // pins the batch path to the legacy `run_bin` wrapper too.
+    // pins the batch path to the `run_bin` oracle too.
     let packets = trace(45);
     let batch = PacketBatch::from_records(&packets);
     let rates = [0.02, 0.2];
