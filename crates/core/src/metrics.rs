@@ -193,6 +193,7 @@ fn top_set_matches<K: CompactKey + Ord>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use flowrank_stats::rng::{derive_seeds, Pcg64, Rng, SeedableRng};
 
     fn flows(sizes: &[u64]) -> Vec<SizedFlow<u32>> {
         sizes
@@ -313,6 +314,176 @@ mod tests {
             truth.compare_with(|k| degraded.get(k).copied().unwrap_or(0)),
             truth.compare(&degraded)
         );
+    }
+
+    /// Brute-force counter written from the paper's definition over the
+    /// *unsorted* population: a pair with `S_a > S_b` whose larger flow is in
+    /// the true top `t` under the `(size, key)` order is swapped iff
+    /// `s_b ≥ s_a`. No rank array, no sampled-size cache: a flow is in the top
+    /// `t` when fewer than `t` flows precede it.
+    fn brute_force(
+        population: &[SizedFlow<u32>],
+        sampled_size_of: impl Fn(&u32) -> u64,
+        top_t: usize,
+    ) -> ComparisonOutcome {
+        let precedes = |a: &SizedFlow<u32>, b: &SizedFlow<u32>| {
+            a.packets > b.packets || (a.packets == b.packets && a.key < b.key)
+        };
+        let in_top: Vec<bool> = population
+            .iter()
+            .map(|flow| population.iter().filter(|o| precedes(o, flow)).count() < top_t)
+            .collect();
+        let mut outcome = ComparisonOutcome {
+            ranking_swaps: 0,
+            detection_swaps: 0,
+            missed_top_flows: 0,
+            ranking_pairs: 0,
+            detection_pairs: 0,
+        };
+        for (a, larger) in population.iter().enumerate() {
+            if !in_top[a] {
+                continue;
+            }
+            if sampled_size_of(&larger.key) == 0 {
+                outcome.missed_top_flows += 1;
+            }
+            for (b, smaller) in population.iter().enumerate() {
+                if larger.packets <= smaller.packets {
+                    continue;
+                }
+                let swapped = sampled_size_of(&smaller.key) >= sampled_size_of(&larger.key);
+                outcome.ranking_pairs += 1;
+                outcome.ranking_swaps += u64::from(swapped);
+                if !in_top[b] {
+                    outcome.detection_pairs += 1;
+                    outcome.detection_swaps += u64::from(swapped);
+                }
+            }
+        }
+        outcome
+    }
+
+    /// One random case of the kernel property: an unsorted population with
+    /// rounded heavy-tailed sizes (long runs of ties, one of them forced
+    /// across rank `t`), a top-`t` boundary, and a binomially thinned lane as
+    /// `(key, sampled size)` pairs — which may name keys the truth does not
+    /// hold.
+    struct KernelCase {
+        population: Vec<SizedFlow<u32>>,
+        top_t: usize,
+        lane: Vec<(u32, u64)>,
+        /// How many of the lane's keys the population does not hold.
+        absent: usize,
+    }
+
+    fn kernel_case(rng: &mut Pcg64) -> KernelCase {
+        const ABSENT: usize = 8;
+        let n = rng.index(401);
+        let top_t = match rng.index(5) {
+            0 => 0,
+            1 => 1,
+            2 => 10,
+            3 => n,
+            _ => n + 5,
+        };
+        let rate = [0.0, 0.001, 0.01, 0.1, 0.5, 1.0][rng.index(6)];
+        // Pareto(shape 1.1) rounded down and capped: mostly 1s and 2s, a
+        // few flows in the hundreds.
+        let mut sizes: Vec<u64> = (0..n)
+            .map(|_| (rng.next_open_f64().powf(-1.0 / 1.1) as u64).clamp(1, 2000))
+            .collect();
+        sizes.sort_unstable_by(|a, b| b.cmp(a));
+        if n > 0 && rng.bernoulli(0.5) {
+            // A run of equal sizes that starts at or above rank t and ends
+            // at or below it (still sorted: the run takes its first size).
+            let lo = top_t.min(n - 1).saturating_sub(rng.index(4));
+            let hi = (top_t + 1 + rng.index(4)).min(n);
+            let size = sizes[lo];
+            sizes[lo..hi.max(lo)].fill(size);
+        }
+        // Distinct keys spread over the whole u32 range, in an order that
+        // has nothing to do with size; the last few are held back as keys
+        // only a lane knows.
+        let mut keys: Vec<u32> = (0..(n + ABSENT) as u32)
+            .map(|k| k.wrapping_mul(0x9E37_79B1))
+            .collect();
+        rng.shuffle(&mut keys);
+        let mut population: Vec<SizedFlow<u32>> = sizes
+            .iter()
+            .zip(&keys)
+            .map(|(&packets, &key)| SizedFlow { key, packets })
+            .collect();
+        rng.shuffle(&mut population);
+        let mut lane: Vec<(u32, u64)> = population
+            .iter()
+            .map(|flow| {
+                let kept = (0..flow.packets).filter(|_| rng.bernoulli(rate)).count();
+                (flow.key, kept as u64)
+            })
+            .filter(|&(_, kept)| kept > 0)
+            .collect();
+        let absent = if rng.bernoulli(0.25) {
+            1 + rng.index(ABSENT)
+        } else {
+            0
+        };
+        for &key in &keys[n..n + absent] {
+            lane.push((key, 1 + rng.next_below(50)));
+        }
+        rng.shuffle(&mut lane);
+        KernelCase {
+            population,
+            top_t,
+            lane,
+            absent,
+        }
+    }
+
+    #[test]
+    fn kernels_agree_with_the_brute_force_definition_on_random_cases() {
+        const CASES: usize = 20_000;
+        const MASTER_SEED: u64 = 0x5EA1_C0DE;
+        let mut straddling = 0usize;
+        let mut absent_keys = 0usize;
+        let mut all_zero = 0usize;
+        for (case, seed) in derive_seeds(MASTER_SEED, CASES).into_iter().enumerate() {
+            let KernelCase {
+                population,
+                top_t,
+                lane,
+                absent,
+            } = kernel_case(&mut Pcg64::seed_from_u64(seed));
+            let sampled: FlowMap<u32, u64> = lane.iter().copied().collect();
+            let lookup = |key: &u32| sampled.get(key).copied().unwrap_or(0);
+            let expected = brute_force(&population, lookup, top_t);
+            let truth = GroundTruthRanking::new(population.clone(), top_t);
+            assert_eq!(
+                truth.compare_with(lookup),
+                expected,
+                "compare_with, case {case} (seed {seed:#x}): n = {}, t = {top_t}, m = {}",
+                population.len(),
+                lane.len()
+            );
+
+            let ranked = truth.flows();
+            straddling += usize::from(
+                (1..ranked.len()).contains(&top_t)
+                    && ranked[top_t - 1].packets == ranked[top_t].packets,
+            );
+            absent_keys += usize::from(absent > 0);
+            all_zero += usize::from(lane.is_empty() && !population.is_empty());
+        }
+        // The generator must keep producing the cases the kernel is most
+        // likely to get wrong.
+        assert!(
+            straddling > CASES / 20,
+            "tie runs across rank t: {straddling}"
+        );
+        assert!(
+            absent_keys > CASES / 10,
+            "lanes with absent keys: {absent_keys}"
+        );
+        assert!(all_zero > CASES / 10, "all-zero lanes: {all_zero}");
     }
 
     #[test]
