@@ -6,7 +6,7 @@
 //! that counting. They are generic over the flow key so both flow
 //! definitions (5-tuple and /24 prefix) use the same code.
 
-use flowrank_flowtable::{CompactKey, FlowMap};
+use flowrank_flowtable::{CompactKey, FlowMap, PackedKey};
 
 /// A flow with its true (unsampled) size, as produced by ranking the original
 /// flow table.
@@ -41,26 +41,93 @@ pub struct ComparisonOutcome {
 ///
 /// The streaming monitor classifies each measurement bin exactly once and
 /// then scores every sampling lane (run × rate) against the same ranked
-/// truth. Sorting the population is the `O(n log n)` part of the metric, so
-/// hoisting it out of the per-lane loop is what makes multi-run fan-out
-/// cheap: `new` pays the sort, [`GroundTruthRanking::compare_with`] is a pure
-/// `O(t·n)` scan per lane.
+/// truth. Everything that depends only on the truth is paid once, in `new`:
+/// the `O(n log n)` sort, the pair counts of the `t` top flows, and a rank
+/// index over the keys. A lane is then scored through one of two entry
+/// points that return the same [`ComparisonOutcome`]:
+///
+/// * [`GroundTruthRanking::compare_with`] — **the definition**: `n` lookups
+///   through a closure plus the literal `O(t·n)` scan over every pair. The
+///   per-packet oracle `sim::engine::run_bin` and the ledger's replica score
+///   with it.
+/// * [`GroundTruthRanking::compare_sparse`] — the kernel the monitor runs:
+///   `t` lookups, one pass over the lane's `m` non-zero sampled sizes and
+///   `O(t·m′)` comparisons for the `m′ ≤ m` of them large enough to matter,
+///   because at low sampling rates almost every flow samples to zero (the
+///   paper's own premise, Secs. 3–5) and a pair of two zeros needs no
+///   comparison.
 #[derive(Debug, Clone)]
 pub struct GroundTruthRanking<K> {
     ranked: Vec<SizedFlow<K>>,
     top_t: usize,
+    /// For each top flow, one past the last rank of its run of equal true
+    /// sizes (ties are contiguous in the sort): every flow from there on is
+    /// strictly smaller, so the flow is in `n − tie_end` ranking pairs and
+    /// `n − max(t, tie_end)` detection pairs.
+    tie_end: Vec<u32>,
+    ranking_pairs: u64,
+    detection_pairs: u64,
+    /// Open-addressed rank index: `(2n).next_power_of_two()` slots holding
+    /// ranks, hashed with `pack().mix()` and resolved against
+    /// `ranked[rank].key` — no second copy of the keys. Empty when `n = 0`.
+    slots: Vec<u32>,
 }
 
-impl<K: Clone + Ord> GroundTruthRanking<K> {
+/// Marks a free slot of the rank index (a rank is always `< n ≤ u32::MAX`).
+const NO_RANK: u32 = u32::MAX;
+
+impl<K: CompactKey + Ord> GroundTruthRanking<K> {
     /// Ranks a flow population by decreasing true size (ties broken by key
-    /// order so the ranking is identical across runs and platforms) and fixes
-    /// the top-`t` boundary.
+    /// order so the ranking is identical across runs and platforms), fixes
+    /// the top-`t` boundary, counts the pairs each top flow is in and
+    /// indexes the keys by rank. Keys must be distinct — true of every
+    /// `FlowTable` drain and of disjoint shards.
     pub fn new(mut flows: Vec<SizedFlow<K>>, top_t: usize) -> Self {
         flows.sort_by(|a, b| b.packets.cmp(&a.packets).then_with(|| a.key.cmp(&b.key)));
-        let top_t = top_t.min(flows.len());
+        let n = flows.len();
+        assert!(n < NO_RANK as usize, "ranks are indexed as u32");
+        let top_t = top_t.min(n);
+
+        let mut tie_end = Vec::with_capacity(top_t);
+        let (mut ranking_pairs, mut detection_pairs) = (0u64, 0u64);
+        let mut end = 0;
+        for (rank, flow) in flows[..top_t].iter().enumerate() {
+            if end <= rank {
+                end = rank + 1;
+                while end < n && flows[end].packets == flow.packets {
+                    end += 1;
+                }
+            }
+            tie_end.push(end as u32);
+            ranking_pairs += (n - end) as u64;
+            detection_pairs += (n - end.max(top_t)) as u64;
+        }
+
+        let mut slots = Vec::new();
+        if n > 0 {
+            slots.resize((2 * n).next_power_of_two(), NO_RANK);
+            let mask = slots.len() - 1;
+            for (rank, flow) in flows.iter().enumerate() {
+                let mut slot = flow.key.pack().mix() as usize & mask;
+                while slots[slot] != NO_RANK {
+                    debug_assert!(
+                        flows[slots[slot] as usize].key != flow.key,
+                        "duplicate flow key {:?}",
+                        flow.key
+                    );
+                    slot = (slot + 1) & mask;
+                }
+                slots[slot] = rank as u32;
+            }
+        }
+
         GroundTruthRanking {
             ranked: flows,
             top_t,
+            tie_end,
+            ranking_pairs,
+            detection_pairs,
+            slots,
         }
     }
 
@@ -133,9 +200,100 @@ impl<K: Clone + Ord> GroundTruthRanking<K> {
             detection_pairs,
         }
     }
-}
 
-impl<K: CompactKey + Ord> GroundTruthRanking<K> {
+    /// Rank of `key` in the truth, `None` for a key it does not hold.
+    #[inline]
+    fn rank_of(&self, key: K) -> Option<usize> {
+        if self.slots.is_empty() {
+            return None;
+        }
+        let mask = self.slots.len() - 1;
+        let mut slot = key.pack().mix() as usize & mask;
+        loop {
+            let rank = self.slots[slot];
+            if rank == NO_RANK {
+                return None;
+            }
+            if self.ranked[rank as usize].key == key {
+                return Some(rank as usize);
+            }
+            slot = (slot + 1) & mask;
+        }
+    }
+
+    /// Scores one lane from only the flows it sampled — same outcome as
+    /// [`GroundTruthRanking::compare_with`], at a cost proportional to what
+    /// the lane kept instead of to the population.
+    ///
+    /// Two views of the same sampled table: `sampled_size_of` is the lookup
+    /// `compare_with` takes, asked here about the `t` top flows only, and
+    /// `sampled` yields every flow of non-zero sampled size once (a
+    /// `FlowTable`'s `iter_sizes()`). A key the truth does not hold is
+    /// skipped, exactly as the dense scan never looks it up.
+    ///
+    /// A top flow sampled to zero is swapped with every pair it is in — a
+    /// count `new` already took. One that was sampled can only be swapped
+    /// with a strictly smaller flow sampled at least as often, so only the
+    /// entries of `sampled` that reach the smallest non-zero top sampled
+    /// size are ranked (`m′` index probes) and held against the top flows:
+    /// `O(t + m + t·m′)`.
+    pub fn compare_sparse(
+        &self,
+        sampled_size_of: impl Fn(&K) -> u64,
+        sampled: impl IntoIterator<Item = (K, u64)>,
+    ) -> ComparisonOutcome {
+        let t = self.top_t;
+        let n = self.ranked.len();
+        let top: Vec<u64> = self.ranked[..t]
+            .iter()
+            .map(|flow| sampled_size_of(&flow.key))
+            .collect();
+
+        let mut ranking_swaps = 0u64;
+        let mut detection_swaps = 0u64;
+        let mut missed_top_flows = 0u64;
+        // Below this sampled size a flow is swapped with no sampled top flow.
+        let mut floor = u64::MAX;
+        for (rank_a, &s_a) in top.iter().enumerate() {
+            let end = self.tie_end[rank_a] as usize;
+            if s_a == 0 {
+                missed_top_flows += 1;
+                ranking_swaps += (n - end) as u64;
+                detection_swaps += (n - end.max(t)) as u64;
+                continue;
+            }
+            floor = floor.min(s_a);
+            // Strictly smaller top flows rank from `end` up to `t`.
+            ranking_swaps += top[end.min(t)..].iter().filter(|&&s_b| s_b >= s_a).count() as u64;
+        }
+        // (No top flow sampled: every count is already taken, skip the walk.)
+        if floor < u64::MAX {
+            for (key, s_b) in sampled {
+                if s_b < floor {
+                    continue;
+                }
+                let Some(rank_b) = self.rank_of(key).filter(|&rank| rank >= t) else {
+                    continue;
+                };
+                let swapped = top
+                    .iter()
+                    .zip(&self.tie_end)
+                    .filter(|&(&s_a, &end)| s_a != 0 && s_b >= s_a && rank_b >= end as usize)
+                    .count() as u64;
+                ranking_swaps += swapped;
+                detection_swaps += swapped;
+            }
+        }
+
+        ComparisonOutcome {
+            ranking_swaps,
+            detection_swaps,
+            missed_top_flows,
+            ranking_pairs: self.ranking_pairs,
+            detection_pairs: self.detection_pairs,
+        }
+    }
+
     /// Scores a sampled size map against this truth (convenience over
     /// [`GroundTruthRanking::compare_with`]).
     pub(crate) fn compare(&self, sampled_sizes: &FlowMap<K, u64>) -> ComparisonOutcome {
@@ -464,6 +622,13 @@ mod tests {
                 population.len(),
                 lane.len()
             );
+            assert_eq!(
+                truth.compare_sparse(lookup, lane.iter().copied()),
+                expected,
+                "compare_sparse, case {case} (seed {seed:#x}): n = {}, t = {top_t}, m = {}",
+                population.len(),
+                lane.len()
+            );
 
             let ranked = truth.flows();
             straddling += usize::from(
@@ -493,5 +658,11 @@ mod tests {
         assert_eq!(outcome.ranking_pairs, 0);
         assert_eq!(outcome.ranking_swaps, 0);
         assert!(top_set_matches(&original, &FlowMap::new(), 5));
+        // An empty bin stays free: no index is allocated, and a lane that
+        // kept packets of flows the truth never saw scores to nothing.
+        let truth = GroundTruthRanking::new(original, 5);
+        assert_eq!(truth.slots.capacity(), 0);
+        assert_eq!(truth.tie_end.capacity(), 0);
+        assert_eq!(truth.compare_sparse(|_| 3, [(7, 3)]), outcome);
     }
 }

@@ -14,11 +14,14 @@
 //!    with its own deterministic RNG, a sampled flow table, and optionally a
 //!    memory-bounded top-k backend ([`TopKSpec`]) fed with the retained
 //!    packets,
-//! 3. closes bins automatically on timestamp boundaries, ranking the ground
-//!    truth **once per bin** and scoring every lane against that single
-//!    ranking ([`GroundTruthRanking`] from `flowrank-core`), and emits a
-//!    [`BinReport`] carrying the per-lane swapped-pair
-//!    [`ComparisonOutcome`]s.
+//! 3. closes bins automatically on timestamp boundaries, ranking and
+//!    indexing the ground truth **once per bin** and scoring every lane
+//!    against that single ranking ([`GroundTruthRanking`] from
+//!    `flowrank-core`) from only the flows the lane sampled
+//!    ([`GroundTruthRanking::compare_sparse`]: a lane costs what it kept, not
+//!    what the bin held; debug builds check each outcome against the dense
+//!    definition, `compare_with`), and emits a [`BinReport`] carrying the
+//!    per-lane swapped-pair [`ComparisonOutcome`]s.
 //!
 //! The multi-run fan-out mode ([`MonitorBuilder::rates`] +
 //! [`MonitorBuilder::runs`]) is what the paper's Sec. 8 methodology needs: 30

@@ -596,8 +596,17 @@ impl Lane {
 
     /// Scores the lane against the bin's prepared ground truth and restarts
     /// it for the next bin.
+    ///
+    /// The lane's table holds only the flows it sampled, which is all the
+    /// sparse kernel reads. Debug builds check every outcome against the
+    /// dense definition.
     fn close_bin(&mut self, truth: &GroundTruthRanking<AnyFlowKey>, top_t: usize) -> LaneReport {
-        let outcome = truth.compare_with(|key| self.table.size_of(key));
+        let outcome = truth.compare_sparse(|key| self.table.size_of(key), self.table.iter_sizes());
+        debug_assert_eq!(
+            outcome,
+            truth.compare_with(|key| self.table.size_of(key)),
+            "sparse kernel disagrees with the dense definition"
+        );
         let topk = self.tracker.as_ref().map(|tracker| TopKReport {
             backend: tracker.name(),
             entries: tracker.top(top_t),
@@ -1596,6 +1605,15 @@ mod tests {
         assert_eq!(closed[1].packets, 0);
         assert_eq!(closed[1].flows, 0);
         assert_eq!(closed[2].packets, 0);
+        // A gap bin has no pairs to score, on any lane.
+        for gap in &closed[1..] {
+            assert_eq!(gap.lanes.len(), monitor.lane_count());
+            for lane in &gap.lanes {
+                assert_eq!(lane.outcome.ranking_pairs, 0);
+                assert_eq!(lane.outcome.detection_pairs, 0);
+                assert_eq!(lane.outcome.missed_top_flows, 0);
+            }
+        }
         assert_eq!(monitor.current_bin, 3);
     }
 

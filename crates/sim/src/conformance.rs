@@ -7,8 +7,9 @@
 //! `Monitor::drive` over irregularly chunked sources, with chunks both
 //! smaller and larger than the runtime's segment buffers) — plus the
 //! independent per-packet oracle `crate::engine::run_bin`, which shares
-//! nothing with the monitor but the scoring primitive, and promises they are
-//! **bit-identical**, not merely statistically alike.
+//! nothing with the monitor but the ranked truth (it scores with the dense
+//! `compare_with`, the monitor with the sparse kernel), and promises they
+//! are **bit-identical**, not merely statistically alike.
 //! This module is the single driver that checks the promise for one
 //! configuration cell and condenses the resulting report stream into a
 //! stable digest, so a committed golden value per cell turns any silent

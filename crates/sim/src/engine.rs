@@ -4,10 +4,13 @@
 //! `run_bin` is a second implementation of a bin, not a wrapper over the
 //! monitor: its own two flow tables, one `keep` call per packet, no
 //! `Monitor`, no batches, no lanes. The only code it shares with the monitor
-//! is the scoring primitive [`GroundTruthRanking`]. [`crate::conformance`]
-//! runs every scenario × sampler × top-k cell through it and requires the
-//! monitor's reports to be bit-identical; `streaming_equivalence` does the
-//! same for plain random sampling through [`run_bin_random_sampling`].
+//! is the ranked truth, [`GroundTruthRanking`] — and it scores against it
+//! with the dense definition (`compare_with`), where the monitor runs the
+//! sparse kernel (`compare_sparse`). [`crate::conformance`] runs every
+//! scenario × sampler × top-k cell through it and requires the monitor's
+//! reports to be bit-identical, which compares the two kernels cell by cell;
+//! `streaming_equivalence` does the same for plain random sampling through
+//! [`run_bin_random_sampling`].
 //! Experiments drive a `Monitor`: it classifies the ground truth once per
 //! bin however many runs and rates ride on it, while `run_bin` pays the full
 //! classification on every call.
@@ -66,6 +69,8 @@ pub(crate) fn run_bin<S: PacketSampler + ?Sized>(
             .collect(),
         top_t,
     );
+    // The dense definition on purpose: the monitor scores with the sparse
+    // kernel, and the conformance matrix is the differential test of the two.
     let outcome = truth.compare_with(|key| sampled.size_of(key));
     BinResult {
         original_flows: original.flow_count(),

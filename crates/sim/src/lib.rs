@@ -32,7 +32,8 @@
 //!   and digests the decision trace for golden pinning.
 //! * [`engine`] — the independent per-packet oracle of one bin (own flow
 //!   tables, one `keep` per packet, no `Monitor`; it shares only
-//!   `GroundTruthRanking` with the monitor), crate-private but for
+//!   `GroundTruthRanking` with the monitor, and scores with its dense
+//!   definition where the monitor runs the sparse kernel), crate-private but for
 //!   [`engine::run_bin_random_sampling`], which the `streaming_equivalence`
 //!   suite compares `Monitor::push` against.
 //! * [`experiment`] — multi-run, multi-bin experiments: one fanned-out

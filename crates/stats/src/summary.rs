@@ -15,8 +15,6 @@ pub struct RunningStats {
     count: u64,
     mean: f64,
     m2: f64,
-    min: f64,
-    max: f64,
 }
 
 impl RunningStats {
@@ -26,8 +24,6 @@ impl RunningStats {
             count: 0,
             mean: 0.0,
             m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
         }
     }
 
@@ -38,8 +34,6 @@ impl RunningStats {
         self.mean += delta / self.count as f64;
         let delta2 = x - self.mean;
         self.m2 += delta * delta2;
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
     }
 
     /// Number of observations seen so far.

@@ -136,6 +136,39 @@ fn threaded_drive_matches_serial_over_irregular_chunks() {
     }
 }
 
+#[test]
+fn idle_gaps_emit_empty_bins_on_a_threaded_monitor() {
+    // The `threads(2)` twin of `monitor::tests::idle_gaps_emit_empty_bins`:
+    // a jump over two bins seals them empty — no flows, and on every lane no
+    // pairs and no missed top flow — exactly as the serial engine reports.
+    let packets = trace();
+    let (first, last) = (packets[0], *packets.last().unwrap());
+    let jump = PacketRecord {
+        timestamp: Timestamp::from_secs_f64(last.timestamp.as_secs_f64() + 180.0),
+        ..first
+    };
+    let run = |threads: usize| {
+        let mut monitor = builder(threads).build();
+        let mut reports = monitor.push_batch(&PacketBatch::from_records(&packets));
+        reports.extend(monitor.push(&jump));
+        reports.extend(monitor.finish());
+        reports
+    };
+    let reports = run(2);
+    assert_eq!(reports, run(1));
+    let gaps: Vec<&BinReport> = reports.iter().filter(|r| r.packets == 0).collect();
+    assert_eq!(gaps.len(), 2, "the jump skips two whole bins");
+    for gap in gaps {
+        assert_eq!(gap.flows, 0);
+        assert_eq!(gap.lanes.len(), 12);
+        for lane in &gap.lanes {
+            assert_eq!(lane.outcome.ranking_pairs, 0);
+            assert_eq!(lane.outcome.detection_pairs, 0);
+            assert_eq!(lane.outcome.missed_top_flows, 0);
+        }
+    }
+}
+
 /// A sink that panics at the first report, leaving the monitor mid-call.
 struct PanickingSink;
 
