@@ -42,8 +42,8 @@ pub struct ComparisonOutcome {
 /// The streaming monitor classifies each measurement bin exactly once and
 /// then scores every sampling lane (run × rate) against the same ranked
 /// truth. Everything that depends only on the truth is paid once, in `new`:
-/// the `O(n log n)` sort, the pair counts of the `t` top flows, and a rank
-/// index over the keys. A lane is then scored through one of two entry
+/// the `O(n log n)` sort, where the tie run of each of the `t` top flows ends
+/// (which is how many pairs it is in), and a rank index over the keys. A lane is then scored through one of two entry
 /// points that return the same [`ComparisonOutcome`]:
 ///
 /// * [`GroundTruthRanking::compare_with`] — **the definition**: `n` lookups
@@ -65,8 +65,6 @@ pub struct GroundTruthRanking<K> {
     /// strictly smaller, so the flow is in `n − tie_end` ranking pairs and
     /// `n − max(t, tie_end)` detection pairs.
     tie_end: Vec<u32>,
-    ranking_pairs: u64,
-    detection_pairs: u64,
     /// Open-addressed rank index: `(2n).next_power_of_two()` slots holding
     /// ranks, hashed with `pack().mix()` and resolved against
     /// `ranked[rank].key` — no second copy of the keys. Empty when `n = 0`.
@@ -79,8 +77,8 @@ const NO_RANK: u32 = u32::MAX;
 impl<K: CompactKey + Ord> GroundTruthRanking<K> {
     /// Ranks a flow population by decreasing true size (ties broken by key
     /// order so the ranking is identical across runs and platforms), fixes
-    /// the top-`t` boundary, counts the pairs each top flow is in and
-    /// indexes the keys by rank. Keys must be distinct — true of every
+    /// the top-`t` boundary, finds where each top flow's run of ties ends
+    /// and indexes the keys by rank. Keys must be distinct — true of every
     /// `FlowTable` drain and of disjoint shards.
     pub fn new(mut flows: Vec<SizedFlow<K>>, top_t: usize) -> Self {
         flows.sort_by(|a, b| b.packets.cmp(&a.packets).then_with(|| a.key.cmp(&b.key)));
@@ -89,7 +87,6 @@ impl<K: CompactKey + Ord> GroundTruthRanking<K> {
         let top_t = top_t.min(n);
 
         let mut tie_end = Vec::with_capacity(top_t);
-        let (mut ranking_pairs, mut detection_pairs) = (0u64, 0u64);
         let mut end = 0;
         for (rank, flow) in flows[..top_t].iter().enumerate() {
             if end <= rank {
@@ -99,8 +96,6 @@ impl<K: CompactKey + Ord> GroundTruthRanking<K> {
                 }
             }
             tie_end.push(end as u32);
-            ranking_pairs += (n - end) as u64;
-            detection_pairs += (n - end.max(top_t)) as u64;
         }
 
         let mut slots = Vec::new();
@@ -125,8 +120,6 @@ impl<K: CompactKey + Ord> GroundTruthRanking<K> {
             ranked: flows,
             top_t,
             tie_end,
-            ranking_pairs,
-            detection_pairs,
             slots,
         }
     }
@@ -232,7 +225,7 @@ impl<K: CompactKey + Ord> GroundTruthRanking<K> {
     /// skipped, exactly as the dense scan never looks it up.
     ///
     /// A top flow sampled to zero is swapped with every pair it is in — a
-    /// count `new` already took. One that was sampled can only be swapped
+    /// count read off `tie_end`. One that was sampled can only be swapped
     /// with a strictly smaller flow sampled at least as often, so only the
     /// entries of `sampled` that reach the smallest non-zero top sampled
     /// size are ranked (`m′` index probes) and held against the top flows:
@@ -251,15 +244,21 @@ impl<K: CompactKey + Ord> GroundTruthRanking<K> {
 
         let mut ranking_swaps = 0u64;
         let mut detection_swaps = 0u64;
+        let mut ranking_pairs = 0u64;
+        let mut detection_pairs = 0u64;
         let mut missed_top_flows = 0u64;
         // Below this sampled size a flow is swapped with no sampled top flow.
         let mut floor = u64::MAX;
         for (rank_a, &s_a) in top.iter().enumerate() {
             let end = self.tie_end[rank_a] as usize;
+            // Every flow from `end` on is strictly smaller than this one.
+            let (ranking, detection) = ((n - end) as u64, (n - end.max(t)) as u64);
+            ranking_pairs += ranking;
+            detection_pairs += detection;
             if s_a == 0 {
                 missed_top_flows += 1;
-                ranking_swaps += (n - end) as u64;
-                detection_swaps += (n - end.max(t)) as u64;
+                ranking_swaps += ranking;
+                detection_swaps += detection;
                 continue;
             }
             floor = floor.min(s_a);
@@ -272,9 +271,13 @@ impl<K: CompactKey + Ord> GroundTruthRanking<K> {
                 if s_b < floor {
                     continue;
                 }
-                let Some(rank_b) = self.rank_of(key).filter(|&rank| rank >= t) else {
+                let Some(rank_b) = self.rank_of(key) else {
                     continue;
                 };
+                if rank_b < t {
+                    debug_assert_eq!(s_b, top[rank_b], "the two views of the lane disagree");
+                    continue;
+                }
                 let swapped = top
                     .iter()
                     .zip(&self.tie_end)
@@ -289,8 +292,8 @@ impl<K: CompactKey + Ord> GroundTruthRanking<K> {
             ranking_swaps,
             detection_swaps,
             missed_top_flows,
-            ranking_pairs: self.ranking_pairs,
-            detection_pairs: self.detection_pairs,
+            ranking_pairs,
+            detection_pairs,
         }
     }
 
@@ -557,7 +560,7 @@ mod tests {
             let lo = top_t.min(n - 1).saturating_sub(rng.index(4));
             let hi = (top_t + 1 + rng.index(4)).min(n);
             let size = sizes[lo];
-            sizes[lo..hi.max(lo)].fill(size);
+            sizes[lo..hi].fill(size);
         }
         // Distinct keys spread over the whole u32 range, in an order that
         // has nothing to do with size; the last few are held back as keys

@@ -33,9 +33,9 @@
 //! * [`engine`] — the independent per-packet oracle of one bin (own flow
 //!   tables, one `keep` per packet, no `Monitor`; it shares only
 //!   `GroundTruthRanking` with the monitor, and scores with its dense
-//!   definition where the monitor runs the sparse kernel), crate-private but for
-//!   [`engine::run_bin_random_sampling`], which the `streaming_equivalence`
-//!   suite compares `Monitor::push` against.
+//!   definition where the monitor runs the sparse kernel), crate-private
+//!   but for [`engine::run_bin_random_sampling`], which the
+//!   `streaming_equivalence` suite compares `Monitor::push` against.
 //! * [`experiment`] — multi-run, multi-bin experiments: one fanned-out
 //!   monitor driven over the trace once, its per-bin reports folded into
 //!   mean ± std series.

@@ -20,11 +20,7 @@ pub struct RunningStats {
 impl RunningStats {
     /// Creates an empty accumulator.
     pub fn new() -> Self {
-        Self {
-            count: 0,
-            mean: 0.0,
-            m2: 0.0,
-        }
+        Self::default()
     }
 
     /// Adds one observation.
