@@ -17,8 +17,8 @@
 //! * [`PcapBytesSource`] — an in-memory capture decoded incrementally via
 //!   the zero-copy batch decoder ([`flowrank_net::pcap::PcapBatchCursor`]).
 //! * [`flowrank_trace::SynthesisStream`] (via [`flowrank_trace::Workload::stream`]) — scenario
-//!   workloads synthesised window by window instead of materialising the
-//!   whole trace.
+//!   workloads and the Figs. 12–16 traces synthesised window by window
+//!   instead of materialising the whole trace.
 //! * [`Chunked`] — wraps any source and re-cuts its chunks to a maximum
 //!   size (down to single packets), for chunking-invariance tests and
 //!   bounded-latency replay.

@@ -55,8 +55,8 @@
 //! tagged stream is demultiplexed in one pass, and the summary prints one
 //! CSV row per tenant (packets, bins, evictions) plus fleet totals;
 //! `--threads` sets the fleet's tenant-affine workers, `--budget <flows>`
-//! caps every tenant's flow table. EXPERIMENTS.md records the settings used
-//! for the committed results.
+//! caps every tenant's flow table. README's "Paper-scale run" records the
+//! published configuration's wall time and memory.
 
 use flowrank_core::{
     gaussian::gaussian_absolute_error, optimal_sampling_rate, PairwiseModel, Scenario,

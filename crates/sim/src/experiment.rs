@@ -6,17 +6,18 @@
 //! together with its standard deviation.
 //!
 //! That is exactly what one fanned-out [`flowrank_monitor::Monitor`] emits
-//! bin by bin, so an experiment is a single [`Monitor::drive`] of the trace:
-//! the monitor cuts the bins, classifies and ranks each bin's ground truth
-//! **once**, scores every `runs × rates` lane against it, and a per-bin sink
-//! folds each report's lanes into the mean ± std series.
+//! bin by bin, so an experiment is a single [`Monitor::drive`] of a packet
+//! source — the figure scenarios stream their trace window by window and
+//! never hold it whole. The monitor cuts the bins, classifies and ranks each
+//! bin's ground truth **once**, scores every `runs × rates` lane against it,
+//! and a per-bin sink folds each report's lanes into the mean ± std series.
 //!
 //! [`Monitor::drive`]: flowrank_monitor::Monitor::drive
 
 use flowrank_monitor::{
-    BatchSource, BinReport, MonitorBuilder, RateCurve, ReportSink, SamplerSpec,
+    BinReport, MonitorBuilder, PacketSource, RateCurve, ReportSink, SamplerSpec,
 };
-use flowrank_net::{FlowDefinition, PacketBatch, PacketRecord, Timestamp};
+use flowrank_net::{FlowDefinition, Timestamp};
 
 /// Configuration of a trace-driven experiment.
 #[derive(Debug, Clone)]
@@ -100,29 +101,22 @@ pub struct ExperimentResult {
     pub series: Vec<RateSeries>,
 }
 
-/// A trace-driven experiment over a fixed, time-sorted packet trace.
+/// A trace-driven experiment over one packet source (non-decreasing
+/// timestamps, the monitor's push contract): a [`SynthesisStream`] for the
+/// figure scenarios, a [`BatchSource`] for a trace held as records.
+///
+/// [`SynthesisStream`]: flowrank_trace::SynthesisStream
+/// [`BatchSource`]: flowrank_monitor::BatchSource
 #[derive(Debug)]
-pub struct TraceExperiment {
-    trace: PacketBatch,
+pub struct TraceExperiment<S> {
+    source: S,
     config: ExperimentConfig,
 }
 
-impl TraceExperiment {
-    /// Prepares an experiment over `packets` (non-decreasing timestamps, the
-    /// monitor's push contract).
-    pub fn new(packets: &[PacketRecord], config: ExperimentConfig) -> Self {
-        TraceExperiment {
-            trace: PacketBatch::from_records(packets),
-            config,
-        }
-    }
-
-    /// Number of measurement bins: time zero to the last packet, leading
-    /// and idle bins included.
-    pub fn bin_count(&self) -> usize {
-        self.trace.ts_nanos().last().map_or(0, |&last| {
-            Timestamp::from_nanos(last).bin_index(self.config.bin_length) as usize + 1
-        })
+impl<S: PacketSource> TraceExperiment<S> {
+    /// Prepares an experiment over `source`.
+    pub fn new(source: S, config: ExperimentConfig) -> Self {
+        TraceExperiment { source, config }
     }
 
     /// Overrides the worker-thread count (0 = one per available CPU).
@@ -134,10 +128,10 @@ impl TraceExperiment {
 
     /// Runs the full experiment: every sampling rate, every bin, `runs`
     /// independent sampling runs — one monitor with `rates × runs` lanes,
-    /// driven over the trace once. Lane seeds depend only on (master seed,
+    /// driven over the source once. Lane seeds depend only on (master seed,
     /// rate, run) and every lane restarts its random stream at each bin, so
     /// bins are independent measurements whatever runs them.
-    pub fn run(&self) -> ExperimentResult {
+    pub fn run(mut self) -> ExperimentResult {
         let config = &self.config;
         let mut monitor = MonitorBuilder::new()
             .flow_definition(config.flow_definition)
@@ -163,7 +157,7 @@ impl TraceExperiment {
                 })
                 .collect(),
         });
-        monitor.drive(&mut BatchSource::new(&self.trace), &mut sink);
+        monitor.drive(&mut self.source, &mut sink);
         sink.0
     }
 }
@@ -193,13 +187,29 @@ mod tests {
     use super::*;
     use crate::binning::split_into_bins;
     use crate::engine::run_bin_random_sampling;
+    use flowrank_monitor::BatchSource;
+    use flowrank_net::{PacketBatch, PacketRecord};
     use flowrank_stats::rng::derive_seeds;
     use flowrank_stats::summary::RunningStats;
-    use flowrank_trace::{synthesize_packets, SprintModel, SynthesisConfig};
+    use flowrank_trace::{
+        synthesize_packets, FlowRecord, SprintModel, SynthesisConfig, SynthesisStream,
+    };
 
+    const SEED: u64 = 11;
+
+    fn small_flows() -> Vec<FlowRecord> {
+        SprintModel::small(120.0, 40.0).generate_flows(SEED)
+    }
+
+    /// The experiment over the small trace, streamed.
+    fn small_experiment(config: ExperimentConfig) -> TraceExperiment<SynthesisStream> {
+        let stream = SynthesisStream::new(small_flows(), &SynthesisConfig::default(), SEED);
+        TraceExperiment::new(stream, config)
+    }
+
+    /// The same trace held as records.
     fn small_trace() -> Vec<PacketRecord> {
-        let flows = SprintModel::small(120.0, 40.0).generate_flows(11);
-        synthesize_packets(&flows, &SynthesisConfig::default(), 11)
+        synthesize_packets(&small_flows(), &SynthesisConfig::default(), SEED)
     }
 
     fn config(rates: Vec<f64>, runs: usize) -> ExperimentConfig {
@@ -217,11 +227,12 @@ mod tests {
 
     #[test]
     fn experiment_structure_matches_configuration() {
-        let packets = small_trace();
-        let experiment = TraceExperiment::new(&packets, config(vec![0.1, 0.5], 4));
-        let result = experiment.run();
+        let result = small_experiment(config(vec![0.1, 0.5], 4)).run();
         assert_eq!(result.series.len(), 2);
-        assert_eq!(result.bin_count, experiment.bin_count());
+        // Time zero to the last packet, leading and idle bins included.
+        let last = small_trace().last().unwrap().timestamp;
+        let bins = last.bin_index(Timestamp::from_secs_f64(60.0)) as usize + 1;
+        assert_eq!(result.bin_count, bins);
         assert!(result.bin_count >= 2);
         for series in &result.series {
             assert_eq!(series.ranking_mean.len(), result.bin_count);
@@ -232,9 +243,7 @@ mod tests {
 
     #[test]
     fn higher_rate_has_lower_error_and_detection_below_ranking() {
-        let packets = small_trace();
-        let experiment = TraceExperiment::new(&packets, config(vec![0.01, 0.5], 6));
-        let result = experiment.run();
+        let result = small_experiment(config(vec![0.01, 0.5], 6)).run();
         let low = &result.series[0];
         let high = &result.series[1];
         assert!(
@@ -249,9 +258,8 @@ mod tests {
 
     #[test]
     fn results_are_deterministic_for_a_fixed_seed() {
-        let packets = small_trace();
-        let a = TraceExperiment::new(&packets, config(vec![0.1], 5)).run();
-        let b = TraceExperiment::new(&packets, config(vec![0.1], 5)).run();
+        let a = small_experiment(config(vec![0.1], 5)).run();
+        let b = small_experiment(config(vec![0.1], 5)).run();
         assert_eq!(a, b);
     }
 
@@ -260,14 +268,14 @@ mod tests {
         // The streaming fan-out must reproduce the legacy engine's numbers
         // exactly: same per-(rate, run) seed derivation, same per-bin RNG
         // restart, same metric — only the redundant ground-truth
-        // reclassifications are gone.
-        let packets = small_trace();
+        // reclassifications are gone. The legacy side bins the record trace,
+        // the experiment streams it.
         let rates = vec![0.05, 0.3];
         let runs = 3;
         let cfg = config(rates.clone(), runs);
-        let result = TraceExperiment::new(&packets, cfg.clone()).run();
+        let result = small_experiment(cfg.clone()).run();
 
-        let bins = split_into_bins(&packets, cfg.bin_length);
+        let bins = split_into_bins(&small_trace(), cfg.bin_length);
         for (rate_index, &rate) in rates.iter().enumerate() {
             let seeds = derive_seeds(cfg.seed ^ rate.to_bits(), runs);
             for (bin_index, bin) in bins.iter().enumerate() {
@@ -304,9 +312,9 @@ mod tests {
             })
         };
         let packets: Vec<PacketRecord> = shifted(60.0).chain(shifted(240.0)).collect();
-        let experiment = TraceExperiment::new(&packets, config(vec![0.01, 0.1, 0.5], 4));
-        assert_eq!(experiment.bin_count(), 5);
-        let result = experiment.run();
+        let batch = PacketBatch::from_records(&packets);
+        let result =
+            TraceExperiment::new(BatchSource::new(&batch), config(vec![0.01, 0.1, 0.5], 4)).run();
         assert_eq!(result.bin_count, 5);
         for series in &result.series {
             assert_eq!(series.ranking_mean.len(), 5);
@@ -335,10 +343,9 @@ mod tests {
 
     #[test]
     fn non_random_sampler_template_fans_out() {
-        let packets = small_trace();
         let mut cfg = config(vec![0.1, 0.5], 2);
         cfg.sampler = SamplerSpec::Stratified { rate: 0.1 };
-        let result = TraceExperiment::new(&packets, cfg).run();
+        let result = small_experiment(cfg).run();
         assert_eq!(result.series.len(), 2);
         assert!(
             result.series[1].overall_ranking_mean()

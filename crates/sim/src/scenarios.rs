@@ -1,14 +1,15 @@
 //! Ready-made trace-driven scenarios matching the paper's Figs. 12–16.
 //!
-//! Each helper generates the synthetic trace (Sprint-like or Abilene-like),
-//! expands it to packets and wraps it in a configured [`TraceExperiment`].
-//! A `scale` argument shrinks the flow arrival rate so the experiments stay
-//! affordable in CI; EXPERIMENTS.md records the scale used for
-//! the reported numbers.
+//! Each helper generates the synthetic flows (Sprint-like or Abilene-like)
+//! and moves them into a [`SynthesisStream`] that a configured
+//! [`TraceExperiment`] drives window by window, so the packet trace is never
+//! held whole. A `scale` argument shrinks the flow arrival rate so the
+//! experiments stay affordable in CI; README's "Paper-scale run" records the
+//! published configuration (scale 1, 30 runs).
 
 use flowrank_monitor::{MonitorBuilder, SamplerSpec};
 use flowrank_net::{FlowDefinition, Timestamp};
-use flowrank_trace::{synthesize_packets, AbileneModel, SprintModel, SynthesisConfig};
+use flowrank_trace::{AbileneModel, SprintModel, SynthesisConfig, SynthesisStream};
 
 use crate::experiment::{ExperimentConfig, TraceExperiment};
 
@@ -32,10 +33,9 @@ pub fn sprint_experiment_with_sampler(
     runs: usize,
     seed: u64,
     sampler: SamplerSpec,
-) -> TraceExperiment {
-    let model = SprintModel::paper(scale);
-    let flows = model.generate_flows(seed);
-    let packets = synthesize_packets(&flows, &SynthesisConfig::default(), seed ^ 0xA5A5);
+) -> TraceExperiment<SynthesisStream> {
+    let flows = SprintModel::paper(scale).generate_flows(seed);
+    let trace = SynthesisStream::new(flows, &SynthesisConfig::default(), seed ^ 0xA5A5);
     let config = ExperimentConfig {
         flow_definition,
         sampler,
@@ -46,7 +46,7 @@ pub fn sprint_experiment_with_sampler(
         seed,
         threads: 0,
     };
-    TraceExperiment::new(&packets, config)
+    TraceExperiment::new(trace, config)
 }
 
 /// The fanned-out streaming monitor behind the scenario experiments,
@@ -77,10 +77,9 @@ pub fn workload_builder(
 
 /// Builds the Abilene-like trace experiment of Fig. 16 (1-minute bins,
 /// 5-tuple flows, top 10).
-pub fn abilene_experiment(scale: f64, runs: usize, seed: u64) -> TraceExperiment {
-    let model = AbileneModel::paper(scale);
-    let flows = model.generate_flows(seed);
-    let packets = synthesize_packets(&flows, &SynthesisConfig::default(), seed ^ 0x5A5A);
+pub fn abilene_experiment(scale: f64, runs: usize, seed: u64) -> TraceExperiment<SynthesisStream> {
+    let flows = AbileneModel::paper(scale).generate_flows(seed);
+    let trace = SynthesisStream::new(flows, &SynthesisConfig::default(), seed ^ 0x5A5A);
     let config = ExperimentConfig {
         flow_definition: FlowDefinition::FiveTuple,
         sampler: SamplerSpec::Random { rate: 0.01 },
@@ -91,32 +90,29 @@ pub fn abilene_experiment(scale: f64, runs: usize, seed: u64) -> TraceExperiment
         seed,
         threads: 0,
     };
-    TraceExperiment::new(&packets, config)
+    TraceExperiment::new(trace, config)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flowrank_monitor::RateCurve;
+    use flowrank_monitor::{BatchSource, RateCurve};
     use flowrank_trace::Workload;
 
     #[test]
     fn sprint_experiment_structure() {
         // A strongly reduced scale keeps this test fast while exercising the
         // full pipeline: generation → synthesis → binning → sampling → metric.
-        let experiment = sprint_experiment_with_sampler(
+        let result = sprint_experiment_with_sampler(
             FlowDefinition::FiveTuple,
             60.0,
             0.002,
             3,
             42,
             SamplerSpec::Random { rate: 0.01 },
-        );
-        assert!(
-            experiment.bin_count() >= 25,
-            "30-minute trace in 1-minute bins"
-        );
-        let result = experiment.run();
+        )
+        .run();
+        assert!(result.bin_count >= 25, "30-minute trace in 1-minute bins");
         assert_eq!(result.series.len(), SPRINT_RATES.len());
         // The qualitative ordering of the paper: higher sampling rates give
         // lower ranking error.
@@ -139,7 +135,8 @@ mod tests {
             seed,
             ..ExperimentConfig::default()
         };
-        let result = TraceExperiment::new(&workload.synthesize(seed), config).run();
+        let batch = workload.synthesize_batch(seed);
+        let result = TraceExperiment::new(BatchSource::new(&batch), config).run();
         // The scenario streamed (`reproduce --scenario`'s path): windowed
         // synthesis through one fanned-out monitor into an online curve.
         let sampler = SamplerSpec::Random { rate: 0.01 };
@@ -168,8 +165,7 @@ mod tests {
 
     #[test]
     fn abilene_experiment_structure() {
-        let experiment = abilene_experiment(0.002, 2, 7);
-        let result = experiment.run();
+        let result = abilene_experiment(0.002, 2, 7).run();
         assert_eq!(result.series.len(), ABILENE_RATES.len());
         assert!(result.bin_count >= 25);
     }

@@ -2,31 +2,10 @@
 //!
 //! The paper reports average flow arrival rates on the monitored Sprint link
 //! (2360 flows/s for 5-tuple flows). The synthetic generators model flow
-//! arrivals as a homogeneous Poisson process with that rate; a deterministic
-//! (evenly spaced) process is also provided for tests and ablations.
+//! arrivals as a homogeneous Poisson process with that rate.
 
 use flowrank_stats::dist::{ContinuousDistribution, Exponential};
 use flowrank_stats::rng::Rng;
-
-/// A process producing a monotonically increasing sequence of arrival times.
-pub(crate) trait ArrivalProcess {
-    /// Returns the next arrival time in seconds, given the previous one.
-    fn next_arrival(&mut self, previous: f64, rng: &mut dyn Rng) -> f64;
-
-    /// Generates every arrival time in `[0, horizon)` seconds.
-    fn arrivals_until(&mut self, horizon: f64, rng: &mut dyn Rng) -> Vec<f64>
-    where
-        Self: Sized,
-    {
-        let mut out = Vec::new();
-        let mut t = self.next_arrival(0.0, rng);
-        while t < horizon {
-            out.push(t);
-            t = self.next_arrival(t, rng);
-        }
-        out
-    }
-}
 
 /// Homogeneous Poisson arrivals with a given rate (arrivals per second).
 #[derive(Debug, Clone, Copy)]
@@ -46,37 +25,16 @@ impl PoissonArrivals {
             inter_arrival: Exponential::new(rate).expect("arrival rate must be positive"),
         }
     }
-}
 
-impl ArrivalProcess for PoissonArrivals {
-    fn next_arrival(&mut self, previous: f64, rng: &mut dyn Rng) -> f64 {
-        previous + self.inter_arrival.sample(rng)
-    }
-}
-
-/// Deterministic, evenly spaced arrivals (one every `1/rate` seconds).
-#[derive(Debug, Clone, Copy)]
-pub struct DeterministicArrivals {
-    interval: f64,
-}
-
-impl DeterministicArrivals {
-    /// Creates a deterministic arrival process with `rate` arrivals per second.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rate` is not strictly positive.
-    pub fn new(rate: f64) -> Self {
-        assert!(rate > 0.0, "arrival rate must be positive");
-        DeterministicArrivals {
-            interval: 1.0 / rate,
+    /// Generates every arrival time in `[0, horizon)` seconds, in order.
+    pub(crate) fn arrivals_until(&self, horizon: f64, rng: &mut dyn Rng) -> Vec<f64> {
+        let mut out = Vec::new();
+        let mut t = self.inter_arrival.sample(rng);
+        while t < horizon {
+            out.push(t);
+            t += self.inter_arrival.sample(rng);
         }
-    }
-}
-
-impl ArrivalProcess for DeterministicArrivals {
-    fn next_arrival(&mut self, previous: f64, _rng: &mut dyn Rng) -> f64 {
-        previous + self.interval
+        out
     }
 }
 
@@ -87,7 +45,7 @@ mod tests {
 
     #[test]
     fn poisson_arrival_count_matches_rate() {
-        let mut process = PoissonArrivals::new(100.0);
+        let process = PoissonArrivals::new(100.0);
         let mut rng = Pcg64::seed_from_u64(42);
         let arrivals = process.arrivals_until(50.0, &mut rng);
         // Expect ~5000 arrivals; Poisson std dev ≈ 70.
@@ -102,8 +60,8 @@ mod tests {
 
     #[test]
     fn poisson_is_deterministic_per_seed() {
-        let mut a = PoissonArrivals::new(10.0);
-        let mut b = PoissonArrivals::new(10.0);
+        let a = PoissonArrivals::new(10.0);
+        let b = PoissonArrivals::new(10.0);
         let mut ra = Pcg64::seed_from_u64(7);
         let mut rb = Pcg64::seed_from_u64(7);
         assert_eq!(
@@ -113,24 +71,8 @@ mod tests {
     }
 
     #[test]
-    fn deterministic_arrivals_evenly_spaced() {
-        let mut process = DeterministicArrivals::new(4.0);
-        let mut rng = Pcg64::seed_from_u64(1);
-        let arrivals = process.arrivals_until(1.0, &mut rng);
-        assert_eq!(arrivals.len(), 3); // 0.25, 0.5, 0.75
-        assert!((arrivals[0] - 0.25).abs() < 1e-12);
-        assert!((arrivals[2] - 0.75).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn deterministic_rejects_zero_rate() {
-        DeterministicArrivals::new(0.0);
-    }
-
-    #[test]
     fn empty_horizon_yields_no_arrivals() {
-        let mut process = PoissonArrivals::new(1000.0);
+        let process = PoissonArrivals::new(1000.0);
         let mut rng = Pcg64::seed_from_u64(3);
         assert!(process.arrivals_until(0.0, &mut rng).is_empty());
     }

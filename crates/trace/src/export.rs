@@ -11,9 +11,11 @@ use flowrank_net::pcap::PcapWriter;
 use flowrank_net::NetResult;
 
 use crate::flow_record::FlowRecord;
-use crate::synthesis::{synthesize_packets, SynthesisConfig};
+use crate::stream::SynthesisStream;
+use crate::synthesis::SynthesisConfig;
 
-/// Expands `flows` into packets and writes them to `out` as a pcap capture.
+/// Expands `flows` into packets and writes them to `out` as a pcap capture,
+/// one synthesis window at a time (the trace is never held whole).
 ///
 /// Returns the number of packets written.
 pub fn export_flows_to_pcap<W: Write>(
@@ -22,10 +24,12 @@ pub fn export_flows_to_pcap<W: Write>(
     seed: u64,
     out: W,
 ) -> NetResult<u64> {
-    let packets = synthesize_packets(flows, config, seed);
+    let mut stream = SynthesisStream::new(flows.to_vec(), config, seed);
     let mut writer = PcapWriter::new(out)?;
-    for packet in &packets {
-        writer.write_record(packet)?;
+    while let Some(window) = stream.next_window() {
+        for packet in window.iter_records() {
+            writer.write_record(&packet)?;
+        }
     }
     let written = writer.packets_written();
     writer.finish()?;

@@ -14,7 +14,7 @@ use flowrank_stats::dist::{BoundedPareto, ContinuousDistribution, Exponential, L
 use flowrank_stats::rng::{Pcg64, Rng, SeedableRng};
 
 use crate::addressing::PrefixAddresser;
-use crate::arrivals::{ArrivalProcess, PoissonArrivals};
+use crate::arrivals::PoissonArrivals;
 use crate::flow_record::{synthetic_key, FlowRecord};
 
 /// Flow-size law used by a generator.
@@ -110,7 +110,7 @@ pub(crate) fn generate_flow_population(
     seed: u64,
 ) -> Vec<FlowRecord> {
     let mut rng = Pcg64::seed_from_u64(seed);
-    let mut arrivals = PoissonArrivals::new(config.flow_rate.max(f64::MIN_POSITIVE));
+    let arrivals = PoissonArrivals::new(config.flow_rate.max(f64::MIN_POSITIVE));
     let addresser = PrefixAddresser::new(config.prefix_count, config.prefix_zipf_exponent);
     let duration_dist =
         Exponential::with_mean(config.mean_flow_duration.max(1e-9)).expect("mean duration > 0");

@@ -19,17 +19,19 @@
 //!
 //! * [`flow_record`] — the flow-level record (size, duration, start time,
 //!   5-tuple).
-//! * [`arrivals`] — Poisson and deterministic flow-arrival processes.
+//! * `arrivals` — the Poisson flow-arrival process.
 //! * [`addressing`] — 5-tuple/prefix assignment with Zipf prefix popularity so
 //!   that /24 aggregation produces fewer, larger flows as in the paper.
 //! * [`sprint`] — the Sprint-backbone-like flow-level model.
 //! * [`abilene`] — the Abilene-like short-tailed model.
-//! * [`synthesis`] — expansion of flow records into a packet-level trace
-//!   (uniform packet placement over the flow lifetime, Sec. 8.1).
-//! * [`stream`] — the pull-based form of that expansion: a
+//! * [`stream`] — the expansion of flow records into packets (uniform
+//!   packet placement over the flow lifetime, Sec. 8.1): a
 //!   [`SynthesisStream`] yields the trace window by window as SoA packet
 //!   batches, with peak memory independent of trace length — the packet
-//!   source behind `Monitor::drive` for scenario workloads.
+//!   source behind `Monitor::drive` for the scenario workloads and the
+//!   Figs. 12–16 experiments.
+//! * [`synthesis`] — the expansion's options and its whole-trace form,
+//!   [`synthesize_packets`] (the stream, drained).
 //! * [`summary`] — trace summary statistics.
 //! * [`export`] — pcap export of synthetic traces via `flowrank-net`.
 //! * [`workloads`] — the deterministic scenario catalog (heavy-tail α, flash
@@ -44,7 +46,7 @@
 
 pub mod abilene;
 pub mod addressing;
-pub mod arrivals;
+mod arrivals;
 pub mod export;
 pub mod fleet;
 pub mod flow_record;

@@ -12,7 +12,7 @@
 //!
 //! Pacing granularity is the synthesis window: a window's packets are
 //! released together when the window's *first* timestamp falls due. Choose
-//! the window length (`SynthesisStream::with_window`) for the
+//! the window length ([`crate::Workload::stream_with_window`]) for the
 //! latency/overhead trade: sub-second windows make the replay smooth,
 //! bin-length windows make it bursty.
 

@@ -34,8 +34,8 @@ pub(crate) const PACKET_BYTES: u32 = 500;
 
 impl SprintModel {
     /// The paper's Sprint scenario with the published parameters, scaled by
-    /// `scale` (1.0 = full size; the figure harness defaults to 0.1 to keep
-    /// benchmark runtimes reasonable; see EXPERIMENTS.md).
+    /// `scale` (1.0 = full size; `reproduce` defaults to 0.02 to keep the
+    /// figures quick — README's "Paper-scale run" records scale 1).
     pub fn paper(scale: f64) -> Self {
         SprintModel {
             config: Self::base_config().scaled(scale),
@@ -51,17 +51,6 @@ impl SprintModel {
             ..Self::paper(1.0).config
         };
         SprintModel { config }
-    }
-
-    /// Overrides the Pareto shape β (Figs. 6–7 vary β from 1.2 to 3).
-    pub fn with_shape(mut self, shape: f64) -> Self {
-        if let SizeModel::Pareto { mean_packets, .. } = self.config.size_model {
-            self.config.size_model = SizeModel::Pareto {
-                mean_packets,
-                shape,
-            };
-        }
-        self
     }
 
     fn base_config() -> FlowPopulationConfig {
@@ -117,15 +106,6 @@ mod tests {
         let m = SprintModel::paper(0.1);
         assert!((m.config.flow_rate - 236.0).abs() < 1e-9);
         assert!((m.config.duration_secs - 1800.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn with_shape_changes_beta() {
-        let m = SprintModel::paper(1.0).with_shape(1.2);
-        match m.config.size_model {
-            SizeModel::Pareto { shape, .. } => assert!((shape - 1.2).abs() < 1e-12),
-            _ => panic!(),
-        }
     }
 
     #[test]

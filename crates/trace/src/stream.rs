@@ -1,45 +1,35 @@
-//! Streaming flow-to-packet synthesis: windows of packets on demand.
+//! Flow-to-packet synthesis, one window of packets at a time.
 //!
-//! [`crate::synthesize_packets`] materialises a whole trace before anything
-//! downstream runs, so experiment length is capped by RAM. This module is
-//! the pull-based form of the same expansion: a [`SynthesisStream`] holds
-//! the *flow-level* records (memory proportional to flows, not packets) and
-//! produces the packet trace one time window at a time, each window as a
-//! ready-to-push SoA [`PacketBatch`]. It is the packet source behind
-//! `Monitor::drive` for scenario workloads.
+//! A [`SynthesisStream`] holds the *flow-level* records (memory proportional
+//! to flows, not packets) and produces the packet trace one time window at a
+//! time, each window as a ready-to-push SoA [`PacketBatch`]. It is the
+//! crate's only flow-to-packet expansion: [`crate::synthesize_packets`],
+//! [`crate::Workload::synthesize`], [`crate::Workload::synthesize_batch`] and
+//! [`crate::export::export_flows_to_pcap`] drain it, and `Monitor::drive`
+//! pulls it directly for the scenario workloads and the Figs. 12–16
+//! experiments.
 //!
 //! # How a window is produced
 //!
 //! Packet placement draws come from one [`Pcg64`] stream consumed flow by
-//! flow in generation order — exactly the draws [`crate::synthesize_packets`]
-//! makes. At construction the stream walks that RNG once, snapshotting its
-//! state *before* each flow's draws (a [`Pcg64`] is a few machine words).
-//! A window is then synthesised by replaying, from its snapshot, every flow
-//! whose lifetime overlaps the window and keeping the packets whose
-//! timestamps fall inside it; flows enter and leave the active set as the
-//! window advances, so a window's cost is proportional to the flows alive
-//! in it.
+//! flow in generation order, one draw per packet of every flow that has more
+//! than one packet and a non-zero duration. At construction the stream walks
+//! that RNG once, snapshotting its state *before* each flow's draws (a
+//! [`Pcg64`] is a few machine words). A window is then synthesised by
+//! replaying, from its snapshot, every flow whose lifetime overlaps the
+//! window and keeping the packets whose timestamps fall inside it; flows
+//! enter and leave the active set as the window advances, so a window's cost
+//! is proportional to the flows alive in it.
 //!
-//! # Ordering contract
+//! # Order
 //!
-//! Within a window, packets are ordered by the total key
-//! `(timestamp, flow index, packet index)`; concatenating all windows yields
-//! the whole trace in that order. [`crate::synthesize_packets`] sorts with
-//! an *unstable* sort whose order among equal timestamps is unspecified, so
-//! the two traces can permute packets that share a timestamp. The
-//! systematic source of equal timestamps is multi-packet flows of zero
-//! duration, whose packets differ only in their TCP sequence number — a
-//! field no `flowrank-monitor` report depends on — so for such ties the
-//! permutation is report-invisible, and the drive-path conformance tests
-//! pin the streamed and materialised paths to bit-identical reports for the
-//! pinned scenarios. *Cross-flow* nanosecond collisions (two continuous
-//! arrival processes rounding to the same nanosecond) are also possible,
-//! just vanishingly rare at catalog scale; if one ever lands on opposite
-//! sides of the two sort orders, the streamed and materialised *packet
-//! sequences* — and hence the sampled reports — may differ, which the
-//! conformance harness reports loudly rather than papering over. The
-//! streamed order is the canonical one: it is a pure function of the
-//! workload, not of a sort implementation.
+//! The trace has one order, the total key `(timestamp, flow index, packet
+//! index)`: timestamps first, then generation order among packets on the
+//! same nanosecond. Concatenating the windows yields the whole trace in that
+//! order whatever the window length. It is exactly what listing every
+//! packet flow by flow, packet by packet, and then sorting *stably* by
+//! timestamp produces — this module's tests hold the stream to that
+//! definition packet for packet.
 //!
 //! # Cost model
 //!
@@ -47,12 +37,12 @@
 //! storage). Each window then replays, from its snapshot, *every* packet of
 //! every flow overlapping the window, keeping the in-window ones — so a
 //! flow's expansion cost is its packet count times the number of windows
-//! its lifetime spans. That is the right trade for the catalog's
-//! short-lived flows (mean lifetime well under one window); a population
-//! dominated by flows living across many windows pays the multiplier and
-//! would want per-flow resume state instead.
+//! its lifetime spans. That is the right trade for short-lived flows (the
+//! catalog's and the paper's mean lifetimes are well under one window); a
+//! population dominated by flows living across many windows pays the
+//! multiplier and would want per-flow resume state instead.
 
-use flowrank_net::{CompactKey, PacketBatch, Timestamp};
+use flowrank_net::{CompactKey, PacketBatch, PacketRecord, Timestamp};
 use flowrank_stats::rng::{Pcg64, Rng, SeedableRng};
 
 use crate::flow_record::FlowRecord;
@@ -80,9 +70,10 @@ pub struct SynthesisStream {
     by_start: Vec<u32>,
     config: SynthesisConfig,
     window_nanos: u64,
-    /// Next window index, and one past the last non-empty window.
+    /// Latest possible packet timestamp, `None` when no flow has a packet.
+    last_nanos: Option<u64>,
+    /// Next window index.
     window: u64,
-    windows: u64,
     /// Cursor into `by_start`; flows before it have been activated.
     activated: usize,
     /// Flows whose lifetime may still overlap the current or later windows.
@@ -93,49 +84,19 @@ pub struct SynthesisStream {
 }
 
 impl SynthesisStream {
-    /// Prepares a stream over `flows` with the given synthesis options and
-    /// placement seed — the streaming counterpart of
-    /// [`crate::synthesize_packets`] with the same arguments.
-    pub fn new(flows: &[FlowRecord], config: &SynthesisConfig, seed: u64) -> Self {
-        Self::with_window(flows, config, seed, DEFAULT_WINDOW)
-    }
-
-    /// [`SynthesisStream::new`] with an explicit window length. Reports are
-    /// invariant to the window length (it only sets the chunk granularity);
-    /// [`Timestamp::ZERO`] is treated as [`DEFAULT_WINDOW`].
-    pub(crate) fn with_window(
-        flows: &[FlowRecord],
-        config: &SynthesisConfig,
-        seed: u64,
-        window: Timestamp,
-    ) -> Self {
-        Self::from_flows(flows.to_vec(), config, seed, window)
-    }
-
-    /// [`SynthesisStream::with_window`] taking the flow population by value
-    /// — the flow vector is the stream's dominant memory term, so callers
-    /// that generate flows just to stream them (e.g.
-    /// [`crate::Workload::stream`]) hand them over instead of copying.
-    pub(crate) fn from_flows(
-        flows: Vec<FlowRecord>,
-        config: &SynthesisConfig,
-        seed: u64,
-        window: Timestamp,
-    ) -> Self {
-        let window_nanos = if window == Timestamp::ZERO {
-            DEFAULT_WINDOW.as_nanos()
-        } else {
-            window.as_nanos()
-        };
+    /// Prepares a stream over `flows` (taken by value: the flow vector is the
+    /// stream's dominant memory term) with the given synthesis options and
+    /// placement seed, in 60-second windows.
+    pub fn new(flows: Vec<FlowRecord>, config: &SynthesisConfig, seed: u64) -> Self {
         let mut rng = Pcg64::seed_from_u64(seed);
         let mut draw_states = Vec::with_capacity(flows.len());
         let mut starts = Vec::with_capacity(flows.len());
         let mut ends = Vec::with_capacity(flows.len());
-        let mut max_end = 0u64;
+        let mut last_nanos = None;
         for flow in &flows {
             draw_states.push(rng.clone());
-            // Advance the shared stream by exactly the draws
-            // `synthesize_packets` makes for this flow.
+            // Advance the shared stream by exactly the draws this flow's
+            // packets make when its windows are replayed.
             if placement_draws(flow, config) {
                 for _ in 0..flow.packets {
                     rng.next_f64();
@@ -149,16 +110,13 @@ impl SynthesisStream {
             starts.push(start);
             ends.push(end);
             if flow.packets > 0 {
-                max_end = max_end.max(end);
+                last_nanos = last_nanos.max(Some(end));
             }
         }
+        // Generators emit flows in start order, so the stable sort merges a
+        // few sorted runs; the order among equal starts is never observed.
         let mut by_start: Vec<u32> = (0..flows.len() as u32).collect();
-        by_start.sort_unstable_by_key(|&i| starts[i as usize]);
-        let windows = if flows.iter().all(|f| f.packets == 0) {
-            0
-        } else {
-            max_end / window_nanos + 1
-        };
+        by_start.sort_by_key(|&i| starts[i as usize]);
         SynthesisStream {
             flows,
             draw_states,
@@ -166,9 +124,9 @@ impl SynthesisStream {
             ends,
             by_start,
             config: *config,
-            window_nanos,
+            window_nanos: DEFAULT_WINDOW.as_nanos(),
+            last_nanos,
             window: 0,
-            windows,
             activated: 0,
             active: Vec::new(),
             staged: Vec::new(),
@@ -176,14 +134,48 @@ impl SynthesisStream {
         }
     }
 
+    /// Sets the window length before the first window is taken. It only sets
+    /// the chunk granularity: the packet sequence is the same for every
+    /// length. [`Timestamp::ZERO`] keeps [`DEFAULT_WINDOW`].
+    pub(crate) fn windowed(mut self, window: Timestamp) -> Self {
+        debug_assert_eq!(self.window, 0, "the window is fixed once streaming starts");
+        if window != Timestamp::ZERO {
+            self.window_nanos = window.as_nanos();
+        }
+        self
+    }
+
     /// Synthesises the next non-empty window of packets, or `None` when the
     /// trace is exhausted. The returned batch is owned by the stream and is
     /// overwritten by the next call.
     pub fn next_window(&mut self) -> Option<&PacketBatch> {
-        while self.window < self.windows {
+        if !self.stage_next_window() {
+            return None;
+        }
+        self.batch.clear();
+        self.batch.reserve(self.staged.len());
+        for &(ts, flow_index, packet_index) in &self.staged {
+            let flow = &self.flows[flow_index as usize];
+            self.batch.push_columns(
+                ts,
+                flow.key.pack(),
+                self.config.packet_bytes,
+                Some(tcp_seq(packet_index, &self.config)),
+            );
+        }
+        Some(&self.batch)
+    }
+
+    /// Stages the next non-empty window as its sorted `(timestamp, flow
+    /// index, packet index)` keys; `false` once the trace is exhausted.
+    fn stage_next_window(&mut self) -> bool {
+        let windows = self
+            .last_nanos
+            .map_or(0, |last| last / self.window_nanos + 1);
+        while self.window < windows {
             let lo = self.window * self.window_nanos;
             let hi = lo.saturating_add(self.window_nanos);
-            let last = self.window + 1 == self.windows;
+            let last = self.window + 1 == windows;
             self.window += 1;
 
             // Admit flows whose earliest packet can fall before the window
@@ -215,48 +207,112 @@ impl SynthesisStream {
                         rng.next_f64() * flow.duration
                     };
                     let ts = Timestamp::from_secs_f64(flow.start + offset).as_nanos();
-                    // The final window is closed on the right so the very
-                    // last timestamp (== max_end) is not dropped.
+                    // The final window is closed on the right: only there can
+                    // `hi` have saturated at `u64::MAX` (always, in a
+                    // whole-trace drain), which a saturated timestamp equals.
                     if ts >= lo && (ts < hi || (last && ts == hi)) {
                         self.staged.push((ts, flow_index, i as u32));
                     }
                 }
             }
-            if self.staged.is_empty() {
-                continue;
+            if !self.staged.is_empty() {
+                // The key is unique, so this is the module's one order.
+                self.staged.sort_unstable();
+                return true;
             }
-            // The key is unique, so this total order is what the module docs
-            // promise: timestamp first, generation order among ties.
-            self.staged.sort_unstable();
-            self.batch.clear();
-            self.batch.reserve(self.staged.len());
-            for &(ts, flow_index, packet_index) in &self.staged {
-                let flow = &self.flows[flow_index as usize];
-                self.batch.push_columns(
-                    ts,
-                    flow.key.pack(),
-                    self.config.packet_bytes,
-                    Some((packet_index as u64 * self.config.packet_bytes as u64) as u32),
-                );
-            }
-            return Some(&self.batch);
         }
-        None
+        false
+    }
+
+    /// Drains the whole stream into one batch: one window as long as time
+    /// itself, so every flow is replayed once and nothing is copied.
+    pub(crate) fn into_batch(self) -> PacketBatch {
+        let mut whole = self.windowed(Timestamp::from_nanos(u64::MAX));
+        whole.next_window();
+        whole.batch
+    }
+
+    /// Drains the whole stream into one record vector, from the same single
+    /// window's keys.
+    pub(crate) fn into_records(self) -> Vec<PacketRecord> {
+        let mut whole = self.windowed(Timestamp::from_nanos(u64::MAX));
+        whole.stage_next_window();
+        let (flows, config) = (&whole.flows, &whole.config);
+        whole
+            .staged
+            .iter()
+            .map(|&(ts, flow_index, packet_index)| {
+                let key = flows[flow_index as usize].key;
+                PacketRecord {
+                    timestamp: Timestamp::from_nanos(ts),
+                    src_ip: key.src_ip,
+                    dst_ip: key.dst_ip,
+                    src_port: key.src_port,
+                    dst_port: key.dst_port,
+                    protocol: key.protocol,
+                    length: config.packet_bytes,
+                    tcp_seq: Some(tcp_seq(packet_index, config)),
+                }
+            })
+            .collect()
     }
 }
 
-/// Whether `synthesize_packets` consumes one RNG draw per packet of `flow`.
+/// The synthetic TCP sequence number of a flow's `packet_index`-th packet:
+/// its byte offset within the flow.
+fn tcp_seq(packet_index: u32, config: &SynthesisConfig) -> u32 {
+    (packet_index as u64 * config.packet_bytes as u64) as u32
+}
+
+/// Whether `flow`'s placement consumes one RNG draw per packet.
 fn placement_draws(flow: &FlowRecord, config: &SynthesisConfig) -> bool {
     config.uniform_placement && flow.packets > 1 && flow.duration != 0.0
+}
+
+/// The definition the stream is held to: every packet listed flow by flow,
+/// packet by packet, with the same placement draws, then sorted *stably* by
+/// timestamp.
+#[cfg(test)]
+pub(crate) fn materialise_and_sort(
+    flows: &[FlowRecord],
+    config: &SynthesisConfig,
+    seed: u64,
+) -> Vec<PacketRecord> {
+    let mut rng = Pcg64::seed_from_u64(seed);
+    let mut packets = Vec::new();
+    for flow in flows {
+        let n = flow.packets;
+        for i in 0..n {
+            let offset = if n == 1 || flow.duration == 0.0 {
+                0.0
+            } else if config.uniform_placement {
+                rng.next_f64() * flow.duration
+            } else {
+                flow.duration * i as f64 / (n - 1) as f64
+            };
+            packets.push(PacketRecord {
+                timestamp: Timestamp::from_secs_f64(flow.start + offset),
+                src_ip: flow.key.src_ip,
+                dst_ip: flow.key.dst_ip,
+                src_port: flow.key.src_port,
+                dst_port: flow.key.dst_port,
+                protocol: flow.key.protocol,
+                length: config.packet_bytes,
+                tcp_seq: Some((i * config.packet_bytes as u64) as u32),
+            });
+        }
+    }
+    packets.sort_by_key(|p| p.timestamp);
+    packets
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::synthesis::synthesize_packets;
-    use crate::workloads::Workload;
-    use flowrank_net::PacketRecord;
-    use std::collections::HashMap;
+    use crate::flow_record::synthetic_key;
+    use crate::workloads::{Workload, SYNTHESIS_SALT};
+    use crate::{AbileneModel, SprintModel};
+    use std::net::Ipv4Addr;
 
     fn drain(stream: &mut SynthesisStream) -> Vec<PacketRecord> {
         let mut out = Vec::new();
@@ -267,35 +323,15 @@ mod tests {
         out
     }
 
-    /// The streamed trace must equal the materialised one up to permutations
-    /// within one timestamp — and any permuted pair must be two packets of
-    /// the same flow with the same length (only `tcp_seq` may differ), which
-    /// is what makes the permutation invisible to every monitor report.
-    fn assert_equivalent(streamed: &[PacketRecord], materialised: &[PacketRecord], label: &str) {
-        assert_eq!(streamed.len(), materialised.len(), "{label}: packet count");
-        for (a, b) in streamed.iter().zip(materialised) {
-            if a == b {
-                continue;
-            }
-            assert_eq!(a.timestamp, b.timestamp, "{label}: tie permutation only");
-            assert_eq!(a.length, b.length, "{label}");
-            assert_eq!(
-                (a.src_ip, a.dst_ip, a.src_port, a.dst_port, a.protocol),
-                (b.src_ip, b.dst_ip, b.src_port, b.dst_port, b.protocol),
-                "{label}: permuted packets must share their flow"
-            );
-        }
-        // And as multisets the two traces are identical.
-        let mut counts: HashMap<String, i64> = HashMap::new();
-        for p in streamed {
-            *counts.entry(format!("{p:?}")).or_default() += 1;
-        }
-        for p in materialised {
-            *counts.entry(format!("{p:?}")).or_default() -= 1;
-        }
-        assert!(
-            counts.values().all(|&c| c == 0),
-            "{label}: multiset mismatch"
+    /// Holds both the windowed stream and the whole-trace drain of `flows` to
+    /// the stable-sort definition.
+    fn assert_matches_oracle(flows: Vec<FlowRecord>, config: &SynthesisConfig, seed: u64) {
+        let oracle = materialise_and_sort(&flows, config, seed);
+        let mut windowed = SynthesisStream::new(flows.clone(), config, seed);
+        assert_eq!(drain(&mut windowed), oracle);
+        assert_eq!(
+            SynthesisStream::new(flows, config, seed).into_records(),
+            oracle
         );
     }
 
@@ -303,12 +339,64 @@ mod tests {
     fn every_catalog_stream_matches_its_materialised_trace() {
         for workload in Workload::catalog() {
             let seed = 0xBEE5;
-            let materialised = workload.synthesize(seed);
+            let oracle = materialise_and_sort(
+                &workload.generate_flows(seed),
+                &SynthesisConfig::default(),
+                seed ^ SYNTHESIS_SALT,
+            );
             let mut stream = workload.stream(seed);
-            let streamed = drain(&mut stream);
-            assert_equivalent(&streamed, &materialised, workload.name());
+            assert_eq!(drain(&mut stream), oracle, "{}", workload.name());
             assert!(stream.next_window().is_none(), "stream stays exhausted");
         }
+    }
+
+    #[test]
+    fn small_sprint_stream_matches_the_oracle() {
+        let flows = SprintModel::small(130.0, 30.0).generate_flows(3);
+        assert_matches_oracle(flows, &SynthesisConfig::default(), 3);
+    }
+
+    #[test]
+    fn figure_traces_match_the_oracle() {
+        // The Figs. 12–16 populations at the figure goldens' scale, with the
+        // placement salts `flowrank-sim`'s scenario helpers use.
+        let config = SynthesisConfig::default();
+        assert_matches_oracle(
+            SprintModel::paper(0.005).generate_flows(2026),
+            &config,
+            2026 ^ 0xA5A5,
+        );
+        assert_matches_oracle(
+            AbileneModel::paper(0.005).generate_flows(16),
+            &config,
+            16 ^ 0x5A5A,
+        );
+    }
+
+    #[test]
+    fn same_nanosecond_packets_follow_flow_then_packet_order() {
+        // Flow 0 (two packets of zero duration) and flow 1 (one packet) share
+        // a nanosecond; flow 2 comes first in time but last in generation.
+        let flow = |index: u64, packets: u64, start: f64| {
+            let key = synthetic_key(index, Ipv4Addr::new(100, 64, 0, 10), 80);
+            FlowRecord::new(key, packets, packets * 500, start, 0.0)
+        };
+        let flows = vec![flow(7, 2, 1.0), flow(3, 1, 1.0), flow(5, 1, 0.5)];
+        let config = SynthesisConfig::default();
+        let streamed = SynthesisStream::new(flows.clone(), &config, 1).into_records();
+        let order: Vec<(Ipv4Addr, Option<u32>)> =
+            streamed.iter().map(|p| (p.src_ip, p.tcp_seq)).collect();
+        let src = |i: usize| flows[i].key.src_ip;
+        assert_eq!(
+            order,
+            [
+                (src(2), Some(0)),
+                (src(0), Some(0)),
+                (src(0), Some(500)),
+                (src(1), Some(0))
+            ]
+        );
+        assert_eq!(streamed, materialise_and_sort(&flows, &config, 1));
     }
 
     #[test]
@@ -316,15 +404,19 @@ mod tests {
         let workload = Workload::ddos_flood();
         let flows = workload.generate_flows(3);
         let config = SynthesisConfig::default();
-        let baseline = drain(&mut SynthesisStream::new(&flows, &config, 3));
+        let stream = |window: Timestamp| {
+            drain(&mut SynthesisStream::new(flows.clone(), &config, 3).windowed(window))
+        };
+        let baseline = stream(DEFAULT_WINDOW);
         for secs in [0.25, 7.0, 61.0, 10_000.0] {
-            let mut stream =
-                SynthesisStream::with_window(&flows, &config, 3, Timestamp::from_secs_f64(secs));
-            assert_eq!(drain(&mut stream), baseline, "window {secs}s");
+            assert_eq!(
+                stream(Timestamp::from_secs_f64(secs)),
+                baseline,
+                "window {secs}s"
+            );
         }
-        // Zero falls back to the default window.
-        let mut stream = SynthesisStream::with_window(&flows, &config, 3, Timestamp::ZERO);
-        assert_eq!(drain(&mut stream), baseline);
+        // Zero keeps the default window.
+        assert_eq!(stream(Timestamp::ZERO), baseline);
     }
 
     #[test]
@@ -347,14 +439,12 @@ mod tests {
             uniform_placement: false,
             ..SynthesisConfig::default()
         };
-        let streamed = drain(&mut SynthesisStream::new(&flows, &config, 4));
-        let materialised = synthesize_packets(&flows, &config, 4);
-        assert_equivalent(&streamed, &materialised, "even placement");
+        assert_matches_oracle(flows, &config, 4);
     }
 
     #[test]
     fn empty_population_streams_nothing() {
-        let mut stream = SynthesisStream::new(&[], &SynthesisConfig::default(), 1);
+        let mut stream = SynthesisStream::new(Vec::new(), &SynthesisConfig::default(), 1);
         assert!(stream.next_window().is_none());
         assert!(stream.flows.is_empty());
     }

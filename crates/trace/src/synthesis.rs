@@ -3,15 +3,15 @@
 //! Section 8.1 of the paper: *"For a flow of size S, duration D and starting
 //! time T, we compute first the number of packets for this flow, then we
 //! distribute these packets uniformly in the interval [T, T+D]."* This module
-//! implements exactly that expansion, producing a time-ordered packet trace
-//! ready for sampling and classification. Packets carry a synthetic TCP
-//! sequence number equal to the cumulative byte offset within their flow so
-//! that the sequence-number size estimator can be exercised.
+//! holds that expansion's options and its whole-trace form; the expansion
+//! itself is [`SynthesisStream`]'s, one window at a time. Packets carry a
+//! synthetic TCP sequence number equal to the cumulative byte offset within
+//! their flow so that the sequence-number size estimator can be exercised.
 
-use flowrank_net::{PacketBatch, PacketRecord, Timestamp};
-use flowrank_stats::rng::{Pcg64, Rng, SeedableRng};
+use flowrank_net::PacketRecord;
 
 use crate::flow_record::FlowRecord;
+use crate::stream::SynthesisStream;
 
 /// Options controlling flow-to-packet expansion.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -33,7 +33,9 @@ impl Default for SynthesisConfig {
     }
 }
 
-/// Expands flow-level records into a time-sorted packet-level trace.
+/// Expands flow-level records into a time-sorted packet-level trace: a
+/// [`SynthesisStream`] over a copy of `flows`, drained into records, so the
+/// order is the stream's `(timestamp, flow index, packet index)`.
 ///
 /// The expansion is deterministic given `seed`. Flows whose lifetime extends
 /// past the end of the observation window are *not* truncated here — the
@@ -44,53 +46,7 @@ pub fn synthesize_packets(
     config: &SynthesisConfig,
     seed: u64,
 ) -> Vec<PacketRecord> {
-    let mut rng = Pcg64::seed_from_u64(seed);
-    let total_packets: u64 = flows.iter().map(|f| f.packets).sum();
-    let mut packets = Vec::with_capacity(total_packets as usize);
-
-    for flow in flows {
-        let n = flow.packets;
-        for i in 0..n {
-            let offset = if n == 1 || flow.duration == 0.0 {
-                0.0
-            } else if config.uniform_placement {
-                rng.next_f64() * flow.duration
-            } else {
-                flow.duration * i as f64 / (n - 1) as f64
-            };
-            let timestamp = Timestamp::from_secs_f64(flow.start + offset);
-            let tcp_seq = (i * config.packet_bytes as u64) as u32;
-            packets.push(PacketRecord {
-                timestamp,
-                src_ip: flow.key.src_ip,
-                dst_ip: flow.key.dst_ip,
-                src_port: flow.key.src_port,
-                dst_port: flow.key.dst_port,
-                protocol: flow.key.protocol,
-                length: config.packet_bytes,
-                tcp_seq: Some(tcp_seq),
-            });
-        }
-    }
-    packets.sort_unstable_by_key(|p| p.timestamp);
-    packets
-}
-
-/// Expands flow-level records straight into a SoA [`PacketBatch`] — the
-/// batched ingestion form of [`synthesize_packets`], producing the
-/// column-for-column equivalent of converting its output
-/// (`PacketBatch::from_records`) without keeping the intermediate record
-/// vector alive.
-pub(crate) fn synthesize_packet_batch(
-    flows: &[FlowRecord],
-    config: &SynthesisConfig,
-    seed: u64,
-) -> PacketBatch {
-    // Placement draws per flow and the final time sort both need the whole
-    // trace in hand, so synthesis builds records first and columnarises
-    // once; the batch is what flows onward through the pipeline.
-    let packets = synthesize_packets(flows, config, seed);
-    PacketBatch::from_records(&packets)
+    SynthesisStream::new(flows.to_vec(), config, seed).into_records()
 }
 
 #[cfg(test)]
@@ -118,10 +74,13 @@ mod tests {
             flow(2, 25, 2.0, 10.0),
         ];
         let config = SynthesisConfig::default();
-        let batch = synthesize_packet_batch(&flows, &config, 77);
+        let batch = SynthesisStream::new(flows.clone(), &config, 77).into_batch();
         let packets = synthesize_packets(&flows, &config, 77);
-        assert_eq!(batch.len(), packets.len());
         assert_eq!(batch.to_records(), packets);
+        assert_eq!(
+            packets,
+            crate::stream::materialise_and_sort(&flows, &config, 77)
+        );
     }
 
     #[test]

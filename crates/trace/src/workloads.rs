@@ -18,12 +18,11 @@
 //!   measurement bin, so top-t membership never settles;
 //! * [`Workload::Mixed`] — an internet-like composition of all of the above.
 //!
-//! Every scenario emits ordinary [`FlowRecord`]s, so the existing synthesis
-//! pipeline ([`synthesize_packets`] / `synthesize_packet_batch`) turns any
-//! of them into a packet trace or SoA batch unchanged. Destination addresses
-//! come from the Zipf prefix-popularity model of [`crate::addressing`] (or
-//! deliberate prefix sweeps), so `/24` aggregation is non-trivial in every
-//! scenario.
+//! Every scenario emits ordinary [`FlowRecord`]s, so the one synthesis path
+//! ([`SynthesisStream`]) turns any of them into a packet stream, trace or
+//! SoA batch unchanged. Destination addresses come from the Zipf
+//! prefix-popularity model of [`crate::addressing`] (or deliberate prefix
+//! sweeps), so `/24` aggregation is non-trivial in every scenario.
 //!
 //! # Determinism
 //!
@@ -39,15 +38,16 @@
 
 use std::net::Ipv4Addr;
 
-use flowrank_net::{FiveTuple, PacketBatch, PacketRecord, Protocol};
+use flowrank_net::{FiveTuple, PacketBatch, PacketRecord, Protocol, Timestamp};
 use flowrank_stats::dist::{ContinuousDistribution, Exponential};
 use flowrank_stats::rng::{Pcg64, Rng, SeedableRng};
 
 use crate::addressing::PrefixAddresser;
-use crate::arrivals::{ArrivalProcess, PoissonArrivals};
+use crate::arrivals::PoissonArrivals;
 use crate::flow_record::{synthetic_key, FlowRecord};
 use crate::generator::{generate_flow_population, FlowPopulationConfig, SizeModel};
-use crate::synthesis::{synthesize_packet_batch, synthesize_packets, SynthesisConfig};
+use crate::stream::SynthesisStream;
+use crate::synthesis::SynthesisConfig;
 
 /// Salt separating a workload's packet-placement stream from its flow stream.
 pub(crate) const SYNTHESIS_SALT: u64 = 0x5CE2_A110_0000_0001;
@@ -388,50 +388,36 @@ impl Workload {
         }
     }
 
-    /// Expands the scenario into a time-sorted packet trace — the
-    /// flow-to-packet expansion is the same [`synthesize_packets`] step every
-    /// other trace model uses.
+    /// Expands the scenario into a time-sorted packet trace: its
+    /// [`Workload::stream`], drained.
     pub fn synthesize(&self, seed: u64) -> Vec<PacketRecord> {
-        synthesize_packets(
-            &self.generate_flows(seed),
-            &SynthesisConfig::default(),
-            seed ^ SYNTHESIS_SALT,
-        )
+        self.stream(seed).into_records()
     }
 
-    /// Expands the scenario straight into a SoA [`PacketBatch`]
-    /// (column-for-column equal to batching [`Workload::synthesize`]).
+    /// Expands the scenario straight into a SoA [`PacketBatch`]: its
+    /// [`Workload::stream`], drained into one batch (column-for-column equal
+    /// to batching [`Workload::synthesize`]).
     pub fn synthesize_batch(&self, seed: u64) -> PacketBatch {
-        synthesize_packet_batch(
-            &self.generate_flows(seed),
+        self.stream(seed).into_batch()
+    }
+
+    /// Opens the scenario as a pull-based packet stream of its flows, with
+    /// peak memory independent of trace length. See [`SynthesisStream`] for
+    /// the order.
+    pub fn stream(&self, seed: u64) -> SynthesisStream {
+        SynthesisStream::new(
+            self.generate_flows(seed),
             &SynthesisConfig::default(),
             seed ^ SYNTHESIS_SALT,
         )
-    }
-
-    /// Opens the scenario as a pull-based packet stream: the same expansion
-    /// as [`Workload::synthesize`] (same flows, same placement draws),
-    /// produced window by window with peak memory independent of trace
-    /// length. See [`crate::SynthesisStream`] for the ordering contract.
-    pub fn stream(&self, seed: u64) -> crate::SynthesisStream {
-        self.stream_with_window(seed, crate::stream::DEFAULT_WINDOW)
     }
 
     /// [`Workload::stream`] with an explicit window length (the same flows
     /// and placement draws — window length only sets chunk granularity).
     /// Sub-second windows make a paced replay ([`crate::PacedReplay`])
     /// smooth instead of bursty.
-    pub fn stream_with_window(
-        &self,
-        seed: u64,
-        window: flowrank_net::Timestamp,
-    ) -> crate::SynthesisStream {
-        crate::SynthesisStream::from_flows(
-            self.generate_flows(seed),
-            &SynthesisConfig::default(),
-            seed ^ SYNTHESIS_SALT,
-            window,
-        )
+    pub fn stream_with_window(&self, seed: u64, window: Timestamp) -> SynthesisStream {
+        self.stream(seed).windowed(window)
     }
 }
 

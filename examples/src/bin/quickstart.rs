@@ -96,7 +96,7 @@ fn main() {
         .top_t(10)
         .seed(2026)
         .build();
-    let mut source = SynthesisStream::new(&flows, &SynthesisConfig::default(), 1);
+    let mut source = SynthesisStream::new(flows, &SynthesisConfig::default(), 1);
     let mut curve = RateCurve::new();
     let summary = monitor.drive(&mut source, &mut curve);
     println!(

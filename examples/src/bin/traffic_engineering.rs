@@ -14,7 +14,7 @@ use flowrank_core::Scenario;
 use flowrank_net::{FlowDefinition, Timestamp};
 use flowrank_sim::report::result_summary_table;
 use flowrank_sim::{ExperimentConfig, SamplerSpec, TraceExperiment};
-use flowrank_trace::{summary::summarize, synthesize_packets, SprintModel, SynthesisConfig};
+use flowrank_trace::{summary::summarize, SprintModel, SynthesisConfig, SynthesisStream};
 
 fn main() {
     println!("== traffic engineering: finding heavy hitters under sampling ==\n");
@@ -33,10 +33,10 @@ fn main() {
         stats.top_1pct_packet_share * 100.0
     );
 
-    let packets = synthesize_packets(&flows, &SynthesisConfig::default(), 99);
-
-    // The experiment fans a runtime-selected sampler template out across the
-    // rate grid; every bin is classified once and shared by all 60 lanes.
+    // The experiment streams the trace window by window and fans a
+    // runtime-selected sampler template out across the rate grid; every bin
+    // is classified once and shared by all 60 lanes.
+    let trace = SynthesisStream::new(flows, &SynthesisConfig::default(), 99);
     let config = ExperimentConfig {
         flow_definition: FlowDefinition::FiveTuple,
         sampler: SamplerSpec::Random { rate: 0.01 },
@@ -47,7 +47,7 @@ fn main() {
         seed: 4,
         threads: 0,
     };
-    let result = TraceExperiment::new(&packets, config).run();
+    let result = TraceExperiment::new(trace, config).run();
     println!("Trace-driven simulation (top 10 flows, 5-minute bin, 15 runs):");
     println!("{}", result_summary_table(&result));
 

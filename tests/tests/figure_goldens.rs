@@ -26,6 +26,7 @@ use flowrank_sim::report::result_to_csv;
 use flowrank_sim::{
     abilene_experiment, sprint_experiment_with_sampler, SamplerSpec, TraceExperiment,
 };
+use flowrank_trace::SynthesisStream;
 
 const SCALE: f64 = 0.005;
 const RUNS: usize = 3;
@@ -61,19 +62,17 @@ fn fnv1a(text: &str) -> u64 {
     })
 }
 
-/// Runs one cell at every thread count of `threads`, asserts the legs agree
-/// and returns the golden line.
+/// Runs one cell (a fresh `experiment()` per leg) at every thread count of
+/// `threads`, asserts the legs agree and returns the golden line.
 fn cell(
     label: &str,
-    mut experiment: TraceExperiment,
+    experiment: impl Fn() -> TraceExperiment<SynthesisStream>,
     bin_seconds: f64,
     threads: &[usize],
 ) -> String {
     let mut pinned: Option<(u64, usize)> = None;
     for &count in threads {
-        experiment = experiment.with_threads(count);
-        let result = experiment.run();
-        assert_eq!(result.bin_count, experiment.bin_count(), "{label}");
+        let result = experiment().with_threads(count).run();
         let rendered = format!(
             "{}\n{}",
             result_to_csv(&result, bin_seconds, false),
@@ -104,33 +103,37 @@ fn compute_cells() -> Vec<String> {
             } else {
                 &[1, 2]
             };
-            let experiment = sprint_experiment_with_sampler(
-                definition,
-                bin_seconds,
-                SCALE,
-                RUNS,
-                SPRINT_SEED,
-                random,
-            );
+            let experiment = || {
+                sprint_experiment_with_sampler(
+                    definition,
+                    bin_seconds,
+                    SCALE,
+                    RUNS,
+                    SPRINT_SEED,
+                    random,
+                )
+            };
             lines.push(cell(&label, experiment, bin_seconds, threads));
         }
     }
     lines.push(cell(
         "fig16/abilene/5tuple/60s/random",
-        abilene_experiment(SCALE, RUNS, ABILENE_SEED),
+        || abilene_experiment(SCALE, RUNS, ABILENE_SEED),
         60.0,
         &[1, 2],
     ));
     for sampler in &samplers()[1..] {
         let label = format!("fig12+14/sprint/5tuple/60s/{}", sampler.name());
-        let experiment = sprint_experiment_with_sampler(
-            FlowDefinition::FiveTuple,
-            60.0,
-            SCALE,
-            RUNS,
-            SPRINT_SEED,
-            *sampler,
-        );
+        let experiment = || {
+            sprint_experiment_with_sampler(
+                FlowDefinition::FiveTuple,
+                60.0,
+                SCALE,
+                RUNS,
+                SPRINT_SEED,
+                *sampler,
+            )
+        };
         lines.push(cell(&label, experiment, 60.0, &[1, 2]));
     }
     lines

@@ -4,18 +4,26 @@
 use flowrank_core::Scenario;
 use flowrank_net::{FlowDefinition, Timestamp};
 use flowrank_sim::{ExperimentConfig, SamplerSpec, TraceExperiment};
-use flowrank_trace::{synthesize_packets, SprintModel, SynthesisConfig};
+use flowrank_trace::{FlowRecord, SprintModel, SynthesisConfig, SynthesisStream};
 
-fn small_trace(seed: u64) -> Vec<flowrank_net::PacketRecord> {
-    let flows = SprintModel::small(300.0, 30.0).generate_flows(seed);
-    synthesize_packets(&flows, &SynthesisConfig::default(), seed)
+fn small_flows(seed: u64) -> Vec<FlowRecord> {
+    SprintModel::small(300.0, 30.0).generate_flows(seed)
+}
+
+fn stream(flows: Vec<FlowRecord>, seed: u64) -> SynthesisStream {
+    SynthesisStream::new(flows, &SynthesisConfig::default(), seed)
 }
 
 #[test]
 fn simulation_and_model_agree_on_rate_ordering() {
     // Both the model and the simulation must show the error decreasing with
     // the sampling rate, and detection errors at or below ranking errors.
-    let packets = small_trace(1);
+    let flows = small_flows(1);
+    let n_flows = flows
+        .iter()
+        .map(|f| (f.key.src_ip, f.key.src_port))
+        .collect::<std::collections::HashSet<_>>()
+        .len() as u64;
     let config = ExperimentConfig {
         flow_definition: FlowDefinition::FiveTuple,
         sampler: SamplerSpec::Random { rate: 0.01 },
@@ -26,13 +34,7 @@ fn simulation_and_model_agree_on_rate_ordering() {
         seed: 99,
         threads: 0,
     };
-    let experiment = TraceExperiment::new(&packets, config);
-    let n_flows = packets
-        .iter()
-        .map(|p| (p.src_ip, p.src_port))
-        .collect::<std::collections::HashSet<_>>()
-        .len() as u64;
-    let result = experiment.run();
+    let result = TraceExperiment::new(stream(flows, 1), config).run();
 
     let sim_means: Vec<f64> = result
         .series
@@ -70,7 +72,8 @@ fn model_tracks_simulation_within_two_orders_of_magnitude() {
     // sit above the model because the binning truncates long-lived flows
     // (Sec. 8.1 of the paper makes the same observation), so the band here is
     // wide: the value matters less than the trend, which the other test pins.
-    let packets = small_trace(7);
+    let flows = small_flows(7);
+    let flow_count = flows.len() as u64;
     let config = ExperimentConfig {
         flow_definition: FlowDefinition::FiveTuple,
         sampler: SamplerSpec::Random { rate: 0.01 },
@@ -81,12 +84,10 @@ fn model_tracks_simulation_within_two_orders_of_magnitude() {
         seed: 5,
         threads: 0,
     };
-    let experiment = TraceExperiment::new(&packets, config);
-    let result = experiment.run();
+    let result = TraceExperiment::new(stream(flows, 7), config).run();
     let simulated = result.series[0].overall_ranking_mean().max(1e-3);
 
-    let flows = SprintModel::small(300.0, 30.0).generate_flows(7);
-    let scenario = Scenario::sprint_five_tuple(1.5).with_flow_count(flows.len() as u64);
+    let scenario = Scenario::sprint_five_tuple(1.5).with_flow_count(flow_count);
     let predicted = scenario.ranking_model(5).mean_swapped_pairs(0.05).max(1e-3);
 
     let ratio = simulated / predicted;
