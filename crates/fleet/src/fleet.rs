@@ -47,11 +47,19 @@ fn splitmix64(mut z: u64) -> u64 {
 pub trait FleetSink {
     /// Accepts one closed bin of one tenant.
     fn accept(&mut self, tenant: TenantId, report: &BinReport);
+
+    /// Called by [`Fleet::drive`] after each window's delivery and after the
+    /// final [`Fleet::finish`], to look at the whole fleet. A no-op by default.
+    fn window_done(&mut self, _fleet: &Fleet) {}
 }
 
 impl<S: FleetSink + ?Sized> FleetSink for &mut S {
     fn accept(&mut self, tenant: TenantId, report: &BinReport) {
         (**self).accept(tenant, report)
+    }
+
+    fn window_done(&mut self, fleet: &Fleet) {
+        (**self).window_done(fleet)
     }
 }
 
@@ -406,7 +414,9 @@ impl Fleet {
     }
 
     /// Pulls `source` to exhaustion through [`Fleet::push_tagged`], then
-    /// [`Fleet::finish`]es, returning the aggregate summary.
+    /// [`Fleet::finish`]es, returning the aggregate summary; the sink's
+    /// [`FleetSink::window_done`] runs after each window and after the finish.
+    /// The one loop over a [`FleetSource`]: to stop early, the source ends.
     pub fn drive<S, K>(&mut self, source: &mut S, sink: &mut K) -> FleetSummary
     where
         S: FleetSource + ?Sized,
@@ -415,8 +425,10 @@ impl Fleet {
         let windows_before = self.windows;
         while let Some(batch) = source.next_tagged() {
             self.push_tagged(batch, sink);
+            sink.window_done(self);
         }
         self.finish(sink);
+        sink.window_done(self);
         let mut summary = FleetSummary {
             tenants: self.slots.len(),
             windows: self.windows - windows_before,
@@ -533,6 +545,29 @@ mod tests {
         let summary2 = fleet2.drive(&mut scenario.stream(3), &mut sink2);
         assert_eq!(summary, summary2);
         assert_eq!(sink.reports, sink2.reports);
+    }
+
+    #[test]
+    fn drive_calls_window_done_after_every_window_and_the_finish() {
+        /// Window counts at each call, beside an `accept`-only (default) sink.
+        struct Windows(Vec<u64>, FleetCollect);
+        impl FleetSink for Windows {
+            fn accept(&mut self, tenant: TenantId, report: &BinReport) {
+                self.1.accept(tenant, report);
+            }
+            fn window_done(&mut self, fleet: &Fleet) {
+                self.0.push(fleet.windows());
+                self.1.window_done(fleet);
+            }
+        }
+        let scenario = FleetScenario::new(3);
+        let mut fleet = FleetBuilder::new(3).monitor(template()).seed(5).build();
+        let mut sink = Windows(Vec::new(), FleetCollect::new());
+        // Through the `&mut S` forwarder, so it must forward the hook too.
+        let summary = fleet.drive(&mut scenario.stream(5), &mut &mut sink);
+        let expected: Vec<u64> = (1..=summary.windows).chain([summary.windows]).collect();
+        assert_eq!(sink.0, expected, "one per window, one after finish");
+        assert_eq!(sink.1.reports, fleet_reports(&scenario, 5, 1).reports);
     }
 
     #[test]

@@ -47,7 +47,8 @@
 //! Modules:
 //!
 //! * [`fleet`] — the [`Fleet`] slab, its [`FleetBuilder`], the
-//!   [`FleetSink`] delivery trait and per-tenant statistics.
+//!   [`FleetSink`] delivery trait and per-tenant statistics; [`Fleet::drive`]
+//!   is the one loop over a source, calling the sink's `window_done` hook.
 //! * [`source`] — the [`FleetSource`] trait (tenant-tagged windows) and its
 //!   implementation for the synthetic
 //!   [`FleetStream`](flowrank_trace::FleetStream) scenario.

@@ -8,9 +8,9 @@
 //!
 //! One implementation ships here: [`FleetStream`] (from `flowrank-trace`),
 //! the synthetic fleet scenario — per-tenant catalog workloads merged window
-//! by window. A live record feed (tenant-tagged ndjson in `flowrank-serve`)
-//! needs no source: it accumulates a [`TaggedBatch`] and hands it to
-//! [`Fleet::push_tagged`](crate::Fleet::push_tagged) directly.
+//! by window. A live record feed is a source too: `flowrank-serve` cuts its
+//! tenant-tagged ndjson into 512-record windows behind this trait, and ends
+//! the stream on a stop signal or a read error.
 
 use flowrank_net::TaggedBatch;
 use flowrank_trace::FleetStream;

@@ -20,9 +20,9 @@
 //!   skipping whole strata in batch form.
 //! * [`flow_sampling`] — whole-flow sampling (reference \[8\]/\[11\] discussion in
 //!   Sec. 1): if a flow is sampled, all of its packets are kept.
-//! * [`smart`] — size-dependent sampling ("smart sampling", Duffield–Lund):
-//!   the record-level [`smart::SmartSampler`] plus the packet-level
-//!   [`smart::SmartPacketSampler`] adaptation used by the streaming monitor.
+//! * [`smart`] — size-dependent sampling ("smart sampling", Duffield–Lund),
+//!   carried from flow records to packets by [`smart::SmartPacketSampler`],
+//!   the adaptation the streaming monitor uses.
 //! * [`adaptive`] — an adaptive-rate packet sampler that tracks a packet
 //!   budget per interval (the paper's third future-work direction).
 //! * [`inversion`] — estimators of original-traffic quantities from sampled

@@ -1,78 +1,18 @@
-//! Size-dependent flow-record sampling ("smart sampling").
+//! Size-dependent sampling ("smart sampling") at the packet level.
 //!
 //! Reference \[8\] of the paper (Duffield & Lund) selects *flow records* for
 //! export with a probability that increases with the flow's size:
-//! `p(x) = min(1, x/z)` for a threshold `z`. Large flows are always exported;
-//! small flows are exported rarely but, when they are, their size is scaled
-//! by `1/p(x) = z/x` to keep the total-volume estimator unbiased. The paper
-//! contrasts its packet-sampling setting with this record-level scheme; we
-//! implement it so heavy-hitter detection can be compared with and without
-//! record-level thresholding (`reproduce --sampler smart`).
+//! `p(x) = min(1, x/z)` for a threshold `z`, large flows always exported and
+//! small ones rarely. The paper contrasts its packet-sampling setting with
+//! that record-level scheme; a streaming monitor sees packets, not finished
+//! records, so this module carries the same size-dependent rule to the packet
+//! level ([`SmartPacketSampler`]), and heavy-hitter detection can be compared
+//! with and without it (`reproduce --sampler smart`).
 
 use flowrank_net::{FiveTuple, FlowKey, FlowMap, PacketRecord};
 use flowrank_stats::rng::Rng;
 
 use crate::sampler::PacketSampler;
-
-/// Smart (threshold) sampling of flow records.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SmartSampler {
-    threshold: f64,
-}
-
-/// A flow record selected by smart sampling, with its unbiased size estimate.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SmartSample {
-    /// The original size used in the selection decision.
-    pub original_size: f64,
-    /// Unbiased estimate of the size contributed by this record
-    /// (`max(size, z)` for selected records).
-    pub estimated_size: f64,
-}
-
-impl SmartSampler {
-    /// Creates a smart sampler with threshold `z` (sizes ≥ `z` are always
-    /// kept). Non-positive thresholds keep everything.
-    pub fn new(threshold: f64) -> Self {
-        SmartSampler {
-            threshold: threshold.max(0.0),
-        }
-    }
-
-    /// The threshold `z`.
-    pub fn threshold(&self) -> f64 {
-        self.threshold
-    }
-
-    /// Probability that a record of `size` is selected.
-    pub fn selection_probability(&self, size: f64) -> f64 {
-        if self.threshold <= 0.0 {
-            1.0
-        } else {
-            (size / self.threshold).clamp(0.0, 1.0)
-        }
-    }
-
-    /// Applies the selection to one record; returns the unbiased size
-    /// estimate when the record is kept.
-    pub fn select(&self, size: f64, rng: &mut dyn Rng) -> Option<SmartSample> {
-        let p = self.selection_probability(size);
-        if p >= 1.0 || rng.bernoulli(p) {
-            Some(SmartSample {
-                original_size: size,
-                estimated_size: size.max(self.threshold),
-            })
-        } else {
-            None
-        }
-    }
-
-    /// Applies the selection to a whole list of flow sizes and returns the
-    /// kept records.
-    pub fn select_all(&self, sizes: &[f64], rng: &mut dyn Rng) -> Vec<SmartSample> {
-        sizes.iter().filter_map(|&s| self.select(s, rng)).collect()
-    }
-}
 
 /// Packet-level adaptation of smart sampling, usable as a [`PacketSampler`].
 ///
@@ -163,45 +103,6 @@ mod tests {
     use flowrank_stats::rng::{Pcg64, SeedableRng};
 
     #[test]
-    fn large_flows_always_kept() {
-        let sampler = SmartSampler::new(100.0);
-        let mut rng = Pcg64::seed_from_u64(1);
-        for _ in 0..100 {
-            let s = sampler.select(250.0, &mut rng).unwrap();
-            assert_eq!(s.estimated_size, 250.0);
-        }
-    }
-
-    #[test]
-    fn small_flows_kept_proportionally_and_reweighted() {
-        let sampler = SmartSampler::new(100.0);
-        let mut rng = Pcg64::seed_from_u64(2);
-        let n = 50_000;
-        let kept = sampler.select_all(&vec![10.0; n], &mut rng);
-        let frac = kept.len() as f64 / n as f64;
-        assert!((frac - 0.1).abs() < 0.01, "kept fraction {frac}");
-        assert!(kept.iter().all(|s| s.estimated_size == 100.0));
-    }
-
-    #[test]
-    fn volume_estimator_is_unbiased() {
-        let sampler = SmartSampler::new(50.0);
-        let mut rng = Pcg64::seed_from_u64(3);
-        // Mixture of small and large flows.
-        let sizes: Vec<f64> = (0..20_000)
-            .map(|i| if i % 10 == 0 { 200.0 } else { 5.0 })
-            .collect();
-        let true_total: f64 = sizes.iter().sum();
-        let estimated: f64 = sampler
-            .select_all(&sizes, &mut rng)
-            .iter()
-            .map(|s| s.estimated_size)
-            .sum();
-        let rel_err = (estimated - true_total).abs() / true_total;
-        assert!(rel_err < 0.05, "relative error {rel_err}");
-    }
-
-    #[test]
     fn packet_level_smart_prefers_elephants() {
         // 4 flows round-robin over 8000 packets → 2000 packets per flow, far
         // above the threshold: almost everything past the ramp-up is kept.
@@ -232,18 +133,5 @@ mod tests {
         // Before any traffic the nominal rate falls back to 1/z.
         assert!((SmartPacketSampler::new(200.0).nominal_rate() - 0.005).abs() < 1e-12);
         assert_eq!(SmartPacketSampler::new(0.5).nominal_rate(), 1.0);
-    }
-
-    #[test]
-    fn probabilities_and_degenerate_threshold() {
-        let sampler = SmartSampler::new(100.0);
-        assert_eq!(sampler.selection_probability(0.0), 0.0);
-        assert_eq!(sampler.selection_probability(50.0), 0.5);
-        assert_eq!(sampler.selection_probability(500.0), 1.0);
-        let keep_all = SmartSampler::new(0.0);
-        assert_eq!(keep_all.selection_probability(1.0), 1.0);
-        assert_eq!(keep_all.threshold(), 0.0);
-        let neg = SmartSampler::new(-5.0);
-        assert_eq!(neg.threshold(), 0.0);
     }
 }

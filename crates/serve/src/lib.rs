@@ -26,12 +26,12 @@
 //!   the same wire format and malformed-record contract as the stdin path.
 //! * [`fleet_host`] — `tenants = N`: host a whole
 //!   [`Fleet`](flowrank_fleet::Fleet) of tenant monitors from one config
-//!   file, over the synthetic fleet scenario or tenant-tagged ndjson
-//!   records, publishing a fleet-wide snapshot.
+//!   file, driven by [`Fleet::drive`](flowrank_fleet::Fleet::drive) over the
+//!   synthetic fleet scenario or tenant-tagged ndjson records.
 //!
-//! The binary (`flowrank-serve --config <file>`) wires the three to
-//! [`Monitor::try_drive`](flowrank_monitor::Monitor::try_drive) over one of
-//! the live sources ([`flowrank_trace::PacedReplay`],
+//! The binary (`flowrank-serve --config <file>`) wires the three to one
+//! [`Monitor::try_drive`](flowrank_monitor::Monitor::try_drive) call over
+//! the configured live source, boxed ([`flowrank_trace::PacedReplay`],
 //! [`PcapTailSource`](flowrank_monitor::PcapTailSource),
 //! [`NdjsonRecordSource`](flowrank_monitor::NdjsonRecordSource)). Memory is
 //! bounded for an indefinite run: one chunk of packets, the monitor's

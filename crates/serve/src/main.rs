@@ -8,8 +8,8 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use flowrank_monitor::{
-    CsvSink, DriveStats, Monitor, NdjsonRecordSource, NdjsonSink, PacketSource, PcapTailSource,
-    ReportSink, StopGate, Tee,
+    CsvSink, NdjsonRecordSource, NdjsonSink, PacketSource, PcapTailSource, ReportSink, StopGate,
+    Tee,
 };
 use flowrank_net::Timestamp;
 use flowrank_serve::{signal, OutputKind, PublishSink, ServeConfig, SnapshotPublisher, SourceKind};
@@ -74,7 +74,21 @@ fn run(config: &ServeConfig) -> Result<(), String> {
     }
 
     if config.tenants > 0 {
-        return run_fleet_mode(config, stop, &publisher);
+        // Fleet mode: `tenants` monitors behind one slab.
+        let started = Instant::now();
+        let summary = flowrank_serve::run_fleet(config, stop, &publisher)?;
+        let (elapsed, throughput) = rate(summary.fleet.packets, started);
+        println!(
+            "{{\"serve\":\"final\",\"fleet\":true,\"tenants\":{},\"windows\":{},\"bins\":{},\"packets\":{},\"evictions\":{},\"malformed_skipped\":{},\"unknown_tenant_skipped\":{},\"elapsed_s\":{elapsed:.3},\"throughput_pps\":{throughput:.0}}}",
+            summary.fleet.tenants,
+            summary.fleet.windows,
+            summary.fleet.reports,
+            summary.fleet.packets,
+            summary.fleet.evictions,
+            summary.malformed_skipped,
+            summary.unknown_tenant_skipped,
+        );
+        return Ok(());
     }
 
     let mut monitor = config.monitor();
@@ -83,7 +97,7 @@ fn run(config: &ServeConfig) -> Result<(), String> {
     let mut sink = Tee(publish, writer_sink(config)?);
 
     let started = Instant::now();
-    let stats = match config.source {
+    let mut source: Box<dyn PacketSource> = match config.source {
         SourceKind::Replay => {
             let workload = Workload::by_name(&config.scenario)
                 .ok_or_else(|| format!("unknown scenario `{}`", config.scenario))?;
@@ -95,40 +109,30 @@ fn run(config: &ServeConfig) -> Result<(), String> {
             } else {
                 workload.stream(config.seed)
             };
-            let mut source = StopGate::new(PacedReplay::new(stream, config.speed), stop);
-            drive(&mut monitor, &mut source, &mut sink)?
+            Box::new(PacedReplay::new(stream, config.speed))
         }
         SourceKind::Tail => {
             let path = config.pcap.as_ref().expect("validated by config");
             let tail = PcapTailSource::open(path)
-                .map_err(|e| format!("cannot open {}: {e}", path.display()))?
-                .follow(config.follow);
-            let mut source = StopGate::new(tail, stop);
-            drive(&mut monitor, &mut source, &mut sink)?
+                .map_err(|e| format!("cannot open {}: {e}", path.display()))?;
+            Box::new(tail.follow(config.follow))
         }
-        SourceKind::Ndjson => {
-            let stdin = std::io::stdin();
-            let mut source = StopGate::new(NdjsonRecordSource::new(stdin.lock()), stop);
-            drive(&mut monitor, &mut source, &mut sink)?
-        }
+        SourceKind::Ndjson => Box::new(NdjsonRecordSource::new(std::io::stdin().lock())),
         SourceKind::Socket => {
             let (bound, socket) =
                 flowrank_serve::socket::listen(config.listen.as_str(), Arc::clone(&stop))
                     .map_err(|e| format!("cannot bind record listener {}: {e}", config.listen))?;
             eprintln!("flowrank-serve: record listener on {bound}");
-            let mut source = StopGate::new(socket, stop);
-            drive(&mut monitor, &mut source, &mut sink)?
+            Box::new(socket)
         }
     };
-    let elapsed = started.elapsed().as_secs_f64();
+    let stats = monitor
+        .try_drive(&mut StopGate::new(source.as_mut(), stop), &mut sink)
+        .map_err(|error| format!("drive aborted: {error}"))?;
+    let (elapsed, throughput) = rate(stats.packets, started);
 
     let Tee(publish, writer) = sink;
     writer.finish()?;
-    let throughput = if elapsed > 0.0 {
-        stats.packets as f64 / elapsed
-    } else {
-        0.0
-    };
     // The final line is machine-readable: the ledger's `serve_ndjson`
     // workload and the smoke test parse it.
     println!(
@@ -142,42 +146,11 @@ fn run(config: &ServeConfig) -> Result<(), String> {
     Ok(())
 }
 
-/// Fleet mode: host `tenants` monitors behind one slab and print the
-/// fleet-shaped final line.
-fn run_fleet_mode(
-    config: &ServeConfig,
-    stop: Arc<AtomicBool>,
-    publisher: &flowrank_serve::SnapshotPublisher,
-) -> Result<(), String> {
-    let started = Instant::now();
-    let summary = flowrank_serve::run_fleet(config, stop, publisher)?;
+/// Seconds since `started`, and `packets` per second over them.
+fn rate(packets: u64, started: Instant) -> (f64, f64) {
     let elapsed = started.elapsed().as_secs_f64();
-    let throughput = if elapsed > 0.0 {
-        summary.packets as f64 / elapsed
-    } else {
-        0.0
-    };
-    println!(
-        "{{\"serve\":\"final\",\"fleet\":true,\"tenants\":{},\"windows\":{},\"bins\":{},\"packets\":{},\"evictions\":{},\"malformed_skipped\":{},\"unknown_tenant_skipped\":{},\"elapsed_s\":{elapsed:.3},\"throughput_pps\":{throughput:.0}}}",
-        summary.tenants,
-        summary.windows,
-        summary.reports,
-        summary.packets,
-        summary.evictions,
-        summary.malformed_skipped,
-        summary.unknown_tenant_skipped,
-    );
-    Ok(())
-}
-
-fn drive<S: PacketSource>(
-    monitor: &mut Monitor,
-    source: &mut S,
-    sink: &mut (impl ReportSink + ?Sized),
-) -> Result<DriveStats, String> {
-    monitor
-        .try_drive(source, sink)
-        .map_err(|error| format!("drive aborted: {error}"))
+    let rate = (elapsed > 0.0).then(|| packets as f64 / elapsed);
+    (elapsed, rate.unwrap_or(0.0))
 }
 
 /// The optional per-bin report stream next to the snapshot.

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Smoke-tests the flowrank-serve daemon end to end, the three things unit
+# Smoke-tests the flowrank-serve daemon end to end, the four things unit
 # tests cannot pin from inside the process:
 #
 #   1. a finite serving run (unpaced replay, bin-limited) exits 0 and
@@ -11,7 +11,12 @@
 #      junk, a 200 KiB line with no newline in it, and bytes that are not
 #      UTF-8 each count once, and none of them ends the run — and prints
 #      the same reports and counters when the feed comes through a pipe
-#      written 37 bytes at a time, so that reads cut lines anywhere.
+#      written 37 bytes at a time, so that reads cut lines anywhere;
+#   4. fleet mode (`tenants = 3`) over tenant-tagged ndjson — a junk line, a
+#      line that is not UTF-8 and records of a tenant outside the slab among
+#      them — prints the same final counters whole-file and through the
+#      37-byte pipe, and the counters the hand-looped fleet host printed
+#      before fleet mode ran through `Fleet::drive`.
 #
 # Usage: scripts/serve_smoke.sh   (CI runs it after the test suite)
 #
@@ -159,5 +164,32 @@ timeless() { sed 's/,"elapsed_s":[^}]*//' "$1"; }
 cmp <(timeless "$workdir/file.out") <(timeless "$workdir/pipe.out") \
     || fail "reports or counters differ between the file and the 37-byte pipe"
 echo "serve_smoke: ndjson ingest ok"
+
+# --- Leg 4: fleet mode over tenant-tagged ndjson ---------------------------
+printf 'tenants = 3\nsource = ndjson\nrates = 0.5\nruns = 1\nbin_secs = 2\ntop_t = 5\nflow_budget = 8\n' \
+    > "$workdir/fleet.conf"
+{
+    for i in $(seq 0 1199); do
+        if [ "$i" -eq 300 ]; then echo 'not json'; fi
+        if [ "$i" -eq 800 ]; then printf '\xff\xfe\n'; fi
+        # Runs of five records per tenant; every 97th names tenant 7 (unknown).
+        tenant=$((i / 5 % 3))
+        if [ $((i % 97)) -eq 0 ]; then tenant=7; fi
+        printf '{"ts": %d.%02d, "src": "10.0.%d.%d", "sport": 1234, "dst": "100.64.0.9", "dport": 443, "proto": "udp", "len": 900, "tenant": %d}\n' \
+            $((i / 100)) $((i % 100)) $((i % 5)) $((i % 13 + 1)) "$tenant"
+    done
+} > "$workdir/tagged.ndjson"
+# The final line's counters, from "windows" to "unknown_tenant_skipped".
+counters() { sed -n 's/.*\("windows":.*"unknown_tenant_skipped":[0-9]*\).*/\1/p'; }
+file=$("$serve" --config "$workdir/fleet.conf" < "$workdir/tagged.ndjson" 2>"$workdir/fleet.err" | counters) \
+    || fail "fleet run failed: $(cat "$workdir/fleet.err")"
+pipe=$(dd if="$workdir/tagged.ndjson" bs=37 2>/dev/null \
+    | "$serve" --config "$workdir/fleet.conf" 2>"$workdir/fleet.err" | counters) \
+    || fail "piped fleet run failed: $(cat "$workdir/fleet.err")"
+[ "$file" = "$pipe" ] || fail "fleet counters differ: file $file, 37-byte pipe $pipe"
+# What the hand-looped fleet host printed: windows of 512, 512 and 163.
+want='"windows":3,"bins":18,"packets":1187,"evictions":1368,"malformed_skipped":2,"unknown_tenant_skipped":13'
+[ "$file" = "$want" ] || fail "fleet counters moved: $file (want $want)"
+echo "serve_smoke: fleet ndjson ok"
 
 echo "serve_smoke: all legs passed"
