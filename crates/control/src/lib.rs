@@ -40,7 +40,7 @@
 //! produces the same sequence of [`RateDecision`]s, bit for bit, on every
 //! platform. The monitor preserves this end to end: observations are
 //! derived from the bin's `BinReport` and ground-truth ranking (both
-//! already bit-identical across `push` / `push_batch` / chunked / sharded
+//! already bit-identical across one-record, whole, chunked and sharded
 //! execution paths under pinned seeds), and the controlled lane's sampler
 //! is rebuilt from its fixed per-lane seed at every retune — so a whole
 //! controlled measurement, decisions included, is reproducible from

@@ -93,31 +93,6 @@ impl FleetSink for FleetCollect {
     }
 }
 
-/// What went wrong with a tagged push.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FleetError {
-    /// The tagged batch referenced a tenant id outside the slab.
-    UnknownTenant {
-        /// The offending tenant id.
-        tenant: u32,
-        /// Number of tenants the fleet hosts (valid ids are `0..tenants`).
-        tenants: usize,
-    },
-}
-
-impl std::fmt::Display for FleetError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            FleetError::UnknownTenant { tenant, tenants } => write!(
-                f,
-                "unknown tenant{tenant}: fleet hosts tenants 0..{tenants}"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for FleetError {}
-
 /// Lifetime statistics of one tenant slot.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TenantStats {
@@ -332,33 +307,15 @@ impl Fleet {
 
     /// Observes one tenant-tagged window: demux by tenant runs, process
     /// tenant-affine (in parallel with [`FleetBuilder::threads`] workers),
-    /// deliver closed bins in (tenant, bin) order. Panics on a tenant id
-    /// outside the slab — [`Fleet::try_push_tagged`] surfaces it instead.
+    /// deliver closed bins in (tenant, bin) order.
+    ///
+    /// Panics on a tenant id outside the slab, before any tenant observes a
+    /// packet of the window: a live feed, whose tags come from untrusted
+    /// records, counts and drops those records before it pushes.
     pub fn push_tagged<S: FleetSink + ?Sized>(&mut self, tagged: &TaggedBatch, sink: &mut S) {
-        if let Err(error) = self.try_push_tagged(tagged, sink) {
-            panic!("{error}");
-        }
-    }
-
-    /// Fallible form of [`Fleet::push_tagged`] for live feeds, where the
-    /// tenant tag comes from untrusted records: an unknown tenant id
-    /// rejects the whole window before any tenant observes a packet, so
-    /// the fleet state stays consistent.
-    pub fn try_push_tagged<S: FleetSink + ?Sized>(
-        &mut self,
-        tagged: &TaggedBatch,
-        sink: &mut S,
-    ) -> Result<(), FleetError> {
         let tenants = self.slots.len();
-        if let Some(bad) = tagged
-            .tenants()
-            .iter()
-            .find(|tenant| tenant.index() >= tenants)
-        {
-            return Err(FleetError::UnknownTenant {
-                tenant: bad.0,
-                tenants,
-            });
+        if let Some(bad) = tagged.tenants().iter().find(|t| t.index() >= tenants) {
+            panic!("unknown tenant {}: fleet hosts tenants 0..{tenants}", bad.0);
         }
         self.windows += 1;
         // Phase 1: demux — ranged column copies per maximal tenant run.
@@ -376,7 +333,6 @@ impl Fleet {
         for slot in &mut self.slots {
             slot.deliver(sink);
         }
-        Ok(())
     }
 
     /// Runs every slot's pending slice, splitting the slab into contiguous
@@ -404,7 +360,7 @@ impl Fleet {
     }
 
     /// Closes every tenant's final bin, delivering the last reports in
-    /// tenant order. Idempotent like [`Monitor::finish`].
+    /// tenant order. Idempotent like [`Monitor::finish_into`].
     pub fn finish<S: FleetSink + ?Sized>(&mut self, sink: &mut S) {
         for slot in &mut self.slots {
             let mut buffer = BufSink(&mut slot.pending);
@@ -480,11 +436,12 @@ mod tests {
             let tenant = TenantId(t);
             let mut standalone = builder.tenant_builder(tenant).build();
             let mut stream = scenario.tenant_stream(seed, tenant);
-            let mut reports = Vec::new();
+            let mut reports = flowrank_monitor::Collect::new();
             while let Some(batch) = stream.next_window() {
-                reports.extend(standalone.push_batch(batch));
+                standalone.push_batch_into(batch, &mut reports);
             }
-            reports.extend(standalone.finish());
+            standalone.finish_into(&mut reports);
+            let reports = reports.reports;
             let fleet_side = fleet.tenant_reports(tenant);
             assert_eq!(fleet_side.len(), reports.len(), "tenant {t} bin count");
             for (ours, theirs) in fleet_side.iter().zip(&reports) {
@@ -577,17 +534,10 @@ mod tests {
         tagged.push_columns(TenantId(0), 10, 1, 64, None);
         tagged.push_columns(TenantId(7), 20, 2, 64, None);
         let mut sink = FleetCollect::new();
-        let error = fleet
-            .try_push_tagged(&tagged, &mut sink)
-            .expect_err("tenant 7 is not hosted");
-        assert_eq!(
-            error,
-            FleetError::UnknownTenant {
-                tenant: 7,
-                tenants: 2
-            }
-        );
-        assert!(error.to_string().contains("tenant7"));
+        let push = std::panic::AssertUnwindSafe(|| fleet.push_tagged(&tagged, &mut sink));
+        let payload = std::panic::catch_unwind(push).expect_err("tenant 7 is not hosted");
+        let message = payload.downcast_ref::<String>().expect("a formatted panic");
+        assert_eq!(message, "unknown tenant 7: fleet hosts tenants 0..2");
         // Tenant 0 must not have observed its packet.
         assert_eq!(fleet.tenant_stats().map(|s| s.packets).sum::<u64>(), 0);
         assert_eq!(fleet.windows(), 0);

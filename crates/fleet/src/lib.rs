@@ -59,7 +59,5 @@
 pub mod fleet;
 pub mod source;
 
-pub use fleet::{
-    Fleet, FleetBuilder, FleetCollect, FleetError, FleetSink, FleetSummary, TenantStats,
-};
+pub use fleet::{Fleet, FleetBuilder, FleetCollect, FleetSink, FleetSummary, TenantStats};
 pub use source::FleetSource;

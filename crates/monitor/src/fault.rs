@@ -160,7 +160,7 @@ impl std::error::Error for SinkError {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TimestampPolicy {
     /// The historical default: debug builds fail fast on any regression
-    /// (the `debug_assert` in `push_batch`); release builds silently fold
+    /// (the `debug_assert` in `push_batch_into`); release builds silently fold
     /// the regressed packet into the current bin, uncounted. Costs nothing
     /// on the release hot path.
     #[default]
@@ -214,9 +214,10 @@ pub struct DrivePolicy {
     /// timestamps) the drive absorbs before aborting with
     /// [`DriveError::ErrorBudgetExhausted`]. Checked after each chunk.
     pub error_budget: u64,
-    /// Minimum *consecutive* idle polls (a source answering
-    /// [`SourcePoll::Pending`](crate::SourcePoll::Pending): "no data right
-    /// now, not end of stream") before a stall can abort with
+    /// Minimum *consecutive* idle polls (a source's
+    /// [`PacketSource::try_next_chunk`](crate::PacketSource::try_next_chunk)
+    /// answering an empty chunk: "no data right now, not end of stream")
+    /// before a stall can abort with
     /// [`DriveError::SourceStalled`]. The detector trips only when **both**
     /// this floor and [`DrivePolicy::stall_timeout`] are exceeded — the
     /// poll floor keeps one long scheduler hiccup from counting as a stall,
@@ -364,8 +365,8 @@ pub struct DriveStats {
     /// Timestamp regressions folded into the current bin under
     /// [`TimestampPolicy::ClampAndCount`].
     pub clamped_timestamps: u64,
-    /// Idle polls observed (a fallible source reporting "no data right
-    /// now"). Not a recovery action — stalls are bounded separately by
+    /// Idle polls observed (an empty chunk from a fallible source: "no
+    /// data right now"). Not a recovery action — stalls are bounded separately by
     /// [`DrivePolicy::stall_polls`].
     pub idle_polls: u64,
 }

@@ -5,7 +5,7 @@
 //!
 //! The paper's monitor observes packets one at a time on a live link. This
 //! crate is that front door for the whole workspace: every packet goes
-//! through [`Monitor::push`], which
+//! through [`Monitor::push_batch_into`], which
 //!
 //! 1. classifies the packet into the current measurement bin's ground-truth
 //!    flow table (under a runtime-selected [`FlowDefinition`]),
@@ -32,14 +32,14 @@
 //! crate at all — it is the independent per-packet oracle the conformance
 //! suites check the monitor against.
 //!
-//! For high-volume replay, [`Monitor::push_batch`] accepts a whole SoA
+//! [`Monitor::push_batch_into`] takes a whole SoA
 //! [`flowrank_net::PacketBatch`] (e.g. straight from the zero-copy pcap
-//! decoder): the monitor splits it on bin boundaries, derives flow keys
-//! once per segment, classifies the ground truth in one pass and offers
-//! every lane the batch at a time — skip-based samplers then touch only the
-//! packets they keep. The **equivalence contract** is that `push` *is* a
-//! one-element `push_batch`: cutting the stream into batches of any size
-//! produces bit-identical [`BinReport`]s, including under
+//! decoder): the monitor splits it on bin boundaries,
+//! derives flow keys once per segment, classifies the ground truth in one
+//! pass and offers every lane the batch at a time — skip-based samplers
+//! then touch only the packets they keep. The **equivalence contract** is
+//! that a one-packet push is a one-record batch: cutting the stream into
+//! batches of any size produces bit-identical [`BinReport`]s, including under
 //! [`MonitorBuilder::threads`] sharding (pinned by the
 //! `streaming_equivalence` integration suite).
 //!
@@ -67,10 +67,10 @@
 //!   `(size, key)`, and every queue carries the same message sequence, so
 //!   scheduling is invisible in the output.
 //! * **Backpressure** — segment queues are bounded (`sync_channel`): a
-//!   source that outruns the pool blocks in `push_batch` instead of
+//!   source that outruns the pool blocks in `push_batch_into` instead of
 //!   buffering unbounded work, which keeps `drive`'s bounded-memory
 //!   promise intact. Because the caller coalesces, queue traffic follows
-//!   the packet count, not the call count: per-packet `push` is a column
+//!   the packet count, not the call count: a one-record batch is a column
 //!   append that pays one hand-off per 4096 packets
 //!   ([`Monitor::segment_stats`] counts the buffers shipped).
 //! * **Ordering & shutdown** — sinks observe bins strictly in order with
@@ -100,11 +100,12 @@
 //!   keeps report data beyond `accept` must copy it (only [`Collect`]
 //!   does).
 //!
-//! `push`, `push_batch`, `run_trace` and `run_batch` are thin wrappers over
-//! the same sink-based core (a [`Collect`] sink clones each closed bin into
-//! the returned `Vec`), so every equivalence guarantee carries over
-//! bit-identically; [`Monitor::push_batch_into`] and
-//! [`Monitor::finish_into`] expose the allocation-free forms.
+//! The monitor has five ingestion entry points, all over one sink-based
+//! core: [`Monitor::push_batch_into`] and [`Monitor::finish_into`] (the
+//! allocation-free pair), [`Monitor::run_batch`] (both into a [`Collect`]
+//! sink, returning an owned `Vec`), [`Monitor::drive`] and
+//! [`Monitor::try_drive`], so every equivalence guarantee carries over
+//! bit-identically.
 //! With a streaming source (e.g. [`flowrank_trace::Workload::stream`]) and
 //! an aggregating sink, peak memory is independent of trace length — the
 //! configuration the `ledger/` workloads measure.
@@ -165,9 +166,9 @@
 //! lives in `flowrank_sim::faults`.
 //!
 //! For long-lived serving drives, sources can distinguish "no data right
-//! now" from end-of-stream via [`PacketSource::poll_chunk`] /
-//! [`SourcePoll::Pending`] ([`PacketSource`] says which of its three methods
-//! a new source implements); the live source adapters (pcap tailing, ndjson
+//! now" from end-of-stream: [`PacketSource::try_next_chunk`] answers an
+//! empty chunk (an idle poll) where it would otherwise block, and `Ok(None)`
+//! at the end; the live source adapters (pcap tailing, ndjson
 //! feeds, channels, paced replay, stop gates) live in [`pipeline`], and the
 //! bounded [`rolling`] window summarises reports for snapshot serving.
 //!
@@ -184,8 +185,8 @@
 //! bit-identical-across-paths contract.
 //!
 //! ```
-//! use flowrank_monitor::{Monitor, SamplerSpec};
-//! use flowrank_net::{FlowDefinition, PacketRecord, Timestamp};
+//! use flowrank_monitor::{Collect, Monitor, SamplerSpec};
+//! use flowrank_net::{FlowDefinition, PacketBatch, PacketRecord, Timestamp};
 //! use std::net::Ipv4Addr;
 //!
 //! let mut monitor = Monitor::builder()
@@ -198,19 +199,21 @@
 //!     .seed(2026)
 //!     .build();
 //!
-//! // Live loop: push packets as the tap produces them.
+//! // Live loop: hand packets over as the tap produces them (here one
+//! // record at a time); closed bins reach the sink as they close.
 //! let packet = PacketRecord::udp(
 //!     Timestamp::from_secs_f64(0.5),
 //!     Ipv4Addr::new(10, 0, 0, 1), 53,
 //!     Ipv4Addr::new(100, 64, 0, 9), 53,
 //!     120,
 //! );
-//! for report in monitor.push(&packet) {
+//! let mut sink = Collect::new();
+//! monitor.push_batch_into(&PacketBatch::from_records(&[packet]), &mut sink);
+//! // End of trace: close the final bin.
+//! assert!(monitor.finish_into(&mut sink));
+//! for report in &sink.reports {
 //!     println!("bin {} closed: {} flows", report.bin_index, report.flows);
 //! }
-//! // End of trace: close the final bin.
-//! let last = monitor.finish();
-//! assert!(last.is_some());
 //! ```
 
 #![forbid(unsafe_code)]
@@ -229,7 +232,7 @@ pub use monitor::{Monitor, MonitorBuilder};
 pub use pipeline::{
     parse_ndjson_record, BatchSource, ChannelSource, Chunked, Collect, CsvSink, DigestSink,
     DriveSummary, NdjsonRecordSource, NdjsonSink, PacketSource, PcapBytesSource, PcapTailSource,
-    RateCurve, RatePoint, ReportSink, SourcePoll, StopGate, Tee,
+    RateCurve, RatePoint, ReportSink, StopGate, Tee,
 };
 pub use report::{BinReport, ControllerTrail, LaneReport, TopKReport};
 pub use rolling::{BinSummary, RateSummary, RollingWindow};

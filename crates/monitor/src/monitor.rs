@@ -1,12 +1,12 @@
 //! The push-based streaming monitor.
 //!
-//! Every ingestion entry point — per-packet [`Monitor::push`], the batch
-//! forms, [`Monitor::drive`] — is a wrapper over
-//! [`Monitor::push_batch_into`]. The monitor classifies each packet into the
-//! bin's ground-truth flow table, offers it to every sampling lane, feeds
-//! retained packets into the lanes' sampled tables (and optional top-k
-//! backends), and closes measurement bins automatically on timestamp
-//! boundaries. Closing a bin ranks the ground truth **once** and scores
+//! Every ingestion entry point — [`Monitor::run_batch`],
+//! [`Monitor::drive`], [`Monitor::try_drive`] — is a loop over
+//! [`Monitor::push_batch_into`] and [`Monitor::finish_into`]. The monitor
+//! classifies each packet into the bin's ground-truth flow table, offers it
+//! to every sampling lane, feeds retained packets into the lanes' sampled
+//! tables (and optional top-k backends), and closes measurement bins
+//! automatically on timestamp boundaries. Closing a bin ranks the ground truth **once** and scores
 //! every lane against that single ranking — with `runs × rates` lanes this
 //! removes the `runs × rates` redundant reclassifications the batch API used
 //! to pay. That per-bin computation is written once, in `LaneShard`; the
@@ -18,13 +18,13 @@ use std::time::{Duration, Instant};
 
 use flowrank_control::{BinObservation, ControllerSpec, RateController};
 use flowrank_core::metrics::{GroundTruthRanking, SizedFlow};
-use flowrank_net::{AnyFlowKey, FlowDefinition, FlowTable, PacketBatch, PacketRecord, Timestamp};
+use flowrank_net::{AnyFlowKey, FlowDefinition, FlowTable, PacketBatch, Timestamp};
 use flowrank_sampling::SamplerStage;
 use flowrank_stats::rng::{derive_seeds, Pcg64, SeedableRng};
 use flowrank_topk::TopKTracker;
 
 use crate::fault::{DriveError, DrivePolicy, DriveStats, SinkError, TimestampPolicy};
-use crate::pipeline::{Collect, DriveSummary, PacketSource, ReportSink, SourcePoll};
+use crate::pipeline::{Collect, DriveSummary, PacketSource, ReportSink};
 use crate::report::{BinReport, ControllerTrail, LaneReport, TopKReport};
 use crate::runtime::{PipelinedRuntime, RuntimeFailure};
 use crate::spec::{SamplerSpec, TopKSpec};
@@ -138,7 +138,7 @@ impl MonitorBuilder {
     }
 
     /// Measurement-bin length. [`Timestamp::ZERO`] means a single unbounded
-    /// bin closed only by [`Monitor::finish`].
+    /// bin closed only by [`Monitor::finish_into`].
     pub fn bin_length(mut self, bin_length: Timestamp) -> Self {
         self.bin_length = bin_length;
         self
@@ -370,7 +370,6 @@ impl MonitorBuilder {
             controller_name,
             current_bin: 0,
             saw_packet: false,
-            scratch_batch: PacketBatch::with_capacity(1),
             last_ts_nanos: None,
             drive_policy: self.drive_policy,
             clamped_timestamps: 0,
@@ -662,10 +661,11 @@ impl std::fmt::Debug for Lane {
 /// Push-based streaming monitor: sampling, classification and ranking
 /// metrics in one pipeline.
 ///
-/// Drive it with [`Monitor::push`] for every packet in timestamp order and
-/// collect the [`BinReport`]s it emits; call [`Monitor::finish`] at the end
-/// of the trace to close the last bin. [`Monitor::run_trace`] wraps that loop
-/// for in-memory traces.
+/// Drive it from a [`PacketSource`] into a [`ReportSink`] with
+/// [`Monitor::drive`], or feed batches in timestamp order with
+/// [`Monitor::push_batch_into`] and close the last bin with
+/// [`Monitor::finish_into`]. [`Monitor::run_batch`] does both for one
+/// in-memory batch.
 #[derive(Debug)]
 pub struct Monitor {
     flow_definition: FlowDefinition,
@@ -678,9 +678,6 @@ pub struct Monitor {
     controller_name: Option<&'static str>,
     current_bin: u64,
     saw_packet: bool,
-    /// Reusable one-element batch backing [`Monitor::push`] — per-packet
-    /// pushes never allocate.
-    scratch_batch: PacketBatch,
     /// Largest timestamp pushed so far — backs the debug assertion that the
     /// documented non-decreasing push contract holds across calls.
     last_ts_nanos: Option<u64>,
@@ -922,51 +919,28 @@ impl Monitor {
         self.controller_name
     }
 
-    /// Observes one packet.
+    /// Observes a batch of packets and delivers every bin its timestamps
+    /// closed to `sink`, by reference, in order — normally none or one;
+    /// more when the trace has idle gaps, in which case the intervening
+    /// empty bins are reported too, so bin indices always correspond to
+    /// wall-clock intervals.
     ///
-    /// Packets must arrive in non-decreasing timestamp order (a packet older
-    /// than the current bin is counted into the current bin rather than
-    /// rewriting history). Returns the reports of every bin the packet's
-    /// timestamp closed — normally none or one; more when the trace has idle
-    /// gaps, in which case the intervening empty bins are reported too, so
-    /// bin indices always correspond to wall-clock intervals.
-    ///
-    /// `push` *is* [`Monitor::push_batch`] with a one-element batch (backed
-    /// by a reusable scratch batch, so no allocation happens per packet):
-    /// because every sampler's per-packet and batch paths share state, the
-    /// two entry points are bit-identical for any way of cutting the stream
-    /// into batches.
-    pub fn push(&mut self, packet: &PacketRecord) -> Vec<BinReport> {
-        let mut batch = std::mem::take(&mut self.scratch_batch);
-        batch.clear();
-        batch.push_record(packet);
-        let reports = self.push_batch(&batch);
-        self.scratch_batch = batch;
-        reports
-    }
-
-    /// Observes a whole batch of packets (timestamps non-decreasing, as with
-    /// [`Monitor::push`]), splitting it on measurement-bin boundaries:
-    /// each contiguous segment is classified into the ground truth in one
-    /// pass and offered to every lane batch-at-a-time, and every bin closed
-    /// by the batch's timestamps is reported, in order.
+    /// Packets must arrive in non-decreasing timestamp order, within the
+    /// batch and across calls (a packet older than the current bin is
+    /// counted into the current bin rather than rewriting history). The
+    /// batch is split on bin boundaries: each contiguous segment is
+    /// classified into the ground truth in one pass and offered to every
+    /// lane batch-at-a-time. Because every sampler's per-packet and batch
+    /// paths share state, the reports are bit-identical for any way of
+    /// cutting the stream into batches, down to one packet each.
     ///
     /// With [`MonitorBuilder::threads`] above 1, the segments are keyed and
     /// handed to the worker pool, where the ground truth classifies in
     /// parallel across its shards and the lanes split across workers — with
-    /// reports bit-identical to the single-threaded and per-packet paths
-    /// (pinned by the `streaming_equivalence` suite).
-    pub fn push_batch(&mut self, batch: &PacketBatch) -> Vec<BinReport> {
-        let mut sink = Collect::new();
-        self.push_batch_into(batch, &mut sink);
-        sink.reports
-    }
-
-    /// [`Monitor::push_batch`] with the closed bins delivered to a sink by
-    /// reference the moment they close, instead of buffered into an owned
-    /// `Vec` — the hot path of [`Monitor::drive`]. The report a sink
-    /// receives is backed by a buffer the monitor recycles across bins, so
-    /// steady-state bin closes are allocation-free on the monitor side.
+    /// reports bit-identical to the single-threaded engine (pinned by the
+    /// `streaming_equivalence` suite). The report a sink receives is backed
+    /// by a buffer the monitor recycles across bins, so steady-state bin
+    /// closes are allocation-free on the monitor side.
     pub fn push_batch_into<K: ReportSink + ?Sized>(&mut self, batch: &PacketBatch, sink: &mut K) {
         if let Err(error) = self.try_push_batch_into(batch, sink) {
             panic!("{error}");
@@ -999,7 +973,7 @@ impl Monitor {
         let mut start = 0;
         while start < batch.len() {
             // A packet older than the current bin is counted into the
-            // current bin, matching `push`.
+            // current bin.
             let bin = batch
                 .timestamp(start)
                 .bin_index(self.bin_length)
@@ -1137,21 +1111,9 @@ impl Monitor {
         }
     }
 
-    /// Closes the bin currently being filled and returns its report, or
-    /// `None` when the monitor never saw a packet for it. Call at the end of
-    /// a trace.
-    pub fn finish(&mut self) -> Option<BinReport> {
-        let mut sink = Collect::new();
-        if self.finish_into(&mut sink) {
-            sink.reports.pop()
-        } else {
-            None
-        }
-    }
-
-    /// [`Monitor::finish`] against a sink: closes the bin currently being
-    /// filled (when any packet started one) and delivers its report by
-    /// reference. Returns whether a bin was closed.
+    /// Closes the bin currently being filled (when any packet started one)
+    /// and delivers its report by reference. Call at the end of a trace.
+    /// Returns whether a bin was closed.
     pub fn finish_into<K: ReportSink + ?Sized>(&mut self, sink: &mut K) -> bool {
         match self.try_finish_into(sink) {
             Ok(closed) => closed,
@@ -1178,17 +1140,11 @@ impl Monitor {
         Ok(true)
     }
 
-    /// Runs a whole in-memory trace through the monitor: converts it to one
-    /// [`PacketBatch`], pushes it through [`Monitor::push_batch`] and closes
-    /// the final bin. Reports are bit-identical to pushing every packet
-    /// individually, for any thread count.
-    pub fn run_trace(&mut self, packets: &[PacketRecord]) -> Vec<BinReport> {
-        let batch = PacketBatch::from_records(packets);
-        self.run_batch(&batch)
-    }
-
-    /// Runs a whole in-memory batch through the monitor and closes the final
-    /// bin — [`Monitor::push_batch`] plus [`Monitor::finish`].
+    /// Runs a whole in-memory batch through the monitor, closes the final
+    /// bin and returns every report as an owned `Vec` — the
+    /// [`Monitor::push_batch_into`] + [`Monitor::finish_into`] pair into a
+    /// [`Collect`] sink. Records come in through
+    /// [`PacketBatch::from_records`].
     pub fn run_batch(&mut self, batch: &PacketBatch) -> Vec<BinReport> {
         let mut sink = Collect::new();
         self.push_batch_into(batch, &mut sink);
@@ -1198,8 +1154,8 @@ impl Monitor {
 
     /// Drives the monitor from a packet source into a report sink until the
     /// source is exhausted, then closes the final bin — the canonical entry
-    /// point of the streaming pipeline; every other ingestion method is a
-    /// special case of it.
+    /// point of the streaming pipeline. A one-packet push is a drive over
+    /// [`Chunked::new(source, 1)`](crate::Chunked::new).
     ///
     /// The contract:
     ///
@@ -1211,7 +1167,7 @@ impl Monitor {
     /// * **Sink ordering** — the sink sees every closed bin exactly once, in
     ///   bin-index order (idle gaps emit their empty bins too), and the
     ///   final partial bin is flushed when the source ends, exactly like
-    ///   [`Monitor::finish`].
+    ///   [`Monitor::finish_into`].
     /// * **Borrowed reports** — the sink receives `&BinReport` backed by a
     ///   buffer the monitor recycles; a sink must copy whatever it wants to
     ///   keep past the `accept` call. In return, steady-state operation
@@ -1264,7 +1220,7 @@ impl Monitor {
     ///   ([`DriveError::Sink`]);
     /// * total absorbed recoveries over [`DrivePolicy::error_budget`] abort
     ///   ([`DriveError::ErrorBudgetExhausted`]);
-    /// * a source answering [`SourcePoll::Pending`] makes the loop sleep
+    /// * a source answering an empty chunk (an idle poll) makes the loop sleep
     ///   [`DrivePolicy::idle_wait`] and poll again; an uninterrupted idle
     ///   streak of at least [`DrivePolicy::stall_polls`] polls spanning at
     ///   least [`DrivePolicy::stall_timeout`] of wall time aborts
@@ -1312,8 +1268,8 @@ impl Monitor {
             failed: None,
         };
         let outcome = loop {
-            match source.poll_chunk() {
-                Ok(SourcePoll::Pending) => {
+            match source.try_next_chunk() {
+                Ok(Some(chunk)) if chunk.is_empty() => {
                     // Idle poll: "no data right now, not end-of-stream".
                     stats.idle_polls += 1;
                     idle_streak += 1;
@@ -1329,7 +1285,7 @@ impl Monitor {
                     }
                     continue;
                 }
-                Ok(SourcePoll::Chunk(chunk)) => {
+                Ok(Some(chunk)) => {
                     idle_streak = 0;
                     idle_since = None;
                     stats.chunks += 1;
@@ -1341,7 +1297,7 @@ impl Monitor {
                         break Outcome::Sink(error);
                     }
                 }
-                Ok(SourcePoll::End) => match self.try_finish_into(&mut policy_sink) {
+                Ok(None) => match self.try_finish_into(&mut policy_sink) {
                     Ok(_) => {
                         break match policy_sink.failed.take() {
                             Some(error) => Outcome::Sink(error),
@@ -1498,6 +1454,7 @@ fn escalate_backoff(backoff: Duration, cap: Duration) -> Duration {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use flowrank_net::PacketRecord;
     use std::net::Ipv4Addr;
 
     fn packet(flow: u8, t: f64) -> PacketRecord {
@@ -1510,6 +1467,26 @@ mod tests {
             500,
             0,
         )
+    }
+
+    /// A whole in-memory trace as one batch, final bin closed.
+    fn run(monitor: &mut Monitor, packets: &[PacketRecord]) -> Vec<BinReport> {
+        monitor.run_batch(&PacketBatch::from_records(packets))
+    }
+
+    /// One packet as a one-record batch: the bins it closed.
+    fn push(monitor: &mut Monitor, packet: &PacketRecord) -> Vec<BinReport> {
+        let mut sink = Collect::new();
+        let batch = PacketBatch::from_records(std::slice::from_ref(packet));
+        monitor.push_batch_into(&batch, &mut sink);
+        sink.reports
+    }
+
+    /// The open bin's report, if a packet started one.
+    fn finish(monitor: &mut Monitor) -> Option<BinReport> {
+        let mut sink = Collect::new();
+        monitor.finish_into(&mut sink);
+        sink.reports.pop()
     }
 
     /// Mean ranking metric across all lanes of `rate` (0 when none match).
@@ -1559,7 +1536,7 @@ mod tests {
             .bin_length(Timestamp::from_secs_f64(60.0))
             .top_t(10)
             .build();
-        let reports = monitor.run_trace(&skewed_bin(20, 0.0));
+        let reports = run(&mut monitor, &skewed_bin(20, 0.0));
         assert_eq!(reports.len(), 1);
         let report = &reports[0];
         assert_eq!(report.flows, 20);
@@ -1580,15 +1557,15 @@ mod tests {
         packets.extend(skewed_bin(10, 61.0));
         let mut reports = Vec::new();
         for p in &packets {
-            reports.extend(monitor.push(p));
+            reports.extend(push(&mut monitor, p));
         }
         // The second bin is still open until finish().
         assert_eq!(reports.len(), 1);
         assert_eq!(reports[0].bin_index, 0);
-        let last = monitor.finish().expect("second bin must close");
+        let last = finish(&mut monitor).expect("second bin must close");
         assert_eq!(last.bin_index, 1);
         assert_eq!(last.bin_start, Timestamp::from_secs_f64(60.0));
-        assert!(monitor.finish().is_none(), "no third bin was started");
+        assert!(finish(&mut monitor).is_none(), "no third bin was started");
     }
 
     #[test]
@@ -1597,9 +1574,9 @@ mod tests {
             .sampler(SamplerSpec::Random { rate: 0.5 })
             .bin_length(Timestamp::from_secs_f64(60.0))
             .build();
-        assert!(monitor.push(&packet(1, 10.0)).is_empty());
+        assert!(push(&mut monitor, &packet(1, 10.0)).is_empty());
         // Jumping to bin 3 closes bins 0 (1 packet), 1 and 2 (empty).
-        let closed = monitor.push(&packet(1, 190.0));
+        let closed = push(&mut monitor, &packet(1, 190.0));
         assert_eq!(closed.len(), 3);
         assert_eq!(closed[0].packets, 1);
         assert_eq!(closed[1].packets, 0);
@@ -1631,7 +1608,7 @@ mod tests {
         // 40 distinct flows against a cap of 8 (high water 12): the budget
         // binds repeatedly within the bin.
         let packets = skewed_bin(40, 0.0);
-        let whole = build().run_trace(&packets);
+        let whole = run(&mut build(), &packets);
         assert_eq!(whole.len(), 1);
         assert!(whole[0].evictions > 0, "budget must have bound");
         assert!(
@@ -1643,17 +1620,17 @@ mod tests {
         let mut monitor = build();
         let mut pushed = Vec::new();
         for p in &packets {
-            pushed.extend(monitor.push(p));
+            pushed.extend(push(&mut monitor, p));
         }
-        pushed.extend(monitor.finish());
+        pushed.extend(finish(&mut monitor));
         assert_eq!(pushed, whole);
         // An unbudgeted monitor reports no evictions.
-        let free = Monitor::builder()
+        let mut free = Monitor::builder()
             .sampler(SamplerSpec::Random { rate: 0.5 })
             .bin_length(Timestamp::from_secs_f64(60.0))
             .seed(7)
-            .build()
-            .run_trace(&packets);
+            .build();
+        let free = run(&mut free, &packets);
         assert_eq!(free[0].evictions, 0);
         assert_eq!(free[0].flows, 40);
     }
@@ -1675,7 +1652,7 @@ mod tests {
             .bin_length(Timestamp::from_secs_f64(60.0))
             .build();
         assert_eq!(monitor.lane_count(), 10);
-        let reports = monitor.run_trace(&skewed_bin(30, 0.0));
+        let reports = run(&mut monitor, &skewed_bin(30, 0.0));
         assert_eq!(reports.len(), 1);
         let report = &reports[0];
         assert_eq!(report.lanes.len(), 10);
@@ -1701,8 +1678,8 @@ mod tests {
                 .build()
         };
         let packets = skewed_bin(25, 0.0);
-        let a = build().run_trace(&packets);
-        let b = build().run_trace(&packets);
+        let a = run(&mut build(), &packets);
+        let b = run(&mut build(), &packets);
         assert_eq!(a, b);
     }
 
@@ -1713,7 +1690,7 @@ mod tests {
             .topk(crate::spec::TopKSpec::SpaceSaving { capacity: 8 })
             .top_t(3)
             .build();
-        let reports = monitor.run_trace(&skewed_bin(20, 0.0));
+        let reports = run(&mut monitor, &skewed_bin(20, 0.0));
         let topk = reports[0].lanes[0].topk.as_ref().expect("backend attached");
         assert_eq!(topk.backend, "space-saving");
         assert!(topk.memory_entries <= 8);
@@ -1743,7 +1720,7 @@ mod tests {
         let packets = skewed_bin(15, 0.0);
         for spec in specs {
             let mut monitor = Monitor::builder().sampler(spec).seed(5).build();
-            let reports = monitor.run_trace(&packets);
+            let reports = run(&mut monitor, &packets);
             assert_eq!(reports.len(), 1, "{}", spec.name());
             let lane = &reports[0].lanes[0];
             assert_eq!(lane.sampler, spec.name());
@@ -1763,7 +1740,7 @@ mod tests {
             .runs(3)
             .seed(9)
             .build();
-        let reports = monitor.run_trace(&skewed_bin(10, 0.0));
+        let reports = run(&mut monitor, &skewed_bin(10, 0.0));
         let report = &reports[0];
         for &rate in &rates {
             assert_eq!(report.lanes_at_rate(rate).count(), 3, "rate {rate}");
@@ -1779,7 +1756,7 @@ mod tests {
             .build();
         let mut packets = skewed_bin(5, 0.0);
         packets.extend(skewed_bin(5, 10_000.0));
-        let reports = monitor.run_trace(&packets);
+        let reports = run(&mut monitor, &packets);
         assert_eq!(reports.len(), 1);
         assert_eq!(reports[0].packets, packets.len() as u64);
     }
@@ -1787,9 +1764,9 @@ mod tests {
     #[test]
     fn empty_trace_produces_no_reports() {
         let mut monitor = Monitor::builder().build();
-        assert!(monitor.run_trace(&[]).is_empty());
+        assert!(run(&mut monitor, &[]).is_empty());
         let mut parallel = Monitor::builder().threads(4).build();
-        assert!(parallel.run_trace(&[]).is_empty());
+        assert!(run(&mut parallel, &[]).is_empty());
     }
 
     #[test]
@@ -1812,12 +1789,12 @@ mod tests {
                 .threads(threads)
                 .build()
         };
-        let baseline = build(1).run_trace(&packets);
+        let baseline = run(&mut build(1), &packets);
         assert_eq!(baseline.len(), 3, "bins 0, 1 (idle) and 2");
         for threads in [2, 3, 8] {
             let mut monitor = build(threads);
             assert!(matches!(monitor.engine, Engine::Pipelined(_)));
-            assert_eq!(monitor.run_trace(&packets), baseline, "{threads} threads");
+            assert_eq!(run(&mut monitor, &packets), baseline, "{threads} threads");
         }
     }
 
@@ -1839,11 +1816,11 @@ mod tests {
         let mut mixed = build(2);
         let mut seq_reports = Vec::new();
         for p in &packets[..25] {
-            seq_reports.extend(sequential.push(p));
-            mixed.push(p);
+            seq_reports.extend(push(&mut sequential, p));
+            push(&mut mixed, p);
         }
-        seq_reports.extend(sequential.run_trace(&packets[25..]));
-        let mixed_reports = mixed.run_trace(&packets[25..]);
+        seq_reports.extend(run(&mut sequential, &packets[25..]));
+        let mixed_reports = run(&mut mixed, &packets[25..]);
         assert_eq!(seq_reports, mixed_reports);
     }
 
@@ -1867,7 +1844,7 @@ mod tests {
             .runs(3)
             .seed(21)
             .build();
-        let reports = monitor.run_trace(&skewed_bin(20, 0.0));
+        let reports = run(&mut monitor, &skewed_bin(20, 0.0));
         let report = &reports[0];
         // The literal finds the computed grid rate...
         assert_eq!(report.rate_id_of(0.1), Some(0));
@@ -1892,11 +1869,11 @@ mod tests {
             .sampler(SamplerSpec::Random { rate: 0.5 })
             .bin_length(Timestamp::from_secs_f64(60.0))
             .build();
-        monitor.push(&packet(1, 70.0));
+        push(&mut monitor, &packet(1, 70.0));
         // Older than anything already pushed: the documented non-decreasing
         // contract is violated, so debug builds must fail fast instead of
         // silently folding the packet into the current bin.
-        monitor.push(&packet(1, 10.0));
+        push(&mut monitor, &packet(1, 10.0));
     }
 
     #[test]
@@ -1908,7 +1885,7 @@ mod tests {
             .bin_length(Timestamp::from_secs_f64(60.0))
             .build();
         let batch = PacketBatch::from_records(&[packet(1, 70.0), packet(1, 10.0)]);
-        monitor.push_batch(&batch);
+        monitor.push_batch_into(&batch, &mut Collect::new());
     }
 
     #[test]
@@ -1966,7 +1943,7 @@ mod tests {
             .try_push_batch_into(&stale, &mut sink)
             .expect("clamp policy absorbs the regressions");
         assert_eq!(monitor.clamped_timestamps, 2);
-        let report = monitor.finish().expect("bin 1 closes with its packets");
+        let report = finish(&mut monitor).expect("bin 1 closes with its packets");
         assert_eq!(report.bin_index, 1);
         assert_eq!(
             report.packets, 4,
@@ -1994,7 +1971,7 @@ mod tests {
             .build();
         assert_eq!(monitor.lane_count(), 5, "2 rates × 2 runs + controlled");
         assert_eq!(monitor.controller_name(), Some("aimd-slo"));
-        let reports = monitor.run_trace(&four_bins());
+        let reports = run(&mut monitor, &four_bins());
         for report in &reports {
             let trail = report.controller.as_ref().expect("trail on every bin");
             assert_eq!(trail.controller, "aimd-slo");
@@ -2032,17 +2009,17 @@ mod tests {
                 .threads(threads)
                 .build()
         };
-        let baseline = build(1).run_trace(&packets);
+        let baseline = run(&mut build(1), &packets);
         assert!(baseline.iter().all(|report| report.controller.is_some()));
         for threads in [2, 4] {
-            assert_eq!(build(threads).run_trace(&packets), baseline, "{threads}");
+            assert_eq!(run(&mut build(threads), &packets), baseline, "{threads}");
         }
         let mut pushed = build(1);
         let mut reports = Vec::new();
         for packet in &packets {
-            reports.extend(pushed.push(packet));
+            reports.extend(push(&mut pushed, packet));
         }
-        reports.extend(pushed.finish());
+        reports.extend(finish(&mut pushed));
         assert_eq!(reports, baseline, "per-packet push path");
     }
 
@@ -2063,8 +2040,8 @@ mod tests {
             }
             .build()
         };
-        let plain = build(false).run_trace(&packets);
-        let controlled = build(true).run_trace(&packets);
+        let plain = run(&mut build(false), &packets);
+        let controlled = run(&mut build(true), &packets);
         assert_eq!(plain.len(), controlled.len());
         for (p, c) in plain.iter().zip(&controlled) {
             assert_eq!(&c.lanes[..p.lanes.len()], &p.lanes[..]);
@@ -2088,7 +2065,7 @@ mod tests {
             .bin_length(Timestamp::from_secs_f64(60.0))
             .seed(31)
             .build();
-        let reports = monitor.run_trace(&four_bins());
+        let reports = run(&mut monitor, &four_bins());
         let lane = reports[0].controller.as_ref().unwrap().lane;
         let rates: Vec<f64> = reports.iter().map(|r| r.lanes[lane].rate).collect();
         assert!(
@@ -2110,9 +2087,9 @@ mod tests {
             .sampler(SamplerSpec::Random { rate: 0.5 })
             .bin_length(Timestamp::from_secs_f64(60.0))
             .build();
-        monitor.push(&packet(1, 10.0));
-        monitor.push(&packet(2, 10.0));
-        monitor.push(&packet(1, 200.0));
-        assert!(monitor.finish().is_some());
+        push(&mut monitor, &packet(1, 10.0));
+        push(&mut monitor, &packet(2, 10.0));
+        push(&mut monitor, &packet(1, 200.0));
+        assert!(finish(&mut monitor).is_some());
     }
 }

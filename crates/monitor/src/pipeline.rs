@@ -27,8 +27,8 @@
 //!
 //! The serving path ([`Monitor::try_drive`](crate::Monitor::try_drive) as a
 //! long-lived daemon, see `flowrank-serve`) adds sources that can run out of
-//! data *temporarily*: they answer [`SourcePoll::Pending`] instead of ending
-//! the stream ([`PacketSource`] says which method a new source implements):
+//! data *temporarily*: their [`PacketSource::try_next_chunk`] answers an
+//! empty chunk (an idle poll) instead of ending the stream:
 //!
 //! * [`PcapTailSource`] — tails a growing pcap file through a bounded read
 //!   window, resuming decode at the committed record boundary each time the
@@ -46,8 +46,8 @@
 //!
 //! # Sinks
 //!
-//! * [`Collect`] — clones every report into a `Vec` (the compatibility sink
-//!   behind `push`/`run_batch`).
+//! * [`Collect`] — clones every report into a `Vec` (the sink behind
+//!   [`Monitor::run_batch`](crate::Monitor::run_batch)).
 //! * [`RateCurve`] — accumulates the paper's mean-accuracy-per-rate curves
 //!   online (Welford moments per rate, nothing retained per bin).
 //! * [`NdjsonSink`] / [`CsvSink`] — stream reports to any `io::Write` as
@@ -111,25 +111,6 @@ pub struct DriveSummary {
 // Sources
 // ---------------------------------------------------------------------------
 
-/// What one fallible poll of a [`PacketSource`] produced — the three-way
-/// answer of [`PacketSource::poll_chunk`].
-///
-/// `Pending` is the idle signal of the live sources (a tailed capture with
-/// no new bytes, a socket with nothing buffered, a paced replay whose next
-/// window is not yet due): "no data right now, poll again" — distinct from
-/// `End` (the stream is over, flush the final bin) and from a chunk.
-#[derive(Debug)]
-pub enum SourcePoll<'a> {
-    /// A non-empty chunk of packets.
-    Chunk(&'a PacketBatch),
-    /// No data right now — not end of stream. The drive loop counts the
-    /// idle poll, sleeps [`DrivePolicy::idle_wait`](crate::DrivePolicy) and
-    /// asks again.
-    Pending,
-    /// End of stream: the final bin can be flushed.
-    End,
-}
-
 /// A pull-based packet stream: yields SoA batches until exhausted.
 ///
 /// The returned batch borrows from the source and is valid until the next
@@ -139,16 +120,14 @@ pub enum SourcePoll<'a> {
 /// any chunking of the same packet sequence.
 ///
 /// A new source implements `next_chunk`, plus `try_next_chunk` when it can
-/// fail or idle; `poll_chunk` is derived. Only a source with no empty batch
-/// to lend (the paced replay) or a pure forwarder (`&mut S`, [`StopGate`])
-/// overrides `poll_chunk`.
+/// fail or idle.
 pub trait PacketSource {
     /// Returns the next chunk of packets, or `None` at end of stream.
     /// Implementations never return an empty batch.
     fn next_chunk(&mut self) -> Option<&PacketBatch>;
 
-    /// The fallible form of [`PacketSource::next_chunk`], used by
-    /// [`PacketSource::poll_chunk`]'s default implementation.
+    /// The fallible form of [`PacketSource::next_chunk`], the poll
+    /// [`Monitor::try_drive`](crate::Monitor::try_drive) makes.
     ///
     /// The default wraps `next_chunk` and never errors. Sources with a
     /// failure mode (the pcap sources, `flowrank_sim::faults::FaultySource`)
@@ -160,19 +139,6 @@ pub trait PacketSource {
     fn try_next_chunk(&mut self) -> Result<Option<&PacketBatch>, SourceError> {
         Ok(self.next_chunk())
     }
-
-    /// The poll [`Monitor::try_drive`](crate::Monitor::try_drive) makes:
-    /// chunk, [`SourcePoll::Pending`] (idle) or [`SourcePoll::End`].
-    ///
-    /// The default maps [`PacketSource::try_next_chunk`]: an empty chunk
-    /// becomes `Pending`, `Ok(None)` becomes `End`.
-    fn poll_chunk(&mut self) -> Result<SourcePoll<'_>, SourceError> {
-        Ok(match self.try_next_chunk()? {
-            Some(chunk) if chunk.is_empty() => SourcePoll::Pending,
-            Some(chunk) => SourcePoll::Chunk(chunk),
-            None => SourcePoll::End,
-        })
-    }
 }
 
 impl<S: PacketSource + ?Sized> PacketSource for &mut S {
@@ -182,10 +148,6 @@ impl<S: PacketSource + ?Sized> PacketSource for &mut S {
 
     fn try_next_chunk(&mut self) -> Result<Option<&PacketBatch>, SourceError> {
         (**self).try_next_chunk()
-    }
-
-    fn poll_chunk(&mut self) -> Result<SourcePoll<'_>, SourceError> {
-        (**self).poll_chunk()
     }
 }
 
@@ -352,9 +314,9 @@ const PCAP_GLOBAL_HEADER: usize = 24;
 const TAIL_READ_QUANTUM: usize = 64 * 1024;
 
 /// Tails a growing pcap file: decodes whatever whole records have been
-/// written so far, answers [`SourcePoll::Pending`] when it catches up with
-/// the writer, and picks up exactly where it left off when more bytes land —
-/// the live-capture source of the `flowrank-serve` daemon.
+/// written so far, answers an idle poll when it catches up with the writer,
+/// and picks up exactly where it left off when more bytes land — the
+/// live-capture source of the `flowrank-serve` daemon.
 ///
 /// Memory is bounded whatever the capture's size: the file is read one
 /// 64 KiB quantum at a time, only when the bytes already buffered decode to
@@ -367,7 +329,7 @@ const TAIL_READ_QUANTUM: usize = 64 * 1024;
 /// the next step resumes from it over the refilled window. A record that is
 /// truncated *at the tail* (the writer has not finished flushing it) is
 /// indistinguishable from a mid-write snapshot, so in follow mode it reads
-/// as `Pending`; any other malformed shape — bad magic, oversized record —
+/// as an idle poll; any other malformed shape — bad magic, oversized record —
 /// is [`SourceError::Fatal`], latched and returned on every later poll, after
 /// the packets decoded in front of it have been delivered (the
 /// [`PcapBytesSource`] contract).
@@ -393,8 +355,7 @@ pub struct PcapTailSource {
 
 impl PcapTailSource {
     /// Opens `path` for tailing. The file may still be empty — even the
-    /// global header may arrive later; until it does, polls answer
-    /// `Pending`.
+    /// global header may arrive later; until it does, polls are idle.
     pub fn open(path: impl AsRef<std::path::Path>) -> io::Result<Self> {
         Ok(PcapTailSource {
             file: std::fs::File::open(path)?,
@@ -504,7 +465,7 @@ impl PcapTailSource {
 }
 
 impl PacketSource for PcapTailSource {
-    /// The infallible form ends the stream at the first `Pending` in
+    /// The infallible form ends the stream at the first idle poll in
     /// non-follow mode and sleeps through them in follow mode; errors end
     /// the stream silently (`try_next_chunk` returns them).
     fn next_chunk(&mut self) -> Option<&PacketBatch> {
@@ -558,7 +519,7 @@ const MAX_NDJSON_LINE_BYTES: usize = 64 * 1024;
 /// stream costs no memory) and a line that is not UTF-8 are each **one**
 /// malformed record, and the stream resynchronises at the next newline.
 /// Reads block until a line or EOF arrives, so this source never answers
-/// `Pending` — feed it through a [`ChannelSource`] when the drive loop must
+/// an idle poll — feed it through a [`ChannelSource`] when the drive loop must
 /// not block.
 #[derive(Debug)]
 pub struct NdjsonRecordSource<R> {
@@ -921,9 +882,8 @@ fn ndjson_tenant(line: &str) -> Result<Option<u32>, &'static str> {
 ///
 /// The feeder thread sends `Ok(batch)` for data and `Err(source_error)` for
 /// faults it wants the drive policy to arbitrate (a malformed line it
-/// skipped past, a fatal read failure). An empty channel answers
-/// [`SourcePoll::Pending`]; a disconnected channel (every sender dropped)
-/// ends the stream.
+/// skipped past, a fatal read failure). An empty channel answers an idle
+/// poll; a disconnected channel (every sender dropped) ends the stream.
 #[derive(Debug)]
 pub struct ChannelSource {
     receiver: std::sync::mpsc::Receiver<Result<PacketBatch, SourceError>>,
@@ -998,8 +958,8 @@ impl<S> StopGate<S> {
     }
 }
 
-/// A pure forwarder, like `&mut S`: all three methods, so an inner error or
-/// an inner `Pending` reaches the caller whichever one it polls.
+/// A pure forwarder, like `&mut S`: both methods, so an inner error or an
+/// inner idle poll reaches the caller whichever one it polls.
 impl<S: PacketSource> PacketSource for StopGate<S> {
     fn next_chunk(&mut self) -> Option<&PacketBatch> {
         self.open()?.next_chunk()
@@ -1007,10 +967,6 @@ impl<S: PacketSource> PacketSource for StopGate<S> {
 
     fn try_next_chunk(&mut self) -> Result<Option<&PacketBatch>, SourceError> {
         self.open().map_or(Ok(None), S::try_next_chunk)
-    }
-
-    fn poll_chunk(&mut self) -> Result<SourcePoll<'_>, SourceError> {
-        self.open().map_or(Ok(SourcePoll::End), S::poll_chunk)
     }
 }
 
@@ -1028,15 +984,15 @@ impl PacketSource for flowrank_trace::PacedReplay {
         }
     }
 
-    /// The drive loop's poll never sleeps: a not-yet-due window is `Pending`,
-    /// paced by [`DrivePolicy::idle_wait`](crate::DrivePolicy::idle_wait). A
-    /// replay cannot fail and has no empty batch to lend, so it overrides
-    /// this method and leaves `try_next_chunk` at the blocking default.
-    fn poll_chunk(&mut self) -> Result<SourcePoll<'_>, SourceError> {
+    /// The drive loop's poll never sleeps: a not-yet-due window is an idle
+    /// poll (a shared empty batch), paced by
+    /// [`DrivePolicy::idle_wait`](crate::DrivePolicy::idle_wait).
+    fn try_next_chunk(&mut self) -> Result<Option<&PacketBatch>, SourceError> {
+        static IDLE: PacketBatch = PacketBatch::new();
         Ok(match self.tick() {
-            flowrank_trace::ReplayTick::Due => SourcePoll::Chunk(self.take_window()),
-            flowrank_trace::ReplayTick::NotYet(_) => SourcePoll::Pending,
-            flowrank_trace::ReplayTick::Done => SourcePoll::End,
+            flowrank_trace::ReplayTick::Due => Some(self.take_window()),
+            flowrank_trace::ReplayTick::NotYet(_) => Some(&IDLE),
+            flowrank_trace::ReplayTick::Done => None,
         })
     }
 }
@@ -1080,7 +1036,7 @@ impl<K: ReportSink + ?Sized> ReportSink for &mut K {
 }
 
 /// Clones every report into a vector — the sink behind the owned-`Vec`
-/// compatibility entry points (`push`, `push_batch`, `run_batch`).
+/// entry point [`Monitor::run_batch`](crate::Monitor::run_batch).
 #[derive(Debug, Default, Clone)]
 pub struct Collect {
     /// The collected reports, in bin order.
@@ -1445,7 +1401,7 @@ impl DigestSink {
     }
 
     /// The offline, length-prefixed digest of a collected report stream —
-    /// the value `flowrank_sim::digest_reports` pins its golden files on.
+    /// the value the `flowrank_sim` conformance goldens pin.
     /// It folds the same per-report bytes as the streaming sink but prefixes
     /// the stream length (which a streaming sink cannot know), so its values
     /// differ from [`DigestSink::digest`] while pinning exactly as much.
@@ -1463,7 +1419,7 @@ impl DigestSink {
     ///
     /// A streaming sink cannot know the final stream length up front, so the
     /// count is folded at read time rather than as a prefix the way the
-    /// offline `flowrank_sim::digest_reports` does. The two digests
+    /// offline [`DigestSink::digest_reports`] does. The two digests
     /// therefore produce *different values* for the same stream but have the
     /// same discriminating power: two streams digest equal under either iff
     /// they have the same length and equal reports (up to 64-bit collision).
@@ -1579,6 +1535,11 @@ mod tests {
         packets
     }
 
+    /// What `monitor()` reports for an in-memory trace, as one batch.
+    fn run_records(packets: &[PacketRecord]) -> Vec<BinReport> {
+        monitor().run_batch(&PacketBatch::from_records(packets))
+    }
+
     fn monitor() -> Monitor {
         Monitor::builder()
             .sampler(SamplerSpec::Stratified { rate: 0.25 })
@@ -1592,7 +1553,7 @@ mod tests {
     #[test]
     fn drive_matches_run_trace_for_every_source_shape() {
         let packets = trace();
-        let baseline = monitor().run_trace(&packets);
+        let baseline = run_records(&packets);
         assert!(baseline.len() >= 2);
 
         let batch = PacketBatch::from_records(&packets);
@@ -1618,7 +1579,7 @@ mod tests {
         // records so both paths see the identical stream.
         let bytes = records_to_pcap_bytes(&packets).unwrap();
         let decoded = flowrank_net::pcap::pcap_bytes_to_records(&bytes).unwrap();
-        let baseline = monitor().run_trace(&decoded);
+        let baseline = run_records(&decoded);
 
         let mut sink = Collect::new();
         let mut source = PcapBytesSource::new(&bytes)
@@ -1652,13 +1613,13 @@ mod tests {
         let decoded = flowrank_net::pcap::pcap_bytes_to_records(&bytes).unwrap();
         let intact = &decoded[..bytes_summary.packets as usize];
         assert!(intact.len() < decoded.len());
-        assert_eq!(from_bytes.reports, monitor().run_trace(intact));
+        assert_eq!(from_bytes.reports, run_records(intact));
     }
 
     #[test]
     fn workload_stream_is_a_packet_source() {
         let workload = Workload::flash_crowd();
-        let baseline = monitor().run_trace(&workload.synthesize(7));
+        let baseline = run_records(&workload.synthesize(7));
         let mut sink = Collect::new();
         let summary = monitor().drive(&mut workload.stream(7), &mut sink);
         assert_eq!(sink.reports, baseline);
@@ -1668,7 +1629,7 @@ mod tests {
     #[test]
     fn rate_curve_aggregates_online() {
         let packets = trace();
-        let baseline = monitor().run_trace(&packets);
+        let baseline = run_records(&packets);
         let mut curve = RateCurve::new();
         let batch = PacketBatch::from_records(&packets);
         let mut source = Chunked::new(BatchSource::new(&batch), DEFAULT_CHUNK_PACKETS);
@@ -1697,7 +1658,7 @@ mod tests {
     #[test]
     fn digest_sink_matches_streamed_and_collected_paths() {
         let packets = trace();
-        let baseline = monitor().run_trace(&packets);
+        let baseline = run_records(&packets);
         let mut offline = DigestSink::new();
         for report in &baseline {
             offline.accept(report);
@@ -1737,7 +1698,7 @@ mod tests {
         let mut source = Chunked::new(BatchSource::new(&batch), DEFAULT_CHUNK_PACKETS);
         monitor().drive(&mut source, &mut tee);
         let Tee(Tee(collected, ndjson), csv) = tee;
-        let baseline = monitor().run_trace(&packets);
+        let baseline = run_records(&packets);
         assert_eq!(collected.reports, baseline);
 
         let ndjson = String::from_utf8(ndjson.finish().unwrap()).unwrap();
@@ -1770,7 +1731,7 @@ mod tests {
     #[test]
     fn drive_can_resume_a_partially_pushed_monitor() {
         let packets = trace();
-        let baseline = monitor().run_trace(&packets);
+        let baseline = run_records(&packets);
         let mut m = monitor();
         let mut sink = Collect::new();
         for p in &packets[..50] {
@@ -1819,56 +1780,58 @@ mod tests {
         assert!(source.try_next_chunk().unwrap().is_none(), "end of stream");
     }
 
-    /// Loops `next_chunk` (0), `try_next_chunk` (1) or `poll_chunk` (2) to the
-    /// end of the stream, or to the first idle poll of a `live` source. Returns
-    /// the timestamps, the malformed count, and whether a fatal error ended it.
-    fn pull(source: &mut dyn PacketSource, via: u8, live: bool) -> (Vec<u64>, u32, bool) {
-        use SourcePoll::{Chunk, End, Pending};
+    /// Loops `try_next_chunk` (`fallible`) or `next_chunk` to the end of the
+    /// stream, or to the first idle poll of a `live` source. Returns the
+    /// timestamps, the malformed count, and whether a fatal error ended it.
+    fn pull(source: &mut dyn PacketSource, fallible: bool, live: bool) -> (Vec<u64>, u32, bool) {
         let (mut seen, mut malformed) = (Vec::new(), 0);
         loop {
-            let polled = match via {
-                0 => Ok(source.next_chunk().map_or(End, Chunk)),
-                1 => source.try_next_chunk().map(|chunk| match chunk {
-                    Some(chunk) if chunk.is_empty() => Pending,
-                    chunk => chunk.map_or(End, Chunk),
-                }),
-                _ => source.poll_chunk(),
+            let polled = if fallible {
+                source.try_next_chunk()
+            } else {
+                Ok(source.next_chunk())
             };
             match polled {
-                Ok(Chunk(chunk)) => {
-                    assert!(!chunk.is_empty(), "idle is Pending, never a chunk");
-                    seen.extend_from_slice(chunk.ts_nanos());
+                Ok(Some(chunk)) if chunk.is_empty() => {
+                    assert!(fallible, "next_chunk never lends an empty batch");
+                    if live {
+                        return (seen, malformed, false);
+                    }
                 }
-                Ok(Pending) if !live => {}
-                Ok(_) => return (seen, malformed, false),
+                Ok(Some(chunk)) => seen.extend_from_slice(chunk.ts_nanos()),
+                Ok(None) => return (seen, malformed, false),
                 Err(error) if error.is_recoverable() => malformed += 1,
                 Err(_) => {
-                    assert!(source.poll_chunk().is_err(), "a fatal error stays latched");
+                    let latched = source.try_next_chunk().is_err();
+                    assert!(latched, "a fatal error stays latched");
                     return (seen, malformed, true);
                 }
             }
         }
     }
 
-    /// All three methods yield the same packets, whose timestamps are
-    /// returned. `faults` is what the fallible two surface on the way:
-    /// malformed records, and whether a fatal error ends the stream — after
-    /// the packets before it.
+    /// Both methods yield the same packets, whose timestamps are returned.
+    /// `faults` is what `try_next_chunk` surfaces on the way: malformed
+    /// records, and whether a fatal error ends the stream — after the
+    /// packets before it.
     fn agree<S: PacketSource>(
         name: &str,
         make: impl Fn() -> S,
         live: bool,
         faults: (u32, bool),
     ) -> Vec<u64> {
-        let polled = pull(&mut make(), 2, live);
+        let polled = pull(&mut make(), true, live);
         assert!(!polled.0.is_empty(), "{name}: packets flow");
-        assert_eq!((polled.1, polled.2), faults, "{name}: poll_chunk");
-        assert_eq!(pull(&mut make(), 1, live), polled, "{name}: try_next_chunk");
-        // Where the polls idle `next_chunk` waits for more, so it cannot be
+        assert_eq!((polled.1, polled.2), faults, "{name}: try_next_chunk");
+        // Where the poll idles `next_chunk` waits for more, so it cannot be
         // looped on a live source.
         if !live {
             let lenient = (polled.0.clone(), 0, false);
-            assert_eq!(pull(&mut make(), 0, live), lenient, "{name}: next_chunk");
+            assert_eq!(
+                pull(&mut make(), false, live),
+                lenient,
+                "{name}: next_chunk"
+            );
         }
         polled.0
     }
@@ -1890,7 +1853,7 @@ mod tests {
         oversized.extend_from_slice(&[0; 8]);
         oversized.extend_from_slice(&(100u32 << 20).to_le_bytes());
         oversized.extend_from_slice(&(100u32 << 20).to_le_bytes());
-        let file = format!("flowrank-three-methods-{}.pcap", std::process::id());
+        let file = format!("flowrank-two-methods-{}.pcap", std::process::id());
         let file = std::env::temp_dir().join(file);
         let tail = |follow| {
             let tail = PcapTailSource::open(&file).unwrap();
@@ -1946,7 +1909,8 @@ mod tests {
         };
         agree("channel", || channel(false), false, (1, false));
         agree("channel, live", || channel(true), true, (1, false));
-        // A replay's `try_next_chunk` is the trait default over `next_chunk`.
+        // A replay's `try_next_chunk` idles until a window is due, where its
+        // `next_chunk` sleeps.
         let replay = || PacedReplay::new(Workload::flash_crowd().stream(7), 1e6);
         agree("replay", replay, false, (0, false));
     }
@@ -2452,7 +2416,7 @@ mod tests {
             let reader = io::BufReader::with_capacity(300, Fragments::new(&feed, cuts));
             let mut source = NdjsonRecordSource::new(reader);
             assert_eq!(
-                pull(&mut source, 1, false),
+                pull(&mut source, true, false),
                 (packets, bad, false),
                 "seed {seed}"
             );
@@ -2504,7 +2468,7 @@ mod tests {
             })
             .collect();
         let capture = records_to_pcap_bytes(&records).unwrap();
-        let expected = pull(&mut PcapBytesSource::new(&capture).unwrap(), 1, false).0;
+        let expected = pull(&mut PcapBytesSource::new(&capture).unwrap(), true, false).0;
         assert_eq!(expected.len(), records.len());
         // A few read quanta plus one record (16-byte header, 74-byte frame),
         // with room for `Vec`'s amortised growth — a small fraction of the
@@ -2555,10 +2519,7 @@ mod tests {
 
     #[test]
     fn writer_sink_emit_classifies_transient_and_permanent_failures() {
-        let report = {
-            let mut m = monitor();
-            m.push_batch(&PacketBatch::from_records(&trace())).remove(0)
-        };
+        let report = run_records(&trace()).remove(0);
 
         // Transient: emit errors but does NOT latch — the retry succeeds.
         // (TimedOut, not Interrupted: `write_all` swallows Interrupted by

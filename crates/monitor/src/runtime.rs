@@ -27,7 +27,7 @@
 //! [`DISPATCH_CHUNK_PACKETS`] packets, when a bin seal needs everything
 //! before it observed, or when the caller is about to wait for a sealed
 //! bin's report (the pool may as well start on the next bin meanwhile). A
-//! one-packet `push` is therefore a column append, and a whole-bin batch is
+//! one-record batch is therefore a column append, and a whole-bin batch is
 //! cut into full buffers. Each worker owns its [`LaneShard`] by value — the
 //! caller never touches a shard or a lane, so nothing on the packet path is
 //! locked.
@@ -64,9 +64,9 @@
 //! # Ordering and shutdown
 //!
 //! The out queue is unbounded and FIFO, so the sink sees every bin exactly
-//! once in bin order; the caller drains it before every `push_batch` /
-//! `finish` call returns, which is what keeps the synchronous API contract
-//! ("`push` returns the bins it closed") intact. On drop the runtime
+//! once in bin order; the caller drains it before every `push_batch_into` /
+//! `finish_into` call returns, which is what keeps the synchronous API
+//! contract ("a push delivers the bins it closed") intact. On drop the runtime
 //! enqueues one `Shutdown` behind whatever is in flight, joins every worker,
 //! and then joins the sequencer — no detached threads, even when the
 //! monitor is dropped mid-bin (packets still in the unshipped buffer are
@@ -569,7 +569,7 @@ impl PipelinedRuntime {
     }
 
     /// Blocks until every dispatched seal's report has reached the sink —
-    /// the tail barrier that keeps `push_batch` synchronous: all bins a
+    /// the tail barrier that keeps `push_batch_into` synchronous: all bins a
     /// call closed are delivered before it returns. Before it waits it ships
     /// what is buffered — the packets after the last seal — so the workers
     /// run on into the next bin instead of idling until the caller is back.

@@ -17,8 +17,8 @@
 //! The representation is **lossless**: [`PacketBatch::record`] reconstructs
 //! a `PacketRecord` equal to the one pushed (protocol numbers are
 //! canonicalised exactly as [`crate::flowkey::Protocol`] equality already
-//! does), which is what lets the streaming monitor treat `push(&packet)` as
-//! a one-element batch with bit-identical results.
+//! does), which is what lets the streaming monitor take a one-record batch
+//! as a per-packet push with bit-identical results.
 //!
 //! Like the flow tables, a batch recycles its allocations across
 //! [`PacketBatch::clear`] calls, so one reusable batch can carry an entire
@@ -49,9 +49,15 @@ pub struct PacketBatch {
 }
 
 impl PacketBatch {
-    /// Creates an empty batch.
-    pub fn new() -> Self {
-        Self::default()
+    /// Creates an empty batch; `const`, so an empty batch can be a
+    /// `static` a source lends for an idle poll.
+    pub const fn new() -> Self {
+        PacketBatch {
+            ts_nanos: Vec::new(),
+            keys: Vec::new(),
+            lengths: Vec::new(),
+            tcp_seqs: Vec::new(),
+        }
     }
 
     /// Creates an empty batch with room for `n` packets in every column.

@@ -247,11 +247,6 @@ impl<K: FlowKey> FlowTable<K> {
         ranked
     }
 
-    /// Returns the sizes (in packets) of all flows, unordered.
-    pub fn packet_counts(&self) -> Vec<u64> {
-        self.flows.values().map(|s| s.packets).collect()
-    }
-
     /// Removes all flows and resets the totals (start of a new measurement
     /// bin in the paper's "binning" methodology). The allocation is kept,
     /// so the next bin classifies into warm memory.
@@ -418,19 +413,6 @@ mod tests {
         assert_eq!(table.flow_count(), 0);
         assert_eq!(table.total_packets(), 0);
         assert_eq!(table.total_bytes, 0);
-    }
-
-    #[test]
-    fn packet_counts_unordered_contents() {
-        let mut table: FlowTable<FiveTuple> = FlowTable::new();
-        for (host, count) in [(1u8, 4usize), (2, 2)] {
-            for i in 0..count {
-                table.observe(&packet(host, host, 80, 500, i as f64));
-            }
-        }
-        let mut counts = table.packet_counts();
-        counts.sort_unstable();
-        assert_eq!(counts, vec![2, 4]);
     }
 
     #[test]

@@ -41,7 +41,8 @@
 //! batched entry point ([`PacketSampler::keep_batch`]) shares each
 //! sampler's state with the per-packet path, so cutting a stream into
 //! batches of any size never changes the decisions — the contract the
-//! streaming monitor's `push`/`push_batch` equivalence rides on.
+//! streaming monitor's chunking invariance (one record per batch or a whole
+//! trace, the same reports) rides on.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

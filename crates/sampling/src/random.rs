@@ -17,8 +17,8 @@
 //! [`PacketBatch`] the sampler indexes straight to the retained positions
 //! (`keep_batch`), so per-lane cost is `O(p·n)` instead of `O(n)`; the
 //! per-packet [`PacketSampler::keep`] entry point drives the same gap
-//! counter, which is what keeps streaming (`push`) and batched
-//! (`push_batch`) monitors bit-identical.
+//! counter, which is what keeps a monitor fed one record per batch and one
+//! fed whole batches bit-identical.
 //!
 //! A geometric draw pays an `ln()`, so it only wins while keeps are rare;
 //! at rates of `SKIP_RATE_CEILING` (1-in-8) and above the sampler flips

@@ -5,8 +5,8 @@
 //! [`listen`] binds a TCP port and pumps newline-delimited JSON records
 //! from accepted connections into a
 //! [`ChannelSource`] — the non-blocking
-//! packet source whose `poll_chunk`/`Pending` contract lets the drive loop
-//! idle politely (counted idle polls, stall detection) while the socket is
+//! packet source whose idle poll (an empty chunk) lets the drive loop idle
+//! politely (counted idle polls, stall detection) while the socket is
 //! quiet.
 //!
 //! Each connection is read through the stdin path's source,
@@ -80,8 +80,8 @@ fn pump(
         match listener.accept() {
             Ok((stream, _peer)) => {
                 // Within a connection reads block: records arrive when the
-                // exporter sends them, and the drive side idles on
-                // `Pending` meanwhile.
+                // exporter sends them, and the drive side's polls idle
+                // meanwhile.
                 if stream.set_nonblocking(false).is_err() {
                     continue;
                 }
@@ -120,7 +120,6 @@ fn pump_connection(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flowrank_monitor::SourcePoll;
     use std::io::Write;
 
     fn poll_until<T>(
@@ -147,9 +146,9 @@ mod tests {
         let mut deliver = |line: &[u8]| {
             client.write_all(line).expect("send");
             client.flush().expect("flush");
-            poll_until(&mut source, |source| match source.poll_chunk() {
-                Ok(SourcePoll::Chunk(batch)) => Some(Ok(batch.len())),
-                Ok(SourcePoll::Pending) => None,
+            poll_until(&mut source, |source| match source.try_next_chunk() {
+                Ok(Some(batch)) if batch.is_empty() => None,
+                Ok(Some(batch)) => Some(Ok(batch.len())),
                 Err(error) => Some(Err(error)),
                 other => panic!("unexpected poll: {other:?}"),
             })
@@ -166,9 +165,9 @@ mod tests {
         // Raising stop ends the stream once the pump notices.
         drop(client);
         stop.store(true, Ordering::Release);
-        let ended = poll_until(&mut source, |source| match source.poll_chunk() {
-            Ok(SourcePoll::End) => Some(true),
-            Ok(SourcePoll::Pending) => None,
+        let ended = poll_until(&mut source, |source| match source.try_next_chunk() {
+            Ok(None) => Some(true),
+            Ok(Some(batch)) if batch.is_empty() => None,
             other => panic!("unexpected poll: {other:?}"),
         });
         assert!(ended);
@@ -199,11 +198,8 @@ mod tests {
         client.write_all(feed.as_bytes()).expect("send");
         let mut seen = Vec::new();
         poll_until(&mut source, |source| {
-            match source.poll_chunk() {
-                Ok(SourcePoll::Chunk(chunk)) => {
-                    seen.extend(chunk.ts_nanos().iter().map(|ts| Some(*ts)))
-                }
-                Ok(SourcePoll::Pending) => {}
+            match source.try_next_chunk() {
+                Ok(Some(chunk)) => seen.extend(chunk.ts_nanos().iter().map(|ts| Some(*ts))),
                 Err(error) if error.is_recoverable() => seen.push(None),
                 other => panic!("unexpected poll: {other:?}"),
             }
@@ -267,14 +263,14 @@ mod tests {
         // Once it drains everything arrives, in order, never further ahead.
         let mut taken = 0;
         loop {
-            match source.poll_chunk() {
-                Ok(SourcePoll::Chunk(chunk)) => {
+            match source.try_next_chunk() {
+                Ok(Some(chunk)) if chunk.is_empty() => std::thread::yield_now(),
+                Ok(Some(chunk)) => {
                     assert_eq!(chunk.ts_nanos(), [taken as u64 * 1_000_000_000]);
                     taken += 1;
                     assert!(lines_read.load(Ordering::SeqCst) <= taken + QUEUE_DEPTH + 1);
                 }
-                Ok(SourcePoll::Pending) => std::thread::yield_now(),
-                Ok(SourcePoll::End) => break,
+                Ok(None) => break,
                 Err(error) => panic!("unexpected error: {error:?}"),
             }
         }

@@ -1,11 +1,12 @@
 //! Differential conformance across every execution path of the pipeline.
 //!
 //! The workspace keeps three ways of driving a monitor over the same trace
-//! — per-packet [`Monitor::push`], batched [`Monitor::push_batch`] (whole
-//! or chunked arbitrarily) and the pipelined worker runtime behind
-//! `threads(n)` (driven both through buffered `run_batch` and through
-//! `Monitor::drive` over irregularly chunked sources, with chunks both
-//! smaller and larger than the runtime's segment buffers) — plus the
+//! — [`Monitor::push_batch_into`] one record per call, batches of any cut
+//! (one whole batch through [`Monitor::run_batch`], or chunked
+//! arbitrarily) and the pipelined worker runtime behind `threads(n)`
+//! (driven both through `run_batch` and through `Monitor::drive` over
+//! irregularly chunked sources, with chunks both smaller and larger than
+//! the runtime's segment buffers) — plus the
 //! independent per-packet oracle `crate::engine::run_bin`, which shares
 //! nothing with the monitor but the ranked truth (it scores with the dense
 //! `compare_with`, the monitor with the sparse kernel), and promises they
@@ -19,10 +20,11 @@
 //! drives each through a different ingestion path — including the
 //! source/sink pipeline (`Monitor::drive` over a whole-batch source and
 //! over the re-chunking adapter, with the streaming [`DigestSink`]
-//! accumulating alongside) — asserts that every [`BinReport`] agrees byte
-//! for byte, replays each bin through the oracle for the same seed,
-//! and returns the [`digest_reports`] hash of the reference stream. The
-//! digest folds every observable field — bin indices, packet/flow counts,
+//! accumulating alongside) — asserts that every
+//! [`BinReport`](flowrank_monitor::BinReport) agrees byte for byte, replays
+//! each bin through the oracle for the same seed, and returns the
+//! [`DigestSink::digest_reports`] hash of the reference stream. The digest
+//! folds every observable field — bin indices, packet/flow counts,
 //! lane outcomes, top-k entries — through FNV-1a, using only integer
 //! arithmetic and explicit `f64::to_bits`, so it is stable across
 //! platforms, optimisation levels and thread counts.
@@ -32,8 +34,7 @@
 //! chunkings down to single packets.
 
 use flowrank_monitor::{
-    BatchSource, BinReport, Chunked, Collect, DigestSink, Monitor, ReportSink, SamplerSpec, Tee,
-    TopKSpec,
+    BatchSource, Chunked, Collect, DigestSink, Monitor, ReportSink, SamplerSpec, Tee, TopKSpec,
 };
 use flowrank_net::{FlowDefinition, PacketBatch, PacketRecord, Timestamp};
 use flowrank_stats::rng::{Pcg64, SeedableRng};
@@ -98,49 +99,55 @@ impl ConformanceConfig {
 }
 
 /// Runs `packets` through every execution path under `config`, asserts all
-/// paths produce bit-identical [`BinReport`] streams (and that each bin
-/// matches the independent per-packet oracle, `engine::run_bin`), and
-/// returns the reference stream's [`digest_reports`] value.
+/// paths produce bit-identical [`BinReport`](flowrank_monitor::BinReport)
+/// streams (and that each bin matches the independent per-packet oracle,
+/// `engine::run_bin`), and returns the reference stream's
+/// [`DigestSink::digest_reports`] value.
 ///
 /// # Panics
 ///
 /// Panics (with `label` in the message) on the first divergence between any
 /// two paths — that is the test failure mode the harness exists for.
 pub fn run_conformance(label: &str, packets: &[PacketRecord], config: &ConformanceConfig) -> u64 {
-    // Reference: packet-by-packet push.
+    // Reference: one record per call.
     let mut pushed = config.monitor(1);
-    let mut reference = Vec::new();
+    let mut reference = Collect::new();
+    let mut one = PacketBatch::with_capacity(1);
     for packet in packets {
-        reference.extend(pushed.push(packet));
+        one.clear();
+        one.push_record(packet);
+        pushed.push_batch_into(&one, &mut reference);
     }
-    reference.extend(pushed.finish());
+    pushed.finish_into(&mut reference);
+    let reference = reference.reports;
 
     // One batch covering the whole trace.
     let batch = PacketBatch::from_records(packets);
     let whole = config.monitor(1).run_batch(&batch);
     assert_eq!(
         whole, reference,
-        "{label}: whole-trace push_batch diverged from per-packet push"
+        "{label}: whole-trace run_batch diverged from per-packet push"
     );
 
     // Irregular batch cuts, including single-packet batches.
     let mut chunked_monitor = config.monitor(1);
-    let mut chunked = Vec::new();
+    let mut chunked = Collect::new();
     let mut start = 0usize;
     for piece in CHUNK_PIECES {
         let end = packets.len().min(start.saturating_add(piece));
-        chunked
-            .extend(chunked_monitor.push_batch(&PacketBatch::from_records(&packets[start..end])));
+        let cut = PacketBatch::from_records(&packets[start..end]);
+        chunked_monitor.push_batch_into(&cut, &mut chunked);
         start = end;
         if start == packets.len() {
             break;
         }
     }
-    chunked.extend(chunked_monitor.push_batch(&PacketBatch::from_records(&packets[start..])));
-    chunked.extend(chunked_monitor.finish());
+    let rest = PacketBatch::from_records(&packets[start..]);
+    chunked_monitor.push_batch_into(&rest, &mut chunked);
+    chunked_monitor.finish_into(&mut chunked);
     assert_eq!(
-        chunked, reference,
-        "{label}: chunked push_batch diverged from per-packet push"
+        chunked.reports, reference,
+        "{label}: chunked push_batch_into diverged from per-packet push"
     );
 
     // The sharded leg: whole-bin segments fan out across worker threads.
@@ -155,8 +162,8 @@ pub fn run_conformance(label: &str, packets: &[PacketRecord], config: &Conforman
     // The drive leg: the same batch through the source/sink pipeline, with
     // the streaming digest accumulated alongside a collecting sink, and once
     // more through the re-chunking adapter — drive must be a pure chunking
-    // of push_batch, and the streaming digest a pure function of the report
-    // stream.
+    // of push_batch_into, and the streaming digest a pure function of the
+    // report stream.
     let mut driven = Tee(DigestSink::new(), Collect::new());
     config
         .monitor(1)
@@ -281,27 +288,7 @@ pub fn run_conformance(label: &str, packets: &[PacketRecord], config: &Conforman
         );
     }
 
-    digest_reports(&reference)
-}
-
-/// Computes the stable 64-bit digest of a collected [`BinReport`] stream
-/// that the golden files pin.
-///
-/// Every field that [`run_conformance`] pins across execution paths is
-/// folded in — bin index and start, packet and flow counts, and per lane
-/// the rate (as IEEE bits), run index, sampler name, sampled sizes, the
-/// full [`flowrank_monitor::ComparisonOutcome`] and, when present, the
-/// top-k backend name, memory occupancy and entry list (packed keys and
-/// estimates). Two report streams digest equal iff they are equal on all
-/// of those fields, up to 64-bit collision.
-///
-/// The per-report fold lives in [`flowrank_monitor::DigestSink`], whose
-/// streaming [`DigestSink::digest`] produces different *values* (the stream
-/// length is folded at the end instead of as a prefix) with the same
-/// discriminating power; this function is the length-prefixed offline form
-/// the committed goldens were recorded with.
-pub fn digest_reports(reports: &[BinReport]) -> u64 {
-    DigestSink::digest_reports(reports)
+    DigestSink::digest_reports(&reference)
 }
 
 /// Chunk sizes of the streamed-workload legs: single packets, a prime that
@@ -316,9 +303,9 @@ const STREAM_CHUNKS: [usize; 3] = [1, 463, 8192];
 /// on the fully materialised [`Workload::synthesize`] trace, even though
 /// the streamed synthesis never holds more than one window of packets.
 ///
-/// Returns the reference stream's offline [`digest_reports`] value (the
-/// same value [`run_conformance`] returns for the materialised trace), so
-/// callers can additionally pin it against a golden.
+/// Returns the reference stream's offline [`DigestSink::digest_reports`]
+/// value (the same value [`run_conformance`] returns for the materialised
+/// trace), so callers can additionally pin it against a golden.
 ///
 /// # Panics
 ///
@@ -372,7 +359,7 @@ pub fn run_streamed_conformance(
         );
     }
 
-    digest_reports(&reference)
+    DigestSink::digest_reports(&reference)
 }
 
 #[cfg(test)]
@@ -404,21 +391,21 @@ mod tests {
         let packets = Workload::rank_churn().synthesize(1);
         let config = ConformanceConfig::default();
         let mut monitor = config.monitor(1);
-        let reports = monitor.run_trace(&packets);
+        let reports = monitor.run_batch(&PacketBatch::from_records(&packets));
         assert!(reports.len() >= 2);
-        let digest = digest_reports(&reports);
+        let digest = DigestSink::digest_reports(&reports);
         assert_eq!(
             digest,
-            digest_reports(&reports),
+            DigestSink::digest_reports(&reports),
             "digest is a pure function"
         );
         let mut reversed = reports.clone();
         reversed.reverse();
-        assert_ne!(digest, digest_reports(&reversed));
+        assert_ne!(digest, DigestSink::digest_reports(&reversed));
         let mut tweaked = reports.clone();
         tweaked[0].packets += 1;
-        assert_ne!(digest, digest_reports(&tweaked));
-        assert_ne!(digest, digest_reports(&reports[1..]));
+        assert_ne!(digest, DigestSink::digest_reports(&tweaked));
+        assert_ne!(digest, DigestSink::digest_reports(&reports[1..]));
     }
 
     #[test]
@@ -448,6 +435,6 @@ mod tests {
     #[test]
     fn empty_trace_digest_is_stable() {
         let digest = run_conformance("empty", &[], &ConformanceConfig::default());
-        assert_eq!(digest, digest_reports(&[]));
+        assert_eq!(digest, DigestSink::digest_reports(&[]));
     }
 }

@@ -80,8 +80,8 @@ pub(crate) fn run_bin<S: PacketSampler + ?Sized>(
 }
 
 /// One random-sampling run of `run_bin` at rate `p` with a fresh RNG derived
-/// from `seed` — the form the `streaming_equivalence` suite compares
-/// `Monitor::push` against.
+/// from `seed` — the form the `streaming_equivalence` suite compares the
+/// monitor against.
 pub fn run_bin_random_sampling(
     packets: &[PacketRecord],
     flow_definition: FlowDefinition,

@@ -22,8 +22,9 @@
 //!   method does): what the conformance and equivalence suites feed the
 //!   oracle with — the monitor cuts its own bins.
 //! * [`conformance`] — the differential harness that drives one
-//!   configuration through every execution path (`push`, `push_batch` whole
-//!   and chunked, pipelined `threads(n)`) and through the oracle, asserts
+//!   configuration through every execution path (`push_batch_into` one
+//!   record per call and chunked, `run_batch`, `drive`, `try_drive`,
+//!   pipelined `threads(n)`) and through the oracle, asserts
 //!   bit-identical reports and condenses the stream into a stable golden
 //!   digest.
 //! * [`convergence`] — the closed-loop harness: drives a
@@ -35,7 +36,7 @@
 //!   `GroundTruthRanking` with the monitor, and scores with its dense
 //!   definition where the monitor runs the sparse kernel), crate-private
 //!   but for [`engine::run_bin_random_sampling`], which the
-//!   `streaming_equivalence` suite compares `Monitor::push` against.
+//!   `streaming_equivalence` suite compares the monitor against.
 //! * [`experiment`] — multi-run, multi-bin experiments: one fanned-out
 //!   monitor driven over the trace once, its per-bin reports folded into
 //!   mean ± std series.
@@ -61,9 +62,7 @@ pub mod grids;
 pub mod report;
 pub mod scenarios;
 
-pub use conformance::{
-    digest_reports, run_conformance, run_streamed_conformance, ConformanceConfig,
-};
+pub use conformance::{run_conformance, run_streamed_conformance, ConformanceConfig};
 pub use convergence::{run_convergence, ConvergenceConfig, ConvergencePoint, ConvergenceResult};
 pub use experiment::{ExperimentConfig, ExperimentResult, TraceExperiment};
 pub use faults::{FaultPlan, FaultySink, FaultySource, InjectedFaults, SinkFault, SourceFault};

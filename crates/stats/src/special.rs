@@ -251,30 +251,6 @@ fn ln_upper_gamma_cf(a: f64, x: f64) -> f64 {
     upper_gamma_cf(a, x).ln()
 }
 
-/// Log-sum-exp of two log-domain values: `ln(e^a + e^b)` without overflow.
-pub fn log_add_exp(a: f64, b: f64) -> f64 {
-    if a == f64::NEG_INFINITY {
-        return b;
-    }
-    if b == f64::NEG_INFINITY {
-        return a;
-    }
-    let (hi, lo) = if a > b { (a, b) } else { (b, a) };
-    hi + (lo - hi).exp().ln_1p()
-}
-
-/// Log-sum-exp over a slice of log-domain values.
-///
-/// Returns `f64::NEG_INFINITY` for an empty slice (the log of an empty sum).
-pub fn log_sum_exp(values: &[f64]) -> f64 {
-    let max = values.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-    if max == f64::NEG_INFINITY {
-        return f64::NEG_INFINITY;
-    }
-    let sum: f64 = values.iter().map(|&v| (v - max).exp()).sum();
-    max + sum.ln()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -405,26 +381,5 @@ mod tests {
         assert!(gamma_q(1.0, -1.0).is_nan());
         // Exponential CDF: P(1, x) = 1 - e^{-x}
         assert_close(gamma_p(1.0, 2.0), 1.0 - (-2.0_f64).exp(), 1e-13);
-    }
-
-    #[test]
-    fn log_add_exp_basics() {
-        assert_close(log_add_exp(0.0, 0.0), 2.0_f64.ln(), 1e-14);
-        assert_close(log_add_exp(f64::NEG_INFINITY, 3.0), 3.0, 1e-14);
-        assert_close(log_add_exp(3.0, f64::NEG_INFINITY), 3.0, 1e-14);
-        // Values of very different magnitude.
-        assert_close(log_add_exp(-1000.0, 0.0), 0.0, 1e-12);
-    }
-
-    #[test]
-    fn log_sum_exp_slice() {
-        assert_eq!(log_sum_exp(&[]), f64::NEG_INFINITY);
-        let vals = [0.0, 1.0_f64.ln(), 2.0_f64.ln()];
-        assert_close(log_sum_exp(&vals), 4.0_f64.ln(), 1e-13);
-        // All -inf stays -inf.
-        assert_eq!(
-            log_sum_exp(&[f64::NEG_INFINITY, f64::NEG_INFINITY]),
-            f64::NEG_INFINITY
-        );
     }
 }

@@ -9,9 +9,10 @@
 //!    packet streams. A [`flowrank_monitor::Monitor`] is configured once
 //!    through its fluent builder (flow definition, a runtime-selected
 //!    sampler, bin length, top-t, seed, and a fan-out of independent runs
-//!    per sampling rate), then driven with `monitor.push(&packet)` per
-//!    packet; it classifies ground truth once per bin, samples every lane,
-//!    and emits a `BinReport` whenever a bin closes:
+//!    per sampling rate), then driven from a packet source into a report
+//!    sink with `monitor.drive(&mut source, &mut sink)`; it classifies
+//!    ground truth once per bin, samples every lane, and hands the sink a
+//!    `BinReport` whenever a bin closes:
 //!
 //!    ```no_run
 //!    use flowrank_monitor::{Monitor, SamplerSpec};

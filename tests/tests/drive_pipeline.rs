@@ -3,7 +3,7 @@
 //! matrix.
 //!
 //! `scenario_conformance.rs` pins every cell of the full matrix through the
-//! push / push_batch / sharded / legacy / whole-batch-drive legs. This suite
+//! one-record / batched / sharded / oracle / whole-batch-drive legs. This suite
 //! adds the leg those cells cannot cover: `Monitor::drive` over a **streamed
 //! workload source** (`Workload::stream`, windowed synthesis, no
 //! materialised trace) with a streaming digest sink, re-chunked down to

@@ -5,7 +5,7 @@
 //! parser bows out of (IP options, ICMP, short UDP), on which the zero-copy
 //! batch decoder and the record reader must agree exactly.
 
-use flowrank_monitor::{Monitor, SamplerSpec};
+use flowrank_monitor::{BatchSource, Chunked, Collect, Monitor, SamplerSpec};
 use flowrank_net::pcap::{
     pcap_bytes_to_batch, pcap_bytes_to_records, records_to_pcap_bytes, PcapBatchCursor, PcapReader,
     PcapWriter,
@@ -49,11 +49,11 @@ fn pcap_export_import_stream_rank() {
         .top_t(10)
         .seed(1)
         .build();
-    let mut reports = Vec::new();
-    for record in &records {
-        reports.extend(monitor.push(record));
-    }
-    reports.extend(monitor.finish());
+    // One record per chunk, as a tap would hand them over.
+    let batch = PacketBatch::from_records(&records);
+    let mut reports = Collect::new();
+    monitor.drive(&mut Chunked::new(BatchSource::new(&batch), 1), &mut reports);
+    let reports = reports.reports;
     assert_eq!(reports.len(), 1);
     let report = &reports[0];
     assert_eq!(report.packets, written);

@@ -1,7 +1,7 @@
 //! The full conformance matrix: every catalog scenario × every sampler ×
 //! every top-k backend, each cell driven through every execution path
-//! (per-packet `push`, whole and chunked `push_batch`, sharded `threads(n)`,
-//! the independent `run_bin` oracle) with bit-identical reports — plus a
+//! (one-record `push_batch_into` calls, whole and chunked batches, `drive`,
+//! `try_drive`, sharded `threads(n)`, the independent `run_bin` oracle) with bit-identical reports — plus a
 //! committed golden digest per cell, so a refactor that silently changes
 //! *results* (not just paths disagreeing with each other) fails loudly.
 //!

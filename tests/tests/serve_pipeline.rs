@@ -15,7 +15,7 @@ use std::time::Duration;
 
 use flowrank_monitor::{
     BatchSource, ChannelSource, DigestSink, DrivePolicy, Monitor, NdjsonRecordSource, PacketSource,
-    PcapTailSource, SamplerSpec, SourceError, SourcePoll, StopGate, TopKSpec,
+    PcapTailSource, SamplerSpec, SourceError, StopGate, TopKSpec,
 };
 use flowrank_net::pcap::records_to_pcap_bytes;
 use flowrank_net::{PacketBatch, PacketRecord, Timestamp};
@@ -97,6 +97,36 @@ fn paced_replay_drive_is_bit_identical_to_the_direct_stream_drive() {
 }
 
 #[test]
+fn paced_replay_polls_idle_instead_of_sleeping() {
+    // Two 60 s windows at 60 trace-seconds a wall-second: once the first is
+    // taken the second is about a second away, and the poll answers idle
+    // (an empty chunk) at once instead of sleeping until it is due. A paced
+    // serving drive idles between the windows and reports exactly what the
+    // unpaced stream does.
+    let workload = Workload::HeavyTail {
+        alpha: 1.5,
+        flow_rate: 20.0,
+        duration_secs: 65.0,
+    };
+    let mut replay = PacedReplay::new(workload.stream(3), 60.0);
+    let first = replay.try_next_chunk().expect("a replay cannot fail");
+    assert!(first.is_some_and(|w| !w.is_empty()), "due at once");
+    let polled = std::time::Instant::now();
+    let second = replay.try_next_chunk().expect("a replay cannot fail");
+    assert_eq!(second.map(PacketBatch::len), Some(0), "not due yet: idle");
+    assert!(polled.elapsed().as_millis() < 200, "never sleeps");
+
+    let mut reference = DigestSink::new();
+    monitor(DrivePolicy::strict()).drive(&mut workload.stream(3), &mut reference);
+    let mut sink = DigestSink::new();
+    let stats = monitor(serving_policy())
+        .try_drive(&mut PacedReplay::new(workload.stream(3), 60.0), &mut sink)
+        .expect("paced replay completes");
+    assert!(stats.idle_polls > 0, "the drive idles between the windows");
+    assert_eq!(sink.digest(), reference.digest());
+}
+
+#[test]
 fn pcap_tail_source_follows_a_growing_capture() {
     // A writer that lands the capture in arbitrary byte-level pieces —
     // including a cut inside a record header and one inside a payload. The
@@ -130,13 +160,13 @@ fn pcap_tail_source_follows_a_growing_capture() {
         file.flush().unwrap();
         written = cut;
         loop {
-            match tail.poll_chunk().expect("valid capture never faults") {
-                SourcePoll::Chunk(chunk) => {
+            match tail.try_next_chunk().expect("valid capture never faults") {
+                Some(chunk) if chunk.is_empty() => break,
+                Some(chunk) => {
                     let len = chunk.len();
                     total.extend_from_batch(chunk, 0..len);
                 }
-                SourcePoll::Pending => break,
-                SourcePoll::End => panic!("a follow-mode tail never ends"),
+                None => panic!("a follow-mode tail never ends"),
             }
         }
     }
@@ -231,13 +261,13 @@ fn ndjson_feed_matches_the_batch_drive_and_skips_malformed_lines() {
 fn channel_source_is_pollable_and_ends_when_senders_drop() {
     let (sender, receiver) = std::sync::mpsc::sync_channel(1);
     let mut source = ChannelSource::new(receiver);
-    assert!(matches!(source.poll_chunk(), Ok(SourcePoll::Pending)));
+    assert!(matches!(source.try_next_chunk(), Ok(Some(idle)) if idle.is_empty()));
 
     let mut batch = PacketBatch::new();
     batch.push_record(&tcp_record(0));
     sender.send(Ok(batch)).unwrap();
-    match source.poll_chunk() {
-        Ok(SourcePoll::Chunk(chunk)) => assert_eq!(chunk.len(), 1),
+    match source.try_next_chunk() {
+        Ok(Some(chunk)) => assert_eq!(chunk.len(), 1),
         other => panic!("expected the sent chunk, got {other:?}"),
     }
 
@@ -250,12 +280,12 @@ fn channel_source_is_pollable_and_ends_when_senders_drop() {
         )))
         .unwrap();
     assert!(matches!(
-        source.poll_chunk(),
+        source.try_next_chunk(),
         Err(SourceError::Malformed(_))
     ));
 
     drop(sender);
-    assert!(matches!(source.poll_chunk(), Ok(SourcePoll::End)));
+    assert!(matches!(source.try_next_chunk(), Ok(None)));
 }
 
 #[test]

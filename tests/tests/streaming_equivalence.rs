@@ -1,27 +1,27 @@
-//! Streaming/batch equivalence: the same trace and seed pushed through
-//! `Monitor::push` and run through the independent per-packet oracle
-//! (`flowrank_sim::engine::run_bin_random_sampling`: own flow tables, one
-//! `keep` per packet, no `Monitor`) must produce bit-identical
-//! `ComparisonOutcome`s, for both flow definitions.
+//! Streaming/batch equivalence: the same trace and seed pushed one record
+//! per `Monitor::push_batch_into` call and run through the independent
+//! per-packet oracle (`flowrank_sim::engine::run_bin_random_sampling`: own
+//! flow tables, one `keep` per packet, no `Monitor`) must produce
+//! bit-identical `ComparisonOutcome`s, for both flow definitions.
 //!
 //! The streaming pipeline is not "approximately" the per-bin batch
 //! computation, it *is* that computation, minus the redundant per-run
 //! ground-truth reclassifications.
 //!
-//! Since the SoA `PacketBatch` redesign the contract has a third leg:
-//! `Monitor::push_batch` must produce bit-identical `BinReport`s to `push`
-//! for **any** way of cutting the stream into batches (including the
-//! sharded/threads configuration), because `push` *is* a one-element
-//! `push_batch` and every sampler's per-packet and batch paths share state.
+//! Since the SoA `PacketBatch` redesign the contract has a third leg: the
+//! monitor must produce bit-identical `BinReport`s for **any** way of
+//! cutting the stream into batches, down to one record each (including the
+//! sharded/threads configuration), because every sampler's per-packet and
+//! batch paths share state.
 
-use flowrank_monitor::{Monitor, SamplerSpec};
-use flowrank_net::{FlowDefinition, PacketBatch, Timestamp};
+use flowrank_monitor::{BinReport, Collect, Monitor, SamplerSpec};
+use flowrank_net::{FlowDefinition, PacketBatch, PacketRecord, Timestamp};
 use flowrank_sim::binning::split_into_bins;
 use flowrank_sim::engine::run_bin_random_sampling;
 use flowrank_stats::rng::derive_seeds;
 use flowrank_trace::{synthesize_packets, SprintModel, SynthesisConfig};
 
-fn trace(seed: u64) -> Vec<flowrank_net::PacketRecord> {
+fn trace(seed: u64) -> Vec<PacketRecord> {
     let flows = SprintModel::small(180.0, 40.0).generate_flows(seed);
     synthesize_packets(&flows, &SynthesisConfig::default(), seed)
 }
@@ -29,10 +29,21 @@ fn trace(seed: u64) -> Vec<flowrank_net::PacketRecord> {
 const BIN_SECONDS: f64 = 60.0;
 const TOP_T: usize = 10;
 
+/// Pushes `packets` one record per call, then closes the final bin.
+fn push_each(monitor: &mut Monitor, packets: &[PacketRecord]) -> Vec<BinReport> {
+    let mut sink = Collect::new();
+    for packet in packets {
+        let one = PacketBatch::from_records(std::slice::from_ref(packet));
+        monitor.push_batch_into(&one, &mut sink);
+    }
+    monitor.finish_into(&mut sink);
+    sink.reports
+}
+
 /// Pushes the whole trace through one single-lane monitor and collects the
 /// per-bin outcomes.
 fn streaming_outcomes(
-    packets: &[flowrank_net::PacketRecord],
+    packets: &[PacketRecord],
     definition: FlowDefinition,
     rate: f64,
     seed: u64,
@@ -44,12 +55,7 @@ fn streaming_outcomes(
         .top_t(TOP_T)
         .seed(seed)
         .build();
-    let mut reports = Vec::new();
-    for packet in packets {
-        reports.extend(monitor.push(packet));
-    }
-    reports.extend(monitor.finish());
-    reports
+    push_each(&mut monitor, packets)
         .iter()
         .map(|report| {
             assert_eq!(report.lanes.len(), 1);
@@ -100,11 +106,7 @@ fn fanned_out_lanes_match_independent_batch_runs() {
         .top_t(TOP_T)
         .seed(master)
         .build();
-    let mut reports = Vec::new();
-    for packet in &packets {
-        reports.extend(monitor.push(packet));
-    }
-    reports.extend(monitor.finish());
+    let reports = push_each(&mut monitor, &packets);
     assert_eq!(reports.len(), bins.len());
 
     for (bin_index, report) in reports.iter().enumerate() {
@@ -136,7 +138,7 @@ fn sharded_monitor_is_bit_identical_to_single_thread() {
     // order, everything — must be bit-identical to the single-threaded
     // monitor (and therefore, via the tests above, to the per-packet
     // oracle) for both flow definitions and any thread count.
-    let packets = trace(44);
+    let batch = PacketBatch::from_records(&trace(44));
     let rates = [0.02, 0.2];
     for definition in [FlowDefinition::FiveTuple, FlowDefinition::PREFIX24] {
         let build = |threads: usize| {
@@ -151,10 +153,10 @@ fn sharded_monitor_is_bit_identical_to_single_thread() {
                 .threads(threads)
                 .build()
         };
-        let baseline = build(1).run_trace(&packets);
+        let baseline = build(1).run_batch(&batch);
         assert!(baseline.len() >= 3, "trace must span several bins");
         for threads in [2, 4, 7] {
-            let sharded = build(threads).run_trace(&packets);
+            let sharded = build(threads).run_batch(&batch);
             assert_eq!(
                 sharded, baseline,
                 "{definition}, {threads} threads: sharded reports must be \
@@ -191,35 +193,31 @@ fn push_batch_is_bit_identical_to_push_for_any_batching() {
         };
 
         // Reference: packet-by-packet push.
-        let mut pushed = build(1);
-        let mut baseline = Vec::new();
-        for packet in &packets {
-            baseline.extend(pushed.push(packet));
-        }
-        baseline.extend(pushed.finish());
+        let baseline = push_each(&mut build(1), &packets);
         assert!(baseline.len() >= 3, "trace must span several bins");
 
         // One batch covering the whole trace.
-        let mut whole = build(1);
-        let mut whole_reports = whole.push_batch(&batch);
-        whole_reports.extend(whole.finish());
+        let whole_reports = build(1).run_batch(&batch);
         assert_eq!(whole_reports, baseline, "{definition}: whole-trace batch");
 
         // Irregular batch cuts, including single-packet batches.
         let mut chunked = build(1);
-        let mut chunked_reports = Vec::new();
+        let mut chunked_reports = Collect::new();
         let mut start = 0usize;
         for piece in [1usize, 7, 501, 1, 4096, usize::MAX] {
             let end = packets.len().min(start.saturating_add(piece));
-            chunked_reports
-                .extend(chunked.push_batch(&PacketBatch::from_records(&packets[start..end])));
+            let cut = PacketBatch::from_records(&packets[start..end]);
+            chunked.push_batch_into(&cut, &mut chunked_reports);
             start = end;
             if start == packets.len() {
                 break;
             }
         }
-        chunked_reports.extend(chunked.finish());
-        assert_eq!(chunked_reports, baseline, "{definition}: chunked batches");
+        chunked.finish_into(&mut chunked_reports);
+        assert_eq!(
+            chunked_reports.reports, baseline,
+            "{definition}: chunked batches"
+        );
 
         // The sharded/threads case: whole-bin segments fan out across
         // worker threads and shards.
@@ -227,7 +225,7 @@ fn push_batch_is_bit_identical_to_push_for_any_batching() {
             let sharded = build(threads).run_batch(&batch);
             assert_eq!(
                 sharded, baseline,
-                "{definition}, {threads} threads: sharded push_batch"
+                "{definition}, {threads} threads: sharded run_batch"
             );
         }
     }

@@ -9,8 +9,8 @@
 //! the worker queues, and that the pool always shuts down.)
 
 use flowrank_monitor::{
-    BinReport, Collect, ControllerSpec, DigestSink, Monitor, MonitorBuilder, ReportSink,
-    SamplerSpec, TopKSpec,
+    BatchSource, BinReport, Chunked, Collect, ControllerSpec, DigestSink, Monitor, MonitorBuilder,
+    ReportSink, SamplerSpec, TopKSpec,
 };
 use flowrank_net::{PacketBatch, PacketRecord, Timestamp};
 use flowrank_stats::rng::{Pcg64, Rng, SeedableRng};
@@ -66,8 +66,9 @@ fn per_packet_pushes_on_a_threaded_monitor_coalesce_into_full_buffers() {
     // bounded by the packet count and the bin count, not by the number of
     // pushes — and the reports stay bit-identical to the serial engine.
     let packets = trace();
+    let batch = PacketBatch::from_records(&packets);
     let mut serial = builder(1).build();
-    let baseline = serial.run_trace(&packets);
+    let baseline = serial.run_batch(&batch);
     assert_eq!(
         serial.segment_stats(),
         (baseline.len() as u64, 0),
@@ -75,12 +76,9 @@ fn per_packet_pushes_on_a_threaded_monitor_coalesce_into_full_buffers() {
     );
 
     let mut threaded = builder(4).build();
-    let mut reports = Vec::new();
-    for packet in &packets {
-        reports.extend(threaded.push(packet));
-    }
-    reports.extend(threaded.finish());
-    assert_eq!(reports, baseline, "per-packet push on threads(4)");
+    let mut reports = Collect::new();
+    threaded.drive(&mut Chunked::new(BatchSource::new(&batch), 1), &mut reports);
+    assert_eq!(reports.reports, baseline, "per-packet push on threads(4)");
     let (serial_segments, shipped) = threaded.segment_stats();
     assert_eq!(
         serial_segments, 0,
@@ -149,10 +147,11 @@ fn idle_gaps_emit_empty_bins_on_a_threaded_monitor() {
     };
     let run = |threads: usize| {
         let mut monitor = builder(threads).build();
-        let mut reports = monitor.push_batch(&PacketBatch::from_records(&packets));
-        reports.extend(monitor.push(&jump));
-        reports.extend(monitor.finish());
-        reports
+        let mut reports = Collect::new();
+        monitor.push_batch_into(&PacketBatch::from_records(&packets), &mut reports);
+        monitor.push_batch_into(&PacketBatch::from_records(&[jump]), &mut reports);
+        monitor.finish_into(&mut reports);
+        reports.reports
     };
     let reports = run(2);
     assert_eq!(reports, run(1));
@@ -228,12 +227,13 @@ fn controlled_threaded_monitor_drops_cleanly_and_stays_bit_identical() {
     // token, carrying the retune, to the seal handshake; both must survive
     // shutdown mid-bin and keep reports identical to the serial engine.
     let packets = trace();
+    let batch = PacketBatch::from_records(&packets);
     let build = |threads: usize| {
         builder(threads)
             .controller(ControllerSpec::model_driven())
             .build()
     };
-    let baseline = build(1).run_trace(&packets);
+    let baseline = build(1).run_batch(&batch);
     assert!(baseline.iter().all(|report| report.controller.is_some()));
     assert!(
         baseline
@@ -243,11 +243,10 @@ fn controlled_threaded_monitor_drops_cleanly_and_stays_bit_identical() {
         "the controller retunes at least once, so the token carries a rate"
     );
     for threads in [2, 4] {
-        assert_eq!(build(threads).run_trace(&packets), baseline, "{threads}");
+        assert_eq!(build(threads).run_batch(&batch), baseline, "{threads}");
     }
     let mut dropped = build(4);
-    dropped.push_batch(&PacketBatch::from_records(
-        &packets[..500.min(packets.len())],
-    ));
+    let head = PacketBatch::from_records(&packets[..500.min(packets.len())]);
+    dropped.push_batch_into(&head, &mut Collect::new());
     drop(dropped);
 }
