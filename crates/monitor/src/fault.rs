@@ -5,9 +5,9 @@
 //! The types here back [`Monitor::try_drive`](crate::Monitor::try_drive),
 //! the fault-aware form of [`Monitor::drive`](crate::Monitor::drive):
 //!
-//! * [`SourceError`] / [`SinkError`] — what a fallible source
+//! * [`SourceError`] / [`SinkError`] — what a source's poll
 //!   ([`PacketSource::try_next_chunk`](crate::PacketSource::try_next_chunk))
-//!   or sink ([`ReportSink::emit`](crate::ReportSink::emit)) reports,
+//!   or a fallible sink ([`ReportSink::emit`](crate::ReportSink::emit)) reports,
 //!   classified by whether the stream can continue past it.
 //! * [`DrivePolicy`] — the recovery contract: skip-and-count malformed
 //!   records, bounded retry with exponential backoff for transient sink
@@ -230,8 +230,9 @@ pub struct DrivePolicy {
     /// floor). [`Duration::ZERO`] restores the PR 8 poll-count-only
     /// behaviour — useful for deterministic tests.
     pub stall_timeout: Duration,
-    /// How long the drive loop sleeps after each idle poll before asking
-    /// the source again. [`Duration::ZERO`] busy-spins (the PR 8
+    /// How long a drive loop — [`Monitor::try_drive`](crate::Monitor::try_drive)
+    /// and [`Monitor::drive`](crate::Monitor::drive) alike — sleeps after
+    /// each idle poll before asking the source again. [`Duration::ZERO`] busy-spins (the PR 8
     /// behaviour); the default paces idle polling at 1 ms so a quiet live
     /// source costs no CPU.
     pub idle_wait: Duration,

@@ -112,11 +112,11 @@
 //!
 //! # Fault tolerance
 //!
-//! [`Monitor::try_drive`] is the fault-aware form of [`Monitor::drive`],
-//! built on the fallible halves of the pipeline traits
-//! ([`PacketSource::try_next_chunk`], [`ReportSink::emit`]) and governed by
-//! a [`DrivePolicy`] set with [`MonitorBuilder::drive_policy`]. The
-//! error/recovery contract:
+//! [`Monitor::try_drive`] is the fault-aware form of [`Monitor::drive`]:
+//! both poll the one source method, [`PacketSource::try_next_chunk`];
+//! `try_drive` delivers through the fallible sink half, [`ReportSink::emit`],
+//! and is governed by a [`DrivePolicy`] set with
+//! [`MonitorBuilder::drive_policy`]. The error/recovery contract:
 //!
 //! * **Skipped** — recoverable malformed records
 //!   ([`SourceError::Malformed`]) when [`DrivePolicy::skip_malformed`] is
@@ -165,12 +165,14 @@
 //! all conformance goldens); the deterministic fault-injection harness
 //! lives in `flowrank_sim::faults`.
 //!
-//! For long-lived serving drives, sources can distinguish "no data right
-//! now" from end-of-stream: [`PacketSource::try_next_chunk`] answers an
-//! empty chunk (an idle poll) where it would otherwise block, and `Ok(None)`
-//! at the end; the live source adapters (pcap tailing, ndjson
-//! feeds, channels, paced replay, stop gates) live in [`pipeline`], and the
-//! bounded [`rolling`] window summarises reports for snapshot serving.
+//! A source's poll tells "no data right now" from end-of-stream: it answers
+//! an empty chunk (an idle poll) where it would otherwise block, and
+//! `Ok(None)` at the end. No source waits, retries or skips on its own —
+//! the drive loop does: `drive` waits out idle polls, skips malformed
+//! records and ends at a fatal error, `try_drive` follows its policy. The
+//! live source adapters (pcap tailing, ndjson feeds, channels, paced
+//! replay, stop gates) live in [`pipeline`], and the bounded [`rolling`]
+//! window summarises reports for snapshot serving.
 //!
 //! # Closed-loop rate control
 //!

@@ -1153,9 +1153,16 @@ impl Monitor {
     }
 
     /// Drives the monitor from a packet source into a report sink until the
-    /// source is exhausted, then closes the final bin — the canonical entry
-    /// point of the streaming pipeline. A one-packet push is a drive over
+    /// source ends, then closes the final bin — the canonical entry point of
+    /// the streaming pipeline. A one-packet push is a drive over
     /// [`Chunked::new(source, 1)`](crate::Chunked::new).
+    ///
+    /// The loop polls [`PacketSource::try_next_chunk`] and owns the one rule
+    /// for what a poll that is not a chunk means: an idle poll (an empty
+    /// chunk) is waited out, [`DrivePolicy::idle_wait`] at a time; a
+    /// malformed record is skipped; the end of the stream and a fatal source
+    /// error both end the drive, which then closes the final bin. It never
+    /// fails — [`Monitor::try_drive`] is the form that reports faults.
     ///
     /// The contract:
     ///
@@ -1186,23 +1193,26 @@ impl Monitor {
         S: PacketSource + ?Sized,
         K: ReportSink + ?Sized,
     {
-        let mut chunks = 0u64;
-        let mut packets = 0u64;
-        let mut counting = CountingSink {
-            inner: sink,
-            reports: 0,
-        };
-        while let Some(chunk) = source.next_chunk() {
-            chunks += 1;
-            packets += chunk.len() as u64;
-            self.push_batch_into(chunk, &mut counting);
+        let first_bin = self.current_bin;
+        let mut summary = DriveSummary::default();
+        loop {
+            match source.try_next_chunk() {
+                Ok(Some(chunk)) if chunk.is_empty() => {
+                    std::thread::sleep(self.drive_policy.idle_wait)
+                }
+                Ok(Some(chunk)) => {
+                    summary.chunks += 1;
+                    summary.packets += chunk.len() as u64;
+                    self.push_batch_into(chunk, sink);
+                }
+                Err(error) if error.is_recoverable() => {}
+                Ok(None) | Err(_) => break,
+            }
         }
-        self.finish_into(&mut counting);
-        DriveSummary {
-            chunks,
-            packets,
-            reports: counting.reports,
-        }
+        self.finish_into(sink);
+        // Every bin the drive closed has been delivered by now.
+        summary.reports = self.current_bin - first_bin;
+        summary
     }
 
     /// Fault-aware form of [`Monitor::drive`]: pulls chunks through
@@ -1373,26 +1383,6 @@ impl Monitor {
                 runtime.try_drain_into(sink);
             }
         }
-    }
-}
-
-/// Counts the reports flowing to an inner sink — backs
-/// [`Monitor::drive`]'s summary.
-struct CountingSink<'a, K: ?Sized> {
-    inner: &'a mut K,
-    reports: u64,
-}
-
-impl<K: ReportSink + ?Sized> ReportSink for CountingSink<'_, K> {
-    fn accept(&mut self, report: &BinReport) {
-        self.reports += 1;
-        self.inner.accept(report);
-    }
-
-    fn emit(&mut self, report: &BinReport) -> Result<(), SinkError> {
-        self.inner.emit(report)?;
-        self.reports += 1;
-        Ok(())
     }
 }
 

@@ -21,22 +21,27 @@
 //!   instead of materialising the whole trace.
 //! * [`Chunked`] — wraps any source and re-cuts its chunks to a maximum
 //!   size (down to single packets), for chunking-invariance tests and
-//!   bounded-latency replay.
+//!   bounded-latency replay; the inner source's idle polls and errors pass
+//!   through.
+//!
+//! Every source implements the one poll, [`PacketSource::try_next_chunk`].
 //!
 //! ## Live sources
 //!
 //! The serving path ([`Monitor::try_drive`](crate::Monitor::try_drive) as a
 //! long-lived daemon, see `flowrank-serve`) adds sources that can run out of
-//! data *temporarily*: their [`PacketSource::try_next_chunk`] answers an
-//! empty chunk (an idle poll) instead of ending the stream:
+//! data *temporarily*: their poll answers an empty chunk (an idle poll)
+//! instead of ending the stream, and fails with a [`SourceError`] where the
+//! input does. None of them sleeps, retries or skips on its own: the drive
+//! loop waits out idle polls and decides what an error costs.
 //!
 //! * [`PcapTailSource`] — tails a growing pcap file through a bounded read
 //!   window, resuming decode at the committed record boundary each time the
 //!   file grows.
 //! * [`NdjsonRecordSource`] — one packet record per JSON line from any
-//!   `BufRead` (stdin, a socket), optionally tenant-tagged; blocking, a
-//!   chunk is every complete line one read delivered, lines bounded at
-//!   64 KiB.
+//!   `BufRead` (stdin, a socket), optionally tenant-tagged; its reads block,
+//!   a chunk is every complete line one read delivered, lines bounded at
+//!   64 KiB, and a bad line is a recoverable error.
 //! * [`ChannelSource`] — non-blocking mpsc adapter that turns any blocking
 //!   feed running on its own thread into a pollable source.
 //! * [`flowrank_trace::PacedReplay`] — a scenario workload metered out on
@@ -62,7 +67,6 @@
 //! sink avoids).
 
 use std::io::{self, Write};
-use std::time::Duration;
 
 use flowrank_net::pcap::PcapBatchCursor;
 use flowrank_net::{CompactKey, NetError, PacketBatch, PacketRecord, Timestamp};
@@ -114,38 +118,40 @@ pub struct DriveSummary {
 /// A pull-based packet stream: yields SoA batches until exhausted.
 ///
 /// The returned batch borrows from the source and is valid until the next
-/// call; `None` means end of stream. Packets must come out in non-decreasing
-/// timestamp order across the whole stream (the monitor's push contract).
+/// poll. Packets must come out in non-decreasing timestamp order across the
+/// whole stream (the monitor's push contract).
 /// [`Monitor::drive`](crate::Monitor::drive) guarantees the same reports for
 /// any chunking of the same packet sequence.
 ///
-/// A new source implements `next_chunk`, plus `try_next_chunk` when it can
-/// fail or idle.
+/// A source implements one method, [`PacketSource::try_next_chunk`]. What to
+/// do about an idle poll or an error is the drive loop's decision, not the
+/// source's: [`Monitor::drive`](crate::Monitor::drive) waits out idle polls,
+/// skips malformed records and ends at a fatal error;
+/// [`Monitor::try_drive`](crate::Monitor::try_drive) follows its
+/// [`DrivePolicy`](crate::DrivePolicy).
 pub trait PacketSource {
-    /// Returns the next chunk of packets, or `None` at end of stream.
-    /// Implementations never return an empty batch.
-    fn next_chunk(&mut self) -> Option<&PacketBatch>;
-
-    /// The fallible form of [`PacketSource::next_chunk`], the poll
-    /// [`Monitor::try_drive`](crate::Monitor::try_drive) makes.
+    /// Polls the next chunk. Each poll answers one of four things:
     ///
-    /// The default wraps `next_chunk` and never errors. Sources with a
-    /// failure mode (the pcap sources, `flowrank_sim::faults::FaultySource`)
-    /// override it to surface a [`SourceError`] instead of silently ending
-    /// the stream, with two relaxations over `next_chunk`: `Ok(Some(batch))`
-    /// **may be empty** — an *idle poll*, "no data right now, not end of
-    /// stream" — and a [`SourceError::Malformed`] error means the source has
-    /// advanced past a bad record and may be polled again.
-    fn try_next_chunk(&mut self) -> Result<Option<&PacketBatch>, SourceError> {
-        Ok(self.next_chunk())
+    /// * `Ok(Some(batch))` with packets — a chunk;
+    /// * `Ok(Some(batch))` with an **empty** batch — an *idle poll*, "no
+    ///   data right now, not end of stream";
+    /// * `Ok(None)` — the end of the stream;
+    /// * `Err(error)` — a [`SourceError`]: a [`SourceError::Malformed`] error
+    ///   means the source has advanced past a bad record and may be polled
+    ///   again, a [`SourceError::Fatal`] one ends it.
+    fn try_next_chunk(&mut self) -> Result<Option<&PacketBatch>, SourceError>;
+
+    /// One poll with its idle and error answers dropped: never loops, so an
+    /// idle poll comes back as an empty chunk and an error as `None`.
+    ///
+    /// Nothing in the workspace calls it; it stays only while the `ledger`
+    /// package's `StampedSource` overrides it.
+    fn next_chunk(&mut self) -> Option<&PacketBatch> {
+        self.try_next_chunk().ok().flatten()
     }
 }
 
 impl<S: PacketSource + ?Sized> PacketSource for &mut S {
-    fn next_chunk(&mut self) -> Option<&PacketBatch> {
-        (**self).next_chunk()
-    }
-
     fn try_next_chunk(&mut self) -> Result<Option<&PacketBatch>, SourceError> {
         (**self).try_next_chunk()
     }
@@ -167,8 +173,8 @@ impl<'a> BatchSource<'a> {
 }
 
 impl PacketSource for BatchSource<'_> {
-    fn next_chunk(&mut self) -> Option<&PacketBatch> {
-        self.batch.take()
+    fn try_next_chunk(&mut self) -> Result<Option<&PacketBatch>, SourceError> {
+        Ok(self.batch.take())
     }
 }
 
@@ -202,36 +208,37 @@ impl<S: PacketSource> Chunked<S> {
     }
 }
 
+/// The inner source's idle polls and errors pass through as they come.
 impl<S: PacketSource> PacketSource for Chunked<S> {
-    fn next_chunk(&mut self) -> Option<&PacketBatch> {
+    fn try_next_chunk(&mut self) -> Result<Option<&PacketBatch>, SourceError> {
         if self.position >= self.held.len() {
-            let chunk = self.inner.next_chunk()?;
+            let Some(chunk) = self.inner.try_next_chunk()? else {
+                return Ok(None);
+            };
             self.held.clear();
             self.held.extend_from_batch(chunk, 0..chunk.len());
             self.position = 0;
-            if self.held.is_empty() {
-                return None;
-            }
         }
         let end = self.held.len().min(self.position + self.max_packets);
         self.out.clear();
         self.out.extend_from_batch(&self.held, self.position..end);
         self.position = end;
-        Some(&self.out)
+        Ok(Some(&self.out))
     }
 }
 
 impl PacketSource for flowrank_trace::SynthesisStream {
-    fn next_chunk(&mut self) -> Option<&PacketBatch> {
-        self.next_window()
+    fn try_next_chunk(&mut self) -> Result<Option<&PacketBatch>, SourceError> {
+        Ok(self.next_window())
     }
 }
 
 /// Streams an in-memory pcap capture through the zero-copy batch decoder,
 /// one bounded chunk at a time.
 ///
-/// Decode errors terminate the stream; check [`PcapBytesSource::error`]
-/// after driving to distinguish clean EOF from a malformed capture.
+/// A decode error ends the stream after the packets in front of it, as a
+/// [`SourceError::Fatal`] poll; [`PcapBytesSource::error`] keeps it for
+/// reading after the drive.
 #[derive(Debug)]
 pub struct PcapBytesSource<'a> {
     cursor: PcapBatchCursor<'a>,
@@ -264,12 +271,6 @@ impl<'a> PcapBytesSource<'a> {
 }
 
 impl PacketSource for PcapBytesSource<'_> {
-    /// The packets decoded before a malformed record still flow downstream;
-    /// the stream then ends and the error is reported through `error()`.
-    fn next_chunk(&mut self) -> Option<&PacketBatch> {
-        self.try_next_chunk().unwrap_or(None)
-    }
-
     /// A decode error is [`SourceError::Fatal`] (pcap framing errors lose
     /// the record boundary, so the stream cannot resynchronise), surfaced
     /// after the packets decoded before the bad record, then latched: for
@@ -301,11 +302,6 @@ fn end_of_pcap<'a>(latched: &Option<NetError>) -> Result<Option<&'a PacketBatch>
 // Live sources
 // ---------------------------------------------------------------------------
 
-/// How long the live sources' `next_chunk` sleeps between idle polls. The
-/// fallible polls never sleep: pacing there belongs to
-/// [`DrivePolicy::idle_wait`](crate::DrivePolicy).
-const LIVE_POLL_WAIT: Duration = Duration::from_millis(1);
-
 /// Length of the classic pcap global header [`PcapTailSource`] keeps at the
 /// front of its read window.
 const PCAP_GLOBAL_HEADER: usize = 24;
@@ -335,8 +331,9 @@ const TAIL_READ_QUANTUM: usize = 64 * 1024;
 /// [`PcapBytesSource`] contract).
 ///
 /// With [`PcapTailSource::follow`] disabled the source behaves like
-/// [`PcapBytesSource`] over the file's current contents: EOF ends the
-/// stream, and a trailing truncated record is fatal instead of pending.
+/// [`PcapBytesSource`] over the file's current contents: it never answers an
+/// idle poll, EOF ends the stream, and a trailing truncated record is fatal
+/// instead of pending.
 #[derive(Debug)]
 pub struct PcapTailSource {
     file: std::fs::File,
@@ -465,19 +462,6 @@ impl PcapTailSource {
 }
 
 impl PacketSource for PcapTailSource {
-    /// The infallible form ends the stream at the first idle poll in
-    /// non-follow mode and sleeps through them in follow mode; errors end
-    /// the stream silently (`try_next_chunk` returns them).
-    fn next_chunk(&mut self) -> Option<&PacketBatch> {
-        loop {
-            match self.step() {
-                Ok(true) if self.batch.is_empty() => std::thread::sleep(LIVE_POLL_WAIT),
-                Ok(true) => return Some(&self.batch),
-                Ok(false) | Err(_) => return None,
-            }
-        }
-    }
-
     /// Caught up with the writer, the chunk is empty: an idle poll.
     fn try_next_chunk(&mut self) -> Result<Option<&PacketBatch>, SourceError> {
         Ok(self.step()?.then_some(&self.batch))
@@ -519,8 +503,8 @@ const MAX_NDJSON_LINE_BYTES: usize = 64 * 1024;
 /// stream costs no memory) and a line that is not UTF-8 are each **one**
 /// malformed record, and the stream resynchronises at the next newline.
 /// Reads block until a line or EOF arrives, so this source never answers
-/// an idle poll — feed it through a [`ChannelSource`] when the drive loop must
-/// not block.
+/// an idle poll and the drive loop's idle wait never applies to it — feed it
+/// through a [`ChannelSource`] when the loop must not block.
 #[derive(Debug)]
 pub struct NdjsonRecordSource<R> {
     reader: R,
@@ -613,17 +597,6 @@ impl<R: io::BufRead> NdjsonRecordSource<R> {
 }
 
 impl<R: io::BufRead> PacketSource for NdjsonRecordSource<R> {
-    /// The infallible form skips malformed lines silently.
-    fn next_chunk(&mut self) -> Option<&PacketBatch> {
-        loop {
-            match self.step(false) {
-                Ok(true) => return Some(&self.batch),
-                Err(error) if error.is_recoverable() => continue,
-                Ok(false) | Err(_) => return None,
-            }
-        }
-    }
-
     fn try_next_chunk(&mut self) -> Result<Option<&PacketBatch>, SourceError> {
         Ok(self.step(false)?.then_some(&self.batch))
     }
@@ -881,9 +854,11 @@ fn ndjson_tenant(line: &str) -> Result<Option<u32>, &'static str> {
 /// (stdin lines, an accepted socket) into a pollable live source.
 ///
 /// The feeder thread sends `Ok(batch)` for data and `Err(source_error)` for
-/// faults it wants the drive policy to arbitrate (a malformed line it
-/// skipped past, a fatal read failure). An empty channel answers an idle
-/// poll; a disconnected channel (every sender dropped) ends the stream.
+/// faults it wants the drive loop to arbitrate (a malformed line it
+/// skipped past, a fatal read failure); they come out of the poll as sent.
+/// The poll never blocks: an empty channel answers an idle poll, which the
+/// drive loop waits out, and a disconnected channel (every sender dropped)
+/// ends the stream.
 #[derive(Debug)]
 pub struct ChannelSource {
     receiver: std::sync::mpsc::Receiver<Result<PacketBatch, SourceError>>,
@@ -901,23 +876,6 @@ impl ChannelSource {
 }
 
 impl PacketSource for ChannelSource {
-    /// The infallible form blocks on the channel; injected errors end the
-    /// stream (recoverable ones are skipped silently).
-    fn next_chunk(&mut self) -> Option<&PacketBatch> {
-        loop {
-            match self.receiver.recv() {
-                Ok(Ok(batch)) if batch.is_empty() => continue,
-                Ok(Ok(batch)) => {
-                    self.batch = batch;
-                    return Some(&self.batch);
-                }
-                Ok(Err(error)) if error.is_recoverable() => continue,
-                Ok(Err(_)) | Err(_) => return None,
-            }
-        }
-    }
-
-    /// Never blocks: an empty channel is an idle poll, an empty chunk.
     fn try_next_chunk(&mut self) -> Result<Option<&PacketBatch>, SourceError> {
         use std::sync::mpsc::TryRecvError;
         loop {
@@ -958,35 +916,18 @@ impl<S> StopGate<S> {
     }
 }
 
-/// A pure forwarder, like `&mut S`: both methods, so an inner error or an
-/// inner idle poll reaches the caller whichever one it polls.
+/// A pure forwarder, like `&mut S`: an inner error or an inner idle poll
+/// reaches the caller unchanged.
 impl<S: PacketSource> PacketSource for StopGate<S> {
-    fn next_chunk(&mut self) -> Option<&PacketBatch> {
-        self.open()?.next_chunk()
-    }
-
     fn try_next_chunk(&mut self) -> Result<Option<&PacketBatch>, SourceError> {
         self.open().map_or(Ok(None), S::try_next_chunk)
     }
 }
 
 impl PacketSource for flowrank_trace::PacedReplay {
-    /// The infallible form sleeps until each window is due — pacing is
-    /// preserved, so `Monitor::drive` over a paced replay takes wall time
-    /// proportional to trace time over speed.
-    fn next_chunk(&mut self) -> Option<&PacketBatch> {
-        loop {
-            match self.tick() {
-                flowrank_trace::ReplayTick::Due => return Some(self.take_window()),
-                flowrank_trace::ReplayTick::NotYet(wait) => std::thread::sleep(wait),
-                flowrank_trace::ReplayTick::Done => return None,
-            }
-        }
-    }
-
-    /// The drive loop's poll never sleeps: a not-yet-due window is an idle
-    /// poll (a shared empty batch), paced by
-    /// [`DrivePolicy::idle_wait`](crate::DrivePolicy::idle_wait).
+    /// Never sleeps: a not-yet-due window is an idle poll (a shared empty
+    /// batch), and the drive loop paces the wait — so a drive over a paced
+    /// replay still takes wall time proportional to trace time over speed.
     fn try_next_chunk(&mut self) -> Result<Option<&PacketBatch>, SourceError> {
         static IDLE: PacketBatch = PacketBatch::new();
         Ok(match self.tick() {
@@ -1780,20 +1721,14 @@ mod tests {
         assert!(source.try_next_chunk().unwrap().is_none(), "end of stream");
     }
 
-    /// Loops `try_next_chunk` (`fallible`) or `next_chunk` to the end of the
-    /// stream, or to the first idle poll of a `live` source. Returns the
-    /// timestamps, the malformed count, and whether a fatal error ended it.
-    fn pull(source: &mut dyn PacketSource, fallible: bool, live: bool) -> (Vec<u64>, u32, bool) {
+    /// Loops `try_next_chunk` to the end of the stream, or to the first idle
+    /// poll of a `live` source. Returns the timestamps, the malformed count,
+    /// and whether a fatal error ended it.
+    fn pull(source: &mut dyn PacketSource, live: bool) -> (Vec<u64>, u32, bool) {
         let (mut seen, mut malformed) = (Vec::new(), 0);
         loop {
-            let polled = if fallible {
-                source.try_next_chunk()
-            } else {
-                Ok(source.next_chunk())
-            };
-            match polled {
+            match source.try_next_chunk() {
                 Ok(Some(chunk)) if chunk.is_empty() => {
-                    assert!(fallible, "next_chunk never lends an empty batch");
                     if live {
                         return (seen, malformed, false);
                     }
@@ -1810,28 +1745,45 @@ mod tests {
         }
     }
 
-    /// Both methods yield the same packets, whose timestamps are returned.
-    /// `faults` is what `try_next_chunk` surfaces on the way: malformed
-    /// records, and whether a fatal error ends the stream — after the
-    /// packets before it.
+    /// Keeps the timestamps of every chunk its source delivers.
+    struct Seen<S> {
+        inner: S,
+        ts: Vec<u64>,
+    }
+
+    impl<S: PacketSource> PacketSource for Seen<S> {
+        fn try_next_chunk(&mut self) -> Result<Option<&PacketBatch>, SourceError> {
+            let polled = self.inner.try_next_chunk();
+            if let Ok(Some(chunk)) = &polled {
+                self.ts.extend_from_slice(chunk.ts_nanos());
+            }
+            polled
+        }
+    }
+
+    /// The poll and `Monitor::drive` take the same packets, whose timestamps
+    /// are returned. `faults` is what `try_next_chunk` surfaces on the way:
+    /// malformed records, and whether a fatal error ends the stream — after
+    /// the packets before it; `drive` skips the one and ends at the other.
     fn agree<S: PacketSource>(
         name: &str,
         make: impl Fn() -> S,
         live: bool,
         faults: (u32, bool),
     ) -> Vec<u64> {
-        let polled = pull(&mut make(), true, live);
+        let polled = pull(&mut make(), live);
         assert!(!polled.0.is_empty(), "{name}: packets flow");
         assert_eq!((polled.1, polled.2), faults, "{name}: try_next_chunk");
-        // Where the poll idles `next_chunk` waits for more, so it cannot be
-        // looped on a live source.
+        // Where the poll idles `drive` waits for more, so it cannot drive a
+        // live source to its end.
         if !live {
-            let lenient = (polled.0.clone(), 0, false);
-            assert_eq!(
-                pull(&mut make(), false, live),
-                lenient,
-                "{name}: next_chunk"
-            );
+            let mut seen = Seen {
+                inner: make(),
+                ts: Vec::new(),
+            };
+            let summary = monitor().drive(&mut seen, &mut Collect::new());
+            assert_eq!(seen.ts, polled.0, "{name}: Monitor::drive");
+            assert_eq!(summary.packets, polled.0.len() as u64, "{name}");
         }
         polled.0
     }
@@ -1909,8 +1861,8 @@ mod tests {
         };
         agree("channel", || channel(false), false, (1, false));
         agree("channel, live", || channel(true), true, (1, false));
-        // A replay's `try_next_chunk` idles until a window is due, where its
-        // `next_chunk` sleeps.
+        // A replay's `try_next_chunk` idles until a window is due, which
+        // `drive` waits out.
         let replay = || PacedReplay::new(Workload::flash_crowd().stream(7), 1e6);
         agree("replay", replay, false, (0, false));
     }
@@ -1960,7 +1912,7 @@ mod tests {
         assert_eq!(tag().unwrap(), None);
         // The untagged polls never look at the tag.
         let mut source = NdjsonRecordSource::new(feed.as_bytes());
-        let packets = std::iter::from_fn(|| source.next_chunk().map(PacketBatch::len));
+        let packets = std::iter::from_fn(|| source.try_next_chunk().unwrap().map(PacketBatch::len));
         assert_eq!(packets.sum::<usize>(), 4);
     }
 
@@ -2416,7 +2368,7 @@ mod tests {
             let reader = io::BufReader::with_capacity(300, Fragments::new(&feed, cuts));
             let mut source = NdjsonRecordSource::new(reader);
             assert_eq!(
-                pull(&mut source, true, false),
+                pull(&mut source, false),
                 (packets, bad, false),
                 "seed {seed}"
             );
@@ -2468,7 +2420,7 @@ mod tests {
             })
             .collect();
         let capture = records_to_pcap_bytes(&records).unwrap();
-        let expected = pull(&mut PcapBytesSource::new(&capture).unwrap(), true, false).0;
+        let expected = pull(&mut PcapBytesSource::new(&capture).unwrap(), false).0;
         assert_eq!(expected.len(), records.len());
         // A few read quanta plus one record (16-byte header, 74-byte frame),
         // with room for `Vec`'s amortised growth — a small fraction of the

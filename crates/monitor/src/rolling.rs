@@ -13,7 +13,6 @@
 use std::collections::VecDeque;
 use std::fmt::Write as _;
 
-use crate::fault::SinkError;
 use crate::pipeline::ReportSink;
 use crate::report::BinReport;
 
@@ -209,11 +208,6 @@ impl ReportSink for RollingWindow {
         };
         summary.fill(report);
         self.bins.push_back(summary);
-    }
-
-    fn emit(&mut self, report: &BinReport) -> Result<(), SinkError> {
-        self.accept(report);
-        Ok(())
     }
 }
 

@@ -18,7 +18,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use flowrank_monitor::{BinReport, ReportSink, RollingWindow, SinkError};
+use flowrank_monitor::{BinReport, ReportSink, RollingWindow};
 
 #[derive(Debug)]
 struct Shared {
@@ -172,11 +172,6 @@ impl ReportSink for PublishSink {
                 stop.store(true, Ordering::Release);
             }
         }
-    }
-
-    fn emit(&mut self, report: &BinReport) -> Result<(), SinkError> {
-        self.accept(report);
-        Ok(())
     }
 }
 

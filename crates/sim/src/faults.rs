@@ -115,12 +115,13 @@ pub struct InjectedFaults {
 /// A [`PacketSource`] wrapper replaying a [`FaultPlan`] over an inner
 /// source.
 ///
-/// The fallible contract mirrors the real pcap sources: malformed polls
-/// are recoverable (the source can be polled again), stall polls deliver
-/// an empty batch, fatal reads and mid-stream EOF latch. The infallible
-/// [`PacketSource::next_chunk`] view absorbs stalls and malformed polls
-/// itself and treats both terminal faults as end-of-stream, so the wrapper
-/// can also feed the infallible `drive` path.
+/// The contract mirrors the real pcap sources: malformed polls are
+/// recoverable (the source can be polled again), stall polls deliver an
+/// empty batch, fatal reads and mid-stream EOF latch. The inner source's
+/// own idle polls and errors pass through. What the faults cost is the
+/// drive loop's decision: `Monitor::drive` waits out the stalls, skips the
+/// malformed polls and ends at either terminal fault; `Monitor::try_drive`
+/// follows its policy.
 #[derive(Debug)]
 pub struct FaultySource<S> {
     inner: S,
@@ -166,12 +167,12 @@ impl<S: PacketSource> FaultySource<S> {
         self.injected
     }
 
-    /// Pulls the next real chunk from the inner source into `self.out`,
-    /// rewriting the first timestamp when `regress` is set. Returns whether
-    /// a chunk was produced.
-    fn pump(&mut self, regress: bool) -> bool {
-        let Some(chunk) = self.inner.next_chunk() else {
-            return false;
+    /// Polls the inner source into `self.out`, rewriting the first
+    /// timestamp when `regress` is set. Returns whether the inner stream
+    /// went on; its errors pass through.
+    fn pump(&mut self, regress: bool) -> Result<bool, SourceError> {
+        let Some(chunk) = self.inner.try_next_chunk()? else {
+            return Ok(false);
         };
         self.out.clear();
         self.out.extend_from_batch(chunk, 0..chunk.len());
@@ -192,25 +193,11 @@ impl<S: PacketSource> FaultySource<S> {
         if let Some(&last) = self.out.ts_nanos().last() {
             self.last_ts_nanos = Some(self.last_ts_nanos.map_or(last, |seen| seen.max(last)));
         }
-        true
+        Ok(true)
     }
 }
 
 impl<S: PacketSource> PacketSource for FaultySource<S> {
-    fn next_chunk(&mut self) -> Option<&PacketBatch> {
-        // The infallible view: absorb recoverable faults, end on terminal
-        // ones — mirroring how the real pcap sources latch their errors.
-        loop {
-            match self.try_next_chunk() {
-                Ok(Some(chunk)) if chunk.is_empty() => continue,
-                Ok(Some(_)) => return Some(&self.out),
-                Ok(None) => return None,
-                Err(error) if error.is_recoverable() => continue,
-                Err(_) => return None,
-            }
-        }
-    }
-
     fn try_next_chunk(&mut self) -> Result<Option<&PacketBatch>, SourceError> {
         match self.terminated {
             Some(Terminal::Eof) => return Ok(None),
@@ -247,19 +234,9 @@ impl<S: PacketSource> PacketSource for FaultySource<S> {
                     "injected fatal read failure",
                 ))))
             }
-            Some(SourceFault::OutOfOrder) => {
-                if self.pump(true) {
-                    Ok(Some(&self.out))
-                } else {
-                    Ok(None)
-                }
-            }
-            None => {
-                if self.pump(false) {
-                    Ok(Some(&self.out))
-                } else {
-                    Ok(None)
-                }
+            fault => {
+                let regress = fault == Some(SourceFault::OutOfOrder);
+                Ok(self.pump(regress)?.then_some(&self.out))
             }
         }
     }
@@ -450,10 +427,10 @@ mod tests {
             next: usize,
         }
         impl PacketSource for TwoChunks {
-            fn next_chunk(&mut self) -> Option<&PacketBatch> {
+            fn try_next_chunk(&mut self) -> Result<Option<&PacketBatch>, SourceError> {
                 let i = self.next;
                 self.next += 1;
-                self.chunks.get(i)
+                Ok(self.chunks.get(i))
             }
         }
         let inner = TwoChunks {

@@ -20,7 +20,7 @@
 //!   reproducible bit-for-bit.
 //! * [`quadrature`] — Gauss–Legendre and adaptive Simpson integration,
 //!   including semi-infinite integrals, used by the continuous ranking model.
-//! * [`roots`] — bracketing root finders (bisection, Brent) used by the
+//! * [`roots`] — the bisection root finder behind the
 //!   optimal-sampling-rate solver of Sec. 3.2.
 //! * [`summary`] — online summary statistics (Welford) and quantiles used
 //!   when reporting the per-bin simulation metrics.

@@ -10,7 +10,7 @@ use crate::error::{StatsError, StatsResult};
 
 /// Outcome of a successful root search.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Root {
+pub(crate) struct Root {
     /// Abscissa of the root.
     pub x: f64,
     /// Function value at `x` (should be close to zero).
@@ -79,109 +79,6 @@ pub(crate) fn bisect<F: FnMut(f64) -> f64>(
     })
 }
 
-/// Finds a root of `f` in `[lo, hi]` with Brent's method.
-///
-/// Combines bisection, secant and inverse quadratic interpolation; converges
-/// superlinearly on smooth functions while keeping the bisection guarantee.
-/// `tol` is the absolute tolerance on the root location.
-#[allow(clippy::explicit_counter_loop)]
-pub fn brent<F: FnMut(f64) -> f64>(
-    mut f: F,
-    lo: f64,
-    hi: f64,
-    tol: f64,
-    max_iter: usize,
-) -> StatsResult<Root> {
-    let mut a = lo;
-    let mut b = hi;
-    let mut fa = f(a);
-    let mut fb = f(b);
-    let mut evals = 2;
-    if fa == 0.0 {
-        return Ok(Root {
-            x: a,
-            f_x: 0.0,
-            evaluations: evals,
-        });
-    }
-    if fb == 0.0 {
-        return Ok(Root {
-            x: b,
-            f_x: 0.0,
-            evaluations: evals,
-        });
-    }
-    if fa.signum() == fb.signum() {
-        return Err(StatsError::InvalidBracket { lo, hi });
-    }
-    if fa.abs() < fb.abs() {
-        std::mem::swap(&mut a, &mut b);
-        std::mem::swap(&mut fa, &mut fb);
-    }
-    let mut c = a;
-    let mut fc = fa;
-    let mut d = b - a;
-    let mut mflag = true;
-
-    for _ in 0..max_iter {
-        if fb == 0.0 || (b - a).abs() < tol {
-            return Ok(Root {
-                x: b,
-                f_x: fb,
-                evaluations: evals,
-            });
-        }
-        let mut s = if fa != fc && fb != fc {
-            // Inverse quadratic interpolation.
-            a * fb * fc / ((fa - fb) * (fa - fc))
-                + b * fa * fc / ((fb - fa) * (fb - fc))
-                + c * fa * fb / ((fc - fa) * (fc - fb))
-        } else {
-            // Secant step.
-            b - fb * (b - a) / (fb - fa)
-        };
-
-        let cond_range = {
-            let lo_ = (3.0 * a + b) / 4.0;
-            let hi_ = b;
-            let (lo_, hi_) = if lo_ < hi_ { (lo_, hi_) } else { (hi_, lo_) };
-            s < lo_ || s > hi_
-        };
-        let cond_mflag = mflag && (s - b).abs() >= (b - c).abs() / 2.0;
-        let cond_nflag = !mflag && (s - b).abs() >= (c - d).abs() / 2.0;
-        let cond_tol_m = mflag && (b - c).abs() < tol;
-        let cond_tol_n = !mflag && (c - d).abs() < tol;
-
-        if cond_range || cond_mflag || cond_nflag || cond_tol_m || cond_tol_n {
-            s = 0.5 * (a + b);
-            mflag = true;
-        } else {
-            mflag = false;
-        }
-
-        let fs = f(s);
-        evals += 1;
-        d = c;
-        c = b;
-        fc = fb;
-        if fa.signum() != fs.signum() {
-            b = s;
-            fb = fs;
-        } else {
-            a = s;
-            fa = fs;
-        }
-        if fa.abs() < fb.abs() {
-            std::mem::swap(&mut a, &mut b);
-            std::mem::swap(&mut fa, &mut fb);
-        }
-    }
-    Err(StatsError::NoConvergence {
-        algorithm: "brent",
-        iterations: max_iter,
-    })
-}
-
 /// Finds the smallest `x` in `[lo, hi]` at which the non-increasing function
 /// `f` drops to or below `target`, by bisection on `g(x) = f(x) − target`.
 ///
@@ -237,51 +134,6 @@ mod tests {
     fn bisect_rejects_bad_bracket() {
         let err = bisect(|x| x * x + 1.0, -1.0, 1.0, 1e-12, 100).unwrap_err();
         assert!(matches!(err, StatsError::InvalidBracket { .. }));
-    }
-
-    #[test]
-    fn brent_finds_roots_faster_than_bisection() {
-        let mut count_brent = 0usize;
-        let r = brent(
-            |x| {
-                count_brent += 1;
-                x.exp() - 5.0
-            },
-            0.0,
-            3.0,
-            1e-14,
-            100,
-        )
-        .unwrap();
-        assert_close(r.x, 5.0_f64.ln(), 1e-10);
-
-        let mut count_bisect = 0usize;
-        let _ = bisect(
-            |x| {
-                count_bisect += 1;
-                x.exp() - 5.0
-            },
-            0.0,
-            3.0,
-            1e-14,
-            200,
-        )
-        .unwrap();
-        assert!(
-            count_brent < count_bisect,
-            "brent ({count_brent}) should beat bisection ({count_bisect})"
-        );
-    }
-
-    #[test]
-    fn brent_polynomial_with_flat_region() {
-        let r = brent(|x| (x - 1.0).powi(3), 0.0, 4.0, 1e-12, 200).unwrap();
-        assert_close(r.x, 1.0, 1e-6);
-    }
-
-    #[test]
-    fn brent_rejects_bad_bracket() {
-        assert!(brent(|x| x * x + 0.5, -1.0, 1.0, 1e-10, 50).is_err());
     }
 
     #[test]

@@ -134,31 +134,6 @@ pub fn erfc(x: f64) -> f64 {
     }
 }
 
-/// Natural logarithm of `erfc(x)`, accurate for large positive `x` where
-/// `erfc(x)` underflows to zero.
-///
-/// For `x ≥ 0` we use `ln Q(1/2, x²)` computed in the log domain through the
-/// continued-fraction expansion; for negative `x` the value is close to
-/// `ln 2` and the direct formula is fine.
-pub fn ln_erfc(x: f64) -> f64 {
-    if x.is_nan() {
-        return f64::NAN;
-    }
-    if x < 0.0 {
-        return erfc(x).ln();
-    }
-    if x < 1.0 {
-        return erfc(x).ln();
-    }
-    // ln Q(a, z) via the Lentz continued fraction evaluated in log space:
-    // Q(a, z) = e^{-z} z^a / Γ(a) * CF, so
-    // ln Q = -z + a ln z - ln Γ(a) + ln CF.
-    let a = 0.5;
-    let z = x * x;
-    let ln_cf = ln_upper_gamma_cf(a, z);
-    -z + a * z.ln() - ln_gamma(a) + ln_cf
-}
-
 /// Regularised lower incomplete gamma function `P(a, x) = γ(a, x) / Γ(a)`.
 ///
 /// `P(a, x)` is the CDF of the Gamma(a, 1) distribution; `P(k+1, λ)` is the
@@ -244,11 +219,6 @@ fn upper_gamma_cf(a: f64, x: f64) -> f64 {
         }
     }
     h
-}
-
-/// `ln` of the continued-fraction factor used by [`ln_erfc`].
-fn ln_upper_gamma_cf(a: f64, x: f64) -> f64 {
-    upper_gamma_cf(a, x).ln()
 }
 
 #[cfg(test)]
@@ -340,26 +310,6 @@ mod tests {
             assert_close(erf(x) + erfc(x), 1.0, 1e-13);
             assert_close(erf(-x), -erf(x), 1e-13);
         }
-    }
-
-    #[test]
-    fn ln_erfc_matches_erfc_where_representable() {
-        for &x in &[0.0, 0.5, 1.0, 2.0, 5.0, 10.0] {
-            assert_close(ln_erfc(x), erfc(x).ln(), 1e-10);
-        }
-        for &x in &[-0.5, -2.0] {
-            assert_close(ln_erfc(x), erfc(x).ln(), 1e-12);
-        }
-    }
-
-    #[test]
-    fn ln_erfc_far_tail_does_not_underflow() {
-        // erfc(30) underflows f64 (≈ 2.6e-393); ln_erfc must remain finite.
-        let v = ln_erfc(30.0);
-        assert!(v.is_finite());
-        // Asymptotic: ln erfc(x) ≈ -x² - ln(x√π) for large x.
-        let approx = -30.0_f64 * 30.0 - (30.0 * std::f64::consts::PI.sqrt()).ln();
-        assert!((v - approx).abs() < 0.01, "v={v} approx={approx}");
     }
 
     #[test]

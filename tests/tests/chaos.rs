@@ -146,6 +146,54 @@ fn fatal_read_failures_abort_under_any_policy() {
 }
 
 #[test]
+fn rechunking_a_faulty_source_keeps_its_faults() {
+    let batch = trace();
+    let plan = FaultPlan::none()
+        .at(2, SourceFault::MalformedRecord)
+        .at(5, SourceFault::FatalRead);
+    let faulty = FaultySource::new(Chunked::new(BatchSource::new(&batch), CHUNK), plan);
+    let mut source = Chunked::new(faulty, 97);
+    let error = monitor(1, resilient())
+        .try_drive(&mut source, &mut Collect::new())
+        .expect_err("the fatal read reaches the drive through the re-cut");
+    match &error {
+        DriveError::Source { error, stats } => {
+            assert!(!error.is_recoverable());
+            assert_eq!(
+                stats.malformed_skipped, 1,
+                "the malformed poll passes through too"
+            );
+        }
+        other => panic!("expected DriveError::Source, got {other:?}"),
+    }
+}
+
+#[test]
+fn drive_waits_out_idle_polls_skips_malformed_records_and_ends_at_a_fatal_read() {
+    let batch = trace();
+    // Polls 0, 2, 4 and 5 are chunks; the strict policy shows that `drive`
+    // keeps its own rule whatever `try_drive` would do.
+    let plan = FaultPlan::none()
+        .at(1, SourceFault::Stall)
+        .at(3, SourceFault::MalformedRecord)
+        .at(6, SourceFault::FatalRead);
+    let mut source = FaultySource::new(Chunked::new(BatchSource::new(&batch), CHUNK), plan);
+    let mut sink = DigestSink::new();
+    let summary = monitor(1, DrivePolicy::strict()).drive(&mut source, &mut sink);
+    assert_eq!((summary.chunks, summary.packets), (4, 4 * CHUNK as u64));
+
+    let mut prefix = PacketBatch::new();
+    prefix.extend_from_batch(&batch, 0..4 * CHUNK);
+    let mut plain = DigestSink::new();
+    let expected = monitor(1, DrivePolicy::strict()).drive(
+        &mut Chunked::new(BatchSource::new(&prefix), CHUNK),
+        &mut plain,
+    );
+    assert_eq!(summary.reports, expected.reports);
+    assert_eq!(sink.digest(), plain.digest());
+}
+
+#[test]
 fn transient_sink_failures_are_retried_and_counted() {
     let batch = trace();
     let mut source = FaultySource::new(
