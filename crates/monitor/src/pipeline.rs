@@ -141,13 +141,22 @@ pub trait PacketSource {
     ///   again, a [`SourceError::Fatal`] one ends it.
     fn try_next_chunk(&mut self) -> Result<Option<&PacketBatch>, SourceError>;
 
-    /// One poll with its idle and error answers dropped: never loops, so an
-    /// idle poll comes back as an empty chunk and an error as `None`.
+    /// One poll with its error folded in; never loops. An idle poll comes
+    /// back as an empty chunk, and so does a recoverable error (nothing
+    /// delivered, poll again); a fatal error comes back as `None`, like the
+    /// end. A `while let Some(chunk)` loop over it therefore reads a source
+    /// with malformed records to its end.
     ///
-    /// Nothing in the workspace calls it; it stays only while the `ledger`
-    /// package's `StampedSource` overrides it.
+    /// Only its own test calls it in the workspace. It stays only while the
+    /// `ledger` package calls it (timing `NdjsonRecordSource` alone) and
+    /// overrides it (`StampedSource`).
     fn next_chunk(&mut self) -> Option<&PacketBatch> {
-        self.try_next_chunk().ok().flatten()
+        static SKIPPED: PacketBatch = PacketBatch::new();
+        match self.try_next_chunk() {
+            Ok(chunk) => chunk,
+            Err(error) if error.is_recoverable() => Some(&SKIPPED),
+            Err(_) => None,
+        }
     }
 }
 
@@ -1719,6 +1728,25 @@ mod tests {
         let first = source.try_next_chunk().expect("no failure mode");
         assert_eq!(first.map(|b| b.len()), Some(packets.len()));
         assert!(source.try_next_chunk().unwrap().is_none(), "end of stream");
+    }
+
+    #[test]
+    fn provided_next_chunk_reads_past_malformed_records_and_ends_at_a_fatal_one() {
+        fn count(mut source: impl PacketSource) -> usize {
+            let mut packets = 0;
+            while let Some(chunk) = source.next_chunk() {
+                packets += chunk.len();
+            }
+            packets
+        }
+        let record =
+            r#"{"ts":1,"src":"1.1.1.1","dst":"2.2.2.2","sport":1,"dport":2,"len":9,"proto":"udp"}"#;
+        let feed = format!("{record}\nnot a record\n{record}\n");
+        assert_eq!(count(NdjsonRecordSource::new(feed.as_bytes())), 2);
+        let packets = synth_packets(3, 0.0);
+        let capture = records_to_pcap_bytes(&packets).unwrap();
+        let cut = &capture[..capture.len() - 7]; // truncated mid-record
+        assert_eq!(count(PcapBytesSource::new(cut).unwrap()), packets.len() - 1);
     }
 
     /// Loops `try_next_chunk` to the end of the stream, or to the first idle

@@ -52,7 +52,8 @@ pub enum SourceFault {
     /// The next real chunk's first packet is rewritten to one nanosecond
     /// before the newest timestamp delivered so far — a single cross-call
     /// timestamp regression. Skipped silently when no timestamp has been
-    /// delivered yet or the newest is zero.
+    /// delivered yet or the newest is zero, and used up with nothing
+    /// rewritten when the inner poll it lands on idles or fails.
     OutOfOrder,
 }
 
@@ -234,8 +235,8 @@ impl<S: PacketSource> PacketSource for FaultySource<S> {
                     "injected fatal read failure",
                 ))))
             }
-            fault => {
-                let regress = fault == Some(SourceFault::OutOfOrder);
+            fault @ (None | Some(SourceFault::OutOfOrder)) => {
+                let regress = fault.is_some();
                 Ok(self.pump(regress)?.then_some(&self.out))
             }
         }
