@@ -6,7 +6,7 @@
 //! that counting. They are generic over the flow key so both flow
 //! definitions (5-tuple and /24 prefix) use the same code.
 
-use flowrank_flowtable::{CompactKey, FlowMap, PackedKey};
+use flowrank_flowtable::{CompactKey, FlowMap};
 
 /// A flow with its true (unsampled) size, as produced by ranking the original
 /// flow table.
@@ -43,15 +43,19 @@ pub struct ComparisonOutcome {
 /// then scores every sampling lane (run × rate) against the same ranked
 /// truth. Everything that depends only on the truth is paid once, in `new`:
 /// the `O(n log n)` sort, where the tie run of each of the `t` top flows ends
-/// (which is how many pairs it is in), and a rank index over the keys. A lane is then scored through one of two entry
-/// points that return the same [`ComparisonOutcome`]:
+/// (which is how many pairs it is in), and the two maps between a flow's
+/// **id** — its position in the population `new` was given, which for a
+/// `FlowTable` drain is the table's own flow id — and its rank. A lane is
+/// then scored through one of two entry points that return the same
+/// [`ComparisonOutcome`]:
 ///
 /// * [`GroundTruthRanking::compare_with`] — **the definition**: `n` lookups
-///   through a closure plus the literal `O(t·n)` scan over every pair. The
-///   per-packet oracle `sim::engine::run_bin` and the ledger's replica score
-///   with it.
-/// * [`GroundTruthRanking::compare_sparse`] — the kernel the monitor runs:
-///   `t` lookups, one pass over the lane's `m` non-zero sampled sizes and
+///   by key through a closure plus the literal `O(t·n)` scan over every
+///   pair. The per-packet oracle `sim::engine::run_bin` and the ledger's
+///   replica score with it.
+/// * [`GroundTruthRanking::compare_sparse`] — the kernel the monitor runs,
+///   over the lane's sampled sizes indexed by flow id: `t` array reads for
+///   the top flows, one pass over the lane's `m` sampled flows and
 ///   `O(t·m′)` comparisons for the `m′ ≤ m` of them large enough to matter,
 ///   because at low sampling rates almost every flow samples to zero (the
 ///   paper's own premise, Secs. 3–5) and a pair of two zeros needs no
@@ -65,63 +69,76 @@ pub struct GroundTruthRanking<K> {
     /// strictly smaller, so the flow is in `n − tie_end` ranking pairs and
     /// `n − max(t, tie_end)` detection pairs.
     tie_end: Vec<u32>,
-    /// Open-addressed rank index: `(2n).next_power_of_two()` slots holding
-    /// ranks, hashed with `pack().mix()` and resolved against
-    /// `ranked[rank].key` — no second copy of the keys. Empty when `n = 0`.
-    slots: Vec<u32>,
+    /// The ids of the `t` top flows, in rank order.
+    top_ids: Vec<u32>,
+    /// The rank of every flow id. Empty when `n = 0`.
+    rank_of_id: Vec<u32>,
 }
-
-/// Marks a free slot of the rank index (a rank is always `< n ≤ u32::MAX`).
-const NO_RANK: u32 = u32::MAX;
 
 impl<K: CompactKey + Ord> GroundTruthRanking<K> {
     /// Ranks a flow population by decreasing true size (ties broken by key
     /// order so the ranking is identical across runs and platforms), fixes
     /// the top-`t` boundary, finds where each top flow's run of ties ends
-    /// and indexes the keys by rank. Keys must be distinct — true of every
-    /// `FlowTable` drain and of disjoint shards.
+    /// and maps flow ids (positions in `flows`) to ranks. Keys must be
+    /// distinct — true of every `FlowTable` drain.
     pub fn new(mut flows: Vec<SizedFlow<K>>, top_t: usize) -> Self {
-        flows.sort_by(|a, b| b.packets.cmp(&a.packets).then_with(|| a.key.cmp(&b.key)));
         let n = flows.len();
-        assert!(n < NO_RANK as usize, "ranks are indexed as u32");
+        assert!(n <= u32::MAX as usize, "flow ids are u32");
         let top_t = top_t.min(n);
+        // The ids in rank order. Keys are distinct, so the order is total
+        // and an unstable sort is deterministic.
+        let mut order: Vec<u32> = (0..n as u32).collect();
+        order.sort_unstable_by(|&a, &b| {
+            let (a, b) = (&flows[a as usize], &flows[b as usize]);
+            b.packets.cmp(&a.packets).then_with(|| a.key.cmp(&b.key))
+        });
+        let top_ids = order[..top_t].to_vec();
+        let mut rank_of_id = vec![0; n];
+        for (rank, &id) in order.iter().enumerate() {
+            rank_of_id[id as usize] = rank as u32;
+        }
+        // Move each flow to its rank in place, cycle by cycle, with `order`
+        // reused as the scratch copy of every slot's destination: no
+        // second copy of the population.
+        order.copy_from_slice(&rank_of_id);
+        for slot in 0..n {
+            while order[slot] as usize != slot {
+                let rank = order[slot] as usize;
+                flows.swap(slot, rank);
+                order.swap(slot, rank);
+            }
+        }
+        let ranked = flows;
+        debug_assert!(
+            ranked.windows(2).all(|w| w[0].key != w[1].key),
+            "duplicate flow key"
+        );
 
         let mut tie_end = Vec::with_capacity(top_t);
         let mut end = 0;
-        for (rank, flow) in flows[..top_t].iter().enumerate() {
+        for (rank, flow) in ranked[..top_t].iter().enumerate() {
             if end <= rank {
                 end = rank + 1;
-                while end < n && flows[end].packets == flow.packets {
+                while end < n && ranked[end].packets == flow.packets {
                     end += 1;
                 }
             }
             tie_end.push(end as u32);
         }
 
-        let mut slots = Vec::new();
-        if n > 0 {
-            slots.resize((2 * n).next_power_of_two(), NO_RANK);
-            let mask = slots.len() - 1;
-            for (rank, flow) in flows.iter().enumerate() {
-                let mut slot = flow.key.pack().mix() as usize & mask;
-                while slots[slot] != NO_RANK {
-                    debug_assert!(
-                        flows[slots[slot] as usize].key != flow.key,
-                        "duplicate flow key {:?}",
-                        flow.key
-                    );
-                    slot = (slot + 1) & mask;
-                }
-                slots[slot] = rank as u32;
-            }
-        }
-
         GroundTruthRanking {
-            ranked: flows,
+            ranked,
             top_t,
             tie_end,
-            slots,
+            top_ids,
+            rank_of_id,
         }
+    }
+
+    /// The rank of flow `id` (its position in the population given to
+    /// [`GroundTruthRanking::new`]): `flows()[rank_of_id(id)]` is that flow.
+    pub fn rank_of_id(&self, id: u32) -> usize {
+        self.rank_of_id[id as usize] as usize
     }
 
     /// The population, sorted by decreasing true size.
@@ -194,53 +211,27 @@ impl<K: CompactKey + Ord> GroundTruthRanking<K> {
         }
     }
 
-    /// Rank of `key` in the truth, `None` for a key it does not hold.
-    #[inline]
-    fn rank_of(&self, key: K) -> Option<usize> {
-        if self.slots.is_empty() {
-            return None;
-        }
-        let mask = self.slots.len() - 1;
-        let mut slot = key.pack().mix() as usize & mask;
-        loop {
-            let rank = self.slots[slot];
-            if rank == NO_RANK {
-                return None;
-            }
-            if self.ranked[rank as usize].key == key {
-                return Some(rank as usize);
-            }
-            slot = (slot + 1) & mask;
-        }
-    }
-
     /// Scores one lane from only the flows it sampled — same outcome as
     /// [`GroundTruthRanking::compare_with`], at a cost proportional to what
     /// the lane kept instead of to the population.
     ///
-    /// Two views of the same sampled table: `sampled_size_of` is the lookup
-    /// `compare_with` takes, asked here about the `t` top flows only, and
-    /// `sampled` yields every flow of non-zero sampled size once (a
-    /// `FlowTable`'s `iter_sizes()`). A key the truth does not hold is
-    /// skipped, exactly as the dense scan never looks it up.
+    /// The lane is given by flow id: `counts[id]` is the sampled size of
+    /// flow `id` (0 for a flow it missed; ids past the slice's end count as
+    /// 0 too), and `touched` lists every id whose count is non-zero, once.
+    /// Every id in `touched` must belong to the truth (`< n`); a lane that
+    /// kept flows the truth no longer holds drops them before the call.
     ///
     /// A top flow sampled to zero is swapped with every pair it is in — a
     /// count read off `tie_end`. One that was sampled can only be swapped
     /// with a strictly smaller flow sampled at least as often, so only the
-    /// entries of `sampled` that reach the smallest non-zero top sampled
-    /// size are ranked (`m′` index probes) and held against the top flows:
-    /// `O(t + m + t·m′)`.
-    pub fn compare_sparse(
-        &self,
-        sampled_size_of: impl Fn(&K) -> u64,
-        sampled: impl IntoIterator<Item = (K, u64)>,
-    ) -> ComparisonOutcome {
+    /// entries of `touched` that reach the smallest non-zero top sampled
+    /// size are ranked and held against the top flows: `O(t + m + t·m′)`,
+    /// every lookup an array read.
+    pub fn compare_sparse(&self, counts: &[u32], touched: &[u32]) -> ComparisonOutcome {
         let t = self.top_t;
         let n = self.ranked.len();
-        let top: Vec<u64> = self.ranked[..t]
-            .iter()
-            .map(|flow| sampled_size_of(&flow.key))
-            .collect();
+        let count_of = |id: u32| counts.get(id as usize).map_or(0, |&c| u64::from(c));
+        let top: Vec<u64> = self.top_ids.iter().map(|&id| count_of(id)).collect();
 
         let mut ranking_swaps = 0u64;
         let mut detection_swaps = 0u64;
@@ -267,15 +258,13 @@ impl<K: CompactKey + Ord> GroundTruthRanking<K> {
         }
         // (No top flow sampled: every count is already taken, skip the walk.)
         if floor < u64::MAX {
-            for (key, s_b) in sampled {
+            for &id in touched {
+                let s_b = count_of(id);
                 if s_b < floor {
                     continue;
                 }
-                let Some(rank_b) = self.rank_of(key) else {
-                    continue;
-                };
+                let rank_b = self.rank_of_id(id);
                 if rank_b < t {
-                    debug_assert_eq!(s_b, top[rank_b], "the two views of the lane disagree");
                     continue;
                 }
                 let swapped = top
@@ -625,8 +614,20 @@ mod tests {
                 population.len(),
                 lane.len()
             );
+            // Fed the way a table lane is: each sampled key resolved to its
+            // flow id (its position in the population), keys the truth does
+            // not hold skipped.
+            let ids: FlowMap<u32, u32> = population.iter().map(|f| f.key).zip(0..).collect();
+            let mut counts = vec![0u32; population.len()];
+            let mut touched = Vec::new();
+            for (key, size) in &lane {
+                if let Some(&id) = ids.get(key) {
+                    counts[id as usize] = *size as u32;
+                    touched.push(id);
+                }
+            }
             assert_eq!(
-                truth.compare_sparse(lookup, lane.iter().copied()),
+                truth.compare_sparse(&counts, &touched),
                 expected,
                 "compare_sparse, case {case} (seed {seed:#x}): n = {}, t = {top_t}, m = {}",
                 population.len(),
@@ -661,11 +662,13 @@ mod tests {
         assert_eq!(outcome.ranking_pairs, 0);
         assert_eq!(outcome.ranking_swaps, 0);
         assert!(top_set_matches(&original, &FlowMap::new(), 5));
-        // An empty bin stays free: no index is allocated, and a lane that
-        // kept packets of flows the truth never saw scores to nothing.
+        // An empty bin stays free: neither id map is allocated, and a lane
+        // whose kept flows the truth never saw (so none resolved to an id)
+        // scores to nothing.
         let truth = GroundTruthRanking::new(original, 5);
-        assert_eq!(truth.slots.capacity(), 0);
+        assert_eq!(truth.rank_of_id.capacity(), 0);
+        assert_eq!(truth.top_ids.capacity(), 0);
         assert_eq!(truth.tie_end.capacity(), 0);
-        assert_eq!(truth.compare_sparse(|_| 3, [(7, 3)]), outcome);
+        assert_eq!(truth.compare_sparse(&[3], &[]), outcome);
     }
 }

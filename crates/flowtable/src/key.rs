@@ -11,7 +11,7 @@ use crate::hash::{fx_fold, fx_mix64};
 
 /// A packed key representation: a plain unsigned integer that can mix
 /// itself into a 64-bit hash. (`Send + Sync` is part of the contract —
-/// packed keys are plain data, and the sharded tables move them across
+/// packed keys are plain data, and the tables holding them move across
 /// worker threads.)
 pub trait PackedKey: Copy + Eq + Ord + std::fmt::Debug + Send + Sync {
     /// Mixes the packed value into a full-avalanche 64-bit hash.

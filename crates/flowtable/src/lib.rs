@@ -21,9 +21,9 @@
 //! * [`FlowMap`] — an open-addressing table mapping packed keys to
 //!   slab-backed values, with `clear()` that keeps its allocations so a
 //!   streaming monitor reuses one table across measurement bins instead of
-//!   rehashing from zero,
-//! * [`shard_of`] — the key-hash shard router used to classify one bin in
-//!   parallel across N disjoint sub-tables.
+//!   rehashing from zero. An entry's slab position is its **flow id**:
+//!   [`FlowMap::upsert_id`] returns it from the same probe that counts the
+//!   packet, and it stays put until a [`FlowMap::remove`] or `clear()`.
 //!
 //! ## Determinism contract
 //!
@@ -37,11 +37,6 @@
 //!   hash-iteration order ever leaks into results.
 //! * The hash function is fixed and unseeded: the same key hashes the same
 //!   everywhere. This is a deliberate trade — see *Why not SipHash?* below.
-//! * Shard assignment ([`shard_of`]) depends only on the packed key and the
-//!   shard count, and uses hash bits disjoint from the in-table probe bits,
-//!   so a sharded classification of a bin observes exactly the per-key
-//!   counts of a sequential one; merging shards in index order yields a
-//!   deterministic combined drain.
 //!
 //! ## Why not SipHash?
 //!
@@ -65,67 +60,3 @@ pub mod map;
 pub use hash::{fx_fold, fx_mix64, FxHasher};
 pub use key::{CompactKey, PackedKey};
 pub use map::FlowMap;
-
-/// Routes a packed key to one of `shards` disjoint sub-tables.
-///
-/// Uses the upper half of the mixed hash so shard membership is independent
-/// of the low bits [`FlowMap`] probes with — otherwise every key inside one
-/// shard would share its low probe bits and collide. `shards` of 0 or 1 puts
-/// everything in shard 0.
-#[inline]
-pub fn shard_of<P: PackedKey>(packed: P, shards: usize) -> usize {
-    if shards <= 1 {
-        0
-    } else {
-        ((packed.mix() >> 32) as usize) % shards
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn shard_routing_is_stable_and_in_range() {
-        for key in 0u64..1_000 {
-            let s = shard_of(key, 7);
-            assert!(s < 7);
-            assert_eq!(s, shard_of(key, 7), "same key, same shard");
-        }
-        assert_eq!(shard_of(42u64, 0), 0);
-        assert_eq!(shard_of(42u64, 1), 0);
-    }
-
-    #[test]
-    fn shards_are_reasonably_balanced() {
-        let shards = 4;
-        let mut counts = vec![0usize; shards];
-        for key in 0u64..10_000 {
-            counts[shard_of(key, shards)] += 1;
-        }
-        for &c in &counts {
-            assert!(
-                (1_500..=3_500).contains(&c),
-                "severely unbalanced shards: {counts:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn shard_bits_are_independent_of_probe_bits() {
-        // Keys crafted to share low mixed bits must still spread over
-        // shards; conversely one shard's keys must not share low bits.
-        let shards = 8;
-        let mut low_bits_in_shard0 = std::collections::HashSet::new();
-        for key in 0u64..4_096 {
-            if shard_of(key, shards) == 0 {
-                low_bits_in_shard0.insert(key.mix() & 0xFF);
-            }
-        }
-        assert!(
-            low_bits_in_shard0.len() > 64,
-            "shard 0 keys collapse onto {} low-bit patterns",
-            low_bits_in_shard0.len()
-        );
-    }
-}

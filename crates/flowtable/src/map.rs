@@ -124,18 +124,36 @@ impl<K: CompactKey, V> FlowMap<K, V> {
         insert: impl FnOnce() -> V,
         update: impl FnOnce(&mut V),
     ) -> &mut V {
+        let id = self.upsert_id(key, insert, update);
+        &mut self.entries[id].1
+    }
+
+    /// [`FlowMap::upsert`], returning the entry's slab position — its
+    /// **flow id**. Ids are dense (`0..len()`, in insertion order) and stay
+    /// put until a [`FlowMap::remove`] moves the last entry into a hole or
+    /// `clear()` restarts them from 0, so a caller that never removes can
+    /// index per-flow arrays by id instead of hashing the key again.
+    #[inline]
+    pub fn upsert_id(
+        &mut self,
+        key: K,
+        insert: impl FnOnce() -> V,
+        update: impl FnOnce(&mut V),
+    ) -> usize {
         let packed = key.pack();
         match self.find_entry(packed) {
             Some(i) => {
-                let value = &mut self.entries[i].1;
-                update(value);
-                value
+                update(&mut self.entries[i].1);
+                i
             }
-            None => {
-                let i = self.push_new(packed, insert());
-                &mut self.entries[i].1
-            }
+            None => self.push_new(packed, insert()),
         }
+    }
+
+    /// The flow id (slab position) of `key`, if present.
+    #[inline]
+    pub fn id_of(&self, key: &K) -> Option<usize> {
+        self.find_entry(key.pack())
     }
 
     /// Inserts or replaces the value of `key`; returns the previous value
@@ -331,6 +349,26 @@ mod tests {
         assert_eq!(map.get(&9), Some(&5));
         assert_eq!(*map.upsert(9, || 100, |_| ()), 5);
         assert_eq!(*map.upsert(10, || 100, |_| ()), 100);
+    }
+
+    #[test]
+    fn flow_ids_are_slab_positions() {
+        let mut map: FlowMap<u64, u32> = FlowMap::new();
+        // First sight assigns the next id; later sights return it again.
+        let ids: Vec<usize> = [30, 10, 30, 20, 10]
+            .iter()
+            .map(|&k| map.upsert_id(k, || 1, |c| *c += 1))
+            .collect();
+        assert_eq!(ids, [0, 1, 0, 2, 1]);
+        assert_eq!(map.id_of(&20), Some(2));
+        assert_eq!(map.id_of(&40), None);
+        let slab: Vec<(u64, u32)> = map.iter().map(|(k, &c)| (k, c)).collect();
+        assert_eq!(slab, [(30, 2), (10, 2), (20, 1)]);
+        // A removal moves the last entry into the hole; a clear restarts ids.
+        map.remove(&30);
+        assert_eq!(map.id_of(&20), Some(0));
+        map.clear();
+        assert_eq!(map.upsert_id(10, || 1, |c| *c += 1), 0);
     }
 
     #[test]

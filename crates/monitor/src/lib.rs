@@ -8,20 +8,27 @@
 //! through [`Monitor::push_batch_into`], which
 //!
 //! 1. classifies the packet into the current measurement bin's ground-truth
-//!    flow table (under a runtime-selected [`FlowDefinition`]),
+//!    flow table (under a runtime-selected [`FlowDefinition`]), whose probe
+//!    also returns the packet's **flow id** — the flow's position in that
+//!    table,
 //! 2. offers it to every *sampling lane* — an independent sampler (any
 //!    [`SamplerSpec`]: random, periodic, stratified, flow, smart, adaptive)
-//!    with its own deterministic RNG, a sampled flow table, and optionally a
-//!    memory-bounded top-k backend ([`TopKSpec`]) fed with the retained
-//!    packets,
-//! 3. closes bins automatically on timestamp boundaries, ranking and
-//!    indexing the ground truth **once per bin** and scoring every lane
-//!    against that single ranking ([`GroundTruthRanking`] from
-//!    `flowrank-core`) from only the flows the lane sampled
-//!    ([`GroundTruthRanking::compare_sparse`]: a lane costs what it kept, not
-//!    what the bin held; debug builds check each outcome against the dense
-//!    definition, `compare_with`), and emits a [`BinReport`] carrying the
-//!    per-lane swapped-pair [`ComparisonOutcome`]s.
+//!    with its own deterministic RNG, which counts the packets it retains
+//!    by flow id (`counts[id] += 1`: an array write, not a second hash
+//!    table), and optionally a memory-bounded top-k backend ([`TopKSpec`])
+//!    fed with the retained packets,
+//! 3. closes bins automatically on timestamp boundaries, ranking the ground
+//!    truth **once per bin** and scoring every lane against that single
+//!    ranking ([`GroundTruthRanking`] from `flowrank-core`) from only the
+//!    flows the lane sampled ([`GroundTruthRanking::compare_sparse`]: a lane
+//!    costs what it kept, not what the bin held, and every lookup is an
+//!    array read by flow id or rank; debug builds check each outcome against
+//!    the dense definition, `compare_with`), and emits a [`BinReport`]
+//!    carrying the per-lane swapped-pair [`ComparisonOutcome`]s.
+//!
+//! A monitor with a [`MonitorBuilder::flow_budget`] is the one exception to
+//! counting by id: eviction moves the truth's flow ids, so its lanes keep a
+//! flow table each and resolve their keys to ids at the seal.
 //!
 //! The multi-run fan-out mode ([`MonitorBuilder::rates`] +
 //! [`MonitorBuilder::runs`]) is what the paper's Sec. 8 methodology needs: 30
@@ -35,9 +42,9 @@
 //! [`Monitor::push_batch_into`] takes a whole SoA
 //! [`flowrank_net::PacketBatch`] (e.g. straight from the zero-copy pcap
 //! decoder): the monitor splits it on bin boundaries,
-//! derives flow keys once per segment, classifies the ground truth in one
-//! pass and offers every lane the batch at a time — skip-based samplers
-//! then touch only the packets they keep. The **equivalence contract** is
+//! derives flow keys and flow ids once per segment, classifies the ground
+//! truth in one pass and offers every lane the batch at a time — skip-based
+//! samplers then touch only the packets they keep. The **equivalence contract** is
 //! that a one-packet push is a one-record batch: cutting the stream into
 //! batches of any size produces bit-identical [`BinReport`]s, including under
 //! [`MonitorBuilder::threads`] sharding (pinned by the
@@ -47,24 +54,25 @@
 //!
 //! [`MonitorBuilder::threads`] `(n > 1)` replaces the serial engine with a
 //! persistent worker pool — spawned once at `build()`, joined on drop — so
-//! ingestion (the caller's thread), ground-truth classification and lane
-//! scoring overlap across bins instead of barrier-stepping. There is one
-//! path in: the caller splits each batch on bin boundaries, derives keys
-//! once, routes every key to its ground-truth shard, and appends the
-//! segment — one packet or a whole bin — to a keyed buffer that it
-//! broadcasts over bounded SPSC channels when it holds 4096 packets, when a
-//! bin seal needs it, or before it waits for a sealed bin's report. Worker `w` owns shard `w` plus the strided lane set
-//! `{i : i mod n == w}` by value and runs the same per-bin body as the
-//! serial engine on them, so no packet takes a lock; a sequencer thread
-//! merges the sealed shards, ranks the bin once, scatters the scored lane
-//! reports back into lane order and runs the controller step. The
-//! guarantees, pinned by the `worker_runtime` suite and the golden
-//! conformance matrix:
+//! ingestion and ground-truth classification (the caller's thread), lane
+//! work and scoring overlap across bins instead of barrier-stepping. There
+//! is one path in: the caller splits each batch on bin boundaries, derives
+//! keys once, classifies every packet into the bin's one ground-truth table
+//! — which gives the packet its flow id — and appends the segment (one
+//! packet or a whole bin) with its flow ids to a buffer that it broadcasts
+//! over bounded SPSC channels when it holds 4096 packets, when a bin seal
+//! needs it, or before it waits for a sealed bin's report. Worker `w` owns
+//! the strided lane set `{i : i mod n == w}` by value and runs the same
+//! lane body as the serial engine on them, so no packet takes a lock; at a
+//! seal the caller drains the truth to a sequencer thread, which ranks the
+//! bin once, scatters the scored lane reports back into lane order and runs
+//! the controller step. The guarantees, pinned by the `worker_runtime`
+//! suite and the golden conformance matrix:
 //!
 //! * **Determinism** — reports are bit-identical to the serial engine for
-//!   every thread count, chunking and entry point. Shards are disjoint and
-//!   merged in a fixed order, the combined ranking is re-sorted by
-//!   `(size, key)`, and every queue carries the same message sequence, so
+//!   every thread count, chunking and entry point. The truth is classified
+//!   in stream order on one thread, as the serial engine does it, so flow
+//!   ids agree, and every queue carries the same message sequence, so
 //!   scheduling is invisible in the output.
 //! * **Backpressure** — segment queues are bounded (`sync_channel`): a
 //!   source that outruns the pool blocks in `push_batch_into` instead of

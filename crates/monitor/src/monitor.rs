@@ -3,22 +3,24 @@
 //! Every ingestion entry point — [`Monitor::run_batch`],
 //! [`Monitor::drive`], [`Monitor::try_drive`] — is a loop over
 //! [`Monitor::push_batch_into`] and [`Monitor::finish_into`]. The monitor
-//! classifies each packet into the bin's ground-truth flow table, offers it
-//! to every sampling lane, feeds retained packets into the lanes' sampled
-//! tables (and optional top-k backends), and closes measurement bins
-//! automatically on timestamp boundaries. Closing a bin ranks the ground truth **once** and scores
+//! classifies each packet into the bin's ground-truth flow table, whose
+//! probe also gives the packet's **flow id** (the flow's position in that
+//! table), offers it to every sampling lane, counts retained packets by
+//! flow id (`counts[id] += 1`, no second hash) and feeds them to optional
+//! top-k backends, and closes measurement bins automatically on timestamp
+//! boundaries. Closing a bin ranks the ground truth **once** and scores
 //! every lane against that single ranking — with `runs × rates` lanes this
 //! removes the `runs × rates` redundant reclassifications the batch API used
-//! to pay. That per-bin computation is written once, in `LaneShard`; the
-//! serial engine and the pipelined runtime's workers differ only in which
-//! shard and which lanes they hold.
+//! to pay. The lane work is written once, in `LaneShard`; the serial engine
+//! and the pipelined runtime's workers differ only in which lanes they
+//! hold, and the ground truth lives with whichever thread derives keys.
 
 use std::ops::Range;
 use std::time::{Duration, Instant};
 
 use flowrank_control::{BinObservation, ControllerSpec, RateController};
-use flowrank_core::metrics::{GroundTruthRanking, SizedFlow};
-use flowrank_net::{AnyFlowKey, FlowDefinition, FlowTable, PacketBatch, Timestamp};
+use flowrank_core::metrics::{ComparisonOutcome, GroundTruthRanking, SizedFlow};
+use flowrank_net::{AnyFlowKey, FlowDefinition, FlowMap, FlowTable, PacketBatch, Timestamp};
 use flowrank_sampling::SamplerStage;
 use flowrank_stats::rng::{derive_seeds, Pcg64, SeedableRng};
 use flowrank_topk::TopKTracker;
@@ -180,20 +182,21 @@ impl MonitorBuilder {
     ///
     /// Above 1, `build()` spawns a **persistent pipelined worker runtime**
     /// (torn down when the monitor drops): the calling thread becomes the
-    /// ingest stage — splitting batches on bin boundaries, deriving keys,
-    /// routing packets to ground-truth shards — and coalesces everything it
-    /// is given, from one-packet pushes to whole-bin batches, into
-    /// 4096-packet keyed buffers that it broadcasts over bounded queues to
-    /// one classification worker per thread (a bin seal ships a partly
-    /// filled buffer first, and so does a call about to wait for a sealed
-    /// bin's report). Worker *w* owns ground-truth shard *w* and
-    /// every lane with index ≡ *w* (mod threads) outright, so no packet
-    /// takes a lock; at each bin seal the workers score their lanes in
-    /// parallel while a single sequencer thread merges the shards, ranks
-    /// the ground truth once, reassembles the [`BinReport`] in lane order
-    /// and runs the control step. Ingestion, classification and lane
-    /// scoring overlap instead of barrier-stepping, and the bounded queues
-    /// provide backpressure so peak memory stays flows + in-flight buffers.
+    /// ingest stage — splitting batches on bin boundaries, deriving keys and
+    /// classifying every packet into the bin's ground truth, which gives it
+    /// a flow id — and coalesces everything it is given, from one-packet
+    /// pushes to whole-bin batches, into 4096-packet buffers of packets and
+    /// flow ids that it broadcasts over bounded queues to one lane worker
+    /// per thread (a bin seal ships a partly filled buffer first, and so
+    /// does a call about to wait for a sealed bin's report). Worker *w*
+    /// owns every lane with index ≡ *w* (mod threads) outright, so no
+    /// packet takes a lock; at each bin seal the ingest stage hands the
+    /// drained truth to a sequencer thread, which ranks it once while the
+    /// workers wait, then reassembles their scored lanes into the
+    /// [`BinReport`] in lane order and runs the control step. Ingestion,
+    /// lane work and scoring overlap instead of barrier-stepping, and the
+    /// bounded queues provide backpressure so peak memory stays flows +
+    /// in-flight buffers.
     ///
     /// Every lane still sees every packet in order with its own RNG, so
     /// reports are **bit-identical** across thread counts and ingestion
@@ -228,7 +231,10 @@ impl MonitorBuilder {
     /// segment pushes a table over the cap. This is the per-tenant memory
     /// budget behind the fleet layer: peak flow-state memory becomes
     /// `O(budget × lanes)` regardless of how many distinct flows a bin
-    /// carries.
+    /// carries. (An eviction moves the truth's flow ids, so each lane of a
+    /// budgeted monitor counts into a flow table of its own instead of by
+    /// id, and resolves its keys through the truth at the seal; a key the
+    /// truth has evicted is skipped.)
     ///
     /// Eviction is space-saving-style *state* shedding: bin totals
     /// (`packets`, bytes) keep counting everything observed, only per-flow
@@ -354,9 +360,13 @@ impl MonitorBuilder {
             ))
         } else {
             Engine::Serial(SerialEngine {
-                shard: LaneShard::new(lanes, budget),
+                truth: FlowTable::new(),
+                flow_budget: budget,
+                evictions: 0,
+                shard: LaneShard::new(lanes),
                 controller,
                 keys: Vec::new(),
+                ids: Vec::new(),
                 segments: 0,
                 report: BinReport::default(),
             })
@@ -501,8 +511,78 @@ impl FlowBudget {
     }
 }
 
+/// A lane's sampled sizes by the bin's flow ids: `counts[id] += 1` per kept
+/// packet, on a vector recycled across bins, plus the ids of first keeps.
+#[derive(Debug, Default)]
+struct IdCounts {
+    /// Sampled size of every flow id seen so far in the bin; 0 outside
+    /// `touched`. A lane counts at most `u32::MAX` packets of one flow per
+    /// bin.
+    counts: Vec<u32>,
+    /// The ids with a non-zero count, once each, in order of first keep.
+    touched: Vec<u32>,
+    /// Packets counted in the bin.
+    packets: u64,
+}
+
+impl IdCounts {
+    /// The dense definition, `compare_with`, over the same counts looked up
+    /// by key — what debug builds check every id lane's seal against.
+    fn dense_outcome(&self, truth: &GroundTruthRanking<AnyFlowKey>) -> ComparisonOutcome {
+        let sizes: FlowMap<AnyFlowKey, u64> = self
+            .touched
+            .iter()
+            .map(|&id| {
+                let key = truth.flows()[truth.rank_of_id(id)].key;
+                (key, u64::from(self.counts[id as usize]))
+            })
+            .collect();
+        truth.compare_with(|key| sizes.get(key).copied().unwrap_or(0))
+    }
+
+    /// Zeroes what the bin touched, keeping the allocation.
+    fn clear(&mut self) {
+        for &id in &self.touched {
+            self.counts[id as usize] = 0;
+        }
+        self.touched.clear();
+        self.packets = 0;
+    }
+}
+
+/// What a lane counts its kept packets into.
+///
+/// Flow ids are positions in the ground truth's table, which hold only
+/// while the table removes nothing: an eviction moves the last entry into
+/// the hole. So a monitor with a [`MonitorBuilder::flow_budget`] keeps a
+/// table per lane under the same cap, counts by key and resolves its keys
+/// to ids at the seal, while the truth still holds them; every other
+/// monitor counts by id.
+#[derive(Debug)]
+enum LaneCounts {
+    Ids(IdCounts),
+    Table {
+        table: FlowTable<AnyFlowKey>,
+        /// Enforced after every kept packet.
+        budget: FlowBudget,
+    },
+}
+
+/// One packet segment as every lane sees it: `batch[range]`, with the
+/// ground-truth flow id (`ids`, for id lanes) or, in a budgeted monitor,
+/// the flow key (`keys`, for table lanes) of each packet at
+/// `i - range.start`, and the truth's flow count once it observed the
+/// segment.
+pub(crate) struct Segment<'a> {
+    pub(crate) batch: &'a PacketBatch,
+    pub(crate) range: Range<usize>,
+    pub(crate) keys: &'a [AnyFlowKey],
+    pub(crate) ids: &'a [u32],
+    pub(crate) flows: usize,
+}
+
 /// One independent sampling pipeline inside the monitor: a sampler + RNG
-/// stage, the sampled flow table it fills, and an optional top-k backend.
+/// stage, the sampled sizes it counts, and an optional top-k backend.
 pub(crate) struct Lane {
     spec: SamplerSpec,
     rate: f64,
@@ -510,7 +590,7 @@ pub(crate) struct Lane {
     run: usize,
     seed: u64,
     stage: SamplerStage<Pcg64>,
-    table: FlowTable<AnyFlowKey>,
+    counts: LaneCounts,
     tracker: Option<Box<dyn TopKTracker + Send>>,
     tracker_rng: Pcg64,
     /// Per-lane scratch for the kept-packet indices of one batch segment;
@@ -521,9 +601,6 @@ pub(crate) struct Lane {
     panic_after: Option<u64>,
     /// Packets offered so far, counted only when the chaos hook is armed.
     observed: u64,
-    /// Flow-table cap, enforced after every kept packet
-    /// ([`MonitorBuilder::flow_budget`]).
-    flow_budget: Option<FlowBudget>,
     /// Entries evicted from this lane's table in the current bin, drained
     /// by the engine at each seal.
     evictions: u64,
@@ -546,13 +623,18 @@ impl Lane {
             run,
             seed,
             stage: SamplerStage::new(spec.build(seed), Pcg64::seed_from_u64(seed)),
-            table: FlowTable::new(),
+            counts: match flow_budget {
+                Some(budget) => LaneCounts::Table {
+                    table: FlowTable::new(),
+                    budget,
+                },
+                None => LaneCounts::Ids(IdCounts::default()),
+            },
             tracker: topk.map(|t| t.build()),
             tracker_rng: Pcg64::seed_from_u64(seed ^ TRACKER_SEED_SALT),
             kept: Vec::new(),
             panic_after: None,
             observed: 0,
-            flow_budget,
             evictions: 0,
         }
     }
@@ -562,12 +644,12 @@ impl Lane {
         std::mem::take(&mut self.evictions)
     }
 
-    /// Offers the packets `batch[range]` (with their precomputed flow keys,
-    /// `keys[i - range.start]` for batch index `i`) to the lane in one call:
-    /// the sampler stage appends the indices it keeps — skipping directly
-    /// from keep to keep for skip-capable samplers — and only the retained
-    /// packets touch the lane's flow table and top-k backend.
-    fn offer_batch(&mut self, keys: &[AnyFlowKey], batch: &PacketBatch, range: Range<usize>) {
+    /// Offers a segment to the lane in one call: the sampler stage appends
+    /// the indices it keeps — skipping directly from keep to keep for
+    /// skip-capable samplers — and only the retained packets are counted
+    /// and reach the top-k backend.
+    fn offer_batch(&mut self, seg: &Segment) {
+        let (batch, range) = (seg.batch, &seg.range);
         if let Some(limit) = self.panic_after {
             self.observed += range.len() as u64;
             if self.observed > limit {
@@ -576,19 +658,37 @@ impl Lane {
         }
         self.kept.clear();
         self.stage.admit_batch(batch, range.clone(), &mut self.kept);
-        for slot in 0..self.kept.len() {
-            let i = self.kept[slot] as usize;
-            self.table.observe_keyed_parts(
-                keys[i - range.start],
-                batch.timestamp(i),
-                batch.length(i),
-                batch.tcp_seq(i),
-            );
-            if let Some(budget) = self.flow_budget {
-                self.evictions += budget.enforce(&mut self.table);
+        match &mut self.counts {
+            LaneCounts::Ids(lane) => {
+                if lane.counts.len() < seg.flows {
+                    lane.counts.resize(seg.flows, 0);
+                }
+                for &i in &self.kept {
+                    let id = seg.ids[i as usize - range.start];
+                    let count = &mut lane.counts[id as usize];
+                    if *count == 0 {
+                        lane.touched.push(id);
+                    }
+                    *count += 1;
+                }
+                lane.packets += self.kept.len() as u64;
             }
-            if let Some(tracker) = &mut self.tracker {
-                tracker.observe(&batch.five_tuple(i), &mut self.tracker_rng);
+            LaneCounts::Table { table, budget } => {
+                for &i in &self.kept {
+                    let i = i as usize;
+                    table.observe_keyed_parts(
+                        seg.keys[i - range.start],
+                        batch.timestamp(i),
+                        batch.length(i),
+                        batch.tcp_seq(i),
+                    );
+                    self.evictions += budget.enforce(table);
+                }
+            }
+        }
+        if let Some(tracker) = &mut self.tracker {
+            for &i in &self.kept {
+                tracker.observe(&batch.five_tuple(i as usize), &mut self.tracker_rng);
             }
         }
     }
@@ -596,16 +696,51 @@ impl Lane {
     /// Scores the lane against the bin's prepared ground truth and restarts
     /// it for the next bin.
     ///
-    /// The lane's table holds only the flows it sampled, which is all the
-    /// sparse kernel reads. Debug builds check every outcome against the
-    /// dense definition.
-    fn close_bin(&mut self, truth: &GroundTruthRanking<AnyFlowKey>, top_t: usize) -> LaneReport {
-        let outcome = truth.compare_sparse(|key| self.table.size_of(key), self.table.iter_sizes());
-        debug_assert_eq!(
-            outcome,
-            truth.compare_with(|key| self.table.size_of(key)),
-            "sparse kernel disagrees with the dense definition"
-        );
+    /// An id lane hands its counts to the sparse kernel as they are. A table
+    /// lane (serial engine only) first resolves each of its keys through
+    /// `truth_table` — the bin's ground-truth table, not yet cleared — into
+    /// `scratch`, skipping keys the truth has evicted. Debug builds check
+    /// every outcome against the dense definition.
+    fn close_bin(
+        &mut self,
+        truth: &GroundTruthRanking<AnyFlowKey>,
+        truth_table: Option<&FlowTable<AnyFlowKey>>,
+        scratch: &mut IdCounts,
+        top_t: usize,
+    ) -> LaneReport {
+        let (outcome, sampled_flows, sampled_packets) = match &mut self.counts {
+            LaneCounts::Ids(lane) => {
+                let outcome = truth.compare_sparse(&lane.counts, &lane.touched);
+                debug_assert_eq!(
+                    outcome,
+                    lane.dense_outcome(truth),
+                    "sparse kernel disagrees with the dense definition"
+                );
+                let report = (outcome, lane.touched.len(), lane.packets);
+                lane.clear();
+                report
+            }
+            LaneCounts::Table { table, .. } => {
+                let truth_table = truth_table.expect("budgeted lanes run on the serial engine");
+                scratch.counts.resize(truth.flows().len(), 0);
+                for (key, size) in table.iter_sizes() {
+                    if let Some(id) = truth_table.id_of(&key) {
+                        scratch.counts[id as usize] = u32::try_from(size).unwrap_or(u32::MAX);
+                        scratch.touched.push(id);
+                    }
+                }
+                let outcome = truth.compare_sparse(&scratch.counts, &scratch.touched);
+                debug_assert_eq!(
+                    outcome,
+                    truth.compare_with(|key| table.size_of(key)),
+                    "sparse kernel disagrees with the dense definition"
+                );
+                scratch.clear();
+                let report = (outcome, table.flow_count(), table.total_packets());
+                table.clear();
+                report
+            }
+        };
         let topk = self.tracker.as_ref().map(|tracker| TopKReport {
             backend: tracker.name(),
             entries: tracker.top(top_t),
@@ -616,13 +751,12 @@ impl Lane {
             rate_id: self.rate_id,
             run: self.run,
             sampler: self.spec.name(),
-            sampled_flows: self.table.flow_count(),
-            sampled_packets: self.table.total_packets(),
+            sampled_flows,
+            sampled_packets,
             outcome,
             topk,
             controlled: false,
         };
-        self.table.clear();
         // Every bin restarts the lane's random stream from its seed — the
         // paper's methodology treats bins as independent measurements, and
         // this is what makes streaming results bit-identical to the batch
@@ -708,93 +842,47 @@ enum Engine {
     Pipelined(PipelinedRuntime),
 }
 
-/// The per-bin computation of the paper's Sec. 8 experiment, written once
-/// for both engines: classify the ground truth, offer every packet to the
-/// sampling lanes, and — at the seal — score each lane against the bin's one
-/// ranking. The serial engine holds the only shard with every lane; pool
-/// worker *w* holds ground-truth shard *w* with the lanes whose index is
-/// ≡ *w* (mod threads).
+/// The lanes one thread holds, and the per-bin lane work of the paper's
+/// Sec. 8 experiment, written once for both engines: offer every segment to
+/// every lane and, at the seal, score each lane against the bin's one
+/// ranking. The serial engine holds every lane; pool worker *w* holds the
+/// lanes whose index is ≡ *w* (mod threads).
 #[derive(Debug)]
 pub(crate) struct LaneShard {
-    ground_truth: FlowTable<AnyFlowKey>,
     lanes: Vec<Lane>,
-    /// Per-table flow cap ([`MonitorBuilder::flow_budget`]), enforced
-    /// packet-by-packet so eviction points are independent of how the
-    /// stream was chunked. Serial engine only.
-    flow_budget: Option<FlowBudget>,
-    /// Ground-truth entries evicted so far in the current bin; joined with
-    /// the per-lane counts into [`BinReport::evictions`] at each seal.
-    evictions: u64,
 }
 
 impl LaneShard {
-    pub(crate) fn new(lanes: Vec<Lane>, flow_budget: Option<FlowBudget>) -> Self {
-        LaneShard {
-            ground_truth: FlowTable::new(),
-            lanes,
-            flow_budget,
-            evictions: 0,
-        }
+    pub(crate) fn new(lanes: Vec<Lane>) -> Self {
+        LaneShard { lanes }
     }
 
-    /// Observes one keyed within-bin segment (`keys[slot]` is the key of
-    /// `batch[range.start + slot]`): the packets whose slot `mine` accepts
-    /// go into the ground-truth shard, then every lane, in lane order, is
-    /// offered the whole segment. The serial engine accepts every slot and
-    /// the filter compiles away; a worker accepts the slots routed to it.
+    /// Offers the segment to every lane, in lane order.
     #[inline]
-    pub(crate) fn observe(
-        &mut self,
-        keys: &[AnyFlowKey],
-        batch: &PacketBatch,
-        range: Range<usize>,
-        mine: impl Fn(usize) -> bool,
-    ) {
-        for (slot, i) in range.clone().enumerate() {
-            if !mine(slot) {
-                continue;
-            }
-            self.ground_truth.observe_keyed_parts(
-                keys[slot],
-                batch.timestamp(i),
-                batch.length(i),
-                batch.tcp_seq(i),
-            );
-            if let Some(budget) = self.flow_budget {
-                self.evictions += budget.enforce(&mut self.ground_truth);
-            }
-        }
+    pub(crate) fn observe(&mut self, seg: &Segment) {
         for lane in &mut self.lanes {
-            lane.offer_batch(keys, batch, range.clone());
+            lane.offer_batch(seg);
         }
     }
 
-    /// First half of a seal: the shard's flow sizes and packet total, with
-    /// the table cleared for the next bin.
-    pub(crate) fn drain_truth(&mut self) -> (Vec<SizedFlow<AnyFlowKey>>, u64) {
-        let sizes = self
-            .ground_truth
-            .iter_sizes()
-            .map(|(key, packets)| SizedFlow { key, packets })
-            .collect();
-        let packets = self.ground_truth.total_packets();
-        self.ground_truth.clear();
-        (sizes, packets)
-    }
-
-    /// Second half of a seal: scores every lane against the bin's ranking,
-    /// appending the reports in this shard's lane order, and restarts the
-    /// lanes for the next bin.
+    /// Scores every lane against the bin's ranking, appending the reports in
+    /// this shard's lane order, and restarts the lanes for the next bin.
+    /// `truth_table` is the bin's ground-truth table, which the serial
+    /// engine clears only after this call; the pool has none.
     pub(crate) fn score(
         &mut self,
         truth: &GroundTruthRanking<AnyFlowKey>,
+        truth_table: Option<&FlowTable<AnyFlowKey>>,
         top_t: usize,
         out: &mut Vec<LaneReport>,
     ) {
+        // Table lanes resolve into one scratch in turn; id lanes leave it
+        // unallocated.
+        let mut scratch = IdCounts::default();
         out.extend(
             self.lanes
                 .iter_mut()
-                .map(|lane| lane.close_bin(truth, top_t)),
+                .map(|lane| lane.close_bin(truth, truth_table, &mut scratch, top_t)),
         );
     }
 
@@ -804,22 +892,40 @@ impl LaneShard {
         self.lanes[lane].retune(rate_tag, spec);
     }
 
-    /// Drains the closing bin's eviction count, ground truth plus lanes.
+    /// Drains the closing bin's lane eviction count.
     fn take_evictions(&mut self) -> u64 {
-        std::mem::take(&mut self.evictions)
-            + self.lanes.iter_mut().map(Lane::take_evictions).sum::<u64>()
+        self.lanes.iter_mut().map(Lane::take_evictions).sum()
     }
 }
 
-/// The single-threaded engine: the one shard with every lane, and the
-/// controller, all driven on the calling thread, so `threads(1)` pays zero
-/// synchronisation cost.
+/// A bin's ground-truth flow sizes in flow-id order, the input
+/// [`GroundTruthRanking::new`] maps ids to ranks from.
+pub(crate) fn sized_flows(table: &FlowTable<AnyFlowKey>) -> Vec<SizedFlow<AnyFlowKey>> {
+    table
+        .iter_sizes()
+        .map(|(key, packets)| SizedFlow { key, packets })
+        .collect()
+}
+
+/// The single-threaded engine: the bin's ground truth, the one shard with
+/// every lane, and the controller, all driven on the calling thread, so
+/// `threads(1)` pays zero synchronisation cost.
 #[derive(Debug)]
 struct SerialEngine {
+    truth: FlowTable<AnyFlowKey>,
+    /// Per-table flow cap ([`MonitorBuilder::flow_budget`]), enforced
+    /// packet-by-packet so eviction points are independent of how the
+    /// stream was chunked.
+    flow_budget: Option<FlowBudget>,
+    /// Ground-truth entries evicted so far in the current bin; joined with
+    /// the per-lane counts into [`BinReport::evictions`] at each seal.
+    evictions: u64,
     shard: LaneShard,
     controller: Option<ControllerState>,
-    /// Reusable key buffer for batch segments.
+    /// Reusable buffers for a segment's flow keys (table lanes) or flow ids
+    /// (id lanes).
     keys: Vec<AnyFlowKey>,
+    ids: Vec<u32>,
     /// Within-bin segments processed since the monitor was built.
     segments: u64,
     /// Report buffer recycled across bins: the lanes vector is reused, so in
@@ -830,32 +936,56 @@ struct SerialEngine {
 }
 
 impl SerialEngine {
-    /// Derives the keys of one within-bin segment and observes it.
+    /// Classifies one within-bin segment into the ground truth — deriving
+    /// each packet's key and taking its flow id from the same probe — and
+    /// offers it to every lane. Id lanes read the ids; a budgeted monitor's
+    /// table lanes read the keys instead, since its evictions move ids.
     fn observe(&mut self, definition: FlowDefinition, batch: &PacketBatch, range: Range<usize>) {
         self.segments += 1;
         self.keys.clear();
-        self.keys
-            .extend(range.clone().map(|i| batch.flow_key(i, definition)));
-        self.shard.observe(&self.keys, batch, range, |_| true);
+        self.ids.clear();
+        for i in range.clone() {
+            let key = batch.flow_key(i, definition);
+            let id =
+                self.truth
+                    .observe_id(key, batch.timestamp(i), batch.length(i), batch.tcp_seq(i));
+            match self.flow_budget {
+                None => self.ids.push(id),
+                Some(budget) => {
+                    self.keys.push(key);
+                    self.evictions += budget.enforce(&mut self.truth);
+                }
+            }
+        }
+        self.shard.observe(&Segment {
+            batch,
+            range,
+            keys: &self.keys,
+            ids: &self.ids,
+            flows: self.truth.flow_count(),
+        });
     }
 
-    /// Ranks the ground truth once, scores every lane against it, writes
-    /// the bin report into the recycled buffer, runs the control step and
-    /// resets all per-bin state.
+    /// Ranks the ground truth once, scores every lane against it, clears
+    /// the truth, writes the bin report into the recycled buffer, runs the
+    /// control step and resets all per-bin state.
     fn seal_bin(&mut self, bin_index: u64, bin_start: Timestamp, top_t: usize) -> &BinReport {
         let report = &mut self.report;
         // One classification and one sort per bin, regardless of lane
         // count: this is the entire point of the shared-ground-truth
-        // design.
-        let (flows, packets) = self.shard.drain_truth();
+        // design. Rank, score, clear: table lanes resolve their keys
+        // through the truth before it forgets them.
+        let flows = sized_flows(&self.truth);
         report.reset();
         report.bin_index = bin_index;
         report.bin_start = bin_start;
-        report.packets = packets;
+        report.packets = self.truth.total_packets();
         report.flows = flows.len();
         let truth = GroundTruthRanking::new(flows, top_t);
-        self.shard.score(&truth, top_t, &mut report.lanes);
-        report.evictions = self.shard.take_evictions();
+        self.shard
+            .score(&truth, Some(&self.truth), top_t, &mut report.lanes);
+        self.truth.clear();
+        report.evictions = std::mem::take(&mut self.evictions) + self.shard.take_evictions();
         // The control step runs after lane scoring while the bin's ranking
         // is still live — so controller decisions are a pure function of
         // the report stream, independent of thread count and ingestion path
@@ -902,7 +1032,7 @@ impl Monitor {
     /// `None` when the monitor runs unbudgeted.
     pub fn flow_budget(&self) -> Option<usize> {
         match &self.engine {
-            Engine::Serial(engine) => engine.shard.flow_budget.map(FlowBudget::cap),
+            Engine::Serial(engine) => engine.flow_budget.map(FlowBudget::cap),
             Engine::Pipelined(_) => None,
         }
     }
@@ -934,9 +1064,9 @@ impl Monitor {
     /// paths share state, the reports are bit-identical for any way of
     /// cutting the stream into batches, down to one packet each.
     ///
-    /// With [`MonitorBuilder::threads`] above 1, the segments are keyed and
-    /// handed to the worker pool, where the ground truth classifies in
-    /// parallel across its shards and the lanes split across workers — with
+    /// With [`MonitorBuilder::threads`] above 1, the calling thread
+    /// classifies the ground truth and hands the segments, with their flow
+    /// ids, to the worker pool, across which the lanes are split — with
     /// reports bit-identical to the single-threaded engine (pinned by the
     /// `streaming_equivalence` suite). The report a sink receives is backed
     /// by a buffer the monitor recycles across bins, so steady-state bin

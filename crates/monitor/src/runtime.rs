@@ -4,38 +4,39 @@
 //! once, at `build()`, and tears it down on drop:
 //!
 //! ```text
-//!              caller (ingest: split bins, derive keys, route, coalesce)
-//!                │ bounded SPSC work queues, one per worker
-//!      ┌─────────┼─────────┬─────────┐
-//!      ▼         ▼         ▼         ▼
-//!  worker 0   worker 1  worker 2  worker 3     shard w of the ground
-//!  (shard 0,  (shard 1,  ...       ...         truth + every lane with
-//!   lanes      lanes                           index ≡ w (mod threads)
-//!   0,4,8…)    1,5,9…)
-//!      │ seal: drained shard sizes, then scored lane reports
-//!      └────────┬┴─────────┴─────────┘
-//!               ▼
-//!           sequencer  — merges shards, ranks the ground truth once,
-//!               │        broadcasts the ranking, reassembles the lane
-//!               ▼        reports in lane order, runs the control step
-//!           out queue  → caller delivers each [`BinReport`] to the sink
+//!   caller (ingest: split bins, derive keys, classify the bin's ground
+//!     │      truth — each packet's flow id from the same probe — coalesce)
+//!     │ bounded SPSC work queues, one per worker: packets + flow ids
+//!     ├─────────┬─────────┬─────────┐
+//!     │         ▼         ▼         ▼
+//!     │     worker 0  worker 1  worker 2 …   every lane with index
+//!     │     (lanes    (lanes                 ≡ w (mod threads), counting
+//!     │      0,3,6…)   1,4,7…)               kept packets by flow id
+//!     │ seal:   │ scored lane reports
+//!     │ drained └─────────┴─────────┘
+//!     │ truth             ▼
+//!     └────────────► sequencer — ranks the ground truth once, broadcasts
+//!                        │       the ranking, reassembles the lane reports
+//!                        ▼       in lane order, runs the control step
+//!                    out queue → caller delivers each [`BinReport`] to the sink
 //! ```
 //!
 //! There is one path in: the caller appends every within-bin segment,
-//! whatever its size, to the segment buffer being filled — keys and shard
-//! routes derived once — and ships the buffer to every worker when it holds
-//! [`DISPATCH_CHUNK_PACKETS`] packets, when a bin seal needs everything
-//! before it observed, or when the caller is about to wait for a sealed
-//! bin's report (the pool may as well start on the next bin meanwhile). A
-//! one-record batch is therefore a column append, and a whole-bin batch is
-//! cut into full buffers. Each worker owns its [`LaneShard`] by value — the
-//! caller never touches a shard or a lane, so nothing on the packet path is
-//! locked.
+//! whatever its size, to the segment buffer being filled — each packet's
+//! key derived once and classified into the bin's ground truth, whose
+//! probe returns the packet's flow id — and ships the buffer to every
+//! worker when it holds [`DISPATCH_CHUNK_PACKETS`] packets, when a bin seal
+//! needs everything before it observed, or when the caller is about to wait
+//! for a sealed bin's report (the pool may as well start on the next bin
+//! meanwhile). A one-record batch is therefore a column append, and a
+//! whole-bin batch is cut into full buffers. Each worker owns its
+//! [`LaneShard`] by value — the caller never touches a lane — so nothing on
+//! the packet path is locked.
 //!
-//! Ingestion, classification and lane scoring **overlap**: while workers
-//! classify one buffer, the caller is already copying and keying the next,
-//! and while the sequencer assembles bin *k*'s report, workers may already
-//! be observing bin *k + 1*'s packets. The bounded work queues provide
+//! Ingestion, lane work and lane scoring **overlap**: while workers count
+//! one buffer, the caller is already copying and classifying the next, and
+//! while the sequencer assembles bin *k*'s report, workers may already be
+//! counting bin *k + 1*'s packets. The bounded work queues provide
 //! backpressure — a source that outruns the workers blocks in `send`, so
 //! peak memory stays `flows + in-flight buffers` no matter how long the
 //! trace is.
@@ -48,29 +49,29 @@
 //! * every lane sees every packet in stream order with its own RNG — lanes
 //!   are *partitioned* across workers (strided, lane `i` on worker
 //!   `i % threads`), never shared or reordered;
-//! * each ground-truth shard owns a disjoint key subset
-//!   ([`flowrank_net::shard_of`] on the packed key) and observes its packets
-//!   in stream order, so per-flow counters are exact; the merged drain order
-//!   differs from a single table's insertion order, but
-//!   [`GroundTruthRanking::new`] re-sorts with a total (size, key) order;
-//! * bin totals are sums of per-shard `u64` counters — order-free;
-//! * the sequencer is the only thread that seals bins: it consumes the
-//!   per-worker seal messages in worker order, reassembles lane reports into
-//!   lane order, and runs the controller step exactly where the serial path
-//!   does (after scoring, against the still-live ranking); the retune it
-//!   decides rides the token that lets the controlled lane's worker enter
-//!   the next bin, so that worker applies it before the bin's first packet.
+//! * the ground truth is one table, classified in stream order on the
+//!   calling thread exactly as the serial engine classifies it, so flow ids
+//!   and per-flow counters are the serial engine's too;
+//! * the sequencer is the only thread that seals bins: it ranks the truth
+//!   the caller drained, reassembles lane reports into lane order, and runs
+//!   the controller step exactly where the serial path does (after
+//!   scoring, against the still-live ranking); the retune it decides rides
+//!   the token that lets the controlled lane's worker enter the next bin,
+//!   so that worker applies it before the bin's first packet.
 //!
 //! # Ordering and shutdown
 //!
 //! The out queue is unbounded and FIFO, so the sink sees every bin exactly
 //! once in bin order; the caller drains it before every `push_batch_into` /
 //! `finish_into` call returns, which is what keeps the synchronous API
-//! contract ("a push delivers the bins it closed") intact. On drop the runtime
-//! enqueues one `Shutdown` behind whatever is in flight, joins every worker,
-//! and then joins the sequencer — no detached threads, even when the
-//! monitor is dropped mid-bin (packets still in the unshipped buffer are
-//! simply dropped with it).
+//! contract ("a push delivers the bins it closed") intact. At a seal the
+//! caller sends the drained truth to the sequencer *before* it broadcasts
+//! the seal, and the sequencer reads it only once worker 0 has reached that
+//! seal, so the sequencer never waits on the caller directly. On drop the
+//! runtime enqueues one `Shutdown` behind whatever is in flight, joins every
+//! worker, and then joins the sequencer, which sees worker 0's seal queue
+//! close — no detached threads, even when the monitor is dropped mid-bin
+//! (packets still in the unshipped buffer are simply dropped with it).
 //!
 //! # Failure containment
 //!
@@ -91,9 +92,9 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
 use flowrank_core::metrics::{GroundTruthRanking, SizedFlow};
-use flowrank_net::{shard_of, AnyFlowKey, CompactKey, FlowDefinition, PacketBatch, Timestamp};
+use flowrank_net::{AnyFlowKey, FlowDefinition, FlowTable, PacketBatch, Timestamp};
 
-use crate::monitor::{ControllerState, Lane, LaneShard};
+use crate::monitor::{sized_flows, ControllerState, Lane, LaneShard, Segment};
 use crate::pipeline::ReportSink;
 use crate::report::{BinReport, LaneReport};
 use crate::spec::SamplerSpec;
@@ -165,16 +166,17 @@ const SEGMENT_QUEUE_DEPTH: usize = 4;
 /// rather than one per push.
 const DISPATCH_CHUNK_PACKETS: usize = 4096;
 
-/// One decoded, keyed, routed slice of the packet stream, shared read-only
-/// with every worker. Buffers are recycled through a small pool once all
-/// workers drop their handles.
+/// One decoded slice of the packet stream with the ground-truth flow id of
+/// every packet, shared read-only with every worker. Buffers are recycled
+/// through a small pool once all workers drop their handles.
 #[derive(Debug, Default)]
 struct SegmentBuf {
     batch: PacketBatch,
-    /// Flow key of each packet, derived once by the ingest stage.
-    keys: Vec<AnyFlowKey>,
-    /// Ground-truth shard (= worker index) of each packet.
-    routes: Vec<u16>,
+    /// Flow id of each packet in the bin's ground truth, assigned by the
+    /// ingest stage.
+    ids: Vec<u32>,
+    /// The truth's flow count once it observed the buffer's last packet.
+    flows: usize,
 }
 
 /// Work-queue protocol, identical for every worker: the caller broadcasts
@@ -182,30 +184,28 @@ struct SegmentBuf {
 /// handshake deadlock-free (no worker can ever be waiting on a message
 /// another worker already consumed).
 enum ToWorker {
-    /// Observe a buffer: classify this worker's route into its shard,
-    /// offer the whole buffer to each of its lanes.
+    /// Observe a buffer: offer the whole of it to each of the worker's
+    /// lanes.
     Segment(Arc<SegmentBuf>),
-    /// Close the current bin: drain the shard to the sequencer, score the
-    /// lanes against the ranking it broadcasts back.
-    Seal {
-        bin_index: u64,
-        bin_start: Timestamp,
-    },
+    /// Close the current bin: score the lanes against the ranking the
+    /// sequencer broadcasts.
+    Seal,
     /// Exit the worker loop.
     Shutdown,
 }
 
-/// A worker's half of the seal handshake: its shard drained to flow sizes.
-struct WorkerSeal {
+/// The ingest stage's half of a seal: the bin's ground truth, drained.
+struct SealedTruth {
     bin_index: u64,
     bin_start: Timestamp,
-    sizes: Vec<SizedFlow<AnyFlowKey>>,
+    /// Flow sizes in flow-id order.
+    flows: Vec<SizedFlow<AnyFlowKey>>,
     packets: u64,
 }
 
 /// Sequencer → worker control messages during a seal.
 enum SequencerCtl {
-    /// The bin's merged ground-truth ranking; score your lanes against it.
+    /// The bin's ground-truth ranking; score your lanes against it.
     Score(Arc<GroundTruthRanking<AnyFlowKey>>),
     /// Controller step done: apply the retune it decided (if any) to the
     /// controlled lane, then enter the next bin. Sent only to the worker
@@ -213,41 +213,37 @@ enum SequencerCtl {
     Proceed(Option<(f64, SamplerSpec)>),
 }
 
-/// One classification worker: owns ground-truth shard `index` and every
-/// lane whose index is congruent to `index` mod `threads`, by value. The
-/// strided lane partition spreads a rate grid's expensive high-rate lanes
-/// evenly across workers (a contiguous split would hand one worker the
-/// whole top rate group).
+/// Lane worker *w*: owns every lane whose index is congruent to *w* mod
+/// `threads`, by value. The strided lane partition spreads a rate grid's
+/// expensive high-rate lanes evenly across workers (a contiguous split
+/// would hand one worker the whole top rate group).
 struct Worker {
-    index: usize,
     top_t: usize,
     shard: LaneShard,
     /// Position of the controlled lane in `shard`'s lanes, when this worker
     /// owns it; such a worker waits for `Proceed` at the end of every seal.
     controlled: Option<usize>,
     work_rx: Receiver<ToWorker>,
-    seal_tx: SyncSender<WorkerSeal>,
+    /// Worker 0 only: tells the sequencer a seal has arrived, so the
+    /// sequencer waits on a channel that closes when the pool shuts down.
+    seal_tx: Option<SyncSender<()>>,
     report_tx: SyncSender<Vec<LaneReport>>,
     ctl_rx: Receiver<SequencerCtl>,
 }
 
 impl Worker {
     fn run(&mut self) {
-        let route = self.index as u16;
         while let Ok(msg) = self.work_rx.recv() {
             match msg {
-                ToWorker::Segment(seg) => {
-                    let routes = &seg.routes[..];
-                    self.shard
-                        .observe(&seg.keys, &seg.batch, 0..seg.batch.len(), |slot| {
-                            routes[slot] == route
-                        });
-                }
-                ToWorker::Seal {
-                    bin_index,
-                    bin_start,
-                } => {
-                    if !self.seal(bin_index, bin_start) {
+                ToWorker::Segment(seg) => self.shard.observe(&Segment {
+                    batch: &seg.batch,
+                    range: 0..seg.batch.len(),
+                    keys: &[],
+                    ids: &seg.ids,
+                    flows: seg.flows,
+                }),
+                ToWorker::Seal => {
+                    if !self.seal() {
                         return;
                     }
                 }
@@ -258,22 +254,17 @@ impl Worker {
 
     /// One seal handshake. Returns false when a channel closed underneath
     /// (the runtime is shutting down abnormally), telling the loop to exit.
-    fn seal(&mut self, bin_index: u64, bin_start: Timestamp) -> bool {
-        let (sizes, packets) = self.shard.drain_truth();
-        let seal = WorkerSeal {
-            bin_index,
-            bin_start,
-            sizes,
-            packets,
-        };
-        if self.seal_tx.send(seal).is_err() {
-            return false;
+    fn seal(&mut self) -> bool {
+        if let Some(seal_tx) = &self.seal_tx {
+            if seal_tx.send(()).is_err() {
+                return false;
+            }
         }
         let Ok(SequencerCtl::Score(truth)) = self.ctl_rx.recv() else {
             return false;
         };
         let mut reports = Vec::new();
-        self.shard.score(&truth, self.top_t, &mut reports);
+        self.shard.score(&truth, None, self.top_t, &mut reports);
         if self.report_tx.send(reports).is_err() {
             return false;
         }
@@ -290,16 +281,17 @@ impl Worker {
 }
 
 /// The single thread that reassembles bins in deterministic order: for each
-/// seal it consumes every worker's shard drain **in worker order**, builds
-/// the bin's one ranking, broadcasts it, collects the scored lane chunks
-/// back into lane order, runs the controller step, and pushes the finished
-/// report onto the (unbounded, FIFO) out queue.
+/// seal it takes the ingest stage's drained truth, ranks it, broadcasts the
+/// ranking, collects the scored lane chunks back into lane order, runs the
+/// controller step, and pushes the finished report onto the (unbounded,
+/// FIFO) out queue.
 struct Sequencer {
     threads: usize,
     lane_count: usize,
     top_t: usize,
     controller: Option<ControllerState>,
-    seal_rx: Vec<Receiver<WorkerSeal>>,
+    seal_rx: Receiver<()>,
+    truth_rx: Receiver<SealedTruth>,
     report_rx: Vec<Receiver<Vec<LaneReport>>>,
     ctl_tx: Vec<SyncSender<SequencerCtl>>,
     out_tx: Sender<BinReport>,
@@ -311,26 +303,18 @@ impl Sequencer {
         // Scatter buffer: worker w's k-th report belongs to lane w + k·n.
         let mut slots: Vec<Option<LaneReport>> = Vec::with_capacity(self.lane_count);
         loop {
-            // Workers' seal streams advance in lockstep (every queue carries
-            // the same seal sequence), so a plain in-order receive is both
-            // deterministic and deadlock-free. Err means the workers are
-            // gone: shutdown.
-            let Ok(first) = self.seal_rx[0].recv() else {
+            // Worker 0 reaching a seal means the ingest stage has already
+            // sent that bin's truth (it does so before broadcasting the
+            // seal). Err means the workers are gone: shutdown — the truth
+            // queue itself stays open as long as the monitor does.
+            if self.seal_rx.recv().is_err() {
+                return;
+            }
+            let Ok(sealed) = self.truth_rx.recv() else {
                 return;
             };
-            let mut flows = first.sizes;
-            let mut packets = first.packets;
-            for rx in &self.seal_rx[1..] {
-                let Ok(seal) = rx.recv() else { return };
-                flows.extend(seal.sizes);
-                packets += seal.packets;
-            }
-            // Each key lives in exactly one shard, so the concatenation has
-            // one entry per distinct flow and its length *is* the bin's flow
-            // count; the ranking's total (size, key) sort erases the shard
-            // drain order.
-            let flow_count = flows.len();
-            let truth = Arc::new(GroundTruthRanking::new(flows, self.top_t));
+            let flow_count = sealed.flows.len();
+            let truth = Arc::new(GroundTruthRanking::new(sealed.flows, self.top_t));
             for tx in &self.ctl_tx {
                 if tx.send(SequencerCtl::Score(truth.clone())).is_err() {
                     return;
@@ -349,9 +333,9 @@ impl Sequencer {
             report
                 .lanes
                 .extend(slots.drain(..).map(|slot| slot.expect("every lane scored")));
-            report.bin_index = first.bin_index;
-            report.bin_start = first.bin_start;
-            report.packets = packets;
+            report.bin_index = sealed.bin_index;
+            report.bin_start = sealed.bin_start;
+            report.packets = sealed.packets;
             report.flows = flow_count;
             if let Some(state) = self.controller.as_mut() {
                 let retune = state.step(&mut report, &truth, self.top_t);
@@ -382,6 +366,10 @@ pub(crate) struct PipelinedRuntime {
     recycle_tx: Sender<BinReport>,
     workers: Vec<JoinHandle<()>>,
     sequencer: Option<JoinHandle<()>>,
+    /// The bin's ground truth, owned by the ingest stage: it classifies each
+    /// packet as it copies it and ships the packet's flow id.
+    truth: FlowTable<AnyFlowKey>,
+    truth_tx: Sender<SealedTruth>,
     /// First panic recorded by any pool thread's `catch_unwind`
     /// (see [`record_failure`]); read through
     /// [`PipelinedRuntime::failure`].
@@ -415,26 +403,26 @@ impl PipelinedRuntime {
         }
         let (out_tx, out_rx) = channel();
         let (recycle_tx, recycle_rx) = channel();
+        let (truth_tx, truth_rx) = channel();
+        let (seal_tx, seal_rx) = sync_channel(1);
+        let mut seal_tx = Some(seal_tx);
         let failure: Arc<Mutex<Option<RuntimeFailure>>> = Arc::new(Mutex::new(None));
         let mut work_tx = Vec::with_capacity(threads);
-        let mut seal_rx = Vec::with_capacity(threads);
         let mut report_rx = Vec::with_capacity(threads);
         let mut ctl_tx = Vec::with_capacity(threads);
         let mut workers = Vec::with_capacity(threads);
         for (w, lanes) in strided.into_iter().enumerate() {
             let (wtx, wrx) = sync_channel(SEGMENT_QUEUE_DEPTH);
-            let (stx, srx) = sync_channel(1);
             let (rtx, rrx) = sync_channel(1);
             let (ctx, crx) = sync_channel(2);
             let mut worker = Worker {
-                index: w,
                 top_t,
-                shard: LaneShard::new(lanes, None),
+                shard: LaneShard::new(lanes),
                 controlled: controlled_lane
                     .filter(|lane| lane % threads == w)
                     .map(|lane| lane / threads),
                 work_rx: wrx,
-                seal_tx: stx,
+                seal_tx: seal_tx.take(),
                 report_tx: rtx,
                 ctl_rx: crx,
             };
@@ -445,7 +433,6 @@ impl PipelinedRuntime {
                 move || worker.run(),
             ));
             work_tx.push(wtx);
-            seal_rx.push(srx);
             report_rx.push(rrx);
             ctl_tx.push(ctx);
         }
@@ -455,6 +442,7 @@ impl PipelinedRuntime {
             top_t,
             controller,
             seal_rx,
+            truth_rx,
             report_rx,
             ctl_tx,
             out_tx,
@@ -472,6 +460,8 @@ impl PipelinedRuntime {
             recycle_tx,
             workers,
             sequencer: Some(sequencer),
+            truth: FlowTable::new(),
+            truth_tx,
             failure,
             filling: Arc::default(),
             pool: Vec::new(),
@@ -486,17 +476,17 @@ impl PipelinedRuntime {
     }
 
     /// Appends a within-bin segment of any size to the buffer being filled,
-    /// deriving each packet's key and shard route once, and ships the buffer
-    /// every time it reaches [`DISPATCH_CHUNK_PACKETS`]. What is left stays
-    /// buffered until later packets fill it, a seal flushes it, or the caller
-    /// is about to wait on the pool.
+    /// classifying each packet into the bin's ground truth on the way (its
+    /// key derived once, its flow id from the same probe), and ships the
+    /// buffer every time it reaches [`DISPATCH_CHUNK_PACKETS`]. What is left
+    /// stays buffered until later packets fill it, a seal flushes it, or the
+    /// caller is about to wait on the pool.
     pub(crate) fn append_segment(
         &mut self,
         definition: FlowDefinition,
         batch: &PacketBatch,
         range: Range<usize>,
     ) {
-        let threads = self.threads;
         let mut start = range.start;
         while start < range.end {
             let seg = Arc::get_mut(&mut self.filling).expect("the filling buffer is unshared");
@@ -505,10 +495,14 @@ impl PipelinedRuntime {
                 .min(start + DISPATCH_CHUNK_PACKETS - seg.batch.len());
             seg.batch.extend_from_batch(batch, start..end);
             for i in start..end {
-                let key = batch.flow_key(i, definition);
-                seg.routes.push(shard_of(key.pack(), threads) as u16);
-                seg.keys.push(key);
+                seg.ids.push(self.truth.observe_id(
+                    batch.flow_key(i, definition),
+                    batch.timestamp(i),
+                    batch.length(i),
+                    batch.tcp_seq(i),
+                ));
             }
+            seg.flows = self.truth.flow_count();
             if seg.batch.len() == DISPATCH_CHUNK_PACKETS {
                 self.ship();
             }
@@ -527,8 +521,7 @@ impl PipelinedRuntime {
         let mut next = free.map_or_else(Arc::default, |i| self.pool.swap_remove(i));
         let seg = Arc::get_mut(&mut next).expect("a free pooled buffer is unshared");
         seg.batch.clear();
-        seg.keys.clear();
-        seg.routes.clear();
+        seg.ids.clear();
         let full = std::mem::replace(&mut self.filling, next);
         for tx in &self.work_tx {
             let _ = tx.send(ToWorker::Segment(Arc::clone(&full)));
@@ -542,16 +535,23 @@ impl PipelinedRuntime {
     }
 
     /// Asks the pool to close the current bin: ships whatever is buffered,
-    /// then broadcasts the seal down the same queues, so it lands after
-    /// every packet of the bin. The finished report surfaces on the out
-    /// queue and is delivered by [`PipelinedRuntime::drain_into`].
+    /// drains the bin's ground truth to the sequencer, then broadcasts the
+    /// seal down the same queues, so it lands after every packet of the bin.
+    /// The finished report surfaces on the out queue and is delivered by
+    /// [`PipelinedRuntime::drain_into`].
     pub(crate) fn dispatch_seal(&mut self, bin_index: u64, bin_start: Timestamp) {
         self.ship();
+        // Sent before the seal: the sequencer reads it once worker 0 has
+        // reached that seal.
+        let _ = self.truth_tx.send(SealedTruth {
+            bin_index,
+            bin_start,
+            flows: sized_flows(&self.truth),
+            packets: self.truth.total_packets(),
+        });
+        self.truth.clear();
         for tx in &self.work_tx {
-            let _ = tx.send(ToWorker::Seal {
-                bin_index,
-                bin_start,
-            });
+            let _ = tx.send(ToWorker::Seal);
         }
         self.pending_seals += 1;
     }

@@ -170,6 +170,29 @@ impl<K: FlowKey> FlowTable<K> {
             .packets
     }
 
+    /// [`FlowTable::observe_keyed_parts`], returning the packet's **flow
+    /// id** instead of its count: the flow's position in the table, dense
+    /// from 0 in order of first sight. Ids hold until the table is cleared
+    /// or evicts ([`FlowTable::evict_to_budget`] moves entries), so a bin's
+    /// ground truth can hand them to every sampling lane, which then counts
+    /// by array index instead of hashing the key again.
+    #[inline]
+    pub fn observe_id(
+        &mut self,
+        key: K,
+        timestamp: Timestamp,
+        length: u16,
+        tcp_seq: Option<u32>,
+    ) -> u32 {
+        self.total_packets += 1;
+        self.total_bytes += length as u64;
+        self.flows.upsert_id(
+            key,
+            || FlowStats::new(timestamp, length, tcp_seq),
+            |s| s.update(timestamp, length, tcp_seq),
+        ) as u32
+    }
+
     /// Classifies a contiguous range of a [`PacketBatch`] in one pass.
     ///
     /// `keys` holds the flow key of every packet in `range`, in order
@@ -197,6 +220,12 @@ impl<K: FlowKey> FlowTable<K> {
     /// Returns the counters of a specific flow, if present.
     pub fn get(&self, key: &K) -> Option<&FlowStats> {
         self.flows.get(key)
+    }
+
+    /// The flow id [`FlowTable::observe_id`] gave `key`, if the table holds
+    /// it.
+    pub fn id_of(&self, key: &K) -> Option<u32> {
+        self.flows.id_of(key).map(|id| id as u32)
     }
 
     /// Size in packets of a specific flow, 0 when the flow was never seen.
@@ -402,6 +431,25 @@ mod tests {
         let mut sizes: Vec<u64> = table.iter_sizes().map(|(_, n)| n).collect();
         sizes.sort_unstable();
         assert_eq!(sizes, vec![1, 2]);
+    }
+
+    #[test]
+    fn flow_ids_follow_first_sight_until_the_table_clears() {
+        let mut table: FlowTable<FiveTuple> = FlowTable::new();
+        let id = |table: &mut FlowTable<FiveTuple>, p: &PacketRecord| {
+            table.observe_id(FiveTuple::from_packet(p), p.timestamp, p.length, p.tcp_seq)
+        };
+        let (a, b) = (packet(1, 1, 80, 500, 0.0), packet(2, 1, 80, 500, 1.0));
+        assert_eq!(
+            [id(&mut table, &a), id(&mut table, &b), id(&mut table, &a)],
+            [0, 1, 0]
+        );
+        assert_eq!(table.total_packets(), 3);
+        assert_eq!(table.size_of(&FiveTuple::from_packet(&a)), 2);
+        assert_eq!(table.id_of(&FiveTuple::from_packet(&b)), Some(1));
+        table.clear();
+        assert_eq!(table.id_of(&FiveTuple::from_packet(&b)), None);
+        assert_eq!(id(&mut table, &b), 0);
     }
 
     #[test]

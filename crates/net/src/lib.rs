@@ -52,6 +52,4 @@ pub use tenant::{TaggedBatch, TenantId};
 
 // The compact-key substrate the flow tables are built on, re-exported so
 // downstream crates can name the traits without a direct dependency.
-// `shard_of` is the routing rule of the monitor's pipelined worker runtime,
-// re-exported from the same place.
-pub use flowrank_flowtable::{shard_of, CompactKey, FlowMap};
+pub use flowrank_flowtable::{CompactKey, FlowMap};

@@ -148,14 +148,10 @@ impl PacketSampler for RandomSampler {
             return;
         }
         if !self.skips() {
-            // Bernoulli regime: still batch-friendly — no per-packet record
-            // reconstruction or virtual dispatch, just one uniform draw per
-            // offered packet (the decisions never depend on packet content).
-            for i in range {
-                if rng.bernoulli(self.rate) {
-                    kept.push(i as u32);
-                }
-            }
+            // Bernoulli regime: one uniform draw per offered packet (the
+            // decisions never depend on packet content), made in one
+            // dynamic call for the whole range.
+            rng.bernoulli_indices(self.rate, range, kept);
             return;
         }
         let mut i = range.start;

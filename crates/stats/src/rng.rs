@@ -13,6 +13,8 @@
 //! Both implement the [`Rng`] trait, which provides the derived
 //! sampling helpers (uniform floats, Bernoulli trials, ranges, shuffling).
 
+use std::ops::Range;
+
 /// Minimal random-number-generator interface used throughout the workspace.
 pub trait Rng {
     /// Returns the next 64 uniformly distributed random bits.
@@ -53,6 +55,31 @@ pub trait Rng {
         } else {
             self.next_f64() < p
         }
+    }
+
+    /// Appends to `kept` every index of `range` that passes a Bernoulli(`p`)
+    /// trial — the same draws, in the same order, as one
+    /// [`Rng::bernoulli`] call per index. A batch sampler makes one call per
+    /// range, so a generator behind `&mut dyn Rng` costs one dynamic call
+    /// per batch instead of one per packet. Indices must fit in `u32`.
+    fn bernoulli_indices(&mut self, p: f64, range: Range<usize>, kept: &mut Vec<u32>) {
+        if p <= 0.0 {
+            return;
+        }
+        if p >= 1.0 {
+            kept.extend(range.map(|i| i as u32));
+            return;
+        }
+        // Branch-free: every index is written, and the write position only
+        // moves past it on a keep.
+        let start = kept.len();
+        kept.resize(start + range.len(), 0);
+        let mut end = start;
+        for i in range {
+            kept[end] = i as u32;
+            end += usize::from(self.next_f64() < p);
+        }
+        kept.truncate(end);
     }
 
     /// Returns a uniformly distributed integer in `[0, bound)`.
@@ -272,6 +299,22 @@ mod tests {
         assert!(rng.bernoulli(1.0));
         assert!(!rng.bernoulli(-0.3));
         assert!(rng.bernoulli(1.5));
+    }
+
+    #[test]
+    fn bernoulli_indices_makes_the_per_index_draws() {
+        for p in [-0.3, 0.0, 0.125, 0.5, 0.9, 1.0] {
+            let mut one_by_one = Pcg64::seed_from_u64(9);
+            let mut expected = vec![7u32];
+            expected.extend((10..500u32).filter(|_| one_by_one.bernoulli(p)));
+            let mut batched = Pcg64::seed_from_u64(9);
+            let dynamic: &mut dyn Rng = &mut batched;
+            let mut kept = vec![7u32];
+            dynamic.bernoulli_indices(p, 10..500, &mut kept);
+            assert_eq!(kept, expected, "p = {p}");
+            // Same stream position afterwards: the next draw agrees too.
+            assert_eq!(batched.next_u64(), one_by_one.next_u64(), "p = {p}");
+        }
     }
 
     #[test]

@@ -18,7 +18,7 @@ use flowrank_monitor::{BinReport, Collect, Monitor, SamplerSpec};
 use flowrank_net::{FlowDefinition, PacketBatch, PacketRecord, Timestamp};
 use flowrank_sim::binning::split_into_bins;
 use flowrank_sim::engine::run_bin_random_sampling;
-use flowrank_stats::rng::derive_seeds;
+use flowrank_stats::rng::{derive_seeds, Pcg64, Rng, SeedableRng};
 use flowrank_trace::{synthesize_packets, SprintModel, SynthesisConfig};
 
 fn trace(seed: u64) -> Vec<PacketRecord> {
@@ -255,4 +255,139 @@ fn streaming_equivalence_holds_with_idle_gaps() {
         let batch = run_bin_random_sampling(bin, FlowDefinition::FiveTuple, 0.1, TOP_T, 5);
         assert_eq!(streamed[bin_index], batch.outcome, "bin {bin_index}");
     }
+}
+
+/// One packet of flow `flow` (in address block `block`) at `secs`.
+fn flow_packet(block: u8, flow: u16, secs: f64, length: u16) -> PacketRecord {
+    let [hi, lo] = flow.to_be_bytes();
+    PacketRecord::tcp(
+        Timestamp::from_secs_f64(secs),
+        std::net::Ipv4Addr::new(10, block, hi, lo),
+        1000 + flow,
+        std::net::Ipv4Addr::new(192, 168, 0, 1),
+        80,
+        length,
+        0,
+    )
+}
+
+/// `flows` flows in `block` inside the bin starting at `start` seconds:
+/// flow `i` opens at `start + 0.15 i` and sends `1 + 2000 / (i + 1)` packets
+/// spread over the rest of the bin, so new flows keep arriving until the
+/// bin is three quarters over.
+fn bin_of_flows(block: u8, flows: u16, start: f64, rng: &mut Pcg64) -> Vec<PacketRecord> {
+    let mut packets = Vec::new();
+    for flow in 0..flows {
+        let open = start + 0.15 * f64::from(flow);
+        for _ in 0..1 + 2000 / (usize::from(flow) + 1) {
+            let at = open + rng.next_f64() * (start + 59.0 - open);
+            packets.push(flow_packet(block, flow, at, 64 + flow % 1400));
+        }
+    }
+    packets.sort_by_key(|p| p.timestamp);
+    packets
+}
+
+#[test]
+fn id_lanes_restart_every_bin() {
+    // Three bins through one monitor: bin 2 holds fewer flows than bin 1,
+    // and bin 3 reuses bin 1's keys. Pushed 97 packets at a time, so flows
+    // first appear in a later push than a lane's first kept packet, and
+    // each bin spans several of the pipelined runtime's 4096-packet
+    // buffers. Flow ids restart from 0 at every seal; every lane of every
+    // bin must still score exactly what `run_bin` does.
+    let mut rng = Pcg64::seed_from_u64(30);
+    let mut packets = bin_of_flows(1, 300, 0.0, &mut rng);
+    packets.extend(bin_of_flows(2, 40, BIN_SECONDS, &mut rng));
+    packets.extend(bin_of_flows(1, 300, 2.0 * BIN_SECONDS, &mut rng));
+    let bins = split_into_bins(&packets, Timestamp::from_secs_f64(BIN_SECONDS));
+    assert_eq!(bins.len(), 3);
+    assert!(bins[0].len() > 2 * 4096 && bins[1].len() < bins[0].len());
+
+    let rates = [0.02, 0.5];
+    let runs = 3;
+    let master = 3030u64;
+    for threads in [1, 2] {
+        let mut monitor = Monitor::builder()
+            .sampler(SamplerSpec::Random { rate: 0.01 })
+            .rates(&rates)
+            .runs(runs)
+            .bin_length(Timestamp::from_secs_f64(BIN_SECONDS))
+            .top_t(TOP_T)
+            .seed(master)
+            .threads(threads)
+            .build();
+        let mut sink = Collect::new();
+        for piece in packets.chunks(97) {
+            monitor.push_batch_into(&PacketBatch::from_records(piece), &mut sink);
+        }
+        monitor.finish_into(&mut sink);
+        assert_eq!(sink.reports.len(), bins.len(), "threads({threads})");
+
+        for (bin_index, report) in sink.reports.iter().enumerate() {
+            for &rate in &rates {
+                let seeds = derive_seeds(master ^ rate.to_bits(), runs);
+                for (run, lane) in report.lanes_at_rate(rate).enumerate() {
+                    let expected = run_bin_random_sampling(
+                        &bins[bin_index],
+                        FlowDefinition::FiveTuple,
+                        rate,
+                        TOP_T,
+                        seeds[run],
+                    );
+                    let at = format!("threads({threads}), bin {bin_index}, rate {rate}, run {run}");
+                    assert_eq!(report.flows, expected.original_flows, "{at}");
+                    assert_eq!(lane.outcome, expected.outcome, "{at}");
+                    assert_eq!(lane.sampled_flows, expected.sampled_flows, "{at}");
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn budgeted_lane_skips_keys_the_truth_evicted() {
+    // Ten one-packet flows against a cap of 4 (evict down to 4 on reaching
+    // 6): the truth evicts the six coldest by bytes, flows 2-7, and keeps
+    // 0, 1, 8 and 9. The rate-0.5 lane keeps five flows, under its own
+    // high-water mark, so it evicts nothing and holds at least one key the
+    // truth no longer does. Scoring resolves that key, finds no flow id
+    // and skips it — exactly as `run_bin`, whose truth never dropped the
+    // flow, scores it: every flow has the same true size, so no pair
+    // involves it, and the top 2 by key are flows 0 and 1 either way. The
+    // lane missed both, so a kept key resolved onto either would show.
+    let packets: Vec<PacketRecord> = (0..10u16)
+        .map(|flow| {
+            let length = match flow {
+                0 => 1500,
+                1 => 1400,
+                _ => 100 + 10 * flow,
+            };
+            flow_packet(3, flow, f64::from(flow), length)
+        })
+        .collect();
+    let (rate, top_t, seed) = (0.5, 2, 35);
+    let mut monitor = Monitor::builder()
+        .sampler(SamplerSpec::Random { rate })
+        .bin_length(Timestamp::from_secs_f64(BIN_SECONDS))
+        .top_t(top_t)
+        .seed(seed)
+        .flow_budget(4)
+        .build();
+    let reports = monitor.run_batch(&PacketBatch::from_records(&packets));
+    assert_eq!(reports.len(), 1);
+    let (report, lane) = (&reports[0], &reports[0].lanes[0]);
+    assert_eq!(report.flows, 4, "the truth kept flows 0, 1, 8 and 9");
+    assert_eq!(report.evictions, 6, "only the truth evicted");
+    assert!(
+        lane.sampled_flows > report.flows,
+        "the lane holds a key the truth evicted ({} flows)",
+        lane.sampled_flows
+    );
+    assert_eq!(lane.outcome.missed_top_flows, 2);
+
+    let expected = run_bin_random_sampling(&packets, FlowDefinition::FiveTuple, rate, top_t, seed);
+    assert_eq!(expected.original_flows, 10);
+    assert_eq!(lane.outcome, expected.outcome);
+    assert_eq!(lane.sampled_flows, expected.sampled_flows);
 }
