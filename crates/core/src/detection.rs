@@ -14,91 +14,56 @@
 //! where `P*t(j, i, t, N)` is the joint probability that a flow of size `i`
 //! is in the top `t` while a flow of size `j < i` is not. As with the ranking
 //! model, the paper evaluates this with the Gaussian pairwise probability and
-//! continuous Pareto flow sizes; the double sum becomes a double integral
-//! concentrated near the top boundary and near the diagonal. The headline
-//! result of Sec. 7.2 is that detection needs roughly an order of magnitude
-//! less sampling than ranking.
+//! continuous Pareto flow sizes (a `&Pareto` from `flowrank_stats::dist`);
+//! the double sum becomes a double integral concentrated near the top
+//! boundary and near the diagonal, evaluated by the ranking model's scheme
+//! (the outer integral is `flowrank_stats::quadrature::integrate_tail`) with
+//! this model's integrand. The headline result of Sec. 7.2 is that detection
+//! needs roughly an order of magnitude less sampling than ranking.
 
-use flowrank_stats::quadrature::gauss_legendre_composite;
+use flowrank_stats::dist::{ContinuousDistribution, Pareto};
 
-use crate::flowdist::FlowSizeModel;
 use crate::gaussian::misranking_probability_gaussian;
-use crate::ranking::{poisson_pmf, prob_at_most};
+use crate::ranking::{poisson_pmf, prob_at_most, required_sampling_rate, Population};
 
-/// Number of Gauss–Legendre panels for the inner (y) integral.
-const INNER_PANELS: usize = 6;
-/// Number of standard deviations of the sampled-size difference covered by
-/// the inner integration window.
-const INNER_WIDTH_SIGMAS: f64 = 12.0;
-/// Safety factor on the top-`t` boundary when choosing the outer range.
-const OUTER_BOUNDARY_FACTOR: f64 = 40.0;
-/// Number of geometric panels for the outer (x) tail integration.
-const OUTER_PANELS: usize = 48;
-/// Relative tolerance at which the outer tail integration stops.
-const OUTER_REL_TOL: f64 = 1e-7;
-
-/// The detection model: `N` flows with a given size law, detection of the
+/// The detection model: `N` flows with Pareto sizes, detection of the
 /// top-`t` set.
 #[derive(Debug, Clone, Copy)]
-pub struct DetectionModel<'a, D: FlowSizeModel + ?Sized> {
-    dist: &'a D,
-    n_flows: f64,
-    top_t: u32,
+pub struct DetectionModel<'a> {
+    pop: Population<'a>,
 }
 
-impl<'a, D: FlowSizeModel + ?Sized> DetectionModel<'a, D> {
+impl<'a> DetectionModel<'a> {
     /// Creates a detection model for `n_flows` flows drawn from `dist`,
     /// evaluating the detection of the top `top_t` flows.
     ///
     /// # Panics
     ///
     /// Panics when `top_t` is zero or the population is smaller than `top_t`.
-    pub(crate) fn new(dist: &'a D, n_flows: u64, top_t: u32) -> Self {
-        assert!(top_t >= 1, "top_t must be at least 1");
+    pub(crate) fn new(dist: &'a Pareto, n_flows: u64, top_t: u32) -> Self {
+        let pop = Population::new(dist, n_flows, top_t);
         assert!(
-            n_flows as f64 > top_t as f64,
+            pop.n_flows > top_t as f64,
             "the population must contain more than top_t flows"
         );
-        DetectionModel {
-            dist,
-            n_flows: n_flows as f64,
-            top_t,
-        }
+        DetectionModel { pop }
     }
 
     /// Number of (top-`t` flow, non-top flow) pairs, `t(N − t)`.
     pub(crate) fn pair_count(&self) -> f64 {
-        self.top_t as f64 * (self.n_flows - self.top_t as f64)
-    }
-
-    fn outer_lower_bound(&self) -> f64 {
-        let boundary_sf = (OUTER_BOUNDARY_FACTOR * self.top_t as f64 / self.n_flows).min(1.0);
-        if boundary_sf >= 1.0 {
-            self.dist.lower_bound()
-        } else {
-            self.dist
-                .quantile(1.0 - boundary_sf)
-                .max(self.dist.lower_bound())
-        }
-    }
-
-    fn inner_half_width(&self, x: f64, p: f64) -> f64 {
-        let sigma = (2.0 * (1.0 / p - 1.0) * 2.0 * x).sqrt();
-        (INNER_WIDTH_SIGMAS * sigma).max(2.0)
+        self.pop.top_t as f64 * (self.pop.n_flows - self.pop.top_t as f64)
     }
 
     /// Joint probability that a flow of size `x` is in the top `t` while a
     /// (smaller) flow of size `y < x` is not — `P*t(y, x, t, N)` of Sec. 7.1,
     /// evaluated in the Poisson limit appropriate for large `N`.
     pub(crate) fn joint_boundary_probability(&self, y: f64, x: f64) -> f64 {
-        let n = self.n_flows;
-        let t = self.top_t;
-        let sfx = self.dist.sf(x);
-        let sfy = self.dist.sf(y);
+        let n = self.pop.n_flows;
+        let t = self.pop.top_t;
+        let sfx = self.pop.dist.sf(x);
+        let sfy = self.pop.dist.sf(y);
         // Number of flows larger than x (other than the two singled out).
         let lambda_above = (n - 2.0) * sfx;
-        // Number of flows between y and x.
-        let lambda_between = ((n - 2.0) * (sfy - sfx)).max(0.0);
         let mut total = 0.0;
         for k in 0..t {
             let p_k = poisson_pmf(k, lambda_above);
@@ -116,64 +81,29 @@ impl<'a, D: FlowSizeModel + ?Sized> DetectionModel<'a, D> {
             };
             total += p_k * p_enough_between;
         }
-        let _ = lambda_between; // documented above; folded into prob_at_most
         total.clamp(0.0, 1.0)
     }
 
     /// Probability `P̄*mt(p)` that a top-`t` flow is swapped with a flow
     /// outside the top `t` after sampling at rate `p`.
     pub(crate) fn average_misclassification_probability(&self, p: f64) -> f64 {
-        if p <= 0.0 {
-            return 1.0;
-        }
-        if p >= 1.0 {
-            return 0.0;
-        }
-        let n = self.n_flows;
-        let lower = self.dist.lower_bound();
-        let x_start = self.outer_lower_bound();
-
-        let outer = |x: f64| {
-            let fx = self.dist.pdf(x);
-            if fx <= 0.0 {
-                return 0.0;
-            }
+        let (dist, n, t) = (self.pop.dist, self.pop.n_flows, self.pop.top_t);
+        let inner = |x: f64| {
             // Flows with essentially no chance of being in the top t
             // contribute nothing.
-            if prob_at_most(self.top_t, n - 2.0, self.dist.sf(x)) < 1e-14 {
+            if prob_at_most(t, n - 2.0, dist.sf(x)) < 1e-14 {
                 return 0.0;
             }
-            let w = self.inner_half_width(x, p);
-            let lo = (x - w).max(lower);
-            let inner = gauss_legendre_composite(
-                |y| {
-                    self.dist.pdf(y)
-                        * self.joint_boundary_probability(y, x)
-                        * misranking_probability_gaussian(y, x, p)
-                },
-                lo,
-                x,
-                INNER_PANELS,
-            );
-            fx * inner
+            self.pop.below(x, p, |y| {
+                dist.pdf(y)
+                    * self.joint_boundary_probability(y, x)
+                    * misranking_probability_gaussian(y, x, p)
+            })
         };
-
-        let mut total = 0.0;
-        let mut lo = x_start;
-        let mut width = x_start.abs().max(1.0);
-        for _ in 0..OUTER_PANELS {
-            let hi = lo + width;
-            let piece = gauss_legendre_composite(outer, lo, hi, 2);
-            total += piece;
-            if piece.abs() <= OUTER_REL_TOL * total.abs().max(f64::MIN_POSITIVE) && total > 0.0 {
-                break;
-            }
-            lo = hi;
-            width *= 2.0;
-        }
         // P̄*mt = total / P̄*t with P̄*t = t(N−t)/(N(N−1)).
         let p_star_t = self.pair_count() / (n * (n - 1.0));
-        (total / p_star_t).clamp(0.0, 1.0)
+        self.pop
+            .swap_probability(p, inner, |total| total / p_star_t)
     }
 
     /// The paper's detection metric: expected number of swapped pairs across
@@ -185,27 +115,17 @@ impl<'a, D: FlowSizeModel + ?Sized> DetectionModel<'a, D> {
     /// Smallest sampling rate (within `[min_rate, 1]`) for which the
     /// detection metric drops below `threshold`.
     pub fn required_sampling_rate(&self, threshold: f64, min_rate: f64) -> f64 {
-        let lo = min_rate.clamp(1e-6, 1.0);
-        flowrank_stats::roots::monotone_threshold(
-            |p| self.mean_swapped_pairs(p),
-            lo,
-            1.0,
-            threshold,
-            1e-4,
-            60,
-        )
-        .unwrap_or(1.0)
+        required_sampling_rate(|p| self.mean_swapped_pairs(p), threshold, min_rate)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::flowdist::ParetoFlowModel;
     use crate::ranking::RankingModel;
 
-    fn five_tuple_model() -> ParetoFlowModel {
-        ParetoFlowModel::with_mean(9.6, 1.5).unwrap()
+    fn five_tuple_model() -> Pareto {
+        Pareto::with_mean(9.6, 1.5).unwrap()
     }
 
     #[test]

@@ -16,8 +16,6 @@
 //!   probability (Eq. 2, Sec. 4) and its error against the exact form.
 //! * [`optimal`] — the optimal (minimum) sampling rate achieving a target
 //!   misranking probability (Sec. 3.2, Figs. 1–2).
-//! * [`flowdist`] — the flow-size distribution abstraction used by the
-//!   general models (Pareto in the paper, Sec. 6).
 //! * [`ranking`] — the general ranking model: expected number of swapped
 //!   flow pairs involving a top-`t` flow (Sec. 5, Eq. 3; evaluated in Sec. 6,
 //!   Figs. 4–9), in the continuous (Gaussian + integral) form the paper
@@ -34,7 +32,6 @@
 #![warn(missing_docs)]
 
 pub mod detection;
-pub mod flowdist;
 pub mod gaussian;
 pub mod metrics;
 pub mod optimal;
@@ -43,7 +40,6 @@ pub mod ranking;
 pub mod scenario;
 
 pub use detection::DetectionModel;
-pub use flowdist::{FlowSizeModel, ParetoFlowModel};
 pub use gaussian::misranking_probability_gaussian;
 pub use optimal::{optimal_sampling_rate, PairwiseModel};
 pub use pairwise::misranking_probability_exact;

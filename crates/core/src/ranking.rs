@@ -1,4 +1,5 @@
-//! The general ranking model (Sec. 5) and its numerical evaluation (Sec. 6).
+//! The general ranking model (Sec. 5) and its numerical evaluation (Sec. 6),
+//! and the flow population both analytical models integrate over.
 //!
 //! Performance metric (Sec. 5.1): form every pair whose first element is one
 //! of the true top-`t` flows and whose second element is any other flow in
@@ -14,19 +15,23 @@
 //! metric is below one.
 //!
 //! [`RankingModel::mean_swapped_pairs`] is the **continuous** form the paper
-//! uses for all of its figures: flow sizes follow a continuous law (Pareto
-//! in Sec. 6), the pairwise misranking probability uses the Gaussian closed
-//! form, and the double sum of Eq. 3 becomes a double integral evaluated with
-//! Gauss–Legendre panels concentrated where the integrand actually lives
+//! uses for all of its figures: flow sizes follow the Pareto law of Sec. 6
+//! (a `&Pareto` from `flowrank_stats::dist`), the pairwise misranking
+//! probability uses the Gaussian closed form, and the double sum of Eq. 3
+//! becomes a double integral concentrated where the integrand actually lives
 //! (near the top-`t` boundary and near the diagonal `y ≈ x`, because
 //! `Pm(x, y)` vanishes once the sizes differ by more than a few standard
-//! deviations of the sampled difference). The unit tests check it against a
+//! deviations of the sampled difference). The outer integral over the top
+//! flow's size is `flowrank_stats::quadrature::integrate_tail`; the inner one
+//! is a Gauss–Legendre window around `x`. That scheme is written once, on the
+//! crate-private `Population`, and the detection model of Sec. 7 reuses it
+//! with its own integrand. The unit tests check the ranking model against a
 //! direct summation of Eq. 3 over an integer size grid.
 
-use flowrank_stats::quadrature::gauss_legendre_composite;
+use flowrank_stats::dist::{ContinuousDistribution, Pareto};
+use flowrank_stats::quadrature::{gauss_legendre_composite, integrate_tail};
 use flowrank_stats::special::{gamma_q, ln_factorial};
 
-use crate::flowdist::FlowSizeModel;
 use crate::gaussian::misranking_probability_gaussian;
 
 /// Number of Gauss–Legendre panels for the inner (y) integrals.
@@ -71,39 +76,28 @@ pub(crate) fn poisson_pmf(k: u32, lambda: f64) -> f64 {
     ((k as f64) * lambda.ln() - lambda - ln_factorial(k as u64)).exp()
 }
 
-/// The general ranking model: `N` flows with a given size law, ranking of the
-/// top `t`.
+/// `N` flows with Pareto sizes, of which the top `t` are ranked (Sec. 5) or
+/// detected (Sec. 7), and the numerical scheme both models evaluate on it.
 #[derive(Debug, Clone, Copy)]
-pub struct RankingModel<'a, D: FlowSizeModel + ?Sized> {
-    dist: &'a D,
-    n_flows: f64,
-    top_t: u32,
+pub(crate) struct Population<'a> {
+    pub(crate) dist: &'a Pareto,
+    pub(crate) n_flows: f64,
+    pub(crate) top_t: u32,
 }
 
-impl<'a, D: FlowSizeModel + ?Sized> RankingModel<'a, D> {
-    /// Creates a ranking model for `n_flows` flows drawn from `dist`,
-    /// evaluating the ranking of the top `top_t` flows.
+impl<'a> Population<'a> {
+    /// `n_flows` flows drawn from `dist`, of which the top `top_t` count.
     ///
     /// # Panics
     ///
-    /// Panics when `top_t` is zero or `n_flows < top_t` (configuration
-    /// errors in an experiment definition).
-    pub(crate) fn new(dist: &'a D, n_flows: u64, top_t: u32) -> Self {
+    /// Panics when `top_t` is zero.
+    pub(crate) fn new(dist: &'a Pareto, n_flows: u64, top_t: u32) -> Self {
         assert!(top_t >= 1, "top_t must be at least 1");
-        assert!(
-            n_flows as f64 >= top_t as f64,
-            "the population must contain at least top_t flows"
-        );
-        RankingModel {
+        Population {
             dist,
             n_flows: n_flows as f64,
             top_t,
         }
-    }
-
-    /// Number of (top-`t` flow, other flow) pairs: `(2N − t − 1)·t/2`.
-    pub(crate) fn pair_count(&self) -> f64 {
-        (2.0 * self.n_flows - self.top_t as f64 - 1.0) * self.top_t as f64 / 2.0
     }
 
     /// Lower end of the outer integration range: flows whose survival
@@ -112,11 +106,9 @@ impl<'a, D: FlowSizeModel + ?Sized> RankingModel<'a, D> {
     fn outer_lower_bound(&self) -> f64 {
         let boundary_sf = (OUTER_BOUNDARY_FACTOR * self.top_t as f64 / self.n_flows).min(1.0);
         if boundary_sf >= 1.0 {
-            self.dist.lower_bound()
+            self.dist.scale()
         } else {
-            self.dist
-                .quantile(1.0 - boundary_sf)
-                .max(self.dist.lower_bound())
+            self.dist.quantile(1.0 - boundary_sf).max(self.dist.scale())
         }
     }
 
@@ -128,27 +120,92 @@ impl<'a, D: FlowSizeModel + ?Sized> RankingModel<'a, D> {
         (INNER_WIDTH_SIGMAS * sigma).max(2.0)
     }
 
-    /// Probability `P̄mt(p)` that a top-`t` flow is swapped with a random
-    /// other flow after sampling at rate `p` (Eq. 3, continuous form).
-    pub(crate) fn average_misranking_probability(&self, p: f64) -> f64 {
+    /// `∫ f(y) dy` over the inner window below `x` at rate `p`.
+    pub(crate) fn below(&self, x: f64, p: f64, f: impl Fn(f64) -> f64) -> f64 {
+        let lo = (x - self.inner_half_width(x, p)).max(self.dist.scale());
+        gauss_legendre_composite(f, lo, x, INNER_PANELS)
+    }
+
+    /// `∫ f(y) dy` over the inner window above `x` at rate `p`.
+    pub(crate) fn above(&self, x: f64, p: f64, f: impl Fn(f64) -> f64) -> f64 {
+        gauss_legendre_composite(f, x, x + self.inner_half_width(x, p), INNER_PANELS)
+    }
+
+    /// The swap probability at rate `p`: `normalise(∫ pdf(x)·inner(x) dx)`
+    /// over the top of the population, clamped to `[0, 1]`; 1 at `p ≤ 0` and
+    /// 0 at `p ≥ 1`. `inner(x)` is the model's weighted inner integral for a
+    /// top flow of size `x`.
+    pub(crate) fn swap_probability(
+        &self,
+        p: f64,
+        inner: impl Fn(f64) -> f64,
+        normalise: impl FnOnce(f64) -> f64,
+    ) -> f64 {
         if p <= 0.0 {
             return 1.0;
         }
         if p >= 1.0 {
             return 0.0;
         }
-        let n = self.n_flows;
-        let t = self.top_t;
-        let lower = self.dist.lower_bound();
-        let x_start = self.outer_lower_bound();
-
-        // Outer integrand over the size x of the (candidate) top flow.
         let outer = |x: f64| {
             let fx = self.dist.pdf(x);
             if fx <= 0.0 {
                 return 0.0;
             }
-            let sfx = self.dist.sf(x);
+            fx * inner(x)
+        };
+        let total = integrate_tail(outer, self.outer_lower_bound(), OUTER_REL_TOL, OUTER_PANELS);
+        normalise(total).clamp(0.0, 1.0)
+    }
+}
+
+/// Smallest sampling rate (within `[min_rate, 1]`) for which the monotone
+/// `metric` drops below `threshold`, by bisection.
+pub(crate) fn required_sampling_rate(
+    metric: impl Fn(f64) -> f64,
+    threshold: f64,
+    min_rate: f64,
+) -> f64 {
+    let lo = min_rate.clamp(1e-6, 1.0);
+    flowrank_stats::roots::monotone_threshold(metric, lo, 1.0, threshold, 1e-4, 60).unwrap_or(1.0)
+}
+
+/// The general ranking model: `N` flows with Pareto sizes, ranking of the
+/// top `t`.
+#[derive(Debug, Clone, Copy)]
+pub struct RankingModel<'a> {
+    pop: Population<'a>,
+}
+
+impl<'a> RankingModel<'a> {
+    /// Creates a ranking model for `n_flows` flows drawn from `dist`,
+    /// evaluating the ranking of the top `top_t` flows.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `top_t` is zero or `n_flows < top_t` (configuration
+    /// errors in an experiment definition).
+    pub(crate) fn new(dist: &'a Pareto, n_flows: u64, top_t: u32) -> Self {
+        let pop = Population::new(dist, n_flows, top_t);
+        assert!(
+            pop.n_flows >= top_t as f64,
+            "the population must contain at least top_t flows"
+        );
+        RankingModel { pop }
+    }
+
+    /// Number of (top-`t` flow, other flow) pairs: `(2N − t − 1)·t/2`.
+    pub(crate) fn pair_count(&self) -> f64 {
+        (2.0 * self.pop.n_flows - self.pop.top_t as f64 - 1.0) * self.pop.top_t as f64 / 2.0
+    }
+
+    /// Probability `P̄mt(p)` that a top-`t` flow is swapped with a random
+    /// other flow after sampling at rate `p` (Eq. 3, continuous form).
+    pub(crate) fn average_misranking_probability(&self, p: f64) -> f64 {
+        let (dist, n, t) = (self.pop.dist, self.pop.n_flows, self.pop.top_t);
+        // Inner integrals for a (candidate) top flow of size x.
+        let inner = |x: f64| {
+            let sfx = dist.sf(x);
             // Probability weights of Eq. 3: the other flow is smaller
             // (weight A) or larger (weight B) than x.
             let weight_smaller = prob_at_most(t, n - 2.0, sfx);
@@ -162,47 +219,24 @@ impl<'a, D: FlowSizeModel + ?Sized> RankingModel<'a, D> {
             if weight_smaller < 1e-14 && weight_larger < 1e-14 {
                 return 0.0;
             }
-            let w = self.inner_half_width(x, p);
             let below = if weight_smaller > 0.0 {
-                let lo = (x - w).max(lower);
-                gauss_legendre_composite(
-                    |y| self.dist.pdf(y) * misranking_probability_gaussian(y, x, p),
-                    lo,
-                    x,
-                    INNER_PANELS,
-                )
+                self.pop.below(x, p, |y| {
+                    dist.pdf(y) * misranking_probability_gaussian(y, x, p)
+                })
             } else {
                 0.0
             };
             let above = if weight_larger > 0.0 {
-                gauss_legendre_composite(
-                    |y| self.dist.pdf(y) * misranking_probability_gaussian(x, y, p),
-                    x,
-                    x + w,
-                    INNER_PANELS,
-                )
+                self.pop.above(x, p, |y| {
+                    dist.pdf(y) * misranking_probability_gaussian(x, y, p)
+                })
             } else {
                 0.0
             };
-            fx * (weight_smaller * below + weight_larger * above)
+            weight_smaller * below + weight_larger * above
         };
-
-        // Outer integration over geometrically growing panels from x_start.
-        let mut total = 0.0;
-        let mut lo = x_start;
-        let mut width = x_start.abs().max(1.0);
-        for _ in 0..OUTER_PANELS {
-            let hi = lo + width;
-            let piece = gauss_legendre_composite(outer, lo, hi, 2);
-            total += piece;
-            if piece.abs() <= OUTER_REL_TOL * total.abs().max(f64::MIN_POSITIVE) && total > 0.0 {
-                break;
-            }
-            lo = hi;
-            width *= 2.0;
-        }
-
-        ((n / t as f64) * total).clamp(0.0, 1.0)
+        self.pop
+            .swap_probability(p, inner, |total| (n / t as f64) * total)
     }
 
     /// The paper's ranking metric: expected number of swapped pairs involving
@@ -215,28 +249,18 @@ impl<'a, D: FlowSizeModel + ?Sized> RankingModel<'a, D> {
     /// drops below `threshold` (typically 1.0, the paper's acceptability
     /// criterion). Uses bisection on the monotone metric.
     pub fn required_sampling_rate(&self, threshold: f64, min_rate: f64) -> f64 {
-        let lo = min_rate.clamp(1e-6, 1.0);
-        flowrank_stats::roots::monotone_threshold(
-            |p| self.mean_swapped_pairs(p),
-            lo,
-            1.0,
-            threshold,
-            1e-4,
-            60,
-        )
-        .unwrap_or(1.0)
+        required_sampling_rate(|p| self.mean_swapped_pairs(p), threshold, min_rate)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::flowdist::ParetoFlowModel;
     use crate::optimal::PairwiseModel;
     use crate::scenario::Scenario;
 
-    fn five_tuple_model(beta: f64) -> ParetoFlowModel {
-        ParetoFlowModel::with_mean(9.6, beta).unwrap()
+    fn five_tuple_model(beta: f64) -> Pareto {
+        Pareto::with_mean(9.6, beta).unwrap()
     }
 
     /// Direct (discrete) evaluation of Eq. 3 over an integer size grid — the
@@ -374,8 +398,8 @@ mod tests {
     fn heavier_tail_is_easier_to_rank() {
         // Fig. 6: smaller β (heavier tail) improves the ranking.
         let p = 0.05;
-        let heavy = ParetoFlowModel::with_mean(9.6, 1.2).unwrap();
-        let light = ParetoFlowModel::with_mean(9.6, 2.5).unwrap();
+        let heavy = Pareto::with_mean(9.6, 1.2).unwrap();
+        let light = Pareto::with_mean(9.6, 2.5).unwrap();
         let m_heavy = RankingModel::new(&heavy, 700_000, 10).mean_swapped_pairs(p);
         let m_light = RankingModel::new(&light, 700_000, 10).mean_swapped_pairs(p);
         assert!(
@@ -429,7 +453,7 @@ mod tests {
         // Small population where both evaluations are affordable: the
         // discretised Pareto fed to the discrete model should give a metric
         // within a factor ~2 of the continuous evaluation.
-        let dist = ParetoFlowModel::with_mean(20.0, 1.5).unwrap();
+        let dist = Pareto::with_mean(20.0, 1.5).unwrap();
         let n = 2_000u64;
         let t = 5u32;
         let p = 0.05;
@@ -459,7 +483,7 @@ mod tests {
     fn discrete_model_exact_vs_gaussian_agree() {
         // Moderate sizes, moderate rate: the two pairwise models give nearly
         // the same aggregate metric.
-        let dist = ParetoFlowModel::with_mean(50.0, 1.5).unwrap();
+        let dist = Pareto::with_mean(50.0, 1.5).unwrap();
         let max_size = 800usize;
         let mut pmf = vec![0.0; max_size];
         for (k, slot) in pmf.iter_mut().enumerate() {

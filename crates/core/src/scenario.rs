@@ -12,9 +12,9 @@
 //! out ready-to-evaluate [`RankingModel`]s and [`DetectionModel`]s.
 
 use flowrank_net::FlowDefinition;
+use flowrank_stats::dist::Pareto;
 
 use crate::detection::DetectionModel;
-use crate::flowdist::ParetoFlowModel;
 use crate::ranking::RankingModel;
 
 /// Mean 5-tuple flow size in packets (4.8 KB at 500-byte packets).
@@ -34,8 +34,8 @@ pub struct Scenario {
     pub flow_definition: FlowDefinition,
     /// Total number of flows `N` in the measurement interval.
     pub n_flows: u64,
-    /// Flow-size model.
-    pub flow_sizes: ParetoFlowModel,
+    /// Flow-size law, in packets.
+    pub flow_sizes: Pareto,
     /// Human-readable label used in reports.
     pub label: String,
 }
@@ -50,8 +50,7 @@ impl Scenario {
         Scenario {
             flow_definition: FlowDefinition::FiveTuple,
             n_flows: N_FLOWS_5TUPLE,
-            flow_sizes: ParetoFlowModel::with_mean(MEAN_PACKETS_5TUPLE, beta)
-                .expect("beta must exceed 1"),
+            flow_sizes: Pareto::with_mean(MEAN_PACKETS_5TUPLE, beta).expect("beta must exceed 1"),
             label: format!("5-tuple flows, N = 0.7M, beta = {beta}"),
         }
     }
@@ -66,8 +65,7 @@ impl Scenario {
         Scenario {
             flow_definition: FlowDefinition::PREFIX24,
             n_flows: N_FLOWS_PREFIX24,
-            flow_sizes: ParetoFlowModel::with_mean(MEAN_PACKETS_PREFIX24, beta)
-                .expect("beta must exceed 1"),
+            flow_sizes: Pareto::with_mean(MEAN_PACKETS_PREFIX24, beta).expect("beta must exceed 1"),
             label: format!("/24 prefix flows, N = 0.1M, beta = {beta}"),
         }
     }
@@ -89,12 +87,12 @@ impl Scenario {
     }
 
     /// Ranking model for the top `t` flows of this scenario.
-    pub fn ranking_model(&self, top_t: u32) -> RankingModel<'_, ParetoFlowModel> {
+    pub fn ranking_model(&self, top_t: u32) -> RankingModel<'_> {
         RankingModel::new(&self.flow_sizes, self.n_flows, top_t)
     }
 
     /// Detection model for the top `t` flows of this scenario.
-    pub fn detection_model(&self, top_t: u32) -> DetectionModel<'_, ParetoFlowModel> {
+    pub fn detection_model(&self, top_t: u32) -> DetectionModel<'_> {
         DetectionModel::new(&self.flow_sizes, self.n_flows, top_t)
     }
 }
@@ -102,14 +100,13 @@ impl Scenario {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::flowdist::FlowSizeModel;
 
     #[test]
     fn five_tuple_scenario_parameters() {
         let s = Scenario::sprint_five_tuple(1.5);
         assert_eq!(s.n_flows, 700_000);
         assert_eq!(s.flow_definition, FlowDefinition::FiveTuple);
-        assert!(s.flow_sizes.describe().contains("beta = 1.50"));
+        assert_eq!(s.flow_sizes.shape(), 1.5);
         assert!(s.label.contains("0.7M"));
     }
 
@@ -120,8 +117,8 @@ mod tests {
         assert_eq!(s.flow_definition, FlowDefinition::PREFIX24);
         // Mean flow size is larger under aggregation.
         assert!(
-            Scenario::sprint_prefix24(1.5).flow_sizes.lower_bound()
-                > Scenario::sprint_five_tuple(1.5).flow_sizes.lower_bound()
+            Scenario::sprint_prefix24(1.5).flow_sizes.scale()
+                > Scenario::sprint_five_tuple(1.5).flow_sizes.scale()
         );
     }
 

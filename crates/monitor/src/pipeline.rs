@@ -511,8 +511,11 @@ const MAX_NDJSON_LINE_BYTES: usize = 64 * 1024;
 /// (kept up to the limit, the rest discarded unbuffered, so a newline-free
 /// stream costs no memory) and a line that is not UTF-8 are each **one**
 /// malformed record, and the stream resynchronises at the next newline.
-/// Reads block until a line or EOF arrives, so this source never answers
-/// an idle poll and the drive loop's idle wait never applies to it — feed it
+/// Reads block until a line or EOF arrives; the one idle poll this source
+/// answers is a read a signal interrupted (`EINTR`, where the handler was
+/// installed without `SA_RESTART`), so a stop flag the handler raised is
+/// seen at once. A signal that lands while a line is half read waits for
+/// that line's newline or EOF (`read_until` retries `EINTR` itself). Feed it
 /// through a [`ChannelSource`] when the loop must not block.
 #[derive(Debug)]
 pub struct NdjsonRecordSource<R> {
@@ -545,7 +548,8 @@ impl<R: io::BufRead> NdjsonRecordSource<R> {
     }
 
     /// Reads the next chunk into `self.batch` — and its tenant tags, parsed
-    /// only when `tagged`, into `self.tenants`; `Ok(false)` at end of input.
+    /// only when `tagged`, into `self.tenants`; `Ok(false)` at end of input,
+    /// an empty chunk after an interrupted read.
     fn step(&mut self, tagged: bool) -> Result<bool, SourceError> {
         let NdjsonRecordSource {
             reader,
@@ -557,13 +561,12 @@ impl<R: io::BufRead> NdjsonRecordSource<R> {
         tenants.clear();
         let mut tenants = tagged.then_some(tenants);
         // What has arrived: the complete lines of one `fill_buf`, up to the
-        // first that is not a record.
-        let buffered = loop {
-            match reader.fill_buf() {
-                Ok(buffered) => break buffered,
-                Err(error) if error.kind() == io::ErrorKind::Interrupted => {}
-                Err(error) => return Err(SourceError::Fatal(NetError::Io(error))),
-            }
+        // first that is not a record. A read a signal interrupted is an idle
+        // poll, so the drive loop sees its stop flag before reading again.
+        let buffered = match reader.fill_buf() {
+            Ok(buffered) => buffered,
+            Err(error) if error.kind() == io::ErrorKind::Interrupted => return Ok(true),
+            Err(error) => return Err(SourceError::Fatal(NetError::Io(error))),
         };
         let mut taken = 0;
         while batch.len() < DEFAULT_CHUNK_PACKETS {
@@ -2431,6 +2434,60 @@ mod tests {
             }
             assert_eq!(seen, expected);
         }
+    }
+
+    /// The read after `first` fails with `Interrupted` once, as a blocked
+    /// read does when a signal lands, then `rest` arrives.
+    struct SignalBetween<'a> {
+        first: &'a [u8],
+        interrupted: bool,
+        rest: &'a [u8],
+    }
+
+    impl io::Read for SignalBetween<'_> {
+        fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
+            if self.first.is_empty() && !self.interrupted {
+                self.interrupted = true;
+                return Err(io::ErrorKind::Interrupted.into());
+            }
+            let unread = if self.first.is_empty() {
+                &mut self.rest
+            } else {
+                &mut self.first
+            };
+            io::Read::read(unread, out)
+        }
+    }
+
+    #[test]
+    fn ndjson_an_interrupted_read_is_one_idle_poll_then_the_same_records() {
+        let mut rng = Pcg64::seed_from_u64(0x51_6e7);
+        let mut feed = String::new();
+        for _ in 0..40 {
+            feed.push_str(&render_fields(&arbitrary_fields(&mut rng)));
+            feed.push('\n');
+        }
+        let expected = pull(&mut NdjsonRecordSource::new(feed.as_bytes()), false);
+        assert_eq!(expected.0.len(), 40);
+        // Two writes, cut at a line end, with the signal between them.
+        let cut = feed[..feed.len() / 2].rfind('\n').unwrap() + 1;
+        let reader = SignalBetween {
+            first: &feed.as_bytes()[..cut],
+            interrupted: false,
+            rest: &feed.as_bytes()[cut..],
+        };
+        let mut source = NdjsonRecordSource::new(io::BufReader::new(reader));
+        let first_write = feed[..cut].matches('\n').count();
+        let (mut seen, mut idle) = (Vec::new(), 0);
+        while let Some(chunk) = source.try_next_chunk().unwrap() {
+            if chunk.is_empty() {
+                assert_eq!(seen.len(), first_write, "idle between the writes");
+                idle += 1;
+            }
+            seen.extend_from_slice(chunk.ts_nanos());
+        }
+        assert_eq!(idle, 1, "one idle poll for one interrupted read");
+        assert_eq!((seen, 0, false), expected);
     }
 
     #[test]

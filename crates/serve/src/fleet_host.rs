@@ -210,6 +210,8 @@ impl<'a, R: BufRead> RecordWindows<'a, R> {
                 // One decode pass: tags and records come from the same walk
                 // over each line; the fleet only copies columns.
                 match self.records.next_tagged() {
+                    // An interrupted read: look at the stop flag.
+                    Ok(Some((_, chunk))) if chunk.is_empty() => {}
                     Ok(Some((tags, chunk))) => {
                         self.tags.clear();
                         self.tags.extend_from_slice(tags);
@@ -472,6 +474,33 @@ mod tests {
         let closed = fleet.tenant_stats().all(|stats| stats.reports >= 1);
         assert!(closed, "every tenant's final bin closed");
         assert!(state.contains("\"windows\":2,\"packets\":700,"), "{state}");
+    }
+
+    /// Idle stdin that a signal interrupts: a read raises the stop flag, as
+    /// the handler does, and fails with `Interrupted`. A read with the flag
+    /// already up is a feed spinning instead of stopping.
+    struct Signalled<'a>(&'a AtomicBool);
+
+    impl std::io::Read for Signalled<'_> {
+        fn read(&mut self, _: &mut [u8]) -> std::io::Result<usize> {
+            let spinning = self.0.swap(true, Ordering::AcqRel);
+            assert!(!spinning, "read again after the stop");
+            Err(std::io::ErrorKind::Interrupted.into())
+        }
+    }
+
+    #[test]
+    fn an_interrupted_read_with_the_stop_raised_ends_the_feed() {
+        // Five records arrive, then stdin goes quiet and SIGINT lands: the
+        // blocked read returns, the feed ends, and the five are pushed.
+        let config = fleet_config("source = ndjson\n");
+        let (input, stop) = (dealt(5), AtomicBool::new(false));
+        let signalled = Signalled(&stop);
+        let reader = std::io::BufReader::new(std::io::Read::chain(input.as_bytes(), signalled));
+        let (fleet, outcome, ..) = drive_records(&config, reader, &stop);
+        let summary = outcome.expect("a stop is a clean end");
+        assert_eq!(per_tenant_packets(&fleet), vec![2, 2, 1]);
+        assert_eq!(summary.fleet.windows, 1, "{summary:?}");
     }
 
     #[test]

@@ -7,8 +7,16 @@
 //! final bin and returns its stats — no state is torn down mid-bin.
 //!
 //! The workspace carries no `libc` dependency, so registration goes through
-//! one raw FFI call to `signal(2)`. The handler does the only
-//! async-signal-safe thing a handler can: a relaxed atomic store.
+//! raw FFI calls to `signal(2)` and `siginterrupt(3)`. The handler does the
+//! only async-signal-safe thing a handler can: a relaxed atomic store.
+//!
+//! glibc's `signal` installs handlers with `SA_RESTART`, which would restart
+//! a read blocked on idle stdin and leave the flag unseen until a record
+//! arrived; `siginterrupt(signum, 1)` clears it, so the read fails with
+//! `EINTR` and the ndjson source answers an idle poll the drive loop stops
+//! on. The named limit: a signal that lands while the source holds half a
+//! line still waits for that line's newline or EOF, because std's
+//! `read_until` retries `EINTR` itself.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -16,6 +24,7 @@ use std::sync::Arc;
 #[cfg(unix)]
 extern "C" {
     fn signal(signum: i32, handler: usize) -> usize;
+    fn siginterrupt(signum: i32, flag: i32) -> i32;
 }
 
 #[cfg(unix)]
@@ -46,10 +55,13 @@ pub fn install(stop: Arc<AtomicBool>) {
     STOP_FLAG.store(ptr, Ordering::Release);
     #[cfg(unix)]
     // SAFETY: `on_signal` is an `extern "C" fn(i32)` as `signal(2)`
-    // requires, and touches only async-signal-safe state.
+    // requires, and touches only async-signal-safe state; `siginterrupt`
+    // takes two integers and changes only the kernel's flags for `signum`.
     unsafe {
-        signal(SIGINT, on_signal as *const () as usize);
-        signal(SIGTERM, on_signal as *const () as usize);
+        for signum in [SIGINT, SIGTERM] {
+            signal(signum, on_signal as *const () as usize);
+            siginterrupt(signum, 1);
+        }
     }
 }
 

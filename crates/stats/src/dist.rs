@@ -702,6 +702,10 @@ mod tests {
         }
         assert_eq!(Pareto::new(2.0, 0.8).unwrap().mean(), None);
         assert!(Pareto::with_mean(9.6, 0.9).is_err());
+        // At one mean, the heavier tail (smaller β) has the larger top quantiles.
+        let heavy = Pareto::with_mean(9.6, 1.2).unwrap();
+        let light = Pareto::with_mean(9.6, 3.0).unwrap();
+        assert!(heavy.quantile(0.9999) > light.quantile(0.9999));
         let mut rng = Pcg64::seed_from_u64(5);
         for _ in 0..1_000 {
             assert!(p.sample(&mut rng) >= p.scale());

@@ -1,17 +1,17 @@
 //! Numerical integration.
 //!
-//! The continuous ranking model of Sec. 5/6 replaces the double sums of
-//! Eq. 3 by integrals over the (Pareto) flow-size density, which is what
-//! makes the metric computable "in a few seconds instead of hours" as the
-//! paper notes. This module provides the integrators used for that:
+//! The continuous ranking and detection models of Secs. 5–7 replace the
+//! double sums of Eq. 3 by integrals over the (Pareto) flow-size density,
+//! which is what makes the metrics computable "in a few seconds instead of
+//! hours" as the paper notes. This module provides the integrators used for
+//! that:
 //!
-//! * `gauss_legendre` — fixed-order Gauss–Legendre rule on a finite
-//!   interval (fast inner loop of the double integrals),
-//! * [`adaptive_simpson`] — error-controlled adaptive Simpson on a finite
-//!   interval (outer integrals and validation),
+//! * [`gauss_legendre_composite`] — the 32-point Gauss–Legendre rule on equal
+//!   panels of a finite interval (the inner integrals around `y ≈ x`),
 //! * [`integrate_tail`] — semi-infinite integrals `∫ₐ^∞ f`, computed on a
 //!   sequence of geometrically growing panels until the contribution becomes
-//!   negligible (suited to the power-law tails that dominate here).
+//!   negligible (suited to the power-law tails that dominate here). It is
+//!   the one outer integral of both models.
 
 // Published Gauss-Legendre node/weight tables are kept at full printed
 // precision even where the nearest f64 differs in the last digit.
@@ -90,71 +90,21 @@ pub fn gauss_legendre_composite<F: Fn(f64) -> f64>(f: F, a: f64, b: f64, panels:
         .sum()
 }
 
-/// Adaptive Simpson integration of `f` over `[a, b]` with absolute error
-/// target `tol` and a maximum recursion depth.
-///
-/// The recursion depth bounds the work on badly behaved integrands; with
-/// `max_depth = 30` the smallest panel is `(b-a)/2³⁰`.
-pub fn adaptive_simpson<F: Fn(f64) -> f64>(f: F, a: f64, b: f64, tol: f64, max_depth: u32) -> f64 {
-    if a == b {
-        return 0.0;
-    }
-    let fa = f(a);
-    let fb = f(b);
-    let m = 0.5 * (a + b);
-    let fm = f(m);
-    let whole = simpson_rule(a, b, fa, fm, fb);
-    adaptive_simpson_inner(&f, a, b, fa, fm, fb, whole, tol, max_depth)
-}
-
-fn simpson_rule(a: f64, b: f64, fa: f64, fm: f64, fb: f64) -> f64 {
-    (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn adaptive_simpson_inner<F: Fn(f64) -> f64>(
-    f: &F,
-    a: f64,
-    b: f64,
-    fa: f64,
-    fm: f64,
-    fb: f64,
-    whole: f64,
-    tol: f64,
-    depth: u32,
-) -> f64 {
-    let m = 0.5 * (a + b);
-    let lm = 0.5 * (a + m);
-    let rm = 0.5 * (m + b);
-    let flm = f(lm);
-    let frm = f(rm);
-    let left = simpson_rule(a, m, fa, flm, fm);
-    let right = simpson_rule(m, b, fm, frm, fb);
-    let delta = left + right - whole;
-    if depth == 0 || delta.abs() <= 15.0 * tol {
-        // Richardson extrapolation term improves the estimate by one order.
-        left + right + delta / 15.0
-    } else {
-        adaptive_simpson_inner(f, a, m, fa, flm, fm, left, tol / 2.0, depth - 1)
-            + adaptive_simpson_inner(f, m, b, fm, frm, fb, right, tol / 2.0, depth - 1)
-    }
-}
-
 /// Integrates `f` over the semi-infinite interval `[a, ∞)`.
 ///
-/// The tail is covered by geometrically growing panels `[a·2ᵏ, a·2ᵏ⁺¹]`
-/// (or unit-width panels if `a ≤ 0`), each integrated with Gauss–Legendre,
-/// until a panel contributes less than `rel_tol` of the running total or the
-/// panel budget is exhausted. This matches the power-law and exponential
-/// tails that appear in the ranking model.
+/// The tail is covered by panels of geometrically growing width, starting
+/// at `max(|a|, 1)` and doubling, each integrated with two Gauss–Legendre
+/// panels, until a panel contributes less than `rel_tol` of the running
+/// total or the panel budget is exhausted. This matches the power-law and
+/// exponential tails that appear in the ranking and detection models.
 pub fn integrate_tail<F: Fn(f64) -> f64>(f: F, a: f64, rel_tol: f64, max_panels: usize) -> f64 {
     let mut lo = a;
     let mut total = 0.0;
     // Initial panel width: proportional to |a| for scale-free integrands.
-    let mut width = if a.abs() > 1.0 { a.abs() } else { 1.0 };
+    let mut width = a.abs().max(1.0);
     for _ in 0..max_panels {
         let hi = lo + width;
-        let piece = gauss_legendre(&f, lo, hi);
+        let piece = gauss_legendre_composite(&f, lo, hi, 2);
         total += piece;
         if piece.abs() <= rel_tol * total.abs().max(f64::MIN_POSITIVE) && total != 0.0 {
             break;
@@ -214,30 +164,6 @@ mod tests {
         assert!((fine - exact).abs() < (coarse - exact).abs());
         assert_close(fine, exact, 1e-10);
         assert_eq!(gauss_legendre_composite(f, 0.0, 1.0, 0), 0.0);
-    }
-
-    #[test]
-    fn adaptive_simpson_known_integrals() {
-        assert_close(
-            adaptive_simpson(|x| x.exp(), 0.0, 1.0, 1e-12, 30),
-            std::f64::consts::E - 1.0,
-            1e-10,
-        );
-        assert_close(
-            adaptive_simpson(|x| 1.0 / (1.0 + x * x), 0.0, 1.0, 1e-12, 30),
-            std::f64::consts::FRAC_PI_4,
-            1e-10,
-        );
-        assert_eq!(adaptive_simpson(|x| x, 2.0, 2.0, 1e-10, 10), 0.0);
-    }
-
-    #[test]
-    fn adaptive_simpson_handles_peaked_integrand() {
-        // Narrow Gaussian centred at 0.3: ∫ℝ ≈ σ√(2π); over [0,1] almost all mass.
-        let sigma = 0.01;
-        let f = |x: f64| (-((x - 0.3) / sigma).powi(2) / 2.0).exp();
-        let exact = sigma * (2.0 * std::f64::consts::PI).sqrt();
-        assert_close(adaptive_simpson(f, 0.0, 1.0, 1e-12, 40), exact, 1e-7);
     }
 
     #[test]

@@ -33,7 +33,7 @@
 
 use flowrank_core::{
     misranking_probability_exact, misranking_probability_gaussian, optimal_sampling_rate,
-    FlowSizeModel, PairwiseModel, Scenario,
+    PairwiseModel, Scenario,
 };
 use flowrank_monitor::{Monitor, RateCurve, SamplerSpec};
 use flowrank_net::{FlowDefinition, Timestamp};
@@ -65,9 +65,10 @@ fn main() {
     // 3. The full ranking problem on the Sprint backbone scenario.
     let scenario = Scenario::sprint_five_tuple(1.5);
     println!(
-        "Scenario: {} ({})",
+        "Scenario: {} (Pareto(a = {:.3}, beta = {:.2}))",
         scenario.label,
-        scenario.flow_sizes.describe()
+        scenario.flow_sizes.scale(),
+        scenario.flow_sizes.shape()
     );
     println!(
         "{:>10} {:>22} {:>22}",

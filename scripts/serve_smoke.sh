@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Smoke-tests the flowrank-serve daemon end to end, the four things unit
+# Smoke-tests the flowrank-serve daemon end to end, the five things unit
 # tests cannot pin from inside the process:
 #
 #   1. a finite serving run (unpaced replay, bin-limited) exits 0 and
@@ -16,7 +16,9 @@
 #      line that is not UTF-8 and records of a tenant outside the slab among
 #      them — prints the same final counters whole-file and through the
 #      37-byte pipe, and the counters the hand-looped fleet host printed
-#      before fleet mode ran through `Fleet::drive`.
+#      before fleet mode ran through `Fleet::drive`;
+#   5. SIGINT stops an ndjson daemon blocked on idle stdin — single mode and
+#      fleet mode — with exit 0 and the final line within 2 s.
 #
 # Usage: scripts/serve_smoke.sh   (CI runs it after the test suite)
 #
@@ -191,5 +193,36 @@ pipe=$(dd if="$workdir/tagged.ndjson" bs=37 2>/dev/null \
 want='"windows":3,"bins":18,"packets":1187,"evictions":1368,"malformed_skipped":2,"unknown_tenant_skipped":13'
 [ "$file" = "$want" ] || fail "fleet counters moved: $file (want $want)"
 echo "serve_smoke: fleet ndjson ok"
+
+# --- Leg 5: SIGINT while stdin is idle ------------------------------------
+# stdin is a FIFO whose one writer (fd 4, held open here) sends nothing, so
+# the daemon blocks in a read that only a signal can interrupt.
+mkfifo "$workdir/idle"
+exec 4<>"$workdir/idle"
+idle_sigint() {
+    local name=$1 conf=$2
+    "$serve" --config "$conf" < "$workdir/idle" > "$workdir/idle.out" 2> "$workdir/idle.err" &
+    local daemon=$!
+    sleep 1
+    kill -0 "$daemon" 2>/dev/null || fail "$name: daemon ended on idle stdin: $(cat "$workdir/idle.err")"
+    kill -INT "$daemon"
+    for _ in $(seq 1 20); do
+        kill -0 "$daemon" 2>/dev/null || break
+        sleep 0.1
+    done
+    if kill -0 "$daemon" 2>/dev/null; then
+        kill -9 "$daemon"
+        fail "$name: still running 2 s after SIGINT on idle stdin"
+    fi
+    local rc=0
+    wait "$daemon" || rc=$?
+    [ "$rc" -eq 0 ] || fail "$name: SIGINT exit code $rc (want 0): $(cat "$workdir/idle.err")"
+    grep -q '"serve":"final"' "$workdir/idle.out" \
+        || fail "$name: no final line after SIGINT: $(cat "$workdir/idle.out")"
+    echo "serve_smoke: $name SIGINT on idle stdin ok"
+}
+idle_sigint single "$workdir/ndjson.conf"
+idle_sigint fleet "$workdir/fleet.conf"
+exec 4>&-
 
 echo "serve_smoke: all legs passed"
