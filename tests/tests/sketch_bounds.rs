@@ -3,7 +3,8 @@
 //! the bounded memories' victim rule — the oracle a rewrite of the
 //! min-victim scan (roadmap 1(d)) has to keep.
 //!
-//! Everything here goes through `TopKSpec::build()`, so the suite is
+//! Everything here goes through `TopKSpec::build()` or, for the counters
+//! the trait does not expose, `FlowMemory`'s own accessors, so the suite is
 //! independent of how the backends are laid out behind the spec. The
 //! conformance goldens pin *digests* of what the backends do today; these
 //! tests pin that what they do is *right*:
@@ -25,7 +26,7 @@ use std::net::Ipv4Addr;
 use flowrank_monitor::TopKSpec;
 use flowrank_net::{FiveTuple, FlowKey, Protocol};
 use flowrank_stats::rng::{Pcg64, Rng, SeedableRng};
-use flowrank_topk::TopKTracker;
+use flowrank_topk::{FlowMemory, TopKTracker};
 use flowrank_trace::Workload;
 
 /// Counters of the bounded backends: far fewer than any catalog scenario's
@@ -160,9 +161,32 @@ struct VecMemory {
     capacity: usize,
     inherit: bool,
     entries: Vec<(FiveTuple, u64)>,
+    /// Victims since the last reset.
+    evictions: u64,
 }
 
 impl VecMemory {
+    fn new(capacity: usize, inherit: bool) -> Self {
+        VecMemory {
+            capacity,
+            inherit,
+            entries: Vec::new(),
+            evictions: 0,
+        }
+    }
+
+    fn count(&self, key: &FiveTuple) -> Option<u64> {
+        self.entries
+            .iter()
+            .find(|entry| entry.0 == *key)
+            .map(|entry| entry.1)
+    }
+
+    fn reset(&mut self) {
+        self.entries.clear();
+        self.evictions = 0;
+    }
+
     fn observe(&mut self, key: FiveTuple) {
         if let Some(entry) = self.entries.iter_mut().find(|entry| entry.0 == key) {
             entry.1 += 1;
@@ -178,6 +202,7 @@ impl VecMemory {
                 }
             }
             let (_, evicted) = self.entries.swap_remove(victim);
+            self.evictions += 1;
             if self.inherit {
                 count += evicted;
             }
@@ -216,11 +241,7 @@ fn victim_order_matches_the_brute_force_reference_on_tie_heavy_streams() {
                 let mut draw = Pcg64::seed_from_u64(seed);
                 let mut unused = Pcg64::seed_from_u64(0);
                 let mut tracker = spec.build();
-                let mut reference = VecMemory {
-                    capacity,
-                    inherit,
-                    entries: Vec::new(),
-                };
+                let mut reference = VecMemory::new(capacity, inherit);
                 // Few keys drawn uniformly: counts stay level, so almost
                 // every eviction has to break a tie on the key.
                 for packet in 0..3_000 {
@@ -246,4 +267,70 @@ fn victim_order_matches_the_brute_force_reference_on_tie_heavy_streams() {
         }
     }
     assert!(evicting_cases >= 30, "most cases must actually evict");
+}
+
+#[test]
+fn counts_and_displacements_match_the_reference_across_bin_resets() {
+    for capacity in [1usize, 2, 7, 64] {
+        for skewed in [false, true] {
+            for inherit in [false, true] {
+                let spec = if inherit {
+                    TopKSpec::SpaceSaving { capacity }
+                } else {
+                    TopKSpec::SortedList { capacity }
+                };
+                let seed = 0xB1_5EA1 ^ ((capacity as u64) << 16) ^ (u64::from(skewed) << 8);
+                let mut draw = Pcg64::seed_from_u64(seed);
+                let mut unused = Pcg64::seed_from_u64(0);
+                let mut tracker = FlowMemory::new(spec);
+                let mut reference = VecMemory::new(capacity, inherit);
+                let mut evicted_somewhere = false;
+                for packet in 0..4_000 {
+                    // The monitor resets its tracker at every bin seal.
+                    if packet % 500 == 0 {
+                        tracker.reset();
+                        reference.reset();
+                    }
+                    // Skewed: three flows carry three packets in four, so
+                    // their counts climb past every light flow's and a hit
+                    // on one moves it through the memory's order. Level: a
+                    // pool just over twice the capacity, drawn uniformly.
+                    let index = if skewed {
+                        match draw.next_below(8) {
+                            0..=2 => 0,
+                            3 | 4 => 1,
+                            5 => 2,
+                            _ => 3 + draw.next_below(200),
+                        }
+                    } else {
+                        draw.next_below(2 * capacity as u64 + 1)
+                    };
+                    let key = flow(index as u32);
+                    tracker.observe(&key, &mut unused);
+                    reference.observe(key);
+                    let context = format!(
+                        "{} capacity {capacity}, skewed {skewed}, packet {packet}",
+                        spec.name()
+                    );
+                    assert_eq!(tracker.count(&key), reference.count(&key), "{context}");
+                    assert_eq!(tracker.displaced(), reference.evictions, "{context}");
+                    assert_eq!(
+                        tracker.memory_entries(),
+                        reference.entries.len(),
+                        "{context}"
+                    );
+                    evicted_somewhere |= reference.evictions > 0;
+                }
+                let mut expected = reference.entries.clone();
+                expected.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+                let got: Vec<(FiveTuple, u64)> = tracker
+                    .top(usize::MAX)
+                    .iter()
+                    .map(|e| (e.key, e.estimate))
+                    .collect();
+                assert_eq!(got, expected, "{} capacity {capacity}", spec.name());
+                assert!(evicted_somewhere, "{} capacity {capacity}", spec.name());
+            }
+        }
+    }
 }
