@@ -28,74 +28,9 @@ pub fn fx_mix64(mut acc: u64) -> u64 {
     acc ^ (acc >> 31)
 }
 
-/// A [`std::hash::Hasher`] over the Fx fold, for call sites that want the
-/// same fast integer hashing through the standard `Hash` machinery (e.g. a
-/// `HashMap` keyed by types without a [`crate::CompactKey`] encoding).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct FxHasher {
-    acc: u64,
-}
-
-impl std::hash::Hasher for FxHasher {
-    #[inline]
-    fn finish(&self) -> u64 {
-        fx_mix64(self.acc)
-    }
-
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        // Whole 8-byte words first, then the tail padded with zeros. The
-        // length is folded in so "ab" + "c" != "a" + "bc".
-        let mut chunks = bytes.chunks_exact(8);
-        for chunk in &mut chunks {
-            let word = u64::from_le_bytes(chunk.try_into().expect("8-byte chunk"));
-            self.acc = fx_fold(self.acc, word);
-        }
-        let rest = chunks.remainder();
-        if !rest.is_empty() {
-            let mut word = [0u8; 8];
-            word[..rest.len()].copy_from_slice(rest);
-            self.acc = fx_fold(self.acc, u64::from_le_bytes(word));
-        }
-        self.acc = fx_fold(self.acc, bytes.len() as u64);
-    }
-
-    #[inline]
-    fn write_u64(&mut self, value: u64) {
-        self.acc = fx_fold(self.acc, value);
-    }
-
-    #[inline]
-    fn write_u32(&mut self, value: u32) {
-        self.acc = fx_fold(self.acc, u64::from(value));
-    }
-
-    #[inline]
-    fn write_u128(&mut self, value: u128) {
-        self.acc = fx_fold(self.acc, (value >> 64) as u64);
-        self.acc = fx_fold(self.acc, value as u64);
-    }
-
-    #[inline]
-    fn write_u8(&mut self, value: u8) {
-        self.acc = fx_fold(self.acc, u64::from(value));
-    }
-
-    #[inline]
-    fn write_u16(&mut self, value: u16) {
-        self.acc = fx_fold(self.acc, u64::from(value));
-    }
-
-    #[inline]
-    fn write_usize(&mut self, value: usize) {
-        self.acc = fx_fold(self.acc, value as u64);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::hash::Hasher;
 
     #[test]
     fn mix_is_deterministic_and_spreads_low_bits() {
@@ -105,28 +40,5 @@ mod tests {
             .map(|i| fx_mix64(fx_fold(0, i)) & 0xFF)
             .collect();
         assert!(lows.len() > 150, "low byte collapses: {}", lows.len());
-    }
-
-    #[test]
-    fn hasher_separates_concatenations() {
-        let hash = |parts: &[&[u8]]| {
-            let mut h = FxHasher::default();
-            for p in parts {
-                h.write(p);
-            }
-            h.finish()
-        };
-        assert_ne!(hash(&[b"ab", b"c"]), hash(&[b"a", b"bc"]));
-        assert_eq!(hash(&[b"abc"]), hash(&[b"abc"]));
-    }
-
-    #[test]
-    fn hasher_integer_writes_match_fold() {
-        let mut h = FxHasher::default();
-        h.write_u64(7);
-        assert_eq!(h.finish(), fx_mix64(fx_fold(0, 7)));
-        let mut h = FxHasher::default();
-        h.write_u128((3u128 << 64) | 9);
-        assert_eq!(h.finish(), fx_mix64(fx_fold(fx_fold(0, 3), 9)));
     }
 }

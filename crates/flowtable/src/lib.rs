@@ -57,6 +57,6 @@ pub mod hash;
 pub mod key;
 pub mod map;
 
-pub use hash::{fx_fold, fx_mix64, FxHasher};
+pub use hash::{fx_fold, fx_mix64};
 pub use key::{CompactKey, PackedKey};
 pub use map::FlowMap;

@@ -84,15 +84,6 @@ impl<K: CompactKey, V> FlowMap<K, V> {
         self.slots.len() * 7 / 8
     }
 
-    /// Ensures room for `additional` more entries without slot growth.
-    pub fn reserve(&mut self, additional: usize) {
-        let target = self.entries.len() + additional;
-        if slots_for(target) > self.slots.len() {
-            self.rehash(slots_for(target));
-        }
-        self.entries.reserve(additional);
-    }
-
     /// Removes every entry but keeps both allocations for reuse — the
     /// start-of-bin reset of the paper's binning methodology, without the
     /// per-bin rehash-from-zero a fresh map would pay.
@@ -141,12 +132,13 @@ impl<K: CompactKey, V> FlowMap<K, V> {
         update: impl FnOnce(&mut V),
     ) -> usize {
         let packed = key.pack();
-        match self.find_entry(packed) {
-            Some(i) => {
+        match self.probe(packed) {
+            Ok(slot) => {
+                let i = self.slots[slot] as usize;
                 update(&mut self.entries[i].1);
                 i
             }
-            None => self.push_new(packed, insert()),
+            Err(vacancy) => self.push_new(packed, insert(), vacancy),
         }
     }
 
@@ -160,10 +152,13 @@ impl<K: CompactKey, V> FlowMap<K, V> {
     /// when the key was already present.
     pub fn insert(&mut self, key: K, value: V) -> Option<V> {
         let packed = key.pack();
-        match self.find_entry(packed) {
-            Some(i) => Some(std::mem::replace(&mut self.entries[i].1, value)),
-            None => {
-                self.push_new(packed, value);
+        match self.probe(packed) {
+            Ok(slot) => {
+                let i = self.slots[slot] as usize;
+                Some(std::mem::replace(&mut self.entries[i].1, value))
+            }
+            Err(vacancy) => {
+                self.push_new(packed, value, vacancy);
                 None
             }
         }
@@ -213,18 +208,30 @@ impl<K: CompactKey, V> FlowMap<K, V> {
     /// Finds the slot index holding `packed`, if present.
     #[inline]
     fn find_slot(&self, packed: K::Packed) -> Option<usize> {
+        self.probe(packed).ok()
+    }
+
+    /// Walks `packed`'s probe chain once: `Ok` with the slot holding it, or
+    /// `Err` with the first reusable slot (tombstone or empty) on the chain,
+    /// the one `free_slot` would pick. An empty slot array gives
+    /// `Err(0)`, which no insert uses: the first insert grows the array.
+    #[inline]
+    fn probe(&self, packed: K::Packed) -> Result<usize, usize> {
         if self.slots.is_empty() {
-            return None;
+            return Err(0);
         }
         let mask = self.slots.len() - 1;
         let mut index = packed.mix() as usize & mask;
+        let mut vacancy = None;
         loop {
             match self.slots[index] {
-                EMPTY => return None,
-                TOMBSTONE => {}
+                EMPTY => return Err(vacancy.unwrap_or(index)),
+                TOMBSTONE => {
+                    vacancy.get_or_insert(index);
+                }
                 entry => {
                     if self.entries[entry as usize].0 == packed {
-                        return Some(index);
+                        return Ok(index);
                     }
                 }
             }
@@ -247,18 +254,23 @@ impl<K: CompactKey, V> FlowMap<K, V> {
         }
     }
 
-    /// Appends a new entry and links it from the slot array. The caller
-    /// guarantees `packed` is absent.
-    fn push_new(&mut self, packed: K::Packed, value: V) -> usize {
+    /// Appends a new entry and links it from the slot array at `vacancy`,
+    /// the free slot `probe` found for it, or at a new one when
+    /// the insert first grows or purges the array. The caller guarantees
+    /// `packed` is absent.
+    fn push_new(&mut self, packed: K::Packed, value: V, vacancy: usize) -> usize {
         assert!(self.entries.len() < MAX_ENTRIES, "FlowMap is full");
-        if (self.entries.len() + self.tombstones + 1) * 8 > self.slots.len() * 7 {
+        let slot = if (self.entries.len() + self.tombstones + 1) * 8 > self.slots.len() * 7 {
             // Rehashing rebuilds the slots from the slab, which also purges
             // tombstones; size for the live entries only.
             self.rehash(slots_for(self.entries.len() + 1));
-        }
+            self.free_slot(packed)
+        } else {
+            debug_assert_eq!(vacancy, self.free_slot(packed));
+            vacancy
+        };
         let entry_index = self.entries.len();
         self.entries.push((packed, value));
-        let slot = self.free_slot(packed);
         if self.slots[slot] == TOMBSTONE {
             self.tombstones -= 1;
         }
@@ -291,7 +303,13 @@ impl<K: CompactKey, V> FlowMap<K, V> {
     /// Rebuilds the slot array at `new_len` slots from the entry slab.
     fn rehash(&mut self, new_len: usize) {
         let mask = new_len - 1;
-        let mut slots = vec![EMPTY; new_len];
+        // A purge at the same size (a churning table) reuses the array.
+        let mut slots = std::mem::take(&mut self.slots);
+        if slots.len() == new_len {
+            slots.fill(EMPTY);
+        } else {
+            slots = vec![EMPTY; new_len];
+        }
         for (entry_index, (packed, _)) in self.entries.iter().enumerate() {
             let mut index = packed.mix() as usize & mask;
             while slots[index] != EMPTY {
@@ -426,18 +444,6 @@ mod tests {
         assert!(map.capacity() >= 1000);
         let none: FlowMap<u128, u8> = FlowMap::with_capacity(0);
         assert_eq!(none.capacity(), 0);
-    }
-
-    #[test]
-    fn reserve_grows_once() {
-        let mut map: FlowMap<u64, u8> = FlowMap::new();
-        map.reserve(500);
-        let cap = map.capacity();
-        assert!(cap >= 500);
-        for k in 0..500u64 {
-            map.insert(k, 0);
-        }
-        assert_eq!(map.capacity(), cap);
     }
 
     #[test]
@@ -604,6 +610,61 @@ mod tests {
         // churn (chains are full of reused slots).
         for k in 100..200u64 {
             assert_eq!(map.get(&k), None);
+        }
+    }
+
+    #[test]
+    fn find_or_insert_reuses_the_probed_slot_under_churn() {
+        // One probe serves both the lookup and the insert: on a 16-slot map
+        // that churns through every slot, each upsert_id/insert must land
+        // where a separate free-slot search would (checked in debug builds
+        // by `push_new`) and the map must agree with a reference model of
+        // its contents and its slab (ids in insertion order, the last
+        // entry swapped into a removal's hole).
+        let mut map: FlowMap<u64, u64> = FlowMap::new();
+        let mut reference: HashMap<u64, u64> = HashMap::new();
+        let mut slab: Vec<u64> = Vec::new();
+        let mut state = 0x00DD_BA11_u64;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            state >> 16
+        };
+        for op in 0..40_000u64 {
+            let key = next() % 13; // ≤ 13 live keys: the map stays at 16 slots
+            match next() % 3 {
+                0 => {
+                    let id = map.upsert_id(key, || 1, |v| *v += 1);
+                    *reference.entry(key).or_insert(0) += 1;
+                    if !slab.contains(&key) {
+                        slab.push(key);
+                    }
+                    assert_eq!(slab[id], key, "op {op}");
+                }
+                1 => {
+                    let value = next();
+                    assert_eq!(map.insert(key, value), reference.insert(key, value));
+                    if !slab.contains(&key) {
+                        slab.push(key);
+                    }
+                }
+                _ => {
+                    assert_eq!(map.remove(&key), reference.remove(&key), "op {op}");
+                    if let Some(hole) = slab.iter().position(|&k| k == key) {
+                        slab.swap_remove(hole);
+                    }
+                }
+            }
+            assert_eq!(map.capacity(), 14, "op {op}: the 16-slot map grew");
+            assert_eq!(
+                map.iter().map(|(k, _)| k).collect::<Vec<_>>(),
+                slab,
+                "op {op}"
+            );
+            for (k, v) in map.iter() {
+                assert_eq!(reference.get(&k), Some(v), "op {op}");
+            }
         }
     }
 

@@ -23,7 +23,7 @@ use flowrank_core::metrics::{ComparisonOutcome, GroundTruthRanking, SizedFlow};
 use flowrank_net::{AnyFlowKey, FlowDefinition, FlowMap, FlowTable, PacketBatch, Timestamp};
 use flowrank_sampling::SamplerStage;
 use flowrank_stats::rng::{derive_seeds, Pcg64, SeedableRng};
-use flowrank_topk::TopKTracker;
+use flowrank_topk::{FlowMemory, TopKTracker};
 
 use crate::fault::{DriveError, DrivePolicy, DriveStats, SinkError, TimestampPolicy};
 use crate::pipeline::{Collect, DriveSummary, PacketSource, ReportSink};
@@ -591,7 +591,7 @@ pub(crate) struct Lane {
     seed: u64,
     stage: SamplerStage<Pcg64>,
     counts: LaneCounts,
-    tracker: Option<Box<dyn TopKTracker + Send>>,
+    tracker: Option<FlowMemory>,
     tracker_rng: Pcg64,
     /// Per-lane scratch for the kept-packet indices of one batch segment;
     /// owned by the lane so lanes can run on worker threads without sharing.
@@ -630,7 +630,7 @@ impl Lane {
                 },
                 None => LaneCounts::Ids(IdCounts::default()),
             },
-            tracker: topk.map(|t| t.build()),
+            tracker: topk.map(|&t| FlowMemory::new(t)),
             tracker_rng: Pcg64::seed_from_u64(seed ^ TRACKER_SEED_SALT),
             kept: Vec::new(),
             panic_after: None,

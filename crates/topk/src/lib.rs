@@ -27,7 +27,8 @@
 //!   promote the flow once all of them reach a threshold (\[11\]).
 //!
 //! [`FlowMemory`] runs a spec and is the only [`TopKTracker`]; the hit path,
-//! the top-`t` list and the `(count, key)` minimum scan exist once, and each
+//! the top-`t` list and the indexed `(count, key)` min-heap that finds the
+//! two evicting policies' victim in O(log capacity) exist once, and each
 //! algorithm's citation and description sit on its arm of the one private
 //! `admit` function in [`memory`]. A tracker is driven packet-by-packet
 //! (flow key + increment) and reports an estimated top-`t` list at the end

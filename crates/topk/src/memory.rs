@@ -4,6 +4,18 @@
 //! counted exactly while the flow is tracked — and differs only in what it
 //! does with a packet of a flow it is *not* tracking. [`TopKSpec`] names
 //! that decision with its parameters; [`FlowMemory`] runs it.
+//!
+//! The layout is the same under all five policies: a [`FlowMap`] index from
+//! each tracked flow to its *slot*, and one `(count, packed key)` pair per
+//! slot. The two policies that evict — the sorted list and Space-Saving —
+//! also keep an indexed binary min-heap of their slots, ordered by
+//! `(count, packed key)`. `FiveTuple::pack` is monotone in `FiveTuple`'s
+//! order, so the heap's root is the `(count, key)` minimum: the victim is
+//! found without looking at the other flows, a hit is one increment and a
+//! sift-down from the flow's heap position, and a full miss rewrites the
+//! root's slot for the newcomer and sifts it down. Either costs
+//! O(log capacity) per packet, against the O(capacity) of a scan for the
+//! minimum.
 
 use flowrank_flowtable::{fx_fold, fx_mix64, CompactKey};
 use flowrank_net::{FiveTuple, FlowMap};
@@ -68,11 +80,25 @@ impl TopKSpec {
 
 /// A flow memory running one [`TopKSpec`]: tracked flows are counted
 /// exactly, and the spec decides what a packet of an untracked flow does.
+///
+/// A tracked flow owns a slot of `slots` from its entry until a reset or
+/// its eviction, and `index` finds it. Under the sorted list and
+/// Space-Saving, `heap` holds every slot as a binary min-heap by the slot's
+/// `(count, packed key)` and `place` is its inverse, so the eviction victim
+/// is `heap[0]` and a counted packet restores the order in
+/// O(log capacity) steps; under the other three policies both are empty.
 #[derive(Debug, Clone)]
 pub struct FlowMemory {
     /// The spec, with degenerate parameters clamped.
     policy: TopKSpec,
-    counts: FlowMap<FiveTuple, u64>,
+    /// The slot of each tracked flow.
+    index: FlowMap<FiveTuple, u32>,
+    /// Per slot: the flow's count and its packed key.
+    slots: Vec<(u64, u128)>,
+    /// Slots in min-heap order by `slots[slot]` (evicting policies only).
+    heap: Vec<u32>,
+    /// `place[slot]` is the slot's position in `heap`.
+    place: Vec<u32>,
     /// The multistage filter's counters, one row per stage; empty otherwise.
     stages: Vec<Vec<u64>>,
     displaced: u64,
@@ -110,29 +136,36 @@ impl FlowMemory {
                 memory_capacity: memory_capacity.max(1),
             },
         };
-        // The two policies that always fill their memory get it up front.
-        let (counts, stages) = match policy {
+        let mut memory = FlowMemory {
+            policy,
+            index: FlowMap::new(),
+            slots: Vec::new(),
+            heap: Vec::new(),
+            place: Vec::new(),
+            stages: Vec::new(),
+            displaced: 0,
+        };
+        match policy {
+            // The two policies that always fill their memory get it up front.
             TopKSpec::SortedList { capacity } | TopKSpec::SpaceSaving { capacity } => {
-                (FlowMap::with_capacity(capacity), Vec::new())
+                memory.index = FlowMap::with_capacity(capacity);
+                memory.slots = Vec::with_capacity(capacity);
+                memory.heap = Vec::with_capacity(capacity);
+                memory.place = Vec::with_capacity(capacity);
             }
             TopKSpec::Multistage {
                 stages,
                 counters_per_stage,
                 ..
-            } => (FlowMap::new(), vec![vec![0; counters_per_stage]; stages]),
-            TopKSpec::Exact | TopKSpec::SampleAndHold { .. } => (FlowMap::new(), Vec::new()),
-        };
-        FlowMemory {
-            policy,
-            counts,
-            stages,
-            displaced: 0,
+            } => memory.stages = vec![vec![0; counters_per_stage]; stages],
+            TopKSpec::Exact | TopKSpec::SampleAndHold { .. } => {}
         }
+        memory
     }
 
     /// The count held for `key`, if the flow is tracked.
     pub fn count(&self, key: &FiveTuple) -> Option<u64> {
-        self.counts.get(key).copied()
+        self.index.get(key).map(|&slot| self.slots[slot as usize].0)
     }
 
     /// Flows evicted to make room plus inserts refused because the memory
@@ -160,9 +193,7 @@ impl FlowMemory {
             // ranking — with unbounded memory and no sampling the ranking is
             // perfect, so any error measured in the trace-driven experiments
             // is attributable to sampling alone.
-            TopKSpec::Exact => {
-                self.counts.insert(*key, 1);
-            }
+            TopKSpec::Exact => self.track(key, 1),
             // Bounded sorted list (Jedwab, Phaal & Pinna, HP Labs 1992,
             // reference [13] of the paper): when the list is full, the record
             // at its bottom makes room and the newcomer starts at 1. The
@@ -170,10 +201,11 @@ impl FlowMemory {
             // (possibly sampled) stream well, but cannot repair errors
             // introduced by sampling.
             TopKSpec::SortedList { capacity } => {
-                if self.counts.len() >= capacity {
-                    self.evict_minimum();
+                if self.slots.len() < capacity {
+                    self.track(key, 1);
+                } else {
+                    self.replace_minimum(key, |_| 1);
                 }
-                self.counts.insert(*key, 1);
             }
             // Space-Saving (Metwally, Agrawal & El Abbadi, ICDT 2005), later
             // than the algorithms the paper cites and included as the
@@ -183,12 +215,11 @@ impl FlowMemory {
             // most the minimum counter. On the same memory it strictly
             // dominates the bottom-eviction list at finding heavy hitters.
             TopKSpec::SpaceSaving { capacity } => {
-                let inherited = if self.counts.len() >= capacity {
-                    self.evict_minimum()
+                if self.slots.len() < capacity {
+                    self.track(key, 1);
                 } else {
-                    0
-                };
-                self.counts.insert(*key, inherited + 1);
+                    self.replace_minimum(key, |inherited| inherited + 1);
+                }
             }
             // Sample-and-hold (Estan & Varghese, SIGCOMM 2002, reference
             // [11]): a packet of an untracked flow creates an entry with a
@@ -230,29 +261,109 @@ impl FlowMemory {
         }
     }
 
-    /// Removes the tracked flow with the smallest count and returns that
-    /// count. The `(count, key)` tie-break totally orders the candidates, so
-    /// the victim is independent of the table's iteration order.
-    fn evict_minimum(&mut self) -> u64 {
-        let (victim, &count) = self
-            .counts
-            .iter()
-            .min_by(|a, b| a.1.cmp(b.1).then(a.0.cmp(&b.0)))
-            .expect("a full memory holds at least one flow");
-        self.counts.remove(&victim);
+    /// Whether the policy evicts, and so keeps the heap.
+    #[inline]
+    fn evicting(&self) -> bool {
+        matches!(
+            self.policy,
+            TopKSpec::SortedList { .. } | TopKSpec::SpaceSaving { .. }
+        )
+    }
+
+    /// Starts tracking `key` at `count` in a new slot.
+    fn track(&mut self, key: &FiveTuple, count: u64) {
+        let slot = self.slots.len() as u32;
+        self.slots.push((count, key.pack()));
+        self.index.insert(*key, slot);
+        if self.evicting() {
+            self.heap.push(slot);
+            self.place.push(slot);
+            self.sift_up(slot as usize);
+        }
+    }
+
+    /// Evicts the `(count, key)` minimum, the heap's root, and gives its
+    /// slot to `key` at `count(victim's count)`. The `(count, key)` order is
+    /// total, so the victim is independent of how the memory is laid out.
+    fn replace_minimum(&mut self, key: &FiveTuple, count: impl FnOnce(u64) -> u64) {
+        let root = self.heap[0];
+        let (victim_count, victim) = self.slots[root as usize];
+        self.index.remove(&FiveTuple::unpack(victim));
+        self.index.insert(*key, root);
+        self.slots[root as usize] = (count(victim_count), key.pack());
         self.displaced += 1;
-        count
+        self.sift_down(0);
     }
 
     /// Starts tracking `key` at `count` while there is room; a refused
     /// insert is counted instead.
     fn hold(&mut self, key: &FiveTuple, count: u64, capacity: usize) {
-        if self.counts.len() < capacity {
-            self.counts.insert(*key, count);
+        if self.slots.len() < capacity {
+            self.track(key, count);
         } else {
             self.displaced += 1;
         }
     }
+
+    /// Moves the slot at heap position `pos` towards the root until its
+    /// parent ranks below it.
+    fn sift_up(&mut self, mut pos: usize) {
+        let moving = self.heap[pos];
+        let rank = self.slots[moving as usize];
+        while pos > 0 {
+            let parent = (pos - 1) / 2;
+            let above = self.heap[parent];
+            if ranks_below(self.slots[above as usize], rank) {
+                break;
+            }
+            self.heap[pos] = above;
+            self.place[above as usize] = pos as u32;
+            pos = parent;
+        }
+        self.heap[pos] = moving;
+        self.place[moving as usize] = pos as u32;
+    }
+
+    /// Moves the slot at heap position `pos` away from the root until both
+    /// its children rank above it.
+    fn sift_down(&mut self, mut pos: usize) {
+        let len = self.heap.len();
+        let moving = self.heap[pos];
+        let rank = self.slots[moving as usize];
+        loop {
+            let left = 2 * pos + 1;
+            if left >= len {
+                break;
+            }
+            let right = left + 1;
+            let child = if right < len {
+                let right_first = ranks_below(
+                    self.slots[self.heap[right] as usize],
+                    self.slots[self.heap[left] as usize],
+                );
+                left + usize::from(right_first)
+            } else {
+                left
+            };
+            let below = self.heap[child];
+            if ranks_below(rank, self.slots[below as usize]) {
+                break;
+            }
+            self.heap[pos] = below;
+            self.place[below as usize] = pos as u32;
+            pos = child;
+        }
+        self.heap[pos] = moving;
+        self.place[moving as usize] = pos as u32;
+    }
+}
+
+/// `a < b` in the heap's `(count, packed key)` order, written without
+/// short-circuits: the sift loops compare ranks whose order is a coin flip,
+/// and a branch-free compare costs less than the mispredictions.
+#[inline(always)]
+fn ranks_below(a: (u64, u128), b: (u64, u128)) -> bool {
+    (a.0 < b.0) | ((a.0 == b.0) & (a.1 < b.1))
 }
 
 /// The counter a flow maps to in one stage of the multistage filter: the
@@ -270,34 +381,112 @@ fn stage_slot(stage: usize, key: &FiveTuple, counters: usize) -> usize {
 
 impl TopKTracker for FlowMemory {
     fn observe(&mut self, key: &FiveTuple, rng: &mut dyn Rng) {
-        match self.counts.get_mut(key) {
-            Some(count) => *count += 1,
+        match self.index.get(key) {
+            Some(&slot) => {
+                self.slots[slot as usize].0 += 1;
+                if self.evicting() {
+                    self.sift_down(self.place[slot as usize] as usize);
+                }
+            }
             None => self.admit(key, rng),
         }
     }
 
     fn top(&self, t: usize) -> Vec<TopKEntry> {
-        let mut entries: Vec<TopKEntry> = self
-            .counts
+        let mut ranked = self.slots.clone();
+        ranked.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
+        ranked
             .iter()
-            .map(|(key, &estimate)| TopKEntry { key, estimate })
-            .collect();
-        entries.sort_by(|a, b| b.estimate.cmp(&a.estimate).then(a.key.cmp(&b.key)));
-        entries.truncate(t);
-        entries
+            .take(t)
+            .map(|&(estimate, packed)| TopKEntry {
+                key: FiveTuple::unpack(packed),
+                estimate,
+            })
+            .collect()
     }
 
     fn memory_entries(&self) -> usize {
-        self.counts.len()
+        self.slots.len()
     }
 
     fn reset(&mut self) {
-        self.counts.clear();
+        self.index.clear();
+        self.slots.clear();
+        self.heap.clear();
+        self.place.clear();
         self.stages.iter_mut().for_each(|counters| counters.fill(0));
         self.displaced = 0;
     }
 
     fn name(&self) -> &'static str {
         self.policy.name()
+    }
+}
+
+#[cfg(test)]
+impl FlowMemory {
+    /// Asserts the layout's invariants: `index` and `slots` name the same
+    /// flows, and under an evicting policy `heap` is in min-heap order by
+    /// `(count, packed key)` with `place` its inverse.
+    fn check_heap(&self) {
+        assert_eq!(self.index.len(), self.slots.len());
+        for (key, &slot) in self.index.iter() {
+            assert_eq!(self.slots[slot as usize].1, key.pack());
+        }
+        if !self.evicting() {
+            assert!(self.heap.is_empty() && self.place.is_empty());
+            return;
+        }
+        assert_eq!(self.heap.len(), self.slots.len());
+        assert_eq!(self.place.len(), self.slots.len());
+        for (pos, &slot) in self.heap.iter().enumerate() {
+            assert_eq!(self.place[slot as usize] as usize, pos, "place[{slot}]");
+            if pos > 0 {
+                let parent = self.heap[(pos - 1) / 2];
+                assert!(
+                    self.slots[parent as usize] < self.slots[slot as usize],
+                    "heap position {pos} ranks below its parent"
+                );
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::tracker::test_util::key;
+    use flowrank_stats::rng::{Pcg64, SeedableRng};
+
+    #[test]
+    fn heap_order_and_place_hold_after_every_packet_and_reset() {
+        for capacity in [1usize, 2, 3, 7, 16, 64] {
+            for spec in [
+                TopKSpec::SortedList { capacity },
+                TopKSpec::SpaceSaving { capacity },
+                TopKSpec::SampleAndHold {
+                    entry_probability: 0.5,
+                    capacity,
+                },
+            ] {
+                let mut memory = FlowMemory::new(spec);
+                let mut draw = Pcg64::seed_from_u64(capacity as u64);
+                let mut rng = Pcg64::seed_from_u64(7);
+                memory.check_heap();
+                for packet in 0..3_000u32 {
+                    if packet % 700 == 699 {
+                        memory.reset();
+                        memory.check_heap();
+                    }
+                    // A pool of a few times the capacity, drawn uniformly:
+                    // counts stay level, so ties on the count are common
+                    // and the key decides most comparisons.
+                    let flow = draw.next_below(3 * capacity as u64 + 2) as u32;
+                    memory.observe(&key(flow), &mut rng);
+                    memory.check_heap();
+                }
+                assert!(memory.displaced() > 0, "{} {capacity}", spec.name());
+            }
+        }
     }
 }

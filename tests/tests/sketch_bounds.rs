@@ -1,7 +1,8 @@
 //! The guarantees the top-k backends are cited for, asserted against the
 //! exact backend on every catalog scenario, plus a brute-force reference of
-//! the bounded memories' victim rule — the oracle a rewrite of the
-//! min-victim scan (roadmap 1(d)) has to keep.
+//! the bounded memories' victim rule — a literal scan for the `(count, key)`
+//! minimum, which the memories' indexed min-heap has to agree with packet
+//! for packet, counts and displacements included.
 //!
 //! Everything here goes through `TopKSpec::build()` or, for the counters
 //! the trait does not expose, `FlowMemory`'s own accessors, so the suite is
