@@ -591,7 +591,9 @@ pub(crate) struct Lane {
     seed: u64,
     stage: SamplerStage<Pcg64>,
     counts: LaneCounts,
-    tracker: Option<FlowMemory>,
+    /// Boxed so a lane without a backend stays one pointer wide (a fleet
+    /// holds thousands of lanes); concrete so the per-packet call is static.
+    tracker: Option<Box<FlowMemory>>,
     tracker_rng: Pcg64,
     /// Per-lane scratch for the kept-packet indices of one batch segment;
     /// owned by the lane so lanes can run on worker threads without sharing.
@@ -630,7 +632,7 @@ impl Lane {
                 },
                 None => LaneCounts::Ids(IdCounts::default()),
             },
-            tracker: topk.map(|&t| FlowMemory::new(t)),
+            tracker: topk.map(|&t| Box::new(FlowMemory::new(t))),
             tracker_rng: Pcg64::seed_from_u64(seed ^ TRACKER_SEED_SALT),
             kept: Vec::new(),
             panic_after: None,
