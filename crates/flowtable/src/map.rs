@@ -213,8 +213,8 @@ impl<K: CompactKey, V> FlowMap<K, V> {
 
     /// Walks `packed`'s probe chain once: `Ok` with the slot holding it, or
     /// `Err` with the first reusable slot (tombstone or empty) on the chain,
-    /// the one `free_slot` would pick. An empty slot array gives
-    /// `Err(0)`, which no insert uses: the first insert grows the array.
+    /// the one `free_slot` would pick. An empty slot array gives `Err(0)`,
+    /// which no insert uses: the first insert grows the array.
     #[inline]
     fn probe(&self, packed: K::Packed) -> Result<usize, usize> {
         if self.slots.is_empty() {
@@ -255,9 +255,9 @@ impl<K: CompactKey, V> FlowMap<K, V> {
     }
 
     /// Appends a new entry and links it from the slot array at `vacancy`,
-    /// the free slot `probe` found for it, or at a new one when
-    /// the insert first grows or purges the array. The caller guarantees
-    /// `packed` is absent.
+    /// the free slot `probe` found for it, or at a new one when the insert
+    /// first grows or purges the array. The caller guarantees `packed` is
+    /// absent.
     fn push_new(&mut self, packed: K::Packed, value: V, vacancy: usize) -> usize {
         assert!(self.entries.len() < MAX_ENTRIES, "FlowMap is full");
         let slot = if (self.entries.len() + self.tombstones + 1) * 8 > self.slots.len() * 7 {
@@ -303,13 +303,7 @@ impl<K: CompactKey, V> FlowMap<K, V> {
     /// Rebuilds the slot array at `new_len` slots from the entry slab.
     fn rehash(&mut self, new_len: usize) {
         let mask = new_len - 1;
-        // A purge at the same size (a churning table) reuses the array.
-        let mut slots = std::mem::take(&mut self.slots);
-        if slots.len() == new_len {
-            slots.fill(EMPTY);
-        } else {
-            slots = vec![EMPTY; new_len];
-        }
+        let mut slots = vec![EMPTY; new_len];
         for (entry_index, (packed, _)) in self.entries.iter().enumerate() {
             let mut index = packed.mix() as usize & mask;
             while slots[index] != EMPTY {
