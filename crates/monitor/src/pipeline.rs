@@ -761,26 +761,26 @@ fn ndjson_record(raw: &[Option<&str>; 9]) -> Result<PacketRecord, &'static str> 
     if !ts.is_finite() || ts < 0.0 {
         return Err("\"ts\" must be finite and non-negative");
     }
-    let src: std::net::Ipv4Addr = src
-        .and_then(|v| v.parse().ok())
+    let src = src
+        .and_then(|v| read_ipv4(v.as_bytes()))
         .ok_or("missing or invalid \"src\"")?;
-    let dst: std::net::Ipv4Addr = dst
-        .and_then(|v| v.parse().ok())
+    let dst = dst
+        .and_then(|v| read_ipv4(v.as_bytes()))
         .ok_or("missing or invalid \"dst\"")?;
-    let sport: u16 = sport
-        .and_then(|v| v.parse().ok())
+    let sport = sport
+        .and_then(|v| read_u16(v.as_bytes()))
         .ok_or("missing or invalid \"sport\"")?;
-    let dport: u16 = dport
-        .and_then(|v| v.parse().ok())
+    let dport = dport
+        .and_then(|v| read_u16(v.as_bytes()))
         .ok_or("missing or invalid \"dport\"")?;
-    let len: u16 = len
-        .and_then(|v| v.parse().ok())
+    let len = len
+        .and_then(|v| read_u16(v.as_bytes()))
         .ok_or("missing or invalid \"len\"")?;
     let timestamp = Timestamp::from_secs_f64(ts);
     match proto {
         Some("tcp") => {
-            let seq: u32 = match seq {
-                Some(raw) => raw.parse().map_err(|_| "invalid \"seq\"")?,
+            let seq = match seq {
+                Some(raw) => read_u32(raw.as_bytes()).ok_or("invalid \"seq\"")?,
                 None => 0,
             };
             Ok(PacketRecord::tcp(
@@ -793,6 +793,21 @@ fn ndjson_record(raw: &[Option<&str>; 9]) -> Result<PacketRecord, &'static str> 
     }
 }
 
+/// A `u16` field's value, read as `u16::from_str` reads it.
+fn read_u16(raw: &[u8]) -> Option<u16> {
+    std::str::from_utf8(raw).ok()?.parse().ok()
+}
+
+/// A `u32` field's value, read as `u32::from_str` reads it.
+fn read_u32(raw: &[u8]) -> Option<u32> {
+    std::str::from_utf8(raw).ok()?.parse().ok()
+}
+
+/// An address field's value, read as `Ipv4Addr::from_str` reads it.
+fn read_ipv4(raw: &[u8]) -> Option<std::net::Ipv4Addr> {
+    std::str::from_utf8(raw).ok()?.parse().ok()
+}
+
 /// Appends the record of one line to `batch` — and, on the tagged path, its
 /// tenant tag (0 when the line carries none) to `tenants`; a tag that is not
 /// a `u32` is refused before the record's fields are looked at.
@@ -803,7 +818,7 @@ fn push_ndjson_line(
 ) -> Result<(), &'static str> {
     let raw = json_raw_values(line);
     let tenant = match (raw[8], &tenants) {
-        (Some(tag), Some(_)) => tag.parse().map_err(|_| "invalid \"tenant\"")?,
+        (Some(tag), Some(_)) => read_u32(tag.as_bytes()).ok_or("invalid \"tenant\"")?,
         _ => 0,
     };
     batch.push_record(&ndjson_record(&raw)?);
@@ -2258,6 +2273,83 @@ mod tests {
         // The generator reaches both outcomes and every reason the parser has.
         assert!(rows > LINES / 10, "{rows} records");
         assert_eq!(reasons.len(), 11, "{reasons:?}");
+    }
+
+    /// Every decimal string of up to six digits, bare and behind a sign,
+    /// leading zeros included, and the edges of both widths: the integer
+    /// readers read what `str::parse` reads.
+    #[test]
+    fn ndjson_integer_readers_agree_with_str_parse() {
+        use std::fmt::Write as _;
+        let agree = |text: &str| {
+            assert_eq!(read_u16(text.as_bytes()), text.parse().ok(), "u16 {text:?}");
+            assert_eq!(read_u32(text.as_bytes()), text.parse().ok(), "u32 {text:?}");
+        };
+        let edges = ["", "+", "-", "++1", "+-1", "1+", " 1", "1 ", "0x1", "1_0"];
+        let widths = [
+            "65535",
+            "65536",
+            "4294967295",
+            "4294967296",
+            "18446744073709551616",
+        ];
+        for edge in edges.into_iter().chain(widths) {
+            agree(edge);
+            agree(&format!("+{edge}"));
+            agree(&format!("0000000000{edge}"));
+        }
+        let mut text = String::with_capacity(8);
+        for digits in 1..=6 {
+            for n in 0..10u32.pow(digits) {
+                for sign in ["", "+", "-"] {
+                    text.clear();
+                    write!(text, "{sign}{n:0width$}", width = digits as usize).unwrap();
+                    agree(&text);
+                }
+            }
+        }
+    }
+
+    /// Every address of four octets drawn from the awkward ones, and seeded
+    /// strings of up to 16 bytes over digits, dots, signs and spaces: the
+    /// address reader reads what `Ipv4Addr::from_str` reads.
+    #[test]
+    fn ndjson_ipv4_reader_agrees_with_ipv4addr_from_str() {
+        let agree = |text: &str| {
+            let expected: Option<Ipv4Addr> = text.parse().ok();
+            assert_eq!(read_ipv4(text.as_bytes()), expected, "{text:?}");
+            expected.is_some()
+        };
+        const OCTETS: [&str; 11] = [
+            "0", "00", "01", "9", "10", "99", "100", "255", "256", "999", "0000",
+        ];
+        let mut valid = 0;
+        for a in OCTETS {
+            for b in OCTETS {
+                for c in OCTETS {
+                    for d in OCTETS {
+                        valid += usize::from(agree(&format!("{a}.{b}.{c}.{d}")));
+                    }
+                }
+            }
+        }
+        assert_eq!(valid, 6usize.pow(4), "the octets std takes");
+        // Digits most of the time and a dot every few, so some strings are
+        // addresses and most are near misses.
+        let mut rng = Pcg64::seed_from_u64(0x1b_4add);
+        let (mut text, mut valid) = (String::with_capacity(16), 0);
+        for _ in 0..200_000 {
+            text.clear();
+            for _ in 0..rng.index(17) {
+                text.push(match rng.next_below(16) {
+                    0..=3 => '.',
+                    4 => ['+', '-', ' '][rng.index(3)],
+                    _ => char::from(b'0' + rng.next_below(10) as u8),
+                });
+            }
+            valid += usize::from(agree(&text));
+        }
+        assert!(valid > 100, "{valid} addresses among the strings");
     }
 
     /// A `BufRead` that hands `feed` out in the fragments `cuts` (end offsets)
