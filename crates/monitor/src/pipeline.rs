@@ -498,6 +498,15 @@ const MAX_NDJSON_LINE_BYTES: usize = 64 * 1024;
 /// Parsing is a permissive field walk, not a general JSON parser: fields may
 /// appear in any order, unknown fields are ignored.
 ///
+/// The source reads a word (eight bytes) at a time. One scan over the buffer
+/// finds each line's newline and notes on the way whether the line holds a
+/// byte that is not ASCII; only such a line is validated as UTF-8, so an
+/// ASCII record pays no `from_utf8`. The walk over the line's fields
+/// searches its quotes and value ends the same way, and the numbers and
+/// addresses go through exact readers (`u16::from_str`, `u32::from_str` and
+/// `Ipv4Addr::from_str` to the byte, `ts` through `f64::from_str` itself)
+/// into the batch's columns.
+///
 /// Each chunk is what has arrived: one `fill_buf` of the reader, and every
 /// complete line in it (at most `DEFAULT_CHUNK_PACKETS`), so a busy feed is
 /// read in chunks as large as the reader's buffer and a quiet one a record
@@ -570,7 +579,7 @@ impl<R: io::BufRead> NdjsonRecordSource<R> {
         };
         let mut taken = 0;
         while batch.len() < DEFAULT_CHUNK_PACKETS {
-            let Some(end) = find(buffered, taken, |byte| byte == b'\n') else {
+            let (Some(end), non_ascii) = find(buffered, taken, [b'\n']) else {
                 break;
             };
             let framed = &buffered[taken..end];
@@ -578,10 +587,11 @@ impl<R: io::BufRead> NdjsonRecordSource<R> {
                 break;
             }
             if !framed.iter().all(u8::is_ascii_whitespace) {
-                let Ok(text) = std::str::from_utf8(framed) else {
+                // An ASCII line is UTF-8; only another one is validated.
+                if non_ascii && std::str::from_utf8(framed).is_err() {
                     break;
-                };
-                match push_ndjson_line(text, tenants.as_deref_mut(), batch) {
+                }
+                match push_ndjson_line(framed, tenants.as_deref_mut(), batch) {
                     Ok(()) => {}
                     // In front of everything else it is this poll's error.
                     Err(reason) if batch.is_empty() => {
@@ -600,10 +610,10 @@ impl<R: io::BufRead> NdjsonRecordSource<R> {
         // With no record in hand the next line is one the buffer does not
         // hold whole, over the cap or not UTF-8: it goes through the bounded
         // framing, alone.
-        let Some(text) = next_ndjson_line(reader, line)? else {
+        let Some(framed) = next_ndjson_line(reader, line)? else {
             return Ok(false);
         };
-        push_ndjson_line(text, tenants, batch).map_err(malformed_record)?;
+        push_ndjson_line(framed, tenants, batch).map_err(malformed_record)?;
         Ok(true)
     }
 }
@@ -628,7 +638,7 @@ fn malformed_record(reason: &'static str) -> SourceError {
 fn next_ndjson_line<'l>(
     reader: &mut impl io::BufRead,
     line: &'l mut Vec<u8>,
-) -> Result<Option<&'l str>, SourceError> {
+) -> Result<Option<&'l [u8]>, SourceError> {
     let fatal = |error| SourceError::Fatal(NetError::Io(error));
     loop {
         line.clear();
@@ -647,47 +657,126 @@ fn next_ndjson_line<'l>(
             break; // blank lines separate nothing
         }
     }
-    match std::str::from_utf8(line) {
-        Ok(text) => Ok(Some(text)),
-        Err(_) => Err(malformed_record("line is not valid UTF-8")),
+    if line.is_ascii() || std::str::from_utf8(line).is_ok() {
+        Ok(Some(line))
+    } else {
+        Err(malformed_record("line is not valid UTF-8"))
     }
 }
 
-/// The offset of the first byte of `bytes` at or behind `from` that `stops`
-/// accepts.
-fn find(bytes: &[u8], from: usize, stops: impl Fn(u8) -> bool) -> Option<usize> {
-    let found = bytes[from..].iter().position(|byte| stops(*byte));
-    found.map(|offset| from + offset)
+/// Eight copies of a byte's low bit, one per byte of a word.
+const LOW_BITS: u64 = u64::from_ne_bytes([0x01; 8]);
+/// Eight copies of a byte's high bit, one per byte of a word.
+const HIGH_BITS: u64 = u64::from_ne_bytes([0x80; 8]);
+
+/// The first byte of `bytes` at or behind `from` that is one of `stops`, and
+/// whether a byte in front of it (in front of the end where there is none)
+/// is not ASCII.
+///
+/// The search reads a word, eight bytes, at a time. `byte ^ stop` is zero
+/// where a byte matches, and `(x − 0x01…) & !x & 0x80…` raises the high bit
+/// of the zero bytes of `x`: exactly for the lowest, perhaps spuriously above
+/// it (a borrow only starts at a zero byte), so the lowest bit raised for any
+/// stop is the first match. Bytes past the last whole word go one at a time.
+fn find<const N: usize>(bytes: &[u8], from: usize, stops: [u8; N]) -> (Option<usize>, bool) {
+    let mut at = from;
+    let mut high = 0;
+    let mut words = bytes[from..].chunks_exact(8);
+    for word in &mut words {
+        let word = u64::from_le_bytes(word.try_into().expect("eight bytes"));
+        let hits = stops.iter().fold(0, |hits, stop| {
+            let x = word ^ (LOW_BITS * u64::from(*stop));
+            hits | (x.wrapping_sub(LOW_BITS) & !x & HIGH_BITS)
+        });
+        if hits != 0 {
+            // The first hit's high bit is bit 8i + 7 of byte i.
+            let first = hits.trailing_zeros() as usize / 8;
+            let in_front = word & ((1 << (8 * first)) - 1);
+            return (Some(at + first), (high | in_front) & HIGH_BITS != 0);
+        }
+        high |= word;
+        at += 8;
+    }
+    let mut non_ascii = high & HIGH_BITS != 0;
+    for byte in words.remainder() {
+        if stops.contains(byte) {
+            return (Some(at), non_ascii);
+        }
+        non_ascii |= !byte.is_ascii();
+        at += 1;
+    }
+    (None, non_ascii)
 }
 
-/// `str::trim_start` as an offset: the first byte of `line` at or behind `at`
-/// that is not whitespace. A char is decoded only where a byte is not ASCII.
-fn skip_whitespace(line: &str, mut at: usize) -> usize {
-    loop {
-        match line.as_bytes().get(at) {
-            Some(b' ' | b'\t'..=b'\r') => at += 1,
-            Some(byte) if !byte.is_ascii() => match line[at..].chars().next() {
-                Some(space) if space.is_whitespace() => at += space.len_utf8(),
-                _ => return at,
+/// The char of UTF-8 text `line` that starts at byte `at`, where the byte
+/// there is not ASCII.
+fn char_at(line: &[u8], at: usize) -> Option<char> {
+    let width = line[at].leading_ones() as usize;
+    let text = std::str::from_utf8(line.get(at..at + width)?).ok()?;
+    text.chars().next()
+}
+
+/// The width of the whitespace char of UTF-8 text `line` that starts at
+/// byte `at`, where the byte there is not ASCII; `None` for another char.
+fn unicode_space(line: &[u8], at: usize) -> Option<usize> {
+    char_at(line, at)
+        .filter(|space| space.is_whitespace())
+        .map(char::len_utf8)
+}
+
+/// `str::trim_start` as an offset: the first byte of UTF-8 text `line` at or
+/// behind `at` that is not whitespace. A char is decoded only where a byte is
+/// not ASCII.
+fn skip_whitespace(line: &[u8], mut at: usize) -> usize {
+    while let Some(byte) = line.get(at) {
+        at += match byte {
+            b' ' | b'\t'..=b'\r' => 1,
+            0x80.. => match unicode_space(line, at) {
+                Some(width) => width,
+                None => break,
             },
-            _ => return at,
+            _ => break,
+        };
+    }
+    at
+}
+
+/// `str::trim_end` over UTF-8 text. A char is decoded only where a byte is
+/// not ASCII.
+fn trim_end(mut text: &[u8]) -> &[u8] {
+    loop {
+        match text {
+            [rest @ .., b' ' | b'\t'..=b'\r'] => text = rest,
+            [.., last] if !last.is_ascii() => {
+                // Back over the continuation bytes to the char's first byte.
+                let lead = text.iter().rposition(|byte| !matches!(byte, 0x80..=0xbf));
+                let lead = lead.unwrap_or(0);
+                match char_at(text, lead) {
+                    Some(space) if space.is_whitespace() => text = &text[..lead],
+                    _ => return text,
+                }
+            }
+            _ => return text,
         }
     }
 }
 
 /// The raw value text of the nine fields a record line is read for — `ts`,
 /// `src`, `dst`, `sport`, `dport`, `len`, `proto`, `seq`, `tenant`, in that
-/// order — from one walk over the line's bytes.
+/// order — from one walk over the line, which must be UTF-8.
 ///
-/// The walk goes from one quoted token to the next. A token is a key where a
-/// `:` follows it; the first occurrence of a key decides it, so one with no
-/// `:` behind it is absent however often it recurs. A string value is taken
-/// to its closing quote and stepped over whole, so key-like text inside one
-/// is never a key; a bare value runs to the next `,` or `}` and the walk goes
-/// on right behind its key. A string that never closes ends the walk.
-fn json_raw_values(line: &str) -> [Option<&str>; 9] {
-    let bytes = line.as_bytes();
-    let quote = |from: usize| find(bytes, from, |byte| byte == b'"');
+/// The walk goes from one quoted token to the next, and every search in it
+/// (a quote, or the `,` / `}` / `"` that ends a bare value) reads the line a
+/// word at a time ([`find`]). A token is a key where a `:` follows it; the
+/// first occurrence of a key decides it, so one with no `:` behind it is
+/// absent however often it recurs. A string value is taken to its closing
+/// quote and stepped over whole, so key-like text inside one is never a key;
+/// a bare value runs to the next `,` or `}`, trimmed of trailing whitespace,
+/// and the walk goes on right behind its key. A string that never closes
+/// ends the walk. Whitespace is Unicode's, as `str::trim` has it; a char is
+/// decoded only where a byte is not ASCII.
+fn json_raw_values(line: &[u8]) -> [Option<&[u8]>; 9] {
+    let quote = |from: usize| find(line, from, [b'"']).0;
     let mut values = [None; 9];
     let mut decided = [false; 9];
     let mut at = 0;
@@ -696,7 +785,7 @@ fn json_raw_values(line: &str) -> [Option<&str>; 9] {
             break;
         };
         at = close + 1;
-        let slot = match &bytes[open + 1..close] {
+        let slot = match &line[open + 1..close] {
             b"ts" => Some(0),
             b"src" => Some(1),
             b"dst" => Some(2),
@@ -710,11 +799,11 @@ fn json_raw_values(line: &str) -> [Option<&str>; 9] {
         };
         let undecided = slot.filter(|slot| !std::mem::replace(&mut decided[*slot], true));
         let colon = skip_whitespace(line, at);
-        if bytes.get(colon) != Some(&b':') {
+        if line.get(colon) != Some(&b':') {
             continue;
         }
         let value = skip_whitespace(line, colon + 1);
-        if bytes.get(value) == Some(&b'"') {
+        if line.get(value) == Some(&b'"') {
             let Some(end) = quote(value + 1) else {
                 break;
             };
@@ -725,13 +814,11 @@ fn json_raw_values(line: &str) -> [Option<&str>; 9] {
         } else if let Some(slot) = undecided {
             // A quote inside the value opens the next token, so the walk
             // skips the value only when it holds none.
-            let stop = match find(bytes, value, |byte| matches!(byte, b',' | b'}' | b'"')) {
-                Some(inner) if bytes[inner] == b'"' => {
-                    find(bytes, inner, |byte| matches!(byte, b',' | b'}'))
-                }
+            let stop = match find(line, value, [b',', b'}', b'"']).0 {
+                Some(inner) if line[inner] == b'"' => find(line, inner, [b',', b'}']).0,
                 stop => stop.inspect(|stop| at = *stop),
             };
-            values[slot] = Some(line[value..stop.unwrap_or(line.len())].trim_end());
+            values[slot] = Some(trim_end(&line[value..stop.unwrap_or(line.len())]));
         }
     }
     values
@@ -742,83 +829,137 @@ fn json_raw_values(line: &str) -> [Option<&str>; 9] {
 /// [`PacketRecord`].
 ///
 /// This is the exact parser [`NdjsonRecordSource`] runs on every line: one
-/// walk over the line for the raw text of every field, then the typed
-/// conversions — the source is what listeners read through; the function is
-/// exposed for harnesses that price or cross-check the grammar on its own.
-/// Unknown fields are ignored and field order is free, so a tagged record
-/// (an extra `"tenant"` field, read by [`NdjsonRecordSource::next_tagged`])
-/// parses identically to an untagged one.
+/// walk over the line, a word at a time, for the raw text of every field,
+/// then the typed conversions — the source is what listeners read through;
+/// the function is exposed for harnesses that price or cross-check the
+/// grammar on its own. Unknown fields are ignored and field order is free,
+/// so a tagged record (an extra `"tenant"` field, read by
+/// [`NdjsonRecordSource::next_tagged`]) parses identically to an untagged
+/// one.
 pub fn parse_ndjson_record(line: &str) -> Result<PacketRecord, &'static str> {
-    ndjson_record(&json_raw_values(line))
+    ndjson_record(&json_raw_values(line.as_bytes()))
 }
 
-/// The typed conversions of [`parse_ndjson_record`] over the raw fields.
-fn ndjson_record(raw: &[Option<&str>; 9]) -> Result<PacketRecord, &'static str> {
+/// The typed conversions of [`parse_ndjson_record`] over the raw fields:
+/// `ts` through `f64::from_str`, whose rounding [`Timestamp`] depends on, the
+/// rest through the exact readers below.
+fn ndjson_record(raw: &[Option<&[u8]>; 9]) -> Result<PacketRecord, &'static str> {
     let [ts, src, dst, sport, dport, len, proto, seq, _tenant] = *raw;
+    // A value cut from UTF-8 at char boundaries is its own first UTF-8
+    // chunk, which `utf8_chunks` finds cheaper than `from_utf8` proves it.
     let ts: f64 = ts
-        .and_then(|v| v.parse().ok())
+        .and_then(|v| {
+            let text = v.utf8_chunks().next()?.valid();
+            (text.len() == v.len()).then(|| text.parse().ok())?
+        })
         .ok_or("missing or invalid \"ts\"")?;
     if !ts.is_finite() || ts < 0.0 {
         return Err("\"ts\" must be finite and non-negative");
     }
     let src = src
-        .and_then(|v| read_ipv4(v.as_bytes()))
+        .and_then(read_ipv4)
         .ok_or("missing or invalid \"src\"")?;
     let dst = dst
-        .and_then(|v| read_ipv4(v.as_bytes()))
+        .and_then(read_ipv4)
         .ok_or("missing or invalid \"dst\"")?;
     let sport = sport
-        .and_then(|v| read_u16(v.as_bytes()))
+        .and_then(read_u16)
         .ok_or("missing or invalid \"sport\"")?;
     let dport = dport
-        .and_then(|v| read_u16(v.as_bytes()))
+        .and_then(read_u16)
         .ok_or("missing or invalid \"dport\"")?;
-    let len = len
-        .and_then(|v| read_u16(v.as_bytes()))
-        .ok_or("missing or invalid \"len\"")?;
+    let len = len.and_then(read_u16).ok_or("missing or invalid \"len\"")?;
     let timestamp = Timestamp::from_secs_f64(ts);
     match proto {
-        Some("tcp") => {
+        Some(b"tcp") => {
             let seq = match seq {
-                Some(raw) => read_u32(raw.as_bytes()).ok_or("invalid \"seq\"")?,
+                Some(raw) => read_u32(raw).ok_or("invalid \"seq\"")?,
                 None => 0,
             };
             Ok(PacketRecord::tcp(
                 timestamp, src, sport, dst, dport, len, seq,
             ))
         }
-        Some("udp") => Ok(PacketRecord::udp(timestamp, src, sport, dst, dport, len)),
+        Some(b"udp") => Ok(PacketRecord::udp(timestamp, src, sport, dst, dport, len)),
         Some(_) => Err("\"proto\" must be \"tcp\" or \"udp\""),
         None => Err("missing \"proto\""),
     }
 }
 
+/// An unsigned decimal no larger than `max`, read as `str::parse` reads an
+/// unsigned integer: one optional `+`, then one or more ASCII digits and
+/// nothing else. Leading zeros are fine; a value past `max` is refused.
+fn read_decimal(raw: &[u8], max: u32) -> Option<u32> {
+    let digits = raw.strip_prefix(b"+").unwrap_or(raw);
+    if digits.is_empty() {
+        return None;
+    }
+    let mut value = 0u64;
+    for byte in digits {
+        let digit = byte.wrapping_sub(b'0');
+        if digit > 9 {
+            return None;
+        }
+        value = value * 10 + u64::from(digit);
+        if value > u64::from(max) {
+            return None;
+        }
+    }
+    Some(value as u32)
+}
+
 /// A `u16` field's value, read as `u16::from_str` reads it.
 fn read_u16(raw: &[u8]) -> Option<u16> {
-    std::str::from_utf8(raw).ok()?.parse().ok()
+    read_decimal(raw, u16::MAX.into()).map(|value| value as u16)
 }
 
 /// A `u32` field's value, read as `u32::from_str` reads it.
 fn read_u32(raw: &[u8]) -> Option<u32> {
-    std::str::from_utf8(raw).ok()?.parse().ok()
+    read_decimal(raw, u32::MAX)
 }
 
-/// An address field's value, read as `Ipv4Addr::from_str` reads it.
+/// An address field's value, read as `Ipv4Addr::from_str` reads it: four
+/// octets joined by single dots and nothing else, each one to three ASCII
+/// digits, at most 255, and without a leading zero unless it is `0`.
 fn read_ipv4(raw: &[u8]) -> Option<std::net::Ipv4Addr> {
-    std::str::from_utf8(raw).ok()?.parse().ok()
+    let digit = |byte: u8| u32::from(byte - b'0');
+    let mut address = 0;
+    let mut rest = raw;
+    for octet in 0..4 {
+        if octet > 0 {
+            rest = rest.strip_prefix(b".")?;
+        }
+        // A `0` is the whole octet: a digit behind it fails at the dot.
+        let (value, width) = match *rest {
+            [b'0', ..] => (0, 1),
+            [a @ b'1'..=b'9', b @ b'0'..=b'9', c @ b'0'..=b'9', ..] => {
+                (digit(a) * 100 + digit(b) * 10 + digit(c), 3)
+            }
+            [a @ b'1'..=b'9', b @ b'0'..=b'9', ..] => (digit(a) * 10 + digit(b), 2),
+            [a @ b'1'..=b'9', ..] => (digit(a), 1),
+            _ => return None,
+        };
+        if value > 255 {
+            return None;
+        }
+        address = address << 8 | value;
+        rest = &rest[width..];
+    }
+    rest.is_empty().then(|| std::net::Ipv4Addr::from(address))
 }
 
 /// Appends the record of one line to `batch` — and, on the tagged path, its
 /// tenant tag (0 when the line carries none) to `tenants`; a tag that is not
-/// a `u32` is refused before the record's fields are looked at.
+/// a `u32` is refused before the record's fields are looked at. The line
+/// must be UTF-8.
 fn push_ndjson_line(
-    line: &str,
+    line: &[u8],
     tenants: Option<&mut Vec<u32>>,
     batch: &mut PacketBatch,
 ) -> Result<(), &'static str> {
     let raw = json_raw_values(line);
     let tenant = match (raw[8], &tenants) {
-        (Some(tag), Some(_)) => read_u32(tag.as_bytes()).ok_or("invalid \"tenant\"")?,
+        (Some(tag), Some(_)) => read_u32(tag).ok_or("invalid \"tenant\"")?,
         _ => 0,
     };
     batch.push_record(&ndjson_record(&raw)?);
@@ -2273,6 +2414,78 @@ mod tests {
         // The generator reaches both outcomes and every reason the parser has.
         assert!(rows > LINES / 10, "{rows} records");
         assert_eq!(reasons.len(), 11, "{reasons:?}");
+    }
+
+    /// The word scan against `iter().position` at every start offset of
+    /// slices of 0 to 24 bytes, with the first stop in a whole word, in the
+    /// tail or nowhere, behind filler a bit away from a stop, ASCII or not;
+    /// and its non-ASCII flag against `is_ascii` over the bytes in front.
+    #[test]
+    fn ndjson_word_scan_agrees_with_position_at_every_offset() {
+        fn check<const N: usize>(rng: &mut Pcg64, stops: [u8; N]) {
+            let mut near = vec![0x00, 0x01, 0x7f, 0x80, 0xfe, 0xff, b'a'];
+            for stop in stops {
+                near.extend([stop ^ 0x80, stop ^ 0x01, stop.wrapping_sub(1), stop + 1]);
+            }
+            near.retain(|byte| !stops.contains(byte));
+            let ascii: Vec<u8> = near.iter().copied().filter(u8::is_ascii).collect();
+            let mut bytes = Vec::with_capacity(24);
+            for len in 0..=24 {
+                for from in 0..=len {
+                    for first in (from..len).map(Some).chain([None]) {
+                        for filler in [&ascii, &near] {
+                            bytes.clear();
+                            bytes.extend((0..len).map(|_| filler[rng.index(filler.len())]));
+                            if let Some(first) = first {
+                                // Stops behind the first may raise spurious bits.
+                                for byte in &mut bytes[first + 1..] {
+                                    if rng.bernoulli(0.3) {
+                                        *byte = stops[rng.index(N)];
+                                    }
+                                }
+                                bytes[first] = stops[rng.index(N)];
+                            }
+                            let found = bytes[from..].iter().position(|byte| stops.contains(byte));
+                            assert_eq!(found.map(|offset| from + offset), first);
+                            let in_front = &bytes[from..first.unwrap_or(len)];
+                            let expected = (first, !in_front.is_ascii());
+                            assert_eq!(find(&bytes, from, stops), expected, "{bytes:?} @{from}");
+                        }
+                    }
+                }
+            }
+        }
+        let mut rng = Pcg64::seed_from_u64(0x5ca1_ab1e);
+        check(&mut rng, [b'\n']);
+        check(&mut rng, [b'"']);
+        check(&mut rng, [b',', b'}', b'"']);
+        check(&mut rng, [b',', b'}']);
+    }
+
+    /// A line whose one byte that is not ASCII sits anywhere in the framing
+    /// scan's last word or in its tail still goes through `from_utf8`: one
+    /// malformed record where the byte is no UTF-8, a record where it is.
+    #[test]
+    fn ndjson_a_line_not_ascii_only_in_its_last_partial_word_is_still_validated() {
+        const RECORD: &str =
+            r#"{"ts":1,"src":"1.1.1.1","dst":"2.2.2.2","sport":1,"dport":2,"len":9,"proto":"udp"}"#;
+        for pad in 0..24 {
+            for (last, records, malformed) in [
+                (&b"\xff"[..], 1, 1),
+                (b"\xc3", 1, 1),
+                (b"\xe6\x97", 1, 1),
+                ("\u{e9}".as_bytes(), 2, 0),
+            ] {
+                // The line is the feed's last, so the scan over it ends in
+                // the bytes behind its last whole word.
+                let mut feed = format!("{RECORD}\n{RECORD}").into_bytes();
+                feed.resize(feed.len() + pad, b' ');
+                feed.extend_from_slice(last);
+                feed.push(b'\n');
+                let (packets, bad, _) = pull(&mut NdjsonRecordSource::new(&feed[..]), false);
+                assert_eq!((packets.len(), bad), (records, malformed), "{pad}");
+            }
+        }
     }
 
     /// Every decimal string of up to six digits, bare and behind a sign,
