@@ -765,38 +765,42 @@ fn trim_end(mut text: &[u8]) -> &[u8] {
 /// `src`, `dst`, `sport`, `dport`, `len`, `proto`, `seq`, `tenant`, in that
 /// order — from one walk over the line, which must be UTF-8.
 ///
-/// The walk goes from one quoted token to the next, and every search in it
-/// (a quote, or the `,` / `}` / `"` that ends a bare value) reads the line a
-/// word at a time ([`find`]). A token is a key where a `:` follows it; the
-/// first occurrence of a key decides it, so one with no `:` behind it is
-/// absent however often it recurs. A string value is taken to its closing
-/// quote and stepped over whole, so key-like text inside one is never a key;
-/// a bare value runs to the next `,` or `}`, trimmed of trailing whitespace,
-/// and the walk goes on right behind its key. A string that never closes
-/// ends the walk. Whitespace is Unicode's, as `str::trim` has it; a char is
-/// decoded only where a byte is not ASCII.
+/// The walk goes from one quoted token to the next. One of the nine keys is
+/// read with its closing quote in place; every search (an opening quote,
+/// another token's closing quote, the end of a string value, the `,` / `}` /
+/// `"` that ends a bare value) reads the line a word at a time ([`find`]).
+/// A token is a key where a `:` follows it; the first occurrence of a key
+/// decides it, so one with no `:` behind it is absent however often it
+/// recurs. A string value is taken to its closing quote and stepped over
+/// whole, so key-like text inside one is never a key; a bare value runs to
+/// the next `,` or `}`, trimmed of trailing whitespace, and the walk goes on
+/// right behind its key. A string that never closes ends the walk.
+/// Whitespace is Unicode's, as `str::trim` has it; a char is decoded only
+/// where a byte is not ASCII.
 fn json_raw_values(line: &[u8]) -> [Option<&[u8]>; 9] {
     let quote = |from: usize| find(line, from, [b'"']).0;
     let mut values = [None; 9];
     let mut decided = [false; 9];
     let mut at = 0;
     while let Some(open) = quote(at) {
-        let Some(close) = quote(open + 1) else {
-            break;
+        // One of the nine keys is read with its closing quote in place; the
+        // closing quote of any other token is searched for.
+        let (slot, close) = match &line[open + 1..] {
+            [b't', b's', b'"', ..] => (Some(0), open + 3),
+            [b's', b'r', b'c', b'"', ..] => (Some(1), open + 4),
+            [b'd', b's', b't', b'"', ..] => (Some(2), open + 4),
+            [b's', b'p', b'o', b'r', b't', b'"', ..] => (Some(3), open + 6),
+            [b'd', b'p', b'o', b'r', b't', b'"', ..] => (Some(4), open + 6),
+            [b'l', b'e', b'n', b'"', ..] => (Some(5), open + 4),
+            [b'p', b'r', b'o', b't', b'o', b'"', ..] => (Some(6), open + 6),
+            [b's', b'e', b'q', b'"', ..] => (Some(7), open + 4),
+            [b't', b'e', b'n', b'a', b'n', b't', b'"', ..] => (Some(8), open + 7),
+            _ => match quote(open + 1) {
+                Some(close) => (None, close),
+                None => break,
+            },
         };
         at = close + 1;
-        let slot = match &line[open + 1..close] {
-            b"ts" => Some(0),
-            b"src" => Some(1),
-            b"dst" => Some(2),
-            b"sport" => Some(3),
-            b"dport" => Some(4),
-            b"len" => Some(5),
-            b"proto" => Some(6),
-            b"seq" => Some(7),
-            b"tenant" => Some(8),
-            _ => None,
-        };
         let undecided = slot.filter(|slot| !std::mem::replace(&mut decided[*slot], true));
         let colon = skip_whitespace(line, at);
         if line.get(colon) != Some(&b':') {
