@@ -16,11 +16,11 @@
 
 use std::fmt::Write as _;
 
-use flowrank_fleet::{FleetBuilder, FleetCollect};
+use flowrank_fleet::{FleetBuilder, FleetCollect, FleetSource};
 use flowrank_monitor::{
     BinReport, Collect, DigestSink, MonitorBuilder, ReportSink, SamplerSpec, TopKSpec,
 };
-use flowrank_net::{TenantId, Timestamp};
+use flowrank_net::{TaggedBatch, TenantId, Timestamp};
 use flowrank_trace::FleetScenario;
 
 /// One seed drives the whole suite: tenant seeds and tenant traffic are both
@@ -93,22 +93,59 @@ fn standalone_reports(budget: Option<usize>) -> Vec<Vec<BinReport>> {
 fn assert_matches_standalone(budget: Option<usize>, baseline: &[Vec<BinReport>]) {
     for threads in THREAD_COUNTS {
         let collect = fleet_reports(threads, budget);
-        for (t, expected) in baseline.iter().enumerate() {
-            let tenant = TenantId(t as u32);
-            let got = collect.tenant_reports(tenant);
+        let at = format!("{threads} fleet workers (budget {budget:?})");
+        assert_tenants_match(&collect, baseline, &at);
+    }
+}
+
+/// Asserts every tenant's delivered reports equal its standalone baseline.
+fn assert_tenants_match(collect: &FleetCollect, baseline: &[Vec<BinReport>], at: &str) {
+    for (t, expected) in baseline.iter().enumerate() {
+        let got = collect.tenant_reports(TenantId(t as u32));
+        assert_eq!(
+            got.len(),
+            expected.len(),
+            "tenant {t} bin count diverged at {at}"
+        );
+        for (bin, (fleet_report, standalone)) in got.iter().zip(expected).enumerate() {
             assert_eq!(
-                got.len(),
-                expected.len(),
-                "tenant {t} bin count diverged at {threads} fleet workers (budget {budget:?})"
+                *fleet_report, standalone,
+                "tenant {t} bin {bin} diverged at {at}"
             );
-            for (bin, (fleet_report, standalone)) in got.iter().zip(expected).enumerate() {
-                assert_eq!(
-                    *fleet_report, standalone,
-                    "tenant {t} bin {bin} diverged at {threads} fleet workers (budget {budget:?})"
-                );
-            }
         }
     }
+}
+
+/// The scenario's packets re-cut the way the daemon reads a tagged feed:
+/// merged in timestamp order (stable, so each tenant's own order holds)
+/// and cut into 512-record windows, so tenants interleave packet by packet
+/// instead of arriving in per-tenant bursts.
+fn serve_shaped_windows() -> Vec<TaggedBatch> {
+    let mut stream = FleetScenario::new(TENANTS).stream(SEED);
+    let mut windows = Vec::new();
+    while let Some(window) = stream.next_tagged() {
+        windows.push(window.clone());
+    }
+    let mut order: Vec<(u64, usize, usize)> = windows
+        .iter()
+        .enumerate()
+        .flat_map(|(w, window)| {
+            let ts = window.batch().ts_nanos();
+            (0..window.len()).map(move |i| (ts[i], w, i))
+        })
+        .collect();
+    order.sort_by_key(|&(ts, ..)| ts);
+    order
+        .chunks(512)
+        .map(|chunk| {
+            let mut recut = TaggedBatch::new();
+            for &(_, w, i) in chunk {
+                let window = &windows[w];
+                recut.extend_from_batch(window.tenant(i), window.batch(), i..i + 1);
+            }
+            recut
+        })
+        .collect()
 }
 
 #[test]
@@ -193,5 +230,43 @@ fn budgeted_fleet_evictions_match_golden_digests() {
              fleet's observable results; if intentional, regenerate with \
              scripts/regen_goldens.sh"
         );
+    }
+}
+
+#[test]
+fn serve_shaped_windows_match_standalone_monitors_in_tenant_order() {
+    let windows = serve_shaped_windows();
+    let packets: usize = windows.iter().map(TaggedBatch::len).sum();
+    let runs: usize = windows.iter().map(|window| window.runs().count()).sum();
+    assert!(
+        2 * runs > packets,
+        "tenants must interleave: {runs} runs for {packets} packets"
+    );
+    for budget in [None, Some(BUDGET_FLOWS)] {
+        let baseline = standalone_reports(budget);
+        for threads in [1, 2] {
+            let at = format!("{threads} fleet workers (budget {budget:?}), 512-record windows");
+            let mut fleet = builder(threads, budget).build();
+            let mut collect = FleetCollect::new();
+            let mut deliver = |push: &mut dyn FnMut(&mut FleetCollect)| {
+                let mut delivered = FleetCollect::new();
+                push(&mut delivered);
+                let order: Vec<(u32, u64)> = delivered
+                    .reports
+                    .iter()
+                    .map(|(tenant, report)| (tenant.0, report.bin_index))
+                    .collect();
+                assert!(
+                    order.windows(2).all(|pair| pair[0] < pair[1]),
+                    "delivery out of (tenant, bin) order at {at}: {order:?}"
+                );
+                collect.reports.extend(delivered.reports);
+            };
+            for window in &windows {
+                deliver(&mut |sink| fleet.push_tagged(window, sink));
+            }
+            deliver(&mut |sink| fleet.finish(sink));
+            assert_tenants_match(&collect, &baseline, &at);
+        }
     }
 }

@@ -391,3 +391,186 @@ fn budgeted_lane_skips_keys_the_truth_evicted() {
     assert_eq!(lane.outcome, expected.outcome);
     assert_eq!(lane.sampled_flows, expected.sampled_flows);
 }
+
+/// What one keyed lane of a budgeted monitor goes through in a bin, by the
+/// definition a budget had before lanes counted by flow id: a truth table
+/// and a lane table, each evicted to `cap` on reaching its high-water mark,
+/// the lane keeping every `period`-th packet of the bin, and the lane's
+/// sizes scored against the truth's survivors by key.
+#[derive(Debug)]
+struct KeyedLane {
+    cases: KeyedCases,
+    outcome: flowrank_monitor::ComparisonOutcome,
+    sampled_flows: usize,
+    sampled_packets: u64,
+}
+
+/// How often each case of a flow the truth evicted came up.
+#[derive(Debug, Default)]
+struct KeyedCases {
+    /// The lane kept a packet of a flow the truth had evicted and taken
+    /// back, while the lane still held the flow's old count.
+    kept_again: usize,
+    /// At the seal the truth holds such a flow again, and the lane kept
+    /// none of its new packets.
+    returned_unkept: usize,
+    /// The lane's own cap evicted while it held a flow the truth had
+    /// evicted.
+    own_evictions_with_orphans: usize,
+}
+
+fn keyed_lane(bin: &[PacketRecord], cap: usize, period: usize, top_t: usize) -> KeyedLane {
+    use flowrank_core::metrics::{GroundTruthRanking, SizedFlow};
+    use flowrank_net::{AnyFlowKey, FlowTable};
+    use std::collections::HashSet;
+    let high_water = cap + (cap / 2).max(1);
+    let (mut truth, mut lane) = (FlowTable::<AnyFlowKey>::new(), FlowTable::new());
+    // Keys the lane holds that the truth evicted after the lane counted them.
+    let mut orphans = HashSet::new();
+    let mut cases = KeyedCases::default();
+    for (position, packet) in bin.iter().enumerate() {
+        let key = FlowDefinition::FiveTuple.key_of(packet);
+        truth.observe_keyed(key, packet);
+        if truth.flow_count() >= high_water {
+            truth.evict_to_budget(cap);
+            for (held, _) in lane.iter() {
+                if truth.get(&held).is_none() {
+                    orphans.insert(held);
+                }
+            }
+        }
+        if position % period != 0 {
+            continue;
+        }
+        lane.observe_keyed(key, packet);
+        if truth.get(&key).is_some() && orphans.remove(&key) {
+            cases.kept_again += 1;
+        }
+        if lane.flow_count() >= high_water {
+            cases.own_evictions_with_orphans += usize::from(!orphans.is_empty());
+            lane.evict_to_budget(cap);
+            orphans.retain(|held| lane.get(held).is_some());
+        }
+    }
+    cases.returned_unkept = orphans.iter().filter(|k| truth.get(k).is_some()).count();
+    let flows = truth
+        .iter_sizes()
+        .map(|(key, packets)| SizedFlow { key, packets });
+    let ranking = GroundTruthRanking::new(flows.collect(), top_t);
+    KeyedLane {
+        cases,
+        outcome: ranking.compare_with(|key| lane.size_of(key)),
+        sampled_flows: lane.flow_count(),
+        sampled_packets: lane.total_packets(),
+    }
+}
+
+#[test]
+fn budgeted_lanes_keep_the_counts_of_flows_the_truth_evicted() {
+    // Two bins of 10 and 9 flows that come and go all bin long, each flow
+    // sending once more in the bin's last second, against a cap of 4
+    // (evict down to 4 on reaching 6), seen by four periodic lanes that
+    // keep every 1st, 2nd, 3rd and 4th packet. The truth keeps evicting
+    // flows the lanes still count, and those flows come back: a lane's
+    // count must follow such a flow to its new place in the truth, whether
+    // the lane keeps its new packets or not, and must stay in the running
+    // when the lane's own cap picks victims. The keyed model above names
+    // the three cases; each must occur, and every lane must score what the
+    // model scores. Fed one packet at a time and as one batch, the reports
+    // are also pinned, with every bin's eviction count.
+    let mut rng = Pcg64::seed_from_u64(34);
+    let mut packets = Vec::new();
+    for (bin, flows) in [(0u8, 10u16), (1, 9)] {
+        let start = f64::from(bin) * BIN_SECONDS;
+        for flow in 0..flows {
+            for _ in 0..1 + rng.next_below(u64::from(18 / (flow % 6 + 1))) {
+                let at = start + rng.next_f64() * 59.0;
+                let length = 64 + rng.next_below(1400) as u16;
+                packets.push(flow_packet(4 + bin, flow, at, length));
+            }
+            let at = start + 59.0 + 0.05 * f64::from(flow);
+            packets.push(flow_packet(4 + bin, flow, at, 1500 - flow));
+        }
+    }
+    packets.sort_by_key(|p| p.timestamp);
+    let (cap, top_t, periods) = (4, 3, [1usize, 2, 3, 4]);
+    let rates: Vec<f64> = periods.iter().map(|&p| 1.0 / p as f64).collect();
+    let build = || {
+        Monitor::builder()
+            .sampler(SamplerSpec::Periodic {
+                rate: 1.0,
+                random_phase: false,
+            })
+            .rates(&rates)
+            .bin_length(Timestamp::from_secs_f64(BIN_SECONDS))
+            .top_t(top_t)
+            .flow_budget(cap)
+            .build()
+    };
+    let whole = build().run_batch(&PacketBatch::from_records(&packets));
+    assert_eq!(push_each(&mut build(), &packets), whole);
+
+    let bins = split_into_bins(&packets, Timestamp::from_secs_f64(BIN_SECONDS));
+    assert_eq!(whole.len(), bins.len());
+    let mut seen = KeyedCases::default();
+    for (report, bin) in whole.iter().zip(&bins) {
+        for (lane, &period) in report.lanes.iter().zip(&periods) {
+            let keyed = keyed_lane(bin, cap, period, top_t);
+            let at = format!("bin {}, period {period}", report.bin_index);
+            assert_eq!(lane.outcome, keyed.outcome, "{at}");
+            assert_eq!(lane.sampled_flows, keyed.sampled_flows, "{at}");
+            assert_eq!(lane.sampled_packets, keyed.sampled_packets, "{at}");
+            seen.kept_again += keyed.cases.kept_again;
+            seen.returned_unkept += keyed.cases.returned_unkept;
+            seen.own_evictions_with_orphans += keyed.cases.own_evictions_with_orphans;
+        }
+    }
+    assert!(seen.kept_again > 0, "{seen:?}");
+    assert!(seen.returned_unkept > 0, "{seen:?}");
+    assert!(seen.own_evictions_with_orphans > 0, "{seen:?}");
+
+    // Per bin: its index, its evictions and, per lane, ranking swaps,
+    // detection swaps, missed top flows, ranking pairs, detection pairs,
+    // sampled flows and sampled packets.
+    let pinned: Vec<(u64, u64, Vec<[u64; 7]>)> = whole
+        .iter()
+        .map(|report| {
+            let lanes = report.lanes.iter().map(|lane| {
+                let o = lane.outcome;
+                [
+                    o.ranking_swaps,
+                    o.detection_swaps,
+                    o.missed_top_flows,
+                    o.ranking_pairs,
+                    o.detection_pairs,
+                    lane.sampled_flows as u64,
+                    lane.sampled_packets,
+                ]
+            });
+            (report.bin_index, report.evictions, lanes.collect())
+        })
+        .collect();
+    let expected = vec![
+        (
+            0,
+            58,
+            vec![
+                [0, 0, 0, 8, 6, 5, 48],
+                [3, 2, 1, 8, 6, 4, 24],
+                [2, 2, 1, 8, 6, 4, 16],
+                [4, 3, 0, 8, 6, 5, 12],
+            ],
+        ),
+        (
+            1,
+            50,
+            vec![
+                [0, 0, 0, 6, 3, 4, 46],
+                [3, 2, 0, 6, 3, 5, 23],
+                [2, 1, 0, 6, 3, 5, 16],
+                [2, 2, 1, 6, 3, 5, 12],
+            ],
+        ),
+    ];
+    assert_eq!(pinned, expected);
+}
