@@ -1,20 +1,20 @@
 //! The tenant slab and its drive loop.
 //!
 //! A [`Fleet`] owns one serial [`Monitor`] per tenant in a slab indexed by
-//! [`TenantId`]. Every [`Fleet::push_tagged`] call runs three phases:
+//! [`TenantId`]. Every [`Fleet::push_tagged`] call runs two phases:
 //!
-//! 1. **Demux** — one pass over the tagged window's maximal tenant runs,
-//!    copying each run into its tenant's scratch batch as ranged column
-//!    copies. The packets were decoded and key-derived exactly once
-//!    upstream; demux never touches packet contents.
-//! 2. **Tenant-affine processing** — the slab is split into contiguous
-//!    chunks, one per worker; each worker drives its tenants' monitors
-//!    sequentially. A tenant belongs to the same worker for the fleet's
-//!    lifetime, and its monitor is serial, so the per-tenant computation
-//!    is identical at any fleet thread count.
-//! 3. **Ordered delivery** — bins closed during the parallel phase are
-//!    buffered per tenant and handed to the [`FleetSink`] in (tenant,
-//!    bin index) order on the calling thread.
+//! 1. **Runs pushed in place** — one pass over the tagged window's maximal
+//!    tenant runs hands each run to its tenant's monitor as a range of the
+//!    window ([`Monitor::push_range_into`]); the packets were decoded and
+//!    key-derived once upstream, and nothing is copied per tenant. With
+//!    several workers the slab is split into contiguous chunks, and each
+//!    worker walks the runs and pushes its own chunk's. A tenant belongs to
+//!    the same worker for the fleet's lifetime, and its monitor is serial,
+//!    so the per-tenant computation is identical at any fleet thread count.
+//! 2. **Ordered delivery** — bins closed while pushing are buffered per
+//!    tenant and handed to the [`FleetSink`] in (tenant, bin index) order
+//!    on the calling thread. The pass notes each tenant whose bins close,
+//!    and delivery sorts and walks only those slots.
 //!
 //! The combination makes the whole fleet a pure function of its
 //! configuration and the tagged stream: reports are bit-identical to N
@@ -23,7 +23,7 @@
 //! that.
 
 use flowrank_monitor::{BinReport, Monitor, MonitorBuilder, ReportSink};
-use flowrank_net::{PacketBatch, TaggedBatch, TenantId};
+use flowrank_net::{TaggedBatch, TenantId};
 
 use crate::source::FleetSource;
 
@@ -121,20 +121,18 @@ pub struct FleetSummary {
     pub evictions: u64,
 }
 
-/// One tenant's slot in the slab: its monitor, its demux scratch batch and
-/// its report buffer for the parallel phase.
+/// One tenant's slot in the slab: its monitor and the bins it closed in
+/// the current window.
 #[derive(Debug)]
 struct TenantSlot {
     tenant: TenantId,
     monitor: Monitor,
-    /// This tenant's slice of the current window (demux target).
-    batch: PacketBatch,
-    /// Bins closed during the parallel phase, awaiting ordered delivery.
+    /// Bins closed during the current window, awaiting ordered delivery.
     pending: Vec<BinReport>,
     stats: TenantStats,
 }
 
-/// Buffers closed bins during the parallel phase (reports must not cross
+/// Buffers closed bins while runs are pushed (reports must not cross
 /// worker threads unordered — they are delivered later in tenant order).
 struct BufSink<'a>(&'a mut Vec<BinReport>);
 
@@ -145,17 +143,6 @@ impl ReportSink for BufSink<'_> {
 }
 
 impl TenantSlot {
-    /// Drives the slot's monitor over its demuxed slice of the current
-    /// window. Runs on exactly one worker per fleet lifetime.
-    fn process(&mut self) {
-        if self.batch.is_empty() {
-            return;
-        }
-        self.stats.packets += self.batch.len() as u64;
-        let mut sink = BufSink(&mut self.pending);
-        self.monitor.push_batch_into(&self.batch, &mut sink);
-    }
-
     /// Delivers the slot's buffered bins to `sink` and folds their
     /// statistics. Runs on the calling thread, in tenant order.
     fn deliver<S: FleetSink + ?Sized>(&mut self, sink: &mut S) {
@@ -165,6 +152,27 @@ impl TenantSlot {
             sink.accept(self.tenant, &report);
         }
     }
+}
+
+/// Pushes every run of `tagged` whose tenant has a slot in `slots` (the
+/// slab's chunk from tenant `first` on) to that tenant's monitor. Returns
+/// the tenants whose first bin of the window closed.
+fn push_runs(slots: &mut [TenantSlot], first: usize, tagged: &TaggedBatch) -> Vec<usize> {
+    let mut active = Vec::new();
+    for (tenant, range) in tagged.runs() {
+        let Some(slot) = slots.get_mut(tenant.index().wrapping_sub(first)) else {
+            continue;
+        };
+        let idle = slot.pending.is_empty();
+        slot.stats.packets += range.len() as u64;
+        let mut sink = BufSink(&mut slot.pending);
+        slot.monitor
+            .push_range_into(tagged.batch(), range, &mut sink);
+        if idle && !slot.pending.is_empty() {
+            active.push(tenant.index());
+        }
+    }
+    active
 }
 
 /// Fluent builder for [`Fleet`].
@@ -228,8 +236,8 @@ impl FleetBuilder {
         self
     }
 
-    /// Per-tenant flow-table budget: each tenant's monitor sheds its
-    /// coldest flow-table entries back to this cap (space-saving-style,
+    /// Per-tenant flow budget: each tenant's monitor sheds its coldest
+    /// flows back to this cap (space-saving-style,
     /// recorded on [`BinReport::evictions`]), bounding fleet memory by
     /// `tenants × budget` instead of by traffic.
     pub fn flow_budget(mut self, budget: usize) -> Self {
@@ -258,7 +266,6 @@ impl FleetBuilder {
                 TenantSlot {
                     tenant,
                     monitor: self.tenant_builder(tenant).build(),
-                    batch: PacketBatch::new(),
                     pending: Vec::new(),
                     stats: TenantStats {
                         tenant,
@@ -305,9 +312,10 @@ impl Fleet {
         self.slots.iter().map(|slot| slot.stats)
     }
 
-    /// Observes one tenant-tagged window: demux by tenant runs, process
-    /// tenant-affine (in parallel with [`FleetBuilder::threads`] workers),
-    /// deliver closed bins in (tenant, bin) order.
+    /// Observes one tenant-tagged window: pushes each tenant run in place
+    /// to its tenant's monitor (across [`FleetBuilder::threads`] workers,
+    /// tenant-affine), then delivers the bins it closed in (tenant, bin)
+    /// order, walking only the tenants that closed one.
     ///
     /// Panics on a tenant id outside the slab, before any tenant observes a
     /// packet of the window: a live feed, whose tags come from untrusted
@@ -318,45 +326,29 @@ impl Fleet {
             panic!("unknown tenant {}: fleet hosts tenants 0..{tenants}", bad.0);
         }
         self.windows += 1;
-        // Phase 1: demux — ranged column copies per maximal tenant run.
-        for slot in &mut self.slots {
-            slot.batch.clear();
-        }
-        for (tenant, range) in tagged.runs() {
-            self.slots[tenant.index()]
-                .batch
-                .extend_from_batch(tagged.batch(), range);
-        }
-        // Phase 2: tenant-affine processing across the worker chunks.
-        self.process_slots();
-        // Phase 3: ordered delivery on the calling thread.
-        for slot in &mut self.slots {
-            slot.deliver(sink);
-        }
-    }
-
-    /// Runs every slot's pending slice, splitting the slab into contiguous
-    /// per-worker chunks when the fleet is multi-threaded. The partition
-    /// only moves work between threads: each tenant is processed serially
-    /// by exactly one worker either way.
-    fn process_slots(&mut self) {
-        let workers = self.threads.min(self.slots.len()).max(1);
-        if workers == 1 {
-            for slot in &mut self.slots {
-                slot.process();
+        // The calling thread takes the first chunk, a scoped worker each
+        // of the others.
+        let chunk = tenants.div_ceil(self.threads.min(tenants).max(1));
+        let mut chunks = self.slots.chunks_mut(chunk);
+        let first = chunks.next().expect("a fleet hosts at least one tenant");
+        let mut active = std::thread::scope(|scope| {
+            let workers: Vec<_> = (1..)
+                .zip(chunks)
+                .map(|(w, slots)| scope.spawn(move || push_runs(slots, w * chunk, tagged)))
+                .collect();
+            let mut active = push_runs(first, 0, tagged);
+            for worker in workers {
+                let closed = worker
+                    .join()
+                    .unwrap_or_else(|e| std::panic::resume_unwind(e));
+                active.extend(closed);
             }
-            return;
-        }
-        let chunk = self.slots.len().div_ceil(workers);
-        std::thread::scope(|scope| {
-            for worker_slots in self.slots.chunks_mut(chunk) {
-                scope.spawn(move || {
-                    for slot in worker_slots {
-                        slot.process();
-                    }
-                });
-            }
+            active
         });
+        active.sort_unstable();
+        for tenant in active {
+            self.slots[tenant].deliver(sink);
+        }
     }
 
     /// Closes every tenant's final bin, delivering the last reports in

@@ -10,13 +10,13 @@
 //! behind one slab and drives them from **tenant-tagged batches**: the
 //! packet stream is decoded and key-derived exactly once upstream (by trace
 //! synthesis or by the record parser), tagged with a compact
-//! [`TenantId`](flowrank_net::TenantId), and demultiplexed here with ranged
-//! column copies — never re-parsed per tenant.
+//! [`TenantId`](flowrank_net::TenantId), and each tenant run is pushed to
+//! its monitor in place — never copied or re-parsed per tenant.
 //!
 //! ```text
 //!                        one decode / key-derivation pass
 //!   records ──────────▶ TaggedBatch ─ tenant runs ──┐
-//!                                                   │ ranged column copies
+//!                                                   │ each run pushed in place
 //!            ┌──────────────────────────────────────┘
 //!            ▼
 //!   ┌─ tenant slab ────────────────────────────────┐
@@ -38,9 +38,9 @@
 //!   thread count (pinned by the `fleet_conformance` suite).
 //! * **Deterministic delivery.** Closed bins reach the [`FleetSink`] in
 //!   (tenant, bin index) order after every push, regardless of which
-//!   worker closed them.
+//!   worker closed them; only the tenants that closed one are walked.
 //! * **Bounded memory.** A per-tenant flow budget (space-saving-style
-//!   eviction of the coldest flow-table entries, recorded on
+//!   eviction of the coldest flows, recorded on
 //!   [`BinReport::evictions`](flowrank_monitor::BinReport)) keeps the
 //!   fleet's footprint proportional to `tenants × budget`, not to traffic.
 //!

@@ -148,6 +148,12 @@ impl<K: CompactKey, V> FlowMap<K, V> {
         self.find_entry(key.pack())
     }
 
+    /// The key at flow id (slab position) `id`. Panics when `id >= len()`.
+    #[inline]
+    pub fn key_at(&self, id: usize) -> K {
+        K::unpack(self.entries[id].0)
+    }
+
     /// Inserts or replaces the value of `key`; returns the previous value
     /// when the key was already present.
     pub fn insert(&mut self, key: K, value: V) -> Option<V> {

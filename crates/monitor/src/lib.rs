@@ -26,9 +26,10 @@
 //!    the dense definition, `compare_with`), and emits a [`BinReport`]
 //!    carrying the per-lane swapped-pair [`ComparisonOutcome`]s.
 //!
-//! A monitor with a [`MonitorBuilder::flow_budget`] is the one exception to
-//! counting by id: eviction moves the truth's flow ids, so its lanes keep a
-//! flow table each and resolve their keys to ids at the seal.
+//! A monitor with a [`MonitorBuilder::flow_budget`] counts by id too: when
+//! the truth evicts, the engine moves every lane's counts with the ids, and
+//! a lane keeps the count of a flow the truth evicted, by key, until the
+//! flow comes back.
 //!
 //! The multi-run fan-out mode ([`MonitorBuilder::rates`] +
 //! [`MonitorBuilder::runs`]) is what the paper's Sec. 8 methodology needs: 30
@@ -108,10 +109,11 @@
 //!   keeps report data beyond `accept` must copy it (only [`Collect`]
 //!   does).
 //!
-//! The monitor has five ingestion entry points, all over one sink-based
-//! core: [`Monitor::push_batch_into`] and [`Monitor::finish_into`] (the
-//! allocation-free pair), [`Monitor::run_batch`] (both into a [`Collect`]
-//! sink, returning an owned `Vec`), [`Monitor::drive`] and
+//! The monitor has six ingestion entry points, all over one sink-based
+//! core: [`Monitor::push_range_into`] and [`Monitor::finish_into`] (the
+//! allocation-free pair), [`Monitor::push_batch_into`] (a whole batch's
+//! range), [`Monitor::run_batch`] (a batch and the finish into a
+//! [`Collect`] sink, returning an owned `Vec`), [`Monitor::drive`] and
 //! [`Monitor::try_drive`], so every equivalence guarantee carries over
 //! bit-identically.
 //! With a streaming source (e.g. [`flowrank_trace::Workload::stream`]) and

@@ -1,14 +1,14 @@
 //! The push-based streaming monitor.
 //!
-//! Every ingestion entry point — [`Monitor::run_batch`],
-//! [`Monitor::drive`], [`Monitor::try_drive`] — is a loop over
-//! [`Monitor::push_batch_into`] and [`Monitor::finish_into`]. The monitor
-//! classifies each packet into the bin's ground-truth flow table, whose
-//! probe also gives the packet's **flow id** (the flow's position in that
-//! table), offers it to every sampling lane, counts retained packets by
-//! flow id (`counts[id] += 1`, no second hash) and feeds them to optional
-//! top-k backends, and closes measurement bins automatically on timestamp
-//! boundaries. Closing a bin ranks the ground truth **once** and scores
+//! Every ingestion entry point — [`Monitor::push_batch_into`],
+//! [`Monitor::run_batch`], [`Monitor::drive`], [`Monitor::try_drive`] — is
+//! a loop over [`Monitor::push_range_into`] and [`Monitor::finish_into`].
+//! The monitor classifies each packet into the bin's ground-truth flow
+//! table, whose probe also gives the packet's **flow id** (the flow's
+//! position in that table), offers it to every sampling lane, counts
+//! retained packets by flow id (`counts[id] += 1`, no second hash) and
+//! feeds them to optional top-k backends, and closes measurement bins
+//! automatically on timestamp boundaries. Closing a bin ranks the ground truth **once** and scores
 //! every lane against that single ranking — with `runs × rates` lanes this
 //! removes the `runs × rates` redundant reclassifications the batch API used
 //! to pay. The lane work is written once, in `LaneShard`; the serial engine
@@ -20,7 +20,9 @@ use std::time::{Duration, Instant};
 
 use flowrank_control::{BinObservation, ControllerSpec, RateController};
 use flowrank_core::metrics::{ComparisonOutcome, GroundTruthRanking, SizedFlow};
-use flowrank_net::{AnyFlowKey, FlowDefinition, FlowMap, FlowTable, PacketBatch, Timestamp};
+use flowrank_net::{
+    AnyFlowKey, CompactKey, FlowDefinition, FlowMap, FlowTable, PacketBatch, Timestamp,
+};
 use flowrank_sampling::SamplerStage;
 use flowrank_stats::rng::{derive_seeds, Pcg64, SeedableRng};
 use flowrank_topk::{FlowMemory, TopKTracker};
@@ -225,27 +227,28 @@ impl MonitorBuilder {
         self
     }
 
-    /// Caps every flow table in the monitor (ground truth and all lanes) at
-    /// `budget` entries, evicting the coldest flows
-    /// ([`flowrank_net::FlowTable::evict_to_budget`]) whenever a processed
-    /// segment pushes a table over the cap. This is the per-tenant memory
-    /// budget behind the fleet layer: peak flow-state memory becomes
+    /// Caps the monitor's flow state at `budget` flows — the ground truth's
+    /// table and each lane's counts alike — evicting the coldest flows
+    /// ([`flowrank_net::FlowTable::evict_to_budget`]) whenever a packet
+    /// brings one of them to the high-water mark. This is the per-tenant
+    /// memory budget behind the fleet layer: peak flow-state memory becomes
     /// `O(budget × lanes)` regardless of how many distinct flows a bin
-    /// carries. (An eviction moves the truth's flow ids, so each lane of a
-    /// budgeted monitor counts into a flow table of its own instead of by
-    /// id, and resolves its keys through the truth at the seal; a key the
-    /// truth has evicted is skipped.)
+    /// carries. Lanes still count by flow id: an eviction in the truth moves
+    /// ids, so the engine carries every lane's counts through each move, and
+    /// a lane keeps the count of a flow the truth evicted (by key, until the
+    /// truth takes the flow back) exactly as a flow table of its own would.
     ///
     /// Eviction is space-saving-style *state* shedding: bin totals
     /// (`packets`, bytes) keep counting everything observed, only per-flow
     /// entries are dropped, and an evicted flow that returns restarts from
-    /// zero. Victim order is deterministic (coldest first, packed-key
-    /// tie-break), so budgeted reports are a pure function of the packet
-    /// sequence and the budget — and the per-bin eviction count is carried
-    /// on [`BinReport::evictions`] as an auditable, golden-pinnable trail.
-    /// A budget changes *what* the monitor reports (flows below the cap's
-    /// waterline disappear from rankings); it is a memory/fidelity
-    /// trade-off, not a pure performance knob.
+    /// zero in the table that evicted it. Victim order is deterministic
+    /// (coldest first by packets, then bytes, then packed key), so budgeted
+    /// reports are a pure function of the packet sequence and the budget —
+    /// and the per-bin eviction count is carried on [`BinReport::evictions`]
+    /// as an auditable, golden-pinnable trail. A budget changes *what* the
+    /// monitor reports (flows below the cap's waterline disappear from
+    /// rankings); it is a memory/fidelity trade-off, not a pure performance
+    /// knob.
     ///
     /// Only the serial engine enforces budgets; combining `flow_budget`
     /// with [`MonitorBuilder::threads`]` > 1` panics at `build()`. (Fleet
@@ -365,8 +368,8 @@ impl MonitorBuilder {
                 evictions: 0,
                 shard: LaneShard::new(lanes),
                 controller,
-                keys: Vec::new(),
                 ids: Vec::new(),
+                evicted: Vec::new(),
                 segments: 0,
                 report: BinReport::default(),
             })
@@ -499,15 +502,10 @@ impl FlowBudget {
         self.cap
     }
 
-    /// Evicts `table` down to the cap when it has reached the high-water
-    /// mark, returning how many entries were removed.
+    /// Whether a table holding `flows` entries must evict down to the cap.
     #[inline]
-    fn enforce<K: flowrank_net::FlowKey>(self, table: &mut FlowTable<K>) -> u64 {
-        if table.flow_count() >= self.high_water {
-            table.evict_to_budget(self.cap)
-        } else {
-            0
-        }
+    fn binds(self, flows: usize) -> bool {
+        flows >= self.high_water
     }
 }
 
@@ -519,7 +517,7 @@ struct IdCounts {
     /// `touched`. A lane counts at most `u32::MAX` packets of one flow per
     /// bin.
     counts: Vec<u32>,
-    /// The ids with a non-zero count, once each, in order of first keep.
+    /// The ids with a non-zero count, once each.
     touched: Vec<u32>,
     /// Packets counted in the bin.
     packets: u64,
@@ -527,7 +525,7 @@ struct IdCounts {
 
 impl IdCounts {
     /// The dense definition, `compare_with`, over the same counts looked up
-    /// by key — what debug builds check every id lane's seal against.
+    /// by key — what debug builds check every lane's seal against.
     fn dense_outcome(&self, truth: &GroundTruthRanking<AnyFlowKey>) -> ComparisonOutcome {
         let sizes: FlowMap<AnyFlowKey, u64> = self
             .touched
@@ -550,39 +548,158 @@ impl IdCounts {
     }
 }
 
-/// What a lane counts its kept packets into.
+/// What a lane of a budgeted monitor ([`MonitorBuilder::flow_budget`])
+/// keeps besides its counts, so that it holds, key for key, what a flow
+/// table of its own under the same cap would: per-id bytes for its own
+/// victim order, and the counts of flows the truth evicted.
 ///
-/// Flow ids are positions in the ground truth's table, which hold only
-/// while the table removes nothing: an eviction moves the last entry into
-/// the hole. So a monitor with a [`MonitorBuilder::flow_budget`] keeps a
-/// table per lane under the same cap, counts by key and resolves its keys
-/// to ids at the seal, while the truth still holds them; every other
-/// monitor counts by id.
+/// The truth's evictions move its flow ids. The engine applies each move
+/// to every lane, and a flow leaving the truth while the lane counts it
+/// becomes an *orphan*, kept by packed key. When the truth takes the flow
+/// back under a new id, the orphan's count re-attaches: at the lane's first
+/// keep of the new id, or at the seal if the lane keeps none of its new
+/// packets. Orphans the truth does not hold at the seal count as sampled
+/// flows and score nothing, as a key the truth no longer knows.
 #[derive(Debug)]
-enum LaneCounts {
-    Ids(IdCounts),
-    Table {
-        table: FlowTable<AnyFlowKey>,
-        /// Enforced after every kept packet.
-        budget: FlowBudget,
-    },
+struct CappedCounts {
+    budget: FlowBudget,
+    /// Bytes kept of every flow id; 0 where the count is 0.
+    bytes: Vec<u64>,
+    /// `(packets, bytes)` of each flow the truth evicted while the lane
+    /// counted it.
+    orphans: FlowMap<AnyFlowKey, (u32, u64)>,
+    /// Orphans the truth did not hold at the seal.
+    unheld: usize,
+}
+
+impl CappedCounts {
+    /// Counts the kept packets, re-attaching an orphan at its flow's first
+    /// keep and evicting to the cap whenever the lane reaches its
+    /// high-water mark. Returns the lane's evictions.
+    fn count(&mut self, lane: &mut IdCounts, kept: &[u32], seg: &Segment) -> u64 {
+        let truth = seg.truth.expect("budgeted lanes run on the serial engine");
+        if self.bytes.len() < seg.flows {
+            self.bytes.resize(seg.flows, 0);
+        }
+        let mut evictions = 0;
+        for &i in kept {
+            let id = seg.ids[i as usize - seg.range.start] as usize;
+            if lane.counts[id] == 0 {
+                lane.touched.push(id as u32);
+                if !self.orphans.is_empty() {
+                    if let Some((packets, bytes)) = self.orphans.remove(&truth.key_at(id as u32)) {
+                        lane.counts[id] = packets;
+                        self.bytes[id] = bytes;
+                    }
+                }
+            }
+            lane.counts[id] += 1;
+            self.bytes[id] += u64::from(seg.batch.length(i as usize));
+            if self.budget.binds(lane.touched.len() + self.orphans.len()) {
+                evictions += self.evict(lane, truth);
+            }
+        }
+        evictions
+    }
+
+    /// Evicts the lane's coldest flows, orphans included, down to the cap:
+    /// ascending packets, then bytes, then packed key, as
+    /// [`FlowTable::evict_to_budget`] picks them.
+    fn evict(&mut self, lane: &mut IdCounts, truth: &FlowTable<AnyFlowKey>) -> u64 {
+        let held = lane.touched.len() + self.orphans.len();
+        let excess = held - self.budget.cap;
+        let live = lane.touched.iter().map(|&id| {
+            let (packets, bytes) = (lane.counts[id as usize], self.bytes[id as usize]);
+            (packets, bytes, truth.key_at(id).pack(), Some(id))
+        });
+        let orphans = self
+            .orphans
+            .iter()
+            .map(|(key, &(packets, bytes))| (packets, bytes, key.pack(), None));
+        let mut victims: Vec<_> = live.chain(orphans).collect();
+        victims.sort_unstable_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2)));
+        for &(_, _, packed, id) in &victims[..excess] {
+            match id {
+                Some(id) => {
+                    lane.counts[id as usize] = 0;
+                    self.bytes[id as usize] = 0;
+                }
+                None => {
+                    self.orphans.remove(&AnyFlowKey::unpack(packed));
+                }
+            }
+        }
+        lane.touched.retain(|&id| lane.counts[id as usize] != 0);
+        excess as u64
+    }
+
+    /// Applies the truth's evictions, `(id, key, last)` in the order
+    /// [`FlowTable::evict_to_budget_with`] made them: flow `key` left `id`,
+    /// and the truth's last entry, at `last`, took its place when
+    /// `id < last`. Then re-lists the touched ids among the `flows` kept.
+    fn truth_evicted(
+        &mut self,
+        lane: &mut IdCounts,
+        evicted: &[(u32, AnyFlowKey, u32)],
+        flows: usize,
+    ) {
+        for &(id, key, last) in evicted {
+            let (id, last) = (id as usize, last as usize);
+            let packets = std::mem::take(&mut lane.counts[id]);
+            let bytes = std::mem::take(&mut self.bytes[id]);
+            if packets > 0 {
+                self.orphans.insert(key, (packets, bytes));
+            }
+            if id < last {
+                lane.counts[id] = std::mem::take(&mut lane.counts[last]);
+                self.bytes[id] = std::mem::take(&mut self.bytes[last]);
+            }
+        }
+        lane.touched.clear();
+        let touched = (0..flows as u32).filter(|&id| lane.counts[id as usize] != 0);
+        lane.touched.extend(touched);
+    }
+
+    /// Re-attaches, at the seal, every orphan the truth holds again (the
+    /// lane kept none of its packets since, so the id's count is 0) and
+    /// counts the rest as `unheld`.
+    fn reattach(&mut self, lane: &mut IdCounts, truth: &FlowTable<AnyFlowKey>) {
+        for (key, &(packets, _)) in self.orphans.iter() {
+            match truth.id_of(&key) {
+                Some(id) => {
+                    debug_assert_eq!(lane.counts[id as usize], 0, "orphan of a kept flow");
+                    lane.counts[id as usize] = packets;
+                    lane.touched.push(id);
+                }
+                None => self.unheld += 1,
+            }
+        }
+        self.orphans.clear();
+    }
+
+    /// Zeroes the bytes of what the bin touched.
+    fn clear(&mut self, lane: &IdCounts) {
+        for &id in &lane.touched {
+            self.bytes[id as usize] = 0;
+        }
+    }
 }
 
 /// One packet segment as every lane sees it: `batch[range]`, with the
-/// ground-truth flow id (`ids`, for id lanes) or, in a budgeted monitor,
-/// the flow key (`keys`, for table lanes) of each packet at
-/// `i - range.start`, and the truth's flow count once it observed the
-/// segment.
+/// ground-truth flow id of each packet at `ids[i - range.start]`, and the
+/// truth's flow count once it observed the segment. A budgeted monitor
+/// also lends its lanes the truth, to read flow keys from.
 pub(crate) struct Segment<'a> {
     pub(crate) batch: &'a PacketBatch,
     pub(crate) range: Range<usize>,
-    pub(crate) keys: &'a [AnyFlowKey],
     pub(crate) ids: &'a [u32],
     pub(crate) flows: usize,
+    pub(crate) truth: Option<&'a FlowTable<AnyFlowKey>>,
 }
 
 /// One independent sampling pipeline inside the monitor: a sampler + RNG
-/// stage, the sampled sizes it counts, and an optional top-k backend.
+/// stage, the sampled sizes it counts by flow id, and an optional top-k
+/// backend.
 pub(crate) struct Lane {
     spec: SamplerSpec,
     rate: f64,
@@ -590,7 +707,9 @@ pub(crate) struct Lane {
     run: usize,
     seed: u64,
     stage: SamplerStage<Pcg64>,
-    counts: LaneCounts,
+    counts: IdCounts,
+    /// Set on the lanes of a budgeted monitor.
+    capped: Option<CappedCounts>,
     /// Boxed so a lane without a backend stays one pointer wide (a fleet
     /// holds thousands of lanes); concrete so the per-packet call is static.
     tracker: Option<Box<FlowMemory>>,
@@ -603,8 +722,8 @@ pub(crate) struct Lane {
     panic_after: Option<u64>,
     /// Packets offered so far, counted only when the chaos hook is armed.
     observed: u64,
-    /// Entries evicted from this lane's table in the current bin, drained
-    /// by the engine at each seal.
+    /// Flows this lane's own cap evicted in the current bin, drained by
+    /// the engine at each seal.
     evictions: u64,
 }
 
@@ -625,13 +744,13 @@ impl Lane {
             run,
             seed,
             stage: SamplerStage::new(spec.build(seed), Pcg64::seed_from_u64(seed)),
-            counts: match flow_budget {
-                Some(budget) => LaneCounts::Table {
-                    table: FlowTable::new(),
-                    budget,
-                },
-                None => LaneCounts::Ids(IdCounts::default()),
-            },
+            counts: IdCounts::default(),
+            capped: flow_budget.map(|budget| CappedCounts {
+                budget,
+                bytes: Vec::new(),
+                orphans: FlowMap::new(),
+                unheld: 0,
+            }),
             tracker: topk.map(|&t| Box::new(FlowMemory::new(t))),
             tracker_rng: Pcg64::seed_from_u64(seed ^ TRACKER_SEED_SALT),
             kept: Vec::new(),
@@ -660,11 +779,12 @@ impl Lane {
         }
         self.kept.clear();
         self.stage.admit_batch(batch, range.clone(), &mut self.kept);
-        match &mut self.counts {
-            LaneCounts::Ids(lane) => {
-                if lane.counts.len() < seg.flows {
-                    lane.counts.resize(seg.flows, 0);
-                }
+        let lane = &mut self.counts;
+        if lane.counts.len() < seg.flows {
+            lane.counts.resize(seg.flows, 0);
+        }
+        match &mut self.capped {
+            None => {
                 for &i in &self.kept {
                     let id = seg.ids[i as usize - range.start];
                     let count = &mut lane.counts[id as usize];
@@ -673,21 +793,10 @@ impl Lane {
                     }
                     *count += 1;
                 }
-                lane.packets += self.kept.len() as u64;
             }
-            LaneCounts::Table { table, budget } => {
-                for &i in &self.kept {
-                    let i = i as usize;
-                    table.observe_keyed_parts(
-                        seg.keys[i - range.start],
-                        batch.timestamp(i),
-                        batch.length(i),
-                        batch.tcp_seq(i),
-                    );
-                    self.evictions += budget.enforce(table);
-                }
-            }
+            Some(capped) => self.evictions += capped.count(lane, &self.kept, seg),
         }
+        lane.packets += self.kept.len() as u64;
         if let Some(tracker) = &mut self.tracker {
             for &i in &self.kept {
                 tracker.observe(&batch.five_tuple(i as usize), &mut self.tracker_rng);
@@ -696,53 +805,22 @@ impl Lane {
     }
 
     /// Scores the lane against the bin's prepared ground truth and restarts
-    /// it for the next bin.
-    ///
-    /// An id lane hands its counts to the sparse kernel as they are. A table
-    /// lane (serial engine only) first resolves each of its keys through
-    /// `truth_table` — the bin's ground-truth table, not yet cleared — into
-    /// `scratch`, skipping keys the truth has evicted. Debug builds check
-    /// every outcome against the dense definition.
-    fn close_bin(
-        &mut self,
-        truth: &GroundTruthRanking<AnyFlowKey>,
-        truth_table: Option<&FlowTable<AnyFlowKey>>,
-        scratch: &mut IdCounts,
-        top_t: usize,
-    ) -> LaneReport {
-        let (outcome, sampled_flows, sampled_packets) = match &mut self.counts {
-            LaneCounts::Ids(lane) => {
-                let outcome = truth.compare_sparse(&lane.counts, &lane.touched);
-                debug_assert_eq!(
-                    outcome,
-                    lane.dense_outcome(truth),
-                    "sparse kernel disagrees with the dense definition"
-                );
-                let report = (outcome, lane.touched.len(), lane.packets);
-                lane.clear();
-                report
-            }
-            LaneCounts::Table { table, .. } => {
-                let truth_table = truth_table.expect("budgeted lanes run on the serial engine");
-                scratch.counts.resize(truth.flows().len(), 0);
-                for (key, size) in table.iter_sizes() {
-                    if let Some(id) = truth_table.id_of(&key) {
-                        scratch.counts[id as usize] = u32::try_from(size).unwrap_or(u32::MAX);
-                        scratch.touched.push(id);
-                    }
-                }
-                let outcome = truth.compare_sparse(&scratch.counts, &scratch.touched);
-                debug_assert_eq!(
-                    outcome,
-                    truth.compare_with(|key| table.size_of(key)),
-                    "sparse kernel disagrees with the dense definition"
-                );
-                scratch.clear();
-                let report = (outcome, table.flow_count(), table.total_packets());
-                table.clear();
-                report
-            }
-        };
+    /// it for the next bin: the sparse kernel reads the counts as they are.
+    /// Debug builds check every outcome against the dense definition.
+    fn close_bin(&mut self, truth: &GroundTruthRanking<AnyFlowKey>, top_t: usize) -> LaneReport {
+        let lane = &mut self.counts;
+        let outcome = truth.compare_sparse(&lane.counts, &lane.touched);
+        debug_assert_eq!(
+            outcome,
+            lane.dense_outcome(truth),
+            "sparse kernel disagrees with the dense definition"
+        );
+        let (mut sampled_flows, sampled_packets) = (lane.touched.len(), lane.packets);
+        if let Some(capped) = &mut self.capped {
+            sampled_flows += std::mem::take(&mut capped.unheld);
+            capped.clear(lane);
+        }
+        lane.clear();
         let topk = self.tracker.as_ref().map(|tracker| TopKReport {
             backend: tracker.name(),
             entries: tracker.top(top_t),
@@ -869,23 +947,27 @@ impl LaneShard {
 
     /// Scores every lane against the bin's ranking, appending the reports in
     /// this shard's lane order, and restarts the lanes for the next bin.
-    /// `truth_table` is the bin's ground-truth table, which the serial
-    /// engine clears only after this call; the pool has none.
     pub(crate) fn score(
         &mut self,
         truth: &GroundTruthRanking<AnyFlowKey>,
-        truth_table: Option<&FlowTable<AnyFlowKey>>,
         top_t: usize,
         out: &mut Vec<LaneReport>,
     ) {
-        // Table lanes resolve into one scratch in turn; id lanes leave it
-        // unallocated.
-        let mut scratch = IdCounts::default();
         out.extend(
             self.lanes
                 .iter_mut()
-                .map(|lane| lane.close_bin(truth, truth_table, &mut scratch, top_t)),
+                .map(|lane| lane.close_bin(truth, top_t)),
         );
+    }
+
+    /// Runs `f` on the capped state and the counts of every lane of a
+    /// budgeted monitor.
+    fn each_capped(&mut self, mut f: impl FnMut(&mut CappedCounts, &mut IdCounts)) {
+        for lane in &mut self.lanes {
+            if let Some(capped) = &mut lane.capped {
+                f(capped, &mut lane.counts);
+            }
+        }
     }
 
     /// Applies a controller decision to the lane at position `lane` of this
@@ -924,10 +1006,10 @@ struct SerialEngine {
     evictions: u64,
     shard: LaneShard,
     controller: Option<ControllerState>,
-    /// Reusable buffers for a segment's flow keys (table lanes) or flow ids
-    /// (id lanes).
-    keys: Vec<AnyFlowKey>,
+    /// Reusable buffers for a segment's flow ids and for one eviction's
+    /// `(id, key, last)` moves.
     ids: Vec<u32>,
+    evicted: Vec<(u32, AnyFlowKey, u32)>,
     /// Within-bin segments processed since the monitor was built.
     segments: u64,
     /// Report buffer recycled across bins: the lanes vector is reused, so in
@@ -940,31 +1022,53 @@ struct SerialEngine {
 impl SerialEngine {
     /// Classifies one within-bin segment into the ground truth — deriving
     /// each packet's key and taking its flow id from the same probe — and
-    /// offers it to every lane. Id lanes read the ids; a budgeted monitor's
-    /// table lanes read the keys instead, since its evictions move ids.
+    /// offers it to every lane. In a budgeted monitor a packet that brings
+    /// the truth to its high-water mark first has the lanes take the
+    /// packets up to it, while their ids still hold, and then the truth's
+    /// evictions move the lanes' counts.
     fn observe(&mut self, definition: FlowDefinition, batch: &PacketBatch, range: Range<usize>) {
         self.segments += 1;
-        self.keys.clear();
         self.ids.clear();
+        let mut start = range.start;
         for i in range.clone() {
             let key = batch.flow_key(i, definition);
             let id =
                 self.truth
                     .observe_id(key, batch.timestamp(i), batch.length(i), batch.tcp_seq(i));
-            match self.flow_budget {
-                None => self.ids.push(id),
-                Some(budget) => {
-                    self.keys.push(key);
-                    self.evictions += budget.enforce(&mut self.truth);
+            self.ids.push(id);
+            if let Some(budget) = self.flow_budget {
+                if budget.binds(self.truth.flow_count()) {
+                    self.offer(batch, start..i + 1);
+                    let evicted = &mut self.evicted;
+                    self.evictions += self
+                        .truth
+                        .evict_to_budget_with(budget.cap, |id, key, last| {
+                            evicted.push((id, key, last))
+                        });
+                    let flows = self.truth.flow_count();
+                    let moved = |capped: &mut CappedCounts, counts: &mut IdCounts| {
+                        capped.truth_evicted(counts, evicted, flows)
+                    };
+                    self.shard.each_capped(moved);
+                    evicted.clear();
+                    self.ids.clear();
+                    start = i + 1;
                 }
             }
         }
+        if start < range.end {
+            self.offer(batch, start..range.end);
+        }
+    }
+
+    /// Offers `batch[range]`, whose flow ids `ids` holds, to every lane.
+    fn offer(&mut self, batch: &PacketBatch, range: Range<usize>) {
         self.shard.observe(&Segment {
             batch,
             range,
-            keys: &self.keys,
             ids: &self.ids,
             flows: self.truth.flow_count(),
+            truth: self.flow_budget.map(|_| &self.truth),
         });
     }
 
@@ -975,8 +1079,11 @@ impl SerialEngine {
         let report = &mut self.report;
         // One classification and one sort per bin, regardless of lane
         // count: this is the entire point of the shared-ground-truth
-        // design. Rank, score, clear: table lanes resolve their keys
-        // through the truth before it forgets them.
+        // design. Lanes of a budgeted monitor first take back the counts
+        // of flows the truth evicted and holds again.
+        let truth = &self.truth;
+        self.shard
+            .each_capped(|capped, counts| capped.reattach(counts, truth));
         let flows = sized_flows(&self.truth);
         report.reset();
         report.bin_index = bin_index;
@@ -984,8 +1091,7 @@ impl SerialEngine {
         report.packets = self.truth.total_packets();
         report.flows = flows.len();
         let truth = GroundTruthRanking::new(flows, top_t);
-        self.shard
-            .score(&truth, Some(&self.truth), top_t, &mut report.lanes);
+        self.shard.score(&truth, top_t, &mut report.lanes);
         self.truth.clear();
         report.evictions = std::mem::take(&mut self.evictions) + self.shard.take_evictions();
         // The control step runs after lane scoring while the bin's ranking
@@ -1074,12 +1180,25 @@ impl Monitor {
     /// by a buffer the monitor recycles across bins, so steady-state bin
     /// closes are allocation-free on the monitor side.
     pub fn push_batch_into<K: ReportSink + ?Sized>(&mut self, batch: &PacketBatch, sink: &mut K) {
-        if let Err(error) = self.try_push_batch_into(batch, sink) {
+        self.push_range_into(batch, 0..batch.len(), sink);
+    }
+
+    /// [`Monitor::push_batch_into`] over `batch[range]` alone: the packets
+    /// of one tenant's run inside a fleet's tagged window, pushed in place
+    /// instead of copied out first. Pushing a batch's ranges in order is
+    /// pushing the batch.
+    pub fn push_range_into<K: ReportSink + ?Sized>(
+        &mut self,
+        batch: &PacketBatch,
+        range: Range<usize>,
+        sink: &mut K,
+    ) {
+        if let Err(error) = self.try_push_range_into(batch, range, sink) {
             panic!("{error}");
         }
     }
 
-    /// Fallible form of [`Monitor::push_batch_into`]: instead of panicking,
+    /// Fallible form of [`Monitor::push_range_into`]: instead of panicking,
     /// surfaces a timestamp regression rejected by
     /// [`TimestampPolicy::Reject`] as [`DriveError::TimestampRegression`]
     /// and a worker-pool panic as [`DriveError::WorkerPanicked`] (after
@@ -1087,23 +1206,26 @@ impl Monitor {
     /// the same error, and dropping it is safe). The `stats` carried on
     /// these errors are empty; [`Monitor::try_drive`] fills them in for a
     /// whole drive.
-    pub(crate) fn try_push_batch_into<K: ReportSink + ?Sized>(
+    pub(crate) fn try_push_range_into<K: ReportSink + ?Sized>(
         &mut self,
         batch: &PacketBatch,
+        range: Range<usize>,
         sink: &mut K,
     ) -> Result<(), DriveError> {
         if let Some(error) = self.poisoned_error() {
             return Err(error);
         }
-        if let Err((prev_nanos, ts_nanos)) = self.check_timestamp_contract(batch) {
+        if let Err((prev_nanos, ts_nanos)) =
+            self.check_timestamp_contract(&batch.ts_nanos()[range.clone()])
+        {
             return Err(DriveError::TimestampRegression {
                 prev_nanos,
                 ts_nanos,
                 stats: DriveStats::default(),
             });
         }
-        let mut start = 0;
-        while start < batch.len() {
+        let mut start = range.start;
+        while start < range.end {
             // A packet older than the current bin is counted into the
             // current bin.
             let bin = batch
@@ -1114,7 +1236,7 @@ impl Monitor {
                 self.emit_current_bin(sink);
             }
             let mut end = start + 1;
-            while end < batch.len()
+            while end < range.end
                 && batch.timestamp(end).bin_index(self.bin_length) <= self.current_bin
             {
                 end += 1;
@@ -1171,8 +1293,7 @@ impl Monitor {
     /// * [`TimestampPolicy::ClampAndCount`]: folds tolerantly in every
     ///   build and counts each regression in
     ///   [`DriveStats::clamped_timestamps`].
-    fn check_timestamp_contract(&mut self, batch: &PacketBatch) -> Result<(), (u64, u64)> {
-        let ts = batch.ts_nanos();
+    fn check_timestamp_contract(&mut self, ts: &[u64]) -> Result<(), (u64, u64)> {
         match self.drive_policy.timestamps {
             TimestampPolicy::DebugAssert => {
                 #[cfg(debug_assertions)]
@@ -1432,7 +1553,9 @@ impl Monitor {
                     idle_since = None;
                     stats.chunks += 1;
                     stats.packets += chunk.len() as u64;
-                    if let Err(error) = self.try_push_batch_into(chunk, &mut policy_sink) {
+                    if let Err(error) =
+                        self.try_push_range_into(chunk, 0..chunk.len(), &mut policy_sink)
+                    {
                         break Outcome::Drive(error);
                     }
                     if let Some(error) = policy_sink.failed.take() {
@@ -2020,11 +2143,11 @@ mod tests {
         let mut sink = Collect::new();
         let forward = PacketBatch::from_records(&[packet(1, 70.0)]);
         monitor
-            .try_push_batch_into(&forward, &mut sink)
+            .try_push_range_into(&forward, 0..forward.len(), &mut sink)
             .expect("ordered batch is accepted");
         // Across calls: older than everything already pushed.
         let stale = PacketBatch::from_records(&[packet(1, 10.0)]);
-        match monitor.try_push_batch_into(&stale, &mut sink) {
+        match monitor.try_push_range_into(&stale, 0..stale.len(), &mut sink) {
             Err(DriveError::TimestampRegression {
                 prev_nanos,
                 ts_nanos,
@@ -2039,7 +2162,7 @@ mod tests {
         // not applied, so 80 s is still a legal next timestamp.
         let inner = PacketBatch::from_records(&[packet(1, 80.0), packet(1, 75.0)]);
         assert!(matches!(
-            monitor.try_push_batch_into(&inner, &mut sink),
+            monitor.try_push_range_into(&inner, 0..inner.len(), &mut sink),
             Err(DriveError::TimestampRegression { .. })
         ));
         assert_eq!(monitor.clamped_timestamps, 0);
@@ -2055,14 +2178,14 @@ mod tests {
         let mut sink = Collect::new();
         let forward = PacketBatch::from_records(&[packet(1, 70.0)]);
         monitor
-            .try_push_batch_into(&forward, &mut sink)
+            .try_push_range_into(&forward, 0..forward.len(), &mut sink)
             .expect("ordered batch is accepted");
         // One regression across calls + one inside the batch: both fold
         // into the current bin (the historical release behaviour) and both
         // are counted.
         let stale = PacketBatch::from_records(&[packet(2, 10.0), packet(3, 75.0), packet(3, 5.0)]);
         monitor
-            .try_push_batch_into(&stale, &mut sink)
+            .try_push_range_into(&stale, 0..stale.len(), &mut sink)
             .expect("clamp policy absorbs the regressions");
         assert_eq!(monitor.clamped_timestamps, 2);
         let report = finish(&mut monitor).expect("bin 1 closes with its packets");

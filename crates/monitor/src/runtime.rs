@@ -238,9 +238,9 @@ impl Worker {
                 ToWorker::Segment(seg) => self.shard.observe(&Segment {
                     batch: &seg.batch,
                     range: 0..seg.batch.len(),
-                    keys: &[],
                     ids: &seg.ids,
                     flows: seg.flows,
+                    truth: None,
                 }),
                 ToWorker::Seal => {
                     if !self.seal() {
@@ -264,7 +264,7 @@ impl Worker {
             return false;
         };
         let mut reports = Vec::new();
-        self.shard.score(&truth, None, self.top_t, &mut reports);
+        self.shard.score(&truth, self.top_t, &mut reports);
         if self.report_tx.send(reports).is_err() {
             return false;
         }

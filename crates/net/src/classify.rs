@@ -173,9 +173,9 @@ impl<K: FlowKey> FlowTable<K> {
     /// [`FlowTable::observe_keyed_parts`], returning the packet's **flow
     /// id** instead of its count: the flow's position in the table, dense
     /// from 0 in order of first sight. Ids hold until the table is cleared
-    /// or evicts ([`FlowTable::evict_to_budget`] moves entries), so a bin's
-    /// ground truth can hand them to every sampling lane, which then counts
-    /// by array index instead of hashing the key again.
+    /// or evicts ([`FlowTable::evict_to_budget_with`] reports the moves),
+    /// so a bin's ground truth can hand them to every sampling lane, which
+    /// then counts by array index instead of hashing the key again.
     #[inline]
     pub fn observe_id(
         &mut self,
@@ -298,6 +298,19 @@ impl<K: FlowKey> FlowTable<K> {
     /// the same packet sequence evicts the same flows and the resulting
     /// rankings are golden-pinnable.
     pub fn evict_to_budget(&mut self, budget: usize) -> u64 {
+        self.evict_to_budget_with(budget, |_, _, _| {})
+    }
+
+    /// [`FlowTable::evict_to_budget`], reporting every removal in order as
+    /// `removed(id, key, last)`: flow `key` left flow id `id`, and the
+    /// table's last entry, at id `last`, moved into its place when
+    /// `id < last`. Applying the calls in order carries any per-id array
+    /// through the eviction.
+    pub fn evict_to_budget_with(
+        &mut self,
+        budget: usize,
+        mut removed: impl FnMut(u32, K, u32),
+    ) -> u64 {
         if self.flows.len() <= budget {
             return 0;
         }
@@ -310,9 +323,17 @@ impl<K: FlowKey> FlowTable<K> {
         victims.sort_unstable_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2)));
         victims.truncate(excess);
         for (_, _, _, key) in &victims {
+            let id = self.flows.id_of(key).expect("a victim is held");
             self.flows.remove(key);
+            removed(id as u32, *key, self.flows.len() as u32);
         }
         excess as u64
+    }
+
+    /// The key of flow id `id` ([`FlowTable::observe_id`]). Panics when
+    /// the table holds fewer flows.
+    pub fn key_at(&self, id: u32) -> K {
+        self.flows.key_at(id as usize)
     }
 }
 
@@ -524,6 +545,36 @@ mod tests {
         table.observe(&packet(5, 5, 80, 500, 99.0));
         let key = FiveTuple::from_packet(&packet(5, 5, 80, 500, 0.0));
         assert_eq!(table.get(&key).unwrap().packets, 1);
+    }
+
+    #[test]
+    fn eviction_reports_each_removal_and_the_entry_it_moved() {
+        let mut table: FlowTable<FiveTuple> = FlowTable::new();
+        let hosts = [(1u8, 10usize), (2, 3), (3, 7), (4, 1), (5, 8)];
+        for (host, count) in hosts {
+            for i in 0..count {
+                table.observe(&packet(host, host, 80, 500, i as f64));
+            }
+        }
+        let key = |host: u8| FiveTuple::from_packet(&packet(host, host, 80, 500, 0.0));
+        // Ids follow first sight; carry a per-id array through the moves.
+        let mut sizes: Vec<u64> = table.iter_sizes().map(|(_, n)| n).collect();
+        let mut removals = Vec::new();
+        let evicted = table.evict_to_budget_with(3, |id, gone, last| {
+            removals.push((id, gone));
+            sizes[id as usize] = sizes[last as usize];
+            sizes.truncate(last as usize);
+        });
+        // Host 4 (id 3) goes first and host 5 (id 4) takes its place; then
+        // host 2 (id 1) goes and host 5, now last at id 3, moves again.
+        assert_eq!(evicted, 2);
+        assert_eq!(removals, [(3, key(4)), (1, key(2))]);
+        assert_eq!(sizes, [10, 8, 7]);
+        for (id, size) in sizes.iter().enumerate() {
+            let at = table.key_at(id as u32);
+            assert_eq!(table.id_of(&at), Some(id as u32));
+            assert_eq!(table.size_of(&at), *size);
+        }
     }
 
     #[test]

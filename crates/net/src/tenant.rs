@@ -45,9 +45,8 @@ impl fmt::Display for TenantId {
 /// Like the batch itself, a tagged batch is append-only and recycles its
 /// allocations across [`TaggedBatch::clear`] calls. Packets from different
 /// tenants may interleave freely; [`TaggedBatch::runs`] exposes the maximal
-/// consecutive same-tenant runs so a demultiplexer can move packets with
-/// ranged column copies ([`PacketBatch::extend_from_batch`]) instead of
-/// per-packet pushes.
+/// consecutive same-tenant runs, so a consumer hands each tenant a range of
+/// the batch instead of one packet at a time.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TaggedBatch {
     batch: PacketBatch,
@@ -124,10 +123,10 @@ impl TaggedBatch {
     /// Iterates over the maximal consecutive same-tenant runs as
     /// `(tenant, range)` pairs covering the batch in order.
     ///
-    /// This is the demultiplexer's unit of work: each run is copied into
-    /// the owning tenant's scratch batch with one ranged column copy, so
-    /// demux cost is proportional to the number of tenant *switches*, not
-    /// packets, when sources emit per-tenant bursts.
+    /// This is the fleet's unit of work: each run goes to the owning
+    /// tenant's monitor as one range of the batch, so the per-tenant cost
+    /// is proportional to the number of tenant *switches*, not packets,
+    /// when sources emit per-tenant bursts.
     pub fn runs(&self) -> TenantRuns<'_> {
         TenantRuns {
             tenants: &self.tenants,
