@@ -228,9 +228,9 @@ impl FleetBuilder {
     }
 
     /// Fleet-level worker threads. Tenants are partitioned into contiguous
-    /// slab chunks, one per worker; reports are bit-identical at any
-    /// setting (tenant-affine routing keeps each tenant's computation
-    /// sequential on one worker).
+    /// slab chunks, one per worker (the calling thread takes the first);
+    /// reports are bit-identical at any setting (tenant-affine routing
+    /// keeps each tenant's computation sequential on one worker).
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
         self

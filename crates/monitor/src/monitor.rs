@@ -8,12 +8,13 @@
 //! position in that table), offers it to every sampling lane, counts
 //! retained packets by flow id (`counts[id] += 1`, no second hash) and
 //! feeds them to optional top-k backends, and closes measurement bins
-//! automatically on timestamp boundaries. Closing a bin ranks the ground truth **once** and scores
-//! every lane against that single ranking — with `runs × rates` lanes this
-//! removes the `runs × rates` redundant reclassifications the batch API used
-//! to pay. The lane work is written once, in `LaneShard`; the serial engine
-//! and the pipelined runtime's workers differ only in which lanes they
-//! hold, and the ground truth lives with whichever thread derives keys.
+//! automatically on timestamp boundaries. Closing a bin ranks the ground
+//! truth **once** and scores every lane against that single ranking — with
+//! `runs × rates` lanes this removes the `runs × rates` redundant
+//! reclassifications the batch API used to pay. The lane work is written
+//! once, in `LaneShard`; the serial engine and the pipelined runtime's
+//! workers differ only in which lanes they hold, and the ground truth lives
+//! with whichever thread derives keys.
 
 use std::ops::Range;
 use std::time::{Duration, Instant};
