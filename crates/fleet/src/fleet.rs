@@ -160,6 +160,7 @@ impl TenantSlot {
 fn push_runs(slots: &mut [TenantSlot], first: usize, tagged: &TaggedBatch) -> Vec<usize> {
     let mut active = Vec::new();
     for (tenant, range) in tagged.runs() {
+        // A tenant before the chunk wraps to an index past its end.
         let Some(slot) = slots.get_mut(tenant.index().wrapping_sub(first)) else {
             continue;
         };
