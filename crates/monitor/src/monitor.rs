@@ -2257,7 +2257,7 @@ mod tests {
         };
         let baseline = run(&mut build(1), &packets);
         assert!(baseline.iter().all(|report| report.controller.is_some()));
-        for threads in [2, 4] {
+        for threads in [2, 3, 4] {
             assert_eq!(run(&mut build(threads), &packets), baseline, "{threads}");
         }
         let mut pushed = build(1);

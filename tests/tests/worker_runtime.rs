@@ -242,7 +242,7 @@ fn controlled_threaded_monitor_drops_cleanly_and_stays_bit_identical() {
                 != pair[1].lanes.last().map(|lane| lane.rate)),
         "the controller retunes at least once, so the token carries a rate"
     );
-    for threads in [2, 4] {
+    for threads in [2, 4, 5] {
         assert_eq!(build(threads).run_batch(&batch), baseline, "{threads}");
     }
     let mut dropped = build(4);
