@@ -431,14 +431,11 @@ pub enum DriveError {
         /// Work done and recoveries absorbed before the abort.
         stats: DriveStats,
     },
-    /// A worker (or sequencer) thread of the pipelined runtime panicked.
-    /// The pool has been drained and the monitor is poisoned: further
-    /// fallible calls return this error again, infallible calls panic, and
-    /// dropping the monitor is safe. The sequencer is reported as worker
-    /// index `threads`.
+    /// A worker thread of the pipelined runtime panicked. The monitor is
+    /// poisoned: further fallible calls return this error again, infallible
+    /// calls panic, and dropping the monitor is safe.
     WorkerPanicked {
-        /// Index of the thread that panicked (`0..threads` for workers,
-        /// `threads` for the sequencer).
+        /// Index of the worker that panicked, in `0..threads`.
         worker: usize,
         /// The bin the monitor was filling when the failure surfaced.
         bin: u64,

@@ -65,10 +65,12 @@
 //! needs it, or before it waits for a sealed bin's report. Worker `w` owns
 //! the strided lane set `{i : i mod n == w}` by value and runs the same
 //! lane body as the serial engine on them, so no packet takes a lock; at a
-//! seal the caller drains the truth to a sequencer thread, which ranks the
-//! bin once, scatters the scored lane reports back into lane order and runs
-//! the controller step. The guarantees, pinned by the `worker_runtime`
-//! suite and the golden conformance matrix:
+//! seal the caller ranks the bin's truth once and sends the ranking with the
+//! seal, each worker scores its lanes against it (the controlled lane's
+//! owner then runs the controller step) and answers on its own report
+//! queue, and the caller puts the replies back into lane order. A
+//! `threads(n)` monitor runs exactly `n` pool threads. The guarantees,
+//! pinned by the `worker_runtime` suite and the golden conformance matrix:
 //!
 //! * **Determinism** — reports are bit-identical to the serial engine for
 //!   every thread count, chunking and entry point. The truth is classified
@@ -160,9 +162,9 @@
 //!   debug-assert/silent-fold default, fail-fast
 //!   [`TimestampPolicy::Reject`], or counted
 //!   [`TimestampPolicy::ClampAndCount`].
-//! * **Poisoned** — a panic on a worker or sequencer thread of the
-//!   pipelined runtime is caught, the pool drains itself, and the drive
-//!   aborts with [`DriveError::WorkerPanicked`]. The monitor is then
+//! * **Poisoned** — a panic on a worker thread of the pipelined runtime is
+//!   caught and recorded, and the drive aborts with
+//!   [`DriveError::WorkerPanicked`]. The monitor is then
 //!   *poisoned but droppable*: further fallible calls return the same
 //!   error, infallible entry points panic (one clean panic — never the old
 //!   double-panic abort), and dropping the monitor joins every thread

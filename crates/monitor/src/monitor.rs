@@ -193,13 +193,15 @@ impl MonitorBuilder {
     /// per thread (a bin seal ships a partly filled buffer first, and so
     /// does a call about to wait for a sealed bin's report). Worker *w*
     /// owns every lane with index ≡ *w* (mod threads) outright, so no
-    /// packet takes a lock; at each bin seal the ingest stage hands the
-    /// drained truth to a sequencer thread, which ranks it once while the
-    /// workers wait, then reassembles their scored lanes into the
-    /// [`BinReport`] in lane order and runs the control step. Ingestion,
-    /// lane work and scoring overlap instead of barrier-stepping, and the
-    /// bounded queues provide backpressure so peak memory stays flows +
-    /// in-flight buffers.
+    /// packet takes a lock. At each bin seal the ingest stage ranks the
+    /// truth once, clears it and sends the ranking down the queues with the
+    /// seal; every worker scores its lanes against it (the one owning a
+    /// controller's lane then runs the control step and retunes that lane)
+    /// and answers on its own report queue, and the ingest stage
+    /// reassembles the replies into the [`BinReport`] in lane order. The
+    /// pool is exactly `threads` workers. Ingestion, lane work and scoring
+    /// overlap instead of barrier-stepping, and the bounded work queues
+    /// provide backpressure so peak memory stays flows + in-flight buffers.
     ///
     /// Every lane still sees every packet in order with its own RNG, so
     /// reports are **bit-identical** across thread counts and ingestion
@@ -414,25 +416,28 @@ pub(crate) struct ControllerState {
 
 impl ControllerState {
     /// The per-bin control step, shared verbatim by the serial engine and
-    /// the pipelined sequencer so controller decisions stay a pure function
-    /// of the report stream: derives the [`BinObservation`] from the sealed
-    /// report and the bin's still-live ranking, records the decision trail
-    /// on the report, and — when the decided rate differs from the applied
-    /// one — returns the rate tag and re-targeted sampler spec the
-    /// controlled lane must be rebuilt with before the next bin's packets.
+    /// the pipelined worker that owns the controlled lane, so controller
+    /// decisions stay a pure function of the report stream: derives the
+    /// [`BinObservation`] from the controlled lane's scored report and the
+    /// bin's still-live ranking (whose population is the bin's flows), marks
+    /// the lane controlled, and returns the decision trail plus — when the
+    /// decided rate differs from the applied one — the rate tag and
+    /// re-targeted sampler spec the controlled lane must be rebuilt with
+    /// before the next bin's packets.
     pub(crate) fn step(
         &mut self,
-        report: &mut BinReport,
+        bin_index: u64,
+        packets: u64,
+        lane_report: &mut LaneReport,
         truth: &GroundTruthRanking<AnyFlowKey>,
         top_t: usize,
-    ) -> Option<(f64, SamplerSpec)> {
-        let lane_report = &mut report.lanes[self.lane];
+    ) -> (ControllerTrail, Option<(f64, SamplerSpec)>) {
         lane_report.controlled = true;
         let observation = &mut self.observation;
-        observation.bin_index = report.bin_index;
+        observation.bin_index = bin_index;
         observation.applied_rate = self.applied_rate;
-        observation.packets = report.packets;
-        observation.flows = report.flows as u64;
+        observation.packets = packets;
+        observation.flows = truth.flows().len() as u64;
         observation.kept_packets = lane_report.sampled_packets;
         observation.ranking_swaps = lane_report.outcome.ranking_swaps;
         observation.ranking_pairs = lane_report.outcome.ranking_pairs;
@@ -457,20 +462,19 @@ impl ControllerState {
         self.prev_top.extend(top.iter().map(|f| f.key));
 
         let decision = self.controller.observe(observation);
-        report.controller = Some(ControllerTrail {
+        let trail = ControllerTrail {
             controller: self.controller.name(),
             lane: self.lane,
             applied_rate: self.applied_rate,
             decided_rate: decision.rate,
             swapped_fraction: observation.swapped_fraction(),
             top_churn: observation.top_churn,
-        });
-        if decision.rate != self.applied_rate {
+        };
+        let retune = (decision.rate != self.applied_rate).then(|| {
             self.applied_rate = decision.rate;
-            Some((decision.rate, self.template.with_rate(decision.rate)))
-        } else {
-            None
-        }
+            (decision.rate, self.template.with_rate(decision.rate))
+        });
+        (trail, retune)
     }
 }
 
@@ -1100,7 +1104,10 @@ impl SerialEngine {
         // the report stream, independent of thread count and ingestion path
         // like everything else in the report.
         if let Some(state) = self.controller.as_mut() {
-            if let Some((rate, spec)) = state.step(report, &truth, top_t) {
+            let lane = &mut report.lanes[state.lane];
+            let (trail, retune) = state.step(bin_index, report.packets, lane, &truth, top_t);
+            report.controller = Some(trail);
+            if let Some((rate, spec)) = retune {
                 self.shard.retune(state.lane, rate, spec);
             }
         }
@@ -1617,11 +1624,11 @@ impl Monitor {
 
     /// Closes the bin currently being filled and advances to the next one.
     /// The serial engine seals synchronously into its recycled report; the
-    /// pipelined engine ships what it has buffered, broadcasts a seal down
-    /// the worker queues behind it and lets the sequencer assemble the
-    /// report — the caller picks finished reports up opportunistically here
-    /// and drains the rest before the enclosing call returns, so the sink
-    /// still sees every bin in order.
+    /// pipelined engine ships what it has buffered, ranks the bin and
+    /// broadcasts the seal with the ranking down the worker queues behind
+    /// it — the caller assembles the reports whose replies have all arrived
+    /// here and drains the rest before the enclosing call returns, so the
+    /// sink still sees every bin in order.
     fn emit_current_bin<K: ReportSink + ?Sized>(&mut self, sink: &mut K) {
         let bin_index = self.current_bin;
         let bin_start =
@@ -1632,9 +1639,10 @@ impl Monitor {
                 sink.accept(engine.seal_bin(bin_index, bin_start, self.top_t));
             }
             Engine::Pipelined(runtime) => {
-                // When the pool has died the seal send fails silently; the
-                // enclosing call's tail `drain_into` observes the disconnect
-                // and surfaces the recorded failure.
+                // When a worker has died the seal send to it fails
+                // silently; the enclosing call's tail `drain_into` observes
+                // its report queue's disconnect and surfaces the recorded
+                // failure.
                 runtime.dispatch_seal(bin_index, bin_start);
                 runtime.try_drain_into(sink);
             }
@@ -2267,6 +2275,34 @@ mod tests {
         }
         reports.extend(finish(&mut pushed));
         assert_eq!(reports, baseline, "per-packet push path");
+    }
+
+    #[test]
+    fn threaded_seals_outrun_their_reports_without_deadlock() {
+        // One packet a bin, all in one batch: the ingest thread seals about
+        // as often as it ships, so the work queues fill and replies queue up
+        // behind seals whose bin still waits on another worker. A worker
+        // never blocks on its reply, so every bin arrives, in order and
+        // equal to the serial engine's.
+        let packets: Vec<PacketRecord> = (0..600)
+            .map(|i| packet((i % 7) as u8, i as f64 * 60.0 + 1.0))
+            .collect();
+        let build = |threads: usize| {
+            Monitor::builder()
+                .sampler(SamplerSpec::Random { rate: 0.5 })
+                .rates(&[0.3, 0.7])
+                .runs(2)
+                .controller(ControllerSpec::model_driven())
+                .bin_length(Timestamp::from_secs_f64(60.0))
+                .seed(29)
+                .threads(threads)
+                .build()
+        };
+        let baseline = run(&mut build(1), &packets);
+        assert_eq!(baseline.len(), 600);
+        for threads in [2, 3] {
+            assert_eq!(run(&mut build(threads), &packets), baseline, "{threads}");
+        }
     }
 
     #[test]

@@ -114,7 +114,7 @@ impl BinReport {
     /// Clears the per-bin payload while keeping the lane buffer's
     /// allocation, so a recycled report shell can be refilled without
     /// reallocating — both the serial close path and the worker runtime's
-    /// sequencer reuse report shells through this.
+    /// report assembly on the calling thread reuse their shell through this.
     pub(crate) fn reset(&mut self) {
         self.lanes.clear();
         self.controller = None;
