@@ -24,8 +24,9 @@
 //!   optimal-sampling-rate solver of Sec. 3.2.
 //! * [`summary`] — online summary statistics (Welford) and quantiles used
 //!   when reporting the per-bin simulation metrics.
-//! * [`rank`] — rank-comparison utilities (swapped-pair counts, Kendall tau)
-//!   shared by the empirical evaluation.
+//! * [`rank`] — Kendall's τ and mid-ranks on value vectors, for examples
+//!   that compare estimated against true sizes (the paper's swapped-pair
+//!   metric itself lives in `flowrank-core::metrics`).
 //!
 //! The crate has no dependencies and forbids `unsafe`.
 

@@ -1,39 +1,12 @@
-//! Rank-comparison utilities.
+//! Rank comparison on plain value vectors: Kendall's τ and mid-ranks.
 //!
 //! The paper's performance metric is a *swapped-pair count*: the number of
 //! flow pairs whose relative order differs between the true list and the
-//! sampled list (Sec. 5.1 for ranking, Sec. 7.1 for detection). The empirical
-//! counterpart of those counts — applied to concrete before/after-sampling
-//! flow tables — lives in `flowrank-core::metrics`; this module provides the
-//! underlying generic machinery on value vectors plus standard rank
-//! correlations used in the extended analyses.
-
-/// Counts the pairs `(i, j)`, `i < j`, whose relative order differs between
-/// `a` and `b` (ties in either vector count as concordant).
-///
-/// Both slices must be the same length: `a[i]` and `b[i]` are the two scores
-/// of the same item. Complexity is O(n²); the lists compared in the paper are
-/// top-`t` lists with `t ≤ 25`, so this is never a bottleneck.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths (programming error, not a
-/// data-dependent condition).
-pub fn discordant_pairs(a: &[f64], b: &[f64]) -> u64 {
-    assert_eq!(a.len(), b.len(), "rank vectors must have equal length");
-    let n = a.len();
-    let mut count = 0;
-    for i in 0..n {
-        for j in (i + 1)..n {
-            let da = a[i] - a[j];
-            let db = b[i] - b[j];
-            if da * db < 0.0 {
-                count += 1;
-            }
-        }
-    }
-    count
-}
+//! sampled list (Sec. 5.1 for ranking, Sec. 7.1 for detection). That count,
+//! applied to concrete before/after-sampling flow tables, lives in
+//! `flowrank-core::metrics`. This module holds the two generic helpers the
+//! usage-pricing example uses beside it: τ-a between true and estimated
+//! sizes, and mid-ranks with ties.
 
 /// Kendall rank-correlation coefficient τ-a between two score vectors.
 ///
@@ -59,22 +32,6 @@ pub fn kendall_tau(a: &[f64], b: &[f64]) -> Option<f64> {
     }
     let total = (n * (n - 1) / 2) as f64;
     Some((concordant - discordant) as f64 / total)
-}
-
-/// Spearman rank-correlation coefficient ρ between two score vectors.
-///
-/// Ranks are assigned with mid-rank tie handling, then the Pearson
-/// correlation of the ranks is returned. `None` for fewer than two elements
-/// or when either vector is constant.
-pub fn spearman_rho(a: &[f64], b: &[f64]) -> Option<f64> {
-    assert_eq!(a.len(), b.len(), "rank vectors must have equal length");
-    let n = a.len();
-    if n < 2 {
-        return None;
-    }
-    let ra = ranks(a);
-    let rb = ranks(b);
-    pearson(&ra, &rb)
 }
 
 /// Assigns fractional (mid) ranks to a vector of scores, 1-based.
@@ -103,78 +60,32 @@ pub fn ranks(values: &[f64]) -> Vec<f64> {
     out
 }
 
-/// Pearson correlation of two equal-length vectors; `None` when either is
-/// constant or has fewer than two elements.
-pub fn pearson(a: &[f64], b: &[f64]) -> Option<f64> {
-    assert_eq!(a.len(), b.len(), "vectors must have equal length");
-    let n = a.len();
-    if n < 2 {
-        return None;
-    }
-    let ma = a.iter().sum::<f64>() / n as f64;
-    let mb = b.iter().sum::<f64>() / n as f64;
-    let mut cov = 0.0;
-    let mut va = 0.0;
-    let mut vb = 0.0;
-    for i in 0..n {
-        let da = a[i] - ma;
-        let db = b[i] - mb;
-        cov += da * db;
-        va += da * da;
-        vb += db * db;
-    }
-    if va == 0.0 || vb == 0.0 {
-        return None;
-    }
-    Some(cov / (va.sqrt() * vb.sqrt()))
-}
-
-/// Returns the indices of the `t` largest values, sorted by decreasing value.
-///
-/// Ties are broken by index (smaller index first) so the result is
-/// deterministic — this mirrors how a flow monitor reports a stable top list.
-pub fn top_k_indices(values: &[f64], t: usize) -> Vec<usize> {
-    let mut idx: Vec<usize> = (0..values.len()).collect();
-    idx.sort_by(|&i, &j| {
-        values[j]
-            .partial_cmp(&values[i])
-            .expect("NaN in top_k input")
-            .then(i.cmp(&j))
-    });
-    idx.truncate(t);
-    idx
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn discordant_pairs_identity_and_reverse() {
-        let a = [5.0, 4.0, 3.0, 2.0, 1.0];
-        assert_eq!(discordant_pairs(&a, &a), 0);
-        let rev = [1.0, 2.0, 3.0, 4.0, 5.0];
-        assert_eq!(discordant_pairs(&a, &rev), 10); // all C(5,2) pairs swapped
-    }
-
-    #[test]
-    fn discordant_pairs_single_swap() {
+    fn kendall_tau_single_swap() {
         let a = [10.0, 9.0, 8.0, 7.0];
         let b = [10.0, 8.0, 9.0, 7.0]; // items 1 and 2 swapped
-        assert_eq!(discordant_pairs(&a, &b), 1);
+                                       // 5 concordant, 1 discordant out of 6 pairs → 2/3.
+        let tau = kendall_tau(&a, &b).unwrap();
+        assert!((tau - 2.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]
-    fn discordant_pairs_ties_not_counted() {
+    fn kendall_tau_ties_count_as_neither() {
         let a = [3.0, 2.0, 1.0];
         let b = [2.0, 2.0, 1.0];
-        assert_eq!(discordant_pairs(&a, &b), 0);
+        // The tied pair is neither concordant nor discordant: τ-a = 2/3.
+        let tau = kendall_tau(&a, &b).unwrap();
+        assert!((tau - 2.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]
     #[should_panic(expected = "equal length")]
-    fn discordant_pairs_length_mismatch_panics() {
-        discordant_pairs(&[1.0], &[1.0, 2.0]);
+    fn kendall_tau_length_mismatch_panics() {
+        kendall_tau(&[1.0], &[1.0, 2.0]);
     }
 
     #[test]
@@ -202,35 +113,5 @@ mod tests {
         assert_eq!(r, vec![1.0, 2.5, 2.5, 4.0]);
         let r = ranks(&[5.0]);
         assert_eq!(r, vec![1.0]);
-    }
-
-    #[test]
-    fn spearman_monotone_transform_is_one() {
-        let a = [1.0, 2.0, 5.0, 9.0, 20.0];
-        let b: Vec<f64> = a.iter().map(|x| x * x).collect(); // monotone
-        assert!((spearman_rho(&a, &b).unwrap() - 1.0).abs() < 1e-12);
-        let rev: Vec<f64> = a.iter().map(|x| -x).collect();
-        assert!((spearman_rho(&a, &rev).unwrap() + 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn pearson_constant_vector_none() {
-        assert_eq!(pearson(&[1.0, 1.0, 1.0], &[1.0, 2.0, 3.0]), None);
-        assert_eq!(pearson(&[1.0], &[2.0]), None);
-    }
-
-    #[test]
-    fn pearson_known_value() {
-        let a = [1.0, 2.0, 3.0];
-        let b = [2.0, 4.0, 6.0];
-        assert!((pearson(&a, &b).unwrap() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn top_k_indices_ordering_and_ties() {
-        let v = [3.0, 9.0, 1.0, 9.0, 7.0];
-        assert_eq!(top_k_indices(&v, 3), vec![1, 3, 4]);
-        assert_eq!(top_k_indices(&v, 0), Vec::<usize>::new());
-        assert_eq!(top_k_indices(&v, 10), vec![1, 3, 4, 0, 2]);
     }
 }
