@@ -69,8 +69,9 @@
 //! seal, each worker scores its lanes against it (the controlled lane's
 //! owner then runs the controller step) and answers on its own report
 //! queue, and the caller puts the replies back into lane order. A
-//! `threads(n)` monitor runs exactly `n` pool threads. The guarantees,
-//! pinned by the `worker_runtime` suite and the golden conformance matrix:
+//! `threads(n)` monitor runs exactly `n` pool threads (the `pool_threads`
+//! suite counts them). The guarantees, pinned by the `worker_runtime` suite
+//! and the golden conformance matrix:
 //!
 //! * **Determinism** — reports are bit-identical to the serial engine for
 //!   every thread count, chunking and entry point. The truth is classified

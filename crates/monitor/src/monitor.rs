@@ -2278,12 +2278,11 @@ mod tests {
     }
 
     #[test]
-    fn threaded_seals_outrun_their_reports_without_deadlock() {
-        // One packet a bin, all in one batch: the ingest thread seals about
-        // as often as it ships, so the work queues fill and replies queue up
-        // behind seals whose bin still waits on another worker. A worker
-        // never blocks on its reply, so every bin arrives, in order and
-        // equal to the serial engine's.
+    fn one_packet_bins_match_serial_across_threads() {
+        // One packet a bin, all in one batch: every shipped buffer is
+        // followed by a seal, so several seals are pending at once and each
+        // bin's replies are put back together while later bins are already
+        // queued. At 3 threads the controlled lane (lane 4) is worker 1's.
         let packets: Vec<PacketRecord> = (0..600)
             .map(|i| packet((i % 7) as u8, i as f64 * 60.0 + 1.0))
             .collect();
