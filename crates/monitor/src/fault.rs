@@ -431,11 +431,12 @@ pub enum DriveError {
         /// Work done and recoveries absorbed before the abort.
         stats: DriveStats,
     },
-    /// A worker thread of the pipelined runtime panicked. The monitor is
+    /// A lane shard of a `threads(n > 1)` monitor panicked. The monitor is
     /// poisoned: further fallible calls return this error again, infallible
     /// calls panic, and dropping the monitor is safe.
     WorkerPanicked {
-        /// Index of the worker that panicked, in `0..threads`.
+        /// Index of the shard that panicked, in `0..threads`; shard 0 runs
+        /// on the calling thread, the others on helpers.
         worker: usize,
         /// The bin the monitor was filling when the failure surfaced.
         bin: u64,

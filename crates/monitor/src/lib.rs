@@ -51,45 +51,39 @@
 //! [`MonitorBuilder::threads`] sharding (pinned by the
 //! `streaming_equivalence` integration suite).
 //!
-//! # The pipelined worker runtime
+//! # Lane shards: `threads(n)`
 //!
-//! [`MonitorBuilder::threads`] `(n > 1)` replaces the serial engine with a
-//! persistent worker pool — spawned once at `build()`, joined on drop — so
-//! ingestion and ground-truth classification (the caller's thread), lane
-//! work and scoring overlap across bins instead of barrier-stepping. There
-//! is one path in: the caller splits each batch on bin boundaries, derives
-//! keys once, classifies every packet into the bin's one ground-truth table
-//! — which gives the packet its flow id — and appends the segment (one
-//! packet or a whole bin) with its flow ids to a buffer that it broadcasts
-//! over bounded SPSC channels when it holds 4096 packets, when a bin seal
-//! needs it, or before it waits for a sealed bin's report. Worker `w` owns
-//! the strided lane set `{i : i mod n == w}` by value and runs the same
-//! lane body as the serial engine on them, so no packet takes a lock; at a
-//! seal the caller ranks the bin's truth once and sends the ranking with the
-//! seal, each worker scores its lanes against it (the controlled lane's
-//! owner then runs the controller step) and answers on its own report
-//! queue, and the caller puts the replies back into lane order. A
-//! `threads(n)` monitor runs exactly `n` pool threads (the `pool_threads`
-//! suite counts them). The guarantees, pinned by the `worker_runtime` suite
-//! and the golden conformance matrix:
+//! [`MonitorBuilder::threads`] `(n)` strides the lanes over `n` shards —
+//! lane `i` in shard `i mod n` — and keeps `n` threads busy, the caller
+//! included: the calling thread runs shard 0, and `n − 1` persistent
+//! helpers, spawned once at `build()` and joined on drop, run the others
+//! (the `pool_threads` suite counts them). There is one engine and one
+//! path in: the caller splits each batch on bin boundaries, derives keys
+//! once and classifies every packet into the bin's one ground-truth table,
+//! which gives the packet its flow id. With `threads(1)` it then offers the
+//! segment to every lane in place. Otherwise it appends the segment (one
+//! packet or a whole bin) with its flow ids to one 4096-packet buffer and
+//! forks when the buffer is full or a bin seal needs it: every helper
+//! offers the buffer to its lanes while the caller offers it to shard 0,
+//! and the caller waits for every helper's ack. At a seal the caller ranks
+//! the bin's truth once, every shard scores its lanes against that ranking
+//! in the same fork, and the caller puts the scores back into lane order.
+//! The guarantees, pinned by the `worker_runtime` suite and the golden
+//! conformance matrix:
 //!
-//! * **Determinism** — reports are bit-identical to the serial engine for
-//!   every thread count, chunking and entry point. The truth is classified
-//!   in stream order on one thread, as the serial engine does it, so flow
-//!   ids agree, and every queue carries the same message sequence, so
-//!   scheduling is invisible in the output.
-//! * **Backpressure** — segment queues are bounded (`sync_channel`): a
-//!   source that outruns the pool blocks in `push_batch_into` instead of
-//!   buffering unbounded work, which keeps `drive`'s bounded-memory
-//!   promise intact. Because the caller coalesces, queue traffic follows
+//! * **Determinism** — reports are bit-identical for every thread count,
+//!   chunking and entry point. The truth is classified in stream order on
+//!   the calling thread at every thread count, so flow ids agree, and every
+//!   lane sees every packet in order with its own RNG.
+//! * **Bounded hand-offs** — because the caller coalesces, forks follow
 //!   the packet count, not the call count: a one-record batch is a column
-//!   append that pays one hand-off per 4096 packets
-//!   ([`Monitor::segment_stats`] counts the buffers shipped).
-//! * **Ordering & shutdown** — sinks observe bins strictly in order with
-//!   reports delivered on the calling thread; synchronous entry points
-//!   drain fully before returning, so no report is ever in flight when a
-//!   call returns. Dropping the monitor mid-bin sends shutdown markers
-//!   behind in-flight work and joins every thread.
+//!   append that pays one fork per 4096 packets
+//!   ([`Monitor::segment_stats`] counts the buffers forked), and memory
+//!   stays flows + one buffer.
+//! * **Ordering & shutdown** — every bin is scored and delivered on the
+//!   calling thread before the call that closed it returns, strictly in
+//!   order. Dropping the monitor mid-bin drops the helpers' senders, which
+//!   ends them, and joins every thread.
 //!
 //! # The source/sink pipeline and `drive`
 //!
@@ -163,9 +157,9 @@
 //!   debug-assert/silent-fold default, fail-fast
 //!   [`TimestampPolicy::Reject`], or counted
 //!   [`TimestampPolicy::ClampAndCount`].
-//! * **Poisoned** — a panic on a worker thread of the pipelined runtime is
-//!   caught and recorded, and the drive aborts with
-//!   [`DriveError::WorkerPanicked`]. The monitor is then
+//! * **Poisoned** — a panic in a lane shard of a `threads(n > 1)` monitor,
+//!   on the calling thread or on a helper, is caught and recorded, and the
+//!   drive aborts with [`DriveError::WorkerPanicked`]. The monitor is then
 //!   *poisoned but droppable*: further fallible calls return the same
 //!   error, infallible entry points panic (one clean panic — never the old
 //!   double-panic abort), and dropping the monitor joins every thread

@@ -12,9 +12,9 @@
 //! truth **once** and scores every lane against that single ranking — with
 //! `runs × rates` lanes this removes the `runs × rates` redundant
 //! reclassifications the batch API used to pay. The lane work is written
-//! once, in `LaneShard`; the serial engine and the pipelined runtime's
-//! workers differ only in which lanes they hold, and the ground truth lives
-//! with whichever thread derives keys.
+//! once, in `LaneShard`: a monitor has one engine, whose lanes are strided
+//! over `threads` shards, and the ground truth always lives with the
+//! calling thread.
 
 use std::ops::Range;
 use std::time::{Duration, Instant};
@@ -31,7 +31,7 @@ use flowrank_topk::{FlowMemory, TopKTracker};
 use crate::fault::{DriveError, DrivePolicy, DriveStats, SinkError, TimestampPolicy};
 use crate::pipeline::{Collect, DriveSummary, PacketSource, ReportSink};
 use crate::report::{BinReport, ControllerTrail, LaneReport, TopKReport};
-use crate::runtime::{PipelinedRuntime, RuntimeFailure};
+use crate::runtime::{Fork, RuntimeFailure};
 use crate::spec::{SamplerSpec, TopKSpec};
 
 /// Salt mixed into a lane's seed for its top-k backend RNG, so that backend
@@ -72,7 +72,8 @@ pub struct MonitorBuilder {
     threads: usize,
     controller: Option<ControllerSpec>,
     drive_policy: DrivePolicy,
-    lane_panic_after: Option<u64>,
+    /// The chaos hook's lane and packet limit.
+    lane_panic: Option<(usize, u64)>,
     flow_budget: Option<usize>,
 }
 
@@ -90,7 +91,7 @@ impl Default for MonitorBuilder {
             threads: 1,
             controller: None,
             drive_policy: DrivePolicy::strict(),
-            lane_panic_after: None,
+            lane_panic: None,
             flow_budget: None,
         }
     }
@@ -181,27 +182,24 @@ impl MonitorBuilder {
         self
     }
 
-    /// Worker threads for batch processing (default 1).
+    /// Busy threads for batch processing, the calling thread included
+    /// (default 1).
     ///
-    /// Above 1, `build()` spawns a **persistent pipelined worker runtime**
-    /// (torn down when the monitor drops): the calling thread becomes the
-    /// ingest stage — splitting batches on bin boundaries, deriving keys and
-    /// classifying every packet into the bin's ground truth, which gives it
-    /// a flow id — and coalesces everything it is given, from one-packet
-    /// pushes to whole-bin batches, into 4096-packet buffers of packets and
-    /// flow ids that it broadcasts over bounded queues to one lane worker
-    /// per thread (a bin seal ships a partly filled buffer first, and so
-    /// does a call about to wait for a sealed bin's report). Worker *w*
-    /// owns every lane with index ≡ *w* (mod threads) outright, so no
-    /// packet takes a lock. At each bin seal the ingest stage ranks the
-    /// truth once, clears it and sends the ranking down the queues with the
-    /// seal; every worker scores its lanes against it (the one owning a
-    /// controller's lane then runs the control step and retunes that lane)
-    /// and answers on its own report queue, and the ingest stage
-    /// reassembles the replies into the [`BinReport`] in lane order. The
-    /// pool is exactly `threads` workers. Ingestion, lane work and scoring
-    /// overlap instead of barrier-stepping, and the bounded work queues
-    /// provide backpressure so peak memory stays flows + in-flight buffers.
+    /// The lanes are strided over `threads` shards: shard *s* holds every
+    /// lane with index ≡ *s* (mod threads). The calling thread runs shard 0,
+    /// and above 1, `build()` spawns `threads − 1` **persistent** helpers
+    /// for the others (joined when the monitor drops). The calling thread
+    /// splits batches on bin boundaries, derives keys and classifies every
+    /// packet into the bin's ground truth, which gives it a flow id, and
+    /// appends everything it is given, from one-packet pushes to whole-bin
+    /// batches, to one 4096-packet buffer of packets and flow ids. When the
+    /// buffer is full, or a bin seal needs it, the caller forks: every
+    /// helper offers the buffer to its lanes while the caller offers it to
+    /// shard 0, and the caller waits for every helper's ack. At a seal the
+    /// caller ranks the truth once, every shard scores its lanes against
+    /// that ranking in the same fork, and the caller interleaves the scores
+    /// into the [`BinReport`] in lane order and runs the control step. No
+    /// packet takes a lock, and memory stays flows + one buffer.
     ///
     /// Every lane still sees every packet in order with its own RNG, so
     /// reports are **bit-identical** across thread counts and ingestion
@@ -263,13 +261,18 @@ impl MonitorBuilder {
     }
 
     /// Chaos-testing hook: makes lane 0 panic once it has been offered more
-    /// than `packets` packets. With `threads(n > 1)` the panic lands on a
-    /// worker thread and exercises the containment path
+    /// than `packets` packets. With `threads(n > 1)` the panic lands in
+    /// shard 0, on the calling thread, and exercises the containment path
     /// ([`DriveError::WorkerPanicked`], poisoned-but-droppable monitor); the
     /// chaos suite drives it through `flowrank_sim::faults`. Not for
     /// production use.
-    pub fn inject_lane_panic_after(mut self, packets: u64) -> Self {
-        self.lane_panic_after = Some(packets);
+    pub fn inject_lane_panic_after(self, packets: u64) -> Self {
+        self.inject_lane_panic(0, packets)
+    }
+
+    /// [`MonitorBuilder::inject_lane_panic_after`] on any lane.
+    fn inject_lane_panic(mut self, lane: usize, packets: u64) -> Self {
+        self.lane_panic = Some((lane, packets));
         self
     }
 
@@ -347,35 +350,35 @@ impl MonitorBuilder {
                 observation: BinObservation::default(),
             }
         });
-        if let Some(limit) = self.lane_panic_after {
-            if let Some(lane) = lanes.first_mut() {
+        if let Some((lane, limit)) = self.lane_panic {
+            if let Some(lane) = lanes.get_mut(lane) {
                 lane.panic_after = Some(limit);
             }
         }
         let threads = self.threads.max(1);
         let lane_count = lanes.len();
-        let controller_name = controller.as_ref().map(|state| state.controller.name());
-        let engine = if threads > 1 {
+        let (shard, fork) = if threads > 1 {
             assert!(
                 budget.is_none(),
                 "flow_budget requires threads(1): budgets are enforced by the \
                  serial engine (fleet tenants parallelise at the fleet level)"
             );
-            Engine::Pipelined(PipelinedRuntime::spawn(
-                lanes, controller, threads, self.top_t,
-            ))
+            let (shard, fork) = Fork::spawn(lanes, threads, self.top_t);
+            (shard, Some(Box::new(fork)))
         } else {
-            Engine::Serial(SerialEngine {
-                truth: FlowTable::new(),
-                flow_budget: budget,
-                evictions: 0,
-                shard: LaneShard::new(lanes),
-                controller,
-                ids: Vec::new(),
-                evicted: Vec::new(),
-                segments: 0,
-                report: BinReport::default(),
-            })
+            (LaneShard::new(lanes), None)
+        };
+        let engine = Engine {
+            truth: FlowTable::new(),
+            flow_budget: budget,
+            evictions: 0,
+            shard,
+            controller,
+            ids: Vec::new(),
+            evicted: Vec::new(),
+            segments: 0,
+            report: BinReport::default(),
+            fork,
         };
         Monitor {
             flow_definition: self.flow_definition,
@@ -383,7 +386,6 @@ impl MonitorBuilder {
             top_t: self.top_t,
             engine,
             lane_count,
-            controller_name,
             current_bin: 0,
             saw_packet: false,
             last_ts_nanos: None,
@@ -398,10 +400,10 @@ impl MonitorBuilder {
 /// everything needed to derive its per-bin observation and retune the
 /// controlled lane.
 #[derive(Debug)]
-pub(crate) struct ControllerState {
+struct ControllerState {
     controller: Box<dyn RateController + Send>,
     /// Index of the controlled lane in the monitor's lane list.
-    pub(crate) lane: usize,
+    lane: usize,
     /// Sampler template re-targeted (`SamplerSpec::with_rate`) at every
     /// retune.
     template: SamplerSpec,
@@ -415,16 +417,16 @@ pub(crate) struct ControllerState {
 }
 
 impl ControllerState {
-    /// The per-bin control step, shared verbatim by the serial engine and
-    /// the pipelined worker that owns the controlled lane, so controller
-    /// decisions stay a pure function of the report stream: derives the
+    /// The per-bin control step, run on the calling thread after every lane
+    /// is scored, so controller decisions stay a pure function of the
+    /// report stream at every thread count: derives the
     /// [`BinObservation`] from the controlled lane's scored report and the
     /// bin's still-live ranking (whose population is the bin's flows), marks
     /// the lane controlled, and returns the decision trail plus — when the
     /// decided rate differs from the applied one — the rate tag and
     /// re-targeted sampler spec the controlled lane must be rebuilt with
     /// before the next bin's packets.
-    pub(crate) fn step(
+    fn step(
         &mut self,
         bin_index: u64,
         packets: u64,
@@ -891,10 +893,9 @@ pub struct Monitor {
     bin_length: Timestamp,
     top_t: usize,
     engine: Engine,
-    /// Fixed at `build()`: the lanes and the controller move into the
-    /// engine (and, on the pipelined one, on to its threads).
+    /// Fixed at `build()`: the lanes move into the engine (and those of
+    /// shards past the first on to its helpers).
     lane_count: usize,
-    controller_name: Option<&'static str>,
     current_bin: u64,
     saw_packet: bool,
     /// Largest timestamp pushed so far — backs the debug assertion that the
@@ -906,32 +907,18 @@ pub struct Monitor {
     /// Lifetime count of timestamp regressions absorbed under
     /// [`TimestampPolicy::ClampAndCount`].
     clamped_timestamps: u64,
-    /// Set once a pool thread panicked: `(worker, bin)` of the first
+    /// Set once a lane shard panicked: `(worker, bin)` of the first
     /// detected failure. A poisoned monitor returns the same
     /// [`DriveError::WorkerPanicked`] from every fallible call (infallible
     /// entry points panic — once, cleanly) and drops safely.
     poisoned: Option<(usize, u64)>,
 }
 
-/// How the monitor executes classification and bin seals: entirely on the
-/// calling thread (`threads(1)`, the default), or on the persistent
-/// pipelined worker pool spawned at `build()` (`threads(n > 1)`). The two
-/// engines produce bit-identical reports; only the execution schedule
-/// differs.
-// One per monitor, and the large variant is the common one (fleet tenants
-// are always serial): boxing it would only add a pointer chase per segment.
-#[allow(clippy::large_enum_variant)]
-#[derive(Debug)]
-enum Engine {
-    Serial(SerialEngine),
-    Pipelined(PipelinedRuntime),
-}
-
 /// The lanes one thread holds, and the per-bin lane work of the paper's
-/// Sec. 8 experiment, written once for both engines: offer every segment to
+/// Sec. 8 experiment, written once for every shard: offer every segment to
 /// every lane and, at the seal, score each lane against the bin's one
-/// ranking. The serial engine holds every lane; pool worker *w* holds the
-/// lanes whose index is ≡ *w* (mod threads).
+/// ranking. A `threads(1)` monitor's one shard holds every lane; otherwise
+/// shard *s* holds the lanes whose index is ≡ *s* (mod threads).
 #[derive(Debug)]
 pub(crate) struct LaneShard {
     lanes: Vec<Lane>,
@@ -989,18 +976,20 @@ impl LaneShard {
 
 /// A bin's ground-truth flow sizes in flow-id order, the input
 /// [`GroundTruthRanking::new`] maps ids to ranks from.
-pub(crate) fn sized_flows(table: &FlowTable<AnyFlowKey>) -> Vec<SizedFlow<AnyFlowKey>> {
+fn sized_flows(table: &FlowTable<AnyFlowKey>) -> Vec<SizedFlow<AnyFlowKey>> {
     table
         .iter_sizes()
         .map(|(key, packets)| SizedFlow { key, packets })
         .collect()
 }
 
-/// The single-threaded engine: the bin's ground truth, the one shard with
-/// every lane, and the controller, all driven on the calling thread, so
-/// `threads(1)` pays zero synchronisation cost.
+/// The monitor's engine: the bin's ground truth, the calling thread's lane
+/// shard and the controller, all driven on the calling thread, plus the
+/// helpers of the other shards on a `threads(n > 1)` monitor. A
+/// `threads(1)` monitor has no helpers, offers each segment in place and
+/// pays zero synchronisation cost.
 #[derive(Debug)]
-struct SerialEngine {
+struct Engine {
     truth: FlowTable<AnyFlowKey>,
     /// Per-table flow cap ([`MonitorBuilder::flow_budget`]), enforced
     /// packet-by-packet so eviction points are independent of how the
@@ -1022,16 +1011,28 @@ struct SerialEngine {
     /// the report shell (only attached top-k backends still build their
     /// per-bin entry lists).
     report: BinReport,
+    /// The helpers of shards 1.. and the buffer forked to them; boxed, so a
+    /// `threads(1)` monitor (a fleet holds thousands) carries one pointer.
+    fork: Option<Box<Fork>>,
 }
 
-impl SerialEngine {
+impl Engine {
     /// Classifies one within-bin segment into the ground truth — deriving
     /// each packet's key and taking its flow id from the same probe — and
-    /// offers it to every lane. In a budgeted monitor a packet that brings
-    /// the truth to its high-water mark first has the lanes take the
+    /// offers it to every lane: in place on a `threads(1)` monitor, through
+    /// the fork's buffer otherwise. In a budgeted monitor a packet that
+    /// brings the truth to its high-water mark first has the lanes take the
     /// packets up to it, while their ids still hold, and then the truth's
     /// evictions move the lanes' counts.
-    fn observe(&mut self, definition: FlowDefinition, batch: &PacketBatch, range: Range<usize>) {
+    fn observe(
+        &mut self,
+        definition: FlowDefinition,
+        batch: &PacketBatch,
+        range: Range<usize>,
+    ) -> Result<(), RuntimeFailure> {
+        if let Some(fork) = &mut self.fork {
+            return fork.append(&mut self.shard, &mut self.truth, definition, batch, range);
+        }
         self.segments += 1;
         self.ids.clear();
         let mut start = range.start;
@@ -1064,6 +1065,7 @@ impl SerialEngine {
         if start < range.end {
             self.offer(batch, start..range.end);
         }
+        Ok(())
     }
 
     /// Offers `batch[range]`, whose flow ids `ids` holds, to every lane.
@@ -1080,7 +1082,12 @@ impl SerialEngine {
     /// Ranks the ground truth once, scores every lane against it, clears
     /// the truth, writes the bin report into the recycled buffer, runs the
     /// control step and resets all per-bin state.
-    fn seal_bin(&mut self, bin_index: u64, bin_start: Timestamp, top_t: usize) -> &BinReport {
+    fn seal_bin(
+        &mut self,
+        bin_index: u64,
+        bin_start: Timestamp,
+        top_t: usize,
+    ) -> Result<&BinReport, RuntimeFailure> {
         let report = &mut self.report;
         // One classification and one sort per bin, regardless of lane
         // count: this is the entire point of the shared-ground-truth
@@ -1095,8 +1102,11 @@ impl SerialEngine {
         report.bin_start = bin_start;
         report.packets = self.truth.total_packets();
         report.flows = flows.len();
-        let truth = GroundTruthRanking::new(flows, top_t);
-        self.shard.score(&truth, top_t, &mut report.lanes);
+        let mut truth = GroundTruthRanking::new(flows, top_t);
+        match &mut self.fork {
+            None => self.shard.score(&truth, top_t, &mut report.lanes),
+            Some(fork) => truth = fork.seal(&mut self.shard, truth, &mut report.lanes)?,
+        }
         self.truth.clear();
         report.evictions = std::mem::take(&mut self.evictions) + self.shard.take_evictions();
         // The control step runs after lane scoring while the bin's ranking
@@ -1108,10 +1118,13 @@ impl SerialEngine {
             let (trail, retune) = state.step(bin_index, report.packets, lane, &truth, top_t);
             report.controller = Some(trail);
             if let Some((rate, spec)) = retune {
-                self.shard.retune(state.lane, rate, spec);
+                match &mut self.fork {
+                    None => self.shard.retune(state.lane, rate, spec),
+                    Some(fork) => fork.retune(&mut self.shard, state.lane, rate, spec),
+                }
             }
         }
-        report
+        Ok(report)
     }
 }
 
@@ -1132,28 +1145,23 @@ impl Monitor {
     }
 
     /// Work units since the monitor was built: `.0` is the within-bin
-    /// segments the serial engine processed on the calling thread, `.1` the
-    /// keyed buffers the pipelined runtime shipped to its worker pool. One
-    /// of the two is always 0 — a monitor has one engine — and `.1` grows
-    /// with the packet count, not the number of pushes, because the ingest
-    /// thread coalesces ([`MonitorBuilder::threads`]).
+    /// segments a `threads(1)` monitor offered in place, `.1` the keyed
+    /// buffers a `threads(n > 1)` monitor forked to its helpers. One of the
+    /// two is always 0, and `.1` grows with the packet count, not the
+    /// number of pushes, because the calling thread coalesces
+    /// ([`MonitorBuilder::threads`]).
     pub fn segment_stats(&self) -> (u64, u64) {
-        match &self.engine {
-            Engine::Serial(engine) => (engine.segments, 0),
-            Engine::Pipelined(runtime) => (0, runtime.shipped()),
-        }
+        let shipped = self.engine.fork.as_ref().map_or(0, |fork| fork.shipped());
+        (self.engine.segments, shipped)
     }
 
     /// The configured per-table flow cap ([`MonitorBuilder::flow_budget`]),
     /// `None` when the monitor runs unbudgeted.
     pub fn flow_budget(&self) -> Option<usize> {
-        match &self.engine {
-            Engine::Serial(engine) => engine.flow_budget.map(FlowBudget::cap),
-            Engine::Pipelined(_) => None,
-        }
+        self.engine.flow_budget.map(FlowBudget::cap)
     }
 
-    /// Whether a worker-pool thread has panicked. A poisoned monitor keeps
+    /// Whether a lane shard has panicked. A poisoned monitor keeps
     /// returning [`DriveError::WorkerPanicked`] from fallible calls and can
     /// be dropped safely, but can do no further work.
     pub fn is_poisoned(&self) -> bool {
@@ -1162,7 +1170,8 @@ impl Monitor {
 
     /// Name of the attached rate controller, when one is attached.
     pub fn controller_name(&self) -> Option<&'static str> {
-        self.controller_name
+        let state = self.engine.controller.as_ref();
+        state.map(|state| state.controller.name())
     }
 
     /// Observes a batch of packets and delivers every bin its timestamps
@@ -1181,10 +1190,10 @@ impl Monitor {
     /// cutting the stream into batches, down to one packet each.
     ///
     /// With [`MonitorBuilder::threads`] above 1, the calling thread
-    /// classifies the ground truth and hands the segments, with their flow
-    /// ids, to the worker pool, across which the lanes are split — with
-    /// reports bit-identical to the single-threaded engine (pinned by the
-    /// `streaming_equivalence` suite). The report a sink receives is backed
+    /// classifies the ground truth and forks the segments, with their flow
+    /// ids, to the helpers, across which the lanes are split — with reports
+    /// bit-identical to `threads(1)` (pinned by the `streaming_equivalence`
+    /// suite). The report a sink receives is backed
     /// by a buffer the monitor recycles across bins, so steady-state bin
     /// closes are allocation-free on the monitor side.
     pub fn push_batch_into<K: ReportSink + ?Sized>(&mut self, batch: &PacketBatch, sink: &mut K) {
@@ -1209,7 +1218,7 @@ impl Monitor {
     /// Fallible form of [`Monitor::push_range_into`]: instead of panicking,
     /// surfaces a timestamp regression rejected by
     /// [`TimestampPolicy::Reject`] as [`DriveError::TimestampRegression`]
-    /// and a worker-pool panic as [`DriveError::WorkerPanicked`] (after
+    /// and a lane-shard panic as [`DriveError::WorkerPanicked`] (after
     /// which the monitor is poisoned — every further fallible call returns
     /// the same error, and dropping it is safe). The `stats` carried on
     /// these errors are empty; [`Monitor::try_drive`] fills them in for a
@@ -1241,7 +1250,7 @@ impl Monitor {
                 .bin_index(self.bin_length)
                 .max(self.current_bin);
             while bin > self.current_bin {
-                self.emit_current_bin(sink);
+                self.emit_current_bin(sink)?;
             }
             let mut end = start + 1;
             while end < range.end
@@ -1249,29 +1258,15 @@ impl Monitor {
             {
                 end += 1;
             }
-            self.process_segment(batch, start..end, sink);
+            self.saw_packet = true;
+            let observed = self.engine.observe(self.flow_definition, batch, start..end);
+            observed.map_err(|failure| self.poison(failure))?;
             start = end;
-        }
-        self.await_seals(sink)
-    }
-
-    /// Tail barrier of the pipelined runtime: every bin the enclosing call
-    /// sealed reaches the sink before it returns, keeping the synchronous
-    /// API contract. (Observation work may still be in flight or waiting in
-    /// the unshipped buffer — that is the pipelining — only *seals* are
-    /// awaited.) A panic on a pool thread surfaces here: either the drain
-    /// observes the disconnect, or the failure cell is already set.
-    fn await_seals<K: ReportSink + ?Sized>(&mut self, sink: &mut K) -> Result<(), DriveError> {
-        if let Engine::Pipelined(runtime) = &mut self.engine {
-            let drained = runtime.drain_into(sink);
-            if let Some(failure) = drained.err().or_else(|| runtime.failure()) {
-                return Err(self.poison(failure));
-            }
         }
         Ok(())
     }
 
-    /// Latches the poisoned state from a recorded pool failure and converts
+    /// Latches the poisoned state from a recorded shard failure and converts
     /// it to the error every subsequent fallible call will keep returning.
     fn poison(&mut self, failure: RuntimeFailure) -> DriveError {
         self.poisoned
@@ -1279,7 +1274,7 @@ impl Monitor {
         self.poisoned_error().expect("just latched")
     }
 
-    /// The latched poison error, when a pool thread has panicked.
+    /// The latched poison error, when a lane shard has panicked.
     fn poisoned_error(&self) -> Option<DriveError> {
         self.poisoned
             .map(|(worker, bin)| DriveError::WorkerPanicked {
@@ -1352,26 +1347,6 @@ impl Monitor {
         Ok(())
     }
 
-    /// Feeds one within-bin segment of a batch to the ground truth and the
-    /// lanes: observed here and now on the serial engine, keyed and appended
-    /// to the worker pool's next buffer on the pipelined one (which also
-    /// picks up any report that finished in the meantime).
-    fn process_segment<K: ReportSink + ?Sized>(
-        &mut self,
-        batch: &PacketBatch,
-        range: Range<usize>,
-        sink: &mut K,
-    ) {
-        self.saw_packet = true;
-        match &mut self.engine {
-            Engine::Serial(engine) => engine.observe(self.flow_definition, batch, range),
-            Engine::Pipelined(runtime) => {
-                runtime.append_segment(self.flow_definition, batch, range);
-                runtime.try_drain_into(sink);
-            }
-        }
-    }
-
     /// Closes the bin currently being filled (when any packet started one)
     /// and delivers its report by reference. Call at the end of a trace.
     /// Returns whether a bin was closed.
@@ -1382,7 +1357,7 @@ impl Monitor {
         }
     }
 
-    /// Fallible form of [`Monitor::finish_into`]: a worker-pool panic
+    /// Fallible form of [`Monitor::finish_into`]: a lane-shard panic
     /// surfaces as [`DriveError::WorkerPanicked`] instead of panicking the
     /// calling thread.
     pub(crate) fn try_finish_into<K: ReportSink + ?Sized>(
@@ -1395,8 +1370,7 @@ impl Monitor {
         if !self.saw_packet {
             return Ok(false);
         }
-        self.emit_current_bin(sink);
-        self.await_seals(sink)?;
+        self.emit_current_bin(sink)?;
         self.saw_packet = false;
         Ok(true)
     }
@@ -1497,7 +1471,7 @@ impl Monitor {
     ///   least [`DrivePolicy::stall_timeout`] of wall time aborts
     ///   ([`DriveError::SourceStalled`]);
     /// * timestamp regressions follow [`DrivePolicy::timestamps`], and a
-    ///   worker-pool panic aborts with [`DriveError::WorkerPanicked`].
+    ///   lane-shard panic aborts with [`DriveError::WorkerPanicked`].
     ///
     /// On success returns the [`DriveStats`] health report; every abort
     /// carries the stats accumulated up to that point in its `stats` field.
@@ -1622,30 +1596,19 @@ impl Monitor {
         }
     }
 
-    /// Closes the bin currently being filled and advances to the next one.
-    /// The serial engine seals synchronously into its recycled report; the
-    /// pipelined engine ships what it has buffered, ranks the bin and
-    /// broadcasts the seal with the ranking down the worker queues behind
-    /// it — the caller assembles the reports whose replies have all arrived
-    /// here and drains the rest before the enclosing call returns, so the
-    /// sink still sees every bin in order.
-    fn emit_current_bin<K: ReportSink + ?Sized>(&mut self, sink: &mut K) {
+    /// Closes the bin currently being filled, delivers its report into
+    /// the sink and advances to the next one.
+    fn emit_current_bin<K: ReportSink + ?Sized>(&mut self, sink: &mut K) -> Result<(), DriveError> {
         let bin_index = self.current_bin;
         let bin_start =
             Timestamp::from_micros(bin_index.saturating_mul(self.bin_length.as_micros()));
         self.current_bin += 1;
-        match &mut self.engine {
-            Engine::Serial(engine) => {
-                sink.accept(engine.seal_bin(bin_index, bin_start, self.top_t));
+        match self.engine.seal_bin(bin_index, bin_start, self.top_t) {
+            Ok(report) => {
+                sink.accept(report);
+                Ok(())
             }
-            Engine::Pipelined(runtime) => {
-                // When a worker has died the seal send to it fails
-                // silently; the enclosing call's tail `drain_into` observes
-                // its report queue's disconnect and surfaces the recorded
-                // failure.
-                runtime.dispatch_seal(bin_index, bin_start);
-                runtime.try_drain_into(sink);
-            }
+            Err(failure) => Err(self.poison(failure)),
         }
     }
 }
@@ -2047,7 +2010,7 @@ mod tests {
         assert_eq!(baseline.len(), 3, "bins 0, 1 (idle) and 2");
         for threads in [2, 3, 8] {
             let mut monitor = build(threads);
-            assert!(matches!(monitor.engine, Engine::Pipelined(_)));
+            assert!(monitor.engine.fork.is_some());
             assert_eq!(run(&mut monitor, &packets), baseline, "{threads} threads");
         }
     }
@@ -2301,6 +2264,37 @@ mod tests {
         assert_eq!(baseline.len(), 600);
         for threads in [2, 3] {
             assert_eq!(run(&mut build(threads), &packets), baseline, "{threads}");
+        }
+    }
+
+    #[test]
+    fn a_panicking_shard_poisons_the_monitor_on_the_caller_and_on_a_helper() {
+        // On threads(3) lane 0 is in shard 0, which the calling thread runs;
+        // lanes 4 and 5 are in shards 1 and 2, which helpers run. Each
+        // panic is the shard's WorkerPanicked, the monitor stays poisoned,
+        // and the drop joins every helper.
+        let batch = PacketBatch::from_records(&four_bins());
+        for lane in [0, 4, 5] {
+            let mut monitor = Monitor::builder()
+                .sampler(SamplerSpec::Random { rate: 0.5 })
+                .rates(&[0.1, 0.5])
+                .runs(3)
+                .bin_length(Timestamp::from_secs_f64(60.0))
+                .seed(41)
+                .threads(3)
+                .inject_lane_panic(lane, 100)
+                .build();
+            let mut sink = Collect::new();
+            let shard_of = |error: DriveError| match error {
+                DriveError::WorkerPanicked { worker, .. } => worker,
+                other => panic!("lane {lane}: expected WorkerPanicked, got {other:?}"),
+            };
+            let error = monitor.try_push_range_into(&batch, 0..batch.len(), &mut sink);
+            assert_eq!(shard_of(error.expect_err("the lane panics")), lane % 3);
+            assert!(monitor.is_poisoned());
+            let again = monitor.try_finish_into(&mut sink);
+            assert_eq!(shard_of(again.expect_err("still poisoned")), lane % 3);
+            drop(monitor);
         }
     }
 

@@ -1,110 +1,71 @@
-//! The pipelined worker runtime behind [`MonitorBuilder::threads`].
+//! The fork-join lane shards behind [`MonitorBuilder::threads`].
 //!
-//! A monitor built with `threads(n)`, `n > 1`, spawns a **persistent** pool
-//! of exactly `n` workers once, at `build()`, and tears it down on drop:
+//! A monitor built with `threads(n)`, `n > 1`, splits its lanes into `n`
+//! strided shards — lane `i` in shard `i % n` — keeps shard 0 on the
+//! calling thread and spawns `n − 1` **persistent** helpers for the others
+//! once, at `build()`; dropping the monitor joins them. So `threads(n)`
+//! keeps `n` threads busy, the caller included:
 //!
 //! ```text
-//!   caller (ingest: split bins, derive keys, classify the bin's ground
-//!     │      truth — each packet's flow id from the same probe — coalesce;
-//!     │      at a seal, rank the drained truth once)
-//!     │ bounded work queues, one per worker: packets + flow ids, and each
-//!     │ seal carrying the bin's ranking
-//!     ├─────────┬─────────┐
-//!     ▼         ▼         ▼
-//!  worker 0  worker 1  worker 2 …   every lane with index ≡ w (mod threads),
-//!  (lanes    (lanes                 counting kept packets by flow id; at a
-//!   0,3,6…)   1,4,7…)               seal, scoring them against the ranking
-//!     │         │         │         (the controlled lane's owner then runs
-//!     │         │         │         the control step and retunes it)
-//!     ▼         ▼         ▼
-//!   unbounded report queues, one per worker: scored lanes + controller trail
-//!     │
-//!     └──► caller interleaves them into lane order and delivers each
-//!          [`BinReport`] to the sink
+//!   caller: split bins, derive keys, classify the bin's ground truth (each
+//!     │     packet's flow id from the same probe), append to one buffer
+//!     │ fork: the full buffer (or, at a seal, what is left of it plus the
+//!     │       bin's ranking) to every helper
+//!     ├───────────┬───────────┐
+//!     ▼           ▼           ▼
+//!  shard 0     shard 1     shard 2 …   every lane with index ≡ s (mod n):
+//!  (caller;    (helper)    (helper)    offer the buffer, and at a seal
+//!   lanes                              score against the ranking
+//!   0,3,6…)
+//!     │           │           │
+//!     ◄───────────┴───────────┘ join: each helper acks, with its scores
+//!       at a seal; the caller interleaves them into lane order
 //! ```
 //!
-//! There is one path in: the caller appends every within-bin segment,
-//! whatever its size, to the segment buffer being filled — each packet's
-//! key derived once and classified into the bin's ground truth, whose
-//! probe returns the packet's flow id — and ships the buffer to every
-//! worker when it holds [`DISPATCH_CHUNK_PACKETS`] packets, when a bin seal
-//! needs everything before it observed, or when the caller is about to wait
-//! for a sealed bin's report (the pool may as well start on the next bin
-//! meanwhile). A one-record batch is therefore a column append, and a
-//! whole-bin batch is cut into full buffers. Each worker owns its
-//! [`LaneShard`] by value — the caller never touches a lane — so nothing on
-//! the packet path is locked.
-//!
-//! Ingestion, lane work and lane scoring **overlap**: while workers count
-//! one buffer, the caller is already copying and classifying the next, and
-//! while workers score bin *k*, the caller may already be classifying bin
-//! *k + 1*'s packets. The bounded work queues provide backpressure — a
-//! source that outruns the workers blocks in `send`, so peak memory stays
-//! `flows + in-flight buffers` no matter how long the trace is.
+//! The caller appends every within-bin segment, whatever its size, to one
+//! owned buffer of up to [`DISPATCH_CHUNK_PACKETS`] packets and their flow
+//! ids, and forks when the buffer is full or a seal needs it. A one-record
+//! push is therefore a column append, and a whole-bin batch is cut into
+//! full buffers. Nothing on the packet path is locked: the helpers only read
+//! the buffer, and each owns its shard by value.
 //!
 //! # Determinism
 //!
-//! Reports are **bit-identical** to the single-threaded path because nothing
-//! order-dependent is ever split:
-//!
-//! * every lane sees every packet in stream order with its own RNG — lanes
-//!   are *partitioned* across workers (strided, lane `i` on worker
-//!   `i % threads`), never shared or reordered;
-//! * the ground truth is one table, classified in stream order on the
-//!   calling thread exactly as the serial engine classifies it, so flow ids
-//!   and per-flow counters are the serial engine's too; at a seal the
-//!   caller ranks it and only then clears it, the serial engine's order;
-//! * every worker scores against that one ranking, and the caller puts the
-//!   replies back into lane order (worker `w`'s `k`-th lane is lane
-//!   `w + k·threads`);
-//! * the control step runs exactly where the serial path runs it — after
-//!   scoring, against the still-live ranking — on the worker that owns the
-//!   controlled lane, which applies the retune before it reads its next
-//!   message, so before the next bin's first packet.
-//!
-//! # Ordering and shutdown
-//!
-//! Every work queue carries the same message sequence, and each report
-//! queue answers its worker's seals in order, so the caller assembles every
-//! bin exactly once, in bin order. It delivers the finished bins before
-//! every `push_batch_into` / `finish_into` call returns, which is what
-//! keeps the synchronous API contract ("a push delivers the bins it
-//! closed") intact. The report queues are unbounded: the caller may be
-//! blocked sending to a full work queue while a worker answers a seal, and
-//! a bounded reply would deadlock the two. The only blocking points are
-//! work send and receive, report receive, and the joins on drop. On drop
-//! the runtime enqueues one `Shutdown` behind whatever is in flight and
-//! joins every worker — no detached threads, even when the monitor is
-//! dropped mid-bin (packets still in the unshipped buffer are simply
-//! dropped with it).
+//! Reports are **bit-identical** to `threads(1)` because nothing
+//! order-dependent is split: every lane sees every packet in stream order
+//! with its own RNG; the ground truth is one table the caller classifies in
+//! stream order; every shard scores against the one ranking, and shard
+//! `s`'s `k`-th lane is lane `s + k·n`. The caller runs the control step
+//! after the join, as the serial engine does, and a retune for a helper's
+//! lane rides that helper's next message, so it lands before the next
+//! bin's first packet.
 //!
 //! # Failure containment
 //!
-//! Every worker runs under `catch_unwind`: a panic is recorded in a shared
-//! failure cell **before** that worker's channels drop, so by the time the
-//! caller sees its report queue disconnect the failure is already
-//! observable through [`PipelinedRuntime::failure`]. Blocking drains return
-//! the failure instead of panicking, the monitor converts it into
-//! [`DriveError::WorkerPanicked`](crate::DriveError::WorkerPanicked), and
-//! `Drop` joins the (already self-terminated) thread without the old
-//! double-panic abort.
+//! Shard 0 runs under `catch_unwind` on the caller and every helper under
+//! its own. A panic is recorded in a shared failure cell — by a helper
+//! before its channels drop, so the caller never sees the disconnect first
+//! — and the fork returns it. The monitor converts it into
+//! [`DriveError::WorkerPanicked`](crate::DriveError::WorkerPanicked) with
+//! the shard index as `worker`. Dropping the senders ends every helper, and
+//! `Drop` joins them.
 
-use std::collections::VecDeque;
 use std::ops::Range;
-use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender, TryRecvError};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
 use flowrank_core::metrics::GroundTruthRanking;
-use flowrank_net::{AnyFlowKey, FlowDefinition, FlowTable, PacketBatch, Timestamp};
+use flowrank_net::{AnyFlowKey, FlowDefinition, FlowTable, PacketBatch};
 
-use crate::monitor::{sized_flows, ControllerState, Lane, LaneShard, Segment};
-use crate::pipeline::ReportSink;
-use crate::report::{BinReport, ControllerTrail, LaneReport};
+use crate::monitor::{Lane, LaneShard, Segment};
+use crate::report::LaneReport;
+use crate::spec::SamplerSpec;
 
-/// What a worker's `catch_unwind` recorded: which worker panicked
-/// (`0..threads`) and the panic payload's message. First failure wins;
-/// secondary panics on peers are caught and discarded.
+/// What a shard's `catch_unwind` recorded: which shard panicked
+/// (`0..threads`, 0 being the caller's) and the panic payload's message.
+/// First failure wins.
 #[derive(Debug, Clone)]
 pub(crate) struct RuntimeFailure {
     pub(crate) worker: usize,
@@ -114,444 +75,308 @@ pub(crate) struct RuntimeFailure {
     pub(crate) message: String,
 }
 
-/// Records a panic payload into the shared failure cell (first wins). Must
-/// run while the panicking thread's channel endpoints are still alive, so
-/// no other thread can observe the disconnect before the failure is
-/// readable.
+type FailureCell = Arc<Mutex<Option<RuntimeFailure>>>;
+
+/// Records a panic payload into the shared failure cell (first wins) and
+/// returns the failure the cell holds.
 fn record_failure(
     cell: &Mutex<Option<RuntimeFailure>>,
     worker: usize,
     payload: &(dyn std::any::Any + Send),
-) {
+) -> RuntimeFailure {
     let message = payload
         .downcast_ref::<&str>()
         .map(|s| (*s).to_string())
         .or_else(|| payload.downcast_ref::<String>().cloned())
         .unwrap_or_else(|| "unknown panic payload".to_string());
     let mut slot = cell.lock().unwrap_or_else(|poison| poison.into_inner());
-    if slot.is_none() {
-        *slot = Some(RuntimeFailure { worker, message });
-    }
+    slot.get_or_insert(RuntimeFailure { worker, message })
+        .clone()
 }
 
-/// Runs a worker's loop under `catch_unwind`. The loop's state lives in the
-/// closure, outside the catch: a panic is recorded while the worker's
-/// channels are still open, so the caller cannot see the disconnect before
-/// the failure is readable.
-fn spawn_contained(
-    index: usize,
-    failure: &Arc<Mutex<Option<RuntimeFailure>>>,
-    mut run: impl FnMut() + Send + 'static,
-) -> JoinHandle<()> {
-    let failure = Arc::clone(failure);
-    std::thread::Builder::new()
-        .name(format!("flowrank-worker-{index}"))
-        .spawn(move || {
-            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(&mut run));
-            if let Err(payload) = result {
-                record_failure(&failure, index, payload.as_ref());
-            }
-        })
-        .expect("spawn flowrank pool thread")
-}
-
-/// Depth of each worker's bounded segment queue. This is the backpressure
-/// knob: the caller blocks once any worker falls this many buffers behind,
-/// bounding in-flight memory to a handful of segment buffers.
-const SEGMENT_QUEUE_DEPTH: usize = 4;
-
-/// Packets per shipped segment buffer. Within-bin segments of any size are
-/// coalesced into buffers of this size, so ingest (key derivation + copy)
-/// and worker classification overlap instead of serialising on one giant
-/// hand-off, and a stream of tiny pushes costs one hand-off per buffer
-/// rather than one per push.
+/// Packets per forked buffer. Within-bin segments of any size are
+/// coalesced into buffers of this size, so a stream of tiny pushes costs
+/// one fork per buffer rather than one per push.
 const DISPATCH_CHUNK_PACKETS: usize = 4096;
 
 /// One decoded slice of the packet stream with the ground-truth flow id of
-/// every packet, shared read-only with every worker. Buffers are recycled
-/// through a small pool once all workers drop their handles.
-#[derive(Debug, Default)]
+/// every packet, lent read-only to every helper for one fork.
+#[derive(Default)]
 struct SegmentBuf {
     batch: PacketBatch,
-    /// Flow id of each packet in the bin's ground truth, assigned by the
-    /// ingest stage.
+    /// Flow id of each packet in the bin's ground truth.
     ids: Vec<u32>,
     /// The truth's flow count once it observed the buffer's last packet.
     flows: usize,
 }
 
-/// A closed bin as every worker receives it: its header and its ground
-/// truth, ranked once by the ingest stage.
-struct SealedBin {
-    bin_index: u64,
-    bin_start: Timestamp,
-    /// Packets observed in the bin (before sampling).
-    packets: u64,
-    /// Its population is the bin's flows.
-    ranking: GroundTruthRanking<AnyFlowKey>,
+type Ranking = GroundTruthRanking<AnyFlowKey>;
+
+/// One fork's work for a helper: first the retune its controlled lane is
+/// owed (position in its shard, rate tag, spec), then the buffer to offer
+/// to its lanes, then the ranking to score them against at a seal.
+struct Work {
+    retune: Option<(usize, f64, SamplerSpec)>,
+    segment: Option<Arc<SegmentBuf>>,
+    seal: Option<Arc<Ranking>>,
 }
 
-/// Work-queue protocol, identical for every worker: the caller broadcasts
-/// the same message sequence to all queues, so every worker answers the
-/// same seals in the same order.
-enum ToWorker {
-    /// Observe a buffer: offer the whole of it to each of the worker's
-    /// lanes.
-    Segment(Arc<SegmentBuf>),
-    /// Close the current bin: score the lanes against its ranking and
-    /// answer on the report queue.
-    Seal(Arc<SealedBin>),
-    /// Exit the worker loop.
-    Shutdown,
-}
-
-/// A worker's answer to one seal: its lanes' reports in shard order, and
-/// the control step's trail when it owns the controlled lane.
-type Reply = (Vec<LaneReport>, Option<ControllerTrail>);
-
-/// Lane worker *w*: owns every lane whose index is congruent to *w* mod
-/// `threads`, by value. The strided lane partition spreads a rate grid's
-/// expensive high-rate lanes evenly across workers (a contiguous split
-/// would hand one worker the whole top rate group).
-struct Worker {
+/// The lane work of one fork, the same on every shard: offers the buffer,
+/// then scores at a seal (returning the shard's reports in its lane order;
+/// empty otherwise).
+fn run_shard(
+    shard: &mut LaneShard,
+    segment: Option<&SegmentBuf>,
+    seal: Option<&Ranking>,
     top_t: usize,
-    shard: LaneShard,
-    /// The controller and the controlled lane's position in `shard`'s
-    /// lanes, when this worker owns that lane.
-    controller: Option<(usize, ControllerState)>,
-    work_rx: Receiver<ToWorker>,
-    report_tx: Sender<Reply>,
+) -> Vec<LaneReport> {
+    if let Some(seg) = segment {
+        shard.observe(&Segment {
+            batch: &seg.batch,
+            range: 0..seg.batch.len(),
+            ids: &seg.ids,
+            flows: seg.flows,
+            truth: None,
+        });
+    }
+    let mut lanes = Vec::new();
+    if let Some(ranking) = seal {
+        shard.score(ranking, top_t, &mut lanes);
+    }
+    lanes
 }
 
-impl Worker {
-    fn run(&mut self) {
-        while let Ok(msg) = self.work_rx.recv() {
-            match msg {
-                ToWorker::Segment(seg) => self.shard.observe(&Segment {
-                    batch: &seg.batch,
-                    range: 0..seg.batch.len(),
-                    ids: &seg.ids,
-                    flows: seg.flows,
-                    truth: None,
-                }),
-                ToWorker::Seal(bin) => {
-                    let mut lanes = Vec::new();
-                    self.shard.score(&bin.ranking, self.top_t, &mut lanes);
-                    let mut trail = None;
-                    if let Some((lane, state)) = &mut self.controller {
-                        let (decided, retune) = state.step(
-                            bin.bin_index,
-                            bin.packets,
-                            &mut lanes[*lane],
-                            &bin.ranking,
-                            self.top_t,
-                        );
-                        trail = Some(decided);
-                        if let Some((rate, spec)) = retune {
-                            self.shard.retune(*lane, rate, spec);
-                        }
+/// The caller's end of one helper: the helper's thread ends when `work`
+/// drops.
+struct Helper {
+    work: Sender<Work>,
+    acks: Receiver<Vec<LaneReport>>,
+    thread: JoinHandle<()>,
+}
+
+/// Spawns the helper for `shard` (its index, ≥ 1). Its loop runs under
+/// `catch_unwind` with the channels outside it, so a panic is recorded
+/// while they are still open and the caller cannot see the disconnect
+/// before the failure is readable.
+fn spawn_helper(index: usize, mut shard: LaneShard, top_t: usize, failure: &FailureCell) -> Helper {
+    let (work, work_rx) = channel::<Work>();
+    let (ack_tx, acks) = channel();
+    let failure = Arc::clone(failure);
+    let thread = std::thread::Builder::new()
+        .name(format!("flowrank-worker-{index}"))
+        .spawn(move || {
+            let result = catch_unwind(AssertUnwindSafe(|| {
+                while let Ok(Work {
+                    retune,
+                    segment,
+                    seal,
+                }) = work_rx.recv()
+                {
+                    if let Some((lane, rate, spec)) = retune {
+                        shard.retune(lane, rate, spec);
                     }
-                    if self.report_tx.send((lanes, trail)).is_err() {
+                    let lanes = run_shard(&mut shard, segment.as_deref(), seal.as_deref(), top_t);
+                    // Before the ack, so the caller gets both back unshared.
+                    drop((segment, seal));
+                    if ack_tx.send(lanes).is_err() {
                         return;
                     }
                 }
-                ToWorker::Shutdown => return,
+            }));
+            if let Err(payload) = result {
+                record_failure(&failure, index, payload.as_ref());
             }
-        }
-    }
+        })
+        .expect("spawn a flowrank helper thread");
+    Helper { work, acks, thread }
 }
 
-/// Handle owned by the [`crate::Monitor`]: the caller-facing half of the
-/// pipelined runtime (ingest, seals, report assembly and delivery,
-/// shutdown).
-pub(crate) struct PipelinedRuntime {
-    threads: usize,
+/// The helpers of a `threads(n > 1)` monitor and the buffer the caller
+/// fills for them. The caller's own shard stays with the engine and is lent
+/// to every fork.
+pub(crate) struct Fork {
     top_t: usize,
-    work_tx: Vec<SyncSender<ToWorker>>,
-    /// One per worker, unbounded (see the module doc's ordering section).
-    report_rx: Vec<Receiver<Reply>>,
-    workers: Vec<JoinHandle<()>>,
-    /// The bin's ground truth, owned by the ingest stage: it classifies each
-    /// packet as it copies it and ships the packet's flow id.
-    truth: FlowTable<AnyFlowKey>,
-    /// First panic recorded by any worker's `catch_unwind`
-    /// (see [`record_failure`]); read through
-    /// [`PipelinedRuntime::failure`].
-    failure: Arc<Mutex<Option<RuntimeFailure>>>,
-    /// The buffer being filled: uniquely owned until it ships.
-    filling: Arc<SegmentBuf>,
-    /// Recycled segment buffers; an entry is free once every worker dropped
-    /// its handle (`Arc::strong_count == 1`).
-    pool: Vec<Arc<SegmentBuf>>,
-    /// Buffers shipped to the pool since the monitor was built.
+    helpers: Vec<Helper>,
+    /// First panic recorded by any shard's `catch_unwind`.
+    failure: FailureCell,
+    /// The buffer being filled: unshared between forks.
+    buffer: Arc<SegmentBuf>,
+    /// Buffers forked to the helpers since the monitor was built.
     shipped: u64,
-    /// Seals dispatched whose reports have not yet reached the sink, oldest
-    /// first.
-    pending: VecDeque<Arc<SealedBin>>,
-    /// The oldest pending seal's replies received so far, by worker.
-    replies: Vec<Option<Reply>>,
-    /// Report shell recycled across bins.
-    report: BinReport,
+    /// A controller retune owed to a helper's lane: `(helper, work)`.
+    retune: Option<(usize, (usize, f64, SamplerSpec))>,
 }
 
-impl PipelinedRuntime {
-    /// Spawns `threads` workers. Called once from `MonitorBuilder::build`;
-    /// the pool lives until the monitor drops.
-    pub(crate) fn spawn(
-        lanes: Vec<Lane>,
-        mut controller: Option<ControllerState>,
-        threads: usize,
-        top_t: usize,
-    ) -> Self {
-        debug_assert!(threads > 1);
+impl Fork {
+    /// Strides `lanes` over `threads` shards, spawns a helper for each
+    /// shard but the first and returns that first one, the caller's.
+    /// Called once from `MonitorBuilder::build`.
+    pub(crate) fn spawn(lanes: Vec<Lane>, threads: usize, top_t: usize) -> (LaneShard, Self) {
         let mut strided: Vec<Vec<Lane>> = (0..threads).map(|_| Vec::new()).collect();
         for (i, lane) in lanes.into_iter().enumerate() {
             strided[i % threads].push(lane);
         }
-        let failure: Arc<Mutex<Option<RuntimeFailure>>> = Arc::new(Mutex::new(None));
-        let mut work_tx = Vec::with_capacity(threads);
-        let mut report_rx = Vec::with_capacity(threads);
-        let mut workers = Vec::with_capacity(threads);
-        for (w, lanes) in strided.into_iter().enumerate() {
-            let (wtx, wrx) = sync_channel(SEGMENT_QUEUE_DEPTH);
-            let (rtx, rrx) = channel();
-            let mut worker = Worker {
-                top_t,
-                shard: LaneShard::new(lanes),
-                controller: controller
-                    .take_if(|state| state.lane % threads == w)
-                    .map(|state| (state.lane / threads, state)),
-                work_rx: wrx,
-                report_tx: rtx,
-            };
-            workers.push(spawn_contained(w, &failure, move || worker.run()));
-            work_tx.push(wtx);
-            report_rx.push(rrx);
-        }
-        PipelinedRuntime {
-            threads,
+        let failure = FailureCell::default();
+        let mut shards = strided.into_iter().map(LaneShard::new);
+        let own = shards.next().expect("threads > 1");
+        let helpers = shards
+            .enumerate()
+            .map(|(h, shard)| spawn_helper(h + 1, shard, top_t, &failure))
+            .collect();
+        let fork = Fork {
             top_t,
-            work_tx,
-            report_rx,
-            workers,
-            truth: FlowTable::new(),
+            helpers,
             failure,
-            filling: Arc::default(),
-            pool: Vec::new(),
+            buffer: Arc::default(),
             shipped: 0,
-            pending: VecDeque::new(),
-            replies: (0..threads).map(|_| None).collect(),
-            report: BinReport::default(),
-        }
+            retune: None,
+        };
+        (own, fork)
     }
 
-    /// Buffers shipped to the pool since the monitor was built.
+    /// Buffers forked to the helpers since the monitor was built.
     pub(crate) fn shipped(&self) -> u64 {
         self.shipped
     }
 
-    /// Appends a within-bin segment of any size to the buffer being filled,
-    /// classifying each packet into the bin's ground truth on the way (its
-    /// key derived once, its flow id from the same probe), and ships the
-    /// buffer every time it reaches [`DISPATCH_CHUNK_PACKETS`]. What is left
-    /// stays buffered until later packets fill it, a seal flushes it, or the
-    /// caller is about to wait on the pool.
-    pub(crate) fn append_segment(
+    /// Appends a within-bin segment to the buffer, classifying each packet
+    /// into the bin's ground truth on the way (its key derived once, its
+    /// flow id from the same probe), and forks every time the buffer
+    /// reaches [`DISPATCH_CHUNK_PACKETS`]. What is left waits for later
+    /// packets or the seal.
+    pub(crate) fn append(
         &mut self,
+        shard: &mut LaneShard,
+        truth: &mut FlowTable<AnyFlowKey>,
         definition: FlowDefinition,
         batch: &PacketBatch,
         range: Range<usize>,
-    ) {
+    ) -> Result<(), RuntimeFailure> {
         let mut start = range.start;
         while start < range.end {
-            let seg = Arc::get_mut(&mut self.filling).expect("the filling buffer is unshared");
+            let buf = Arc::get_mut(&mut self.buffer).expect("every helper returned the buffer");
             let end = range
                 .end
-                .min(start + DISPATCH_CHUNK_PACKETS - seg.batch.len());
-            seg.batch.extend_from_batch(batch, start..end);
+                .min(start + DISPATCH_CHUNK_PACKETS - buf.batch.len());
+            buf.batch.extend_from_batch(batch, start..end);
             for i in start..end {
-                seg.ids.push(self.truth.observe_id(
+                buf.ids.push(truth.observe_id(
                     batch.flow_key(i, definition),
                     batch.timestamp(i),
                     batch.length(i),
                     batch.tcp_seq(i),
                 ));
             }
-            seg.flows = self.truth.flow_count();
-            if seg.batch.len() == DISPATCH_CHUNK_PACKETS {
-                self.ship();
+            buf.flows = truth.flow_count();
+            if buf.batch.len() == DISPATCH_CHUNK_PACKETS {
+                self.fork(shard, None, &mut Vec::new())?;
             }
             start = end;
-        }
-    }
-
-    /// Broadcasts the buffer being filled to every worker's bounded queue
-    /// (identical order on every queue) and starts a recycled one. No-op on
-    /// an empty buffer.
-    fn ship(&mut self) {
-        if self.filling.batch.is_empty() {
-            return;
-        }
-        let free = self.pool.iter().position(|buf| Arc::strong_count(buf) == 1);
-        let mut next = free.map_or_else(Arc::default, |i| self.pool.swap_remove(i));
-        let seg = Arc::get_mut(&mut next).expect("a free pooled buffer is unshared");
-        seg.batch.clear();
-        seg.ids.clear();
-        let full = std::mem::replace(&mut self.filling, next);
-        for tx in &self.work_tx {
-            let _ = tx.send(ToWorker::Segment(Arc::clone(&full)));
-        }
-        self.shipped += 1;
-        // In-flight buffers are bounded by the queue depth, so the pool
-        // stays small; the cap only guards pathological sink behaviour.
-        if self.pool.len() < SEGMENT_QUEUE_DEPTH + self.threads + 2 {
-            self.pool.push(full);
-        }
-    }
-
-    /// Closes the current bin: ships whatever is buffered, ranks the bin's
-    /// ground truth once and clears it, then broadcasts the seal with the
-    /// ranking down the same queues, so it lands after every packet of the
-    /// bin. The finished report is assembled and delivered by
-    /// [`PipelinedRuntime::drain_into`] or
-    /// [`PipelinedRuntime::try_drain_into`].
-    pub(crate) fn dispatch_seal(&mut self, bin_index: u64, bin_start: Timestamp) {
-        self.ship();
-        let ranking = GroundTruthRanking::new(sized_flows(&self.truth), self.top_t);
-        let bin = Arc::new(SealedBin {
-            bin_index,
-            bin_start,
-            packets: self.truth.total_packets(),
-            ranking,
-        });
-        self.truth.clear();
-        for tx in &self.work_tx {
-            let _ = tx.send(ToWorker::Seal(Arc::clone(&bin)));
-        }
-        self.pending.push_back(bin);
-    }
-
-    /// Delivers every pending bin whose replies have all arrived, without
-    /// blocking — called opportunistically mid-batch so sinks see bins as
-    /// they seal, while ingest keeps overlapping with lane work.
-    pub(crate) fn try_drain_into<K: ReportSink + ?Sized>(&mut self, sink: &mut K) {
-        while let Ok(true) = self.deliver_oldest(sink, false) {}
-    }
-
-    /// Blocks until every dispatched seal's report has reached the sink —
-    /// the tail barrier that keeps `push_batch_into` synchronous: all bins a
-    /// call closed are delivered before it returns. Before it waits it ships
-    /// what is buffered — the packets after the last seal — so the workers
-    /// run on into the next bin instead of idling until the caller is back.
-    /// When a worker died underneath, returns the recorded failure instead
-    /// of panicking; outstanding seals are forfeited.
-    pub(crate) fn drain_into<K: ReportSink + ?Sized>(
-        &mut self,
-        sink: &mut K,
-    ) -> Result<(), RuntimeFailure> {
-        if !self.pending.is_empty() {
-            self.ship();
-        }
-        while !self.pending.is_empty() {
-            if let Err(worker) = self.deliver_oldest(sink, true) {
-                // That worker is gone; no reply will ever arrive for the
-                // outstanding seals. Its report queue disconnects only
-                // after it recorded its failure.
-                self.pending.clear();
-                return Err(self.failure().unwrap_or(RuntimeFailure {
-                    worker,
-                    message: "worker disconnected".to_string(),
-                }));
-            }
         }
         Ok(())
     }
 
-    /// The first panic recorded by any worker, if one has happened.
-    pub(crate) fn failure(&self) -> Option<RuntimeFailure> {
-        self.failure
-            .lock()
-            .unwrap_or_else(|poison| poison.into_inner())
-            .clone()
-    }
-
-    /// Collects the oldest pending bin's replies — waiting for each when
-    /// `block`, taking only those already queued otherwise — and, once
-    /// every worker has answered, assembles its report into the recycled
-    /// shell and delivers it. `Ok(false)` when nothing is pending or a reply
-    /// is still outstanding; `Err` names the worker whose report queue
-    /// disconnected.
-    fn deliver_oldest<K: ReportSink + ?Sized>(
+    /// Closes the bin on every shard: forks what is buffered together with
+    /// the bin's ranking, and appends every lane's report to `out` in lane
+    /// order. Returns the ranking for the control step.
+    pub(crate) fn seal(
         &mut self,
-        sink: &mut K,
-        block: bool,
-    ) -> Result<bool, usize> {
-        let Some(bin) = self.pending.front() else {
-            return Ok(false);
-        };
-        for (w, (rx, slot)) in self.report_rx.iter().zip(&mut self.replies).enumerate() {
-            if slot.is_some() {
-                continue;
-            }
-            let reply = if block {
-                rx.recv().map_err(|_| w)?
-            } else {
-                match rx.try_recv() {
-                    Ok(reply) => reply,
-                    Err(TryRecvError::Empty) => return Ok(false),
-                    Err(TryRecvError::Disconnected) => return Err(w),
-                }
-            };
-            *slot = Some(reply);
+        shard: &mut LaneShard,
+        ranking: Ranking,
+        out: &mut Vec<LaneReport>,
+    ) -> Result<Ranking, RuntimeFailure> {
+        let ranking = Arc::new(ranking);
+        self.fork(shard, Some(&ranking), out)?;
+        Ok(Arc::try_unwrap(ranking).expect("every helper returned the ranking"))
+    }
+
+    /// Applies a controller decision to `lane`: at once when the caller's
+    /// shard holds it, on its helper's next message otherwise.
+    pub(crate) fn retune(
+        &mut self,
+        shard: &mut LaneShard,
+        lane: usize,
+        rate: f64,
+        spec: SamplerSpec,
+    ) {
+        let threads = self.helpers.len() + 1;
+        let (owner, position) = (lane % threads, lane / threads);
+        if owner == 0 {
+            shard.retune(position, rate, spec);
+        } else {
+            self.retune = Some((owner - 1, (position, rate, spec)));
         }
-        let report = &mut self.report;
-        report.reset();
-        report.bin_index = bin.bin_index;
-        report.bin_start = bin.bin_start;
-        report.packets = bin.packets;
-        report.flows = bin.ranking.flows().len();
-        let mut chunks = Vec::with_capacity(self.threads);
-        for slot in &mut self.replies {
-            let (lanes, trail) = slot.take().expect("every worker answered");
-            if trail.is_some() {
-                report.controller = trail;
-            }
-            chunks.push(lanes.into_iter());
+    }
+
+    /// Hands the buffer (when it holds packets) and the seal to every
+    /// helper, runs the caller's shard on them, and waits for every ack;
+    /// at a seal, interleaves the shards' reports into `out`. Then the
+    /// buffer is the caller's again, emptied.
+    fn fork(
+        &mut self,
+        shard: &mut LaneShard,
+        seal: Option<&Arc<Ranking>>,
+        out: &mut Vec<LaneReport>,
+    ) -> Result<(), RuntimeFailure> {
+        let segment = (!self.buffer.batch.is_empty()).then(|| Arc::clone(&self.buffer));
+        self.shipped += u64::from(segment.is_some());
+        for (h, helper) in self.helpers.iter().enumerate() {
+            let retune = self.retune.take_if(|(owner, _)| *owner == h);
+            // A dead helper's ack channel reports it below.
+            let _ = helper.work.send(Work {
+                retune: retune.map(|(_, work)| work),
+                segment: segment.clone(),
+                seal: seal.cloned(),
+            });
         }
-        // Worker w's k-th lane is lane w + k·threads.
-        let lane_count = chunks.iter().map(ExactSizeIterator::len).sum();
-        report.lanes.extend(
-            (0..lane_count).map(|i| chunks[i % self.threads].next().expect("strided lanes")),
-        );
-        sink.accept(report);
-        self.pending.pop_front();
-        Ok(true)
+        let own = catch_unwind(AssertUnwindSafe(|| {
+            run_shard(shard, segment.as_deref(), seal.map(|r| &**r), self.top_t)
+        }));
+        drop(segment);
+        let own = own.map_err(|payload| record_failure(&self.failure, 0, payload.as_ref()))?;
+        let mut shards = vec![own.into_iter()];
+        for (h, helper) in self.helpers.iter().enumerate() {
+            // A helper's ack channel disconnects only after it recorded
+            // its failure.
+            let lanes = helper.acks.recv().map_err(|_| {
+                self.failure
+                    .lock()
+                    .unwrap_or_else(|poison| poison.into_inner())
+                    .clone()
+                    .unwrap_or(RuntimeFailure {
+                        worker: h + 1,
+                        message: "helper disconnected".to_string(),
+                    })
+            })?;
+            shards.push(lanes.into_iter());
+        }
+        let lanes = shards.iter().map(ExactSizeIterator::len).sum();
+        let threads = shards.len();
+        out.extend((0..lanes).map(|i| shards[i % threads].next().expect("strided lanes")));
+        let buf = Arc::get_mut(&mut self.buffer).expect("every helper returned the buffer");
+        buf.batch.clear();
+        buf.ids.clear();
+        Ok(())
     }
 }
 
-impl Drop for PipelinedRuntime {
+impl Drop for Fork {
     fn drop(&mut self) {
-        // One Shutdown per queue, behind whatever is still in flight. A
-        // worker blocks only on its work queue (its replies are unbounded),
-        // so each one reaches its Shutdown.
-        for tx in &self.work_tx {
-            let _ = tx.send(ToWorker::Shutdown);
-        }
-        // Every worker catches its own panic (recording it in the failure
-        // cell), so these joins cannot error; a poisoned monitor drops
-        // cleanly instead of escalating to a double-panic abort.
-        for handle in self.workers.drain(..) {
-            let _ = handle.join();
+        // Each helper leaves its loop once its work sender drops. Every
+        // helper catches its own panic, so a poisoned monitor drops cleanly
+        // too.
+        for Helper { work, thread, .. } in self.helpers.drain(..) {
+            drop(work);
+            let _ = thread.join();
         }
     }
 }
 
-impl std::fmt::Debug for PipelinedRuntime {
+impl std::fmt::Debug for Fork {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PipelinedRuntime")
-            .field("threads", &self.threads)
+        f.debug_struct("Fork")
+            .field("helpers", &self.helpers.len())
             .field("shipped", &self.shipped)
-            .field("pending_seals", &self.pending.len())
             .finish_non_exhaustive()
     }
 }

@@ -116,7 +116,9 @@ pub struct ServeConfig {
     pub top_t: usize,
     /// Optional memory-bounded top-k backend per lane.
     pub topk: Option<TopKSpec>,
-    /// Worker threads (`1` = serial engine).
+    /// Busy threads of the monitor, the calling thread included: its lanes
+    /// are strided over this many shards, and all but the caller's run on
+    /// helper threads (`1` = no helpers).
     pub threads: usize,
     /// Bins retained in the rolling snapshot window.
     pub retain_bins: usize,
@@ -377,7 +379,7 @@ runs = 3
 bin_secs = 60
 top_t = 10
 topk = space-saving:64  # none | exact | sorted-list:<cap> | space-saving:<cap>
-threads = 1
+threads = 1             # busy threads, the caller included (fleet mode: fleet workers)
 
 # Serving state.
 retain_bins = 16

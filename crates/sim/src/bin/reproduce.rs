@@ -21,9 +21,11 @@
 //! paper's full parameters. `--sampler` selects the sampling discipline of
 //! the trace-driven Sprint figures at run time (`random`, `periodic`,
 //! `stratified`, `flow`, `smart`, `adaptive` — the monitor fans any of them
-//! out across the figure's rate grid). `--threads` sets the worker threads
-//! of the monitor every trace-driven path runs on (0 = one per CPU, above 1
-//! its pipelined runtime; the numbers are bit-identical for every value).
+//! out across the figure's rate grid). `--threads` sets the busy threads of
+//! the monitor every trace-driven path runs on, the calling thread included
+//! (0 = one per CPU; above 1 its lanes are strided over that many shards,
+//! all but one on helper threads; the numbers are bit-identical for every
+//! value).
 //! A numeric flag with a missing, unparsable or out-of-range value
 //! (`--fig` takes 1–16) prints a one-line diagnostic and exits with code 2.
 //! `--scenario <name>` runs the binned

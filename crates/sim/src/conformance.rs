@@ -3,10 +3,10 @@
 //! The workspace keeps three ways of driving a monitor over the same trace
 //! — [`Monitor::push_batch_into`] one record per call, batches of any cut
 //! (one whole batch through [`Monitor::run_batch`], or chunked
-//! arbitrarily) and the pipelined worker runtime behind `threads(n)`
-//! (driven both through `run_batch` and through `Monitor::drive` over
-//! irregularly chunked sources, with chunks both smaller and larger than
-//! the runtime's segment buffers) — plus the
+//! arbitrarily) and the lane shards behind `threads(n)` (driven both
+//! through `run_batch` and through `Monitor::drive` over irregularly
+//! chunked sources, with chunks both smaller and larger than the forked
+//! segment buffer) — plus the
 //! independent per-packet oracle `crate::engine::run_bin`, which shares
 //! nothing with the monitor but the ranked truth (it scores with the dense
 //! `compare_with`, the monitor with the sparse kernel), and promises they
@@ -193,13 +193,13 @@ pub fn run_conformance(label: &str, packets: &[PacketRecord], config: &Conforman
         "{label}: re-chunked drive digest diverged from the collect path"
     );
 
-    // Pipelined-runtime drive legs: the persistent worker pool behind
-    // `threads(n > 1)`, driven through `Monitor::drive` over irregularly
-    // chunked sources, must reproduce the reference digest bit for bit
-    // however the chunks sit against its 4096-packet segment buffers:
-    // 463-packet chunks are stitched several to a buffer, or cut short by a
-    // seal (2 threads); 6000-packet chunks overflow one, shipping a full
-    // buffer and carrying the remainder into the next (4 threads).
+    // Lane-shard drive legs: `threads(n > 1)`, driven through
+    // `Monitor::drive` over irregularly chunked sources, must reproduce the
+    // reference digest bit for bit however the chunks sit against its
+    // 4096-packet segment buffer: 463-packet chunks are stitched several to
+    // a buffer, or cut short by a seal (2 threads); 6000-packet chunks
+    // overflow one, forking a full buffer and carrying the remainder into
+    // the next (4 threads).
     for (threads, chunk) in [(2, 463), (4, 6000)] {
         let mut pooled = DigestSink::new();
         config.monitor(threads).drive(
@@ -209,14 +209,14 @@ pub fn run_conformance(label: &str, packets: &[PacketRecord], config: &Conforman
         assert_eq!(
             pooled.digest(),
             reference_digest.digest(),
-            "{label}: threads({threads}) pipelined drive over {chunk}-packet chunks diverged \
+            "{label}: threads({threads}) drive over {chunk}-packet chunks diverged \
              from the collect path"
         );
     }
 
     // Fault-aware legs: a fault-free `try_drive` (strict default policy)
     // must be bit-identical to `drive` — and hence to every other path —
-    // with a clean DriveStats, serially and on the worker pool. This pins
+    // with a clean DriveStats, serially and on lane shards. This pins
     // the recovery machinery's zero-fault transparency against every
     // committed golden.
     let mut fallible = DigestSink::new();

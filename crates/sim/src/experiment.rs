@@ -37,10 +37,10 @@ pub struct ExperimentConfig {
     pub runs: usize,
     /// Master seed; per-run seeds are derived deterministically from it.
     pub seed: u64,
-    /// Worker threads of the monitor the experiment runs on
-    /// ([`MonitorBuilder::threads`]: 0 = one per available CPU, above 1 the
-    /// pipelined runtime). Seeds depend only on (master seed, rate, run),
-    /// so results are identical for every value.
+    /// Busy threads of the monitor the experiment runs on, the calling
+    /// thread included ([`MonitorBuilder::threads`]: 0 = one per available
+    /// CPU, above 1 lane shards on helpers). Seeds depend only on (master
+    /// seed, rate, run), so results are identical for every value.
     pub threads: usize,
 }
 

@@ -24,7 +24,7 @@
 //! * [`conformance`] — the differential harness that drives one
 //!   configuration through every execution path (`push_batch_into` one
 //!   record per call and chunked, `run_batch`, `drive`, `try_drive`,
-//!   pipelined `threads(n)`) and through the oracle, asserts
+//!   `threads(n)` lane shards) and through the oracle, asserts
 //!   bit-identical reports and condenses the stream into a stable golden
 //!   digest.
 //! * [`convergence`] — the closed-loop harness: drives a

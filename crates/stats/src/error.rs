@@ -34,11 +34,6 @@ pub enum StatsError {
         /// Number of iterations that were performed.
         iterations: usize,
     },
-    /// The input slice was empty where at least one element is required.
-    EmptyInput {
-        /// Name of the operation that required data.
-        operation: &'static str,
-    },
 }
 
 impl fmt::Display for StatsError {
@@ -63,9 +58,6 @@ impl fmt::Display for StatsError {
                 f,
                 "{algorithm} did not converge after {iterations} iterations"
             ),
-            StatsError::EmptyInput { operation } => {
-                write!(f, "{operation} requires a non-empty input")
-            }
         }
     }
 }
@@ -138,9 +130,6 @@ mod tests {
         }
         .to_string()
         .contains("brent"));
-        assert!(StatsError::EmptyInput { operation: "mean" }
-            .to_string()
-            .contains("mean"));
     }
 
     #[test]

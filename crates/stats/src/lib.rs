@@ -22,8 +22,8 @@
 //!   including semi-infinite integrals, used by the continuous ranking model.
 //! * [`roots`] — the bisection root finder behind the
 //!   optimal-sampling-rate solver of Sec. 3.2.
-//! * [`summary`] — online summary statistics (Welford) and quantiles used
-//!   when reporting the per-bin simulation metrics.
+//! * [`summary`] — online summary statistics (Welford) used when reporting
+//!   the per-bin simulation metrics.
 //! * [`rank`] — Kendall's τ and mid-ranks on value vectors, for examples
 //!   that compare estimated against true sizes (the paper's swapped-pair
 //!   metric itself lives in `flowrank-core::metrics`).

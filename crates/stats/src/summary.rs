@@ -1,11 +1,9 @@
-//! Summary statistics: online moments and quantiles.
+//! Summary statistics: online moments.
 //!
 //! The trace-driven experiments (Sec. 8) report, for every measurement bin,
 //! the ranking metric averaged over 30 sampling runs together with its
 //! standard deviation (the error bars of Figs. 12–16). [`RunningStats`] is
 //! the Welford accumulator behind those numbers.
-
-use crate::error::{StatsError, StatsResult};
 
 /// Online mean/variance accumulator (Welford's algorithm).
 ///
@@ -53,42 +51,6 @@ impl RunningStats {
     }
 }
 
-/// Computes the mean of a slice. Returns an error when the slice is empty.
-pub fn mean(values: &[f64]) -> StatsResult<f64> {
-    if values.is_empty() {
-        return Err(StatsError::EmptyInput { operation: "mean" });
-    }
-    Ok(values.iter().sum::<f64>() / values.len() as f64)
-}
-
-/// Computes the empirical `q`-quantile of a slice using linear interpolation
-/// between order statistics (type-7, the R/NumPy default).
-pub fn quantile(values: &[f64], q: f64) -> StatsResult<f64> {
-    if values.is_empty() {
-        return Err(StatsError::EmptyInput {
-            operation: "quantile",
-        });
-    }
-    if !(0.0..=1.0).contains(&q) {
-        return Err(StatsError::InvalidParameter {
-            name: "q",
-            value: q,
-            constraint: "within [0, 1]",
-        });
-    }
-    let mut sorted: Vec<f64> = values.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN in quantile input"));
-    let n = sorted.len();
-    if n == 1 {
-        return Ok(sorted[0]);
-    }
-    let h = q * (n - 1) as f64;
-    let lo = h.floor() as usize;
-    let hi = h.ceil() as usize;
-    let frac = h - lo as f64;
-    Ok(sorted[lo] + (sorted[hi] - sorted[lo]) * frac)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -117,26 +79,5 @@ mod tests {
         s.push(3.0);
         assert_eq!(s.mean(), Some(3.0));
         assert!(s.variance().is_none());
-    }
-
-    #[test]
-    fn mean_and_quantile_edge_cases() {
-        assert!(mean(&[]).is_err());
-        assert_close(mean(&[1.0, 2.0, 3.0]).unwrap(), 2.0, 1e-15);
-        assert!(quantile(&[], 0.5).is_err());
-        assert!(quantile(&[1.0], 1.5).is_err());
-        assert_close(quantile(&[5.0], 0.9).unwrap(), 5.0, 1e-15);
-    }
-
-    #[test]
-    fn quantile_interpolation() {
-        let vals = [1.0, 2.0, 3.0, 4.0];
-        assert_close(quantile(&vals, 0.0).unwrap(), 1.0, 1e-12);
-        assert_close(quantile(&vals, 1.0).unwrap(), 4.0, 1e-12);
-        assert_close(quantile(&vals, 0.5).unwrap(), 2.5, 1e-12);
-        assert_close(quantile(&vals, 0.25).unwrap(), 1.75, 1e-12);
-        // Order of input should not matter.
-        let shuffled = [3.0, 1.0, 4.0, 2.0];
-        assert_close(quantile(&shuffled, 0.5).unwrap(), 2.5, 1e-12);
     }
 }

@@ -484,10 +484,10 @@ fn worker_panics_poison_the_monitor_instead_of_the_process() {
             .top_t(10)
             .seed(0xC0F0_2026)
             .threads(threads)
-            // Lanes live on pool threads only, so that is where the panic
-            // lands: when worker 0 is offered the first buffer that takes
-            // lane 0 past the limit — shipped by the first bin seal, if
-            // the bin's chunks have not filled one before.
+            // Lane 0 is in shard 0, which the calling thread runs, so that
+            // is where the panic lands: when the first forked buffer takes
+            // lane 0 past the limit — forked by the first bin seal, if the
+            // bin's chunks have not filled one before.
             .inject_lane_panic_after(CHUNK as u64)
             .build();
         let mut source = FaultySource::new(
@@ -497,8 +497,8 @@ fn worker_panics_poison_the_monitor_instead_of_the_process() {
         let error = monitor
             .try_drive(&mut source, &mut Collect::new())
             .expect_err("the injected lane panic must surface as an error");
-        // By the final seal at the latest: the drive can only end by
-        // draining a seal the dead worker never answers.
+        // By the final seal at the latest, which forks whatever is still
+        // buffered.
         match &error {
             DriveError::WorkerPanicked { worker, .. } => {
                 assert_eq!(*worker, 0, "lane 0 lives on worker 0");

@@ -1,9 +1,10 @@
-//! How many threads a monitor's worker pool runs, read from outside the
+//! How many helper threads a monitor spawns, read from outside the
 //! runtime: the names of this process's threads under `/proc/self/task`
-//! (Linux only). A `threads(n)` monitor runs exactly `n` pool threads for
-//! its whole life and none once dropped, whatever state the drop finds it
-//! in — a detached or leaked thread fails here, where the runtime's own
-//! tests could not see it.
+//! (Linux only). A `threads(n)` monitor runs its first lane shard on the
+//! calling thread and exactly `n − 1` helpers for the others, for its
+//! whole life, and none once dropped, whatever state the drop finds it in
+//! — a detached or leaked thread fails here, where the runtime's own tests
+//! could not see it.
 //!
 //! The tests take one lock each, so no other test's pool is counted.
 #![cfg(target_os = "linux")]
@@ -68,11 +69,11 @@ fn monitor(threads: usize) -> Monitor {
 }
 
 #[test]
-fn a_threads_n_monitor_runs_exactly_n_pool_threads() {
+fn a_threads_n_monitor_runs_exactly_n_minus_one_helpers() {
     let _pool = exclusive();
     for threads in [1, 2, 3, 5] {
         let monitor = monitor(threads);
-        let expected = if threads == 1 { 0 } else { threads };
+        let expected = threads - 1;
         assert_eq!(settled(expected), expected, "threads({threads})");
         drop(monitor);
         assert_eq!(settled(0), 0, "threads({threads}) dropped");
@@ -86,10 +87,10 @@ fn the_pool_is_spawned_once_and_outlives_every_call() {
     let mut monitor = monitor(3);
     for half in packets.chunks(packets.len().div_ceil(2)) {
         monitor.push_batch_into(&PacketBatch::from_records(half), &mut Collect::new());
-        assert_eq!(pool_threads(), 3, "after a push");
+        assert_eq!(pool_threads(), 2, "after a push");
     }
     monitor.finish_into(&mut Collect::new());
-    assert_eq!(pool_threads(), 3, "after the finish");
+    assert_eq!(pool_threads(), 2, "after the finish");
     drop(monitor);
     assert_eq!(settled(0), 0);
 }
@@ -99,8 +100,8 @@ fn dropping_a_monitor_mid_bin_joins_every_pool_thread() {
     let _pool = exclusive();
     let packets = trace();
     // All but the last packet of a first bin several 4096-packet buffers
-    // long: buffers may still be on the queues, and the rest is unshipped,
-    // when the monitor drops.
+    // long: full buffers have been forked, and the rest is unshipped, when
+    // the monitor drops.
     let bin = Timestamp::from_secs_f64(60.0);
     let first_bin = packets
         .iter()

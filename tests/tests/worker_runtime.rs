@@ -1,12 +1,12 @@
-//! Behavioural pins for the pipelined worker runtime behind
-//! `MonitorBuilder::threads(n > 1)`: the ingest thread coalesces whatever it
+//! Behavioural pins for the fork-join lane shards behind
+//! `MonitorBuilder::threads(n > 1)`: the calling thread coalesces whatever it
 //! is pushed into full segment buffers, every way of cutting the stream is
-//! bit-identical to the single-threaded engine, and the pool joins cleanly
-//! from every state a drop can find it in.
+//! bit-identical to `threads(1)`, and the helpers join cleanly from every
+//! state a drop can find them in.
 //!
 //! (The 216-cell golden matrix in `scenario_conformance.rs` pins the
-//! runtime's *reports*; this file pins its *mechanics* — how much crosses
-//! the worker queues, and that the pool always shuts down.)
+//! runtime's *reports*; this file pins its *mechanics* — how many buffers
+//! are forked to the helpers, and that the helpers always shut down.)
 
 use flowrank_monitor::{
     BatchSource, BinReport, Chunked, Collect, ControllerSpec, DigestSink, Monitor, MonitorBuilder,
@@ -18,8 +18,7 @@ use flowrank_trace::Workload;
 
 const SEED: u64 = 0x5EED_2026;
 
-/// Packets per segment buffer of the pipelined runtime
-/// (`runtime::DISPATCH_CHUNK_PACKETS`).
+/// Packets per forked segment buffer (`runtime::DISPATCH_CHUNK_PACKETS`).
 const BUFFER_PACKETS: usize = 4096;
 
 /// Three bins of several segment buffers each, so buffers fill inside bins
@@ -58,13 +57,12 @@ fn digest_of_cuts(mut monitor: Monitor, packets: &[PacketRecord], cuts: &[usize]
 
 #[test]
 fn per_packet_pushes_on_a_threaded_monitor_coalesce_into_full_buffers() {
-    // One-packet pushes must not cost one worker hand-off each: the ingest
-    // thread appends them to the buffer it is filling and ships it full, or
-    // short twice a bin — when the seal needs the bin's last packets, and
-    // when the push that closed the bin is about to wait for its report with
-    // the next bin's first packet in hand. So the buffers shipped are
-    // bounded by the packet count and the bin count, not by the number of
-    // pushes — and the reports stay bit-identical to the serial engine.
+    // One-packet pushes must not cost one fork each: the calling thread
+    // appends them to the buffer it is filling and forks it full, or short
+    // at most once a bin, when the seal needs the bin's last packets. So the
+    // buffers shipped are bounded by the packet count and the bin count, not
+    // by the number of pushes — and the reports stay bit-identical to
+    // `threads(1)`.
     let packets = trace();
     let batch = PacketBatch::from_records(&packets);
     let mut serial = builder(1).build();
@@ -82,9 +80,9 @@ fn per_packet_pushes_on_a_threaded_monitor_coalesce_into_full_buffers() {
     let (serial_segments, shipped) = threaded.segment_stats();
     assert_eq!(
         serial_segments, 0,
-        "a threaded monitor has no serial engine"
+        "a threaded monitor offers no segment in place"
     );
-    let bound = (packets.len() / BUFFER_PACKETS + 2 * baseline.len() + 1) as u64;
+    let bound = (packets.len() / BUFFER_PACKETS + baseline.len() + 1) as u64;
     assert!(
         (1..=bound).contains(&shipped),
         "{} one-packet pushes over {} bins shipped {shipped} buffers, bound {bound}",
@@ -98,7 +96,7 @@ fn threaded_drive_matches_serial_over_irregular_chunks() {
     // A seeded sweep of random cuts — 1 to 6000 packets, so pieces smaller
     // than, equal to and larger than a segment buffer, with runs of single
     // packets mixed in — on 2 and 4 threads, with and without the controller
-    // (whose retune rides the seal handshake to the owning worker): the sink
+    // (whose retune rides the owning helper's next message): the sink
     // must see the same bins in the same order with the same bytes as the
     // serial engine fed the whole trace at once.
     let packets = trace();
@@ -179,11 +177,11 @@ impl ReportSink for PanickingSink {
 
 #[test]
 fn dropping_a_threaded_monitor_mid_bin_joins_cleanly() {
-    // Drop a threads(4) pool — with and without the controller's extra
-    // handshake — in each state the coalescing ingest can leave it in, and
-    // without finish(): the drop must join every worker and the sequencer —
-    // no detached threads, no deadlock on a full queue. The test passes by
-    // returning at all; a shutdown hang would trip the suite timeout.
+    // Drop a threads(4) monitor — with and without the controller's retune
+    // — in each state the coalescing caller can leave it in, and without
+    // finish(): the drop must join every helper — no detached threads, no
+    // deadlock. The test passes by returning at all; a shutdown hang would
+    // trip the suite timeout.
     let packets = trace();
     let prefix = |length: usize| PacketBatch::from_records(&packets[..length]);
     for controlled in [false, true] {
@@ -200,16 +198,15 @@ fn dropping_a_threaded_monitor_mid_bin_joins_cleanly() {
         monitor.push_batch_into(&prefix(BUFFER_PACKETS / 2), &mut Collect::new());
         assert_eq!(monitor.segment_stats(), (0, 0), "nothing reached the pool");
         drop(monitor);
-        // Shipped, unsealed: full buffers on the queues (more than their
-        // depth, so ingest has blocked on the workers), a remainder
+        // Shipped, unsealed: five full buffers forked, a remainder
         // buffered, the bin still open.
         let mut monitor = build(Timestamp::ZERO);
         monitor.push_batch_into(&prefix(BUFFER_PACKETS * 5 + 100), &mut Collect::new());
         assert_eq!(monitor.segment_stats(), (0, 5), "five full buffers");
         drop(monitor);
-        // Sealed, undrained: the sink panics on the first report of a batch
-        // that closes several bins, so seals are in flight and reports sit
-        // undelivered on the out queue when the monitor goes.
+        // Sealed, undelivered: the sink panics on the first report of a
+        // batch that closes several bins, so the monitor goes mid-call with
+        // the rest of the batch unread.
         let mut monitor = build(Timestamp::from_secs_f64(60.0));
         let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             monitor.push_batch_into(&prefix(packets.len()), &mut PanickingSink)
@@ -223,9 +220,9 @@ fn dropping_a_threaded_monitor_mid_bin_joins_cleanly() {
 
 #[test]
 fn controlled_threaded_monitor_drops_cleanly_and_stays_bit_identical() {
-    // The controller path adds the sequencer-side step and the Proceed
-    // token, carrying the retune, to the seal handshake; both must survive
-    // shutdown mid-bin and keep reports identical to the serial engine.
+    // The controller path adds the control step after each seal and a
+    // retune that rides the owning helper's next message; both must survive
+    // shutdown mid-bin and keep reports identical to `threads(1)`.
     let packets = trace();
     let batch = PacketBatch::from_records(&packets);
     let build = |threads: usize| {
@@ -240,7 +237,7 @@ fn controlled_threaded_monitor_drops_cleanly_and_stays_bit_identical() {
             .windows(2)
             .any(|pair| pair[0].lanes.last().map(|lane| lane.rate)
                 != pair[1].lanes.last().map(|lane| lane.rate)),
-        "the controller retunes at least once, so the token carries a rate"
+        "the controller retunes at least once, so a message carries a rate"
     );
     for threads in [2, 4, 5] {
         assert_eq!(build(threads).run_batch(&batch), baseline, "{threads}");
