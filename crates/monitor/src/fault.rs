@@ -5,13 +5,16 @@
 //! The types here back [`Monitor::try_drive`](crate::Monitor::try_drive),
 //! the fault-aware form of [`Monitor::drive`](crate::Monitor::drive):
 //!
-//! * [`SourceError`] / [`SinkError`] — what a source's poll
+//! * [`SourceError`] — what a source's poll
 //!   ([`PacketSource::try_next_chunk`](crate::PacketSource::try_next_chunk))
-//!   or a fallible sink ([`ReportSink::emit`](crate::ReportSink::emit)) reports,
-//!   classified by whether the stream can continue past it.
+//!   reports, classified by whether the stream can continue past it. A
+//!   sink's failure is the `io::Error` its
+//!   [`ReportSink::emit`](crate::ReportSink::emit) returns: it is never
+//!   retried (`write_all` already retries `Interrupted`, and re-emitting a
+//!   report after a partial write would duplicate its first bytes), so the
+//!   first one aborts the drive.
 //! * [`DrivePolicy`] — the recovery contract: skip-and-count malformed
-//!   records, bounded retry with exponential backoff for transient sink
-//!   failures, an error budget, a stall detector, and the
+//!   records, an error budget, a stall detector, and the
 //!   [`TimestampPolicy`] for out-of-order packets.
 //! * [`DriveStats`] — the health report: every recovery action is tallied
 //!   and returned on completion *and* carried on every [`DriveError`], so a
@@ -78,82 +81,6 @@ impl std::error::Error for SourceError {
     }
 }
 
-/// Why a fallible report sink could not take a report, classified by whether
-/// retrying the same report can succeed.
-///
-/// Constructed with [`SinkError::transient`] / [`SinkError::permanent`]; the
-/// `From<io::Error>` conversion classifies by [`io::ErrorKind`]
-/// (`Interrupted`, `WouldBlock` and `TimedOut` are transient, everything
-/// else permanent).
-#[derive(Debug)]
-pub struct SinkError {
-    transient: bool,
-    error: io::Error,
-}
-
-impl SinkError {
-    /// A failure that may clear on retry (the drive loop re-emits the same
-    /// report up to [`DrivePolicy::sink_retries`] times with exponential
-    /// backoff).
-    pub fn transient(error: io::Error) -> Self {
-        SinkError {
-            transient: true,
-            error,
-        }
-    }
-
-    /// A failure that will not clear on retry; aborts the drive with
-    /// [`DriveError::Sink`] immediately.
-    pub fn permanent(error: io::Error) -> Self {
-        SinkError {
-            transient: false,
-            error,
-        }
-    }
-
-    /// Whether retrying the same report can succeed.
-    pub fn is_transient(&self) -> bool {
-        self.transient
-    }
-
-    /// The underlying I/O error.
-    pub(crate) fn io_error(&self) -> &io::Error {
-        &self.error
-    }
-
-    /// Consumes the wrapper, returning the underlying I/O error.
-    pub(crate) fn into_io_error(self) -> io::Error {
-        self.error
-    }
-}
-
-impl From<io::Error> for SinkError {
-    fn from(error: io::Error) -> Self {
-        let transient = matches!(
-            error.kind(),
-            io::ErrorKind::Interrupted | io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-        );
-        SinkError { transient, error }
-    }
-}
-
-impl std::fmt::Display for SinkError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let class = if self.transient {
-            "transient"
-        } else {
-            "permanent"
-        };
-        write!(f, "{class} sink failure: {}", self.error)
-    }
-}
-
-impl std::error::Error for SinkError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        Some(&self.error)
-    }
-}
-
 /// What the monitor does with packets whose timestamps regress — the
 /// explicit form of the push contract's tolerance knob
 /// ([`DrivePolicy::timestamps`]).
@@ -177,10 +104,10 @@ pub enum TimestampPolicy {
 }
 
 /// The recovery contract of [`Monitor::try_drive`](crate::Monitor::try_drive):
-/// which faults are absorbed, how hard to retry, and when to give up.
+/// which faults are absorbed and when to give up.
 ///
-/// [`DrivePolicy::default`] is **strict**: nothing is skipped, nothing is
-/// retried, the first fault aborts. [`DrivePolicy::resilient`] is the
+/// [`DrivePolicy::default`] is **strict**: nothing is skipped, the first
+/// fault aborts. [`DrivePolicy::resilient`] is the
 /// keep-running preset for unattended operation; the fields are public and
 /// most have a fluent setter.
 ///
@@ -189,8 +116,7 @@ pub enum TimestampPolicy {
 /// use std::time::Duration;
 ///
 /// let policy = DrivePolicy::resilient()
-///     .sink_retries(5)
-///     .sink_backoff(Duration::from_millis(2))
+///     .idle_wait(Duration::from_millis(2))
 ///     .error_budget(100)
 ///     .timestamps(TimestampPolicy::ClampAndCount);
 /// assert!(policy.skip_malformed);
@@ -201,17 +127,7 @@ pub struct DrivePolicy {
     /// into [`DriveStats::malformed_skipped`], instead of aborting on the
     /// first one. [`SourceError::Fatal`] always aborts.
     pub skip_malformed: bool,
-    /// How many times a transient sink failure is retried (same report,
-    /// re-rendered whole) before it is treated as permanent. `0` disables
-    /// retry.
-    pub sink_retries: u32,
-    /// Delay before the first sink retry; doubles on every subsequent
-    /// attempt up to [`DrivePolicy::sink_backoff_cap`]. Zero sleeps never.
-    pub sink_backoff: Duration,
-    /// Upper bound of the exponential sink backoff.
-    pub sink_backoff_cap: Duration,
-    /// Total recovery actions (skipped records + sink retries + clamped
-    /// timestamps) the drive absorbs before aborting with
+    /// Total recovery actions (skipped records + clamped timestamps) the drive absorbs before aborting with
     /// [`DriveError::ErrorBudgetExhausted`]. Checked after each chunk.
     pub error_budget: u64,
     /// Minimum *consecutive* idle polls (a source's
@@ -247,17 +163,14 @@ impl Default for DrivePolicy {
 }
 
 impl DrivePolicy {
-    /// The strict policy (the default): no skipping, no retrying, the first
-    /// fault aborts; stalls abort once an idle streak spans both
+    /// The strict policy (the default): no skipping, the first fault
+    /// aborts; stalls abort once an idle streak spans both
     /// [`DrivePolicy::DEFAULT_STALL_POLLS`] consecutive polls and
     /// `DrivePolicy::DEFAULT_STALL_TIMEOUT` of wall time; timestamps keep
     /// the historical [`TimestampPolicy::DebugAssert`] behaviour.
     pub fn strict() -> Self {
         DrivePolicy {
             skip_malformed: false,
-            sink_retries: 0,
-            sink_backoff: Duration::from_millis(1),
-            sink_backoff_cap: Duration::from_millis(100),
             error_budget: u64::MAX,
             stall_polls: Self::DEFAULT_STALL_POLLS,
             stall_timeout: Self::DEFAULT_STALL_TIMEOUT,
@@ -267,13 +180,11 @@ impl DrivePolicy {
     }
 
     /// The keep-running preset for unattended operation: skip malformed
-    /// records, retry transient sink failures 3 times (1 ms backoff doubling
-    /// to 100 ms), clamp-and-count regressed timestamps, abort only after
-    /// 1024 absorbed recovery actions.
+    /// records, clamp-and-count regressed timestamps, abort only after 1024
+    /// absorbed recovery actions.
     pub fn resilient() -> Self {
         DrivePolicy {
             skip_malformed: true,
-            sink_retries: 3,
             error_budget: 1024,
             timestamps: TimestampPolicy::ClampAndCount,
             ..DrivePolicy::strict()
@@ -294,24 +205,6 @@ impl DrivePolicy {
 
     /// Default sleep between idle polls.
     pub(crate) const DEFAULT_IDLE_WAIT: Duration = Duration::from_millis(1);
-
-    /// Sets [`DrivePolicy::sink_retries`].
-    pub fn sink_retries(mut self, retries: u32) -> Self {
-        self.sink_retries = retries;
-        self
-    }
-
-    /// Sets [`DrivePolicy::sink_backoff`] (the first retry's delay).
-    pub fn sink_backoff(mut self, backoff: Duration) -> Self {
-        self.sink_backoff = backoff;
-        self
-    }
-
-    /// Sets [`DrivePolicy::sink_backoff_cap`].
-    pub fn sink_backoff_cap(mut self, cap: Duration) -> Self {
-        self.sink_backoff_cap = cap;
-        self
-    }
 
     /// Sets [`DrivePolicy::error_budget`].
     pub fn error_budget(mut self, budget: u64) -> Self {
@@ -345,7 +238,7 @@ impl DrivePolicy {
     }
 }
 
-/// The health report of one
+/// The health report of one [`Monitor::drive`](crate::Monitor::drive) or
 /// [`Monitor::try_drive`](crate::Monitor::try_drive): how much work was done
 /// and every recovery action the policy absorbed. Returned on completion and
 /// carried on every [`DriveError`], so aborted drives are auditable too.
@@ -360,9 +253,6 @@ pub struct DriveStats {
     /// Recoverable malformed records skipped under
     /// [`DrivePolicy::skip_malformed`].
     pub malformed_skipped: u64,
-    /// Transient sink failures that were retried (each retry attempt counts
-    /// once, whether or not it eventually succeeded).
-    pub sink_retries: u64,
     /// Timestamp regressions folded into the current bin under
     /// [`TimestampPolicy::ClampAndCount`].
     pub clamped_timestamps: u64,
@@ -372,11 +262,16 @@ pub struct DriveStats {
     pub idle_polls: u64,
 }
 
+/// The old name of [`DriveStats`] as the return type of
+/// [`Monitor::drive`](crate::Monitor::drive), kept only while the `ledger`
+/// package names it.
+pub type DriveSummary = DriveStats;
+
 impl DriveStats {
     /// Total recovery actions absorbed — the quantity the
     /// [`DrivePolicy::error_budget`] bounds.
     pub fn recoveries(&self) -> u64 {
-        self.malformed_skipped + self.sink_retries + self.clamped_timestamps
+        self.malformed_skipped + self.clamped_timestamps
     }
 }
 
@@ -393,11 +288,10 @@ pub enum DriveError {
         /// Work done and recoveries absorbed before the abort.
         stats: DriveStats,
     },
-    /// The sink failed permanently (or a transient failure exhausted its
-    /// retries).
+    /// The sink's [`ReportSink::emit`](crate::ReportSink::emit) failed.
     Sink {
         /// The sink-side failure.
-        error: SinkError,
+        error: io::Error,
         /// Work done and recoveries absorbed before the abort.
         stats: DriveStats,
     },
@@ -462,7 +356,7 @@ impl std::fmt::Display for DriveError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             DriveError::Source { error, .. } => write!(f, "drive aborted: {error}"),
-            DriveError::Sink { error, .. } => write!(f, "drive aborted: {error}"),
+            DriveError::Sink { error, .. } => write!(f, "drive aborted: sink failed: {error}"),
             DriveError::ErrorBudgetExhausted { budget, stats } => write!(
                 f,
                 "drive aborted: error budget exhausted ({} recoveries > budget {budget})",
@@ -522,20 +416,9 @@ mod tests {
     }
 
     #[test]
-    fn sink_error_classifies_io_kinds() {
-        let transient = SinkError::from(io::Error::new(io::ErrorKind::Interrupted, "try again"));
-        assert!(transient.is_transient());
-        let permanent = SinkError::from(io::Error::new(io::ErrorKind::BrokenPipe, "gone"));
-        assert!(!permanent.is_transient());
-        assert!(SinkError::transient(io::Error::other("x")).is_transient());
-        assert!(!SinkError::permanent(io::Error::other("x")).is_transient());
-    }
-
-    #[test]
     fn default_policy_is_strict() {
         let policy = DrivePolicy::default();
         assert!(!policy.skip_malformed);
-        assert_eq!(policy.sink_retries, 0);
         assert_eq!(policy.error_budget, u64::MAX);
         assert_eq!(policy.timestamps, TimestampPolicy::DebugAssert);
         assert_eq!(policy, DrivePolicy::strict());
@@ -545,7 +428,6 @@ mod tests {
     fn resilient_policy_absorbs_faults() {
         let policy = DrivePolicy::resilient();
         assert!(policy.skip_malformed);
-        assert_eq!(policy.sink_retries, 3);
         assert_eq!(policy.error_budget, 1024);
         assert_eq!(policy.timestamps, TimestampPolicy::ClampAndCount);
     }
@@ -554,12 +436,11 @@ mod tests {
     fn stats_recoveries_sum_the_budgeted_counters() {
         let stats = DriveStats {
             malformed_skipped: 2,
-            sink_retries: 3,
             clamped_timestamps: 4,
             idle_polls: 100,
             ..DriveStats::default()
         };
-        assert_eq!(stats.recoveries(), 9, "idle polls are not recoveries");
+        assert_eq!(stats.recoveries(), 6, "idle polls are not recoveries");
     }
 
     #[test]

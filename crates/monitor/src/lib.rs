@@ -106,13 +106,12 @@
 //!   keeps report data beyond `accept` must copy it (only [`Collect`]
 //!   does).
 //!
-//! The monitor has six ingestion entry points, all over one sink-based
+//! The monitor has five ingestion entry points, all over one sink-based
 //! core: [`Monitor::push_range_into`] and [`Monitor::finish_into`] (the
 //! allocation-free pair), [`Monitor::push_batch_into`] (a whole batch's
-//! range), [`Monitor::run_batch`] (a batch and the finish into a
-//! [`Collect`] sink, returning an owned `Vec`), [`Monitor::drive`] and
-//! [`Monitor::try_drive`], so every equivalence guarantee carries over
-//! bit-identically.
+//! range), and [`Monitor::drive`] and [`Monitor::try_drive`], which run
+//! one poll loop under two policies, so every equivalence guarantee
+//! carries over bit-identically.
 //! With a streaming source (e.g. [`flowrank_trace::Workload::stream`]) and
 //! an aggregating sink, peak memory is independent of trace length — the
 //! configuration the `ledger/` workloads measure.
@@ -120,24 +119,22 @@
 //! # Fault tolerance
 //!
 //! [`Monitor::try_drive`] is the fault-aware form of [`Monitor::drive`]:
-//! both poll the one source method, [`PacketSource::try_next_chunk`];
-//! `try_drive` delivers through the fallible sink half, [`ReportSink::emit`],
-//! and is governed by a [`DrivePolicy`] set with
-//! [`MonitorBuilder::drive_policy`]. The error/recovery contract:
+//! both run one loop over the one source method,
+//! [`PacketSource::try_next_chunk`]; `try_drive` delivers through the
+//! fallible sink half, [`ReportSink::emit`], and is governed by a
+//! [`DrivePolicy`] set with [`MonitorBuilder::drive_policy`]. The
+//! error/recovery contract:
 //!
 //! * **Skipped** — recoverable malformed records
 //!   ([`SourceError::Malformed`]) when [`DrivePolicy::skip_malformed`] is
 //!   set; each skip is counted in [`DriveStats::malformed_skipped`]. Fatal
 //!   source errors ([`SourceError::Fatal`] — I/O failure, lost pcap record
 //!   boundary) always abort with [`DriveError::Source`].
-//! * **Retried** — transient sink failures
-//!   ([`SinkError::is_transient`]): the same report is re-emitted up to
-//!   [`DrivePolicy::sink_retries`] times with exponential backoff
-//!   (each attempt counted in [`DriveStats::sink_retries`]); a retried
-//!   report is re-rendered whole, so a sink that failed after a partial
-//!   write may carry a duplicated fragment. Permanent sink failures (and
-//!   exhausted retries) abort with [`DriveError::Sink`].
-//! * **Bounded** — total absorbed recoveries (skips + retries + clamped
+//! * **Aborted** — the first failed [`ReportSink::emit`] aborts with
+//!   [`DriveError::Sink`]. Nothing retries a report: `write_all` already
+//!   rides out `Interrupted`, and any other failure may follow a partial
+//!   write, after which re-emitting the report would duplicate its start.
+//! * **Bounded** — total absorbed recoveries (skipped records + clamped
 //!   timestamps) abort with [`DriveError::ErrorBudgetExhausted`] once they
 //!   exceed [`DrivePolicy::error_budget`]; a genuinely silent source
 //!   aborts with [`DriveError::SourceStalled`] instead of hanging. The
@@ -236,12 +233,12 @@ pub mod rolling;
 mod runtime;
 pub mod spec;
 
-pub use fault::{DriveError, DrivePolicy, DriveStats, SinkError, SourceError, TimestampPolicy};
+pub use fault::{DriveError, DrivePolicy, DriveStats, DriveSummary, SourceError, TimestampPolicy};
 pub use monitor::{Monitor, MonitorBuilder};
 pub use pipeline::{
     parse_ndjson_record, BatchSource, ChannelSource, Chunked, Collect, CsvSink, DigestSink,
-    DriveSummary, NdjsonRecordSource, NdjsonSink, PacketSource, PcapBytesSource, PcapTailSource,
-    RateCurve, RatePoint, ReportSink, StopGate, Tee,
+    NdjsonRecordSource, NdjsonSink, PacketSource, PcapBytesSource, PcapTailSource, RateCurve,
+    RatePoint, ReportSink, StopGate, Tee,
 };
 pub use report::{BinReport, ControllerTrail, LaneReport, TopKReport};
 pub use rolling::{BinSummary, RateSummary, RollingWindow};

@@ -1,8 +1,8 @@
 //! The push-based streaming monitor.
 //!
 //! Every ingestion entry point — [`Monitor::push_batch_into`],
-//! [`Monitor::run_batch`], [`Monitor::drive`], [`Monitor::try_drive`] — is
-//! a loop over [`Monitor::push_range_into`] and [`Monitor::finish_into`].
+//! [`Monitor::drive`], [`Monitor::try_drive`] — is a loop over
+//! [`Monitor::push_range_into`] and [`Monitor::finish_into`].
 //! The monitor classifies each packet into the bin's ground-truth flow
 //! table, whose probe also gives the packet's **flow id** (the flow's
 //! position in that table), offers it to every sampling lane, counts
@@ -17,7 +17,7 @@
 //! calling thread.
 
 use std::ops::Range;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use flowrank_control::{BinObservation, ControllerSpec, RateController};
 use flowrank_core::metrics::{ComparisonOutcome, GroundTruthRanking, SizedFlow};
@@ -28,8 +28,8 @@ use flowrank_sampling::SamplerStage;
 use flowrank_stats::rng::{derive_seeds, Pcg64, SeedableRng};
 use flowrank_topk::{FlowMemory, TopKTracker};
 
-use crate::fault::{DriveError, DrivePolicy, DriveStats, SinkError, TimestampPolicy};
-use crate::pipeline::{Collect, DriveSummary, PacketSource, ReportSink};
+use crate::fault::{DriveError, DrivePolicy, DriveStats, TimestampPolicy};
+use crate::pipeline::{Accepting, Collect, PacketSource, ReportSink};
 use crate::report::{BinReport, ControllerTrail, LaneReport, TopKReport};
 use crate::runtime::{Fork, RuntimeFailure};
 use crate::spec::{SamplerSpec, TopKSpec};
@@ -216,10 +216,13 @@ impl MonitorBuilder {
     }
 
     /// Recovery policy governing [`Monitor::try_drive`]: which source faults
-    /// are skipped, how transient sink failures are retried, the error
-    /// budget, the stall threshold, and how out-of-order timestamps are
-    /// handled ([`TimestampPolicy`]). Defaults to [`DrivePolicy::strict`],
-    /// which reproduces the historical fail-fast behaviour exactly.
+    /// are skipped, the error budget, the stall threshold, and how
+    /// out-of-order timestamps are handled ([`TimestampPolicy`]). Defaults
+    /// to [`DrivePolicy::strict`], which reproduces the historical fail-fast
+    /// behaviour exactly. [`Monitor::drive`] runs the same loop with
+    /// malformed records skipped and no error budget or stall abort, so
+    /// only the policy's [`DrivePolicy::idle_wait`] and
+    /// [`DrivePolicy::timestamps`] apply there.
     ///
     /// The policy never changes *what* the monitor computes — a fault-free
     /// run under any policy is bit-identical to the default.
@@ -391,6 +394,7 @@ impl MonitorBuilder {
             last_ts_nanos: None,
             drive_policy: self.drive_policy,
             clamped_timestamps: 0,
+            delivered: 0,
             poisoned: None,
         }
     }
@@ -885,8 +889,7 @@ impl std::fmt::Debug for Lane {
 /// Drive it from a [`PacketSource`] into a [`ReportSink`] with
 /// [`Monitor::drive`], or feed batches in timestamp order with
 /// [`Monitor::push_batch_into`] and close the last bin with
-/// [`Monitor::finish_into`]. [`Monitor::run_batch`] does both for one
-/// in-memory batch.
+/// [`Monitor::finish_into`].
 #[derive(Debug)]
 pub struct Monitor {
     flow_definition: FlowDefinition,
@@ -907,6 +910,8 @@ pub struct Monitor {
     /// Lifetime count of timestamp regressions absorbed under
     /// [`TimestampPolicy::ClampAndCount`].
     clamped_timestamps: u64,
+    /// Lifetime count of reports a sink took, for [`DriveStats::reports`].
+    delivered: u64,
     /// Set once a lane shard panicked: `(worker, bin)` of the first
     /// detected failure. A poisoned monitor returns the same
     /// [`DriveError::WorkerPanicked`] from every fallible call (infallible
@@ -1210,19 +1215,20 @@ impl Monitor {
         range: Range<usize>,
         sink: &mut K,
     ) {
-        if let Err(error) = self.try_push_range_into(batch, range, sink) {
+        if let Err(error) = self.try_push_range_into(batch, range, &mut Accepting(sink)) {
             panic!("{error}");
         }
     }
 
-    /// Fallible form of [`Monitor::push_range_into`]: instead of panicking,
-    /// surfaces a timestamp regression rejected by
-    /// [`TimestampPolicy::Reject`] as [`DriveError::TimestampRegression`]
-    /// and a lane-shard panic as [`DriveError::WorkerPanicked`] (after
-    /// which the monitor is poisoned — every further fallible call returns
-    /// the same error, and dropping it is safe). The `stats` carried on
-    /// these errors are empty; [`Monitor::try_drive`] fills them in for a
-    /// whole drive.
+    /// Fallible form of [`Monitor::push_range_into`], delivering through
+    /// the sink's [`ReportSink::emit`]: instead of panicking, surfaces a
+    /// timestamp regression rejected by [`TimestampPolicy::Reject`] as
+    /// [`DriveError::TimestampRegression`], a failed `emit` as
+    /// [`DriveError::Sink`], and a lane-shard panic as
+    /// [`DriveError::WorkerPanicked`] (after which the monitor is poisoned —
+    /// every further fallible call returns the same error, and dropping it
+    /// is safe). The `stats` carried on these errors are empty; a drive
+    /// fills them in.
     pub(crate) fn try_push_range_into<K: ReportSink + ?Sized>(
         &mut self,
         batch: &PacketBatch,
@@ -1351,15 +1357,17 @@ impl Monitor {
     /// and delivers its report by reference. Call at the end of a trace.
     /// Returns whether a bin was closed.
     pub fn finish_into<K: ReportSink + ?Sized>(&mut self, sink: &mut K) -> bool {
-        match self.try_finish_into(sink) {
+        match self.try_finish_into(&mut Accepting(sink)) {
             Ok(closed) => closed,
             Err(error) => panic!("{error}"),
         }
     }
 
-    /// Fallible form of [`Monitor::finish_into`]: a lane-shard panic
-    /// surfaces as [`DriveError::WorkerPanicked`] instead of panicking the
-    /// calling thread.
+    /// Fallible form of [`Monitor::finish_into`], delivering through the
+    /// sink's [`ReportSink::emit`]: a failed `emit` surfaces as
+    /// [`DriveError::Sink`] and a lane-shard panic as
+    /// [`DriveError::WorkerPanicked`] instead of panicking the calling
+    /// thread.
     pub(crate) fn try_finish_into<K: ReportSink + ?Sized>(
         &mut self,
         sink: &mut K,
@@ -1375,11 +1383,10 @@ impl Monitor {
         Ok(true)
     }
 
-    /// Runs a whole in-memory batch through the monitor, closes the final
-    /// bin and returns every report as an owned `Vec` — the
-    /// [`Monitor::push_batch_into`] + [`Monitor::finish_into`] pair into a
-    /// [`Collect`] sink. Records come in through
-    /// [`PacketBatch::from_records`].
+    /// [`Monitor::push_batch_into`] and [`Monitor::finish_into`] into a
+    /// [`Collect`], returning every report. No code in the workspace calls
+    /// it; it stays only while the `ledger` package does.
+    #[doc(hidden)]
     pub fn run_batch(&mut self, batch: &PacketBatch) -> Vec<BinReport> {
         let mut sink = Collect::new();
         self.push_batch_into(batch, &mut sink);
@@ -1392,12 +1399,17 @@ impl Monitor {
     /// the streaming pipeline. A one-packet push is a drive over
     /// [`Chunked::new(source, 1)`](crate::Chunked::new).
     ///
-    /// The loop polls [`PacketSource::try_next_chunk`] and owns the one rule
-    /// for what a poll that is not a chunk means: an idle poll (an empty
-    /// chunk) is waited out, [`DrivePolicy::idle_wait`] at a time; a
-    /// malformed record is skipped; the end of the stream and a fatal source
-    /// error both end the drive, which then closes the final bin. It never
-    /// fails — [`Monitor::try_drive`] is the form that reports faults.
+    /// It runs [`Monitor::try_drive`]'s loop under a lenient policy: an idle
+    /// poll (an empty chunk) is waited out, [`DrivePolicy::idle_wait`] at a
+    /// time, and never counts as a stall; a malformed record is skipped; no
+    /// error budget applies; timestamps follow [`DrivePolicy::timestamps`].
+    /// Reports are delivered through the sink's [`ReportSink::accept`], so a
+    /// writer sink keeps its error for its own `finish()`. The end of the
+    /// stream and a fatal source error both end the drive, which then closes
+    /// the final bin. Anything else — a timestamp regression under
+    /// [`TimestampPolicy::Reject`], a lane-shard panic — panics, as
+    /// [`Monitor::push_batch_into`] does; [`Monitor::try_drive`] is the form
+    /// that reports faults.
     ///
     /// The contract:
     ///
@@ -1419,35 +1431,29 @@ impl Monitor {
     ///   workloads, chunked pcap) and an aggregating sink, peak memory is
     ///   independent of trace length.
     ///
-    /// Returns how much work was done (chunks, packets, reports). A monitor
-    /// can be driven repeatedly; each drive closes its own final bin and
-    /// later drives continue the bin sequence (timestamps must keep rising
-    /// across them).
-    pub fn drive<S, K>(&mut self, source: &mut S, sink: &mut K) -> DriveSummary
+    /// Returns the drive's [`DriveStats`] (chunks, packets, reports, skipped
+    /// records, idle polls). A monitor can be driven repeatedly; each drive
+    /// closes its own final bin and later drives continue the bin sequence
+    /// (timestamps must keep rising across them).
+    pub fn drive<S, K>(&mut self, source: &mut S, sink: &mut K) -> DriveStats
     where
         S: PacketSource + ?Sized,
         K: ReportSink + ?Sized,
     {
-        let first_bin = self.current_bin;
-        let mut summary = DriveSummary::default();
-        loop {
-            match source.try_next_chunk() {
-                Ok(Some(chunk)) if chunk.is_empty() => {
-                    std::thread::sleep(self.drive_policy.idle_wait)
-                }
-                Ok(Some(chunk)) => {
-                    summary.chunks += 1;
-                    summary.packets += chunk.len() as u64;
-                    self.push_batch_into(chunk, sink);
-                }
-                Err(error) if error.is_recoverable() => {}
-                Ok(None) | Err(_) => break,
+        let lenient = DrivePolicy {
+            skip_malformed: true,
+            error_budget: u64::MAX,
+            stall_polls: u64::MAX,
+            ..self.drive_policy
+        };
+        match self.drive_with(lenient, source, &mut Accepting(sink)) {
+            Ok(stats) => stats,
+            Err(DriveError::Source { mut stats, .. }) => {
+                stats.reports += u64::from(self.finish_into(sink));
+                stats
             }
+            Err(error) => panic!("{error}"),
         }
-        self.finish_into(sink);
-        // Every bin the drive closed has been delivered by now.
-        summary.reports = self.current_bin - first_bin;
-        summary
     }
 
     /// Fault-aware form of [`Monitor::drive`]: pulls chunks through
@@ -1459,10 +1465,8 @@ impl Monitor {
     ///   [`DrivePolicy::skip_malformed`] is set, otherwise they abort —
     ///   fatal source errors always abort ([`DriveError::Source`]); a skip
     ///   is *progress*, so it also resets the stall detector's idle streak;
-    /// * transient sink failures are retried up to
-    ///   [`DrivePolicy::sink_retries`] times with exponential backoff;
-    ///   permanent failures and exhausted retries abort
-    ///   ([`DriveError::Sink`]);
+    /// * the first failed [`ReportSink::emit`] aborts ([`DriveError::Sink`]);
+    ///   nothing retries it, since the failure may follow a partial write;
     /// * total absorbed recoveries over [`DrivePolicy::error_budget`] abort
     ///   ([`DriveError::ErrorBudgetExhausted`]);
     /// * a source answering an empty chunk (an idle poll) makes the loop sleep
@@ -1488,16 +1492,25 @@ impl Monitor {
         S: PacketSource + ?Sized,
         K: ReportSink + ?Sized,
     {
-        enum Outcome {
-            Done,
-            Drive(DriveError),
-            Source(crate::fault::SourceError),
-            Sink(SinkError),
-            Stalled(u64, Duration),
-            Budget,
-        }
-        let policy = self.drive_policy;
-        let clamped_base = self.clamped_timestamps;
+        self.drive_with(self.drive_policy, source, sink)
+    }
+
+    /// The one poll loop behind [`Monitor::drive`] and
+    /// [`Monitor::try_drive`]: pushes every chunk `source` yields into the
+    /// monitor, delivering through `sink`'s [`ReportSink::emit`], applies
+    /// `policy` to idle polls, malformed records and the error budget, and
+    /// closes the final bin when the source ends.
+    fn drive_with<S, K>(
+        &mut self,
+        policy: DrivePolicy,
+        source: &mut S,
+        sink: &mut K,
+    ) -> Result<DriveStats, DriveError>
+    where
+        S: PacketSource + ?Sized,
+        K: ReportSink + ?Sized,
+    {
+        let (clamped_base, delivered_base) = (self.clamped_timestamps, self.delivered);
         let mut stats = DriveStats::default();
         let mut idle_streak = 0u64;
         // Wall-clock start of the current idle streak; `None` while the
@@ -1505,13 +1518,6 @@ impl Monitor {
         // from here, not loop iterations — a fast poll loop must not turn
         // `stall_polls` polls of a merely quiet source into an abort.
         let mut idle_since: Option<Instant> = None;
-        let mut policy_sink = PolicySink {
-            inner: sink,
-            policy,
-            retries: 0,
-            reports: 0,
-            failed: None,
-        };
         let outcome = loop {
             match source.try_next_chunk() {
                 Ok(Some(chunk)) if chunk.is_empty() => {
@@ -1522,7 +1528,11 @@ impl Monitor {
                     if idle_streak >= policy.stall_polls {
                         let stalled_for = since.elapsed();
                         if stalled_for >= policy.stall_timeout {
-                            break Outcome::Stalled(idle_streak, stalled_for);
+                            break Err(DriveError::SourceStalled {
+                                idle_polls: idle_streak,
+                                stalled_for,
+                                stats,
+                            });
                         }
                     }
                     if !policy.idle_wait.is_zero() {
@@ -1535,24 +1545,11 @@ impl Monitor {
                     idle_since = None;
                     stats.chunks += 1;
                     stats.packets += chunk.len() as u64;
-                    if let Err(error) =
-                        self.try_push_range_into(chunk, 0..chunk.len(), &mut policy_sink)
-                    {
-                        break Outcome::Drive(error);
-                    }
-                    if let Some(error) = policy_sink.failed.take() {
-                        break Outcome::Sink(error);
+                    if let Err(error) = self.try_push_range_into(chunk, 0..chunk.len(), sink) {
+                        break Err(error);
                     }
                 }
-                Ok(None) => match self.try_finish_into(&mut policy_sink) {
-                    Ok(_) => {
-                        break match policy_sink.failed.take() {
-                            Some(error) => Outcome::Sink(error),
-                            None => Outcome::Done,
-                        }
-                    }
-                    Err(error) => break Outcome::Drive(error),
-                },
+                Ok(None) => break self.try_finish_into(sink).map(drop),
                 Err(error) if error.is_recoverable() && policy.skip_malformed => {
                     stats.malformed_skipped += 1;
                     // A skipped record is progress past real input — a
@@ -1561,39 +1558,24 @@ impl Monitor {
                     idle_streak = 0;
                     idle_since = None;
                 }
-                Err(error) => break Outcome::Source(error),
+                Err(error) => break Err(DriveError::Source { error, stats }),
             }
             // One budget gate per loop turn: every recovery class the policy
             // absorbed so far counts against the same budget.
-            if stats.malformed_skipped
-                + policy_sink.retries
-                + (self.clamped_timestamps - clamped_base)
-                > policy.error_budget
-            {
-                break Outcome::Budget;
+            stats.clamped_timestamps = self.clamped_timestamps - clamped_base;
+            if stats.recoveries() > policy.error_budget {
+                break Err(DriveError::ErrorBudgetExhausted {
+                    budget: policy.error_budget,
+                    stats,
+                });
             }
         };
-        stats.sink_retries = policy_sink.retries;
-        stats.reports = policy_sink.reports;
+        stats.reports = self.delivered - delivered_base;
         stats.clamped_timestamps = self.clamped_timestamps - clamped_base;
-        match outcome {
-            Outcome::Done => Ok(stats),
-            Outcome::Drive(mut error) => {
-                *error.stats_mut() = stats;
-                Err(error)
-            }
-            Outcome::Source(error) => Err(DriveError::Source { error, stats }),
-            Outcome::Sink(error) => Err(DriveError::Sink { error, stats }),
-            Outcome::Stalled(idle_polls, stalled_for) => Err(DriveError::SourceStalled {
-                idle_polls,
-                stalled_for,
-                stats,
-            }),
-            Outcome::Budget => Err(DriveError::ErrorBudgetExhausted {
-                budget: policy.error_budget,
-                stats,
-            }),
-        }
+        outcome.map(|()| stats).map_err(|mut error| {
+            *error.stats_mut() = stats;
+            error
+        })
     }
 
     /// Closes the bin currently being filled, delivers its report into
@@ -1605,67 +1587,16 @@ impl Monitor {
         self.current_bin += 1;
         match self.engine.seal_bin(bin_index, bin_start, self.top_t) {
             Ok(report) => {
-                sink.accept(report);
+                sink.emit(report).map_err(|error| DriveError::Sink {
+                    error,
+                    stats: DriveStats::default(),
+                })?;
+                self.delivered += 1;
                 Ok(())
             }
             Err(failure) => Err(self.poison(failure)),
         }
     }
-}
-
-/// The sink [`Monitor::try_drive`] wraps around the caller's: every accept
-/// becomes an [`ReportSink::emit`] with the policy's bounded
-/// retry-with-backoff for transient failures. The first unrecovered failure
-/// latches into `failed` and turns every later accept into a no-op, so the
-/// drive loop can surface the error at its next check without pushing more
-/// reports into a broken sink.
-struct PolicySink<'a, K: ?Sized> {
-    inner: &'a mut K,
-    policy: DrivePolicy,
-    /// Total retry attempts spent (across all reports).
-    retries: u64,
-    /// Reports successfully delivered.
-    reports: u64,
-    /// First unrecovered sink failure, awaiting pickup by the drive loop.
-    failed: Option<SinkError>,
-}
-
-impl<K: ReportSink + ?Sized> ReportSink for PolicySink<'_, K> {
-    fn accept(&mut self, report: &BinReport) {
-        if self.failed.is_some() {
-            return;
-        }
-        let mut backoff = self.policy.sink_backoff;
-        let mut attempts = 0u32;
-        loop {
-            match self.inner.emit(report) {
-                Ok(()) => {
-                    self.reports += 1;
-                    return;
-                }
-                Err(error) if error.is_transient() && attempts < self.policy.sink_retries => {
-                    attempts += 1;
-                    self.retries += 1;
-                    if !backoff.is_zero() {
-                        std::thread::sleep(backoff);
-                    }
-                    backoff = escalate_backoff(backoff, self.policy.sink_backoff_cap);
-                }
-                Err(error) => {
-                    self.failed = Some(error);
-                    return;
-                }
-            }
-        }
-    }
-}
-
-/// One step of [`PolicySink`]'s exponential backoff: double, saturating at
-/// [`Duration::MAX`] instead of panicking (a caller-sized `sink_backoff`
-/// near the top of the `Duration` range used to overflow `backoff * 2`),
-/// then clamp to the policy's cap.
-fn escalate_backoff(backoff: Duration, cap: Duration) -> Duration {
-    backoff.saturating_mul(2).min(cap)
 }
 
 #[cfg(test)]
@@ -1688,7 +1619,10 @@ mod tests {
 
     /// A whole in-memory trace as one batch, final bin closed.
     fn run(monitor: &mut Monitor, packets: &[PacketRecord]) -> Vec<BinReport> {
-        monitor.run_batch(&PacketBatch::from_records(packets))
+        let mut sink = Collect::new();
+        monitor.push_batch_into(&PacketBatch::from_records(packets), &mut sink);
+        monitor.finish_into(&mut sink);
+        sink.reports
     }
 
     /// One packet as a one-record batch: the bins it closed.
@@ -1725,25 +1659,6 @@ mod tests {
         }
         packets.sort_by_key(|p| p.timestamp);
         packets
-    }
-
-    #[test]
-    fn backoff_escalation_saturates_instead_of_overflowing() {
-        // Regression: `backoff * 2` panicked (`overflow when multiplying
-        // duration by scalar`) once the backoff crossed half of
-        // `Duration::MAX`, so a retry sequence under a huge configured
-        // backoff aborted the process instead of retrying.
-        let huge = Duration::MAX - Duration::from_nanos(1);
-        assert_eq!(escalate_backoff(huge, Duration::MAX), Duration::MAX);
-        // Ordinary escalation still doubles, and the cap clamps.
-        assert_eq!(
-            escalate_backoff(Duration::from_millis(10), Duration::from_secs(1)),
-            Duration::from_millis(20)
-        );
-        assert_eq!(
-            escalate_backoff(Duration::from_millis(800), Duration::from_secs(1)),
-            Duration::from_secs(1)
-        );
     }
 
     #[test]

@@ -51,8 +51,7 @@
 //!
 //! # Sinks
 //!
-//! * [`Collect`] — clones every report into a `Vec` (the sink behind
-//!   [`Monitor::run_batch`](crate::Monitor::run_batch)).
+//! * [`Collect`] — clones every report into a `Vec`.
 //! * [`RateCurve`] — accumulates the paper's mean-accuracy-per-rate curves
 //!   online (Welford moments per rate, nothing retained per bin).
 //! * [`NdjsonSink`] / [`CsvSink`] — stream reports to any `io::Write` as
@@ -72,7 +71,7 @@ use flowrank_net::pcap::PcapBatchCursor;
 use flowrank_net::{CompactKey, NetError, PacketBatch, PacketRecord, Timestamp};
 use flowrank_stats::summary::RunningStats;
 
-use crate::fault::{SinkError, SourceError};
+use crate::fault::SourceError;
 use crate::report::BinReport;
 
 /// Copies a [`NetError`] so a latched terminating error can be surfaced
@@ -99,17 +98,6 @@ fn replicate_io_error(error: &io::Error) -> io::Error {
 /// chunking. Large enough to amortise per-chunk overhead, small enough that
 /// a chunk of four SoA columns stays cache-friendly.
 pub(crate) const DEFAULT_CHUNK_PACKETS: usize = 4096;
-
-/// What one [`crate::Monitor::drive`] call processed.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DriveSummary {
-    /// Chunks pulled from the source.
-    pub chunks: u64,
-    /// Packets pushed through the monitor.
-    pub packets: u64,
-    /// Bin reports delivered to the sink (final flush included).
-    pub reports: u64,
-}
 
 // ---------------------------------------------------------------------------
 // Sources
@@ -1125,16 +1113,17 @@ pub trait ReportSink {
     fn accept(&mut self, report: &BinReport);
 
     /// The fallible form of [`ReportSink::accept`], used by
-    /// [`Monitor::try_drive`](crate::Monitor::try_drive).
+    /// [`Monitor::try_drive`](crate::Monitor::try_drive), whose first
+    /// failed `emit` aborts the drive with
+    /// [`DriveError::Sink`](crate::DriveError::Sink).
     ///
     /// The default wraps `accept` and never errors, so every existing sink
     /// is a fallible sink for free. Writer sinks override it to return
-    /// their I/O errors, classified transient-vs-permanent through
-    /// [`SinkError`]: the drive loop retries transient failures by
-    /// re-emitting the *same report whole* (so a sink that failed after a
-    /// partial write may carry a duplicated fragment), and a permanent
-    /// failure latches — both `emit` and `accept` stop writing.
-    fn emit(&mut self, report: &BinReport) -> Result<(), SinkError> {
+    /// their I/O errors. Nothing retries a failed report: `write_all`
+    /// already rides out `Interrupted`, and any other failure may come
+    /// after part of the report was written. So every failure latches —
+    /// both `emit` and `accept` stop writing.
+    fn emit(&mut self, report: &BinReport) -> io::Result<()> {
         self.accept(report);
         Ok(())
     }
@@ -1145,13 +1134,30 @@ impl<K: ReportSink + ?Sized> ReportSink for &mut K {
         (**self).accept(report)
     }
 
-    fn emit(&mut self, report: &BinReport) -> Result<(), SinkError> {
+    fn emit(&mut self, report: &BinReport) -> io::Result<()> {
         (**self).emit(report)
     }
 }
 
-/// Clones every report into a vector — the sink behind the owned-`Vec`
-/// entry point [`Monitor::run_batch`](crate::Monitor::run_batch).
+/// The sink the infallible entry points deliver through: its `emit` is the
+/// wrapped sink's `accept`, so a writer sink behind
+/// [`Monitor::drive`](crate::Monitor::drive) or
+/// [`Monitor::push_batch_into`](crate::Monitor::push_batch_into) latches its
+/// error for its `finish()` instead of failing the push.
+pub(crate) struct Accepting<'a, K: ?Sized>(pub(crate) &'a mut K);
+
+impl<K: ReportSink + ?Sized> ReportSink for Accepting<'_, K> {
+    fn accept(&mut self, report: &BinReport) {
+        self.0.accept(report)
+    }
+}
+
+/// Clones every report into a vector. A batch pushed with
+/// [`Monitor::push_batch_into`] and closed with [`Monitor::finish_into`]
+/// into a `Collect` leaves all its reports there.
+///
+/// [`Monitor::push_batch_into`]: crate::Monitor::push_batch_into
+/// [`Monitor::finish_into`]: crate::Monitor::finish_into
 #[derive(Debug, Default, Clone)]
 pub struct Collect {
     /// The collected reports, in bin order.
@@ -1183,10 +1189,8 @@ impl<A: ReportSink, B: ReportSink> ReportSink for Tee<A, B> {
     }
 
     /// Forwards to both sinks; the first error wins (the second sink is
-    /// still offered the report when the first fails, so a retried report
-    /// may reach a sink that already took it — sinks behind a retrying
-    /// drive should be idempotent or not share a `Tee`).
-    fn emit(&mut self, report: &BinReport) -> Result<(), SinkError> {
+    /// still offered the report when the first fails).
+    fn emit(&mut self, report: &BinReport) -> io::Result<()> {
         let first = self.0.emit(report);
         let second = self.1.emit(report);
         first.and(second)
@@ -1283,24 +1287,16 @@ impl ReportSink for RateCurve {
 }
 
 /// The writer sinks' one error policy, behind both [`ReportSink`] methods: a
-/// latched error refuses every later report. A fresh failure of `render` is
-/// classified through [`SinkError::from`]: a transient one is only returned,
-/// so the drive loop can retry; a permanent one also latches, so the sink's
-/// `finish()` reports it too.
+/// fresh failure of `render` latches, so the sink's `finish()` reports it
+/// too, and a latched error refuses every later report.
 fn emit_latching(
     latched: &mut Option<io::Error>,
     render: impl FnOnce() -> io::Result<()>,
-) -> Result<(), SinkError> {
+) -> io::Result<()> {
     if let Some(error) = latched {
-        return Err(SinkError::permanent(replicate_io_error(error)));
+        return Err(replicate_io_error(error));
     }
-    render().map_err(|error| {
-        let error = SinkError::from(error);
-        if !error.is_transient() {
-            *latched = Some(replicate_io_error(error.io_error()));
-        }
-        error
-    })
+    render().inspect_err(|error| *latched = Some(replicate_io_error(error)))
 }
 
 /// Streams every report as one JSON object per line (ndjson) to a writer.
@@ -1384,17 +1380,15 @@ impl<W: Write> NdjsonSink<W> {
 }
 
 impl<W: Write> ReportSink for NdjsonSink<W> {
-    /// [`NdjsonSink::emit`] with nobody to retry: any failure, transient
-    /// included, latches for [`NdjsonSink::finish`].
+    /// [`NdjsonSink::emit`] with nobody to return the error to: it stays
+    /// latched for [`NdjsonSink::finish`].
     fn accept(&mut self, report: &BinReport) {
-        if self.error.is_none() {
-            self.error = self.emit(report).err().map(SinkError::into_io_error);
-        }
+        let _ = self.emit(report);
     }
 
-    /// Renders the report; a transient I/O error is returned for the drive
-    /// loop to retry, a permanent one also latches for [`NdjsonSink::finish`].
-    fn emit(&mut self, report: &BinReport) -> Result<(), SinkError> {
+    /// Renders the report; an I/O error is returned and latches for
+    /// [`NdjsonSink::finish`].
+    fn emit(&mut self, report: &BinReport) -> io::Result<()> {
         emit_latching(&mut self.error, || Self::render(&mut self.out, report))
     }
 }
@@ -1464,13 +1458,11 @@ impl<W: Write> CsvSink<W> {
 impl<W: Write> ReportSink for CsvSink<W> {
     /// Same as [`NdjsonSink::accept`]: `emit`, with every failure latched.
     fn accept(&mut self, report: &BinReport) {
-        if self.error.is_none() {
-            self.error = self.emit(report).err().map(SinkError::into_io_error);
-        }
+        let _ = self.emit(report);
     }
 
-    /// Same transient-vs-permanent contract as [`NdjsonSink::emit`].
-    fn emit(&mut self, report: &BinReport) -> Result<(), SinkError> {
+    /// Same latching contract as [`NdjsonSink::emit`].
+    fn emit(&mut self, report: &BinReport) -> io::Result<()> {
         emit_latching(&mut self.error, || {
             Self::render(&mut self.out, &mut self.wrote_header, report)
         })
@@ -1652,7 +1644,11 @@ mod tests {
 
     /// What `monitor()` reports for an in-memory trace, as one batch.
     fn run_records(packets: &[PacketRecord]) -> Vec<BinReport> {
-        monitor().run_batch(&PacketBatch::from_records(packets))
+        let mut sink = Collect::new();
+        let mut m = monitor();
+        m.push_batch_into(&PacketBatch::from_records(packets), &mut sink);
+        m.finish_into(&mut sink);
+        sink.reports
     }
 
     fn monitor() -> Monitor {
@@ -1835,7 +1831,7 @@ mod tests {
         let empty = PacketBatch::new();
         let mut sink = Collect::new();
         let summary = monitor().drive(&mut BatchSource::new(&empty), &mut sink);
-        assert_eq!(summary, DriveSummary::default());
+        assert_eq!(summary, crate::DriveStats::default());
         assert!(sink.reports.is_empty());
 
         let mut sink = Collect::new();
@@ -2843,9 +2839,11 @@ mod tests {
         std::fs::remove_file(file).unwrap();
     }
 
-    /// Writer that fails with the given error kind for the first `failures`
-    /// writes, then forwards to a `Vec`.
+    /// Writer that passes its first `ok` writes through to a `Vec`, fails
+    /// the next `failures` with the given error kind, then passes the rest.
+    #[derive(Debug)]
     struct FlakyWriter {
+        ok: usize,
         failures: usize,
         kind: io::ErrorKind,
         out: Vec<u8>,
@@ -2853,7 +2851,9 @@ mod tests {
 
     impl Write for FlakyWriter {
         fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-            if self.failures > 0 {
+            if self.ok > 0 {
+                self.ok -= 1;
+            } else if self.failures > 0 {
                 self.failures -= 1;
                 return Err(io::Error::new(self.kind, "injected write failure"));
             }
@@ -2867,33 +2867,56 @@ mod tests {
 
     #[test]
     fn writer_sink_emit_classifies_transient_and_permanent_failures() {
-        let report = run_records(&trace()).remove(0);
+        let reports = run_records(&trace());
+        assert!(reports.len() >= 2);
 
-        // Transient: emit errors but does NOT latch — the retry succeeds.
-        // (TimedOut, not Interrupted: `write_all` swallows Interrupted by
-        // retrying internally, so it never reaches the sink's classifier.)
+        // An `Interrupted` write in the middle of a report is ridden out by
+        // `write_all`: every report is still one whole line. This is why
+        // nothing above the sink retries a failed report.
         let mut sink = NdjsonSink::new(FlakyWriter {
+            ok: 2,
             failures: 1,
-            kind: io::ErrorKind::TimedOut,
+            kind: io::ErrorKind::Interrupted,
             out: Vec::new(),
         });
-        let error = sink.emit(&report).unwrap_err();
-        assert!(error.is_transient());
-        sink.emit(&report).expect("retry succeeds");
-        let out = sink.finish().expect("no latched error");
-        assert_eq!(String::from_utf8(out.out).unwrap().lines().count(), 1);
+        for report in &reports {
+            sink.emit(report).expect("an interrupt is not a failure");
+        }
+        let out = String::from_utf8(sink.finish().expect("nothing latched").out).unwrap();
+        assert_eq!(out.lines().count(), reports.len());
+        for (line, report) in out.lines().zip(&reports) {
+            assert!(line.starts_with(&format!("{{\"bin\":{},", report.bin_index)));
+            assert_eq!(line.matches("{\"bin\"").count(), 1, "{line}");
+            assert!(line.ends_with("]}"), "{line}");
+        }
 
-        // Permanent: emit errors AND latches — accept stops, finish errors.
-        let mut sink = CsvSink::new(FlakyWriter {
-            failures: usize::MAX,
+        // Any other error latches, whatever its kind: later reports are
+        // refused by `emit` and `accept` alike, and `finish` returns it.
+        for kind in [io::ErrorKind::TimedOut, io::ErrorKind::BrokenPipe] {
+            let mut sink = CsvSink::new(FlakyWriter {
+                ok: 1,
+                failures: 1,
+                kind,
+                out: Vec::new(),
+            });
+            assert_eq!(sink.emit(&reports[0]).unwrap_err().kind(), kind);
+            assert_eq!(sink.emit(&reports[1]).unwrap_err().kind(), kind, "latched");
+            sink.accept(&reports[1]); // must be a no-op, not a panic
+            assert_eq!(sink.finish().unwrap_err().kind(), kind);
+        }
+
+        // `drive` delivers through `accept`: the failed sink does not stop
+        // the drive, and its `finish` still returns the error.
+        let mut sink = NdjsonSink::new(FlakyWriter {
+            ok: 1,
+            failures: 1,
             kind: io::ErrorKind::BrokenPipe,
             out: Vec::new(),
         });
-        let error = sink.emit(&report).unwrap_err();
-        assert!(!error.is_transient());
-        assert!(sink.emit(&report).is_err(), "latched");
-        sink.accept(&report); // must be a no-op, not a panic
-        assert!(sink.finish().is_err());
+        let batch = PacketBatch::from_records(&trace());
+        let stats = monitor().drive(&mut BatchSource::new(&batch), &mut sink);
+        assert_eq!(stats.reports, reports.len() as u64);
+        assert_eq!(sink.finish().unwrap_err().kind(), io::ErrorKind::BrokenPipe);
     }
 
     #[test]

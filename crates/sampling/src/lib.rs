@@ -1,7 +1,7 @@
 //! # flowrank-sampling
 //!
-//! Packet- and flow-sampling strategies, plus the inversion estimators that
-//! turn sampled counters back into estimates of the original traffic.
+//! Packet- and flow-sampling strategies, plus the `1/p` inversion that turns
+//! a sampled flow's packet count back into an estimate of its original size.
 //!
 //! The paper studies *random packet sampling* — every packet is kept
 //! independently with probability `p` — because that is what production
@@ -25,8 +25,8 @@
 //!   the adaptation the streaming monitor uses.
 //! * [`adaptive`] — an adaptive-rate packet sampler that tracks a packet
 //!   budget per interval (the paper's third future-work direction).
-//! * [`inversion`] — estimators of original-traffic quantities from sampled
-//!   data (scale-by-1/p, flow counts, mean flow size).
+//! * [`inversion`] — the unbiased scale-by-1/p estimator of a flow's
+//!   original size.
 //! * [`seqno`] — TCP sequence-number flow-size estimator (the paper's second
 //!   future-work direction).
 //! * [`pipeline`] — sampling pipelines without intermediate copies: the

@@ -136,12 +136,11 @@ fn run(config: &ServeConfig) -> Result<(), String> {
     // The final line is machine-readable: the ledger's `serve_ndjson`
     // workload and the smoke test parse it.
     println!(
-        "{{\"serve\":\"final\",\"bins\":{},\"packets\":{},\"idle_polls\":{},\"malformed_skipped\":{},\"sink_retries\":{},\"elapsed_s\":{elapsed:.3},\"throughput_pps\":{throughput:.0}}}",
+        "{{\"serve\":\"final\",\"bins\":{},\"packets\":{},\"idle_polls\":{},\"malformed_skipped\":{},\"elapsed_s\":{elapsed:.3},\"throughput_pps\":{throughput:.0}}}",
         publish.window().bins_seen(),
         stats.packets,
         stats.idle_polls,
         stats.malformed_skipped,
-        stats.sink_retries,
     );
     Ok(())
 }
@@ -187,10 +186,7 @@ impl ReportSink for WriterSink {
         }
     }
 
-    fn emit(
-        &mut self,
-        report: &flowrank_monitor::BinReport,
-    ) -> Result<(), flowrank_monitor::SinkError> {
+    fn emit(&mut self, report: &flowrank_monitor::BinReport) -> std::io::Result<()> {
         self.stream().map_or(Ok(()), |stream| stream.emit(report))
     }
 }

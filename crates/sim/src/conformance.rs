@@ -2,9 +2,9 @@
 //!
 //! The workspace keeps three ways of driving a monitor over the same trace
 //! — [`Monitor::push_batch_into`] one record per call, batches of any cut
-//! (one whole batch through [`Monitor::run_batch`], or chunked
-//! arbitrarily) and the lane shards behind `threads(n)` (driven both
-//! through `run_batch` and through `Monitor::drive` over irregularly
+//! (one whole batch, or chunked arbitrarily) and the lane shards behind
+//! `threads(n)` (driven both with one whole batch and through
+//! `Monitor::drive` over irregularly
 //! chunked sources, with chunks both smaller and larger than the forked
 //! segment buffer) — plus the
 //! independent per-packet oracle `crate::engine::run_bin`, which shares
@@ -21,7 +21,7 @@
 //! source/sink pipeline (`Monitor::drive` over a whole-batch source and
 //! over the re-chunking adapter, with the streaming [`DigestSink`]
 //! accumulating alongside) — asserts that every
-//! [`BinReport`](flowrank_monitor::BinReport) agrees byte for byte, replays
+//! [`BinReport`] agrees byte for byte, replays
 //! each bin through the oracle for the same seed, and returns the
 //! [`DigestSink::digest_reports`] hash of the reference stream. The digest
 //! folds every observable field — bin indices, packet/flow counts,
@@ -30,11 +30,12 @@
 //! platforms, optimisation levels and thread counts.
 //! [`run_streamed_conformance`] extends the matrix to the streamed-workload
 //! path: windowed synthesis driven straight into the monitor, pinned
-//! bit-identical to `run_batch` on the materialised trace for arbitrary
+//! bit-identical to one whole batch of the materialised trace for arbitrary
 //! chunkings down to single packets.
 
 use flowrank_monitor::{
-    BatchSource, Chunked, Collect, DigestSink, Monitor, ReportSink, SamplerSpec, Tee, TopKSpec,
+    BatchSource, BinReport, Chunked, Collect, DigestSink, Monitor, ReportSink, SamplerSpec, Tee,
+    TopKSpec,
 };
 use flowrank_net::{FlowDefinition, PacketBatch, PacketRecord, Timestamp};
 use flowrank_stats::rng::{Pcg64, SeedableRng};
@@ -98,8 +99,16 @@ impl ConformanceConfig {
     }
 }
 
+/// Every report of `batch` pushed whole into `monitor`, final bin closed.
+fn push_whole(mut monitor: Monitor, batch: &PacketBatch) -> Vec<BinReport> {
+    let mut sink = Collect::new();
+    monitor.push_batch_into(batch, &mut sink);
+    monitor.finish_into(&mut sink);
+    sink.reports
+}
+
 /// Runs `packets` through every execution path under `config`, asserts all
-/// paths produce bit-identical [`BinReport`](flowrank_monitor::BinReport)
+/// paths produce bit-identical [`BinReport`]
 /// streams (and that each bin matches the independent per-packet oracle,
 /// `engine::run_bin`), and returns the reference stream's
 /// [`DigestSink::digest_reports`] value.
@@ -123,10 +132,10 @@ pub fn run_conformance(label: &str, packets: &[PacketRecord], config: &Conforman
 
     // One batch covering the whole trace.
     let batch = PacketBatch::from_records(packets);
-    let whole = config.monitor(1).run_batch(&batch);
+    let whole = push_whole(config.monitor(1), &batch);
     assert_eq!(
         whole, reference,
-        "{label}: whole-trace run_batch diverged from per-packet push"
+        "{label}: whole-trace batch diverged from per-packet push"
     );
 
     // Irregular batch cuts, including single-packet batches.
@@ -151,11 +160,11 @@ pub fn run_conformance(label: &str, packets: &[PacketRecord], config: &Conforman
     );
 
     // The sharded leg: whole-bin segments fan out across worker threads.
-    let sharded = config.monitor(config.threads.max(2)).run_batch(&batch);
+    let sharded = push_whole(config.monitor(config.threads.max(2)), &batch);
     assert_eq!(
         sharded,
         reference,
-        "{label}: sharded ({} threads) run_batch diverged from per-packet push",
+        "{label}: sharded ({} threads) whole batch diverged from per-packet push",
         config.threads.max(2)
     );
 
@@ -299,8 +308,8 @@ const STREAM_CHUNKS: [usize; 3] = [1, 463, 8192];
 /// it against the materialised trace: `Monitor::drive` over
 /// [`Workload::stream`] — re-chunked to every size in a small grid,
 /// including one-packet chunks, with a streaming [`DigestSink`] — must
-/// produce bit-identical reports (hence digests) to [`Monitor::run_batch`]
-/// on the fully materialised [`Workload::synthesize`] trace, even though
+/// produce bit-identical reports (hence digests) to one whole batch of the
+/// fully materialised [`Workload::synthesize`] trace, even though
 /// the streamed synthesis never holds more than one window of packets.
 ///
 /// Returns the reference stream's offline [`DigestSink::digest_reports`]
@@ -316,9 +325,9 @@ pub fn run_streamed_conformance(
     trace_seed: u64,
     config: &ConformanceConfig,
 ) -> u64 {
-    // Collect path: the whole trace materialised, one run_batch call.
+    // Collect path: the whole trace materialised, pushed as one batch.
     let batch = PacketBatch::from_records(&workload.synthesize(trace_seed));
-    let reference = config.monitor(1).run_batch(&batch);
+    let reference = push_whole(config.monitor(1), &batch);
     let mut reference_digest = DigestSink::new();
     for report in &reference {
         reference_digest.accept(report);
@@ -337,7 +346,7 @@ pub fn run_streamed_conformance(
     let Tee(stream_digest, stream_reports) = driven;
     assert_eq!(
         stream_reports.reports, reference,
-        "{label}: streamed workload drive diverged from run_batch on the materialised trace"
+        "{label}: streamed workload drive diverged from the materialised trace's whole batch"
     );
     assert_eq!(
         stream_digest.digest(),
@@ -390,8 +399,7 @@ mod tests {
     fn digest_is_order_and_content_sensitive() {
         let packets = Workload::rank_churn().synthesize(1);
         let config = ConformanceConfig::default();
-        let mut monitor = config.monitor(1);
-        let reports = monitor.run_batch(&PacketBatch::from_records(&packets));
+        let reports = push_whole(config.monitor(1), &PacketBatch::from_records(&packets));
         assert!(reports.len() >= 2);
         let digest = DigestSink::digest_reports(&reports);
         assert_eq!(

@@ -3,7 +3,7 @@
 //! The chaos conformance suite needs to exercise every recovery path of
 //! [`Monitor::try_drive`](flowrank_monitor::Monitor::try_drive) —
 //! malformed records, mid-stream EOF, fatal reads, source stalls,
-//! out-of-order timestamps, transient/permanent/slow sinks — **without**
+//! out-of-order timestamps, failing and slow sinks — **without**
 //! any real I/O and **reproducibly**: the same seed must inject the same
 //! faults at the same points on every run and at every thread count.
 //!
@@ -17,18 +17,18 @@
 //!   and the terminal faults, the wrapped source still delivers every
 //!   packet, so a policy that absorbs the faults reproduces the fault-free
 //!   report stream bit for bit.
-//! * [`FaultySink`] wraps any [`ReportSink`] and fails chosen reports
-//!   ([`SinkFault`]), keyed by *successful* report ordinal so retries of a
-//!   failed report hit the same fault slot.
+//! * [`FaultySink`] wraps any [`ReportSink`] and fails or delays chosen
+//!   reports ([`SinkFault`]), keyed by report ordinal.
 //!
-//! Both wrappers count what they actually injected, so tests can assert
-//! the monitor's [`DriveStats`](flowrank_monitor::DriveStats) against the
-//! ground truth of the schedule.
+//! The source counts what it actually injected and the sink what it
+//! delivered, so tests can assert the monitor's
+//! [`DriveStats`](flowrank_monitor::DriveStats) against the ground truth of
+//! the schedule.
 
 use std::collections::BTreeMap;
 use std::io;
 
-use flowrank_monitor::{BinReport, PacketSource, ReportSink, SinkError, SourceError};
+use flowrank_monitor::{BinReport, PacketSource, ReportSink, SourceError};
 use flowrank_net::{NetError, PacketBatch, Timestamp};
 use flowrank_stats::rng::{Pcg64, Rng, SeedableRng};
 
@@ -246,15 +246,6 @@ impl<S: PacketSource> PacketSource for FaultySource<S> {
 /// One injected sink-side fault class.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SinkFault {
-    /// The report fails `failures` times with a transient
-    /// [`SinkError`] before succeeding — food for the bounded
-    /// retry-with-backoff path. (Injected as `TimedOut`: `Interrupted`
-    /// would be absorbed by `std`'s own `write_all` retry loop before any
-    /// sink policy sees it.)
-    Transient {
-        /// Emit attempts that fail before the report goes through.
-        failures: u32,
-    },
     /// The sink fails permanently: this report and every later one errors.
     Permanent,
     /// The report is delivered after a delay — stall-detector coverage:
@@ -265,24 +256,16 @@ pub enum SinkFault {
     },
 }
 
-/// A [`ReportSink`] wrapper that fails chosen reports.
-///
-/// Faults are keyed by the ordinal of the report among *successful*
-/// deliveries, so a retried report keeps hitting its own fault slot until
-/// the slot's failures are spent — exactly the shape a transient I/O error
-/// has in the wild.
+/// A [`ReportSink`] wrapper that fails or delays chosen reports, keyed by
+/// the ordinal of the report among deliveries.
 #[derive(Debug)]
 pub struct FaultySink<K> {
     inner: K,
     faults: BTreeMap<u64, SinkFault>,
-    /// Ordinal of the next successful delivery.
+    /// Ordinal of the next delivery.
     delivered: u64,
-    /// Transient failures already charged against the current ordinal.
-    spent: u32,
     /// Latched permanent failure.
     broken: bool,
-    /// Transient failures injected so far.
-    pub injected_transient: u64,
 }
 
 impl<K: ReportSink> FaultySink<K> {
@@ -292,14 +275,12 @@ impl<K: ReportSink> FaultySink<K> {
             inner,
             faults: BTreeMap::new(),
             delivered: 0,
-            spent: 0,
             broken: false,
-            injected_transient: 0,
         }
     }
 
-    /// Schedules `fault` on the report with successful-delivery ordinal
-    /// `report` (0-based).
+    /// Schedules `fault` on the report with delivery ordinal `report`
+    /// (0-based).
     pub fn fail_at(mut self, report: u64, fault: SinkFault) -> Self {
         self.faults.insert(report, fault);
         self
@@ -318,42 +299,29 @@ impl<K: ReportSink> FaultySink<K> {
 
 impl<K: ReportSink> ReportSink for FaultySink<K> {
     fn accept(&mut self, report: &BinReport) {
-        // Infallible view for harness plumbing: transient faults are
-        // spent silently, terminal ones swallow the report.
+        // Infallible view for harness plumbing: a broken sink swallows
+        // the report.
         let _ = self.emit(report);
     }
 
-    fn emit(&mut self, report: &BinReport) -> Result<(), SinkError> {
+    fn emit(&mut self, report: &BinReport) -> io::Result<()> {
+        // A broken sink stays at its failing ordinal, whose fault is
+        // `Permanent`.
+        match self.faults.get(&self.delivered) {
+            Some(SinkFault::Permanent) => self.broken = true,
+            Some(SinkFault::Slow { millis }) => {
+                std::thread::sleep(std::time::Duration::from_millis(*millis));
+            }
+            None => {}
+        }
         if self.broken {
-            return Err(SinkError::permanent(io::Error::new(
+            return Err(io::Error::new(
                 io::ErrorKind::BrokenPipe,
                 "injected permanent sink failure",
-            )));
-        }
-        match self.faults.get(&self.delivered).copied() {
-            Some(SinkFault::Transient { failures }) if self.spent < failures => {
-                self.spent += 1;
-                self.injected_transient += 1;
-                return Err(SinkError::transient(io::Error::new(
-                    io::ErrorKind::TimedOut,
-                    "injected transient sink failure",
-                )));
-            }
-            Some(SinkFault::Permanent) => {
-                self.broken = true;
-                return Err(SinkError::permanent(io::Error::new(
-                    io::ErrorKind::BrokenPipe,
-                    "injected permanent sink failure",
-                )));
-            }
-            Some(SinkFault::Slow { millis }) => {
-                std::thread::sleep(std::time::Duration::from_millis(millis));
-            }
-            _ => {}
+            ));
         }
         self.inner.emit(report)?;
         self.delivered += 1;
-        self.spent = 0;
         Ok(())
     }
 }
@@ -469,26 +437,11 @@ mod tests {
     }
 
     #[test]
-    fn faulty_sink_retries_spend_the_same_slot() {
-        let mut sink =
-            FaultySink::new(Collect::new()).fail_at(1, SinkFault::Transient { failures: 2 });
-        let report = BinReport::default();
-        assert!(sink.emit(&report).is_ok());
-        // Report 1: two transient failures, then success on the third try.
-        assert!(sink.emit(&report).unwrap_err().is_transient());
-        assert!(sink.emit(&report).unwrap_err().is_transient());
-        assert!(sink.emit(&report).is_ok());
-        assert_eq!(sink.delivered(), 2);
-        assert_eq!(sink.injected_transient, 2);
-        assert_eq!(sink.into_inner().reports.len(), 2);
-    }
-
-    #[test]
     fn permanent_sink_failure_latches() {
         let mut sink = FaultySink::new(Collect::new()).fail_at(0, SinkFault::Permanent);
         let report = BinReport::default();
-        assert!(!sink.emit(&report).unwrap_err().is_transient());
-        assert!(!sink.emit(&report).unwrap_err().is_transient());
+        assert!(sink.emit(&report).is_err());
+        assert!(sink.emit(&report).is_err(), "latched");
         assert_eq!(sink.delivered(), 0);
     }
 }

@@ -23,7 +23,7 @@
 //!   oracle with — the monitor cuts its own bins.
 //! * [`conformance`] — the differential harness that drives one
 //!   configuration through every execution path (`push_batch_into` one
-//!   record per call and chunked, `run_batch`, `drive`, `try_drive`,
+//!   record per call, chunked and whole, `drive`, `try_drive`,
 //!   `threads(n)` lane shards) and through the oracle, asserts
 //!   bit-identical reports and condenses the stream into a stable golden
 //!   digest.

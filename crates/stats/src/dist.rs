@@ -3,8 +3,8 @@
 //! Two small traits split the catalogue by support:
 //!
 //! * [`DiscreteDistribution`] — integer-valued laws: [`Binomial`] (sampled
-//!   flow sizes, Eq. 1 of the paper), [`Geometric`] (flow-size toy model in
-//!   the inversion tests) and [`Zipf`] (prefix popularity of the synthetic
+//!   flow sizes, Eq. 1 of the paper), [`Geometric`] (a toy flow-size
+//!   model) and [`Zipf`] (prefix popularity of the synthetic
 //!   address generator).
 //! * [`ContinuousDistribution`] — real-valued laws: [`Exponential`]
 //!   (inter-arrival times and flow durations), [`Pareto`] and

@@ -61,8 +61,8 @@ fn main() {
             .seed(99)
             .build();
         // Drive the trace through the source/sink pipeline (one in-memory
-        // batch, collected reports) — identical to run_batch, but the same
-        // call shape scales to sources that never materialise.
+        // batch, collected reports): the same call shape scales to sources
+        // that never materialise.
         let mut sink = flowrank_monitor::Collect::new();
         monitor.drive(&mut flowrank_monitor::BatchSource::new(&batch), &mut sink);
         let report = &sink.reports[0];

@@ -10,11 +10,12 @@
 //! `run_conformance` legs in `scenario_conformance.rs`; this suite pins
 //! the *faulted* behaviour.
 
+use std::io::{self, Write};
 use std::time::Duration;
 
 use flowrank_monitor::{
-    BatchSource, Chunked, Collect, DigestSink, DriveError, DrivePolicy, Monitor, SamplerSpec,
-    TimestampPolicy,
+    BatchSource, Chunked, Collect, DigestSink, DriveError, DrivePolicy, Monitor, NdjsonSink,
+    SamplerSpec, TimestampPolicy,
 };
 use flowrank_net::{PacketBatch, Timestamp};
 use flowrank_sim::faults::{FaultPlan, FaultySink, FaultySource, SinkFault, SourceFault};
@@ -28,15 +29,13 @@ fn trace() -> PacketBatch {
     PacketBatch::from_records(&Workload::rank_churn().synthesize(0x000C_7A05))
 }
 
-/// Zero-backoff, zero-wait resilient policy, so retry tests spend no wall
-/// clock. `stall_timeout(ZERO)` keeps the stall detector in its poll-count
+/// Zero-wait resilient policy, so idle polls spend no wall clock.
+/// `stall_timeout(ZERO)` keeps the stall detector in its poll-count
 /// form: these schedules inject exact idle-poll counts, and the wall-time
 /// gate (on by default since the detector started measuring real time)
 /// would otherwise never trip inside a fast test.
 fn resilient() -> DrivePolicy {
     DrivePolicy::resilient()
-        .sink_backoff(Duration::ZERO)
-        .sink_backoff_cap(Duration::ZERO)
         .stall_timeout(Duration::ZERO)
         .idle_wait(Duration::ZERO)
 }
@@ -181,6 +180,7 @@ fn drive_waits_out_idle_polls_skips_malformed_records_and_ends_at_a_fatal_read()
     let mut sink = DigestSink::new();
     let summary = monitor(1, DrivePolicy::strict()).drive(&mut source, &mut sink);
     assert_eq!((summary.chunks, summary.packets), (4, 4 * CHUNK as u64));
+    assert_eq!((summary.idle_polls, summary.malformed_skipped), (1, 1));
 
     let mut prefix = PacketBatch::new();
     prefix.extend_from_batch(&batch, 0..4 * CHUNK);
@@ -191,49 +191,6 @@ fn drive_waits_out_idle_polls_skips_malformed_records_and_ends_at_a_fatal_read()
     );
     assert_eq!(summary.reports, expected.reports);
     assert_eq!(sink.digest(), plain.digest());
-}
-
-#[test]
-fn transient_sink_failures_are_retried_and_counted() {
-    let batch = trace();
-    let mut source = FaultySource::new(
-        Chunked::new(BatchSource::new(&batch), CHUNK),
-        FaultPlan::none(),
-    );
-    let mut sink = FaultySink::new(DigestSink::new())
-        .fail_at(0, SinkFault::Transient { failures: 2 })
-        .fail_at(2, SinkFault::Transient { failures: 1 });
-    let stats = monitor(1, resilient())
-        .try_drive(&mut source, &mut sink)
-        .expect("three transient failures fit a 3-retry budget");
-    assert_eq!(stats.sink_retries, 3);
-    assert_eq!(stats.recoveries(), 3);
-    assert_eq!(sink.injected_transient, 3);
-    // Every report was eventually delivered, unperturbed.
-    assert_eq!(stats.reports, sink.delivered());
-    assert_eq!(sink.into_inner().digest(), reference_digest(1));
-}
-
-#[test]
-fn exhausted_retries_surface_the_transient_failure() {
-    let batch = trace();
-    let mut source = FaultySource::new(
-        Chunked::new(BatchSource::new(&batch), CHUNK),
-        FaultPlan::none(),
-    );
-    let mut sink =
-        FaultySink::new(Collect::new()).fail_at(0, SinkFault::Transient { failures: 10 });
-    let error = monitor(1, resilient())
-        .try_drive(&mut source, &mut sink)
-        .expect_err("10 consecutive failures exhaust 3 retries");
-    match &error {
-        DriveError::Sink { error, stats } => {
-            assert!(error.is_transient());
-            assert_eq!(stats.sink_retries, 3, "the full retry budget was spent");
-            assert_eq!(stats.reports, 0);
-        }
-        other => panic!("expected DriveError::Sink, got {other:?}"),
-    }
 }
 
 #[test]
@@ -248,10 +205,62 @@ fn permanent_sink_failures_abort_without_retrying() {
         .try_drive(&mut source, &mut sink)
         .expect_err("permanent sink failures are not retried");
     match &error {
-        DriveError::Sink { error, stats } => {
-            assert!(!error.is_transient());
-            assert_eq!(stats.sink_retries, 0);
+        DriveError::Sink { stats, .. } => {
             assert_eq!(stats.reports, 1, "the first report had been delivered");
+        }
+        other => panic!("expected DriveError::Sink, got {other:?}"),
+    }
+}
+
+/// Writer whose write number `fail_at` (0-based) fails once with
+/// `TimedOut`; every other write goes to a `Vec`.
+struct TimesOutOnce {
+    writes: usize,
+    fail_at: usize,
+    out: Vec<u8>,
+}
+
+impl Write for TimesOutOnce {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        self.writes += 1;
+        if self.writes == self.fail_at + 1 {
+            return Err(io::Error::new(io::ErrorKind::TimedOut, "injected"));
+        }
+        self.out.write(buf)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
+    }
+}
+
+#[test]
+fn a_sink_failure_mid_report_aborts_instead_of_re_emitting_the_report() {
+    // The writer fails inside the first report, after `{"bin":0` went out.
+    // Re-emitting the report would write it whole after that fragment
+    // (`{"bin":0{"bin":0,…`); the drive aborts instead, whatever the policy.
+    let batch = trace();
+    let mut writer = TimesOutOnce {
+        writes: 0,
+        fail_at: 2,
+        out: Vec::new(),
+    };
+    let mut sink = NdjsonSink::new(&mut writer);
+    let result = monitor(1, DrivePolicy::resilient()).try_drive(
+        &mut Chunked::new(BatchSource::new(&batch), CHUNK),
+        &mut sink,
+    );
+    let out = String::from_utf8(writer.out).unwrap();
+    for line in out.lines() {
+        assert!(
+            line.matches("{\"bin\"").count() <= 1,
+            "a report was written after its own fragment: {line}"
+        );
+    }
+    match result {
+        Err(DriveError::Sink { stats, .. }) => {
+            assert_eq!(stats.reports, 0, "the first report failed");
+            assert!(stats.packets > 0);
         }
         other => panic!("expected DriveError::Sink, got {other:?}"),
     }

@@ -7,7 +7,7 @@
 //! adds the leg those cells cannot cover: `Monitor::drive` over a **streamed
 //! workload source** (`Workload::stream`, windowed synthesis, no
 //! materialised trace) with a streaming digest sink, re-chunked down to
-//! single-packet chunks — pinned bit-identical to `run_batch` on the
+//! single-packet chunks — pinned bit-identical to one whole batch of the
 //! materialised trace, and the resulting reference digests pinned against
 //! the very same committed golden file, so the streamed path can never
 //! drift from the values every other path is held to.

@@ -19,6 +19,7 @@ use flowrank_net::{FlowDefinition, PacketBatch, PacketRecord, Timestamp};
 use flowrank_sim::binning::split_into_bins;
 use flowrank_sim::engine::run_bin_random_sampling;
 use flowrank_stats::rng::{derive_seeds, Pcg64, Rng, SeedableRng};
+use flowrank_tests::push_whole;
 use flowrank_trace::{synthesize_packets, SprintModel, SynthesisConfig};
 
 fn trace(seed: u64) -> Vec<PacketRecord> {
@@ -153,10 +154,10 @@ fn sharded_monitor_is_bit_identical_to_single_thread() {
                 .threads(threads)
                 .build()
         };
-        let baseline = build(1).run_batch(&batch);
+        let baseline = push_whole(&mut build(1), &batch);
         assert!(baseline.len() >= 3, "trace must span several bins");
         for threads in [2, 4, 7] {
-            let sharded = build(threads).run_batch(&batch);
+            let sharded = push_whole(&mut build(threads), &batch);
             assert_eq!(
                 sharded, baseline,
                 "{definition}, {threads} threads: sharded reports must be \
@@ -197,7 +198,7 @@ fn push_batch_is_bit_identical_to_push_for_any_batching() {
         assert!(baseline.len() >= 3, "trace must span several bins");
 
         // One batch covering the whole trace.
-        let whole_reports = build(1).run_batch(&batch);
+        let whole_reports = push_whole(&mut build(1), &batch);
         assert_eq!(whole_reports, baseline, "{definition}: whole-trace batch");
 
         // Irregular batch cuts, including single-packet batches.
@@ -222,10 +223,10 @@ fn push_batch_is_bit_identical_to_push_for_any_batching() {
         // The sharded/threads case: whole-bin segments fan out across
         // worker threads and shards.
         for threads in [2, 4] {
-            let sharded = build(threads).run_batch(&batch);
+            let sharded = push_whole(&mut build(threads), &batch);
             assert_eq!(
                 sharded, baseline,
-                "{definition}, {threads} threads: sharded run_batch"
+                "{definition}, {threads} threads: sharded whole batch"
             );
         }
     }
@@ -374,7 +375,7 @@ fn budgeted_lane_skips_keys_the_truth_evicted() {
         .seed(seed)
         .flow_budget(4)
         .build();
-    let reports = monitor.run_batch(&PacketBatch::from_records(&packets));
+    let reports = push_whole(&mut monitor, &PacketBatch::from_records(&packets));
     assert_eq!(reports.len(), 1);
     let (report, lane) = (&reports[0], &reports[0].lanes[0]);
     assert_eq!(report.flows, 4, "the truth kept flows 0, 1, 8 and 9");
@@ -507,7 +508,7 @@ fn budgeted_lanes_keep_the_counts_of_flows_the_truth_evicted() {
             .flow_budget(cap)
             .build()
     };
-    let whole = build().run_batch(&PacketBatch::from_records(&packets));
+    let whole = push_whole(&mut build(), &PacketBatch::from_records(&packets));
     assert_eq!(push_each(&mut build(), &packets), whole);
 
     let bins = split_into_bins(&packets, Timestamp::from_secs_f64(BIN_SECONDS));

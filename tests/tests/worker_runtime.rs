@@ -14,6 +14,7 @@ use flowrank_monitor::{
 };
 use flowrank_net::{PacketBatch, PacketRecord, Timestamp};
 use flowrank_stats::rng::{Pcg64, Rng, SeedableRng};
+use flowrank_tests::push_whole;
 use flowrank_trace::Workload;
 
 const SEED: u64 = 0x5EED_2026;
@@ -66,7 +67,7 @@ fn per_packet_pushes_on_a_threaded_monitor_coalesce_into_full_buffers() {
     let packets = trace();
     let batch = PacketBatch::from_records(&packets);
     let mut serial = builder(1).build();
-    let baseline = serial.run_batch(&batch);
+    let baseline = push_whole(&mut serial, &batch);
     assert_eq!(
         serial.segment_stats(),
         (baseline.len() as u64, 0),
@@ -230,7 +231,7 @@ fn controlled_threaded_monitor_drops_cleanly_and_stays_bit_identical() {
             .controller(ControllerSpec::model_driven())
             .build()
     };
-    let baseline = build(1).run_batch(&batch);
+    let baseline = push_whole(&mut build(1), &batch);
     assert!(baseline.iter().all(|report| report.controller.is_some()));
     assert!(
         baseline
@@ -240,7 +241,11 @@ fn controlled_threaded_monitor_drops_cleanly_and_stays_bit_identical() {
         "the controller retunes at least once, so a message carries a rate"
     );
     for threads in [2, 4, 5] {
-        assert_eq!(build(threads).run_batch(&batch), baseline, "{threads}");
+        assert_eq!(
+            push_whole(&mut build(threads), &batch),
+            baseline,
+            "{threads}"
+        );
     }
     let mut dropped = build(4);
     let head = PacketBatch::from_records(&packets[..500.min(packets.len())]);
