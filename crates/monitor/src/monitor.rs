@@ -42,6 +42,11 @@ const TRACKER_SEED_SALT: u64 = 0x70B5_A17E_D00D_F00D;
 /// controller never perturbs the static lanes' derived seed streams.
 const CONTROLLER_SEED_SALT: u64 = 0xC011_7801_5EED_CAFE;
 
+/// Kept packets a lane counts per step of `touched`'s growth. Each step is
+/// slack that `touched` holds beyond the ids it lists, so a longer one lets
+/// its capacity outgrow the bin's flows.
+const TOUCH_BLOCK: usize = 64;
+
 /// Fluent builder for [`Monitor`].
 ///
 /// ```
@@ -528,7 +533,8 @@ struct IdCounts {
     /// `touched`. A lane counts at most `u32::MAX` packets of one flow per
     /// bin.
     counts: Vec<u32>,
-    /// The ids with a non-zero count, once each.
+    /// The ids with a non-zero count, once each; an unbudgeted lane lists
+    /// them in first-keep order.
     touched: Vec<u32>,
     /// Packets counted in the bin.
     packets: u64,
@@ -795,14 +801,22 @@ impl Lane {
             lane.counts.resize(seg.flows, 0);
         }
         match &mut self.capped {
+            // Branch-free, as in `Rng::bernoulli_indices`: every kept id is
+            // written at `touched`'s end, and the end only moves past it on
+            // the flow's first keep. About half the keeps of a Sec. 8 bin
+            // are first keeps, so a branch on it would mispredict often.
             None => {
-                for &i in &self.kept {
-                    let id = seg.ids[i as usize - range.start];
-                    let count = &mut lane.counts[id as usize];
-                    if *count == 0 {
-                        lane.touched.push(id);
+                for block in self.kept.chunks(TOUCH_BLOCK) {
+                    let mut end = lane.touched.len();
+                    lane.touched.resize(end + block.len(), 0);
+                    for &i in block {
+                        let id = seg.ids[i as usize - range.start];
+                        let count = &mut lane.counts[id as usize];
+                        lane.touched[end] = id;
+                        end += usize::from(*count == 0);
+                        *count += 1;
                     }
-                    *count += 1;
+                    lane.touched.truncate(end);
                 }
             }
             Some(capped) => self.evictions += capped.count(lane, &self.kept, seg),
@@ -817,9 +831,15 @@ impl Lane {
 
     /// Scores the lane against the bin's prepared ground truth and restarts
     /// it for the next bin: the sparse kernel reads the counts as they are.
-    /// Debug builds check every outcome against the dense definition.
+    /// Debug builds check `touched` against the counts, and every outcome
+    /// against the dense definition.
     fn close_bin(&mut self, truth: &GroundTruthRanking<AnyFlowKey>, top_t: usize) -> LaneReport {
         let lane = &mut self.counts;
+        debug_assert_eq!(
+            lane.touched.len(),
+            lane.counts.iter().filter(|&&count| count != 0).count(),
+            "`touched` does not list each counted flow once"
+        );
         let outcome = truth.compare_sparse(&lane.counts, &lane.touched);
         debug_assert_eq!(
             outcome,
@@ -2281,5 +2301,98 @@ mod tests {
         push(&mut monitor, &packet(2, 10.0));
         push(&mut monitor, &packet(1, 200.0));
         assert!(finish(&mut monitor).is_some());
+    }
+
+    #[test]
+    fn touched_lists_every_counted_flow_once_in_first_keep_order() {
+        use flowrank_stats::rng::Rng;
+        // A Sec. 8-sized bin: 5,000 packets, a new flow at about every
+        // third packet, repeats skewed toward the oldest flows. Ids are
+        // slab positions, so they are handed out in first-packet order.
+        let mut rng = Pcg64::seed_from_u64(5);
+        let (mut ids, mut flows) = (Vec::new(), 0u32);
+        for _ in 0..5_000 {
+            if flows == 0 || rng.next_f64() < 0.3 {
+                ids.push(flows);
+                flows += 1;
+            } else {
+                let u = rng.next_f64();
+                ids.push((f64::from(flows) * u * u) as u32);
+            }
+        }
+        // What a segment ending at packet `i` tells its lanes: the flows
+        // the truth holds by then.
+        let flows_by: Vec<usize> = ids
+            .iter()
+            .scan(0, |held, &id| {
+                *held = (*held).max(id as usize + 1);
+                Some(*held)
+            })
+            .collect();
+        let records: Vec<PacketRecord> = ids
+            .iter()
+            .enumerate()
+            .map(|(i, &id)| {
+                let [_, a, b, c] = id.to_be_bytes();
+                PacketRecord::tcp(
+                    Timestamp::from_secs_f64(i as f64 * 1e-3),
+                    Ipv4Addr::new(10, a, b, c),
+                    1000,
+                    Ipv4Addr::new(100, 64, 0, 1),
+                    80,
+                    500,
+                    0,
+                )
+            })
+            .collect();
+        let batch = PacketBatch::from_records(&records);
+        let specs = [0.001, 0.01, 0.1, 0.5, 1.0]
+            .map(|rate| SamplerSpec::Random { rate })
+            .into_iter()
+            .chain([SamplerSpec::Periodic {
+                rate: 0.1,
+                random_phase: true,
+            }]);
+        for (lane_no, spec) in specs.enumerate() {
+            let seed = 40 + lane_no as u64;
+            // The per-packet recount: the same sampler stage, one packet at
+            // a time.
+            let mut stage = SamplerStage::new(spec.build(seed), Pcg64::seed_from_u64(seed));
+            let mut one = Vec::new();
+            let keeps: Vec<bool> = (0..ids.len())
+                .map(|i| {
+                    one.clear();
+                    stage.admit_batch(&batch, i..i + 1, &mut one);
+                    !one.is_empty()
+                })
+                .collect();
+            for chunk in [1, 37, 4096, ids.len()] {
+                let mut lane = Lane::new(&spec, 0.0, 0, None, 0, seed, None);
+                let mut counts = vec![0u32; flows as usize];
+                let (mut order, mut packets) = (Vec::new(), 0u64);
+                for start in (0..ids.len()).step_by(chunk) {
+                    let end = (start + chunk).min(ids.len());
+                    lane.offer_batch(&Segment {
+                        batch: &batch,
+                        range: start..end,
+                        ids: &ids[start..end],
+                        flows: flows_by[end - 1],
+                        truth: None,
+                    });
+                    for i in (start..end).filter(|&i| keeps[i]) {
+                        let id = ids[i] as usize;
+                        if counts[id] == 0 {
+                            order.push(ids[i]);
+                        }
+                        counts[id] += 1;
+                        packets += 1;
+                    }
+                    let at = format!("{spec:?}, chunks of {chunk}, packets ..{end}");
+                    assert_eq!(lane.counts.touched, order, "{at}");
+                    assert_eq!(lane.counts.counts, counts[..flows_by[end - 1]], "{at}");
+                    assert_eq!(lane.counts.packets, packets, "{at}");
+                }
+            }
+        }
     }
 }

@@ -128,7 +128,7 @@ fn run(config: &ServeConfig) -> Result<(), String> {
     };
     let stats = monitor
         .try_drive(&mut StopGate::new(source.as_mut(), stop), &mut sink)
-        .map_err(|error| format!("drive aborted: {error}"))?;
+        .map_err(|error| error.to_string())?;
     let (elapsed, throughput) = rate(stats.packets, started);
 
     let Tee(publish, writer) = sink;

@@ -3,9 +3,8 @@
 //! Two small traits split the catalogue by support:
 //!
 //! * [`DiscreteDistribution`] — integer-valued laws: [`Binomial`] (sampled
-//!   flow sizes, Eq. 1 of the paper), [`Geometric`] (a toy flow-size
-//!   model) and [`Zipf`] (prefix popularity of the synthetic
-//!   address generator).
+//!   flow sizes, Eq. 1 of the paper) and [`Zipf`] (prefix popularity of
+//!   the synthetic address generator).
 //! * [`ContinuousDistribution`] — real-valued laws: [`Exponential`]
 //!   (inter-arrival times and flow durations), [`Pareto`] and
 //!   [`BoundedPareto`] (heavy-tailed flow sizes, Sec. 6) and [`LogNormal`]
@@ -122,48 +121,6 @@ impl DiscreteDistribution for Binomial {
 
     fn mean(&self) -> Option<f64> {
         Some(self.n as f64 * self.p)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Geometric
-// ---------------------------------------------------------------------------
-
-/// Geometric(p) on `0, 1, 2, …` — number of failures before the first
-/// success; `P{X = k} = (1 − p)^k p`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Geometric {
-    p: f64,
-}
-
-impl Geometric {
-    /// Creates a Geometric(p) distribution; `p` must lie in `(0, 1]`.
-    pub fn new(p: f64) -> StatsResult<Self> {
-        require_positive("p", p)?;
-        require_probability("p", p)?;
-        Ok(Geometric { p })
-    }
-}
-
-impl DiscreteDistribution for Geometric {
-    fn pmf(&self, k: u64) -> f64 {
-        (1.0 - self.p).powi(k as i32) * self.p
-    }
-
-    fn cdf(&self, k: u64) -> f64 {
-        1.0 - (1.0 - self.p).powi(k as i32 + 1)
-    }
-
-    fn sample(&self, rng: &mut dyn Rng) -> u64 {
-        if self.p >= 1.0 {
-            return 0;
-        }
-        let u = rng.next_open_f64();
-        (u.ln() / (1.0 - self.p).ln()).floor().max(0.0) as u64
-    }
-
-    fn mean(&self) -> Option<f64> {
-        Some((1.0 - self.p) / self.p)
     }
 }
 
@@ -628,21 +585,6 @@ mod tests {
         let n = 20_000;
         let mean = (0..n).map(|_| b.sample(&mut rng) as f64).sum::<f64>() / n as f64;
         assert!((mean - 10.0).abs() < 0.1, "sample mean {mean}");
-    }
-
-    #[test]
-    fn geometric_basics() {
-        let g = Geometric::new(0.25).unwrap();
-        let total: f64 = (0..200).map(|k| g.pmf(k)).sum();
-        assert!((total - 1.0).abs() < 1e-12);
-        assert!((g.cdf(0) - 0.25).abs() < 1e-15);
-        assert_eq!(g.mean(), Some(3.0));
-        let mut rng = Pcg64::seed_from_u64(2);
-        let n = 50_000;
-        let mean = (0..n).map(|_| g.sample(&mut rng) as f64).sum::<f64>() / n as f64;
-        assert!((mean - 3.0).abs() < 0.1, "sample mean {mean}");
-        assert!(Geometric::new(0.0).is_err());
-        assert_eq!(Geometric::new(1.0).unwrap().sample(&mut rng), 0);
     }
 
     #[test]

@@ -11,7 +11,9 @@
 #      junk, a 200 KiB line with no newline in it, and bytes that are not
 #      UTF-8 each count once, and none of them ends the run — and prints
 #      the same reports and counters when the feed comes through a pipe
-#      written 37 bytes at a time, so that reads cut lines anywhere;
+#      written 37 bytes at a time, so that reads cut lines anywhere; a
+#      stdin that cannot be read (a directory) exits non-zero with one
+#      "drive aborted:" on stderr;
 #   4. fleet mode (`tenants = 3`) over tenant-tagged ndjson — a junk line, a
 #      line that is not UTF-8 and records of a tenant outside the slab among
 #      them — prints the same final counters whole-file and through the
@@ -166,6 +168,14 @@ timeless() { sed 's/,"elapsed_s":[^}]*//' "$1"; }
 cmp <(timeless "$workdir/file.out") <(timeless "$workdir/pipe.out") \
     || fail "reports or counters differ between the file and the 37-byte pipe"
 echo "serve_smoke: ndjson ingest ok"
+# A fatal stdin read error (stdin is a directory) exits non-zero, and the
+# error names the abort once.
+rc=0
+"$serve" --config "$workdir/ndjson.conf" < / > /dev/null 2> "$workdir/ndjson.err" || rc=$?
+[ "$rc" -ne 0 ] || fail "ndjson run over a directory exited 0"
+aborts=$({ grep -o 'drive aborted:' "$workdir/ndjson.err" || true; } | wc -l)
+[ "$aborts" -eq 1 ] || fail "want one 'drive aborted:', got $aborts: $(cat "$workdir/ndjson.err")"
+echo "serve_smoke: ndjson read error ok"
 
 # --- Leg 4: fleet mode over tenant-tagged ndjson ---------------------------
 printf 'tenants = 3\nsource = ndjson\nrates = 0.5\nruns = 1\nbin_secs = 2\ntop_t = 5\nflow_budget = 8\n' \
