@@ -62,15 +62,6 @@ pub struct RateDecision {
     pub rate: f64,
 }
 
-impl RateDecision {
-    /// Decision clamped into `[min_rate, max_rate]`.
-    pub fn clamped(self, min_rate: f64, max_rate: f64) -> Self {
-        Self {
-            rate: self.rate.clamp(min_rate, max_rate),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -91,13 +82,5 @@ mod tests {
         };
         assert!((observation.swapped_fraction() - 1.0 / 3.0).abs() < 1e-12);
         assert!(observation.has_signal());
-    }
-
-    #[test]
-    fn decision_clamps_into_bounds() {
-        let decision = RateDecision { rate: 2.0 };
-        assert_eq!(decision.clamped(0.001, 1.0).rate, 1.0);
-        let decision = RateDecision { rate: 1e-9 };
-        assert_eq!(decision.clamped(0.001, 1.0).rate, 0.001);
     }
 }

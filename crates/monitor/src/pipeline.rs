@@ -489,11 +489,15 @@ const MAX_NDJSON_LINE_BYTES: usize = 64 * 1024;
 /// The source reads a word (eight bytes) at a time. One scan over the buffer
 /// finds each line's newline and notes on the way whether the line holds a
 /// byte that is not ASCII; only such a line is validated as UTF-8, so an
-/// ASCII record pays no `from_utf8`. The walk over the line's fields
-/// searches its quotes and value ends the same way, and the numbers and
-/// addresses go through exact readers (`u16::from_str`, `u32::from_str` and
-/// `Ipv4Addr::from_str` to the byte, `ts` through `f64::from_str` itself)
-/// into the batch's columns.
+/// ASCII record pays no `from_utf8`. A compact line — no whitespace but at
+/// its end, fields in any order — is read in one pass, each key and its
+/// punctuation matched in place and each value read where it stands. A
+/// spaced line, or one the compact read cannot take, goes to the general
+/// walk, which searches quotes and value ends the same word-at-a-time way
+/// and gives every error. Both read numbers and addresses through the same
+/// exact readers (`u16::from_str`, `u32::from_str` and `Ipv4Addr::from_str`
+/// to the byte, `ts` through `f64::from_str` itself) into the batch's
+/// columns, so a record reads the same compact or spaced.
 ///
 /// Each chunk is what has arrived: one `fill_buf` of the reader, and every
 /// complete line in it (at most `DEFAULT_CHUNK_PACKETS`), so a busy feed is
@@ -822,16 +826,155 @@ fn json_raw_values(line: &[u8]) -> [Option<&[u8]>; 9] {
 /// "dport":…,"len":…,"proto":"tcp"|"udp"[,"seq":…]}`) into a
 /// [`PacketRecord`].
 ///
-/// This is the exact parser [`NdjsonRecordSource`] runs on every line: one
-/// walk over the line, a word at a time, for the raw text of every field,
-/// then the typed conversions — the source is what listeners read through;
-/// the function is exposed for harnesses that price or cross-check the
-/// grammar on its own. Unknown fields are ignored and field order is free,
-/// so a tagged record (an extra `"tenant"` field, read by
-/// [`NdjsonRecordSource::next_tagged`]) parses identically to an untagged
-/// one.
+/// This is the exact parser [`NdjsonRecordSource`] runs on every line: a
+/// compact line is read in one pass, as above, and any other line in one
+/// walk, a word at a time, for the raw text of every field, then the typed
+/// conversions — the source is what listeners read through; the function is
+/// exposed for harnesses that price or cross-check the grammar on its own.
+/// Unknown fields are ignored and field order is free, so a tagged record
+/// (an extra `"tenant"` field, read by [`NdjsonRecordSource::next_tagged`])
+/// parses identically to an untagged one, and a spaced line to the same
+/// line compact.
 pub fn parse_ndjson_record(line: &str) -> Result<PacketRecord, &'static str> {
-    ndjson_record(&json_raw_values(line.as_bytes()))
+    match layout_record(line.as_bytes()) {
+        Some((record, _)) => Ok(record),
+        None => ndjson_record(&json_raw_values(line.as_bytes())),
+    }
+}
+
+/// A record line in the compact layout — `{`, then `"key":value` fields
+/// joined by single commas with no whitespace, then `}` and nothing but
+/// ASCII whitespace — read in one pass: the record and the tenant tag where
+/// the line carries one. Fields may come in any order, each of the nine the
+/// walk reads at most once. Addresses and `proto` are quoted, `ts` is a
+/// number `f64::from_str` takes that starts with a digit, the other values
+/// are bare decimals. Any other field is stepped over as the walk steps
+/// over it: a string value to its closing quote, a bare one that holds no
+/// quote to the next `,` or `}`.
+///
+/// At each field the key with its quotes and colon is matched in place,
+/// and its value is read where the reader stands. `None` at the first byte
+/// that departs from that layout (a space, a repeated key, a missing
+/// field), or at a value it leaves to the walk (one the walk refuses, a
+/// sign, a quoted number): such a line goes to [`json_raw_values`] and
+/// [`ndjson_record`], which read every other layout and give every error.
+/// A spaced line departs at its first value, so this reader costs it next
+/// to nothing; a line that departs late (a repeated key, bytes behind the
+/// closing brace) pays for both readers. On a line this takes, each value
+/// is the slice the general walk would cut (no value holds a quote, a `,`,
+/// a `}` or whitespace), read by the same readers, so the record is the
+/// walk's.
+fn layout_record(line: &[u8]) -> Option<(PacketRecord, Option<u32>)> {
+    let mut rest = line.strip_prefix(b"{")?;
+    let mut seen = 0u16;
+    let unspecified = std::net::Ipv4Addr::UNSPECIFIED;
+    let (mut ts, mut src, mut dst) = (0f64, unspecified, unspecified);
+    let (mut sport, mut dport, mut len) = (0, 0, 0);
+    let (mut tcp, mut seq, mut tenant) = (false, 0, None);
+    loop {
+        // The slots of `json_raw_values`, each key up to its colon; any
+        // other field is stepped over whole, value and all.
+        let (slot, value) = match rest {
+            [b'"', b't', b's', b'"', b':', value @ ..] => (0, value),
+            [b'"', b's', b'r', b'c', b'"', b':', value @ ..] => (1, value),
+            [b'"', b'd', b's', b't', b'"', b':', value @ ..] => (2, value),
+            [b'"', b's', b'p', b'o', b'r', b't', b'"', b':', value @ ..] => (3, value),
+            [b'"', b'd', b'p', b'o', b'r', b't', b'"', b':', value @ ..] => (4, value),
+            [b'"', b'l', b'e', b'n', b'"', b':', value @ ..] => (5, value),
+            [b'"', b'p', b'r', b'o', b't', b'o', b'"', b':', value @ ..] => (6, value),
+            [b'"', b's', b'e', b'q', b'"', b':', value @ ..] => (7, value),
+            [b'"', b't', b'e', b'n', b'a', b'n', b't', b'"', b':', value @ ..] => (8, value),
+            _ => (9, skip_other_field(rest)?),
+        };
+        // The walk keeps a key's first value; another field (slot 9, whose
+        // bit is never set) may recur.
+        if seen & 1 << slot != 0 {
+            return None;
+        }
+        seen |= 1 << slot & 0x1ff;
+        rest = value;
+        match slot {
+            0 => {
+                // A slice `f64::from_str` reads holds none of `"`, `,`, `}`
+                // or whitespace, so it is the walk's: up to the first `,`
+                // or `}`. One that does not start with a digit (a space, a
+                // sign, a quote) is left to the walk before it is searched.
+                if !rest.first()?.is_ascii_digit() {
+                    return None;
+                }
+                let end = rest.iter().position(|byte| matches!(byte, b',' | b'}'))?;
+                ts = std::str::from_utf8(&rest[..end]).ok()?.parse().ok()?;
+                rest = &rest[end..];
+            }
+            1 | 2 => {
+                rest = rest.strip_prefix(b"\"")?;
+                let address = take_ipv4(&mut rest)?;
+                rest = rest.strip_prefix(b"\"")?;
+                if slot == 1 {
+                    src = address;
+                } else {
+                    dst = address;
+                }
+            }
+            3 => sport = take_decimal(&mut rest, u16::MAX.into())? as u16,
+            4 => dport = take_decimal(&mut rest, u16::MAX.into())? as u16,
+            5 => len = take_decimal(&mut rest, u16::MAX.into())? as u16,
+            6 => {
+                (tcp, rest) = match rest {
+                    [b'"', b't', b'c', b'p', b'"', tail @ ..] => (true, tail),
+                    [b'"', b'u', b'd', b'p', b'"', tail @ ..] => (false, tail),
+                    _ => return None,
+                };
+            }
+            7 => seq = take_decimal(&mut rest, u32::MAX)?,
+            8 => tenant = Some(take_decimal(&mut rest, u32::MAX)?),
+            _ => {} // stepped over already
+        }
+        match rest {
+            [b',', next @ ..] => rest = next,
+            [b'}', end @ ..] => {
+                rest = end;
+                break;
+            }
+            _ => return None,
+        }
+    }
+    // Every field but `seq` and `tenant`; the walk ignores a udp line's `seq`.
+    // A `ts` that starts with a digit is not negative, but may be infinite.
+    if seen & 0x7f != 0x7f || !ts.is_finite() {
+        return None;
+    }
+    if !rest.iter().all(u8::is_ascii_whitespace) {
+        return None;
+    }
+    let timestamp = Timestamp::from_secs_f64(ts);
+    let record = if tcp {
+        PacketRecord::tcp(timestamp, src, sport, dst, dport, len, seq)
+    } else {
+        PacketRecord::udp(timestamp, src, sport, dst, dport, len)
+    };
+    Some((record, tenant))
+}
+
+/// The rest of the line behind a field the walk does not read, at the front
+/// of `rest`: its key, colon and value stepped over as the walk steps over
+/// them — a string value to its closing quote, a bare one to the next quote,
+/// so a bare one must hold none and ends at the next `,` or `}`. Kept out
+/// of [`layout_record`]'s loop: inline there, it cost every compact line
+/// 10–15 ns (a 2-CPU x86-64 box).
+#[cold]
+#[inline(never)]
+fn skip_other_field(rest: &[u8]) -> Option<&[u8]> {
+    let key = rest.strip_prefix(b"\"")?;
+    let close = key.iter().position(|byte| *byte == b'"')?;
+    let value = key[close + 1..].strip_prefix(b":")?;
+    let end = match value {
+        [b'"', text @ ..] => 2 + text.iter().position(|byte| *byte == b'"')?,
+        _ => value
+            .iter()
+            .position(|byte| matches!(byte, b',' | b'}' | b'"'))?,
+    };
+    Some(&value[end..])
 }
 
 /// The typed conversions of [`parse_ndjson_record`] over the raw fields:
@@ -884,22 +1027,29 @@ fn ndjson_record(raw: &[Option<&[u8]>; 9]) -> Result<PacketRecord, &'static str>
 /// unsigned integer: one optional `+`, then one or more ASCII digits and
 /// nothing else. Leading zeros are fine; a value past `max` is refused.
 fn read_decimal(raw: &[u8], max: u32) -> Option<u32> {
-    let digits = raw.strip_prefix(b"+").unwrap_or(raw);
-    if digits.is_empty() {
-        return None;
-    }
+    let mut digits = raw.strip_prefix(b"+").unwrap_or(raw);
+    let value = take_decimal(&mut digits, max)?;
+    digits.is_empty().then_some(value)
+}
+
+/// The ASCII digits at the front of `rest` as a decimal no larger than
+/// `max`, stepped over; `None` where there is no digit or the value passes
+/// `max`.
+fn take_decimal(rest: &mut &[u8], max: u32) -> Option<u32> {
     let mut value = 0u64;
-    for byte in digits {
-        let digit = byte.wrapping_sub(b'0');
+    let mut width = 0;
+    while let Some(digit) = rest.get(width).map(|byte| byte.wrapping_sub(b'0')) {
         if digit > 9 {
-            return None;
+            break;
         }
         value = value * 10 + u64::from(digit);
         if value > u64::from(max) {
             return None;
         }
+        width += 1;
     }
-    Some(value as u32)
+    *rest = &rest[width..];
+    (width > 0).then_some(value as u32)
 }
 
 /// A `u16` field's value, read as `u16::from_str` reads it.
@@ -916,15 +1066,22 @@ fn read_u32(raw: &[u8]) -> Option<u32> {
 /// octets joined by single dots and nothing else, each one to three ASCII
 /// digits, at most 255, and without a leading zero unless it is `0`.
 fn read_ipv4(raw: &[u8]) -> Option<std::net::Ipv4Addr> {
+    let mut rest = raw;
+    let address = take_ipv4(&mut rest)?;
+    rest.is_empty().then_some(address)
+}
+
+/// The address at the front of `rest`, read as [`read_ipv4`] reads one and
+/// stepped over; whatever follows its fourth octet is left in `rest`.
+fn take_ipv4(rest: &mut &[u8]) -> Option<std::net::Ipv4Addr> {
     let digit = |byte: u8| u32::from(byte - b'0');
     let mut address = 0;
-    let mut rest = raw;
     for octet in 0..4 {
         if octet > 0 {
-            rest = rest.strip_prefix(b".")?;
+            *rest = rest.strip_prefix(b".")?;
         }
         // A `0` is the whole octet: a digit behind it fails at the dot.
-        let (value, width) = match *rest {
+        let (value, width) = match **rest {
             [b'0', ..] => (0, 1),
             [a @ b'1'..=b'9', b @ b'0'..=b'9', c @ b'0'..=b'9', ..] => {
                 (digit(a) * 100 + digit(b) * 10 + digit(c), 3)
@@ -937,9 +1094,9 @@ fn read_ipv4(raw: &[u8]) -> Option<std::net::Ipv4Addr> {
             return None;
         }
         address = address << 8 | value;
-        rest = &rest[width..];
+        *rest = &rest[width..];
     }
-    rest.is_empty().then(|| std::net::Ipv4Addr::from(address))
+    Some(std::net::Ipv4Addr::from(address))
 }
 
 /// Appends the record of one line to `batch` — and, on the tagged path, its
@@ -951,12 +1108,18 @@ fn push_ndjson_line(
     tenants: Option<&mut Vec<u32>>,
     batch: &mut PacketBatch,
 ) -> Result<(), &'static str> {
-    let raw = json_raw_values(line);
-    let tenant = match (raw[8], &tenants) {
-        (Some(tag), Some(_)) => read_u32(tag).ok_or("invalid \"tenant\"")?,
-        _ => 0,
+    let (record, tenant) = match layout_record(line) {
+        Some((record, tenant)) => (record, tenant.unwrap_or(0)),
+        None => {
+            let raw = json_raw_values(line);
+            let tenant = match (raw[8], &tenants) {
+                (Some(tag), Some(_)) => read_u32(tag).ok_or("invalid \"tenant\"")?,
+                _ => 0,
+            };
+            (ndjson_record(&raw)?, tenant)
+        }
     };
-    batch.push_record(&ndjson_record(&raw)?);
+    batch.push_record(&record);
     if let Some(tenants) = tenants {
         tenants.push(tenant);
     }
@@ -2149,10 +2312,10 @@ mod tests {
     /// The oracle for one line of a feed: on the tagged path the tenant tag is
     /// read, and checked, before the record's fields.
     fn oracle_line(line: &str, tagged: bool) -> Line {
-        let tenant = match ndjson_tenant(line) {
-            Ok(tenant) if tagged => tenant.unwrap_or(0),
-            Err(reason) if tagged => return Line::Bad(reason),
-            _ => 0,
+        let tenant = match tagged.then(|| ndjson_tenant(line)) {
+            Some(Ok(tenant)) => tenant.unwrap_or(0),
+            Some(Err(reason)) => return Line::Bad(reason),
+            None => 0,
         };
         match oracle_record(line) {
             // Through the columns and back, like a row read from a chunk.
@@ -2214,13 +2377,22 @@ mod tests {
         "ts", "src", "dst", "sport", "dport", "len", "proto", "seq", "tenant",
     ];
 
-    /// A well-formed record as `"key":value` fields, in the rendering order
-    /// of an exporter; `seq` and `tenant` come and go.
+    /// A well-formed record as `"key":value` fields, as the ledger's renderer
+    /// prints one: in its field order, `ts` through `Timestamp::as_secs_f64` of a
+    /// nanosecond count (up to 17 significant digits) or a short binary
+    /// fraction; `seq` and `tenant` come and go.
     fn arbitrary_fields(rng: &mut Pcg64) -> Vec<String> {
         let address = |rng: &mut Pcg64| Ipv4Addr::from(rng.next_u64() as u32);
+        let ts = match rng.bernoulli(0.5) {
+            true => {
+                let bound = 1 << (10 + rng.index(41));
+                Timestamp::from_nanos(rng.next_below(bound)).as_secs_f64()
+            }
+            false => rng.next_below(1 << 20) as f64 / 64.0,
+        };
         let tcp = rng.bernoulli(0.5);
         let mut fields = vec![
-            format!("\"ts\":{}", rng.next_below(1 << 20) as f64 / 64.0),
+            format!("\"ts\":{ts}"),
             format!("\"src\":\"{}\"", address(rng)),
             format!("\"sport\":{}", rng.next_u64() as u16),
             format!("\"dst\":\"{}\"", address(rng)),
@@ -2241,10 +2413,59 @@ mod tests {
         format!("{{{}}}", fields.join(","))
     }
 
-    /// Values of every type the grammar reads, right and wrong.
+    /// The rendered record with one byte of its literals — a brace, a comma,
+    /// a key with its quotes and colon, the quotes of a string value —
+    /// replaced by another printable ASCII byte; and whether the edit only
+    /// renamed a field a record can do without (`seq`, `tenant` or one the
+    /// walk does not read), which leaves a record with a field the walk
+    /// does not read.
+    fn edit_literal(rng: &mut Pcg64, fields: &[String]) -> (String, bool) {
+        let mut literals = vec![0];
+        let mut optional_names = Vec::new();
+        let mut at = 1;
+        for field in fields {
+            let colon = field.find(':').expect("a key");
+            literals.extend(at..=at + colon);
+            if !NDJSON_KEYS[..7].contains(&&field[1..colon - 1]) {
+                optional_names.extend(at + 1..at + colon - 1);
+            }
+            if field[colon + 1..].starts_with('"') {
+                literals.extend([at + colon + 1, at + field.len() - 1]);
+            }
+            at += field.len();
+            literals.push(at); // the comma behind the field, or the brace
+            at += 1;
+        }
+        let mut line = render_fields(fields).into_bytes();
+        let at = literals[rng.index(literals.len())];
+        let byte = (line[at] - 0x20 + 1 + rng.next_below(0x5e) as u8) % 0x5f + 0x20;
+        line[at] = byte;
+        let renamed = optional_names.contains(&at) && byte != b'"';
+        (String::from_utf8(line).expect("ASCII"), renamed)
+    }
+
+    /// Whether the layout reader takes `line`; where it does, the record
+    /// and the tenant tag are the general walk's.
+    fn layout_agrees(line: &str) -> bool {
+        let Some((record, tenant)) = layout_record(line.as_bytes()) else {
+            return false;
+        };
+        let raw = json_raw_values(line.as_bytes());
+        assert_eq!(Ok(record), ndjson_record(&raw), "{line:?}");
+        assert_eq!(tenant.map(Some), raw[8].map(read_u32), "{line:?}");
+        true
+    }
+
+    /// Values of every type the grammar reads, right and wrong: numbers at
+    /// the edges of their widths, signed and zero-padded among them.
     const NDJSON_VALUES: &[&str] = &[
         "0",
         "1",
+        "00",
+        "0080",
+        "+80",
+        "+0",
+        "+",
         "1.5",
         "-3",
         "1e7",
@@ -2325,7 +2546,7 @@ mod tests {
     fn arbitrary_line(rng: &mut Pcg64) -> String {
         let mut fields = arbitrary_fields(rng);
         let any_key = |rng: &mut Pcg64| NDJSON_KEYS[rng.index(NDJSON_KEYS.len())];
-        match rng.next_below(11) {
+        match rng.next_below(17) {
             0 | 1 => return (0..1 + rng.index(24)).map(|_| soup_token(rng)).collect(),
             2 => {}
             3 => rng.shuffle(&mut fields),
@@ -2340,7 +2561,8 @@ mod tests {
                 return chars.into_iter().collect();
             }
             5 => {
-                // One value becomes another, of any type.
+                // One value becomes another, of any type (a `tenant` is
+                // never read on the untagged path).
                 let at = rng.index(fields.len());
                 let key = fields[at].split(':').next().expect("a key").to_string();
                 fields[at] = format!("{key}:{}", NDJSON_VALUES[rng.index(NDJSON_VALUES.len())]);
@@ -2370,6 +2592,57 @@ mod tests {
                 let line = render_fields(&fields);
                 return line[..rng.index(line.len())].to_string();
             }
+            11 => {
+                // A `ts` in another form `f64::from_str` reads.
+                let value = rng.next_below(1 << 30) as f64 / 1024.0;
+                fields[0] = match rng.next_below(5) {
+                    0 => format!("\"ts\":{value:e}"),
+                    1 => format!("\"ts\":{value:E}"),
+                    2 => format!("\"ts\":+{value}"),
+                    3 => format!("\"ts\":-{value}"),
+                    _ => "\"ts\":-0".to_string(),
+                };
+            }
+            12 => return edit_literal(rng, &fields).0,
+            13 => {
+                // A line ended as a CRLF feed or a careless exporter ends one.
+                let end = ["\r", " ", "\t", "\r ", " \t\r"][rng.index(5)];
+                return render_fields(&fields) + end;
+            }
+            14 => {
+                // A udp line with a `seq`, valid or not: the walk ignores it.
+                fields[5] = "\"proto\":\"udp\"".to_string();
+                fields.retain(|field| !field.starts_with("\"seq\""));
+                let seq = ["7", "4294967295", "4294967296", "-1", "+7", "\"7\"", "x"];
+                fields.insert(7, format!("\"seq\":{}", seq[rng.index(seq.len())]));
+            }
+            15 => {
+                // A field left out, in any field order.
+                rng.shuffle(&mut fields);
+                fields.remove(rng.index(fields.len()));
+            }
+            16 => {
+                // An unknown field with no whitespace around it: a value the
+                // walk steps over, or one it reads a key out of.
+                let keys = ["vlan", "", "t", "ts2", "tenan", "s\\"];
+                let values = [
+                    "7",
+                    "-1.5e3",
+                    "true",
+                    "null",
+                    "",
+                    "\"x\"",
+                    "\"\"",
+                    "\"a,b}\"",
+                    "\"a\\\"b\"",
+                    "[1,2]",
+                    "{\"ts\":9}",
+                    "1}",
+                ];
+                let key = keys[rng.index(keys.len())];
+                let value = values[rng.index(values.len())];
+                fields.insert(rng.index(fields.len() + 1), format!("\"{key}\":{value}"));
+            }
             _ => {
                 // An unknown field with text the walk must step over, and
                 // whitespace of both kinds wherever JSON allows it.
@@ -2389,14 +2662,65 @@ mod tests {
         const LINES: usize = 200_000;
         let mut rng = Pcg64::seed_from_u64(0x0d15_ea5e);
         let (mut rows, mut reasons) = (0usize, std::collections::BTreeSet::new());
+        let mut taken = 0usize;
         let mut feed = String::new();
-        for _ in 0..LINES / 1000 {
+        for round in 0..LINES / 1000 {
             feed.clear();
-            for _ in 0..1000 {
+            for i in 0..1000 {
                 let line = arbitrary_line(&mut rng);
                 assert_eq!(parse_ndjson_record(&line), oracle_record(&line), "{line:?}");
+                taken += usize::from(layout_agrees(&line));
                 feed.push_str(&line);
                 feed.push('\n');
+                if i % 4 != 0 {
+                    continue;
+                }
+                // The layout reader takes every compact line, bare or
+                // CRLF-terminated, in the field order of the ledger's
+                // renderer, in the one the serve crate's feeds print
+                // (`ts`, `src`, `dst`, `sport`, `dport`, `len`, `proto`) or
+                // in any other, with a field the walk does not read or
+                // without, and no line with one of its literals edited but
+                // where the edit renamed a field a record can do without
+                // (the generator's lines hold both kinds).
+                let mut fields = arbitrary_fields(&mut rng);
+                match i / 4 % 3 {
+                    0 => {}
+                    1 => {
+                        fields.swap(2, 3);
+                        fields.swap(5, 6);
+                    }
+                    _ => {
+                        fields.push(["\"vlan\":7", "\"note\":\"x\""][rng.index(2)].to_string());
+                        rng.shuffle(&mut fields);
+                    }
+                }
+                let printed = render_fields(&fields);
+                for line in [format!("{printed}\r"), printed] {
+                    assert!(layout_agrees(&line), "{line:?}");
+                }
+                let (edited, renamed) = edit_literal(&mut rng, &fields);
+                assert_eq!(layout_agrees(&edited), renamed, "{edited:?}");
+            }
+            // The untagged path, every other feed: it never reads a tag, so
+            // a line whose tag is not a `u32` is still a record there.
+            if round % 2 == 0 {
+                let expected = line_at_a_time(feed.as_bytes(), false);
+                let mut source = NdjsonRecordSource::new(feed.as_bytes());
+                let mut seen = Vec::with_capacity(expected.len());
+                loop {
+                    match source.try_next_chunk() {
+                        Ok(Some(chunk)) => {
+                            seen.extend(chunk.iter_records().map(|r| Line::Row(0, r)));
+                        }
+                        Ok(None) => break,
+                        Err(SourceError::Malformed(NetError::InvalidField { reason, .. })) => {
+                            seen.push(Line::Bad(reason));
+                        }
+                        Err(error) => panic!("an in-memory feed cannot fail: {error:?}"),
+                    }
+                }
+                assert_eq!(seen, expected);
             }
             // The tagged path, a thousand lines a feed (a soup line with a
             // newline in it is two lines to both sides).
@@ -2413,8 +2737,10 @@ mod tests {
                 }
             }
         }
-        // The generator reaches both outcomes and every reason the parser has.
+        // The generator reaches both outcomes and every reason the parser has,
+        // and both readers.
         assert!(rows > LINES / 10, "{rows} records");
+        assert!(taken > LINES / 10, "{taken} compact lines");
         assert_eq!(reasons.len(), 11, "{reasons:?}");
     }
 

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Smoke-tests the flowrank-serve daemon end to end, the five things unit
+# Smoke-tests the flowrank-serve daemon end to end, the six things unit
 # tests cannot pin from inside the process:
 #
 #   1. a finite serving run (unpaced replay, bin-limited) exits 0 and
@@ -20,7 +20,11 @@
 #      37-byte pipe, and the counters the hand-looped fleet host printed
 #      before fleet mode ran through `Fleet::drive`;
 #   5. SIGINT stops an ndjson daemon blocked on idle stdin — single mode and
-#      fleet mode — with exit 0 and the final line within 2 s.
+#      fleet mode — with exit 0 and the final line within 2 s;
+#   6. the same records as compact lines in the ledger renderer's field
+#      order, CRLF-terminated and with "ts" moved last (the compact reader),
+#      and spaced (the general field walk) print the same reports and
+#      counters.
 #
 # Usage: scripts/serve_smoke.sh   (CI runs it after the test suite)
 #
@@ -234,5 +238,45 @@ idle_sigint() {
 idle_sigint single "$workdir/ndjson.conf"
 idle_sigint fleet "$workdir/fleet.conf"
 exec 4>&-
+
+# --- Leg 6: compact lines in two field orders, and spaced ------------------
+# Compact lines in the ledger renderer's field order, tcp with and without
+# "seq" and udp, among them a record with a negative "ts" that both readers
+# refuse. As printed, CRLF-terminated and with "ts" moved last they are read
+# by the compact reader; spaced by sed they go to the general walk.
+{
+    for i in $(seq 0 299); do
+        if [ "$i" -eq 150 ]; then
+            echo '{"ts":-1,"src":"10.0.0.1","sport":1,"dst":"10.0.0.2","dport":2,"proto":"udp","len":9}'
+        fi
+        case $((i % 3)) in
+            0) tail=',"proto":"tcp","len":1500,"seq":'$((i * 1460)) ;;
+            1) tail=',"proto":"tcp","len":40' ;;
+            *) tail=',"proto":"udp","len":512' ;;
+        esac
+        printf '{"ts":%d.%03d,"src":"10.0.%d.%d","sport":%d,"dst":"100.64.0.9","dport":443%s}\n' \
+            $((i / 40)) $((i % 40 * 25)) $((i % 3)) $((i % 11 + 1)) $((40000 + i % 7)) "$tail"
+    done
+} > "$workdir/compact.ndjson"
+sed 's/$/\r/' "$workdir/compact.ndjson" > "$workdir/crlf.ndjson"
+sed -E 's/^\{("ts":[^,]*),(.*)\}$/{\2,\1}/' "$workdir/compact.ndjson" > "$workdir/ts_last.ndjson"
+! grep -q '^{"ts"' "$workdir/ts_last.ndjson" || fail "sed left \"ts\" first"
+sed -E 's/":/": /g; s/,"/, "/g' "$workdir/compact.ndjson" > "$workdir/spaced.ndjson"
+! grep -q '":[^ ]' "$workdir/spaced.ndjson" || fail "sed left a compact field"
+for feed in compact crlf ts_last spaced; do
+    "$serve" --config "$workdir/ndjson.conf" < "$workdir/$feed.ndjson" \
+        > "$workdir/$feed.out" 2>"$workdir/order.err" \
+        || fail "$feed run failed: $(cat "$workdir/order.err")"
+done
+final=$(tail -n 1 "$workdir/compact.out")
+case "$final" in
+    *'"packets":300'*'"malformed_skipped":1'*) ;;
+    *) fail "compact run: unexpected final line: $final" ;;
+esac
+for feed in crlf ts_last spaced; do
+    cmp <(timeless "$workdir/compact.out") <(timeless "$workdir/$feed.out") \
+        || fail "reports or counters differ between the compact feed and $feed"
+done
+echo "serve_smoke: compact, CRLF, ts-last and spaced feeds agree"
 
 echo "serve_smoke: all legs passed"
