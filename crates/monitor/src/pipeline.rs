@@ -489,15 +489,14 @@ const MAX_NDJSON_LINE_BYTES: usize = 64 * 1024;
 /// The source reads a word (eight bytes) at a time. One scan over the buffer
 /// finds each line's newline and notes on the way whether the line holds a
 /// byte that is not ASCII; only such a line is validated as UTF-8, so an
-/// ASCII record pays no `from_utf8`. A compact line — no whitespace but at
-/// its end, fields in any order — is read in one pass, each key and its
-/// punctuation matched in place and each value read where it stands. A
-/// spaced line, or one the compact read cannot take, goes to the general
-/// walk, which searches quotes and value ends the same word-at-a-time way
-/// and gives every error. Both read numbers and addresses through the same
-/// exact readers (`u16::from_str`, `u32::from_str` and `Ipv4Addr::from_str`
-/// to the byte, `ts` through `f64::from_str` itself) into the batch's
-/// columns, so a record reads the same compact or spaced.
+/// ASCII record pays no `from_utf8`. One walk over the line then goes from
+/// key to key and reads a compact field (`"key":value` right behind its `,`)
+/// where it stands, with exact readers (`u16::from_str`, `u32::from_str` and
+/// `Ipv4Addr::from_str` to the byte, `ts` through `f64::from_str` itself). A
+/// field printed another way (spaced, a quoted number, a byte no reader
+/// takes) is found the same word-at-a-time way, and its value cut out and
+/// read whole by the same reader, so a record reads the same compact or
+/// spaced, in any field order.
 ///
 /// Each chunk is what has arrived: one `fill_buf` of the reader, and every
 /// complete line in it (at most `DEFAULT_CHUNK_PACKETS`), so a busy feed is
@@ -505,7 +504,8 @@ const MAX_NDJSON_LINE_BYTES: usize = 64 * 1024;
 /// at a time — the source never reads again with records in hand. A
 /// malformed line is a *recoverable* [`SourceError::Malformed`], ordered
 /// between the records around it: the chunk ends in front of the line, the
-/// next poll returns the error with the line consumed, and under
+/// line is consumed with it, the next poll returns the error without reading
+/// again, and under
 /// [`DrivePolicy::skip_malformed`](crate::DrivePolicy::skip_malformed) the
 /// drive loop counts it and keeps going. That covers the two shapes a byte
 /// stream the daemon does not control can take: a line longer than 64 KiB
@@ -527,6 +527,9 @@ pub struct NdjsonRecordSource<R> {
     batch: PacketBatch,
     /// The tenant tag of each row of `batch`, filled by the tagged polls.
     tenants: Vec<u32>,
+    /// Why the line behind the last chunk was refused: the line is consumed,
+    /// and the next poll returns this before it reads again.
+    held: Option<&'static str>,
 }
 
 impl<R: io::BufRead> NdjsonRecordSource<R> {
@@ -537,6 +540,7 @@ impl<R: io::BufRead> NdjsonRecordSource<R> {
             line: Vec::with_capacity(MAX_NDJSON_LINE_BYTES + 1),
             batch: PacketBatch::new(),
             tenants: Vec::new(),
+            held: None,
         }
     }
 
@@ -557,9 +561,13 @@ impl<R: io::BufRead> NdjsonRecordSource<R> {
             line,
             batch,
             tenants,
+            held,
         } = self;
         batch.clear();
         tenants.clear();
+        if let Some(reason) = held.take() {
+            return Err(malformed_record(reason));
+        }
         let mut tenants = tagged.then_some(tenants);
         // What has arrived: the complete lines of one `fill_buf`, up to the
         // first that is not a record. A read a signal interrupted is an idle
@@ -575,33 +583,34 @@ impl<R: io::BufRead> NdjsonRecordSource<R> {
                 break;
             };
             let framed = &buffered[taken..end];
-            if framed.len() > MAX_NDJSON_LINE_BYTES {
-                break;
-            }
-            if !framed.iter().all(u8::is_ascii_whitespace) {
-                // An ASCII line is UTF-8; only another one is validated.
-                if non_ascii && std::str::from_utf8(framed).is_err() {
-                    break;
-                }
-                match push_ndjson_line(framed, tenants.as_deref_mut(), batch) {
-                    Ok(()) => {}
-                    // In front of everything else it is this poll's error.
-                    Err(reason) if batch.is_empty() => {
-                        reader.consume(end + 1);
-                        return Err(malformed_record(reason));
-                    }
-                    Err(_) => break,
-                }
-            }
             taken = end + 1;
+            // An ASCII line is UTF-8; only another one is validated.
+            let pushed = if framed.len() > MAX_NDJSON_LINE_BYTES {
+                Err("line longer than 64 KiB")
+            } else if framed.iter().all(u8::is_ascii_whitespace) {
+                Ok(())
+            } else if non_ascii && std::str::from_utf8(framed).is_err() {
+                Err("line is not valid UTF-8")
+            } else {
+                push_ndjson_line(framed, tenants.as_deref_mut(), batch)
+            };
+            if let Err(reason) = pushed {
+                // In front of everything else it is this poll's error;
+                // behind a record, the next poll's.
+                reader.consume(taken);
+                if batch.is_empty() {
+                    return Err(malformed_record(reason));
+                }
+                *held = Some(reason);
+                return Ok(true);
+            }
         }
         reader.consume(taken);
         if !batch.is_empty() {
             return Ok(true);
         }
         // With no record in hand the next line is one the buffer does not
-        // hold whole, over the cap or not UTF-8: it goes through the bounded
-        // framing, alone.
+        // hold whole: it goes through the bounded framing, alone.
         let Some(framed) = next_ndjson_line(reader, line)? else {
             return Ok(false);
         };
@@ -755,290 +764,283 @@ fn trim_end(mut text: &[u8]) -> &[u8] {
     }
 }
 
-/// The raw value text of the nine fields a record line is read for — `ts`,
-/// `src`, `dst`, `sport`, `dport`, `len`, `proto`, `seq`, `tenant`, in that
-/// order — from one walk over the line, which must be UTF-8.
+/// One field of a record line as [`ndjson_fields`] reads it: `None` where
+/// absent, `Some(None)` where its value is not one the field takes.
+type Field<T> = Option<Option<T>>;
+
+/// The nine fields a record line is read for, typed. The first six are `None`
+/// where absent or invalid: the record is refused for one reason either way.
+#[derive(Default)]
+struct NdjsonFields {
+    ts: Option<f64>,
+    src: Option<std::net::Ipv4Addr>,
+    dst: Option<std::net::Ipv4Addr>,
+    sport: Option<u16>,
+    dport: Option<u16>,
+    len: Option<u16>,
+    /// `true` for `tcp`, `false` for `udp`.
+    proto: Field<bool>,
+    seq: Field<u32>,
+    tenant: Field<u32>,
+}
+
+/// The nine keys, in slot order; [`compact_field`] matches them in place.
+const RECORD_KEYS: [&[u8]; 9] = [
+    b"ts", b"src", b"dst", b"sport", b"dport", b"len", b"proto", b"seq", b"tenant",
+];
+
+/// The nine fields a record line is read for ([`RECORD_KEYS`]) from one walk
+/// over the line, which must be UTF-8.
 ///
-/// The walk goes from one quoted token to the next. One of the nine keys is
-/// read with its closing quote in place; every search (an opening quote,
-/// another token's closing quote, the end of a string value, the `,` / `}` /
-/// `"` that ends a bare value) reads the line a word at a time ([`find`]).
-/// A token is a key where a `:` follows it; the first occurrence of a key
-/// decides it, so one with no `:` behind it is absent however often it
-/// recurs. A string value is taken to its closing quote and stepped over
-/// whole, so key-like text inside one is never a key; a bare value runs to
-/// the next `,` or `}`, trimmed of trailing whitespace, and the walk goes on
-/// right behind its key. A string that never closes ends the walk.
-/// Whitespace is Unicode's, as `str::trim` has it; a char is decoded only
-/// where a byte is not ASCII.
-fn json_raw_values(line: &[u8]) -> [Option<&[u8]>; 9] {
-    let quote = |from: usize| find(line, from, [b'"']).0;
-    let mut values = [None; 9];
-    let mut decided = [false; 9];
-    let mut at = 0;
-    while let Some(open) = quote(at) {
-        // One of the nine keys is read with its closing quote in place; the
-        // closing quote of any other token is searched for.
-        let (slot, close) = match &line[open + 1..] {
-            [b't', b's', b'"', ..] => (Some(0), open + 3),
-            [b's', b'r', b'c', b'"', ..] => (Some(1), open + 4),
-            [b'd', b's', b't', b'"', ..] => (Some(2), open + 4),
-            [b's', b'p', b'o', b'r', b't', b'"', ..] => (Some(3), open + 6),
-            [b'd', b'p', b'o', b'r', b't', b'"', ..] => (Some(4), open + 6),
-            [b'l', b'e', b'n', b'"', ..] => (Some(5), open + 4),
-            [b'p', b'r', b'o', b't', b'o', b'"', ..] => (Some(6), open + 6),
-            [b's', b'e', b'q', b'"', ..] => (Some(7), open + 4),
-            [b't', b'e', b'n', b'a', b'n', b't', b'"', ..] => (Some(8), open + 7),
-            _ => match quote(open + 1) {
-                Some(close) => (None, close),
-                None => break,
-            },
-        };
-        at = close + 1;
-        let undecided = slot.filter(|slot| !std::mem::replace(&mut decided[*slot], true));
-        let colon = skip_whitespace(line, at);
-        if line.get(colon) != Some(&b':') {
+/// The walk goes from one quoted token to the next and reads a compact field
+/// where it stands ([`compact_field`]); any other token it finds with
+/// word-at-a-time searches ([`find`]). A token is a key where a `:` follows
+/// it; a key's first occurrence decides it, so one with no `:` behind it is
+/// absent however often it recurs. Its value is cut out and read whole
+/// ([`read_cut`]); a string value is stepped over whole, so key-like text
+/// inside one is never a key, and so is another token's, but not its bare
+/// value. A string that never closes ends the walk. Whitespace is Unicode's,
+/// as `str::trim` has it; a char is decoded only where a byte is not ASCII.
+fn ndjson_fields(line: &[u8]) -> NdjsonFields {
+    let quote = |text: &[u8]| find(text, 0, [b'"']).0;
+    let mut fields = NdjsonFields::default();
+    let mut decided = 0u16;
+    let mut rest = line;
+    loop {
+        if let Some(next) = compact_field(rest, &mut fields, &mut decided) {
+            rest = next;
             continue;
         }
-        let value = skip_whitespace(line, colon + 1);
-        if line.get(value) == Some(&b'"') {
-            let Some(end) = quote(value + 1) else {
-                break;
-            };
-            if let Some(slot) = undecided {
-                values[slot] = Some(&line[value + 1..end]);
+        let Some(open) = quote(rest) else { break };
+        let token = &rest[open + 1..];
+        let Some(close) = quote(token) else { break };
+        let name = &token[..close];
+        let slot = RECORD_KEYS.iter().position(|key| key == &name).unwrap_or(9);
+        rest = &token[close + 1..];
+        let fresh = slot < 9 && decided & 1 << slot == 0;
+        decided |= 1 << slot;
+        let Some(value) = rest[skip_whitespace(rest, 0)..].strip_prefix(b":") else {
+            continue;
+        };
+        if !fresh {
+            if let [b'"', text @ ..] = &value[skip_whitespace(value, 0)..] {
+                let Some(end) = quote(text) else { break };
+                rest = &text[end + 1..];
             }
-            at = end + 1;
-        } else if let Some(slot) = undecided {
-            // A quote inside the value opens the next token, so the walk
-            // skips the value only when it holds none.
-            let stop = match find(line, value, [b',', b'}', b'"']).0 {
-                Some(inner) if line[inner] == b'"' => find(line, inner, [b',', b'}']).0,
-                stop => stop.inspect(|stop| at = *stop),
-            };
-            values[slot] = Some(trim_end(&line[value..stop.unwrap_or(line.len())]));
+            continue;
+        }
+        let rest = &mut rest;
+        match slot {
+            0 => fields.ts = read_cut(value, rest, take_ts).flatten(),
+            1 => fields.src = read_cut(value, rest, take_ipv4).flatten(),
+            2 => fields.dst = read_cut(value, rest, take_ipv4).flatten(),
+            3 => fields.sport = read_cut(value, rest, take_u16).flatten(),
+            4 => fields.dport = read_cut(value, rest, take_u16).flatten(),
+            5 => fields.len = read_cut(value, rest, take_u16).flatten(),
+            6 => fields.proto = read_cut(value, rest, take_proto),
+            7 => fields.seq = read_cut(value, rest, take_u32),
+            _ => fields.tenant = read_cut(value, rest, take_u32),
         }
     }
-    values
+    fields
+}
+
+/// The walk's step over a compact field at the front of `rest` — `,` or `{`,
+/// `"key":` of an undecided key, its value in the form exporters print it —
+/// read where it stands ([`take_in_place`]); where the walk goes on. `None`,
+/// with nothing decided, for any other token, which the general step reads.
+#[inline(always)]
+fn compact_field<'l>(
+    rest: &'l [u8],
+    fields: &mut NdjsonFields,
+    decided: &mut u16,
+) -> Option<&'l [u8]> {
+    let (slot, value) = match rest {
+        [b',' | b'{', b'"', key @ ..] => match key {
+            [b't', b's', b'"', b':', value @ ..] => (0, value),
+            [b's', b'r', b'c', b'"', b':', value @ ..] => (1, value),
+            [b'd', b's', b't', b'"', b':', value @ ..] => (2, value),
+            [b's', b'p', b'o', b'r', b't', b'"', b':', value @ ..] => (3, value),
+            [b'd', b'p', b'o', b'r', b't', b'"', b':', value @ ..] => (4, value),
+            [b'l', b'e', b'n', b'"', b':', value @ ..] => (5, value),
+            [b'p', b'r', b'o', b't', b'o', b'"', b':', value @ ..] => (6, value),
+            [b's', b'e', b'q', b'"', b':', value @ ..] => (7, value),
+            [b't', b'e', b'n', b'a', b'n', b't', b'"', b':', value @ ..] => (8, value),
+            _ => return None,
+        },
+        _ => return None,
+    };
+    if *decided & 1 << slot != 0 {
+        return None;
+    }
+    let mut text = value;
+    match slot {
+        0 => fields.ts = Some(take_in_place(&mut text, false, take_ts)?),
+        1 => fields.src = Some(take_in_place(&mut text, true, take_ipv4)?),
+        2 => fields.dst = Some(take_in_place(&mut text, true, take_ipv4)?),
+        3 => fields.sport = Some(take_in_place(&mut text, false, take_u16)?),
+        4 => fields.dport = Some(take_in_place(&mut text, false, take_u16)?),
+        5 => fields.len = Some(take_in_place(&mut text, false, take_u16)?),
+        6 => fields.proto = Some(Some(take_in_place(&mut text, true, take_proto)?)),
+        7 => fields.seq = Some(Some(take_in_place(&mut text, false, take_u32)?)),
+        _ => fields.tenant = Some(Some(take_in_place(&mut text, false, take_u32)?)),
+    }
+    *decided |= 1 << slot;
+    Some(text)
+}
+
+/// The value at the front of `rest` — a string where `quoted`, else bare —
+/// read by `take` and stepped over, where it ends where the walk's cut ends
+/// it: at a closing quote, or a `,` or `}`. No reader takes a quote, a `,`, a
+/// `}` or whitespace, so there the read is the cut's.
+#[inline(always)]
+fn take_in_place<T>(
+    rest: &mut &[u8],
+    quoted: bool,
+    take: impl FnOnce(&mut &[u8]) -> Option<T>,
+) -> Option<T> {
+    let mut text = if quoted {
+        (*rest).strip_prefix(b"\"")?
+    } else {
+        *rest
+    };
+    let value = take(&mut text)?;
+    *rest = match (quoted, text) {
+        (true, [b'"', behind @ ..]) => behind,
+        (false, [b',' | b'}', ..]) => text,
+        _ => return None,
+    };
+    Some(value)
+}
+
+/// A key's value (behind any whitespace in `value`) cut as the walk cuts it
+/// — a string to its closing quote; a bare value to the next `,` or `}`, and
+/// trimmed, where the walk goes on (`rest`) unless it holds a quote — and
+/// read whole by `take`. `None` for a string that never closes (`rest` is
+/// left empty, which ends the walk).
+fn read_cut<'l, T>(
+    value: &'l [u8],
+    rest: &mut &'l [u8],
+    take: impl FnOnce(&mut &[u8]) -> Option<T>,
+) -> Field<T> {
+    let value = &value[skip_whitespace(value, 0)..];
+    let cut = if let [b'"', text @ ..] = value {
+        let Some(end) = find(text, 0, [b'"']).0 else {
+            *rest = &[];
+            return None;
+        };
+        *rest = &text[end + 1..];
+        &text[..end]
+    } else {
+        let stop = match find(value, 0, [b',', b'}', b'"']).0 {
+            Some(inner) if value[inner] == b'"' => find(value, inner, [b',', b'}']).0,
+            stop => stop.inspect(|stop| *rest = &value[*stop..]),
+        };
+        trim_end(&value[..stop.unwrap_or(value.len())])
+    };
+    Some(read_whole(cut, take))
+}
+
+/// What `take` reads from the whole of `text`: `None` where it reads nothing
+/// or leaves a byte behind.
+fn read_whole<T>(mut text: &[u8], take: impl FnOnce(&mut &[u8]) -> Option<T>) -> Option<T> {
+    let value = take(&mut text)?;
+    text.is_empty().then_some(value)
 }
 
 /// Parses one ndjson packet-record line (`{"ts":…,"src":…,"dst":…,"sport":…,
 /// "dport":…,"len":…,"proto":"tcp"|"udp"[,"seq":…]}`) into a
 /// [`PacketRecord`].
 ///
-/// This is the exact parser [`NdjsonRecordSource`] runs on every line: a
-/// compact line is read in one pass, as above, and any other line in one
-/// walk, a word at a time, for the raw text of every field, then the typed
-/// conversions — the source is what listeners read through; the function is
-/// exposed for harnesses that price or cross-check the grammar on its own.
-/// Unknown fields are ignored and field order is free, so a tagged record
-/// (an extra `"tenant"` field, read by [`NdjsonRecordSource::next_tagged`])
-/// parses identically to an untagged one, and a spaced line to the same
-/// line compact.
+/// This is the exact parser [`NdjsonRecordSource`] runs on every line, one
+/// walk over the line and a fixed-order check of its fields; the source is
+/// what listeners read through, the function is exposed for harnesses that
+/// price or cross-check the grammar on its own. Unknown fields are ignored
+/// and field order is free, so a tagged record (an extra `"tenant"` field,
+/// read by [`NdjsonRecordSource::next_tagged`]) parses identically to an
+/// untagged one, and a spaced line to the same line compact.
 pub fn parse_ndjson_record(line: &str) -> Result<PacketRecord, &'static str> {
-    match layout_record(line.as_bytes()) {
-        Some((record, _)) => Ok(record),
-        None => ndjson_record(&json_raw_values(line.as_bytes())),
-    }
+    ndjson_line(line.as_bytes(), false).map(|(record, _)| record)
 }
 
-/// A record line in the compact layout — `{`, then `"key":value` fields
-/// joined by single commas with no whitespace, then `}` and nothing but
-/// ASCII whitespace — read in one pass: the record and the tenant tag where
-/// the line carries one. Fields may come in any order, each of the nine the
-/// walk reads at most once. Addresses and `proto` are quoted, `ts` is a
-/// number `f64::from_str` takes that starts with a digit, the other values
-/// are bare decimals. Any other field is stepped over as the walk steps
-/// over it: a string value to its closing quote, a bare one that holds no
-/// quote to the next `,` or `}`.
-///
-/// At each field the key with its quotes and colon is matched in place,
-/// and its value is read where the reader stands. `None` at the first byte
-/// that departs from that layout (a space, a repeated key, a missing
-/// field), or at a value it leaves to the walk (one the walk refuses, a
-/// sign, a quoted number): such a line goes to [`json_raw_values`] and
-/// [`ndjson_record`], which read every other layout and give every error.
-/// A spaced line departs at its first value, so this reader costs it next
-/// to nothing; a line that departs late (a repeated key, bytes behind the
-/// closing brace) pays for both readers. On a line this takes, each value
-/// is the slice the general walk would cut (no value holds a quote, a `,`,
-/// a `}` or whitespace), read by the same readers, so the record is the
-/// walk's.
-fn layout_record(line: &[u8]) -> Option<(PacketRecord, Option<u32>)> {
-    let mut rest = line.strip_prefix(b"{")?;
-    let mut seen = 0u16;
-    let unspecified = std::net::Ipv4Addr::UNSPECIFIED;
-    let (mut ts, mut src, mut dst) = (0f64, unspecified, unspecified);
-    let (mut sport, mut dport, mut len) = (0, 0, 0);
-    let (mut tcp, mut seq, mut tenant) = (false, 0, None);
-    loop {
-        // The slots of `json_raw_values`, each key up to its colon; any
-        // other field is stepped over whole, value and all.
-        let (slot, value) = match rest {
-            [b'"', b't', b's', b'"', b':', value @ ..] => (0, value),
-            [b'"', b's', b'r', b'c', b'"', b':', value @ ..] => (1, value),
-            [b'"', b'd', b's', b't', b'"', b':', value @ ..] => (2, value),
-            [b'"', b's', b'p', b'o', b'r', b't', b'"', b':', value @ ..] => (3, value),
-            [b'"', b'd', b'p', b'o', b'r', b't', b'"', b':', value @ ..] => (4, value),
-            [b'"', b'l', b'e', b'n', b'"', b':', value @ ..] => (5, value),
-            [b'"', b'p', b'r', b'o', b't', b'o', b'"', b':', value @ ..] => (6, value),
-            [b'"', b's', b'e', b'q', b'"', b':', value @ ..] => (7, value),
-            [b'"', b't', b'e', b'n', b'a', b'n', b't', b'"', b':', value @ ..] => (8, value),
-            _ => (9, skip_other_field(rest)?),
-        };
-        // The walk keeps a key's first value; another field (slot 9, whose
-        // bit is never set) may recur.
-        if seen & 1 << slot != 0 {
-            return None;
-        }
-        seen |= 1 << slot & 0x1ff;
-        rest = value;
-        match slot {
-            0 => {
-                // A slice `f64::from_str` reads holds none of `"`, `,`, `}`
-                // or whitespace, so it is the walk's: up to the first `,`
-                // or `}`. One that does not start with a digit (a space, a
-                // sign, a quote) is left to the walk before it is searched.
-                if !rest.first()?.is_ascii_digit() {
-                    return None;
-                }
-                let end = rest.iter().position(|byte| matches!(byte, b',' | b'}'))?;
-                ts = std::str::from_utf8(&rest[..end]).ok()?.parse().ok()?;
-                rest = &rest[end..];
-            }
-            1 | 2 => {
-                rest = rest.strip_prefix(b"\"")?;
-                let address = take_ipv4(&mut rest)?;
-                rest = rest.strip_prefix(b"\"")?;
-                if slot == 1 {
-                    src = address;
-                } else {
-                    dst = address;
-                }
-            }
-            3 => sport = take_decimal(&mut rest, u16::MAX.into())? as u16,
-            4 => dport = take_decimal(&mut rest, u16::MAX.into())? as u16,
-            5 => len = take_decimal(&mut rest, u16::MAX.into())? as u16,
-            6 => {
-                (tcp, rest) = match rest {
-                    [b'"', b't', b'c', b'p', b'"', tail @ ..] => (true, tail),
-                    [b'"', b'u', b'd', b'p', b'"', tail @ ..] => (false, tail),
-                    _ => return None,
-                };
-            }
-            7 => seq = take_decimal(&mut rest, u32::MAX)?,
-            8 => tenant = Some(take_decimal(&mut rest, u32::MAX)?),
-            _ => {} // stepped over already
-        }
-        match rest {
-            [b',', next @ ..] => rest = next,
-            [b'}', end @ ..] => {
-                rest = end;
-                break;
-            }
-            _ => return None,
-        }
-    }
-    // Every field but `seq` and `tenant`; the walk ignores a udp line's `seq`.
-    // A `ts` that starts with a digit is not negative, but may be infinite.
-    if seen & 0x7f != 0x7f || !ts.is_finite() {
-        return None;
-    }
-    if !rest.iter().all(u8::is_ascii_whitespace) {
-        return None;
-    }
-    let timestamp = Timestamp::from_secs_f64(ts);
-    let record = if tcp {
-        PacketRecord::tcp(timestamp, src, sport, dst, dport, len, seq)
-    } else {
-        PacketRecord::udp(timestamp, src, sport, dst, dport, len)
+/// The record of one line, which must be UTF-8, and where `tagged` its
+/// tenant tag (0 where the line carries none); otherwise the first reason it
+/// is none. A tag that is not a `u32` is refused first, then the fields are
+/// checked in a fixed order: `ts` (present, then finite and non-negative),
+/// `src`, `dst`, `sport`, `dport`, `len`, `proto`, then a tcp line's `seq`.
+fn ndjson_line(line: &[u8], tagged: bool) -> Result<(PacketRecord, u32), &'static str> {
+    let fields = ndjson_fields(line);
+    let tenant = match fields.tenant {
+        Some(tag) if tagged => tag.ok_or("invalid \"tenant\"")?,
+        _ => 0,
     };
-    Some((record, tenant))
-}
-
-/// The rest of the line behind a field the walk does not read, at the front
-/// of `rest`: its key, colon and value stepped over as the walk steps over
-/// them — a string value to its closing quote, a bare one to the next quote,
-/// so a bare one must hold none and ends at the next `,` or `}`. Kept out
-/// of [`layout_record`]'s loop: inline there, it cost every compact line
-/// 10–15 ns (a 2-CPU x86-64 box).
-#[cold]
-#[inline(never)]
-fn skip_other_field(rest: &[u8]) -> Option<&[u8]> {
-    let key = rest.strip_prefix(b"\"")?;
-    let close = key.iter().position(|byte| *byte == b'"')?;
-    let value = key[close + 1..].strip_prefix(b":")?;
-    let end = match value {
-        [b'"', text @ ..] => 2 + text.iter().position(|byte| *byte == b'"')?,
-        _ => value
-            .iter()
-            .position(|byte| matches!(byte, b',' | b'}' | b'"'))?,
-    };
-    Some(&value[end..])
-}
-
-/// The typed conversions of [`parse_ndjson_record`] over the raw fields:
-/// `ts` through `f64::from_str`, whose rounding [`Timestamp`] depends on, the
-/// rest through the exact readers below.
-fn ndjson_record(raw: &[Option<&[u8]>; 9]) -> Result<PacketRecord, &'static str> {
-    let [ts, src, dst, sport, dport, len, proto, seq, _tenant] = *raw;
-    // A value cut from UTF-8 at char boundaries is its own first UTF-8
-    // chunk, which `utf8_chunks` finds cheaper than `from_utf8` proves it.
-    let ts: f64 = ts
-        .and_then(|v| {
-            let text = v.utf8_chunks().next()?.valid();
-            (text.len() == v.len()).then(|| text.parse().ok())?
-        })
-        .ok_or("missing or invalid \"ts\"")?;
+    let ts = fields.ts.ok_or("missing or invalid \"ts\"")?;
     if !ts.is_finite() || ts < 0.0 {
         return Err("\"ts\" must be finite and non-negative");
     }
-    let src = src
-        .and_then(read_ipv4)
-        .ok_or("missing or invalid \"src\"")?;
-    let dst = dst
-        .and_then(read_ipv4)
-        .ok_or("missing or invalid \"dst\"")?;
-    let sport = sport
-        .and_then(read_u16)
-        .ok_or("missing or invalid \"sport\"")?;
-    let dport = dport
-        .and_then(read_u16)
-        .ok_or("missing or invalid \"dport\"")?;
-    let len = len.and_then(read_u16).ok_or("missing or invalid \"len\"")?;
+    let src = fields.src.ok_or("missing or invalid \"src\"")?;
+    let dst = fields.dst.ok_or("missing or invalid \"dst\"")?;
+    let sport = fields.sport.ok_or("missing or invalid \"sport\"")?;
+    let dport = fields.dport.ok_or("missing or invalid \"dport\"")?;
+    let len = fields.len.ok_or("missing or invalid \"len\"")?;
     let timestamp = Timestamp::from_secs_f64(ts);
-    match proto {
-        Some(b"tcp") => {
-            let seq = match seq {
-                Some(raw) => read_u32(raw).ok_or("invalid \"seq\"")?,
-                None => 0,
-            };
-            Ok(PacketRecord::tcp(
-                timestamp, src, sport, dst, dport, len, seq,
-            ))
+    let record = match fields.proto {
+        Some(Some(true)) => {
+            let seq = fields.seq.unwrap_or(Some(0)).ok_or("invalid \"seq\"")?;
+            PacketRecord::tcp(timestamp, src, sport, dst, dport, len, seq)
         }
-        Some(b"udp") => Ok(PacketRecord::udp(timestamp, src, sport, dst, dport, len)),
-        Some(_) => Err("\"proto\" must be \"tcp\" or \"udp\""),
-        None => Err("missing \"proto\""),
-    }
+        Some(Some(false)) => PacketRecord::udp(timestamp, src, sport, dst, dport, len),
+        Some(None) => return Err("\"proto\" must be \"tcp\" or \"udp\""),
+        None => return Err("missing \"proto\""),
+    };
+    Ok((record, tenant))
 }
 
-/// An unsigned decimal no larger than `max`, read as `str::parse` reads an
-/// unsigned integer: one optional `+`, then one or more ASCII digits and
-/// nothing else. Leading zeros are fine; a value past `max` is refused.
-fn read_decimal(raw: &[u8], max: u32) -> Option<u32> {
-    let mut digits = raw.strip_prefix(b"+").unwrap_or(raw);
-    let value = take_decimal(&mut digits, max)?;
-    digits.is_empty().then_some(value)
+/// A `ts` value at the front of `rest`: its run of ASCII graphic bytes but
+/// `,`, `}` and `"` (every byte `f64::from_str` reads is one) through
+/// `f64::from_str` itself, whose rounding [`Timestamp`] depends on.
+fn take_ts(rest: &mut &[u8]) -> Option<f64> {
+    let width = rest
+        .iter()
+        .position(|byte| !byte.is_ascii_graphic() || matches!(byte, b',' | b'}' | b'"'))
+        .unwrap_or(rest.len());
+    let ts = std::str::from_utf8(&rest[..width]).ok()?.parse().ok()?;
+    *rest = &rest[width..];
+    Some(ts)
 }
 
-/// The ASCII digits at the front of `rest` as a decimal no larger than
-/// `max`, stepped over; `None` where there is no digit or the value passes
-/// `max`.
+/// A `proto` value at the front of `rest`: `tcp` (`true`) or `udp`.
+fn take_proto(rest: &mut &[u8]) -> Option<bool> {
+    let tcp = match rest {
+        [b't', b'c', b'p', ..] => true,
+        [b'u', b'd', b'p', ..] => false,
+        _ => return None,
+    };
+    *rest = &rest[3..];
+    Some(tcp)
+}
+
+/// A port or a length at the front of `rest`, read as `u16::from_str` reads
+/// one.
+fn take_u16(rest: &mut &[u8]) -> Option<u16> {
+    take_decimal(rest, u16::MAX.into()).map(|value| value as u16)
+}
+
+/// A `seq` or a tenant tag at the front of `rest`, read as `u32::from_str`
+/// reads one.
+fn take_u32(rest: &mut &[u8]) -> Option<u32> {
+    take_decimal(rest, u32::MAX)
+}
+
+/// An unsigned decimal no larger than `max` at the front of `rest`, read as
+/// `str::parse` reads an unsigned integer — one optional `+`, then one or
+/// more ASCII digits, leading zeros and all — and stepped over; `None` where
+/// there is no digit or the value passes `max`.
 fn take_decimal(rest: &mut &[u8], max: u32) -> Option<u32> {
+    let digits = rest.strip_prefix(b"+").unwrap_or(rest);
     let mut value = 0u64;
     let mut width = 0;
-    while let Some(digit) = rest.get(width).map(|byte| byte.wrapping_sub(b'0')) {
+    while let Some(digit) = digits.get(width).map(|byte| byte.wrapping_sub(b'0')) {
         if digit > 9 {
             break;
         }
@@ -1048,31 +1050,14 @@ fn take_decimal(rest: &mut &[u8], max: u32) -> Option<u32> {
         }
         width += 1;
     }
-    *rest = &rest[width..];
+    *rest = &digits[width..];
     (width > 0).then_some(value as u32)
 }
 
-/// A `u16` field's value, read as `u16::from_str` reads it.
-fn read_u16(raw: &[u8]) -> Option<u16> {
-    read_decimal(raw, u16::MAX.into()).map(|value| value as u16)
-}
-
-/// A `u32` field's value, read as `u32::from_str` reads it.
-fn read_u32(raw: &[u8]) -> Option<u32> {
-    read_decimal(raw, u32::MAX)
-}
-
-/// An address field's value, read as `Ipv4Addr::from_str` reads it: four
-/// octets joined by single dots and nothing else, each one to three ASCII
-/// digits, at most 255, and without a leading zero unless it is `0`.
-fn read_ipv4(raw: &[u8]) -> Option<std::net::Ipv4Addr> {
-    let mut rest = raw;
-    let address = take_ipv4(&mut rest)?;
-    rest.is_empty().then_some(address)
-}
-
-/// The address at the front of `rest`, read as [`read_ipv4`] reads one and
-/// stepped over; whatever follows its fourth octet is left in `rest`.
+/// An address at the front of `rest`, read as `Ipv4Addr::from_str` reads
+/// one — four octets joined by single dots, each one to three ASCII digits,
+/// at most 255, and without a leading zero unless it is `0` — and stepped
+/// over; whatever follows its fourth octet is left in `rest`.
 fn take_ipv4(rest: &mut &[u8]) -> Option<std::net::Ipv4Addr> {
     let digit = |byte: u8| u32::from(byte - b'0');
     let mut address = 0;
@@ -1101,24 +1086,14 @@ fn take_ipv4(rest: &mut &[u8]) -> Option<std::net::Ipv4Addr> {
 
 /// Appends the record of one line to `batch` — and, on the tagged path, its
 /// tenant tag (0 when the line carries none) to `tenants`; a tag that is not
-/// a `u32` is refused before the record's fields are looked at. The line
-/// must be UTF-8.
+/// a `u32` is refused before the record's fields are checked. The line must
+/// be UTF-8.
 fn push_ndjson_line(
     line: &[u8],
     tenants: Option<&mut Vec<u32>>,
     batch: &mut PacketBatch,
 ) -> Result<(), &'static str> {
-    let (record, tenant) = match layout_record(line) {
-        Some((record, tenant)) => (record, tenant.unwrap_or(0)),
-        None => {
-            let raw = json_raw_values(line);
-            let tenant = match (raw[8], &tenants) {
-                (Some(tag), Some(_)) => read_u32(tag).ok_or("invalid \"tenant\"")?,
-                _ => 0,
-            };
-            (ndjson_record(&raw)?, tenant)
-        }
-    };
+    let (record, tenant) = ndjson_line(line, tenants.is_some())?;
     batch.push_record(&record);
     if let Some(tenants) = tenants {
         tenants.push(tenant);
@@ -1127,7 +1102,7 @@ fn push_ndjson_line(
 }
 
 /// Extracts the raw value text of `"key": <value>` from one JSON line: the
-/// per-key search `json_raw_values` replaced, kept as the oracle of the
+/// per-key search [`ndjson_fields`] replaced, kept as the oracle of the
 /// differential test.
 #[cfg(test)]
 fn json_raw_value<'l>(line: &'l str, key: &str) -> Option<&'l str> {
@@ -2413,22 +2388,22 @@ mod tests {
         format!("{{{}}}", fields.join(","))
     }
 
+    /// The record as README prints one: a space behind each colon and each
+    /// comma.
+    fn render_spaced(fields: &[String]) -> String {
+        let spaced: Vec<String> = fields.iter().map(|f| f.replacen(':', ": ", 1)).collect();
+        format!("{{{}}}", spaced.join(", "))
+    }
+
     /// The rendered record with one byte of its literals — a brace, a comma,
     /// a key with its quotes and colon, the quotes of a string value —
-    /// replaced by another printable ASCII byte; and whether the edit only
-    /// renamed a field a record can do without (`seq`, `tenant` or one the
-    /// walk does not read), which leaves a record with a field the walk
-    /// does not read.
-    fn edit_literal(rng: &mut Pcg64, fields: &[String]) -> (String, bool) {
+    /// replaced by another printable ASCII byte.
+    fn edit_literal(rng: &mut Pcg64, fields: &[String]) -> String {
         let mut literals = vec![0];
-        let mut optional_names = Vec::new();
         let mut at = 1;
         for field in fields {
             let colon = field.find(':').expect("a key");
             literals.extend(at..=at + colon);
-            if !NDJSON_KEYS[..7].contains(&&field[1..colon - 1]) {
-                optional_names.extend(at + 1..at + colon - 1);
-            }
             if field[colon + 1..].starts_with('"') {
                 literals.extend([at + colon + 1, at + field.len() - 1]);
             }
@@ -2438,22 +2413,22 @@ mod tests {
         }
         let mut line = render_fields(fields).into_bytes();
         let at = literals[rng.index(literals.len())];
-        let byte = (line[at] - 0x20 + 1 + rng.next_below(0x5e) as u8) % 0x5f + 0x20;
-        line[at] = byte;
-        let renamed = optional_names.contains(&at) && byte != b'"';
-        (String::from_utf8(line).expect("ASCII"), renamed)
+        line[at] = (line[at] - 0x20 + 1 + rng.next_below(0x5e) as u8) % 0x5f + 0x20;
+        String::from_utf8(line).expect("ASCII")
     }
 
-    /// Whether the layout reader takes `line`; where it does, the record
-    /// and the tenant tag are the general walk's.
-    fn layout_agrees(line: &str) -> bool {
-        let Some((record, tenant)) = layout_record(line.as_bytes()) else {
-            return false;
+    /// Whether `line` is a record, which the reader and the oracle agree on,
+    /// and on the tagged path on its tenant tag too.
+    fn agrees_with_the_oracle(line: &str) -> bool {
+        let record = parse_ndjson_record(line);
+        assert_eq!(record, oracle_record(line), "{line:?}");
+        let (mut tenants, mut batch) = (Vec::new(), PacketBatch::new());
+        let tagged = match push_ndjson_line(line.as_bytes(), Some(&mut tenants), &mut batch) {
+            Ok(()) => Line::Row(tenants[0], batch.record(0)),
+            Err(reason) => Line::Bad(reason),
         };
-        let raw = json_raw_values(line.as_bytes());
-        assert_eq!(Ok(record), ndjson_record(&raw), "{line:?}");
-        assert_eq!(tenant.map(Some), raw[8].map(read_u32), "{line:?}");
-        true
+        assert_eq!(tagged, oracle_line(line, true), "{line:?}");
+        record.is_ok()
     }
 
     /// Values of every type the grammar reads, right and wrong: numbers at
@@ -2603,7 +2578,7 @@ mod tests {
                     _ => "\"ts\":-0".to_string(),
                 };
             }
-            12 => return edit_literal(rng, &fields).0,
+            12 => return edit_literal(rng, &fields),
             13 => {
                 // A line ended as a CRLF feed or a careless exporter ends one.
                 let end = ["\r", " ", "\t", "\r ", " \t\r"][rng.index(5)];
@@ -2662,27 +2637,23 @@ mod tests {
         const LINES: usize = 200_000;
         let mut rng = Pcg64::seed_from_u64(0x0d15_ea5e);
         let (mut rows, mut reasons) = (0usize, std::collections::BTreeSet::new());
-        let mut taken = 0usize;
         let mut feed = String::new();
         for round in 0..LINES / 1000 {
             feed.clear();
             for i in 0..1000 {
                 let line = arbitrary_line(&mut rng);
                 assert_eq!(parse_ndjson_record(&line), oracle_record(&line), "{line:?}");
-                taken += usize::from(layout_agrees(&line));
                 feed.push_str(&line);
                 feed.push('\n');
                 if i % 4 != 0 {
                     continue;
                 }
-                // The layout reader takes every compact line, bare or
-                // CRLF-terminated, in the field order of the ledger's
-                // renderer, in the one the serve crate's feeds print
-                // (`ts`, `src`, `dst`, `sport`, `dport`, `len`, `proto`) or
-                // in any other, with a field the walk does not read or
-                // without, and no line with one of its literals edited but
-                // where the edit renamed a field a record can do without
-                // (the generator's lines hold both kinds).
+                // The reader takes every record as exporters print one —
+                // compact, CRLF-terminated or spaced as README prints it; in
+                // the ledger renderer's field order, the serve feeds' (`ts`,
+                // `src`, `dst`, `sport`, `dport`, `len`, `proto`) or any other,
+                // with an unknown field or without — and reads what the
+                // oracle reads with one of its literals edited.
                 let mut fields = arbitrary_fields(&mut rng);
                 match i / 4 % 3 {
                     0 => {}
@@ -2696,11 +2667,10 @@ mod tests {
                     }
                 }
                 let printed = render_fields(&fields);
-                for line in [format!("{printed}\r"), printed] {
-                    assert!(layout_agrees(&line), "{line:?}");
+                for line in [format!("{printed}\r"), printed, render_spaced(&fields)] {
+                    assert!(agrees_with_the_oracle(&line), "{line:?}");
                 }
-                let (edited, renamed) = edit_literal(&mut rng, &fields);
-                assert_eq!(layout_agrees(&edited), renamed, "{edited:?}");
+                agrees_with_the_oracle(&edit_literal(&mut rng, &fields));
             }
             // The untagged path, every other feed: it never reads a tag, so
             // a line whose tag is not a `u32` is still a record there.
@@ -2737,10 +2707,8 @@ mod tests {
                 }
             }
         }
-        // The generator reaches both outcomes and every reason the parser has,
-        // and both readers.
+        // The generator reaches both outcomes and every reason the parser has.
         assert!(rows > LINES / 10, "{rows} records");
-        assert!(taken > LINES / 10, "{taken} compact lines");
         assert_eq!(reasons.len(), 11, "{reasons:?}");
     }
 
@@ -2818,13 +2786,14 @@ mod tests {
 
     /// Every decimal string of up to six digits, bare and behind a sign,
     /// leading zeros included, and the edges of both widths: the integer
-    /// readers read what `str::parse` reads.
+    /// readers read what `str::parse` reads from a whole value.
     #[test]
     fn ndjson_integer_readers_agree_with_str_parse() {
         use std::fmt::Write as _;
         let agree = |text: &str| {
-            assert_eq!(read_u16(text.as_bytes()), text.parse().ok(), "u16 {text:?}");
-            assert_eq!(read_u32(text.as_bytes()), text.parse().ok(), "u32 {text:?}");
+            let raw = text.as_bytes();
+            assert_eq!(read_whole(raw, take_u16), text.parse().ok(), "u16 {text:?}");
+            assert_eq!(read_whole(raw, take_u32), text.parse().ok(), "u32 {text:?}");
         };
         let edges = ["", "+", "-", "++1", "+-1", "1+", " 1", "1 ", "0x1", "1_0"];
         let widths = [
@@ -2853,12 +2822,13 @@ mod tests {
 
     /// Every address of four octets drawn from the awkward ones, and seeded
     /// strings of up to 16 bytes over digits, dots, signs and spaces: the
-    /// address reader reads what `Ipv4Addr::from_str` reads.
+    /// address reader reads what `Ipv4Addr::from_str` reads from a whole
+    /// value.
     #[test]
     fn ndjson_ipv4_reader_agrees_with_ipv4addr_from_str() {
         let agree = |text: &str| {
             let expected: Option<Ipv4Addr> = text.parse().ok();
-            assert_eq!(read_ipv4(text.as_bytes()), expected, "{text:?}");
+            assert_eq!(read_whole(text.as_bytes(), take_ipv4), expected, "{text:?}");
             expected.is_some()
         };
         const OCTETS: [&str; 11] = [
@@ -2897,12 +2867,13 @@ mod tests {
     /// make of it, like a pipe whose reads return what they return. Given a
     /// `strict` flag it raises it on every read that delivers the end of a
     /// line and panics when it is read again with the flag up: the caller
-    /// lowers it each time the source returns.
+    /// lowers it each time the source returns. It counts its `fill_buf` calls.
     struct Fragments<'a> {
         feed: &'a [u8],
         cuts: std::vec::IntoIter<usize>,
         buffered: std::ops::Range<usize>,
         strict: Option<&'a std::cell::Cell<bool>>,
+        fills: usize,
     }
 
     impl<'a> Fragments<'a> {
@@ -2916,6 +2887,7 @@ mod tests {
                 cuts: cuts.into_iter(),
                 buffered: 0..0,
                 strict: None,
+                fills: 0,
             }
         }
     }
@@ -2932,6 +2904,7 @@ mod tests {
 
     impl io::BufRead for Fragments<'_> {
         fn fill_buf(&mut self) -> io::Result<&[u8]> {
+            self.fills += 1;
             if self.buffered.is_empty() {
                 let up = self.strict.is_some_and(std::cell::Cell::get);
                 assert!(!up, "read again with a complete line in hand");
@@ -3121,6 +3094,32 @@ mod tests {
         }
         assert_eq!(idle, 1, "one idle poll for one interrupted read");
         assert_eq!((seen, 0, false), expected);
+    }
+
+    /// A line refused behind a record is consumed with the chunk in front of
+    /// it, and its reason comes back at the next poll without a read: the
+    /// line is framed and parsed once.
+    #[test]
+    fn ndjson_a_refused_line_behind_a_record_is_reported_without_a_read() {
+        const RECORD: &[u8] =
+            br#"{"ts":1,"src":"1.1.1.1","dst":"2.2.2.2","sport":1,"dport":2,"len":9,"proto":"udp"}"#;
+        let long = vec![b'x'; MAX_NDJSON_LINE_BYTES + 1];
+        for (bad, expected) in [
+            (&b"not json"[..], "missing or invalid \"ts\""),
+            (b"\xff\xfe", "line is not valid UTF-8"),
+            (&long, "line longer than 64 KiB"),
+        ] {
+            let feed = [RECORD, b"\n", bad, b"\n", RECORD, b"\n"].concat();
+            let mut source = NdjsonRecordSource::new(Fragments::new(&feed, vec![]));
+            let mut seen = Vec::new();
+            assert!(tagged_poll(&mut source, &mut seen), "the record in front");
+            let fills = source.reader.fills;
+            assert!(tagged_poll(&mut source, &mut seen), "the refused line");
+            assert_eq!(source.reader.fills, fills, "{expected}: read again");
+            while tagged_poll(&mut source, &mut seen) {}
+            assert_eq!(seen[1], Line::Bad(expected));
+            assert_eq!(seen, line_at_a_time(&feed, true));
+        }
     }
 
     #[test]

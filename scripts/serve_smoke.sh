@@ -22,9 +22,8 @@
 #   5. SIGINT stops an ndjson daemon blocked on idle stdin — single mode and
 #      fleet mode — with exit 0 and the final line within 2 s;
 #   6. the same records as compact lines in the ledger renderer's field
-#      order, CRLF-terminated and with "ts" moved last (the compact reader),
-#      and spaced (the general field walk) print the same reports and
-#      counters.
+#      order, CRLF-terminated, with "ts" moved last and spaced, all read by
+#      the one field walk, print the same reports and counters.
 #
 # Usage: scripts/serve_smoke.sh   (CI runs it after the test suite)
 #
@@ -241,9 +240,9 @@ exec 4>&-
 
 # --- Leg 6: compact lines in two field orders, and spaced ------------------
 # Compact lines in the ledger renderer's field order, tcp with and without
-# "seq" and udp, among them a record with a negative "ts" that both readers
-# refuse. As printed, CRLF-terminated and with "ts" moved last they are read
-# by the compact reader; spaced by sed they go to the general walk.
+# "seq" and udp, among them a record with a negative "ts" that the reader
+# refuses. As printed, CRLF-terminated, with "ts" moved last and spaced by
+# sed, the one field walk reads the same records from each.
 {
     for i in $(seq 0 299); do
         if [ "$i" -eq 150 ]; then
