@@ -1,17 +1,20 @@
 //! Protocol header encoding and parsing: Ethernet II, IPv4, TCP and UDP.
 //!
 //! The synthetic traces are pure in-memory [`PacketRecord`]s; this module
-//! materialises them as real frames (and parses frames back into records) so
-//! that traces can be exported to pcap files readable by standard tools, and
-//! so that captures produced elsewhere can be fed into the ranking pipeline.
+//! materialises them as real frames (and parses frames back into packet
+//! columns) so that traces can be exported to pcap files readable by
+//! standard tools, and so that captures produced elsewhere can be fed into
+//! the ranking pipeline.
 //! Only the fields relevant to flow classification are modelled — options,
 //! fragmentation and IPv6 are out of scope for the reproduction.
 
 use std::net::Ipv4Addr;
 
+use flowrank_flowtable::CompactKey;
+
 use crate::error::{NetError, NetResult};
-use crate::flowkey::Protocol;
-use crate::packet::{PacketRecord, Timestamp};
+use crate::flowkey::{FiveTuple, Protocol};
+use crate::packet::PacketRecord;
 
 /// Length of an Ethernet II header in bytes.
 pub(crate) const ETHERNET_HEADER_LEN: usize = 14;
@@ -111,58 +114,24 @@ pub(crate) fn encode_frame(record: &PacketRecord) -> NetResult<Vec<u8>> {
     Ok(frame)
 }
 
-/// The classification-relevant fields of one parsed frame, before they are
-/// materialised as a [`PacketRecord`] or appended to a packet batch.
+/// The columns of one parsed frame, as both frame parsers return them: the
+/// packed 5-tuple plus the two non-key columns, exactly what
+/// [`crate::batch::PacketBatch::push_columns`] consumes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct FrameFields {
-    pub src_ip: Ipv4Addr,
-    pub dst_ip: Ipv4Addr,
-    pub src_port: u16,
-    pub dst_port: u16,
-    pub protocol: Protocol,
+pub(crate) struct FrameColumns {
+    pub packed_key: u128,
     pub length: u16,
     pub tcp_seq: Option<u32>,
 }
 
-impl FrameFields {
-    /// Attaches a timestamp, producing the classic packet record.
-    #[inline]
-    pub(crate) fn into_record(self, timestamp: Timestamp) -> PacketRecord {
-        PacketRecord {
-            timestamp,
-            src_ip: self.src_ip,
-            dst_ip: self.dst_ip,
-            src_port: self.src_port,
-            dst_port: self.dst_port,
-            protocol: self.protocol,
-            length: self.length,
-            tcp_seq: self.tcp_seq,
-        }
-    }
-
-    /// The packed 5-tuple of the frame (see [`crate::flowkey::FiveTuple`]).
-    #[inline]
-    pub(crate) fn packed_five_tuple(self) -> u128 {
-        use flowrank_flowtable::CompactKey;
-        crate::flowkey::FiveTuple {
-            src_ip: self.src_ip,
-            dst_ip: self.dst_ip,
-            src_port: self.src_port,
-            dst_port: self.dst_port,
-            protocol: self.protocol,
-        }
-        .pack()
-    }
-}
-
 /// Parses the header fields of an Ethernet II / IPv4 frame in place.
 ///
-/// This is the single home of the frame-parsing rules: the record decoder
-/// ([`decode_frame`]) and the zero-copy batch decoder
-/// ([`crate::pcap::pcap_bytes_to_batch`]) both ride on it, so the two paths
-/// cannot drift apart.
+/// This is the single home of the frame-parsing rules: the capture decoder
+/// ([`crate::pcap::PcapBatchCursor`]) takes every frame that
+/// [`parse_frame_fields_fast`] bows out of here, and checks in debug builds
+/// that the two agree on every frame the fast parser accepts.
 #[inline]
-pub(crate) fn parse_frame_fields(frame: &[u8]) -> NetResult<FrameFields> {
+pub(crate) fn parse_frame_fields(frame: &[u8]) -> NetResult<FrameColumns> {
     if frame.len() < ETHERNET_HEADER_LEN + IPV4_HEADER_LEN {
         return Err(NetError::MalformedPacket {
             reason: "frame shorter than Ethernet + IPv4 headers",
@@ -225,25 +194,18 @@ pub(crate) fn parse_frame_fields(frame: &[u8]) -> NetResult<FrameFields> {
         _ => (0, 0, None),
     };
 
-    Ok(FrameFields {
+    let five_tuple = FiveTuple {
         src_ip,
         dst_ip,
         src_port,
         dst_port,
         protocol,
+    };
+    Ok(FrameColumns {
+        packed_key: five_tuple.pack(),
         length: total_len,
         tcp_seq,
     })
-}
-
-/// The columns of one fast-parsed frame: the packed 5-tuple plus the two
-/// non-key columns, exactly what [`crate::batch::PacketBatch::push_columns`]
-/// consumes — no `Ipv4Addr`/`FiveTuple` round trip on the hot path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct FastFrameColumns {
-    pub packed_key: u128,
-    pub length: u16,
-    pub tcp_seq: Option<u32>,
 }
 
 /// Common-case specialisation of [`parse_frame_fields`]: an Ethernet II /
@@ -253,9 +215,10 @@ pub(crate) struct FastFrameColumns {
 /// so the batch decoder's hot loop stays branch-lean; anything else (IP
 /// options, ICMP, minimal UDP frames) returns `None` and falls back to the
 /// general parser. Must agree with [`parse_frame_fields`] wherever it
-/// returns `Some` — pinned by a unit test over assorted frames.
+/// returns `Some` — pinned by a unit test over assorted frames, and checked
+/// on every decoded frame in debug builds.
 #[inline(always)]
-pub(crate) fn parse_frame_fields_fast(frame: &[u8]) -> Option<FastFrameColumns> {
+pub(crate) fn parse_frame_fields_fast(frame: &[u8]) -> Option<FrameColumns> {
     let head: &[u8; 54] = frame.get(..54)?.try_into().ok()?;
     // EtherType IPv4, version 4, IHL 5.
     if head[12] != 0x08 || head[13] != 0x00 || head[14] != 0x45 {
@@ -273,7 +236,7 @@ pub(crate) fn parse_frame_fields_fast(frame: &[u8]) -> Option<FastFrameColumns> 
     let dst = u32::from_be_bytes([head[30], head[31], head[32], head[33]]);
     let src_port = u16::from_be_bytes([head[34], head[35]]);
     let dst_port = u16::from_be_bytes([head[36], head[37]]);
-    Some(FastFrameColumns {
+    Some(FrameColumns {
         packed_key: (u128::from(src) << 72)
             | (u128::from(dst) << 40)
             | (u128::from(src_port) << 24)
@@ -284,18 +247,28 @@ pub(crate) fn parse_frame_fields_fast(frame: &[u8]) -> Option<FastFrameColumns> 
     })
 }
 
-/// Parses an Ethernet II / IPv4 frame back into a [`PacketRecord`].
-///
-/// `timestamp` is supplied by the caller (pcap record header). Frames that
-/// are not IPv4, or that are too short to carry the expected headers, yield a
-/// [`NetError::MalformedPacket`].
-pub(crate) fn decode_frame(timestamp: Timestamp, frame: &[u8]) -> NetResult<PacketRecord> {
-    Ok(parse_frame_fields(frame)?.into_record(timestamp))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::flowkey::FlowKey;
+    use crate::packet::Timestamp;
+
+    /// The columns a frame encoded from `record` must parse back into.
+    fn columns_of(record: &PacketRecord) -> FrameColumns {
+        FrameColumns {
+            packed_key: FiveTuple::from_packet(record).pack(),
+            length: record.length,
+            tcp_seq: record.tcp_seq,
+        }
+    }
+
+    /// The reason `parse_frame_fields` gives for refusing `frame`.
+    fn rejection(frame: &[u8]) -> &'static str {
+        match parse_frame_fields(frame) {
+            Err(NetError::MalformedPacket { reason }) => reason,
+            other => panic!("expected a malformed frame, got {other:?}"),
+        }
+    }
 
     fn tcp_record() -> PacketRecord {
         PacketRecord::tcp(
@@ -334,8 +307,7 @@ mod tests {
         let record = tcp_record();
         let frame = encode_frame(&record).unwrap();
         assert_eq!(frame.len(), ETHERNET_HEADER_LEN + 500);
-        let decoded = decode_frame(record.timestamp, &frame).unwrap();
-        assert_eq!(decoded, record);
+        assert_eq!(parse_frame_fields(&frame).unwrap(), columns_of(&record));
     }
 
     #[test]
@@ -349,8 +321,7 @@ mod tests {
             120,
         );
         let frame = encode_frame(&record).unwrap();
-        let decoded = decode_frame(record.timestamp, &frame).unwrap();
-        assert_eq!(decoded, record);
+        assert_eq!(parse_frame_fields(&frame).unwrap(), columns_of(&record));
     }
 
     #[test]
@@ -362,10 +333,7 @@ mod tests {
         record.dst_port = 0;
         record.length = 84;
         let frame = encode_frame(&record).unwrap();
-        let decoded = decode_frame(record.timestamp, &frame).unwrap();
-        assert_eq!(decoded.protocol, Protocol::Icmp);
-        assert_eq!(decoded.length, 84);
-        assert_eq!(decoded.src_port, 0);
+        assert_eq!(parse_frame_fields(&frame).unwrap(), columns_of(&record));
     }
 
     #[test]
@@ -373,7 +341,7 @@ mod tests {
         let mut record = tcp_record();
         record.length = 10; // smaller than IPv4+TCP headers
         let frame = encode_frame(&record).unwrap();
-        let decoded = decode_frame(record.timestamp, &frame).unwrap();
+        let decoded = parse_frame_fields(&frame).unwrap();
         assert_eq!(decoded.length as usize, IPV4_HEADER_LEN + TCP_HEADER_LEN);
     }
 
@@ -386,11 +354,14 @@ mod tests {
 
     #[test]
     fn decode_rejects_short_and_non_ip_frames() {
-        assert!(decode_frame(Timestamp::ZERO, &[0u8; 10]).is_err());
+        assert_eq!(
+            rejection(&[0u8; 10]),
+            "frame shorter than Ethernet + IPv4 headers"
+        );
         let mut frame = encode_frame(&tcp_record()).unwrap();
         frame[12] = 0x86; // EtherType → IPv6
         frame[13] = 0xDD;
-        assert!(decode_frame(Timestamp::ZERO, &frame).is_err());
+        assert_eq!(rejection(&frame), "not an IPv4 frame");
     }
 
     #[test]
@@ -421,16 +392,11 @@ mod tests {
             icmp.length = length;
             records.push(icmp);
         }
-        let agrees = |fast: FastFrameColumns, general: FrameFields| {
-            fast.packed_key == general.packed_five_tuple()
-                && fast.length == general.length
-                && fast.tcp_seq == general.tcp_seq
-        };
         for record in &records {
             let frame = encode_frame(record).unwrap();
             let general = parse_frame_fields(&frame).unwrap();
             if let Some(fast) = parse_frame_fields_fast(&frame) {
-                assert!(agrees(fast, general), "{record:?}");
+                assert_eq!(fast, general, "{record:?}");
             }
             // Corruptions must never make the fast path answer differently
             // from the general one.
@@ -439,7 +405,7 @@ mod tests {
                 if bad.len() > byte {
                     bad[byte] = value;
                     match (parse_frame_fields_fast(&bad), parse_frame_fields(&bad)) {
-                        (Some(fast), Ok(general)) => assert!(agrees(fast, general)),
+                        (Some(fast), Ok(general)) => assert_eq!(fast, general),
                         (Some(_), Err(_)) => panic!("fast path accepted a bad frame"),
                         (None, _) => {}
                     }
@@ -457,9 +423,9 @@ mod tests {
         // Corrupt the IP version nibble.
         let mut bad_version = good.clone();
         bad_version[ETHERNET_HEADER_LEN] = 0x65;
-        assert!(decode_frame(Timestamp::ZERO, &bad_version).is_err());
+        assert_eq!(rejection(&bad_version), "IP version is not 4");
         // Truncate in the middle of the TCP header.
         let truncated = &good[..ETHERNET_HEADER_LEN + IPV4_HEADER_LEN + 4];
-        assert!(decode_frame(Timestamp::ZERO, truncated).is_err());
+        assert_eq!(rejection(truncated), "truncated TCP header");
     }
 }

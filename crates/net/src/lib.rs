@@ -6,7 +6,7 @@
 //! link, optionally samples them, classifies them into flows (either by the
 //! usual 5-tuple or by /24 destination prefix) and ranks the flows by their
 //! size in packets. This crate provides exactly those building blocks,
-//! without any I/O beyond a from-scratch libpcap file reader/writer:
+//! without any I/O beyond a from-scratch libpcap file decoder/writer:
 //!
 //! * [`packet`] — the in-memory packet record all other crates operate on.
 //! * [`batch`] — the SoA [`PacketBatch`]: column vectors of timestamps,
@@ -20,16 +20,16 @@
 //!   produces ranked lists.
 //! * [`headers`] — Ethernet II / IPv4 / TCP / UDP encoding and parsing with
 //!   checksums, used to materialise synthetic packets as real frames.
-//! * [`pcap`] — classic libpcap capture-file reader and writer so synthetic
+//! * [`pcap`] — classic libpcap capture-file decoder and writer so synthetic
 //!   traces can be exported to, and ingested from, standard tooling.
 //! * [`tenant`] — compact [`TenantId`]s and the tenant-tagged
 //!   [`TaggedBatch`], the unit of work flowing between fleet sources and
 //!   the multi-tenant fleet layer.
 //!
 //! The crate is sans-IO in the smoltcp spirit: every component is driven
-//! packet-by-packet by its caller and owns no sockets, timers or files
-//! (except the explicit pcap reader/writer, which operates on any
-//! `std::io::Read`/`Write`).
+//! packet-by-packet by its caller and owns no sockets, timers or files. The
+//! pcap decoder reads a capture the caller holds in memory; the pcap writer
+//! writes to any `std::io::Write`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,4 +1,4 @@
-//! Classic libpcap capture-file reader and writer, implemented from scratch.
+//! Classic libpcap capture-file decoder and writer, implemented from scratch.
 //!
 //! The paper's monitors (NetFlow-style line cards, passive taps) produce
 //! packet captures; to keep the reproduction self-contained we implement the
@@ -6,14 +6,16 @@
 //! 16-byte per-packet record headers) rather than depending on an external
 //! crate. Only the microsecond-resolution, Ethernet link-type variant is
 //! supported — exactly what the synthetic trace exporter produces.
+//!
+//! There is one decoder, [`PcapBatchCursor`]: it reads a capture in place
+//! into the columns of a [`PacketBatch`], and every other way in
+//! ([`pcap_bytes_to_batch`], [`pcap_bytes_to_records`]) goes through it.
 
-use std::io::{Read, Write};
+use std::io::Write;
 
 use crate::batch::PacketBatch;
 use crate::error::{NetError, NetResult};
-use crate::headers::{
-    decode_frame, encode_frame, parse_frame_fields, parse_frame_fields_fast, FastFrameColumns,
-};
+use crate::headers::{encode_frame, parse_frame_fields, parse_frame_fields_fast};
 use crate::packet::{PacketRecord, Timestamp};
 
 /// Standard libpcap magic (microsecond timestamps, native byte order).
@@ -81,148 +83,34 @@ impl<W: Write> PcapWriter<W> {
     }
 }
 
-/// Reader that iterates over the packets of a classic pcap capture.
-#[derive(Debug)]
-pub struct PcapReader<R: Read> {
-    input: R,
-    swapped: bool,
-}
-
-impl<R: Read> PcapReader<R> {
-    /// Opens a capture: reads and validates the global header.
-    pub fn new(mut input: R) -> NetResult<Self> {
-        let mut header = [0u8; 24];
-        input.read_exact(&mut header)?;
-        let magic = u32::from_le_bytes([header[0], header[1], header[2], header[3]]);
-        let swapped = match magic {
-            PCAP_MAGIC => false,
-            PCAP_MAGIC_SWAPPED => true,
-            other => return Err(NetError::BadPcapMagic { found: other }),
-        };
-        let read_u32 = |bytes: [u8; 4]| {
-            if swapped {
-                u32::from_be_bytes(bytes)
-            } else {
-                u32::from_le_bytes(bytes)
-            }
-        };
-        let link_type = read_u32([header[20], header[21], header[22], header[23]]);
-        if link_type != LINKTYPE_ETHERNET {
-            return Err(NetError::UnsupportedLinkType { link_type });
-        }
-        Ok(PcapReader { input, swapped })
-    }
-
-    fn read_u32(&mut self) -> NetResult<Option<u32>> {
-        let mut buf = [0u8; 4];
-        match self.input.read_exact(&mut buf) {
-            Ok(()) => Ok(Some(if self.swapped {
-                u32::from_be_bytes(buf)
-            } else {
-                u32::from_le_bytes(buf)
-            })),
-            Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => Ok(None),
-            Err(e) => Err(e.into()),
-        }
-    }
-
-    /// Reads the next raw frame, or `None` at end of file.
-    pub fn next_frame(&mut self) -> NetResult<Option<(Timestamp, Vec<u8>)>> {
-        let ts_sec = match self.read_u32()? {
-            Some(v) => v,
-            None => return Ok(None),
-        };
-        let ts_usec = self.read_u32()?.ok_or(NetError::MalformedPacket {
-            reason: "truncated pcap record header",
-        })?;
-        let incl_len = self.read_u32()?.ok_or(NetError::MalformedPacket {
-            reason: "truncated pcap record header",
-        })?;
-        let _orig_len = self.read_u32()?.ok_or(NetError::MalformedPacket {
-            reason: "truncated pcap record header",
-        })?;
-        if incl_len > 10 * 1024 * 1024 {
-            return Err(NetError::MalformedPacket {
-                reason: "pcap record longer than 10 MiB",
-            });
-        }
-        let mut frame = vec![0u8; incl_len as usize];
-        self.input.read_exact(&mut frame)?;
-        let micros = ts_sec as u64 * 1_000_000 + ts_usec as u64;
-        Ok(Some((Timestamp::from_micros(micros), frame)))
-    }
-
-    /// Reads the next packet and decodes it into a [`PacketRecord`].
-    ///
-    /// Frames that cannot be decoded (non-IPv4, truncated) are skipped, which
-    /// mirrors how a flow monitor ignores traffic it cannot classify.
-    pub fn next_record(&mut self) -> NetResult<Option<PacketRecord>> {
-        loop {
-            match self.next_frame()? {
-                None => return Ok(None),
-                Some((ts, frame)) => match decode_frame(ts, &frame) {
-                    Ok(record) => return Ok(Some(record)),
-                    Err(_) => continue,
-                },
-            }
-        }
-    }
-
-    /// Reads all remaining packets into a vector.
-    pub(crate) fn read_all_records(&mut self) -> NetResult<Vec<PacketRecord>> {
-        let mut out = Vec::new();
-        while let Some(record) = self.next_record()? {
-            out.push(record);
-        }
-        Ok(out)
-    }
-}
-
 /// Writes a slice of packet records to a pcap byte buffer (in memory).
 pub fn records_to_pcap_bytes(records: &[PacketRecord]) -> NetResult<Vec<u8>> {
-    let mut bytes = Vec::new();
-    records_to_pcap_bytes_into(records, &mut bytes)?;
-    Ok(bytes)
-}
-
-/// Writes a slice of packet records into a caller-owned byte buffer.
-///
-/// The buffer is cleared first and its allocation is reused, so repeated
-/// encodes (benchmark loops, per-bin exports) stop paying a fresh
-/// capture-sized allocation each time. Returns the number of packets
-/// written.
-pub(crate) fn records_to_pcap_bytes_into(
-    records: &[PacketRecord],
-    bytes: &mut Vec<u8>,
-) -> NetResult<u64> {
-    bytes.clear();
-    let mut writer = PcapWriter::new(bytes)?;
+    let mut writer = PcapWriter::new(Vec::new())?;
     for record in records {
         writer.write_record(record)?;
     }
-    let written = writer.packets_written();
-    writer.finish()?;
-    Ok(written)
+    writer.finish()
 }
 
-/// Parses every packet record out of a pcap byte buffer.
+/// Parses every packet record out of a pcap byte buffer: the batch decoder
+/// ([`pcap_bytes_to_batch`]) followed by [`PacketBatch::to_records`].
 pub fn pcap_bytes_to_records(bytes: &[u8]) -> NetResult<Vec<PacketRecord>> {
-    let mut reader = PcapReader::new(bytes)?;
-    reader.read_all_records()
+    let mut batch = PacketBatch::new();
+    pcap_bytes_to_batch(bytes, &mut batch)?;
+    Ok(batch.to_records())
 }
 
 /// Decodes a pcap byte buffer straight into a [`PacketBatch`] — the
 /// zero-copy ingestion path.
 ///
-/// Unlike the [`PcapReader`] record loop, which allocates a frame buffer and
-/// materialises a [`PacketRecord`] per packet, this decoder walks the byte
-/// slice in place: record headers and protocol headers are read directly out
-/// of `bytes` and appended to the batch's columns. Decoded packets are
-/// **appended** to `batch` (call [`PacketBatch::clear`] first to reuse one
-/// batch across captures); the return value is the number of packets
-/// appended. Frames that cannot be decoded (non-IPv4, truncated protocol
-/// headers) are skipped exactly like [`PcapReader::next_record`] skips them;
-/// a capture truncated mid-record is an error, matching the reader.
+/// The decoder walks the byte slice in place: record headers and protocol
+/// headers are read directly out of `bytes` and appended to the batch's
+/// columns, with no per-packet allocation. Decoded packets are **appended**
+/// to `batch` (call [`PacketBatch::clear`] first to reuse one batch across
+/// captures); the return value is the number of packets appended. Frames
+/// that cannot be decoded (non-IPv4, truncated protocol headers) are
+/// skipped, the way a flow monitor ignores traffic it cannot classify; a
+/// capture truncated mid-record is an error.
 pub fn pcap_bytes_to_batch(bytes: &[u8], batch: &mut PacketBatch) -> NetResult<u64> {
     let mut cursor = PcapBatchCursor::new(bytes)?;
     cursor.decode_some(batch, usize::MAX)
@@ -275,8 +163,7 @@ impl<'a> PcapBatchCursor<'a> {
 
     /// Whether the cursor has consumed the whole capture.
     pub fn is_done(&self) -> bool {
-        // Parity with `PcapReader`: fewer trailing bytes than one timestamp
-        // field count as clean EOF.
+        // Fewer trailing bytes than one timestamp field count as clean EOF.
         self.bytes.len() - self.offset < 4
     }
 
@@ -415,9 +302,8 @@ fn decode_batch_loop<const SWAPPED: bool>(
         // stay delivered in `batch`, and a corrected copy of the capture can
         // resume from `offset()` without reprocessing them.
         let record_start = offset;
-        // Parity with `PcapReader`: fewer trailing bytes than one timestamp
-        // field read as clean EOF; a partially present record header is an
-        // error.
+        // Fewer trailing bytes than one timestamp field read as clean EOF;
+        // a partially present record header is an error.
         if bytes.len() - offset < 4 {
             break;
         }
@@ -458,15 +344,15 @@ fn decode_batch_loop<const SWAPPED: bool>(
         std::hint::black_box(bytes.get(predicted + 63).copied());
         // Common case first (IPv4/IHL-5/TCP-or-UDP): one bounds check, and
         // the 5-tuple packs straight from the wire bytes. Everything else
-        // goes through the general parser.
+        // goes through the general parser, which debug builds also hold
+        // every fast answer against.
         let columns = match parse_frame_fields_fast(frame) {
-            Some(columns) => columns,
+            Some(columns) => {
+                debug_assert_eq!(parse_frame_fields(frame).ok(), Some(columns));
+                columns
+            }
             None => match parse_frame_fields(frame) {
-                Ok(fields) => FastFrameColumns {
-                    packed_key: fields.packed_five_tuple(),
-                    length: fields.length,
-                    tcp_seq: fields.tcp_seq,
-                },
+                Ok(columns) => columns,
                 Err(_) => continue,
             },
         };
@@ -486,9 +372,10 @@ fn decode_batch_loop<const SWAPPED: bool>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::flowkey::Protocol;
     use std::net::Ipv4Addr;
 
+    /// `n` TCP records on whole milliseconds, so a capture's microsecond
+    /// timestamps return them exactly.
     fn sample_records(n: usize) -> Vec<PacketRecord> {
         (0..n)
             .map(|i| {
@@ -505,23 +392,19 @@ mod tests {
             .collect()
     }
 
+    /// The reason of the `MalformedPacket` error `result` must be.
+    fn malformed<T: std::fmt::Debug>(result: NetResult<T>) -> &'static str {
+        match result {
+            Err(NetError::MalformedPacket { reason }) => reason,
+            other => panic!("expected a malformed capture, got {other:?}"),
+        }
+    }
+
     #[test]
     fn round_trip_preserves_records() {
         let records = sample_records(50);
         let bytes = records_to_pcap_bytes(&records).unwrap();
-        let decoded = pcap_bytes_to_records(&bytes).unwrap();
-        assert_eq!(decoded.len(), records.len());
-        for (a, b) in records.iter().zip(decoded.iter()) {
-            // Timestamps are stored with microsecond resolution in pcap.
-            assert_eq!(a.timestamp.as_micros(), b.timestamp.as_micros());
-            assert_eq!(a.src_ip, b.src_ip);
-            assert_eq!(a.dst_ip, b.dst_ip);
-            assert_eq!(a.src_port, b.src_port);
-            assert_eq!(a.dst_port, b.dst_port);
-            assert_eq!(a.length, b.length);
-            assert_eq!(a.tcp_seq, b.tcp_seq);
-            assert_eq!(a.protocol, Protocol::Tcp);
-        }
+        assert_eq!(pcap_bytes_to_records(&bytes).unwrap(), records);
     }
 
     #[test]
@@ -537,7 +420,7 @@ mod tests {
             u32::from_le_bytes([bytes[20], bytes[21], bytes[22], bytes[23]]),
             LINKTYPE_ETHERNET
         );
-        assert!(PcapReader::new(&bytes[..]).is_ok());
+        assert!(PcapBatchCursor::new(&bytes).is_ok());
     }
 
     #[test]
@@ -551,7 +434,7 @@ mod tests {
 
     #[test]
     fn rejects_bad_magic_and_link_type() {
-        let err = PcapReader::new(&[0u8; 24][..]).unwrap_err();
+        let err = PcapBatchCursor::new(&[0u8; 24]).unwrap_err();
         assert!(matches!(err, NetError::BadPcapMagic { .. }));
 
         // Valid magic but link type 101 (raw IP).
@@ -563,7 +446,7 @@ mod tests {
         header.extend_from_slice(&0u32.to_le_bytes());
         header.extend_from_slice(&DEFAULT_SNAPLEN.to_le_bytes());
         header.extend_from_slice(&101u32.to_le_bytes());
-        let err = PcapReader::new(&header[..]).unwrap_err();
+        let err = PcapBatchCursor::new(&header).unwrap_err();
         assert!(matches!(
             err,
             NetError::UnsupportedLinkType { link_type: 101 }
@@ -575,13 +458,18 @@ mod tests {
         let bytes = records_to_pcap_bytes(&sample_records(3)).unwrap();
         // Cut in the middle of the second record's payload.
         let cut = &bytes[..24 + (16 + 514) + 16 + 100];
-        let mut reader = PcapReader::new(cut).unwrap();
-        assert!(reader.next_record().unwrap().is_some());
-        assert!(reader.next_record().is_err());
+        let mut cursor = PcapBatchCursor::new(cut).unwrap();
+        let mut batch = PacketBatch::new();
+        assert_eq!(cursor.decode_some(&mut batch, 1).unwrap(), 1);
+        assert_eq!(
+            malformed(cursor.decode_some(&mut batch, 1)),
+            "truncated pcap record payload"
+        );
     }
 
     #[test]
     fn non_ipv4_frames_are_skipped_by_record_reader() {
+        // Through `pcap_bytes_to_records`, the record-shaped way in.
         let mut writer = PcapWriter::new(Vec::new()).unwrap();
         // A bogus ARP-like frame.
         let mut arp = vec![0u8; 42];
@@ -603,22 +491,24 @@ mod tests {
         bytes.extend_from_slice(&0u32.to_le_bytes());
         bytes.extend_from_slice(&(100u32 * 1024 * 1024).to_le_bytes());
         bytes.extend_from_slice(&(100u32 * 1024 * 1024).to_le_bytes());
-        let mut reader = PcapReader::new(&bytes[..]).unwrap();
-        assert!(reader.next_frame().is_err());
+        let mut batch = PacketBatch::new();
+        assert_eq!(
+            malformed(pcap_bytes_to_batch(&bytes, &mut batch)),
+            "pcap record longer than 10 MiB"
+        );
     }
 
     #[test]
     fn batch_decode_matches_record_decode() {
         let records = sample_records(200);
         let bytes = records_to_pcap_bytes(&records).unwrap();
-        let decoded = pcap_bytes_to_records(&bytes).unwrap();
         let mut batch = PacketBatch::new();
         let appended = pcap_bytes_to_batch(&bytes, &mut batch).unwrap();
-        assert_eq!(appended, decoded.len() as u64);
-        assert_eq!(batch.to_records(), decoded);
+        assert_eq!(appended, records.len() as u64);
+        assert_eq!(batch.to_records(), records);
         // Appending a second capture reuses the batch without clearing.
         pcap_bytes_to_batch(&bytes, &mut batch).unwrap();
-        assert_eq!(batch.len(), 2 * decoded.len());
+        assert_eq!(batch.len(), 2 * records.len());
         batch.clear();
         assert!(batch.is_empty());
     }
@@ -634,13 +524,16 @@ mod tests {
         let bytes = writer.finish().unwrap();
         let mut batch = PacketBatch::new();
         assert_eq!(pcap_bytes_to_batch(&bytes, &mut batch).unwrap(), 1);
-        assert_eq!(batch.to_records(), pcap_bytes_to_records(&bytes).unwrap());
+        assert_eq!(batch.to_records(), sample_records(1));
     }
 
     #[test]
     fn batch_decode_rejects_truncation_and_bad_headers() {
         let mut batch = PacketBatch::new();
-        assert!(pcap_bytes_to_batch(&[0u8; 10], &mut batch).is_err());
+        assert_eq!(
+            malformed(pcap_bytes_to_batch(&[0u8; 10], &mut batch)),
+            "pcap shorter than its global header"
+        );
         assert!(matches!(
             pcap_bytes_to_batch(&[0u8; 24], &mut batch).unwrap_err(),
             NetError::BadPcapMagic { .. }
@@ -648,42 +541,48 @@ mod tests {
         let bytes = records_to_pcap_bytes(&sample_records(3)).unwrap();
         // Cut in the middle of the second record's payload.
         let cut = &bytes[..24 + (16 + 514) + 16 + 100];
-        assert!(pcap_bytes_to_batch(cut, &mut batch).is_err());
+        assert_eq!(
+            malformed(pcap_bytes_to_batch(cut, &mut batch)),
+            "truncated pcap record payload"
+        );
         // Cut in the middle of a record header.
         let cut = &bytes[..24 + (16 + 514) + 8];
-        assert!(pcap_bytes_to_batch(cut, &mut batch).is_err());
+        assert_eq!(
+            malformed(pcap_bytes_to_batch(cut, &mut batch)),
+            "truncated pcap record header"
+        );
     }
 
     #[test]
     fn batch_decode_treats_sub_field_trailing_bytes_as_eof_like_the_reader() {
-        // The reader's first timestamp read returns clean EOF when fewer
-        // than 4 bytes remain; the batch decoder must agree on both sides
-        // of that boundary.
+        // Fewer than 4 trailing bytes (not even one timestamp field) are a
+        // clean EOF; the decoder must hold that on both sides of the
+        // boundary.
         let bytes = records_to_pcap_bytes(&sample_records(2)).unwrap();
         for garbage in 1..=3usize {
             let mut padded = bytes.clone();
             padded.extend(std::iter::repeat_n(0xAAu8, garbage));
-            assert_eq!(
-                pcap_bytes_to_records(&padded).unwrap().len(),
-                2,
-                "{garbage} trailing bytes: reader EOF"
-            );
+            let mut cursor = PcapBatchCursor::new(&padded).unwrap();
             let mut batch = PacketBatch::new();
             assert_eq!(
-                pcap_bytes_to_batch(&padded, &mut batch).unwrap(),
+                cursor.decode_some(&mut batch, usize::MAX).unwrap(),
                 2,
-                "{garbage} trailing bytes: batch EOF"
+                "{garbage} trailing bytes: EOF"
             );
+            assert!(cursor.is_done(), "{garbage} trailing bytes");
         }
-        // 4..15 trailing bytes are a truncated record header for both.
+        // 4..15 trailing bytes are a truncated record header, reached after
+        // the two good records are delivered.
         let mut padded = bytes.clone();
         padded.extend_from_slice(&[0u8; 7]);
-        let mut reader = PcapReader::new(&padded[..]).unwrap();
-        assert!(reader.next_record().unwrap().is_some());
-        assert!(reader.next_record().unwrap().is_some());
-        assert!(reader.next_record().is_err());
+        let mut cursor = PcapBatchCursor::new(&padded).unwrap();
         let mut batch = PacketBatch::new();
-        assert!(pcap_bytes_to_batch(&padded, &mut batch).is_err());
+        assert_eq!(
+            malformed(cursor.decode_some(&mut batch, usize::MAX)),
+            "truncated pcap record header"
+        );
+        assert_eq!(batch.len(), 2);
+        assert!(!cursor.is_done());
     }
 
     #[test]
@@ -792,25 +691,6 @@ mod tests {
         assert!(cursor.is_done());
         let mut batch = PacketBatch::new();
         assert_eq!(cursor.decode_some(&mut batch, usize::MAX).unwrap(), 0);
-    }
-
-    #[test]
-    fn encode_into_reuses_the_buffer() {
-        let records = sample_records(5);
-        let mut buffer = Vec::new();
-        assert_eq!(
-            records_to_pcap_bytes_into(&records, &mut buffer).unwrap(),
-            5
-        );
-        let first = buffer.clone();
-        let capacity = buffer.capacity();
-        assert_eq!(
-            records_to_pcap_bytes_into(&records, &mut buffer).unwrap(),
-            5
-        );
-        assert_eq!(buffer, first, "re-encode is byte-identical");
-        assert_eq!(buffer.capacity(), capacity, "allocation reused");
-        assert_eq!(buffer, records_to_pcap_bytes(&records).unwrap());
     }
 
     #[test]

@@ -67,19 +67,29 @@ mod tests {
     #[test]
     fn exported_capture_decodes_straight_into_a_batch() {
         // The batched replay loop: flows → pcap → zero-copy decode into a
-        // reusable PacketBatch → batch classification, with the same flow
-        // sizes as the record-by-record path.
+        // reusable PacketBatch → batch classification. The decoded packets
+        // are the synthesised ones, timestamps cut to the capture's
+        // microseconds.
+        use crate::synthesis::synthesize_packets;
         use flowrank_net::pcap::pcap_bytes_to_batch;
-        use flowrank_net::PacketBatch;
+        use flowrank_net::{PacketBatch, Timestamp};
 
         let flows = SprintModel::small(5.0, 50.0).generate_flows(9);
+        let config = SynthesisConfig::default();
         let mut buffer = Vec::new();
-        export_flows_to_pcap(&flows, &SynthesisConfig::default(), 9, &mut buffer).unwrap();
+        export_flows_to_pcap(&flows, &config, 9, &mut buffer).unwrap();
 
         let mut batch = PacketBatch::new();
         let decoded = pcap_bytes_to_batch(&buffer, &mut batch).unwrap();
         assert_eq!(decoded, batch.len() as u64);
-        assert_eq!(batch.to_records(), pcap_bytes_to_records(&buffer).unwrap());
+        let expected: Vec<_> = synthesize_packets(&flows, &config, 9)
+            .into_iter()
+            .map(|mut p| {
+                p.timestamp = Timestamp::from_micros(p.timestamp.as_micros());
+                p
+            })
+            .collect();
+        assert_eq!(batch.to_records(), expected);
 
         let keys: Vec<FiveTuple> = (0..batch.len()).map(|i| batch.five_tuple(i)).collect();
         let mut table: FlowTable<FiveTuple> = FlowTable::new();

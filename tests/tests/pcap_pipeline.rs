@@ -2,13 +2,14 @@
 //! generate a trace, export it, re-import it, and stream it through the
 //! push-based monitor — plus the decoder error paths: truncated record
 //! headers, `incl_len` past the end of the buffer, and frames the fast
-//! parser bows out of (IP options, ICMP, short UDP), on which the zero-copy
-//! batch decoder and the record reader must agree exactly.
+//! parser bows out of (IP options, ICMP, short UDP), which the general
+//! parser must decode to the exact fields each test lists. Debug builds
+//! also hold the fast parser against the general one on every frame it
+//! accepts.
 
 use flowrank_monitor::{BatchSource, Chunked, Collect, Monitor, SamplerSpec};
 use flowrank_net::pcap::{
-    pcap_bytes_to_batch, pcap_bytes_to_records, records_to_pcap_bytes, PcapBatchCursor, PcapReader,
-    PcapWriter,
+    pcap_bytes_to_batch, pcap_bytes_to_records, records_to_pcap_bytes, PcapBatchCursor, PcapWriter,
 };
 use flowrank_net::{
     FiveTuple, FlowDefinition, FlowTable, NetError, PacketBatch, PacketRecord, Protocol, Timestamp,
@@ -138,15 +139,23 @@ fn frame_with_ip_options(protocol: Protocol, options: usize, src_port: u16) -> V
     frame
 }
 
-/// Decodes `bytes` through both paths and asserts they agree record for
-/// record; returns the records.
+/// Decodes `bytes` into a batch and returns its records, checking that the
+/// record-shaped way in (`pcap_bytes_to_records`) returns the same.
 fn decode_both_ways(bytes: &[u8]) -> Vec<PacketRecord> {
-    let records = pcap_bytes_to_records(bytes).unwrap();
     let mut batch = PacketBatch::new();
     let appended = pcap_bytes_to_batch(bytes, &mut batch).unwrap();
-    assert_eq!(appended as usize, records.len());
-    assert_eq!(batch.to_records(), records, "fast and fallback paths agree");
+    assert_eq!(appended as usize, batch.len());
+    let records = batch.to_records();
+    assert_eq!(pcap_bytes_to_records(bytes).unwrap(), records);
     records
+}
+
+/// The reason of the `MalformedPacket` error `result` must be.
+fn malformed<T: std::fmt::Debug>(result: Result<T, NetError>) -> &'static str {
+    match result {
+        Err(NetError::MalformedPacket { reason }) => reason,
+        other => panic!("expected a malformed capture, got {other:?}"),
+    }
 }
 
 #[test]
@@ -154,21 +163,54 @@ fn truncated_record_headers_error_in_both_decoders() {
     let bytes = capture_of(&(0..3).map(tcp_record).collect::<Vec<_>>());
     let record_len = 16 + 14 + 500;
     // Cut inside the second record's 16-byte header: 4–15 remaining header
-    // bytes are an error for both paths; 1–3 are clean EOF for both.
+    // bytes are an error after the first record is delivered; 1–3 are a
+    // clean EOF.
     for cut in [4usize, 8, 15] {
         let cut_bytes = &bytes[..24 + record_len + cut];
-        let mut reader = PcapReader::new(cut_bytes).unwrap();
-        assert!(reader.next_record().unwrap().is_some());
-        assert!(reader.next_record().is_err(), "reader, {cut} header bytes");
+        let mut cursor = PcapBatchCursor::new(cut_bytes).unwrap();
         let mut batch = PacketBatch::new();
-        assert!(
-            pcap_bytes_to_batch(cut_bytes, &mut batch).is_err(),
-            "batch, {cut} header bytes"
+        assert_eq!(
+            malformed(cursor.decode_some(&mut batch, usize::MAX)),
+            "truncated pcap record header",
+            "{cut} header bytes"
+        );
+        assert_eq!(
+            batch.to_records(),
+            vec![tcp_record(0)],
+            "{cut} header bytes"
+        );
+        assert_eq!(
+            malformed(pcap_bytes_to_records(cut_bytes)),
+            "truncated pcap record header"
         );
     }
     for cut in [1usize, 3] {
         let cut_bytes = &bytes[..24 + record_len + cut];
         assert_eq!(decode_both_ways(cut_bytes).len(), 1, "{cut} bytes is EOF");
+    }
+}
+
+#[test]
+fn short_and_cut_captures_name_what_is_missing() {
+    // A capture too short for its global header, and one cut inside a
+    // record's payload, are malformed captures with a reason, not I/O
+    // errors: the records come from the in-place decoder, which reads no
+    // stream.
+    let bytes = capture_of(&(0..2).map(tcp_record).collect::<Vec<_>>());
+    for short in [0usize, 1, 23] {
+        assert_eq!(
+            malformed(pcap_bytes_to_records(&bytes[..short])),
+            "pcap shorter than its global header",
+            "{short} bytes"
+        );
+    }
+    let record_len = 16 + 14 + 500;
+    for cut in [16usize + 1, 16 + 100, record_len - 1] {
+        assert_eq!(
+            malformed(pcap_bytes_to_records(&bytes[..24 + record_len + cut])),
+            "truncated pcap record payload",
+            "second record cut {cut} bytes in"
+        );
     }
 }
 
@@ -287,12 +329,11 @@ fn incl_len_past_end_of_buffer_is_rejected_by_both_decoders() {
         bytes.extend_from_slice(&claimed.to_le_bytes());
         bytes.extend_from_slice(&claimed.to_le_bytes());
         bytes.extend(std::iter::repeat_n(0u8, present));
-        let mut reader = PcapReader::new(&bytes[..]).unwrap();
-        assert!(reader.next_frame().is_err(), "reader, {claimed}/{present}");
         let mut batch = PacketBatch::new();
-        assert!(
-            pcap_bytes_to_batch(&bytes, &mut batch).is_err(),
-            "batch, {claimed}/{present}"
+        assert_eq!(
+            malformed(pcap_bytes_to_batch(&bytes, &mut batch)),
+            "truncated pcap record payload",
+            "{claimed}/{present}"
         );
         assert!(batch.is_empty());
     }
@@ -301,9 +342,8 @@ fn incl_len_past_end_of_buffer_is_rejected_by_both_decoders() {
 #[test]
 fn ihl_gt_5_frames_fall_back_to_the_general_parser() {
     // IPv4 frames with options (IHL 6 and 8), TCP and UDP: the fast parser
-    // bows out, the general parser decodes them, and both decode paths
-    // agree on every field — ports read *after* the options, not at the
-    // IHL-5 offsets.
+    // bows out, and the general parser decodes every field — ports read
+    // *after* the options, not at the IHL-5 offsets.
     let mut writer = PcapWriter::new(Vec::new()).unwrap();
     writer
         .write_frame(
@@ -317,7 +357,7 @@ fn ihl_gt_5_frames_fall_back_to_the_general_parser() {
             &frame_with_ip_options(Protocol::Udp, 12, 42_000),
         )
         .unwrap();
-    // A plain fast-path record in between proves the two paths interleave.
+    // A plain fast-path record after them proves the two parsers interleave.
     writer.write_record(&tcp_record(7)).unwrap();
     let bytes = writer.finish().unwrap();
 
