@@ -6,6 +6,9 @@
 //! that counting. They are generic over the flow key so both flow
 //! definitions (5-tuple and /24 prefix) use the same code.
 
+use std::cmp::Ordering;
+use std::sync::OnceLock;
+
 use flowrank_flowtable::{CompactKey, FlowMap};
 
 /// A flow with its true (unsampled) size, as produced by ranking the original
@@ -41,18 +44,22 @@ pub struct ComparisonOutcome {
 ///
 /// The streaming monitor classifies each measurement bin exactly once and
 /// then scores every sampling lane (run × rate) against the same ranked
-/// truth. Everything that depends only on the truth is paid once, in `new`:
-/// the `O(n log n)` sort, where the tie run of each of the `t` top flows ends
-/// (which is how many pairs it is in), and the two maps between a flow's
-/// **id** — its position in the population `new` was given, which for a
-/// `FlowTable` drain is the table's own flow id — and its rank. A lane is
-/// then scored through one of two entry points that return the same
-/// [`ComparisonOutcome`]:
+/// truth. The paper's metrics count pairs whose first flow is one of the
+/// true top `t`, so scoring needs the top flows, where each one's run of
+/// equal sizes ends, and every flow's true size, but no order over the
+/// whole population. `new` pays for exactly that, in time linear in the
+/// population `n`: it selects the top `t` (and the first flow below the
+/// cut) and sorts only those, and counts for each top flow how many flows
+/// are at least its size (which is how many pairs it is in). The
+/// population stays in **id** order — a flow's id is its position in the
+/// population `new` was given, which for a `FlowTable` drain is the
+/// table's own flow id. A lane is then scored through one of two entry
+/// points that return the same [`ComparisonOutcome`]:
 ///
 /// * [`GroundTruthRanking::compare_with`] — **the definition**: `n` lookups
 ///   by key through a closure plus the literal `O(t·n)` scan over every
-///   pair. The per-packet oracle `sim::engine::run_bin` and the ledger's
-///   replica score with it.
+///   pair, in rank order. The per-packet oracle `sim::engine::run_bin` and
+///   the ledger's replica score with it.
 /// * [`GroundTruthRanking::compare_sparse`] — the kernel the monitor runs,
 ///   over the lane's sampled sizes indexed by flow id: `t` array reads for
 ///   the top flows, one pass over the lane's `m` sampled flows and
@@ -60,90 +67,130 @@ pub struct ComparisonOutcome {
 ///   because at low sampling rates almost every flow samples to zero (the
 ///   paper's own premise, Secs. 3–5) and a pair of two zeros needs no
 ///   comparison.
+///
+/// The population in rank order, behind [`GroundTruthRanking::flows`],
+/// [`GroundTruthRanking::rank_of_id`] and `compare_with`, is the one
+/// `O(n log n)` sort; it is built by the first call that needs it, once
+/// per ranking, and never by `compare_sparse` or
+/// [`GroundTruthRanking::top`].
 #[derive(Debug, Clone)]
 pub struct GroundTruthRanking<K> {
-    ranked: Vec<SizedFlow<K>>,
+    /// The population in id order: `flows[id]` is flow `id`.
+    flows: Vec<SizedFlow<K>>,
     top_t: usize,
-    /// For each top flow, one past the last rank of its run of equal true
-    /// sizes (ties are contiguous in the sort): every flow from there on is
-    /// strictly smaller, so the flow is in `n − tie_end` ranking pairs and
-    /// `n − max(t, tie_end)` detection pairs.
-    tie_end: Vec<u32>,
-    /// The ids of the `t` top flows, in rank order.
+    /// The ids of the `min(t + 1, n)` largest flows in rank order: the top
+    /// `t` and the first flow below the cut.
     top_ids: Vec<u32>,
-    /// The rank of every flow id. Empty when `n = 0`.
+    /// For each top flow, how many flows are at least its size: one past
+    /// the last rank of its run of equal true sizes (ties are contiguous in
+    /// the rank order). Every other flow is strictly smaller, so the flow
+    /// is in `n − tie_end` ranking pairs and `n − max(t, tie_end)`
+    /// detection pairs.
+    tie_end: Vec<u32>,
+    /// The population in rank order and the rank of every id, built on
+    /// first use.
+    rank_order: OnceLock<RankOrder<K>>,
+}
+
+/// The whole population sorted, for the dense definition and the accessors
+/// that read ranks.
+#[derive(Debug, Clone)]
+struct RankOrder<K> {
+    ranked: Vec<SizedFlow<K>>,
     rank_of_id: Vec<u32>,
+}
+
+/// The rank order: decreasing true size, ties broken by key order so the
+/// ranking is identical across runs and platforms. Keys are distinct, so
+/// the order is total and an unstable sort or selection is deterministic.
+fn by_rank<K: Ord>(a: &SizedFlow<K>, b: &SizedFlow<K>) -> Ordering {
+    b.packets.cmp(&a.packets).then_with(|| a.key.cmp(&b.key))
 }
 
 impl<K: CompactKey + Ord> GroundTruthRanking<K> {
     /// Ranks a flow population by decreasing true size (ties broken by key
-    /// order so the ranking is identical across runs and platforms), fixes
-    /// the top-`t` boundary, finds where each top flow's run of ties ends
-    /// and maps flow ids (positions in `flows`) to ranks. Keys must be
-    /// distinct — true of every `FlowTable` drain.
-    pub fn new(mut flows: Vec<SizedFlow<K>>, top_t: usize) -> Self {
+    /// order): selects the top `t` flows and the first below the cut, sorts
+    /// only those, and finds where each top flow's run of ties ends. Keys
+    /// must be distinct — true of every `FlowTable` drain.
+    pub fn new(flows: Vec<SizedFlow<K>>, top_t: usize) -> Self {
         let n = flows.len();
         assert!(n <= u32::MAX as usize, "flow ids are u32");
         let top_t = top_t.min(n);
-        // The ids in rank order. Keys are distinct, so the order is total
-        // and an unstable sort is deterministic.
-        let mut order: Vec<u32> = (0..n as u32).collect();
-        order.sort_unstable_by(|&a, &b| {
-            let (a, b) = (&flows[a as usize], &flows[b as usize]);
-            b.packets.cmp(&a.packets).then_with(|| a.key.cmp(&b.key))
-        });
-        let top_ids = order[..top_t].to_vec();
-        let mut rank_of_id = vec![0; n];
-        for (rank, &id) in order.iter().enumerate() {
-            rank_of_id[id as usize] = rank as u32;
+        let by_id_rank = |&a: &u32, &b: &u32| by_rank(&flows[a as usize], &flows[b as usize]);
+        // Hoare's FIND puts the `kept` first ids in front of the rest in
+        // linear time; only those are sorted.
+        let kept = (top_t + 1).min(n);
+        let mut top_ids: Vec<u32> = (0..n as u32).collect();
+        if kept < n {
+            top_ids.select_nth_unstable_by(kept - 1, by_id_rank);
+            top_ids.truncate(kept);
         }
-        // Move each flow to its rank in place, cycle by cycle, with `order`
-        // reused as the scratch copy of every slot's destination: no
-        // second copy of the population.
-        order.copy_from_slice(&rank_of_id);
-        for slot in 0..n {
-            while order[slot] as usize != slot {
-                let rank = order[slot] as usize;
-                flows.swap(slot, rank);
-                order.swap(slot, rank);
-            }
-        }
-        let ranked = flows;
-        debug_assert!(
-            ranked.windows(2).all(|w| w[0].key != w[1].key),
-            "duplicate flow key"
-        );
+        top_ids.sort_unstable_by(by_id_rank);
 
-        let mut tie_end = Vec::with_capacity(top_t);
-        let mut end = 0;
-        for (rank, flow) in ranked[..top_t].iter().enumerate() {
-            if end <= rank {
-                end = rank + 1;
-                while end < n && ranked[end].packets == flow.packets {
-                    end += 1;
-                }
+        // A flow at least as large as the smallest top flow counts towards
+        // the tie end of every top flow it reaches, a suffix of the top
+        // found by binary search: count where each suffix starts, then sum
+        // the counts up.
+        let mut tie_end = vec![0u32; top_t];
+        let top = &top_ids[..top_t];
+        if let Some(&last) = top.last() {
+            let smallest = flows[last as usize].packets;
+            for flow in flows.iter().filter(|flow| flow.packets >= smallest) {
+                tie_end[top.partition_point(|&a| flows[a as usize].packets > flow.packets)] += 1;
             }
-            tie_end.push(end as u32);
+            let mut at_least = 0;
+            for end in &mut tie_end {
+                at_least += *end;
+                *end = at_least;
+            }
         }
 
         GroundTruthRanking {
-            ranked,
+            flows,
             top_t,
-            tie_end,
             top_ids,
-            rank_of_id,
+            tie_end,
+            rank_order: OnceLock::new(),
         }
+    }
+
+    /// The `min(t + 1, n)` largest flows in rank order: the top `t` and
+    /// the first flow below the cut. Sorts nothing.
+    pub fn top(&self) -> impl ExactSizeIterator<Item = &SizedFlow<K>> + Clone + '_ {
+        self.top_ids.iter().map(|&id| &self.flows[id as usize])
     }
 
     /// The rank of flow `id` (its position in the population given to
     /// [`GroundTruthRanking::new`]): `flows()[rank_of_id(id)]` is that flow.
+    /// The first call sorts the population.
     pub fn rank_of_id(&self, id: u32) -> usize {
-        self.rank_of_id[id as usize] as usize
+        self.rank_order().rank_of_id[id as usize] as usize
     }
 
-    /// The population, sorted by decreasing true size.
+    /// The population, sorted by decreasing true size. The first call sorts
+    /// it.
     pub fn flows(&self) -> &[SizedFlow<K>] {
-        &self.ranked
+        &self.rank_order().ranked
+    }
+
+    /// The population in rank order, sorted on the first call.
+    fn rank_order(&self) -> &RankOrder<K> {
+        self.rank_order.get_or_init(|| {
+            let flows = &self.flows;
+            let mut order: Vec<u32> = (0..flows.len() as u32).collect();
+            order.sort_unstable_by(|&a, &b| by_rank(&flows[a as usize], &flows[b as usize]));
+            let mut rank_of_id = vec![0; flows.len()];
+            for (rank, &id) in order.iter().enumerate() {
+                rank_of_id[id as usize] = rank as u32;
+            }
+            let ranked: Vec<SizedFlow<K>> =
+                order.iter().map(|&id| flows[id as usize].clone()).collect();
+            debug_assert!(
+                ranked.windows(2).all(|w| w[0].key != w[1].key),
+                "duplicate flow key"
+            );
+            RankOrder { ranked, rank_of_id }
+        })
     }
 
     /// Scores one sampled table against this truth, looking sampled sizes up
@@ -167,13 +214,13 @@ impl<K: CompactKey + Ord> GroundTruthRanking<K> {
         // sampled-table probes per lane, which dominated multi-lane
         // monitors before this cache. `sampled_size_of` must be pure; it is
         // now called exactly once per flow.
-        let sampled: Vec<u64> = self
-            .ranked
+        let ranked = self.flows();
+        let sampled: Vec<u64> = ranked
             .iter()
             .map(|flow| sampled_size_of(&flow.key))
             .collect();
 
-        for (rank_a, top_flow) in self.ranked.iter().take(t).enumerate() {
+        for (rank_a, top_flow) in ranked.iter().take(t).enumerate() {
             let s_a = sampled[rank_a];
             if s_a == 0 {
                 missed_top_flows += 1;
@@ -182,7 +229,7 @@ impl<K: CompactKey + Ord> GroundTruthRanking<K> {
             // higher-ranked flow as its first element (pairs of two top
             // flows are counted by the smaller rank only) — hence the scan
             // starts below `rank_a`.
-            for (offset, other) in self.ranked[rank_a + 1..].iter().enumerate() {
+            for (offset, other) in ranked[rank_a + 1..].iter().enumerate() {
                 let rank_b = rank_a + 1 + offset;
                 if top_flow.packets == other.packets {
                     continue;
@@ -225,13 +272,15 @@ impl<K: CompactKey + Ord> GroundTruthRanking<K> {
     /// count read off `tie_end`. One that was sampled can only be swapped
     /// with a strictly smaller flow sampled at least as often, so only the
     /// entries of `touched` that reach the smallest non-zero top sampled
-    /// size are ranked and held against the top flows: `O(t + m + t·m′)`,
-    /// every lookup an array read.
+    /// size are held against the top flows larger than they are:
+    /// `O(t + m + t·m′)`, every lookup an array read by flow id. Reads no
+    /// rank and sorts nothing.
     pub fn compare_sparse(&self, counts: &[u32], touched: &[u32]) -> ComparisonOutcome {
         let t = self.top_t;
-        let n = self.ranked.len();
+        let n = self.flows.len();
         let count_of = |id: u32| counts.get(id as usize).map_or(0, |&c| u64::from(c));
-        let top: Vec<u64> = self.top_ids.iter().map(|&id| count_of(id)).collect();
+        let top_ids = &self.top_ids[..t];
+        let top: Vec<u64> = top_ids.iter().map(|&id| count_of(id)).collect();
 
         let mut ranking_swaps = 0u64;
         let mut detection_swaps = 0u64;
@@ -256,21 +305,27 @@ impl<K: CompactKey + Ord> GroundTruthRanking<K> {
             // Strictly smaller top flows rank from `end` up to `t`.
             ranking_swaps += top[end.min(t)..].iter().filter(|&&s_b| s_b >= s_a).count() as u64;
         }
-        // (No top flow sampled: every count is already taken, skip the walk.)
-        if floor < u64::MAX {
+        // (No top flow sampled, or no flow outside the top: every count is
+        // already taken, skip the walk.)
+        if floor < u64::MAX && t < n {
+            // The smallest top flow: a flow ranked no lower is a top flow.
+            let last = &self.flows[top_ids[t - 1] as usize];
             for &id in touched {
                 let s_b = count_of(id);
                 if s_b < floor {
                     continue;
                 }
-                let rank_b = self.rank_of_id(id);
-                if rank_b < t {
+                let flow = &self.flows[id as usize];
+                if by_rank(flow, last) != Ordering::Greater {
                     continue;
                 }
-                let swapped = top
+                // The top flows strictly larger than this one lead the rank
+                // order.
+                let larger =
+                    top_ids.partition_point(|&a| self.flows[a as usize].packets > flow.packets);
+                let swapped = top[..larger]
                     .iter()
-                    .zip(&self.tie_end)
-                    .filter(|&(&s_a, &end)| s_a != 0 && s_b >= s_a && rank_b >= end as usize)
+                    .filter(|&&s_a| s_a != 0 && s_b >= s_a)
                     .count() as u64;
                 ranking_swaps += swapped;
                 detection_swaps += swapped;
@@ -444,7 +499,7 @@ mod tests {
     fn ground_truth_ranking_is_reusable_across_lanes() {
         let original = flows(&[100, 80, 60, 40, 20]);
         let truth = GroundTruthRanking::new(original.clone(), 3);
-        assert_eq!(truth.ranked.len(), 5);
+        assert_eq!(truth.flows.len(), 5);
         assert_eq!(truth.top_t, 3);
         assert_eq!(truth.flows()[0].packets, 100);
         let exact = sampled(&[(0, 100), (1, 80), (2, 60), (3, 40), (4, 20)]);
@@ -526,6 +581,22 @@ mod tests {
         absent: usize,
     }
 
+    /// Sampling rates a lane is drawn at.
+    const RATES: [f64; 6] = [0.0, 0.001, 0.01, 0.1, 0.5, 1.0];
+
+    /// A lane that kept each packet of `population` with probability
+    /// `rate`, as `(key, sampled size)` pairs of the flows it kept.
+    fn thin(population: &[SizedFlow<u32>], rate: f64, rng: &mut Pcg64) -> Vec<(u32, u64)> {
+        population
+            .iter()
+            .map(|flow| {
+                let kept = (0..flow.packets).filter(|_| rng.bernoulli(rate)).count();
+                (flow.key, kept as u64)
+            })
+            .filter(|&(_, kept)| kept > 0)
+            .collect()
+    }
+
     fn kernel_case(rng: &mut Pcg64) -> KernelCase {
         const ABSENT: usize = 8;
         let n = rng.index(401);
@@ -536,7 +607,7 @@ mod tests {
             3 => n,
             _ => n + 5,
         };
-        let rate = [0.0, 0.001, 0.01, 0.1, 0.5, 1.0][rng.index(6)];
+        let rate = RATES[rng.index(RATES.len())];
         // Pareto(shape 1.1) rounded down and capped: mostly 1s and 2s, a
         // few flows in the hundreds.
         let mut sizes: Vec<u64> = (0..n)
@@ -564,14 +635,7 @@ mod tests {
             .map(|(&packets, &key)| SizedFlow { key, packets })
             .collect();
         rng.shuffle(&mut population);
-        let mut lane: Vec<(u32, u64)> = population
-            .iter()
-            .map(|flow| {
-                let kept = (0..flow.packets).filter(|_| rng.bernoulli(rate)).count();
-                (flow.key, kept as u64)
-            })
-            .filter(|&(_, kept)| kept > 0)
-            .collect();
+        let mut lane = thin(&population, rate, rng);
         let absent = if rng.bernoulli(0.25) {
             1 + rng.index(ABSENT)
         } else {
@@ -587,6 +651,145 @@ mod tests {
             lane,
             absent,
         }
+    }
+
+    /// A lane fed the way a table lane is: each sampled key resolved to its
+    /// flow id (its position in the population), keys the truth does not
+    /// hold skipped. Returns the counts by id and the ids counted.
+    fn by_id(population: &[SizedFlow<u32>], lane: &[(u32, u64)]) -> (Vec<u32>, Vec<u32>) {
+        let ids: FlowMap<u32, u32> = population.iter().map(|f| f.key).zip(0..).collect();
+        let mut counts = vec![0u32; population.len()];
+        let mut touched = Vec::new();
+        for (key, size) in lane {
+            if let Some(&id) = ids.get(key) {
+                counts[id as usize] = *size as u32;
+                touched.push(id);
+            }
+        }
+        (counts, touched)
+    }
+
+    /// Whether the population's rank-order copy has been built.
+    fn rank_order_built<K>(truth: &GroundTruthRanking<K>) -> bool {
+        truth.rank_order.get().is_some()
+    }
+
+    /// Holds what `new` selects — the top ids, `top()` and every tie end —
+    /// against a full sort of `population` by (size descending, key
+    /// ascending), without building the truth's own rank-order copy.
+    fn assert_selection_matches_a_full_sort(
+        truth: &GroundTruthRanking<u32>,
+        population: &[SizedFlow<u32>],
+    ) {
+        let built = rank_order_built(truth);
+        let (n, t) = (population.len(), truth.top_t);
+        let mut order: Vec<u32> = (0..n as u32).collect();
+        order.sort_by(|&a, &b| {
+            let (a, b) = (&population[a as usize], &population[b as usize]);
+            b.packets.cmp(&a.packets).then(a.key.cmp(&b.key))
+        });
+        let kept = (t + 1).min(n);
+        assert_eq!(truth.top_ids, order[..kept], "top ids, n = {n}, t = {t}");
+        let top: Vec<&SizedFlow<u32>> = order[..kept]
+            .iter()
+            .map(|&id| &population[id as usize])
+            .collect();
+        assert_eq!(
+            truth.top().collect::<Vec<_>>(),
+            top,
+            "top(), n = {n}, t = {t}"
+        );
+        let tie_end: Vec<u32> = top[..t]
+            .iter()
+            .map(|a| population.iter().filter(|b| b.packets >= a.packets).count() as u32)
+            .collect();
+        assert_eq!(truth.tie_end, tie_end, "tie ends, n = {n}, t = {t}");
+        assert_eq!(rank_order_built(truth), built, "the checks sorted");
+    }
+
+    /// A population of distinct keys, in no order, holding `sizes`.
+    fn shuffled(sizes: &[u64], rng: &mut Pcg64) -> Vec<SizedFlow<u32>> {
+        let mut keys: Vec<u32> = (0..sizes.len() as u32)
+            .map(|k| k.wrapping_mul(0x9E37_79B1))
+            .collect();
+        rng.shuffle(&mut keys);
+        sizes
+            .iter()
+            .zip(keys)
+            .map(|(&packets, key)| SizedFlow { key, packets })
+            .collect()
+    }
+
+    #[test]
+    fn tie_heavy_populations_select_and_score_like_the_definition() {
+        // (sizes, t): every edge of the selection and of the tie ends.
+        let straddle: Vec<u64> = (0..300).map(|i| [9, 5, 5, 3, 1, 1, 1][i % 7]).collect();
+        let shapes: Vec<(Vec<u64>, usize)> = vec![
+            // The t-th and (t+1)-th sizes tied, inside and across longer runs.
+            (vec![9, 8, 7, 7, 5, 5, 5, 5, 2, 1], 5),
+            (vec![9, 8, 7, 7, 5, 5, 5, 5, 2, 1], 4),
+            (vec![4, 4, 3, 3, 3, 3, 3, 3, 3, 3, 1], 3),
+            (straddle.clone(), 10),
+            (straddle.clone(), 43),
+            (straddle, 299),
+            // All sizes equal.
+            (vec![4; 20], 1),
+            (vec![4; 20], 7),
+            (vec![4; 20], 19),
+            (vec![4; 20], 20),
+            (vec![1; 300], 10),
+            // n < t, n = t and n = t + 1.
+            (vec![6, 6, 3, 2, 2], 6),
+            (vec![6, 6, 3, 2, 2, 2], 6),
+            (vec![6, 6, 3, 2, 2, 2, 2], 6),
+            (vec![7], 0),
+            (vec![7], 1),
+            (vec![7], 2),
+            // t = 0 and n = 0.
+            (vec![9, 8, 8, 3, 1], 0),
+            (vec![], 0),
+            (vec![], 3),
+        ];
+        let mut rng = Pcg64::seed_from_u64(0x71E5);
+        for (sizes, top_t) in shapes {
+            for _ in 0..4 {
+                let population = shuffled(&sizes, &mut rng);
+                let truth = GroundTruthRanking::new(population.clone(), top_t);
+                assert_selection_matches_a_full_sort(&truth, &population);
+                for rate in RATES {
+                    let lane = thin(&population, rate, &mut rng);
+                    let (counts, touched) = by_id(&population, &lane);
+                    let sparse = truth.compare_sparse(&counts, &touched);
+                    let sampled: FlowMap<u32, u64> = lane.iter().copied().collect();
+                    let lookup = |key: &u32| sampled.get(key).copied().unwrap_or(0);
+                    assert_eq!(
+                        sparse,
+                        truth.compare_with(lookup),
+                        "sizes {sizes:?}, t = {top_t}, rate {rate}"
+                    );
+                    assert_eq!(sparse, brute_force(&population, lookup, top_t));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn scoring_sorts_nothing_until_an_oracle_asks() {
+        let mut rng = Pcg64::seed_from_u64(42);
+        let sizes: Vec<u64> = (0..500).map(|i| 1 + (i % 13) * (i % 5)).collect();
+        let population = shuffled(&sizes, &mut rng);
+        let truth = GroundTruthRanking::new(population.clone(), 10);
+        assert_eq!(truth.top().len(), 11);
+        for rate in RATES {
+            let (counts, touched) = by_id(&population, &thin(&population, rate, &mut rng));
+            truth.compare_sparse(&counts, &touched);
+        }
+        assert!(!rank_order_built(&truth), "scoring built the rank order");
+        // The accessors that read ranks build the copy once and reuse it.
+        let ranked = truth.flows();
+        assert!(rank_order_built(&truth));
+        assert!(std::ptr::eq(ranked, truth.flows()));
+        assert_eq!(ranked[truth.rank_of_id(7)], population[7]);
     }
 
     #[test]
@@ -614,18 +817,7 @@ mod tests {
                 population.len(),
                 lane.len()
             );
-            // Fed the way a table lane is: each sampled key resolved to its
-            // flow id (its position in the population), keys the truth does
-            // not hold skipped.
-            let ids: FlowMap<u32, u32> = population.iter().map(|f| f.key).zip(0..).collect();
-            let mut counts = vec![0u32; population.len()];
-            let mut touched = Vec::new();
-            for (key, size) in &lane {
-                if let Some(&id) = ids.get(key) {
-                    counts[id as usize] = *size as u32;
-                    touched.push(id);
-                }
-            }
+            let (counts, touched) = by_id(&population, &lane);
             assert_eq!(
                 truth.compare_sparse(&counts, &touched),
                 expected,
@@ -634,6 +826,7 @@ mod tests {
                 lane.len()
             );
 
+            assert_selection_matches_a_full_sort(&truth, &population);
             let ranked = truth.flows();
             straddling += usize::from(
                 (1..ranked.len()).contains(&top_t)
@@ -662,13 +855,14 @@ mod tests {
         assert_eq!(outcome.ranking_pairs, 0);
         assert_eq!(outcome.ranking_swaps, 0);
         assert!(top_set_matches(&original, &FlowMap::new(), 5));
-        // An empty bin stays free: neither id map is allocated, and a lane
-        // whose kept flows the truth never saw (so none resolved to an id)
-        // scores to nothing.
+        // An empty bin stays free: nothing is allocated, a lane whose kept
+        // flows the truth never saw (so none resolved to an id) scores to
+        // nothing, and no rank-order copy is built.
         let truth = GroundTruthRanking::new(original, 5);
-        assert_eq!(truth.rank_of_id.capacity(), 0);
+        assert_eq!(truth.flows.capacity(), 0);
         assert_eq!(truth.top_ids.capacity(), 0);
         assert_eq!(truth.tie_end.capacity(), 0);
         assert_eq!(truth.compare_sparse(&[3], &[]), outcome);
+        assert!(!rank_order_built(&truth));
     }
 }

@@ -22,8 +22,9 @@
 //!    ranking ([`GroundTruthRanking`] from `flowrank-core`) from only the
 //!    flows the lane sampled ([`GroundTruthRanking::compare_sparse`]: a lane
 //!    costs what it kept, not what the bin held, and every lookup is an
-//!    array read by flow id or rank; debug builds check each outcome against
-//!    the dense definition, `compare_with`), and emits a [`BinReport`]
+//!    array read by flow id; the ranking selects the top flows and sorts
+//!    only those; debug builds check each outcome against the dense
+//!    definition, `compare_with`), and emits a [`BinReport`]
 //!    carrying the per-lane swapped-pair [`ComparisonOutcome`]s.
 //!
 //! A monitor with a [`MonitorBuilder::flow_budget`] counts by id too: when

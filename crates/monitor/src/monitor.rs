@@ -429,8 +429,9 @@ impl ControllerState {
     /// The per-bin control step, run on the calling thread after every lane
     /// is scored, so controller decisions stay a pure function of the
     /// report stream at every thread count: derives the
-    /// [`BinObservation`] from the controlled lane's scored report and the
-    /// bin's still-live ranking (whose population is the bin's flows), marks
+    /// [`BinObservation`] from the controlled lane's scored report, the
+    /// bin's packet and flow counts and the top of the bin's still-live
+    /// ranking ([`GroundTruthRanking::top`], which sorts nothing), marks
     /// the lane controlled, and returns the decision trail plus — when the
     /// decided rate differs from the applied one — the rate tag and
     /// re-targeted sampler spec the controlled lane must be rebuilt with
@@ -439,6 +440,7 @@ impl ControllerState {
         &mut self,
         bin_index: u64,
         packets: u64,
+        flows: usize,
         lane_report: &mut LaneReport,
         truth: &GroundTruthRanking<AnyFlowKey>,
         top_t: usize,
@@ -448,7 +450,7 @@ impl ControllerState {
         observation.bin_index = bin_index;
         observation.applied_rate = self.applied_rate;
         observation.packets = packets;
-        observation.flows = truth.flows().len() as u64;
+        observation.flows = flows as u64;
         observation.kept_packets = lane_report.sampled_packets;
         observation.ranking_swaps = lane_report.outcome.ranking_swaps;
         observation.ranking_pairs = lane_report.outcome.ranking_pairs;
@@ -456,21 +458,19 @@ impl ControllerState {
         // Top t+1 true sizes: every adjacent top-t pair, including the
         // boundary pair against the first flow below the cut.
         observation.top_sizes.clear();
-        observation
-            .top_sizes
-            .extend(truth.flows().iter().take(top_t + 1).map(|f| f.packets));
-        let top = &truth.flows()[..truth.flows().len().min(top_t)];
-        observation.top_churn = if self.prev_top.is_empty() || top.is_empty() {
+        observation.top_sizes.extend(truth.top().map(|f| f.packets));
+        let top = truth.top().take(top_t);
+        observation.top_churn = if self.prev_top.is_empty() || top.len() == 0 {
             0.0
         } else {
             let changed = top
-                .iter()
+                .clone()
                 .filter(|f| !self.prev_top.contains(&f.key))
                 .count();
             changed as f64 / top.len() as f64
         };
         self.prev_top.clear();
-        self.prev_top.extend(top.iter().map(|f| f.key));
+        self.prev_top.extend(top.map(|f| f.key));
 
         let decision = self.controller.observe(observation);
         let trail = ControllerTrail {
@@ -999,8 +999,8 @@ impl LaneShard {
     }
 }
 
-/// A bin's ground-truth flow sizes in flow-id order, the input
-/// [`GroundTruthRanking::new`] maps ids to ranks from.
+/// A bin's ground-truth flow sizes in flow-id order, the population
+/// [`GroundTruthRanking::new`] selects the top from and keeps in that order.
 fn sized_flows(table: &FlowTable<AnyFlowKey>) -> Vec<SizedFlow<AnyFlowKey>> {
     table
         .iter_sizes()
@@ -1114,10 +1114,12 @@ impl Engine {
         top_t: usize,
     ) -> Result<&BinReport, RuntimeFailure> {
         let report = &mut self.report;
-        // One classification and one sort per bin, regardless of lane
+        // One classification and one ranking per bin, regardless of lane
         // count: this is the entire point of the shared-ground-truth
-        // design. Lanes of a budgeted monitor first take back the counts
-        // of flows the truth evicted and holds again.
+        // design. The ranking selects the top flows and sorts only those,
+        // so a seal is linear in the bin's flow count. Lanes of a budgeted
+        // monitor first take back the counts of flows the truth evicted and
+        // holds again.
         let truth = &self.truth;
         self.shard
             .each_capped(|capped, counts| capped.reattach(counts, truth));
@@ -1140,7 +1142,8 @@ impl Engine {
         // like everything else in the report.
         if let Some(state) = self.controller.as_mut() {
             let lane = &mut report.lanes[state.lane];
-            let (trail, retune) = state.step(bin_index, report.packets, lane, &truth, top_t);
+            let (trail, retune) =
+                state.step(bin_index, report.packets, report.flows, lane, &truth, top_t);
             report.controller = Some(trail);
             if let Some((rate, spec)) = retune {
                 match &mut self.fork {

@@ -1821,14 +1821,23 @@ mod tests {
         }
     }
 
+    /// `trace()` as a capture holds it: pcap stores timestamps to the
+    /// microsecond. Built from the records, not by decoding a capture, so a
+    /// decoder fault cannot hide in the expected reports.
+    fn captured_trace() -> Vec<PacketRecord> {
+        trace()
+            .into_iter()
+            .map(|packet| PacketRecord {
+                timestamp: Timestamp::from_micros(packet.timestamp.as_micros()),
+                ..packet
+            })
+            .collect()
+    }
+
     #[test]
     fn pcap_sources_drive_identically_to_the_record_path() {
-        let packets = trace();
-        // Pcap stores microsecond timestamps; compare against the decoded
-        // records so both paths see the identical stream.
-        let bytes = records_to_pcap_bytes(&packets).unwrap();
-        let decoded = flowrank_net::pcap::pcap_bytes_to_records(&bytes).unwrap();
-        let baseline = run_records(&decoded);
+        let bytes = records_to_pcap_bytes(&trace()).unwrap();
+        let baseline = run_records(&captured_trace());
 
         let mut sink = Collect::new();
         let mut source = PcapBytesSource::new(&bytes)
@@ -1859,9 +1868,9 @@ mod tests {
             "packets before the truncation still flow"
         );
 
-        let decoded = flowrank_net::pcap::pcap_bytes_to_records(&bytes).unwrap();
-        let intact = &decoded[..bytes_summary.packets as usize];
-        assert!(intact.len() < decoded.len());
+        let captured = captured_trace();
+        let intact = &captured[..bytes_summary.packets as usize];
+        assert!(intact.len() < captured.len());
         assert_eq!(from_bytes.reports, run_records(intact));
     }
 
