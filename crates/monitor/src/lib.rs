@@ -175,9 +175,9 @@
 //! `Ok(None)` at the end. No source waits, retries or skips on its own —
 //! the drive loop does: `drive` waits out idle polls, skips malformed
 //! records and ends at a fatal error, `try_drive` follows its policy. The
-//! live source adapters (pcap tailing, ndjson feeds, channels, paced
-//! replay, stop gates) live in [`pipeline`], and the bounded [`rolling`]
-//! window summarises reports for snapshot serving.
+//! live source adapters (pcap tailing, ndjson feeds, paced replay, stop
+//! gates) live in [`pipeline`], and the bounded [`rolling`] window
+//! summarises reports for snapshot serving.
 //!
 //! # Closed-loop rate control
 //!
@@ -237,9 +237,9 @@ pub mod spec;
 pub use fault::{DriveError, DrivePolicy, DriveStats, DriveSummary, SourceError, TimestampPolicy};
 pub use monitor::{Monitor, MonitorBuilder};
 pub use pipeline::{
-    parse_ndjson_record, BatchSource, ChannelSource, Chunked, Collect, CsvSink, DigestSink,
-    NdjsonRecordSource, NdjsonSink, PacketSource, PcapBytesSource, PcapTailSource, RateCurve,
-    RatePoint, ReportSink, StopGate, Tee,
+    parse_ndjson_record, BatchSource, Chunked, Collect, CsvSink, DigestSink, NdjsonRecordSource,
+    NdjsonSink, PacketSource, PcapBytesSource, PcapTailSource, RateCurve, RatePoint, ReportSink,
+    StopGate, Tee,
 };
 pub use report::{BinReport, ControllerTrail, LaneReport, TopKReport};
 pub use rolling::{BinSummary, RateSummary, RollingWindow};

@@ -39,11 +39,10 @@
 //!   window, resuming decode at the committed record boundary each time the
 //!   file grows.
 //! * [`NdjsonRecordSource`] — one packet record per JSON line from any
-//!   `BufRead` (stdin, a socket), optionally tenant-tagged; its reads block,
-//!   a chunk is every complete line one read delivered, lines bounded at
-//!   64 KiB, and a bad line is a recoverable error.
-//! * [`ChannelSource`] — non-blocking mpsc adapter that turns any blocking
-//!   feed running on its own thread into a pollable source.
+//!   `BufRead` (stdin, a socket), optionally tenant-tagged; a chunk is every
+//!   complete line one read delivered, lines bounded at 64 KiB, a bad line
+//!   is a recoverable error, and a read with nothing for it yet (a signal, a
+//!   non-blocking reader) is an idle poll, mid-line too.
 //! * [`flowrank_trace::PacedReplay`] — a scenario workload metered out on
 //!   the wall clock at a configurable speed factor.
 //! * [`StopGate`] — wraps any source with a shared stop flag that converts
@@ -512,17 +511,20 @@ const MAX_NDJSON_LINE_BYTES: usize = 64 * 1024;
 /// (kept up to the limit, the rest discarded unbuffered, so a newline-free
 /// stream costs no memory) and a line that is not UTF-8 are each **one**
 /// malformed record, and the stream resynchronises at the next newline.
-/// Reads block until a line or EOF arrives; the one idle poll this source
-/// answers is a read a signal interrupted (`EINTR`, where the handler was
-/// installed without `SA_RESTART`), so a stop flag the handler raised is
-/// seen at once. A signal that lands while a line is half read waits for
-/// that line's newline or EOF (`read_until` retries `EINTR` itself). Feed it
-/// through a [`ChannelSource`] when the loop must not block.
+///
+/// A line the reader's buffer does not hold whole is carried, up to the
+/// limit, across reads and across polls, and the read that brings its
+/// newline completes it. So a read that fails with `Interrupted` (a signal,
+/// where the handler was installed without `SA_RESTART`), `WouldBlock` (a
+/// non-blocking reader with nothing for it) or `TimedOut` is an idle poll
+/// wherever it lands, mid-line too: the drive loop sees its stop flag at
+/// once, and the next poll reads on.
 #[derive(Debug)]
 pub struct NdjsonRecordSource<R> {
     reader: R,
-    /// A line the reader's buffer did not hold whole, without its newline;
-    /// allocated once, at the limit.
+    /// The start of a line the reader's buffer did not hold whole, without
+    /// its newline: at most one byte past the limit, so a longer line reads
+    /// as over it; allocated once.
     line: Vec<u8>,
     batch: PacketBatch,
     /// The tenant tag of each row of `batch`, filled by the tagged polls.
@@ -554,7 +556,7 @@ impl<R: io::BufRead> NdjsonRecordSource<R> {
 
     /// Reads the next chunk into `self.batch` — and its tenant tags, parsed
     /// only when `tagged`, into `self.tenants`; `Ok(false)` at end of input,
-    /// an empty chunk after an interrupted read.
+    /// an empty chunk after a read that had nothing for it yet.
     fn step(&mut self, tagged: bool) -> Result<bool, SourceError> {
         let NdjsonRecordSource {
             reader,
@@ -570,53 +572,87 @@ impl<R: io::BufRead> NdjsonRecordSource<R> {
         }
         let mut tenants = tagged.then_some(tenants);
         // What has arrived: the complete lines of one `fill_buf`, up to the
-        // first that is not a record. A read a signal interrupted is an idle
-        // poll, so the drive loop sees its stop flag before reading again.
-        let buffered = match reader.fill_buf() {
-            Ok(buffered) => buffered,
-            Err(error) if error.kind() == io::ErrorKind::Interrupted => return Ok(true),
-            Err(error) => return Err(SourceError::Fatal(NetError::Io(error))),
-        };
-        let mut taken = 0;
-        while batch.len() < DEFAULT_CHUNK_PACKETS {
-            let (Some(end), non_ascii) = find(buffered, taken, [b'\n']) else {
-                break;
-            };
-            let framed = &buffered[taken..end];
-            taken = end + 1;
-            // An ASCII line is UTF-8; only another one is validated.
-            let pushed = if framed.len() > MAX_NDJSON_LINE_BYTES {
-                Err("line longer than 64 KiB")
-            } else if framed.iter().all(u8::is_ascii_whitespace) {
-                Ok(())
-            } else if non_ascii && std::str::from_utf8(framed).is_err() {
-                Err("line is not valid UTF-8")
-            } else {
-                push_ndjson_line(framed, tenants.as_deref_mut(), batch)
-            };
-            if let Err(reason) = pushed {
-                // In front of everything else it is this poll's error;
-                // behind a record, the next poll's.
-                reader.consume(taken);
-                if batch.is_empty() {
-                    return Err(malformed_record(reason));
+        // first that is not a record. Only with no record in hand is the
+        // rest carried in `line` and the reader read again.
+        use io::ErrorKind::{Interrupted, TimedOut, WouldBlock};
+        loop {
+            let buffered = match reader.fill_buf() {
+                Ok(buffered) => buffered,
+                // Nothing for the reader yet: a signal interrupted the read,
+                // or a non-blocking or timed reader has no bytes.
+                Err(error) if matches!(error.kind(), Interrupted | WouldBlock | TimedOut) => {
+                    return Ok(true)
                 }
-                *held = Some(reason);
-                return Ok(true);
+                Err(error) => return Err(SourceError::Fatal(NetError::Io(error))),
+            };
+            let at_end = buffered.is_empty();
+            let mut taken = 0;
+            let mut pushed = Ok(());
+            while pushed.is_ok() && batch.len() < DEFAULT_CHUNK_PACKETS {
+                let (Some(end), non_ascii) = find(buffered, taken, [b'\n']) else {
+                    break;
+                };
+                let framed = &buffered[taken..end];
+                taken = end + 1;
+                pushed = if line.is_empty() {
+                    check_ndjson_line(framed, non_ascii, tenants.as_deref_mut(), batch)
+                } else {
+                    // The newline of the carried line.
+                    carry(line, framed);
+                    let pushed = check_ndjson_line(line, true, tenants.as_deref_mut(), batch);
+                    line.clear();
+                    pushed
+                };
             }
+            if at_end && !line.is_empty() {
+                // The end of input ends the carried line.
+                pushed = check_ndjson_line(line, true, tenants.as_deref_mut(), batch);
+                line.clear();
+            }
+            let carried = pushed.is_ok() && batch.is_empty() && !at_end;
+            if carried {
+                carry(line, &buffered[taken..]);
+                taken = buffered.len();
+            }
+            reader.consume(taken);
+            match pushed {
+                // In front of everything else it is this poll's error; behind
+                // a record, the next poll's.
+                Err(reason) if batch.is_empty() => return Err(malformed_record(reason)),
+                Err(reason) => *held = Some(reason),
+                Ok(()) if carried => continue,
+                Ok(()) => {}
+            }
+            return Ok(!batch.is_empty());
         }
-        reader.consume(taken);
-        if !batch.is_empty() {
-            return Ok(true);
-        }
-        // With no record in hand the next line is one the buffer does not
-        // hold whole: it goes through the bounded framing, alone.
-        let Some(framed) = next_ndjson_line(reader, line)? else {
-            return Ok(false);
-        };
-        push_ndjson_line(framed, tenants, batch).map_err(malformed_record)?;
-        Ok(true)
     }
+}
+
+/// The checks every framed line (newline excluded) goes through, in order:
+/// over the limit, blank (skipped), not UTF-8 — validated only where
+/// `non_ascii`, since an ASCII line is UTF-8 — and then the record itself.
+fn check_ndjson_line(
+    framed: &[u8],
+    non_ascii: bool,
+    tenants: Option<&mut Vec<u32>>,
+    batch: &mut PacketBatch,
+) -> Result<(), &'static str> {
+    if framed.len() > MAX_NDJSON_LINE_BYTES {
+        Err("line longer than 64 KiB")
+    } else if framed.iter().all(u8::is_ascii_whitespace) {
+        Ok(())
+    } else if non_ascii && std::str::from_utf8(framed).is_err() {
+        Err("line is not valid UTF-8")
+    } else {
+        push_ndjson_line(framed, tenants, batch)
+    }
+}
+
+/// Appends `bytes` to the carried `line`, keeping at most one byte past the
+/// limit: enough to tell an over-long line from a full one.
+fn carry(line: &mut Vec<u8>, bytes: &[u8]) {
+    let room = (MAX_NDJSON_LINE_BYTES + 1).saturating_sub(line.len());
+    line.extend_from_slice(&bytes[..bytes.len().min(room)]);
 }
 
 impl<R: io::BufRead> PacketSource for NdjsonRecordSource<R> {
@@ -628,41 +664,6 @@ impl<R: io::BufRead> PacketSource for NdjsonRecordSource<R> {
 fn malformed_record(reason: &'static str) -> SourceError {
     let field = "ndjson record";
     SourceError::Malformed(NetError::InvalidField { field, reason })
-}
-
-/// Frames the next non-blank line of `reader` into `line` (cleared first,
-/// newline excluded); `Ok(None)` at end of input. At most
-/// [`MAX_NDJSON_LINE_BYTES`] of a line are kept: the rest is consumed from
-/// the reader's own buffer and dropped, and the line is reported malformed,
-/// as is one that is not UTF-8 — either way the reader stands at the start
-/// of the next line.
-fn next_ndjson_line<'l>(
-    reader: &mut impl io::BufRead,
-    line: &'l mut Vec<u8>,
-) -> Result<Option<&'l [u8]>, SourceError> {
-    let fatal = |error| SourceError::Fatal(NetError::Io(error));
-    loop {
-        line.clear();
-        // One byte past the limit tells an oversized line from a full one.
-        let mut bounded = io::Read::take(&mut *reader, MAX_NDJSON_LINE_BYTES as u64 + 1);
-        if io::BufRead::read_until(&mut bounded, b'\n', line).map_err(fatal)? == 0 {
-            return Ok(None);
-        }
-        if line.last() == Some(&b'\n') {
-            line.pop();
-        } else if line.len() > MAX_NDJSON_LINE_BYTES {
-            reader.skip_until(b'\n').map_err(fatal)?;
-            return Err(malformed_record("line longer than 64 KiB"));
-        }
-        if !line.iter().all(u8::is_ascii_whitespace) {
-            break; // blank lines separate nothing
-        }
-    }
-    if line.is_ascii() || std::str::from_utf8(line).is_ok() {
-        Ok(Some(line))
-    } else {
-        Err(malformed_record("line is not valid UTF-8"))
-    }
 }
 
 /// Eight copies of a byte's low bit, one per byte of a word.
@@ -1146,48 +1147,6 @@ fn ndjson_tenant(line: &str) -> Result<Option<u32>, &'static str> {
     match json_raw_value(line, "tenant") {
         None => Ok(None),
         Some(raw) => raw.parse().map(Some).map_err(|_| "invalid \"tenant\""),
-    }
-}
-
-/// A non-blocking source fed by another thread through an
-/// [`std::sync::mpsc`] channel — the adapter that turns any blocking feed
-/// (stdin lines, an accepted socket) into a pollable live source.
-///
-/// The feeder thread sends `Ok(batch)` for data and `Err(source_error)` for
-/// faults it wants the drive loop to arbitrate (a malformed line it
-/// skipped past, a fatal read failure); they come out of the poll as sent.
-/// The poll never blocks: an empty channel answers an idle poll, which the
-/// drive loop waits out, and a disconnected channel (every sender dropped)
-/// ends the stream.
-#[derive(Debug)]
-pub struct ChannelSource {
-    receiver: std::sync::mpsc::Receiver<Result<PacketBatch, SourceError>>,
-    batch: PacketBatch,
-}
-
-impl ChannelSource {
-    /// Wraps a receiver of batches.
-    pub fn new(receiver: std::sync::mpsc::Receiver<Result<PacketBatch, SourceError>>) -> Self {
-        ChannelSource {
-            receiver,
-            batch: PacketBatch::new(),
-        }
-    }
-}
-
-impl PacketSource for ChannelSource {
-    fn try_next_chunk(&mut self) -> Result<Option<&PacketBatch>, SourceError> {
-        use std::sync::mpsc::TryRecvError;
-        loop {
-            match self.receiver.try_recv() {
-                Ok(Ok(batch)) if batch.is_empty() => continue,
-                Ok(Ok(batch)) => self.batch = batch,
-                Ok(Err(error)) => return Err(error),
-                Err(TryRecvError::Empty) => self.batch.clear(),
-                Err(TryRecvError::Disconnected) => return Ok(None),
-            }
-            return Ok(Some(&self.batch));
-        }
     }
 }
 
@@ -2181,22 +2140,6 @@ mod tests {
             agree("ndjson", || ndjson(&feed), false, (malformed, false));
             agree("gate", || gate(ndjson(&feed)), false, (malformed, false));
         }
-        // Two chunks around one malformed record. A live feed keeps its
-        // sender, so the source idles where a finished one ends.
-        let senders = std::cell::RefCell::new(Vec::new());
-        let channel = |live: bool| {
-            let (sender, receiver) = std::sync::mpsc::sync_channel(3);
-            let source = ChannelSource::new(receiver);
-            let bad = NetError::MalformedPacket { reason: "injected" };
-            let chunk = |range| Ok(PacketBatch::from_records(&records[range]));
-            sender.send(chunk(0..20)).unwrap();
-            sender.send(Err(SourceError::Malformed(bad))).unwrap();
-            sender.send(chunk(20..60)).unwrap();
-            senders.borrow_mut().extend(live.then_some(sender));
-            source
-        };
-        agree("channel", || channel(false), false, (1, false));
-        agree("channel, live", || channel(true), true, (1, false));
         // A replay's `try_next_chunk` idles until a window is due, which
         // `drive` waits out.
         let replay = || PacedReplay::new(Workload::flash_crowd().stream(7), 1e6);
@@ -2322,9 +2265,22 @@ mod tests {
         source: &mut NdjsonRecordSource<R>,
         seen: &mut Vec<Line>,
     ) -> bool {
+        let mut idle = 0;
+        let more = idling_poll(source, seen, &mut idle);
+        assert_eq!(idle, 0, "a chunk holds at least one record");
+        more
+    }
+
+    /// [`tagged_poll`] where an empty chunk is an idle poll, counted in
+    /// `idle`.
+    fn idling_poll<R: io::BufRead>(
+        source: &mut NdjsonRecordSource<R>,
+        seen: &mut Vec<Line>,
+        idle: &mut usize,
+    ) -> bool {
         match source.next_tagged() {
+            Ok(Some((_, chunk))) if chunk.is_empty() => *idle += 1,
             Ok(Some((tenants, chunk))) => {
-                assert!(!chunk.is_empty(), "a chunk holds at least one record");
                 assert_eq!(tenants.len(), chunk.len(), "a tag a row");
                 let rows = tenants.iter().zip(chunk.iter_records());
                 seen.extend(rows.map(|(tenant, record)| Line::Row(*tenant, record)));
@@ -2877,12 +2833,18 @@ mod tests {
     /// `strict` flag it raises it on every read that delivers the end of a
     /// line and panics when it is read again with the flag up: the caller
     /// lowers it each time the source returns. It counts its `fill_buf` calls.
+    /// Given `refuse`, every read fails once with its kind first, as one a
+    /// signal interrupts or a non-blocking one with nothing to read does; it
+    /// counts those refusals.
     struct Fragments<'a> {
         feed: &'a [u8],
         cuts: std::vec::IntoIter<usize>,
         buffered: std::ops::Range<usize>,
         strict: Option<&'a std::cell::Cell<bool>>,
         fills: usize,
+        /// The kind, and whether the last read was refused: the next delivers.
+        refuse: Option<(io::ErrorKind, bool)>,
+        refusals: usize,
     }
 
     impl<'a> Fragments<'a> {
@@ -2897,6 +2859,8 @@ mod tests {
                 buffered: 0..0,
                 strict: None,
                 fills: 0,
+                refuse: None,
+                refusals: 0,
             }
         }
     }
@@ -2917,6 +2881,13 @@ mod tests {
             if self.buffered.is_empty() {
                 let up = self.strict.is_some_and(std::cell::Cell::get);
                 assert!(!up, "read again with a complete line in hand");
+                if let Some((kind, refused)) = &mut self.refuse {
+                    *refused = !*refused;
+                    if *refused {
+                        self.refusals += 1;
+                        return Err((*kind).into());
+                    }
+                }
                 if let Some(end) = self.cuts.next() {
                     self.buffered = self.buffered.end..end;
                     let line_delivered = self.feed[self.buffered.clone()].contains(&b'\n');
@@ -3022,6 +2993,33 @@ mod tests {
     }
 
     #[test]
+    fn ndjson_a_read_with_nothing_yet_is_one_idle_poll_wherever_it_lands() {
+        use io::ErrorKind::{Interrupted, TimedOut, WouldBlock};
+        for seed in 0..12 {
+            let mut rng = Pcg64::seed_from_u64(0x1d1e + seed);
+            let (feed, forced) = awkward_feed(&mut rng);
+            let expected = line_at_a_time(&feed, true);
+            // Every fragment's read is refused once first, so refusals land
+            // inside lines, inside a multi-byte char and inside lines over
+            // the cap.
+            for kind in [WouldBlock, Interrupted, TimedOut] {
+                let cuts = arbitrary_cuts(&mut rng, feed.len(), &forced);
+                let mut reader = Fragments::new(&feed, cuts);
+                reader.refuse = Some((kind, false));
+                let mut source = NdjsonRecordSource::new(reader);
+                let (mut seen, mut idle) = (Vec::with_capacity(expected.len()), 0);
+                while idling_poll(&mut source, &mut seen, &mut idle) {}
+                assert_eq!(seen, expected, "seed {seed}, {kind:?}");
+                let refusals = source.reader.refusals;
+                assert_eq!(
+                    idle, refusals,
+                    "seed {seed}, {kind:?}: an idle poll a refusal"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn ndjson_step_returns_what_has_arrived_before_it_reads_again() {
         // No blank lines here: a read that delivers the end of a line delivers
         // a record or an error, and the source has to hand that over before
@@ -3051,26 +3049,27 @@ mod tests {
         }
     }
 
-    /// The read after `first` fails with `Interrupted` once, as a blocked
-    /// read does when a signal lands, then `rest` arrives.
+    /// Hands out `writes` in order; the first read after each but the last
+    /// fails with `Interrupted` once, as a blocked read does when a signal
+    /// lands, then the next write arrives.
     struct SignalBetween<'a> {
-        first: &'a [u8],
+        writes: Vec<&'a [u8]>,
         interrupted: bool,
-        rest: &'a [u8],
     }
 
     impl io::Read for SignalBetween<'_> {
         fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
-            if self.first.is_empty() && !self.interrupted {
-                self.interrupted = true;
-                return Err(io::ErrorKind::Interrupted.into());
+            if self.writes.len() > 1 && self.writes[0].is_empty() {
+                self.interrupted = !self.interrupted;
+                if self.interrupted {
+                    return Err(io::ErrorKind::Interrupted.into());
+                }
+                self.writes.remove(0);
             }
-            let unread = if self.first.is_empty() {
-                &mut self.rest
-            } else {
-                &mut self.first
-            };
-            io::Read::read(unread, out)
+            match self.writes.first_mut() {
+                Some(write) => io::Read::read(write, out),
+                None => Ok(0),
+            }
         }
     }
 
@@ -3084,24 +3083,30 @@ mod tests {
         }
         let expected = pull(&mut NdjsonRecordSource::new(feed.as_bytes()), false);
         assert_eq!(expected.0.len(), 40);
-        // Two writes, cut at a line end, with the signal between them.
-        let cut = feed[..feed.len() / 2].rfind('\n').unwrap() + 1;
+        // Three writes, cut at a line end and then inside a line, with a
+        // signal between each two.
+        let first = feed[..feed.len() / 2].rfind('\n').unwrap() + 1;
+        let second = feed[..feed.len() * 3 / 4].rfind('\n').unwrap() + 7;
         let reader = SignalBetween {
-            first: &feed.as_bytes()[..cut],
+            writes: vec![
+                &feed.as_bytes()[..first],
+                &feed.as_bytes()[first..second],
+                &feed.as_bytes()[second..],
+            ],
             interrupted: false,
-            rest: &feed.as_bytes()[cut..],
         };
         let mut source = NdjsonRecordSource::new(io::BufReader::new(reader));
-        let first_write = feed[..cut].matches('\n').count();
+        let lines_before = |cut: usize| feed[..cut].matches('\n').count();
         let (mut seen, mut idle) = (Vec::new(), 0);
         while let Some(chunk) = source.try_next_chunk().unwrap() {
             if chunk.is_empty() {
-                assert_eq!(seen.len(), first_write, "idle between the writes");
+                let written = [first, second][idle];
+                assert_eq!(seen.len(), lines_before(written), "idle between the writes");
                 idle += 1;
             }
             seen.extend_from_slice(chunk.ts_nanos());
         }
-        assert_eq!(idle, 1, "one idle poll for one interrupted read");
+        assert_eq!(idle, 2, "one idle poll for each interrupted read");
         assert_eq!((seen, 0, false), expected);
     }
 

@@ -210,7 +210,7 @@ impl<'a, R: BufRead> RecordWindows<'a, R> {
                 // One decode pass: tags and records come from the same walk
                 // over each line; the fleet only copies columns.
                 match self.records.next_tagged() {
-                    // An interrupted read: look at the stop flag.
+                    // A read with nothing for it yet: look at the stop flag.
                     Ok(Some((_, chunk))) if chunk.is_empty() => {}
                     Ok(Some((tags, chunk))) => {
                         self.tags.clear();

@@ -21,9 +21,9 @@
 //!   JSON, and served to pollers over a tiny HTTP endpoint that reports the
 //!   snapshot's age (the source-starvation watchdog: a growing `age_s`
 //!   under traffic means the source stopped delivering).
-//! * [`socket`] — `source = socket`: a live TCP ndjson listener feeding a
-//!   non-blocking [`ChannelSource`](flowrank_monitor::ChannelSource), with
-//!   the same wire format and malformed-record contract as the stdin path.
+//! * [`socket`] — `source = socket`: a live TCP ndjson listener whose
+//!   non-blocking reads run on the drive thread, with the same wire format
+//!   and malformed-record contract as the stdin path.
 //! * [`fleet_host`] — `tenants = N`: host a whole
 //!   [`Fleet`](flowrank_fleet::Fleet) of tenant monitors from one config
 //!   file, driven by [`Fleet::drive`](flowrank_fleet::Fleet::drive) over the

@@ -119,9 +119,8 @@ fn run(config: &ServeConfig) -> Result<(), String> {
         }
         SourceKind::Ndjson => Box::new(NdjsonRecordSource::new(std::io::stdin().lock())),
         SourceKind::Socket => {
-            let (bound, socket) =
-                flowrank_serve::socket::listen(config.listen.as_str(), Arc::clone(&stop))
-                    .map_err(|e| format!("cannot bind record listener {}: {e}", config.listen))?;
+            let (bound, socket) = flowrank_serve::socket::listen(config.listen.as_str())
+                .map_err(|e| format!("cannot bind record listener {}: {e}", config.listen))?;
             eprintln!("flowrank-serve: record listener on {bound}");
             Box::new(socket)
         }

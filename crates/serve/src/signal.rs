@@ -14,9 +14,7 @@
 //! a read blocked on idle stdin and leave the flag unseen until a record
 //! arrived; `siginterrupt(signum, 1)` clears it, so the read fails with
 //! `EINTR` and the ndjson source answers an idle poll the drive loop stops
-//! on. The named limit: a signal that lands while the source holds half a
-//! line still waits for that line's newline or EOF, because std's
-//! `read_until` retries `EINTR` itself.
+//! on — also while it holds half a line, which it carries to the next poll.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Smoke-tests the flowrank-serve daemon end to end, the six things unit
+# Smoke-tests the flowrank-serve daemon end to end, the seven things unit
 # tests cannot pin from inside the process:
 #
 #   1. a finite serving run (unpaced replay, bin-limited) exits 0 and
@@ -20,10 +20,14 @@
 #      37-byte pipe, and the counters the hand-looped fleet host printed
 #      before fleet mode ran through `Fleet::drive`;
 #   5. SIGINT stops an ndjson daemon blocked on idle stdin — single mode and
-#      fleet mode — with exit 0 and the final line within 2 s;
+#      fleet mode, with nothing sent and with one record and half a line
+#      sent — with exit 0 and the final line within 2 s;
 #   6. the same records as compact lines in the ledger renderer's field
 #      order, CRLF-terminated, with "ts" moved last and spaced, all read by
-#      the one field walk, print the same reports and counters.
+#      the one field walk, print the same reports and counters;
+#   7. `source = socket` reads a record, a record split across a pause and
+#      half a line from a client that stays connected, and SIGINT stops it
+#      with exit 0 and "packets":2 within 2 s.
 #
 # Usage: scripts/serve_smoke.sh   (CI runs it after the test suite)
 #
@@ -46,6 +50,17 @@ trap 'rm -rf "$workdir"; kill %% 2>/dev/null || true' EXIT
 fail() {
     echo "serve_smoke: FAIL: $*" >&2
     exit 1
+}
+
+# The port daemon `$1` announces on its stderr file `$2`, as `$3` followed
+# by `127.0.0.1:<port>`.
+announced_port() {
+    for _ in $(seq 1 100); do
+        sed -n "s#.*${3}127\.0\.0\.1:\([0-9]*\).*#\1#p" "$2" | grep . && return
+        kill -0 "$1" 2>/dev/null || fail "daemon died early: $(cat "$2")"
+        sleep 0.1
+    done
+    fail "daemon never announced $3"
 }
 
 # --- Leg 1: finite unpaced replay ------------------------------------------
@@ -92,14 +107,7 @@ snapshot_listen = 127.0.0.1:0
 EOF
 "$serve" --config "$workdir/daemon.conf" > "$workdir/daemon.out" 2> "$workdir/daemon.err" &
 daemon=$!
-port=""
-for _ in $(seq 1 100); do
-    port=$(sed -n 's#.*snapshot endpoint on http://127\.0\.0\.1:\([0-9]*\)/.*#\1#p' "$workdir/daemon.err")
-    [ -n "$port" ] && break
-    kill -0 "$daemon" 2>/dev/null || fail "daemon died early: $(cat "$workdir/daemon.err")"
-    sleep 0.1
-done
-[ -n "$port" ] || fail "daemon never announced the snapshot endpoint"
+port=$(announced_port "$daemon" "$workdir/daemon.err" 'snapshot endpoint on http://')
 
 # Let a few bins close, then poll (with retries: a one-shot connection can
 # race the server-side close).
@@ -208,16 +216,15 @@ want='"windows":3,"bins":18,"packets":1187,"evictions":1368,"malformed_skipped":
 echo "serve_smoke: fleet ndjson ok"
 
 # --- Leg 5: SIGINT while stdin is idle ------------------------------------
-# stdin is a FIFO whose one writer (fd 4, held open here) sends nothing, so
-# the daemon blocks in a read that only a signal can interrupt.
+# stdin is a FIFO whose one writer (fd 4, held open here) sends `$3` and then
+# nothing, so the daemon blocks in a read that only a signal can interrupt.
 mkfifo "$workdir/idle"
 exec 4<>"$workdir/idle"
-idle_sigint() {
-    local name=$1 conf=$2
-    "$serve" --config "$conf" < "$workdir/idle" > "$workdir/idle.out" 2> "$workdir/idle.err" &
-    local daemon=$!
-    sleep 1
-    kill -0 "$daemon" 2>/dev/null || fail "$name: daemon ended on idle stdin: $(cat "$workdir/idle.err")"
+# SIGINTs daemon `$1` (named `$2`) and checks that it exits 0 within 2 s
+# with a final line that holds `$3`.
+sigint_within_2s() {
+    local daemon=$1 name=$2 want=$3
+    kill -0 "$daemon" 2>/dev/null || fail "$name: daemon ended early: $(cat "$workdir/idle.err")"
     kill -INT "$daemon"
     for _ in $(seq 1 20); do
         kill -0 "$daemon" 2>/dev/null || break
@@ -225,17 +232,29 @@ idle_sigint() {
     done
     if kill -0 "$daemon" 2>/dev/null; then
         kill -9 "$daemon"
-        fail "$name: still running 2 s after SIGINT on idle stdin"
+        fail "$name: still running 2 s after SIGINT"
     fi
     local rc=0
     wait "$daemon" || rc=$?
     [ "$rc" -eq 0 ] || fail "$name: SIGINT exit code $rc (want 0): $(cat "$workdir/idle.err")"
-    grep -q '"serve":"final"' "$workdir/idle.out" \
-        || fail "$name: no final line after SIGINT: $(cat "$workdir/idle.out")"
-    echo "serve_smoke: $name SIGINT on idle stdin ok"
+    grep -q "\"serve\":\"final\".*$want" "$workdir/idle.out" \
+        || fail "$name: no final line with $want after SIGINT: $(cat "$workdir/idle.out")"
+    echo "serve_smoke: $name SIGINT ok"
 }
-idle_sigint single "$workdir/ndjson.conf"
-idle_sigint fleet "$workdir/fleet.conf"
+idle_sigint() {
+    local name=$1 conf=$2 sent=$3 want=$4
+    "$serve" --config "$conf" < "$workdir/idle" > "$workdir/idle.out" 2> "$workdir/idle.err" &
+    local daemon=$!
+    printf '%s' "$sent" >&4
+    sleep 1
+    sigint_within_2s "$daemon" "$name" "$want"
+}
+record='{"ts":1,"src":"10.0.0.1","sport":1,"dst":"10.0.0.2","dport":2,"proto":"udp","len":9}'
+half_line=$'\n'${record:0:40}
+idle_sigint "single, idle stdin" "$workdir/ndjson.conf" "" ""
+idle_sigint "fleet, idle stdin" "$workdir/fleet.conf" "" ""
+idle_sigint "single, half a line" "$workdir/ndjson.conf" "$record$half_line" '"packets":1,'
+idle_sigint "fleet, half a line" "$workdir/fleet.conf" "$record$half_line" '"packets":1,'
 exec 4>&-
 
 # --- Leg 6: compact lines in two field orders, and spaced ------------------
@@ -277,5 +296,18 @@ for feed in crlf ts_last spaced; do
         || fail "reports or counters differ between the compact feed and $feed"
 done
 echo "serve_smoke: compact, CRLF, ts-last and spaced feeds agree"
+
+# --- Leg 7: source = socket -----------------------------------------------
+printf 'source = socket\nlisten = 127.0.0.1:0\nrates = 0.5\nruns = 1\n' > "$workdir/socket.conf"
+"$serve" --config "$workdir/socket.conf" > "$workdir/idle.out" 2> "$workdir/idle.err" &
+daemon=$!
+port=$(announced_port "$daemon" "$workdir/idle.err" 'record listener on ')
+exec 5<>"/dev/tcp/127.0.0.1/$port"
+printf '%s\n%s' "$record" "${record:0:40}" >&5
+sleep 0.4
+printf '%s%s' "${record:40}" "$half_line" >&5
+sleep 0.5
+sigint_within_2s "$daemon" "socket, client connected" '"packets":2,'
+exec 5>&-
 
 echo "serve_smoke: all legs passed"

@@ -1,8 +1,8 @@
 //! Cross-crate integration: the serving path — live sources
-//! ([`PcapTailSource`], [`NdjsonRecordSource`], [`ChannelSource`],
-//! [`PacedReplay`]) driven through `Monitor::try_drive` under the
-//! wall-clock stall detector, graceful shutdown via [`StopGate`], and the
-//! rolling-snapshot sink behind `flowrank-serve`.
+//! ([`PcapTailSource`], [`NdjsonRecordSource`], [`PacedReplay`]) driven
+//! through `Monitor::try_drive` under the wall-clock stall detector,
+//! graceful shutdown via [`StopGate`], and the rolling-snapshot sink behind
+//! `flowrank-serve`.
 //!
 //! The conformance anchor throughout: a fault-free serving drive over any
 //! live source must be bit-identical to the equivalent batch drive of the
@@ -14,8 +14,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use flowrank_monitor::{
-    BatchSource, ChannelSource, DigestSink, DrivePolicy, Monitor, NdjsonRecordSource, PacketSource,
-    PcapTailSource, SamplerSpec, SourceError, StopGate, TopKSpec,
+    BatchSource, DigestSink, DrivePolicy, Monitor, NdjsonRecordSource, PacketSource,
+    PcapTailSource, SamplerSpec, StopGate, TopKSpec,
 };
 use flowrank_net::pcap::records_to_pcap_bytes;
 use flowrank_net::{PacketBatch, PacketRecord, Timestamp};
@@ -255,37 +255,6 @@ fn ndjson_feed_matches_the_batch_drive_and_skips_malformed_lines() {
         digest_of_batch(&PacketBatch::from_records(&records)),
         "ndjson-fed reports equal the batch drive"
     );
-}
-
-#[test]
-fn channel_source_is_pollable_and_ends_when_senders_drop() {
-    let (sender, receiver) = std::sync::mpsc::sync_channel(1);
-    let mut source = ChannelSource::new(receiver);
-    assert!(matches!(source.try_next_chunk(), Ok(Some(idle)) if idle.is_empty()));
-
-    let mut batch = PacketBatch::new();
-    batch.push_record(&tcp_record(0));
-    sender.send(Ok(batch)).unwrap();
-    match source.try_next_chunk() {
-        Ok(Some(chunk)) => assert_eq!(chunk.len(), 1),
-        other => panic!("expected the sent chunk, got {other:?}"),
-    }
-
-    sender
-        .send(Err(SourceError::Malformed(
-            flowrank_net::NetError::InvalidField {
-                field: "test",
-                reason: "injected",
-            },
-        )))
-        .unwrap();
-    assert!(matches!(
-        source.try_next_chunk(),
-        Err(SourceError::Malformed(_))
-    ));
-
-    drop(sender);
-    assert!(matches!(source.try_next_chunk(), Ok(None)));
 }
 
 #[test]
