@@ -489,13 +489,15 @@ const MAX_NDJSON_LINE_BYTES: usize = 64 * 1024;
 /// finds each line's newline and notes on the way whether the line holds a
 /// byte that is not ASCII; only such a line is validated as UTF-8, so an
 /// ASCII record pays no `from_utf8`. One walk over the line then goes from
-/// key to key and reads a compact field (`"key":value` right behind its `,`)
-/// where it stands, with exact readers (`u16::from_str`, `u32::from_str` and
-/// `Ipv4Addr::from_str` to the byte, `ts` through `f64::from_str` itself). A
-/// field printed another way (spaced, a quoted number, a byte no reader
-/// takes) is found the same word-at-a-time way, and its value cut out and
-/// read whole by the same reader, so a record reads the same compact or
-/// spaced, in any field order.
+/// key to key and reads each value where it stands, with exact readers
+/// (`u16::from_str`, `u32::from_str` and `Ipv4Addr::from_str` to the byte;
+/// `ts` bit for bit as `f64::from_str` reads it, in one pass where it is a
+/// plain decimal, through `f64::from_str` itself otherwise). A compact field
+/// (`"key":value` right behind its `,`) is matched in place; a field printed
+/// another way (spaced, say) is found the same word-at-a-time way and its
+/// value read in place too, so a record reads the same compact or spaced, in
+/// any field order. A value, quoted or bare, that the reader does not end
+/// where the value ends (a byte no reader takes) is not one the field takes.
 ///
 /// Each chunk is what has arrived: one `fill_buf` of the reader, and every
 /// complete line in it (at most `DEFAULT_CHUNK_PACKETS`), so a busy feed is
@@ -745,26 +747,6 @@ fn skip_whitespace(line: &[u8], mut at: usize) -> usize {
     at
 }
 
-/// `str::trim_end` over UTF-8 text. A char is decoded only where a byte is
-/// not ASCII.
-fn trim_end(mut text: &[u8]) -> &[u8] {
-    loop {
-        match text {
-            [rest @ .., b' ' | b'\t'..=b'\r'] => text = rest,
-            [.., last] if !last.is_ascii() => {
-                // Back over the continuation bytes to the char's first byte.
-                let lead = text.iter().rposition(|byte| !matches!(byte, 0x80..=0xbf));
-                let lead = lead.unwrap_or(0);
-                match char_at(text, lead) {
-                    Some(space) if space.is_whitespace() => text = &text[..lead],
-                    _ => return text,
-                }
-            }
-            _ => return text,
-        }
-    }
-}
-
 /// One field of a record line as [`ndjson_fields`] reads it: `None` where
 /// absent, `Some(None)` where its value is not one the field takes.
 type Field<T> = Option<Option<T>>;
@@ -794,14 +776,15 @@ const RECORD_KEYS: [&[u8]; 9] = [
 /// over the line, which must be UTF-8.
 ///
 /// The walk goes from one quoted token to the next and reads a compact field
-/// where it stands ([`compact_field`]); any other token it finds with
-/// word-at-a-time searches ([`find`]). A token is a key where a `:` follows
-/// it; a key's first occurrence decides it, so one with no `:` behind it is
-/// absent however often it recurs. Its value is cut out and read whole
-/// ([`read_cut`]); a string value is stepped over whole, so key-like text
-/// inside one is never a key, and so is another token's, but not its bare
-/// value. A string that never closes ends the walk. Whitespace is Unicode's,
-/// as `str::trim` has it; a char is decoded only where a byte is not ASCII.
+/// where it stands ([`compact_field`]); any other token, a spaced field's
+/// among them, it finds with word-at-a-time searches ([`find`]). A token is a key where a
+/// `:` follows it; a key's first occurrence decides it, so one with no `:`
+/// behind it is absent however often it recurs. Its value is read where it
+/// stands ([`read_value`]); a string value that does not read so, and any
+/// string of another token, is stepped over whole, so key-like text inside
+/// one is never a key, but a bare one's is. A string that never closes ends
+/// the walk. Whitespace is Unicode's, as `str::trim` has it; a char is
+/// decoded only where a byte is not ASCII.
 fn ndjson_fields(line: &[u8]) -> NdjsonFields {
     let quote = |text: &[u8]| find(text, 0, [b'"']).0;
     let mut fields = NdjsonFields::default();
@@ -818,29 +801,24 @@ fn ndjson_fields(line: &[u8]) -> NdjsonFields {
         let name = &token[..close];
         let slot = RECORD_KEYS.iter().position(|key| key == &name).unwrap_or(9);
         rest = &token[close + 1..];
-        let fresh = slot < 9 && decided & 1 << slot == 0;
+        let slot = if decided & 1 << slot == 0 { slot } else { 9 };
         decided |= 1 << slot;
         let Some(value) = rest[skip_whitespace(rest, 0)..].strip_prefix(b":") else {
             continue;
         };
-        if !fresh {
-            if let [b'"', text @ ..] = &value[skip_whitespace(value, 0)..] {
-                let Some(end) = quote(text) else { break };
-                rest = &text[end + 1..];
-            }
-            continue;
-        }
         let rest = &mut rest;
         match slot {
-            0 => fields.ts = read_cut(value, rest, take_ts).flatten(),
-            1 => fields.src = read_cut(value, rest, take_ipv4).flatten(),
-            2 => fields.dst = read_cut(value, rest, take_ipv4).flatten(),
-            3 => fields.sport = read_cut(value, rest, take_u16).flatten(),
-            4 => fields.dport = read_cut(value, rest, take_u16).flatten(),
-            5 => fields.len = read_cut(value, rest, take_u16).flatten(),
-            6 => fields.proto = read_cut(value, rest, take_proto),
-            7 => fields.seq = read_cut(value, rest, take_u32),
-            _ => fields.tenant = read_cut(value, rest, take_u32),
+            0 => fields.ts = read_value(value, rest, take_ts).flatten(),
+            1 => fields.src = read_value(value, rest, take_ipv4).flatten(),
+            2 => fields.dst = read_value(value, rest, take_ipv4).flatten(),
+            3 => fields.sport = read_value(value, rest, take_u16).flatten(),
+            4 => fields.dport = read_value(value, rest, take_u16).flatten(),
+            5 => fields.len = read_value(value, rest, take_u16).flatten(),
+            6 => fields.proto = read_value(value, rest, take_proto),
+            7 => fields.seq = read_value(value, rest, take_u32),
+            8 => fields.tenant = read_value(value, rest, take_u32),
+            // An unknown key's value, or a decided one's, is stepped over.
+            _ => _ = read_value(value, rest, |_| None::<()>),
         }
     }
     fields
@@ -891,9 +869,10 @@ fn compact_field<'l>(
 }
 
 /// The value at the front of `rest` — a string where `quoted`, else bare —
-/// read by `take` and stepped over, where it ends where the walk's cut ends
-/// it: at a closing quote, or a `,` or `}`. No reader takes a quote, a `,`, a
-/// `}` or whitespace, so there the read is the cut's.
+/// read by `take` where it stands and stepped over, where the read ends where
+/// the value does: at the closing quote, or behind nothing but whitespace at
+/// a `,`, a `}` or the end of the line. No reader takes a quote, a `,`, a `}`
+/// or whitespace.
 #[inline(always)]
 fn take_in_place<T>(
     rest: &mut &[u8],
@@ -909,44 +888,39 @@ fn take_in_place<T>(
     *rest = match (quoted, text) {
         (true, [b'"', behind @ ..]) => behind,
         (false, [b',' | b'}', ..]) => text,
+        (false, _) => match &text[skip_whitespace(text, 0)..] {
+            stop @ ([b',' | b'}', ..] | []) => stop,
+            _ => return None,
+        },
         _ => return None,
     };
     Some(value)
 }
 
-/// A key's value (behind any whitespace in `value`) cut as the walk cuts it
-/// — a string to its closing quote; a bare value to the next `,` or `}`, and
-/// trimmed, where the walk goes on (`rest`) unless it holds a quote — and
-/// read whole by `take`. `None` for a string that never closes (`rest` is
-/// left empty, which ends the walk).
-fn read_cut<'l, T>(
+/// A key's value (behind any whitespace in `value`) read where it stands
+/// ([`take_in_place`]), and where the walk goes on (`rest`). A value that
+/// does not read so is not one the key takes (`Some(None)`); a string one is
+/// stepped over to its closing quote, and is `None` where it never closes
+/// (`rest` is left empty, which ends the walk).
+fn read_value<'l, T>(
     value: &'l [u8],
     rest: &mut &'l [u8],
     take: impl FnOnce(&mut &[u8]) -> Option<T>,
 ) -> Field<T> {
-    let value = &value[skip_whitespace(value, 0)..];
-    let cut = if let [b'"', text @ ..] = value {
-        let Some(end) = find(text, 0, [b'"']).0 else {
+    let mut text = &value[skip_whitespace(value, 0)..];
+    let quoted = text.first() == Some(&b'"');
+    if let Some(read) = take_in_place(&mut text, quoted, take) {
+        *rest = text;
+        return Some(Some(read));
+    }
+    if let [b'"', string @ ..] = text {
+        let Some(end) = find(string, 0, [b'"']).0 else {
             *rest = &[];
             return None;
         };
-        *rest = &text[end + 1..];
-        &text[..end]
-    } else {
-        let stop = match find(value, 0, [b',', b'}', b'"']).0 {
-            Some(inner) if value[inner] == b'"' => find(value, inner, [b',', b'}']).0,
-            stop => stop.inspect(|stop| *rest = &value[*stop..]),
-        };
-        trim_end(&value[..stop.unwrap_or(value.len())])
-    };
-    Some(read_whole(cut, take))
-}
-
-/// What `take` reads from the whole of `text`: `None` where it reads nothing
-/// or leaves a byte behind.
-fn read_whole<T>(mut text: &[u8], take: impl FnOnce(&mut &[u8]) -> Option<T>) -> Option<T> {
-    let value = take(&mut text)?;
-    text.is_empty().then_some(value)
+        *rest = &string[end + 1..];
+    }
+    Some(None)
 }
 
 /// Parses one ndjson packet-record line (`{"ts":…,"src":…,"dst":…,"sport":…,
@@ -997,15 +971,53 @@ fn ndjson_line(line: &[u8], tagged: bool) -> Result<(PacketRecord, u32), &'stati
     Ok((record, tenant))
 }
 
-/// A `ts` value at the front of `rest`: its run of ASCII graphic bytes but
-/// `,`, `}` and `"` (every byte `f64::from_str` reads is one) through
-/// `f64::from_str` itself, whose rounding [`Timestamp`] depends on.
+/// The powers of ten an `f64` holds exactly, 10^0 to 10^22.
+const EXACT_POWERS_OF_TEN: [f64; 23] = [
+    1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16,
+    1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
+];
+
+/// A `ts` value at the front of `rest`, read bit for bit as `f64::from_str`
+/// reads its run of ASCII graphic bytes but `,`, `}` and `"` (every byte
+/// `f64::from_str` reads is one): [`Timestamp`] depends on that rounding.
+/// One pass reads digits with at most one `.` into a mantissa `m` and a
+/// count `f` of fraction digits. Where they are the whole run, `m ≤ 2^53` and
+/// `f ≤ 22`, `m` and `10^f` are exact and so is the one division `m / 10^f`
+/// (Clinger's fast path); any other run goes through `f64::from_str`.
 fn take_ts(rest: &mut &[u8]) -> Option<f64> {
-    let width = rest
-        .iter()
-        .position(|byte| !byte.is_ascii_graphic() || matches!(byte, b',' | b'}' | b'"'))
-        .unwrap_or(rest.len());
-    let ts = std::str::from_utf8(&rest[..width]).ok()?.parse().ok()?;
+    let ends_run = |byte: &u8| !byte.is_ascii_graphic() || matches!(byte, b',' | b'}' | b'"');
+    let parsed = |text: &[u8]| {
+        let width = text.iter().position(ends_run).unwrap_or(text.len());
+        let text = std::str::from_utf8(&text[..width]).ok()?;
+        Some((text.parse::<f64>().ok()?, width))
+    };
+    // The mantissa saturates: past 2^53 it is only ever compared.
+    let (mut mantissa, mut digits, mut point, mut width) = (0u64, 0, None, 0);
+    while let Some(&byte) = rest.get(width) {
+        match byte {
+            b'0'..=b'9' => {
+                let digit = u64::from(byte - b'0');
+                mantissa = mantissa.saturating_mul(10).saturating_add(digit);
+                digits += 1;
+            }
+            b'.' if point.is_none() => point = Some(digits),
+            _ => break,
+        }
+        width += 1;
+    }
+    let fraction = digits - point.unwrap_or(digits);
+    let exact = digits > 0
+        && mantissa <= 1 << 53
+        && fraction < EXACT_POWERS_OF_TEN.len()
+        && rest.get(width).is_none_or(ends_run);
+    let (ts, width) = if exact {
+        let ts = mantissa as f64 / EXACT_POWERS_OF_TEN[fraction];
+        let bits = |(ts, width): (f64, usize)| (ts.to_bits(), width);
+        debug_assert_eq!(parsed(rest).map(bits), Some(bits((ts, width))));
+        (ts, width)
+    } else {
+        parsed(rest)?
+    };
     *rest = &rest[width..];
     Some(ts)
 }
@@ -2535,11 +2547,18 @@ mod tests {
             11 => {
                 // A `ts` in another form `f64::from_str` reads.
                 let value = rng.next_below(1 << 30) as f64 / 1024.0;
-                fields[0] = match rng.next_below(5) {
+                let whole = rng.next_below(1 << 20);
+                fields[0] = match rng.next_below(10) {
                     0 => format!("\"ts\":{value:e}"),
                     1 => format!("\"ts\":{value:E}"),
                     2 => format!("\"ts\":+{value}"),
                     3 => format!("\"ts\":-{value}"),
+                    // 20 digits and more; 23 fraction digits and more.
+                    4 => format!("\"ts\":{}{:010}", rng.next_u64(), rng.next_below(1 << 32)),
+                    5 => format!("\"ts\":{value:.25}"),
+                    6 => format!("\"ts\":0.{:023}", rng.next_below(1 << 20)),
+                    7 => format!("\"ts\":{whole}."),
+                    8 => format!("\"ts\":.{whole}"),
                     _ => "\"ts\":-0".to_string(),
                 };
             }
@@ -2747,6 +2766,81 @@ mod tests {
                 assert_eq!((packets.len(), bad), (records, malformed), "{pad}");
             }
         }
+    }
+
+    /// `take_ts` against `f64::from_str` on the width scan's run, bit for bit,
+    /// and against the scan's end: seeded digit runs of 0 to 25 integer and 0
+    /// to 25 fraction digits (dense, mostly zeros, or behind leading zeros),
+    /// mantissas at and just past 2^53 with the point anywhere, and the forms
+    /// only `f64::from_str` reads; each followed by every kind of byte a run
+    /// ends at, or by nothing.
+    #[test]
+    fn ndjson_ts_reads_what_f64_from_str_reads() {
+        let mut rng = Pcg64::seed_from_u64(0x7e57_f10a);
+        let mut texts: Vec<String> = [
+            "5.", ".5", ".", "+1.5", "-0", "1e3", "1E-3", "inf", "NaN", "0", "00.000", "1..2",
+            "1.2.3", "-", "+", "e5", "1e", "0x10", "1_0",
+        ]
+        .map(String::from)
+        .to_vec();
+        for whole in 0..=25 {
+            for fraction in 0..=25 {
+                // Dense, mostly zeros, and zeros up to the last 1 to 15 digits.
+                for zeros in [0, 8, 10, 10, 10, 10] {
+                    let dense = whole + fraction - (1 + rng.index(15)).min(whole + fraction);
+                    let digits: String = (0..whole + fraction)
+                        .map(|at| {
+                            match (zeros < 10 && rng.next_below(10) >= zeros) || at >= dense {
+                                true => char::from(b'0' + rng.next_below(10) as u8),
+                                false => '0',
+                            }
+                        })
+                        .collect();
+                    let point = if fraction > 0 || rng.bernoulli(0.2) {
+                        "."
+                    } else {
+                        ""
+                    };
+                    texts.push(format!("{}{point}{}", &digits[..whole], &digits[whole..]));
+                }
+            }
+        }
+        let mut mantissas = vec![(1 << 53) - 1, 1 << 53, (1 << 53) + 1, (1 << 54) + 1];
+        mantissas.extend((0..40).map(|_| (1 << 53) + 1 + rng.next_below(1 << 53)));
+        for mantissa in mantissas {
+            let digits = mantissa.to_string();
+            for point in 0..=digits.len() {
+                texts.push(format!("{}.{}", &digits[..point], &digits[point..]));
+                texts.push(format!("000{}.{}", &digits[..point], &digits[point..]));
+            }
+        }
+        let ends = ["", ",", "}", "\"", " ", "\t", "\r", "\u{e9}", "\u{a0}", ":"];
+        for text in &texts {
+            for end in ends {
+                let line = format!("{text}{end}");
+                let width = line
+                    .bytes()
+                    .position(|byte| !byte.is_ascii_graphic() || b",}\"".contains(&byte))
+                    .unwrap_or(line.len());
+                let expected: Option<f64> = line[..width].parse().ok();
+                let mut rest = line.as_bytes();
+                let read = take_ts(&mut rest).map(f64::to_bits);
+                assert_eq!(read, expected.map(f64::to_bits), "{line:?}");
+                let behind = if read.is_some() {
+                    &line[width..]
+                } else {
+                    &line
+                };
+                assert_eq!(rest, behind.as_bytes(), "{line:?}");
+            }
+        }
+    }
+
+    /// What `take` reads from the whole of `text`: `None` where it reads
+    /// nothing or leaves a byte behind.
+    fn read_whole<T>(mut text: &[u8], take: impl FnOnce(&mut &[u8]) -> Option<T>) -> Option<T> {
+        let value = take(&mut text)?;
+        text.is_empty().then_some(value)
     }
 
     /// Every decimal string of up to six digits, bare and behind a sign,

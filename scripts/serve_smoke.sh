@@ -23,8 +23,9 @@
 #      fleet mode, with nothing sent and with one record and half a line
 #      sent — with exit 0 and the final line within 2 s;
 #   6. the same records as compact lines in the ledger renderer's field
-#      order, CRLF-terminated, with "ts" moved last and spaced, all read by
-#      the one field walk, print the same reports and counters;
+#      order, CRLF-terminated, with "ts" moved last, spaced, and with every
+#      "ts" in exponent form or with 25 fraction digits, all read by the one
+#      field walk, print the same reports and counters;
 #   7. `source = socket` reads a record, a record split across a pause and
 #      half a line from a client that stays connected, and SIGINT stops it
 #      with exit 0 and "packets":2 within 2 s.
@@ -257,11 +258,14 @@ idle_sigint "single, half a line" "$workdir/ndjson.conf" "$record$half_line" '"p
 idle_sigint "fleet, half a line" "$workdir/fleet.conf" "$record$half_line" '"packets":1,'
 exec 4>&-
 
-# --- Leg 6: compact lines in two field orders, and spaced ------------------
+# --- Leg 6: compact lines in two field orders, spaced, and other ts forms ---
 # Compact lines in the ledger renderer's field order, tcp with and without
 # "seq" and udp, among them a record with a negative "ts" that the reader
 # refuses. As printed, CRLF-terminated, with "ts" moved last and spaced by
-# sed, the one field walk reads the same records from each.
+# sed, the one field walk reads the same records from each. The ts_forms
+# feed prints every "ts":S.MMM as "ts":SMMMe-3, and every tenth with 25
+# fraction digits: forms the exact one-pass ts read leaves to f64::from_str,
+# which must read the same timestamps.
 {
     for i in $(seq 0 299); do
         if [ "$i" -eq 150 ]; then
@@ -281,7 +285,13 @@ sed -E 's/^\{("ts":[^,]*),(.*)\}$/{\2,\1}/' "$workdir/compact.ndjson" > "$workdi
 ! grep -q '^{"ts"' "$workdir/ts_last.ndjson" || fail "sed left \"ts\" first"
 sed -E 's/":/": /g; s/,"/, "/g' "$workdir/compact.ndjson" > "$workdir/spaced.ndjson"
 ! grep -q '":[^ ]' "$workdir/spaced.ndjson" || fail "sed left a compact field"
-for feed in compact crlf ts_last spaced; do
+sed -E '0~10 s/"ts":([0-9]+)\.([0-9]{3}),/"ts":\1.\20000000000000000000000,/; t
+        s/"ts":([0-9]+)\.([0-9]{3}),/"ts":\1\2e-3,/' \
+    "$workdir/compact.ndjson" > "$workdir/ts_forms.ndjson"
+[ "$(grep -cE '"ts":[0-9]+e-3,' "$workdir/ts_forms.ndjson")" -eq 270 ] \
+    && [ "$(grep -cE '"ts":[0-9]+\.[0-9]{25},' "$workdir/ts_forms.ndjson")" -eq 30 ] \
+    || fail "sed left a ts in its printed form"
+for feed in compact crlf ts_last spaced ts_forms; do
     "$serve" --config "$workdir/ndjson.conf" < "$workdir/$feed.ndjson" \
         > "$workdir/$feed.out" 2>"$workdir/order.err" \
         || fail "$feed run failed: $(cat "$workdir/order.err")"
@@ -291,11 +301,11 @@ case "$final" in
     *'"packets":300'*'"malformed_skipped":1'*) ;;
     *) fail "compact run: unexpected final line: $final" ;;
 esac
-for feed in crlf ts_last spaced; do
+for feed in crlf ts_last spaced ts_forms; do
     cmp <(timeless "$workdir/compact.out") <(timeless "$workdir/$feed.out") \
         || fail "reports or counters differ between the compact feed and $feed"
 done
-echo "serve_smoke: compact, CRLF, ts-last and spaced feeds agree"
+echo "serve_smoke: compact, CRLF, ts-last, spaced and ts-forms feeds agree"
 
 # --- Leg 7: source = socket -----------------------------------------------
 printf 'source = socket\nlisten = 127.0.0.1:0\nrates = 0.5\nruns = 1\n' > "$workdir/socket.conf"
