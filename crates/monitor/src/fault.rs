@@ -325,13 +325,13 @@ pub enum DriveError {
         /// Work done and recoveries absorbed before the abort.
         stats: DriveStats,
     },
-    /// A lane shard of a `threads(n > 1)` monitor panicked. The monitor is
+    /// A lane of a `threads(n > 1)` monitor panicked. The monitor is
     /// poisoned: further fallible calls return this error again, infallible
     /// calls panic, and dropping the monitor is safe.
     WorkerPanicked {
-        /// Index of the shard that panicked, in `0..threads`; shard 0 runs
-        /// on the calling thread, the others on helpers.
-        worker: usize,
+        /// Index of the lane whose work panicked, on whichever thread
+        /// claimed it (the calling thread or a helper).
+        lane: usize,
         /// The bin the monitor was filling when the failure surfaced.
         bin: u64,
         /// Work done and recoveries absorbed before the abort.
@@ -380,9 +380,9 @@ impl std::fmt::Display for DriveError {
                 "drive aborted: timestamp regressed ({ts_nanos} ns after {prev_nanos} ns); \
                  the push contract requires non-decreasing timestamps"
             ),
-            DriveError::WorkerPanicked { worker, bin, .. } => write!(
+            DriveError::WorkerPanicked { lane, bin, .. } => write!(
                 f,
-                "drive aborted: worker {worker} panicked while filling bin {bin}; \
+                "drive aborted: lane {lane} panicked while filling bin {bin}; \
                  the monitor is poisoned"
             ),
         }
@@ -456,11 +456,11 @@ mod tests {
         ));
         assert!(error.to_string().contains("7 recoveries > budget 5"));
         let panic = DriveError::WorkerPanicked {
-            worker: 2,
+            lane: 2,
             bin: 9,
             stats: DriveStats::default(),
         };
-        assert!(panic.to_string().contains("worker 2"));
+        assert!(panic.to_string().contains("lane 2"));
         assert!(panic.to_string().contains("bin 9"));
     }
 }

@@ -54,37 +54,41 @@
 //!
 //! # Lane shards: `threads(n)`
 //!
-//! [`MonitorBuilder::threads`] `(n)` strides the lanes over `n` shards —
-//! lane `i` in shard `i mod n` — and keeps `n` threads busy, the caller
-//! included: the calling thread runs shard 0, and `n − 1` persistent
-//! helpers, spawned once at `build()` and joined on drop, run the others
-//! (the `pool_threads` suite counts them). There is one engine and one
-//! path in: the caller splits each batch on bin boundaries, derives keys
-//! once and classifies every packet into the bin's one ground-truth table,
-//! which gives the packet its flow id. With `threads(1)` it then offers the
-//! segment to every lane in place. Otherwise it appends the segment (one
-//! packet or a whole bin) with its flow ids to one 4096-packet buffer and
-//! forks when the buffer is full or a bin seal needs it: every helper
-//! offers the buffer to its lanes while the caller offers it to shard 0,
-//! and the caller waits for every helper's ack. At a seal the caller ranks
-//! the bin's truth once, every shard scores its lanes against that ranking
-//! in the same fork, and the caller puts the scores back into lane order.
-//! The guarantees, pinned by the `worker_runtime` suite and the golden
-//! conformance matrix:
+//! [`MonitorBuilder::threads`] `(n)` keeps `n` threads busy, the caller
+//! included: `n − 1` persistent helpers, spawned once at `build()` and
+//! joined on drop, work beside the calling thread (the `pool_threads`
+//! suite counts them). There is one engine and one path in: the caller
+//! splits each batch on bin boundaries, derives keys once and classifies
+//! every packet into the bin's one ground-truth table, which gives the
+//! packet its flow id. With `threads(1)` it then offers the segment to
+//! every lane in place. Otherwise no lane has a fixed thread: the caller
+//! appends the segment (one packet or a whole bin) with its flow ids to
+//! one of two 2048-packet buffers, and publishes the buffer to the lanes
+//! when it is full. The helpers claim lanes from the back and run the
+//! buffer through them while the caller classifies the next buffer; when
+//! that one is full too, the caller claims what is left from the front,
+//! waits for the helpers' last lanes and publishes it. At a seal the caller
+//! finishes the buffer in flight, ranks the bin's truth once, publishes
+//! the rest of the bin with that ranking, every lane scores into its own
+//! slot on whichever thread claimed it, and the caller reads the reports
+//! back in lane order. The guarantees, pinned by the `worker_runtime`
+//! suite and the golden conformance matrix:
 //!
 //! * **Determinism** — reports are bit-identical for every thread count,
-//!   chunking and entry point. The truth is classified in stream order on
-//!   the calling thread at every thread count, so flow ids agree, and every
-//!   lane sees every packet in order with its own RNG.
-//! * **Bounded hand-offs** — because the caller coalesces, forks follow
+//!   chunking, entry point and claim order. The truth is classified in
+//!   stream order on the calling thread at every thread count, so flow ids
+//!   agree, and every lane sees every packet in order with its own RNG.
+//! * **Bounded hand-offs** — because the caller coalesces, publishes follow
 //!   the packet count, not the call count: a one-record batch is a column
-//!   append that pays one fork per 4096 packets
-//!   ([`Monitor::segment_stats`] counts the buffers forked), and memory
-//!   stays flows + one buffer.
-//! * **Ordering & shutdown** — every bin is scored and delivered on the
-//!   calling thread before the call that closed it returns, strictly in
-//!   order. Dropping the monitor mid-bin drops the helpers' senders, which
-//!   ends them, and joins every thread.
+//!   append that pays one publish per 2048 packets
+//!   ([`Monitor::segment_stats`] counts the buffers published). No packet
+//!   takes a lock; a lane takes its own, uncontended, once per buffer. At
+//!   most one buffer is in flight, and memory stays flows + two buffers.
+//! * **Ordering & shutdown** — a seal is a barrier, so every bin is scored
+//!   and delivered on the calling thread before the call that closed it
+//!   returns, strictly in order. Dropping the monitor mid-bin cancels the
+//!   lanes nobody has claimed, tells the helpers to leave, and joins every
+//!   thread.
 //!
 //! # The source/sink pipeline and `drive`
 //!
@@ -155,13 +159,13 @@
 //!   debug-assert/silent-fold default, fail-fast
 //!   [`TimestampPolicy::Reject`], or counted
 //!   [`TimestampPolicy::ClampAndCount`].
-//! * **Poisoned** — a panic in a lane shard of a `threads(n > 1)` monitor,
-//!   on the calling thread or on a helper, is caught and recorded, and the
-//!   drive aborts with [`DriveError::WorkerPanicked`]. The monitor is then
-//!   *poisoned but droppable*: further fallible calls return the same
-//!   error, infallible entry points panic (one clean panic — never the old
-//!   double-panic abort), and dropping the monitor joins every thread
-//!   safely.
+//! * **Poisoned** — a panic in a lane of a `threads(n > 1)` monitor, on
+//!   whichever thread claimed it, the calling thread or a helper, is caught
+//!   and recorded, and the drive aborts with [`DriveError::WorkerPanicked`]
+//!   naming the lane. The monitor is then *poisoned but droppable*:
+//!   further fallible calls return the same error, infallible entry points
+//!   panic (one clean panic — never the old double-panic abort), and
+//!   dropping the monitor joins every thread safely.
 //! * **Accounted** — every recovery action lands in a [`DriveStats`]
 //!   returned on successful completion and carried by every [`DriveError`],
 //!   so aborted drives are auditable too.

@@ -12,9 +12,10 @@
 //! truth **once** and scores every lane against that single ranking — with
 //! `runs × rates` lanes this removes the `runs × rates` redundant
 //! reclassifications the batch API used to pay. The lane work is written
-//! once, in `LaneShard`: a monitor has one engine, whose lanes are strided
-//! over `threads` shards, and the ground truth always lives with the
-//! calling thread.
+//! once, in `Lane`: a monitor has one engine, which runs it in a loop over
+//! its lanes on `threads(1)` and hands each lane to whichever thread claims
+//! it otherwise, and the ground truth always lives with the calling
+//! thread.
 
 use std::ops::Range;
 use std::time::Instant;
@@ -31,7 +32,7 @@ use flowrank_topk::{FlowMemory, TopKTracker};
 use crate::fault::{DriveError, DrivePolicy, DriveStats, TimestampPolicy};
 use crate::pipeline::{Accepting, Collect, PacketSource, ReportSink};
 use crate::report::{BinReport, ControllerTrail, LaneReport, TopKReport};
-use crate::runtime::{Fork, RuntimeFailure};
+use crate::runtime::{Runtime, RuntimeFailure};
 use crate::spec::{SamplerSpec, TopKSpec};
 
 /// Salt mixed into a lane's seed for its top-k backend RNG, so that backend
@@ -190,21 +191,23 @@ impl MonitorBuilder {
     /// Busy threads for batch processing, the calling thread included
     /// (default 1).
     ///
-    /// The lanes are strided over `threads` shards: shard *s* holds every
-    /// lane with index ≡ *s* (mod threads). The calling thread runs shard 0,
-    /// and above 1, `build()` spawns `threads − 1` **persistent** helpers
-    /// for the others (joined when the monitor drops). The calling thread
-    /// splits batches on bin boundaries, derives keys and classifies every
-    /// packet into the bin's ground truth, which gives it a flow id, and
-    /// appends everything it is given, from one-packet pushes to whole-bin
-    /// batches, to one 4096-packet buffer of packets and flow ids. When the
-    /// buffer is full, or a bin seal needs it, the caller forks: every
-    /// helper offers the buffer to its lanes while the caller offers it to
-    /// shard 0, and the caller waits for every helper's ack. At a seal the
-    /// caller ranks the truth once, every shard scores its lanes against
-    /// that ranking in the same fork, and the caller interleaves the scores
-    /// into the [`BinReport`] in lane order and runs the control step. No
-    /// packet takes a lock, and memory stays flows + one buffer.
+    /// Above 1, `build()` spawns `threads − 1` **persistent** helpers
+    /// (joined when the monitor drops), and no lane has a fixed thread. The
+    /// calling thread splits batches on bin boundaries, derives keys and
+    /// classifies every packet into the bin's ground truth, which gives it
+    /// a flow id, and appends everything it is given, from one-packet
+    /// pushes to whole-bin batches, to one of two 2048-packet buffers of
+    /// packets and flow ids. When that buffer is full the caller publishes
+    /// it to the lanes and fills the other: the helpers claim lanes from the
+    /// back and run the buffer through them while the caller classifies
+    /// the next one, then claims what is left from the front and waits for
+    /// the helpers' last lanes before it publishes again. A bin seal is a
+    /// barrier: the caller ranks the truth once, publishes the rest of the
+    /// bin with that ranking, every lane scores into its own slot on
+    /// whichever thread claimed it, and the caller reads the reports into
+    /// the [`BinReport`] in lane order and runs the control step. No packet
+    /// takes a lock (each lane takes its own, uncontended, once per
+    /// buffer), and memory stays flows + two buffers.
     ///
     /// Every lane still sees every packet in order with its own RNG, so
     /// reports are **bit-identical** across thread counts and ingestion
@@ -269,11 +272,11 @@ impl MonitorBuilder {
     }
 
     /// Chaos-testing hook: makes lane 0 panic once it has been offered more
-    /// than `packets` packets. With `threads(n > 1)` the panic lands in
-    /// shard 0, on the calling thread, and exercises the containment path
-    /// ([`DriveError::WorkerPanicked`], poisoned-but-droppable monitor); the
-    /// chaos suite drives it through `flowrank_sim::faults`. Not for
-    /// production use.
+    /// than `packets` packets. With `threads(n > 1)` the panic lands on
+    /// whichever thread claimed lane 0 for that buffer and exercises the
+    /// containment path ([`DriveError::WorkerPanicked`] naming lane 0,
+    /// poisoned-but-droppable monitor); the chaos suite drives it through
+    /// `flowrank_sim::faults`. Not for production use.
     pub fn inject_lane_panic_after(self, packets: u64) -> Self {
         self.inject_lane_panic(0, packets)
     }
@@ -365,14 +368,14 @@ impl MonitorBuilder {
         }
         let threads = self.threads.max(1);
         let lane_count = lanes.len();
-        let (shard, fork) = if threads > 1 {
+        let (shard, runtime) = if threads > 1 {
             assert!(
                 budget.is_none(),
                 "flow_budget requires threads(1): budgets are enforced by the \
                  serial engine (fleet tenants parallelise at the fleet level)"
             );
-            let (shard, fork) = Fork::spawn(lanes, threads, self.top_t);
-            (shard, Some(Box::new(fork)))
+            let runtime = Runtime::spawn(lanes, threads, self.top_t);
+            (LaneShard::new(Vec::new()), Some(Box::new(runtime)))
         } else {
             (LaneShard::new(lanes), None)
         };
@@ -386,7 +389,7 @@ impl MonitorBuilder {
             evicted: Vec::new(),
             segments: 0,
             report: BinReport::default(),
-            fork,
+            runtime,
         };
         Monitor {
             flow_definition: self.flow_definition,
@@ -786,7 +789,7 @@ impl Lane {
     /// the indices it keeps — skipping directly from keep to keep for
     /// skip-capable samplers — and only the retained packets are counted
     /// and reach the top-k backend.
-    fn offer_batch(&mut self, seg: &Segment) {
+    pub(crate) fn offer_batch(&mut self, seg: &Segment) {
         let (batch, range) = (seg.batch, &seg.range);
         if let Some(limit) = self.panic_after {
             self.observed += range.len() as u64;
@@ -833,7 +836,11 @@ impl Lane {
     /// it for the next bin: the sparse kernel reads the counts as they are.
     /// Debug builds check `touched` against the counts, and every outcome
     /// against the dense definition.
-    fn close_bin(&mut self, truth: &GroundTruthRanking<AnyFlowKey>, top_t: usize) -> LaneReport {
+    pub(crate) fn close_bin(
+        &mut self,
+        truth: &GroundTruthRanking<AnyFlowKey>,
+        top_t: usize,
+    ) -> LaneReport {
         let lane = &mut self.counts;
         debug_assert_eq!(
             lane.touched.len(),
@@ -886,7 +893,7 @@ impl Lane {
     /// different rate. `rate_tag` is the decided rate the lane is labelled
     /// with (it can differ from the spec's own nominal rate for disciplines
     /// whose retargeting is a no-op, e.g. smart sampling).
-    fn retune(&mut self, rate_tag: f64, spec: SamplerSpec) {
+    pub(crate) fn retune(&mut self, rate_tag: f64, spec: SamplerSpec) {
         self.rate = rate_tag;
         self.spec = spec;
         self.stage = SamplerStage::new(self.spec.build(self.seed), Pcg64::seed_from_u64(self.seed));
@@ -916,8 +923,8 @@ pub struct Monitor {
     bin_length: Timestamp,
     top_t: usize,
     engine: Engine,
-    /// Fixed at `build()`: the lanes move into the engine (and those of
-    /// shards past the first on to its helpers).
+    /// Fixed at `build()`: the lanes move into the engine (on
+    /// `threads(n > 1)`, into its runtime).
     lane_count: usize,
     current_bin: u64,
     saw_packet: bool,
@@ -932,18 +939,18 @@ pub struct Monitor {
     clamped_timestamps: u64,
     /// Lifetime count of reports a sink took, for [`DriveStats::reports`].
     delivered: u64,
-    /// Set once a lane shard panicked: `(worker, bin)` of the first
-    /// detected failure. A poisoned monitor returns the same
+    /// Set once a lane panicked: `(lane, bin)` of the first detected
+    /// failure. A poisoned monitor returns the same
     /// [`DriveError::WorkerPanicked`] from every fallible call (infallible
     /// entry points panic — once, cleanly) and drops safely.
     poisoned: Option<(usize, u64)>,
 }
 
-/// The lanes one thread holds, and the per-bin lane work of the paper's
-/// Sec. 8 experiment, written once for every shard: offer every segment to
-/// every lane and, at the seal, score each lane against the bin's one
-/// ranking. A `threads(1)` monitor's one shard holds every lane; otherwise
-/// shard *s* holds the lanes whose index is ≡ *s* (mod threads).
+/// The lanes of a `threads(1)` monitor, and the per-bin lane work of the
+/// paper's Sec. 8 experiment over them: offer every segment to every lane
+/// and, at the seal, score each lane against the bin's one ranking. On
+/// `threads(n > 1)` the lanes live in the runtime instead, one lock each,
+/// and this shard is empty.
 #[derive(Debug)]
 pub(crate) struct LaneShard {
     lanes: Vec<Lane>,
@@ -963,7 +970,7 @@ impl LaneShard {
     }
 
     /// Scores every lane against the bin's ranking, appending the reports in
-    /// this shard's lane order, and restarts the lanes for the next bin.
+    /// lane order, and restarts the lanes for the next bin.
     pub(crate) fn score(
         &mut self,
         truth: &GroundTruthRanking<AnyFlowKey>,
@@ -987,8 +994,7 @@ impl LaneShard {
         }
     }
 
-    /// Applies a controller decision to the lane at position `lane` of this
-    /// shard's lanes.
+    /// Applies a controller decision to lane `lane`.
     pub(crate) fn retune(&mut self, lane: usize, rate_tag: f64, spec: SamplerSpec) {
         self.lanes[lane].retune(rate_tag, spec);
     }
@@ -1008,11 +1014,11 @@ fn sized_flows(table: &FlowTable<AnyFlowKey>) -> Vec<SizedFlow<AnyFlowKey>> {
         .collect()
 }
 
-/// The monitor's engine: the bin's ground truth, the calling thread's lane
-/// shard and the controller, all driven on the calling thread, plus the
-/// helpers of the other shards on a `threads(n > 1)` monitor. A
-/// `threads(1)` monitor has no helpers, offers each segment in place and
-/// pays zero synchronisation cost.
+/// The monitor's engine: the bin's ground truth, the serial engine's lanes
+/// and the controller, all driven on the calling thread, or on a
+/// `threads(n > 1)` monitor the runtime that holds the lanes and its
+/// helpers. A `threads(1)` monitor has no helpers, offers each segment in
+/// place and pays zero synchronisation cost.
 #[derive(Debug)]
 struct Engine {
     truth: FlowTable<AnyFlowKey>,
@@ -1036,16 +1042,17 @@ struct Engine {
     /// the report shell (only attached top-k backends still build their
     /// per-bin entry lists).
     report: BinReport,
-    /// The helpers of shards 1.. and the buffer forked to them; boxed, so a
-    /// `threads(1)` monitor (a fleet holds thousands) carries one pointer.
-    fork: Option<Box<Fork>>,
+    /// The lanes, helpers and buffers of a `threads(n > 1)` monitor; boxed,
+    /// so a `threads(1)` monitor (a fleet holds thousands) carries one
+    /// pointer.
+    runtime: Option<Box<Runtime>>,
 }
 
 impl Engine {
     /// Classifies one within-bin segment into the ground truth — deriving
     /// each packet's key and taking its flow id from the same probe — and
     /// offers it to every lane: in place on a `threads(1)` monitor, through
-    /// the fork's buffer otherwise. In a budgeted monitor a packet that
+    /// the runtime's buffers otherwise. In a budgeted monitor a packet that
     /// brings the truth to its high-water mark first has the lanes take the
     /// packets up to it, while their ids still hold, and then the truth's
     /// evictions move the lanes' counts.
@@ -1055,8 +1062,8 @@ impl Engine {
         batch: &PacketBatch,
         range: Range<usize>,
     ) -> Result<(), RuntimeFailure> {
-        if let Some(fork) = &mut self.fork {
-            return fork.append(&mut self.shard, &mut self.truth, definition, batch, range);
+        if let Some(runtime) = &mut self.runtime {
+            return runtime.append(&mut self.truth, definition, batch, range);
         }
         self.segments += 1;
         self.ids.clear();
@@ -1130,9 +1137,9 @@ impl Engine {
         report.packets = self.truth.total_packets();
         report.flows = flows.len();
         let mut truth = GroundTruthRanking::new(flows, top_t);
-        match &mut self.fork {
+        match &mut self.runtime {
             None => self.shard.score(&truth, top_t, &mut report.lanes),
-            Some(fork) => truth = fork.seal(&mut self.shard, truth, &mut report.lanes)?,
+            Some(runtime) => truth = runtime.seal(truth, &mut report.lanes)?,
         }
         self.truth.clear();
         report.evictions = std::mem::take(&mut self.evictions) + self.shard.take_evictions();
@@ -1146,9 +1153,9 @@ impl Engine {
                 state.step(bin_index, report.packets, report.flows, lane, &truth, top_t);
             report.controller = Some(trail);
             if let Some((rate, spec)) = retune {
-                match &mut self.fork {
+                match &mut self.runtime {
                     None => self.shard.retune(state.lane, rate, spec),
-                    Some(fork) => fork.retune(&mut self.shard, state.lane, rate, spec),
+                    Some(runtime) => runtime.retune(state.lane, rate, spec),
                 }
             }
         }
@@ -1174,12 +1181,16 @@ impl Monitor {
 
     /// Work units since the monitor was built: `.0` is the within-bin
     /// segments a `threads(1)` monitor offered in place, `.1` the keyed
-    /// buffers a `threads(n > 1)` monitor forked to its helpers. One of the
+    /// buffers a `threads(n > 1)` monitor published to its lanes. One of the
     /// two is always 0, and `.1` grows with the packet count, not the
     /// number of pushes, because the calling thread coalesces
     /// ([`MonitorBuilder::threads`]).
     pub fn segment_stats(&self) -> (u64, u64) {
-        let shipped = self.engine.fork.as_ref().map_or(0, |fork| fork.shipped());
+        let shipped = self
+            .engine
+            .runtime
+            .as_ref()
+            .map_or(0, |runtime| runtime.shipped());
         (self.engine.segments, shipped)
     }
 
@@ -1189,7 +1200,7 @@ impl Monitor {
         self.engine.flow_budget.map(FlowBudget::cap)
     }
 
-    /// Whether a lane shard has panicked. A poisoned monitor keeps
+    /// Whether a lane has panicked. A poisoned monitor keeps
     /// returning [`DriveError::WorkerPanicked`] from fallible calls and can
     /// be dropped safely, but can do no further work.
     pub fn is_poisoned(&self) -> bool {
@@ -1218,8 +1229,8 @@ impl Monitor {
     /// cutting the stream into batches, down to one packet each.
     ///
     /// With [`MonitorBuilder::threads`] above 1, the calling thread
-    /// classifies the ground truth and forks the segments, with their flow
-    /// ids, to the helpers, across which the lanes are split — with reports
+    /// classifies the ground truth and publishes the segments, with their
+    /// flow ids, to the lanes, which it and the helpers claim — with reports
     /// bit-identical to `threads(1)` (pinned by the `streaming_equivalence`
     /// suite). The report a sink receives is backed
     /// by a buffer the monitor recycles across bins, so steady-state bin
@@ -1247,7 +1258,7 @@ impl Monitor {
     /// the sink's [`ReportSink::emit`]: instead of panicking, surfaces a
     /// timestamp regression rejected by [`TimestampPolicy::Reject`] as
     /// [`DriveError::TimestampRegression`], a failed `emit` as
-    /// [`DriveError::Sink`], and a lane-shard panic as
+    /// [`DriveError::Sink`], and a lane panic as
     /// [`DriveError::WorkerPanicked`] (after which the monitor is poisoned —
     /// every further fallible call returns the same error, and dropping it
     /// is safe). The `stats` carried on these errors are empty; a drive
@@ -1295,22 +1306,21 @@ impl Monitor {
         Ok(())
     }
 
-    /// Latches the poisoned state from a recorded shard failure and converts
+    /// Latches the poisoned state from a recorded lane failure and converts
     /// it to the error every subsequent fallible call will keep returning.
     fn poison(&mut self, failure: RuntimeFailure) -> DriveError {
         self.poisoned
-            .get_or_insert((failure.worker, self.current_bin));
+            .get_or_insert((failure.lane, self.current_bin));
         self.poisoned_error().expect("just latched")
     }
 
-    /// The latched poison error, when a lane shard has panicked.
+    /// The latched poison error, when a lane has panicked.
     fn poisoned_error(&self) -> Option<DriveError> {
-        self.poisoned
-            .map(|(worker, bin)| DriveError::WorkerPanicked {
-                worker,
-                bin,
-                stats: DriveStats::default(),
-            })
+        self.poisoned.map(|(lane, bin)| DriveError::WorkerPanicked {
+            lane,
+            bin,
+            stats: DriveStats::default(),
+        })
     }
 
     /// Enforces the documented push contract — timestamps non-decreasing
@@ -1388,7 +1398,7 @@ impl Monitor {
 
     /// Fallible form of [`Monitor::finish_into`], delivering through the
     /// sink's [`ReportSink::emit`]: a failed `emit` surfaces as
-    /// [`DriveError::Sink`] and a lane-shard panic as
+    /// [`DriveError::Sink`] and a lane panic as
     /// [`DriveError::WorkerPanicked`] instead of panicking the calling
     /// thread.
     pub(crate) fn try_finish_into<K: ReportSink + ?Sized>(
@@ -1430,7 +1440,7 @@ impl Monitor {
     /// writer sink keeps its error for its own `finish()`. The end of the
     /// stream and a fatal source error both end the drive, which then closes
     /// the final bin. Anything else — a timestamp regression under
-    /// [`TimestampPolicy::Reject`], a lane-shard panic — panics, as
+    /// [`TimestampPolicy::Reject`], a lane panic — panics, as
     /// [`Monitor::push_batch_into`] does; [`Monitor::try_drive`] is the form
     /// that reports faults.
     ///
@@ -1498,7 +1508,7 @@ impl Monitor {
     ///   least [`DrivePolicy::stall_timeout`] of wall time aborts
     ///   ([`DriveError::SourceStalled`]);
     /// * timestamp regressions follow [`DrivePolicy::timestamps`], and a
-    ///   lane-shard panic aborts with [`DriveError::WorkerPanicked`].
+    ///   lane panic aborts with [`DriveError::WorkerPanicked`].
     ///
     /// On success returns the [`DriveStats`] health report; every abort
     /// carries the stats accumulated up to that point in its `stats` field.
@@ -1948,7 +1958,7 @@ mod tests {
         assert_eq!(baseline.len(), 3, "bins 0, 1 (idle) and 2");
         for threads in [2, 3, 8] {
             let mut monitor = build(threads);
-            assert!(monitor.engine.fork.is_some());
+            assert!(monitor.engine.runtime.is_some());
             assert_eq!(run(&mut monitor, &packets), baseline, "{threads} threads");
         }
     }
@@ -2180,10 +2190,9 @@ mod tests {
 
     #[test]
     fn one_packet_bins_match_serial_across_threads() {
-        // One packet a bin, all in one batch: every shipped buffer is
-        // followed by a seal, so several seals are pending at once and each
-        // bin's replies are put back together while later bins are already
-        // queued. At 3 threads the controlled lane (lane 4) is worker 1's.
+        // One packet a bin, all in one batch: every published buffer is a
+        // seal's, so every job is a one-packet offer and a score, and the
+        // controlled lane (lane 4) is retuned between seals.
         let packets: Vec<PacketRecord> = (0..600)
             .map(|i| packet((i % 7) as u8, i as f64 * 60.0 + 1.0))
             .collect();
@@ -2207,10 +2216,11 @@ mod tests {
 
     #[test]
     fn a_panicking_shard_poisons_the_monitor_on_the_caller_and_on_a_helper() {
-        // On threads(3) lane 0 is in shard 0, which the calling thread runs;
-        // lanes 4 and 5 are in shards 1 and 2, which helpers run. Each
-        // panic is the shard's WorkerPanicked, the monitor stays poisoned,
-        // and the drop joins every helper.
+        // On threads(3) the calling thread claims lanes from the front and
+        // the helpers from the back, so lane 0 usually runs on the caller
+        // and lane 5 on a helper. Either way the panic is WorkerPanicked
+        // naming the lane, the monitor stays poisoned, and the drop joins
+        // every helper.
         let batch = PacketBatch::from_records(&four_bins());
         for lane in [0, 4, 5] {
             let mut monitor = Monitor::builder()
@@ -2223,16 +2233,90 @@ mod tests {
                 .inject_lane_panic(lane, 100)
                 .build();
             let mut sink = Collect::new();
-            let shard_of = |error: DriveError| match error {
-                DriveError::WorkerPanicked { worker, .. } => worker,
+            let lane_of = |error: DriveError| match error {
+                DriveError::WorkerPanicked { lane, .. } => lane,
                 other => panic!("lane {lane}: expected WorkerPanicked, got {other:?}"),
             };
             let error = monitor.try_push_range_into(&batch, 0..batch.len(), &mut sink);
-            assert_eq!(shard_of(error.expect_err("the lane panics")), lane % 3);
+            assert_eq!(lane_of(error.expect_err("the lane panics")), lane);
             assert!(monitor.is_poisoned());
             let again = monitor.try_finish_into(&mut sink);
-            assert_eq!(shard_of(again.expect_err("still poisoned")), lane % 3);
+            assert_eq!(lane_of(again.expect_err("still poisoned")), lane);
             drop(monitor);
+        }
+    }
+
+    #[test]
+    fn every_claim_order_matches_serial_and_names_the_panicking_lane() {
+        // Which thread runs a lane is a matter of timing, so force the
+        // extremes: the caller claims every lane, the helpers claim every
+        // lane (from the back: the reverse of lane order), or the two take
+        // turns. Every order must report bit-identically to threads(1), at
+        // 2 and 4 threads, with and without the controller's retune, and a
+        // lane's panic must name that lane whoever ran it.
+        use crate::runtime::ClaimOrder;
+        let packets = flowrank_trace::Workload::flash_crowd()
+            .scaled(5.0)
+            .synthesize(43);
+        let batch = PacketBatch::from_records(&packets);
+        let builder = |threads: usize, controlled: bool| {
+            let builder = Monitor::builder()
+                .sampler(SamplerSpec::Random { rate: 0.1 })
+                .rates(&[0.01, 0.1, 0.5])
+                .runs(3)
+                .bin_length(Timestamp::from_secs_f64(60.0))
+                .seed(43)
+                .threads(threads);
+            if controlled {
+                builder.controller(ControllerSpec::model_driven())
+            } else {
+                builder
+            }
+        };
+        let forced = |builder: MonitorBuilder, order: ClaimOrder| {
+            let mut monitor = builder.build();
+            let runtime = monitor.engine.runtime.as_mut().expect("threads > 1");
+            runtime.force_order(order);
+            monitor
+        };
+        let orders = [
+            ClaimOrder::Race,
+            ClaimOrder::Caller,
+            ClaimOrder::Helpers,
+            ClaimOrder::Alternate,
+        ];
+        for controlled in [false, true] {
+            let baseline = run(&mut builder(1, controlled).build(), &packets);
+            assert!(baseline.len() >= 3, "{} bins", baseline.len());
+            for threads in [2, 4] {
+                for order in orders {
+                    let mut monitor = forced(builder(threads, controlled), order);
+                    assert_eq!(
+                        run(&mut monitor, &packets),
+                        baseline,
+                        "threads({threads}), {order:?}, controlled: {controlled}"
+                    );
+                    assert!(monitor.segment_stats().1 > baseline.len() as u64);
+                }
+            }
+        }
+        for lane in [0, 4, 8] {
+            for threads in [2, 4] {
+                for order in orders {
+                    let armed = builder(threads, false).inject_lane_panic(lane, 3000);
+                    let mut monitor = forced(armed, order);
+                    let error = monitor
+                        .try_push_range_into(&batch, 0..batch.len(), &mut Collect::new())
+                        .expect_err("the lane panics");
+                    match error {
+                        DriveError::WorkerPanicked { lane: failed, .. } => {
+                            assert_eq!(failed, lane, "threads({threads}), {order:?}")
+                        }
+                        other => panic!("lane {lane}: expected WorkerPanicked, got {other:?}"),
+                    }
+                    assert!(monitor.is_poisoned());
+                }
+            }
         }
     }
 

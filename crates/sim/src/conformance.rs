@@ -202,13 +202,13 @@ pub fn run_conformance(label: &str, packets: &[PacketRecord], config: &Conforman
         "{label}: re-chunked drive digest diverged from the collect path"
     );
 
-    // Lane-shard drive legs: `threads(n > 1)`, driven through
+    // Threaded drive legs: `threads(n > 1)`, driven through
     // `Monitor::drive` over irregularly chunked sources, must reproduce the
     // reference digest bit for bit however the chunks sit against its
-    // 4096-packet segment buffer: 463-packet chunks are stitched several to
+    // 2048-packet segment buffers: 463-packet chunks are stitched several to
     // a buffer, or cut short by a seal (2 threads); 6000-packet chunks
-    // overflow one, forking a full buffer and carrying the remainder into
-    // the next (4 threads).
+    // overflow them, publishing full buffers and carrying the remainder
+    // into the next (4 threads).
     for (threads, chunk) in [(2, 463), (4, 6000)] {
         let mut pooled = DigestSink::new();
         config.monitor(threads).drive(

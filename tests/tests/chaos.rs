@@ -493,10 +493,10 @@ fn worker_panics_poison_the_monitor_instead_of_the_process() {
             .top_t(10)
             .seed(0xC0F0_2026)
             .threads(threads)
-            // Lane 0 is in shard 0, which the calling thread runs, so that
-            // is where the panic lands: when the first forked buffer takes
-            // lane 0 past the limit — forked by the first bin seal, if the
-            // bin's chunks have not filled one before.
+            // Lane 0 panics on whichever thread claimed it when the first
+            // published buffer takes it past the limit — published by the
+            // first bin seal, if the bin's chunks have not filled one
+            // before.
             .inject_lane_panic_after(CHUNK as u64)
             .build();
         let mut source = FaultySource::new(
@@ -506,11 +506,11 @@ fn worker_panics_poison_the_monitor_instead_of_the_process() {
         let error = monitor
             .try_drive(&mut source, &mut Collect::new())
             .expect_err("the injected lane panic must surface as an error");
-        // By the final seal at the latest, which forks whatever is still
-        // buffered.
+        // By the final seal at the latest, which publishes whatever is
+        // still buffered.
         match &error {
-            DriveError::WorkerPanicked { worker, .. } => {
-                assert_eq!(*worker, 0, "lane 0 lives on worker 0");
+            DriveError::WorkerPanicked { lane, .. } => {
+                assert_eq!(*lane, 0, "the error names the panicking lane");
             }
             other => panic!("threads({threads}): expected WorkerPanicked, got {other:?}"),
         }

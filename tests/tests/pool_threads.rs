@@ -1,10 +1,9 @@
 //! How many helper threads a monitor spawns, read from outside the
 //! runtime: the names of this process's threads under `/proc/self/task`
-//! (Linux only). A `threads(n)` monitor runs its first lane shard on the
-//! calling thread and exactly `n − 1` helpers for the others, for its
-//! whole life, and none once dropped, whatever state the drop finds it in
-//! — a detached or leaked thread fails here, where the runtime's own tests
-//! could not see it.
+//! (Linux only). A `threads(n)` monitor runs its lanes on the calling
+//! thread and exactly `n − 1` helpers, for its whole life, and none once
+//! dropped, whatever state the drop finds it in — a detached or leaked
+//! thread fails here, where the runtime's own tests could not see it.
 //!
 //! The tests take one lock each, so no other test's pool is counted.
 #![cfg(target_os = "linux")]
@@ -99,9 +98,9 @@ fn the_pool_is_spawned_once_and_outlives_every_call() {
 fn dropping_a_monitor_mid_bin_joins_every_pool_thread() {
     let _pool = exclusive();
     let packets = trace();
-    // All but the last packet of a first bin several 4096-packet buffers
-    // long: full buffers have been forked, and the rest is unshipped, when
-    // the monitor drops.
+    // All but the last packet of a first bin several buffers long: full
+    // buffers have been published, the last may still be in flight, and the
+    // rest is unshipped, when the monitor drops.
     let bin = Timestamp::from_secs_f64(60.0);
     let first_bin = packets
         .iter()

@@ -294,8 +294,8 @@ fn id_lanes_restart_every_bin() {
     // Three bins through one monitor: bin 2 holds fewer flows than bin 1,
     // and bin 3 reuses bin 1's keys. Pushed 97 packets at a time, so flows
     // first appear in a later push than a lane's first kept packet, and
-    // each bin spans several of the 4096-packet buffers a threaded monitor
-    // forks. Flow ids restart from 0 at every seal; every lane of every
+    // each bin spans several of the 2048-packet buffers a threaded monitor
+    // publishes. Flow ids restart from 0 at every seal; every lane of every
     // bin must still score exactly what `run_bin` does.
     let mut rng = Pcg64::seed_from_u64(30);
     let mut packets = bin_of_flows(1, 300, 0.0, &mut rng);

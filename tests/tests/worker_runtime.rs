@@ -1,4 +1,4 @@
-//! Behavioural pins for the fork-join lane shards behind
+//! Behavioural pins for the lane runtime behind
 //! `MonitorBuilder::threads(n > 1)`: the calling thread coalesces whatever it
 //! is pushed into full segment buffers, every way of cutting the stream is
 //! bit-identical to `threads(1)`, and the helpers join cleanly from every
@@ -6,7 +6,7 @@
 //!
 //! (The 216-cell golden matrix in `scenario_conformance.rs` pins the
 //! runtime's *reports*; this file pins its *mechanics* — how many buffers
-//! are forked to the helpers, and that the helpers always shut down.)
+//! are published to the lanes, and that the helpers always shut down.)
 
 use flowrank_monitor::{
     BatchSource, BinReport, Chunked, Collect, ControllerSpec, DigestSink, Monitor, MonitorBuilder,
@@ -19,8 +19,8 @@ use flowrank_trace::Workload;
 
 const SEED: u64 = 0x5EED_2026;
 
-/// Packets per forked segment buffer (`runtime::DISPATCH_CHUNK_PACKETS`).
-const BUFFER_PACKETS: usize = 4096;
+/// Packets per published segment buffer (`runtime::BUFFER_PACKETS`).
+const BUFFER_PACKETS: usize = 2048;
 
 /// Three bins of several segment buffers each, so buffers fill inside bins
 /// as well as being cut short by seals.
@@ -58,12 +58,12 @@ fn digest_of_cuts(mut monitor: Monitor, packets: &[PacketRecord], cuts: &[usize]
 
 #[test]
 fn per_packet_pushes_on_a_threaded_monitor_coalesce_into_full_buffers() {
-    // One-packet pushes must not cost one fork each: the calling thread
-    // appends them to the buffer it is filling and forks it full, or short
-    // at most once a bin, when the seal needs the bin's last packets. So the
-    // buffers shipped are bounded by the packet count and the bin count, not
-    // by the number of pushes — and the reports stay bit-identical to
-    // `threads(1)`.
+    // One-packet pushes must not cost one publish each: the calling thread
+    // appends them to the buffer it is filling and publishes it full, or
+    // short at most once a bin, when the seal needs the bin's last packets.
+    // So the buffers shipped follow the packet count and the bin count, not
+    // the number of pushes — exactly ⌈packets / buffer⌉ per populated bin —
+    // and the reports stay bit-identical to `threads(1)`.
     let packets = trace();
     let batch = PacketBatch::from_records(&packets);
     let mut serial = builder(1).build();
@@ -90,6 +90,14 @@ fn per_packet_pushes_on_a_threaded_monitor_coalesce_into_full_buffers() {
         packets.len(),
         baseline.len()
     );
+    let exact: u64 = baseline
+        .iter()
+        .map(|report| report.packets.div_ceil(BUFFER_PACKETS as u64))
+        .sum();
+    assert_eq!(
+        shipped, exact,
+        "one buffer per {BUFFER_PACKETS} packets of each populated bin, the last one short"
+    );
 }
 
 #[test]
@@ -97,7 +105,7 @@ fn threaded_drive_matches_serial_over_irregular_chunks() {
     // A seeded sweep of random cuts — 1 to 6000 packets, so pieces smaller
     // than, equal to and larger than a segment buffer, with runs of single
     // packets mixed in — on 2 and 4 threads, with and without the controller
-    // (whose retune rides the owning helper's next message): the sink
+    // (whose retune is applied under its lane's lock after the seal): the sink
     // must see the same bins in the same order with the same bytes as the
     // serial engine fed the whole trace at once.
     let packets = trace();
@@ -199,8 +207,8 @@ fn dropping_a_threaded_monitor_mid_bin_joins_cleanly() {
         monitor.push_batch_into(&prefix(BUFFER_PACKETS / 2), &mut Collect::new());
         assert_eq!(monitor.segment_stats(), (0, 0), "nothing reached the pool");
         drop(monitor);
-        // Shipped, unsealed: five full buffers forked, a remainder
-        // buffered, the bin still open.
+        // Shipped, unsealed: five full buffers published (the last still
+        // in flight), a remainder buffered, the bin still open.
         let mut monitor = build(Timestamp::ZERO);
         monitor.push_batch_into(&prefix(BUFFER_PACKETS * 5 + 100), &mut Collect::new());
         assert_eq!(monitor.segment_stats(), (0, 5), "five full buffers");
@@ -222,8 +230,9 @@ fn dropping_a_threaded_monitor_mid_bin_joins_cleanly() {
 #[test]
 fn controlled_threaded_monitor_drops_cleanly_and_stays_bit_identical() {
     // The controller path adds the control step after each seal and a
-    // retune that rides the owning helper's next message; both must survive
-    // shutdown mid-bin and keep reports identical to `threads(1)`.
+    // retune applied under the lane's lock before the next publish; both
+    // must survive shutdown mid-bin and keep reports identical to
+    // `threads(1)`.
     let packets = trace();
     let batch = PacketBatch::from_records(&packets);
     let build = |threads: usize| {
@@ -238,7 +247,7 @@ fn controlled_threaded_monitor_drops_cleanly_and_stays_bit_identical() {
             .windows(2)
             .any(|pair| pair[0].lanes.last().map(|lane| lane.rate)
                 != pair[1].lanes.last().map(|lane| lane.rate)),
-        "the controller retunes at least once, so a message carries a rate"
+        "the controller retunes at least once, so a lane changes rate between bins"
     );
     for threads in [2, 4, 5] {
         assert_eq!(
