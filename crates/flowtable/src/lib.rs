@@ -19,7 +19,9 @@
 //! * [`hash`] — an FxHash-style multiply–rotate fold over the packed words
 //!   with a final avalanche, strong enough for power-of-two open addressing,
 //! * [`FlowMap`] — an open-addressing table mapping packed keys to
-//!   slab-backed values, with `clear()` that keeps its allocations so a
+//!   slab-backed values, probed linearly and grown whenever it would pass
+//!   half load; a removal shifts the rest of its probe run back over the
+//!   hole and leaves no tombstone. Its `clear()` keeps its allocations so a
 //!   streaming monitor reuses one table across measurement bins instead of
 //!   rehashing from zero. An entry's slab position is its **flow id**:
 //!   [`FlowMap::upsert_id`] returns it from the same probe that counts the

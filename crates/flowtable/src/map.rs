@@ -3,7 +3,8 @@
 //! [`FlowMap`] maps a [`CompactKey`] to a value through a two-part layout:
 //!
 //! * a power-of-two **slot array** of `u32` indices, probed linearly from
-//!   the key's mixed hash (with tombstones for removals), and
+//!   the key's mixed hash and kept at most half full; a removal pulls the
+//!   rest of its probe run back over the hole, so no tombstone is left, and
 //! * a **slab** (`Vec`) of `(packed key, value)` entries in insertion
 //!   order.
 //!
@@ -18,17 +19,16 @@
 
 use crate::key::{CompactKey, PackedKey};
 
-/// Slot marker: never occupied.
+/// Slot marker: unoccupied.
 const EMPTY: u32 = u32::MAX;
-/// Slot marker: previously occupied, removed (probe chains continue past it).
-const TOMBSTONE: u32 = u32::MAX - 1;
-/// Largest representable entry index.
-const MAX_ENTRIES: usize = (u32::MAX - 2) as usize;
+/// Entry indices stay below `EMPTY`.
+const MAX_ENTRIES: usize = EMPTY as usize;
 
-/// Maximum slot load (live entries plus tombstones) is 7/8.
+/// Slots for `entries` live entries at the maximum load of 1/2 (removals
+/// leave no tombstones, so live entries are the whole load).
 #[inline]
 fn slots_for(entries: usize) -> usize {
-    (entries * 8 / 7 + 1).max(16).next_power_of_two()
+    (entries * 2).max(16).next_power_of_two()
 }
 
 /// An open-addressing map from compact flow keys to slab-backed values.
@@ -36,7 +36,6 @@ fn slots_for(entries: usize) -> usize {
 pub struct FlowMap<K: CompactKey, V> {
     slots: Vec<u32>,
     entries: Vec<(K::Packed, V)>,
-    tombstones: usize,
 }
 
 impl<K: CompactKey, V> Default for FlowMap<K, V> {
@@ -51,7 +50,6 @@ impl<K: CompactKey, V> FlowMap<K, V> {
         FlowMap {
             slots: Vec::new(),
             entries: Vec::new(),
-            tombstones: 0,
         }
     }
 
@@ -81,7 +79,7 @@ impl<K: CompactKey, V> FlowMap<K, V> {
 
     /// Entries the map can hold before the slot array grows.
     pub fn capacity(&self) -> usize {
-        self.slots.len() * 7 / 8
+        self.slots.len() / 2
     }
 
     /// Removes every entry but keeps both allocations for reuse — the
@@ -90,7 +88,6 @@ impl<K: CompactKey, V> FlowMap<K, V> {
     pub fn clear(&mut self) {
         self.entries.clear();
         self.slots.fill(EMPTY);
-        self.tombstones = 0;
     }
 
     /// Returns a reference to the value of `key`, if present.
@@ -175,12 +172,31 @@ impl<K: CompactKey, V> FlowMap<K, V> {
     /// The last-inserted entry is swapped into the removed entry's slab
     /// position, so subsequent iteration order changes deterministically
     /// (a pure function of the operation sequence, never of hashing).
+    ///
+    /// The slot is freed by backward-shift deletion (Knuth, TAOCP Vol. 3,
+    /// §6.4, Algorithm R): each later member of the probe run whose home
+    /// lies cyclically at or before the hole moves into it, and the hole
+    /// moves on, until an empty slot ends the run.
     pub fn remove(&mut self, key: &K) -> Option<V> {
         let packed = key.pack();
-        let slot = self.find_slot(packed)?;
-        let entry_index = self.slots[slot] as usize;
-        self.slots[slot] = TOMBSTONE;
-        self.tombstones += 1;
+        let mut hole = self.probe(packed).ok()?;
+        let entry_index = self.slots[hole] as usize;
+        let mask = self.slots.len() - 1;
+        let mut index = hole;
+        loop {
+            index = (index + 1) & mask;
+            let entry = self.slots[index];
+            if entry == EMPTY {
+                break;
+            }
+            let home = self.entries[entry as usize].0.mix() as usize & mask;
+            // Move the occupant unless its home is nearer to it than the hole.
+            if index.wrapping_sub(home) & mask >= index.wrapping_sub(hole) & mask {
+                self.slots[hole] = entry;
+                hole = index;
+            }
+        }
+        self.slots[hole] = EMPTY;
         let (_, value) = self.entries.swap_remove(entry_index);
         let moved_from = self.entries.len();
         if entry_index < moved_from {
@@ -208,19 +224,13 @@ impl<K: CompactKey, V> FlowMap<K, V> {
     /// Finds the entry index of `packed`, if present.
     #[inline]
     fn find_entry(&self, packed: K::Packed) -> Option<usize> {
-        self.find_slot(packed).map(|s| self.slots[s] as usize)
-    }
-
-    /// Finds the slot index holding `packed`, if present.
-    #[inline]
-    fn find_slot(&self, packed: K::Packed) -> Option<usize> {
-        self.probe(packed).ok()
+        self.probe(packed).ok().map(|s| self.slots[s] as usize)
     }
 
     /// Walks `packed`'s probe chain once: `Ok` with the slot holding it, or
-    /// `Err` with the first reusable slot (tombstone or empty) on the chain,
-    /// the one `free_slot` would pick. An empty slot array gives `Err(0)`,
-    /// which no insert uses: the first insert grows the array.
+    /// `Err` with the empty slot that ends the chain, the one `free_slot`
+    /// would pick. An empty slot array gives `Err(0)`, which no insert
+    /// uses: the first insert grows the array.
     #[inline]
     fn probe(&self, packed: K::Packed) -> Result<usize, usize> {
         if self.slots.is_empty() {
@@ -228,18 +238,13 @@ impl<K: CompactKey, V> FlowMap<K, V> {
         }
         let mask = self.slots.len() - 1;
         let mut index = packed.mix() as usize & mask;
-        let mut vacancy = None;
         loop {
-            match self.slots[index] {
-                EMPTY => return Err(vacancy.unwrap_or(index)),
-                TOMBSTONE => {
-                    vacancy.get_or_insert(index);
-                }
-                entry => {
-                    if self.entries[entry as usize].0 == packed {
-                        return Ok(index);
-                    }
-                }
+            let entry = self.slots[index];
+            if entry == EMPTY {
+                return Err(index);
+            }
+            if self.entries[entry as usize].0 == packed {
+                return Ok(index);
             }
             index = (index + 1) & mask;
         }
@@ -262,13 +267,11 @@ impl<K: CompactKey, V> FlowMap<K, V> {
 
     /// Appends a new entry and links it from the slot array at `vacancy`,
     /// the free slot `probe` found for it, or at a new one when the insert
-    /// first grows or purges the array. The caller guarantees `packed` is
-    /// absent.
+    /// would pass half load and first grows the array. The caller guarantees
+    /// `packed` is absent.
     fn push_new(&mut self, packed: K::Packed, value: V, vacancy: usize) -> usize {
         assert!(self.entries.len() < MAX_ENTRIES, "FlowMap is full");
-        let slot = if (self.entries.len() + self.tombstones + 1) * 8 > self.slots.len() * 7 {
-            // Rehashing rebuilds the slots from the slab, which also purges
-            // tombstones; size for the live entries only.
+        let slot = if (self.entries.len() + 1) * 2 > self.slots.len() {
             self.rehash(slots_for(self.entries.len() + 1));
             self.free_slot(packed)
         } else {
@@ -277,21 +280,18 @@ impl<K: CompactKey, V> FlowMap<K, V> {
         };
         let entry_index = self.entries.len();
         self.entries.push((packed, value));
-        if self.slots[slot] == TOMBSTONE {
-            self.tombstones -= 1;
-        }
         self.slots[slot] = entry_index as u32;
         entry_index
     }
 
-    /// First reusable slot (tombstone or empty) on `packed`'s probe chain.
-    /// The caller guarantees `packed` is absent from the map.
+    /// The empty slot that ends `packed`'s probe chain. The caller
+    /// guarantees `packed` is absent from the map.
     #[inline]
     fn free_slot(&self, packed: K::Packed) -> usize {
         let mask = self.slots.len() - 1;
         let mut index = packed.mix() as usize & mask;
         loop {
-            if self.slots[index] == EMPTY || self.slots[index] == TOMBSTONE {
+            if self.slots[index] == EMPTY {
                 return index;
             }
             index = (index + 1) & mask;
@@ -318,7 +318,6 @@ impl<K: CompactKey, V> FlowMap<K, V> {
             slots[index] = entry_index as u32;
         }
         self.slots = slots;
-        self.tombstones = 0;
     }
 }
 
@@ -334,6 +333,37 @@ impl<K: CompactKey, V> FromIterator<(K, V)> for FlowMap<K, V> {
 mod tests {
     use super::*;
     use std::collections::HashMap;
+
+    impl<K: CompactKey, V> FlowMap<K, V> {
+        /// The probe-chain invariant: every slot is `EMPTY` or links a
+        /// distinct entry, every entry has a slot, and every entry is
+        /// reachable from its home slot without crossing an `EMPTY`.
+        fn check_chains(&self) {
+            let mask = self.slots.len().wrapping_sub(1);
+            let mut linked = vec![false; self.entries.len()];
+            for (index, &entry) in self.slots.iter().enumerate() {
+                if entry == EMPTY {
+                    continue;
+                }
+                let entry = entry as usize;
+                assert!(
+                    entry < self.entries.len(),
+                    "slot {index} links past the slab"
+                );
+                assert!(!linked[entry], "entry {entry} is linked twice");
+                linked[entry] = true;
+                let mut probe = self.entries[entry].0.mix() as usize & mask;
+                while probe != index {
+                    assert_ne!(
+                        self.slots[probe], EMPTY,
+                        "entry {entry} at slot {index}: empty slot {probe} cuts it off from its home"
+                    );
+                    probe = (probe + 1) & mask;
+                }
+            }
+            assert!(linked.iter().all(|&l| l), "an entry has no slot");
+        }
+    }
 
     #[test]
     fn empty_map() {
@@ -479,6 +509,7 @@ mod tests {
                 }
             }
             assert_eq!(map.len(), reference.len(), "op {op}");
+            map.check_chains();
         }
         // Final full-content comparison.
         for (k, v) in map.iter() {
@@ -529,7 +560,7 @@ mod tests {
 
     #[test]
     fn growth_happens_exactly_at_the_load_boundary() {
-        // The 7/8 load rule, pinned at the exact boundary for several
+        // The 1/2 load rule, pinned at the exact boundary for several
         // power-of-two slot sizes: `capacity()` inserts fit without growth,
         // one more entry grows the table, and every key stays reachable
         // through the rehash.
@@ -567,12 +598,12 @@ mod tests {
     }
 
     #[test]
-    fn tombstone_reuse_keeps_a_churned_table_from_growing() {
+    fn bounded_churn_never_grows_the_table() {
         // Heavy insert/remove churn with a bounded live population: every
-        // slot gets tombstoned over and over, yet because dead slots are
-        // reused (and rehashes size for live entries only) the table must
-        // never grow beyond its initial sizing — while agreeing with a
-        // reference map at every step.
+        // slot is filled and freed over and over, yet a removal leaves the
+        // slot empty (the probe run shifts back over it), so the table must
+        // keep its initial sizing — while agreeing with a reference map and
+        // keeping every chain intact at every step.
         let mut map: FlowMap<u64, u64> = FlowMap::with_capacity(14);
         let cap = map.capacity();
         let mut reference: HashMap<u64, u64> = HashMap::new();
@@ -596,18 +627,18 @@ mod tests {
                 assert_eq!(map.remove(&key), reference.remove(&key), "op {op}");
             }
             assert_eq!(map.len(), reference.len(), "op {op}");
-            assert!(
-                map.capacity() <= cap,
-                "op {op}: churn with ≤10 live entries grew the table \
-                 ({} > {cap}) — tombstones treated as live?",
-                map.capacity()
+            assert_eq!(
+                map.capacity(),
+                cap,
+                "op {op}: churn with ≤10 live entries resized the table"
             );
+            map.check_chains();
         }
         for (k, v) in map.iter() {
             assert_eq!(reference.get(&k), Some(v));
         }
         // Absent-key probes still terminate and miss correctly after the
-        // churn (chains are full of reused slots).
+        // churn.
         for k in 100..200u64 {
             assert_eq!(map.get(&k), None);
         }
@@ -632,7 +663,7 @@ mod tests {
             state >> 16
         };
         for op in 0..40_000u64 {
-            let key = next() % 13; // ≤ 13 live keys: the map stays at 16 slots
+            let key = next() % 8; // ≤ 8 live keys: the map stays at 16 slots
             match next() % 3 {
                 0 => {
                     let id = map.upsert_id(key, || 1, |v| *v += 1);
@@ -656,7 +687,8 @@ mod tests {
                     }
                 }
             }
-            assert_eq!(map.capacity(), 14, "op {op}: the 16-slot map grew");
+            assert_eq!(map.capacity(), 8, "op {op}: the 16-slot map grew");
+            map.check_chains();
             assert_eq!(
                 map.iter().map(|(k, _)| k).collect::<Vec<_>>(),
                 slab,
@@ -669,16 +701,75 @@ mod tests {
     }
 
     #[test]
-    fn tombstone_buildup_triggers_purging_rehash() {
+    fn churn_far_past_the_slot_count_never_loops() {
         let mut map: FlowMap<u64, u64> = FlowMap::with_capacity(64);
-        // Insert/remove cycles far beyond the slot count: without tombstone
-        // purging the probe chains would fill up and loop forever.
+        let cap = map.capacity();
+        // Insert/remove cycles far beyond the slot count: a removal that
+        // left its slot occupied would fill every chain, and the next
+        // probe for an absent key would never meet an empty slot.
         for round in 0..10_000u64 {
             map.insert(round, round);
+            map.check_chains();
             assert_eq!(map.remove(&round), Some(round));
+            map.check_chains();
         }
         assert!(map.is_empty());
+        assert_eq!(map.capacity(), cap);
+        assert!(map.slots.iter().all(|&s| s == EMPTY));
         map.insert(7, 7);
         assert_eq!(map.get(&7), Some(&7));
+        assert_eq!(map.get(&8), None);
+    }
+
+    #[test]
+    fn removal_shifts_runs_across_the_wrap_around() {
+        // Six keys whose homes are the last three slots of a 16-slot array,
+        // two each: their probe run wraps past slot 15 to slots 0-2, so the
+        // shift runs across the wrap. Inserted by ascending home, every key
+        // past the first sits after its home; by descending home, the first
+        // key of each home sits on it, so a removal meets occupants that
+        // must stay put. Every removal order from both must keep every chain
+        // intact and every remaining key reachable.
+        let home = |k: u64| k.mix() as usize & 15;
+        let mut keys: Vec<u64> = Vec::new();
+        for slot in [13, 14, 15] {
+            keys.extend((0u64..).filter(|&k| home(k) == slot).take(2));
+        }
+        let descending: Vec<u64> = keys.iter().rev().copied().collect();
+        let mut orders = Vec::new();
+        permutations(&mut (0..keys.len()).collect::<Vec<_>>(), 0, &mut orders);
+        assert_eq!(orders.len(), 720);
+        for inserted in [&keys, &descending] {
+            for order in &orders {
+                let mut map: FlowMap<u64, u64> = FlowMap::new();
+                for &k in inserted {
+                    map.insert(k, k);
+                }
+                assert_eq!(map.capacity(), 8);
+                map.check_chains();
+                for (done, &i) in order.iter().enumerate() {
+                    assert_eq!(map.remove(&keys[i]), Some(keys[i]), "{order:?}");
+                    map.check_chains();
+                    for &j in &order[done + 1..] {
+                        assert_eq!(map.get(&keys[j]), Some(&keys[j]), "{order:?}");
+                    }
+                    assert_eq!(map.get(&keys[i]), None, "{order:?}");
+                }
+                assert!(map.slots.iter().all(|&s| s == EMPTY));
+            }
+        }
+    }
+
+    /// Every permutation of `items[at..]` after the fixed prefix.
+    fn permutations(items: &mut Vec<usize>, at: usize, out: &mut Vec<Vec<usize>>) {
+        if at == items.len() {
+            out.push(items.clone());
+            return;
+        }
+        for i in at..items.len() {
+            items.swap(at, i);
+            permutations(items, at + 1, out);
+            items.swap(at, i);
+        }
     }
 }

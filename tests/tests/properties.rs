@@ -176,6 +176,72 @@ fn flow_map_agrees_with_std_hashmap_reference() {
 }
 
 #[test]
+fn flow_map_removal_heavy_churn_matches_a_slab_model() {
+    use std::collections::HashMap;
+    for_all_cases("flow_map_removal_churn", |rng| {
+        let mut map: FlowMap<FiveTuple, u64> = FlowMap::new();
+        let mut reference: HashMap<FiveTuple, u64> = HashMap::new();
+        // The slab model: ids in order of first sight, and a removal moves
+        // the last entry into the removed entry's position.
+        let mut slab: Vec<FiveTuple> = Vec::new();
+        let universe: Vec<FiveTuple> = (0..48)
+            .map(|_| FiveTuple::from_packet(&arbitrary_packet(rng)))
+            .collect();
+        let mut absent: Vec<FiveTuple> = Vec::new();
+        while absent.len() < 20 {
+            let key = FiveTuple::from_packet(&arbitrary_packet(rng));
+            if !universe.contains(&key) && !absent.contains(&key) {
+                absent.push(key);
+            }
+        }
+        for op in 0..300 {
+            match rng.next_below(8) {
+                0..=2 => {
+                    let key = universe[rng.index(universe.len())];
+                    let id = map.upsert_id(key, || 1, |v| *v += 1);
+                    *reference.entry(key).or_insert(0) += 1;
+                    if !slab.contains(&key) {
+                        slab.push(key);
+                    }
+                    assert_eq!(slab[id], key, "op {op}");
+                }
+                3 => {
+                    let key = universe[rng.index(universe.len())];
+                    let value = rng.next_u64();
+                    assert_eq!(map.insert(key, value), reference.insert(key, value));
+                    if !slab.contains(&key) {
+                        slab.push(key);
+                    }
+                }
+                _ => {
+                    // Half the ops remove, mostly a live key.
+                    let key = if !slab.is_empty() && rng.next_below(4) != 0 {
+                        slab[rng.index(slab.len())]
+                    } else {
+                        universe[rng.index(universe.len())]
+                    };
+                    assert_eq!(map.remove(&key), reference.remove(&key), "op {op}");
+                    if let Some(hole) = slab.iter().position(|&k| k == key) {
+                        slab.swap_remove(hole);
+                    }
+                }
+            }
+            assert_eq!(map.len(), reference.len(), "op {op}");
+            for (key, value) in &reference {
+                assert_eq!(map.get(key), Some(value), "op {op}");
+            }
+            for key in &absent {
+                assert_eq!(map.get(key), None, "op {op}");
+            }
+            assert!(
+                map.iter().map(|(k, _)| k).eq(slab.iter().copied()),
+                "op {op}"
+            );
+        }
+    });
+}
+
+#[test]
 fn flow_map_drain_order_is_deterministic_and_clear_reuses() {
     for_all_cases("flow_map_drain_order", |rng| {
         let keys: Vec<FiveTuple> = (0..60)

@@ -11,7 +11,7 @@
 //! Since the SoA `PacketBatch` redesign the contract has a third leg: the
 //! monitor must produce bit-identical `BinReport`s for **any** way of
 //! cutting the stream into batches, down to one record each (including the
-//! sharded/threads configuration), because every sampler's per-packet and
+//! `threads(n)` configuration), because every sampler's per-packet and
 //! batch paths share state.
 
 use flowrank_monitor::{BinReport, Collect, Monitor, SamplerSpec};
@@ -133,9 +133,10 @@ fn fanned_out_lanes_match_independent_batch_runs() {
 
 #[test]
 fn sharded_monitor_is_bit_identical_to_single_thread() {
-    // The compact-key refactor's parallel path: a monitor with worker
-    // threads classifies each bin through a hash-sharded flow table and
-    // scores lanes concurrently. Reports — outcomes, flow counts, lane
+    // The parallel path: on `threads(n)` the calling thread classifies
+    // every packet into the bin's one truth table, and the lanes are
+    // claimed per 2,048-packet buffer by the caller and its `n − 1` helper
+    // threads and count concurrently. Reports — outcomes, flow counts, lane
     // order, everything — must be bit-identical to the single-threaded
     // monitor (and therefore, via the tests above, to the per-packet
     // oracle) for both flow definitions and any thread count.
@@ -220,8 +221,8 @@ fn push_batch_is_bit_identical_to_push_for_any_batching() {
             "{definition}: chunked batches"
         );
 
-        // The sharded/threads case: whole-bin segments fan out across
-        // worker threads and shards.
+        // The threaded case: one truth table on the calling thread, lanes
+        // claimed per 2,048-packet buffer by the caller and its helpers.
         for threads in [2, 4] {
             let sharded = push_whole(&mut build(threads), &batch);
             assert_eq!(
